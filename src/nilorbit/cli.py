@@ -16,7 +16,14 @@ from pathlib import Path
 
 from .blocks import canonical_quotient_order, decompose, is_richardson, is_special
 from .duality import dual_pair, epoly_equality_check, seesaw_check, springer_dual, springer_dual_inverse
-from .ff_oracle import _BUDGET_ENV, fiber_point_count, realize, resolve_budget
+from .ff_oracle import (
+    _BUDGET_ENV,
+    DEFAULT_BUDGET,
+    check_modulus,
+    fiber_point_count,
+    realize,
+    resolve_budget,
+)
 from .levi import polarizations
 from .minimal import minimal_richardson_witnessed, pseudo_polarizations
 from .partitions import (
@@ -55,14 +62,31 @@ def _valid_partition(args) -> tuple[Partition, Family]:
     return p, fam
 
 
-def _primes(args) -> list[int]:
+def _primes(args, n: int) -> list[int]:
+    """The --oracle-primes list, each an odd prime small enough for int64
+    products at dimension n."""
     try:
         primes = [int(t) for t in args.oracle_primes.split(",") if t.strip()]
     except ValueError:
         raise UsageError(f"malformed prime list {args.oracle_primes!r}") from None
     if not primes:
         raise UsageError("at least one oracle prime is required")
+    for q in primes:
+        try:
+            check_modulus(q, n)
+        except ValueError as exc:
+            raise UsageError(f"--oracle-primes: {exc}") from None
     return primes
+
+
+def _budget(args, default: int) -> int:
+    """--oracle-budget, else the environment variable, else ``default``."""
+    if args.oracle_budget is None and not os.environ.get(_BUDGET_ENV):
+        return default
+    try:
+        return resolve_budget(args.oracle_budget)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -188,15 +212,15 @@ def cmd_polarizations(args) -> int:
     return 0
 
 
-def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int | None):
+def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int):
     records = []
     failed = False
+    reals = [realize(p, fam, q) for q in primes]
     for r, levi in pseudo_polarizations(p, fam):
         d = descriptor(p, fam, r, levi)
         poly = e_polynomial(d)
         oracle = []
-        for q in primes:
-            real = realize(p, fam, q)
+        for q, real in zip(primes, reals):
             fc = fiber_point_count(real, levi, budget)
             if fc.count is None:
                 oracle.append(
@@ -223,8 +247,8 @@ def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int | N
 
 def cmd_fiber(args) -> int:
     p, fam = _valid_partition(args)
-    primes = _primes(args)
-    records, failed = _fiber_records(p, fam, primes, args.oracle_budget)
+    primes = _primes(args, p.n)
+    records, failed = _fiber_records(p, fam, primes, _budget(args, DEFAULT_BUDGET))
     payload = {
         "schema": 1,
         "family": fam.value,
@@ -371,23 +395,15 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
     return rec
 
 
-def _atlas_budget(args) -> int:
-    if args.oracle_budget is not None:
-        return args.oracle_budget
-    if os.environ.get(_BUDGET_ENV):
-        return resolve_budget(None)
-    return _ATLAS_DEFAULT_BUDGET
-
-
 def cmd_atlas(args) -> int:
     fam = _family(args)
     if args.rank < 1:
         raise UsageError("rank must be at least 1")
     if args.rank > args.ceiling:
         raise UsageError(f"rank {args.rank} exceeds the ceiling {args.ceiling}")
-    primes = _primes(args)
-    budget = _atlas_budget(args)
     n = 2 * args.rank + fam.size_parity
+    primes = _primes(args, n)
+    budget = _budget(args, _ATLAS_DEFAULT_BUDGET)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

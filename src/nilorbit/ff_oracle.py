@@ -23,28 +23,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import annihilator, contains, nullspace, rank
+from ._linalg import annihilator, nullspace, rank
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
 from .spaltenstein import GrassStep
 
 DEFAULT_BUDGET = 1_000_000
 _BUDGET_ENV = "NILORBIT_ORACLE_BUDGET"
+# Candidate rows generated and tested per numpy product; keeps memory flat.
+_BATCH = 1024
+_INT64_LIMIT = 2**63
 
 
 def resolve_budget(budget: int | None = None) -> int:
     """Explicit argument, else the NILORBIT_ORACLE_BUDGET variable, else the
-    default node cap."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    default node cap.  A negative or non-integer budget is a ValueError."""
+    if budget is None:
+        env = os.environ.get(_BUDGET_ENV)
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
+        if budget < 0:
+            raise ValueError(f"{_BUDGET_ENV} must be non-negative, got {budget}")
+    if budget < 0:
+        raise ValueError(f"oracle budget must be non-negative, got {budget}")
+    return budget
 
 
 class BudgetExceeded(Exception):
     """Raised internally when the node cap is hit; converted to a skip."""
+
+
+class InvariantError(Exception):
+    """A realization broke an invariant it is built to satisfy (form
+    symmetry, nondegeneracy, e-invariance, the sl2 triple, Jordan ranks,
+    splitness).  This is an internal bug, unlike the RuntimeError that
+    ``dual_pair`` raises when a verification fails."""
+
+
+def check_modulus(modulus: int, n: int) -> None:
+    """Reject a modulus that is not an odd prime, or so large that one
+    reduced product of n-by-n matrices could overflow int64
+    (n * (modulus - 1)**2 >= 2**63).  The size bound comes first, which
+    also bounds the trial division."""
+    if n * (modulus - 1) ** 2 >= _INT64_LIMIT:
+        raise ValueError(
+            f"modulus {modulus} is too large for dimension {n}: "
+            f"n*(p-1)^2 must stay below 2^63"
+        )
+    if not _is_odd_prime(modulus):
+        raise ValueError(f"modulus must be an odd prime, got {modulus}")
 
 
 def _is_odd_prime(n: int) -> bool:
@@ -138,8 +169,7 @@ def realize(
     """
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
-    if not _is_odd_prime(modulus):
-        raise ValueError(f"modulus must be an odd prime, got {modulus}")
+    check_modulus(modulus, p.n)
     if convention not in ("default", "alternate"):
         raise ValueError(f"unknown sign convention {convention!r}")
     parts = p.parts
@@ -160,7 +190,8 @@ def realize(
         if _self_paired(v, family):
             continue
         js = [j for j, x in enumerate(parts) if x == v]
-        assert len(js) % 2 == 0, f"paired-parity value {v} with odd multiplicity in {p}"
+        if len(js) % 2:
+            raise InvariantError(f"paired-parity value {v} with odd multiplicity in {p}")
         for a, b in zip(js[0::2], js[1::2]):
             beta[a], beta[b] = b, a
 
@@ -190,16 +221,21 @@ def realize(
 def _validate(real: JordanRealization) -> None:
     p, e, g, f = real.modulus, real.e, real.gram, real.f
     n = real.dim
-    assert not np.any((g.T - real.family.epsilon * g) % p), "form symmetry broken"
-    assert rank(g, p) == n, "form is degenerate"
-    assert not np.any((e.T @ g + g @ e) % p), "form is not e-invariant"
+
+    def require(ok, what: str) -> None:
+        if not ok:
+            raise InvariantError(f"{what} ({real.family.value}, {real.partition}, p={p})")
+
+    require(not np.any((g.T - real.family.epsilon * g) % p), "form symmetry broken")
+    require(rank(g, p) == n, "form is degenerate")
+    require(not np.any((e.T @ g + g @ e) % p), "form is not e-invariant")
     h = (e @ f - f @ e) % p
-    assert not np.any((h @ e - e @ h - 2 * e) % p), "triple relation [h,e]=2e broken"
-    assert not np.any((h @ f - f @ h + 2 * f) % p), "triple relation [h,f]=-2f broken"
+    require(not np.any((h @ e - e @ h - 2 * e) % p), "triple relation [h,e]=2e broken")
+    require(not np.any((h @ f - f @ h + 2 * f) % p), "triple relation [h,f]=-2f broken")
     power = np.eye(n, dtype=np.int64)
     for k in itertools.count():
         expected = sum(max(d - k, 0) for d in real.partition.parts)
-        assert rank(power, p) == expected, f"rank of e^{k} is not {expected}"
+        require(rank(power, p) == expected, f"rank of e^{k} is not {expected}")
         if expected == 0:
             break
         power = (power @ e) % p
@@ -207,7 +243,7 @@ def _validate(real: JordanRealization) -> None:
         det = _signed_det(real.gram) % p
         target = ((-1) ** (n // 2)) % p
         ratio = (det * pow(target, p - 2, p)) % p
-        assert pow(ratio, (p - 1) // 2, p) == 1, "even orthogonal form is not split"
+        require(pow(ratio, (p - 1) // 2, p) == 1, "even orthogonal form is not split")
 
 
 @dataclass(frozen=True)
@@ -237,43 +273,66 @@ def _complement(E: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _subspaces_between(E, W, target, p, counter, cap):
-    """Yield every subspace F with E <= F <= W and dim F = target, as a row
-    matrix extending E.  Enumerates reduced echelon coefficient matrices in
-    coordinates of a complement of E inside W, so each subspace appears
-    exactly once; each candidate costs one budget node.
+def _isotropic_extensions(E, W, target, g, p, counter, cap):
+    """Yield every isotropic F with E <= F <= W and dim F = target, each
+    exactly once, as a row matrix extending E.  E must be isotropic with
+    W inside its perp, so only the new rows need testing.
+
+    F is enumerated by the reduced-echelon coefficient matrix of its new
+    rows in the coordinates of a complement of E in W, built from the last
+    pivot down: a row with pivot pc has free entries at the later columns
+    that are not pivots yet, so all p**f candidates for it are known up
+    front.  They are generated in batches of at most _BATCH rows, and each
+    batch is tested in one product against the restricted Gram matrix: a
+    row survives when it is isotropic and orthogonal to the rows already
+    chosen.  One node is one candidate row tested.  A batch is charged to
+    ``counter`` in full before it is evaluated; one that would take the
+    count past ``cap`` sets it to cap + 1 and raises BudgetExceeded, so a
+    check skips exactly when its total exceeds the cap.
     """
-    base = E.shape[0]
-    extra = target - base
-    if extra < 0:
-        return
+    extra = target - E.shape[0]
     comp = _complement(E, W, p)
     c = comp.shape[0]
-    if extra > c:
+    if not 0 <= extra <= c:
         return
-    if extra == 0:
-        counter[0] += 1
-        if counter[0] > cap:
-            raise BudgetExceeded
-        yield E.copy()
-        return
-    for pivots in itertools.combinations(range(c), extra):
-        free_slots = [
-            (row, col)
-            for row, pc in enumerate(pivots)
-            for col in range(pc + 1, c)
-            if col not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_slots)):
-            counter[0] += 1
-            if counter[0] > cap:
-                raise BudgetExceeded
-            coeff = np.zeros((extra, c), dtype=np.int64)
-            for row, pc in enumerate(pivots):
-                coeff[row, pc] = 1
-            for (row, col), val in zip(free_slots, values):
-                coeff[row, col] = val
-            yield np.vstack([E, (coeff @ comp) % p])
+    B = ((comp @ g) % p) @ comp.T % p
+
+    def extend(rows: np.ndarray, pivots: tuple[int, ...]):
+        left = extra - rows.shape[0]
+        if left == 0:
+            yield np.vstack([E, (rows @ comp) % p])
+            return
+        for pc in range(left - 1, pivots[-1] if pivots else c):
+            free = [col for col in range(pc + 1, c) if col not in pivots]
+            total = p ** len(free)
+            for start in range(0, total, _BATCH):
+                size = min(_BATCH, total - start)
+                counter[0] += size
+                if counter[0] > cap:
+                    counter[0] = cap + 1
+                    raise BudgetExceeded
+                digits = np.arange(start, start + size, dtype=np.int64)
+                X = np.zeros((size, c), dtype=np.int64)
+                X[:, pc] = 1
+                for col in free:
+                    X[:, col] = digits % p
+                    digits //= p
+                XB = (X @ B) % p
+                keep = np.einsum("ij,ij->i", XB, X) % p == 0
+                if rows.shape[0]:
+                    keep &= ~np.any((XB @ rows.T) % p, axis=1)
+                for x in X[keep]:
+                    yield from extend(np.vstack([rows, x]), pivots + (pc,))
+
+    yield from extend(np.zeros((0, c), dtype=np.int64), ())
+
+
+def _closes(E: np.ndarray, eg: np.ndarray, g: np.ndarray, p: int) -> bool:
+    """True iff e(E^perp) <= E, given eg = e^T g mod p.  Since g is
+    nondegenerate, E = (E^perp)^perp, so this holds exactly when the form
+    (u, v) -> <e u, v> vanishes on a basis P of E^perp: P eg P^T = 0."""
+    perp = nullspace((E @ g) % p, p)
+    return not np.any(((perp @ eg) % p) @ perp.T % p)
 
 
 def fiber_point_count(
@@ -282,9 +341,12 @@ def fiber_point_count(
     """Count isotropic chains E_1 < ... < E_k with dim E_i = p_1 + ... + p_i,
     e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k.
 
-    The enumeration recurses through E_i inside E_{i-1}^perp intersected
-    with e^{-1}(E_{i-1}), checking isotropy on each candidate; exceeding the
-    node budget returns an explicit skip, never a wrong count.
+    The enumeration recurses through isotropic E_i inside E_{i-1}^perp
+    intersected with e^{-1}(E_{i-1}), adding one reduced-echelon row at a
+    time and dropping each candidate row as soon as it fails isotropy.  A
+    node is one candidate row tested, and the budget caps those rows: a
+    check whose total would exceed it returns an explicit skip with
+    ``nodes == budget + 1``, never a wrong count.
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
@@ -293,26 +355,21 @@ def fiber_point_count(
     n = real.dim
     dims = list(itertools.accumulate(levi.ps))
     counter = [0]
-
-    def closes(E: np.ndarray) -> bool:
-        perp = nullspace((E @ g) % p, p) if E.shape[0] else np.eye(n, dtype=np.int64)
-        return contains(E, (perp @ e.T) % p, p)
+    eg = (e.T @ g) % p
 
     def recurse(E: np.ndarray, t: int) -> int:
         if t == len(dims):
-            return 1 if closes(E) else 0
+            return 1 if _closes(E, eg, g, p) else 0
         if E.shape[0] == 0:
             window = nullspace(e, p)
         else:
             window = nullspace(
                 np.vstack([(E @ g) % p, (annihilator(E, p) @ e) % p]), p
             )
-        total = 0
-        for F in _subspaces_between(E, window, dims[t], p, counter, cap):
-            if F.shape[0] and np.any((F @ g @ F.T) % p):
-                continue
-            total += recurse(F, t + 1)
-        return total
+        return sum(
+            recurse(F, t + 1)
+            for F in _isotropic_extensions(E, window, dims[t], g, p, counter, cap)
+        )
 
     empty = np.zeros((0, n), dtype=np.int64)
     try:

@@ -231,6 +231,53 @@ class TestAtlas:
         assert payload["oracle_skipped"] > 0
 
 
+class TestOracleInputs:
+    """Bad oracle inputs exit 2 with one line on stderr, for fiber and atlas."""
+
+    COMMANDS = {
+        "fiber": ["fiber", "--family", "B", "3,1,1"],
+        "atlas": ["atlas", "--family", "B", "--rank", "2"],
+    }
+
+    def _run(self, capsys, tmp_path, command, *extra):
+        argv = self.COMMANDS[command] + list(extra)
+        if command == "atlas":
+            argv += ["--out", str(tmp_path)]
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("command", ["fiber", "atlas"])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--oracle-primes", "4"],
+            ["--oracle-primes", "2"],
+            ["--oracle-primes", "3,9"],
+            ["--oracle-primes", "2147483647"],  # prime 2^31-1, but n*(p-1)^2 >= 2^63
+            ["--oracle-budget", "-1"],
+        ],
+        ids=lambda x: " ".join(x),
+    )
+    def test_bad_flag(self, capsys, tmp_path, command, extra):
+        code, out, err = self._run(capsys, tmp_path, command, *extra)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["fiber", "atlas"])
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_environment_budget(self, capsys, tmp_path, monkeypatch, command, value):
+        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", value)
+        code, _, err = self._run(capsys, tmp_path, command)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "NILORBIT_ORACLE_BUDGET" in err
+
+    def test_explicit_budget_overrides_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "abc")
+        code, _, _ = self._run(capsys, tmp_path, "fiber", "--oracle-budget", "0")
+        assert code == 0
+
+
 class TestArgparse:
     def test_no_arguments(self):
         with pytest.raises(SystemExit) as exc:

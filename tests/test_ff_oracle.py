@@ -2,18 +2,26 @@
 
 The Grassmannian step counts are cross-checked against a brute force that
 shares nothing with the package: it builds its own bilinear forms and its
-own reduced-echelon subspace enumerator.
+own reduced-echelon subspace enumerator.  The oracle's pruned enumerator is
+checked against the same enumerator plus an isotropy filter; the package's
+row reduction only builds the inputs and the canonical bases compared.
 """
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilorbit
 from nilorbit import (
     DEFAULT_BUDGET,
     Family,
     FlagCount,
     GrassStep,
+    InvariantError,
     LeviType,
     descriptor,
     e_polynomial,
@@ -23,9 +31,12 @@ from nilorbit import (
     minimal_richardson_orbits,
     parse_partition,
     polarizations,
+    pseudo_polarizations,
     realize,
     resolve_budget,
 )
+from nilorbit._linalg import contains, nullspace, rank, rref
+from nilorbit.ff_oracle import BudgetExceeded, _closes, _isotropic_extensions, _validate
 
 
 def P(text):
@@ -124,6 +135,8 @@ class TestRealize:
             realize(P("3,1,1"), Family.B, 2)
         with pytest.raises(ValueError):
             realize(P("3,1,1"), Family.B, 3, convention="sideways")
+        with pytest.raises(ValueError, match="too large"):
+            realize(P("3,1,1"), Family.B, 2**31 - 1)  # prime, but 5*(p-1)^2 >= 2^63
 
     def test_sweep_validates_internally(self):
         for fam, n in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
@@ -227,9 +240,196 @@ class TestBudget:
         assert resolve_budget() == 123
         assert resolve_budget(77) == 77
 
+    @pytest.mark.parametrize("text", ["abc", "-1", "1.5"])
+    def test_bad_environment_value_names_the_variable(self, monkeypatch, text):
+        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", text)
+        with pytest.raises(ValueError, match="NILORBIT_ORACLE_BUDGET"):
+            resolve_budget()
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_budget(-1)
+        with pytest.raises(ValueError):
+            fiber_point_count(realize(P("2,2,1"), Family.B, 3), L("1;3"), budget=-1)
+
     def test_exhaustion_is_an_explicit_skip(self):
         real = realize(P("2,2,1"), Family.B, 3)
         res = fiber_point_count(real, L("1;3"), budget=1)
         assert res == FlagCount(None, 3, L("1;3"), res.nodes, skipped="budget")
         assert res.count is None
         assert res.nodes >= 1
+
+
+# --- the pruned enumerator against the brute force ---------------------------
+
+
+def _canon(mat, p):
+    return tuple(map(tuple, rref(mat, p)[0].tolist()))
+
+
+def _random_isotropic(form, k, p, rng):
+    """A k-dimensional isotropic subspace of a random shape, grown one random
+    vector at a time."""
+    n = form.shape[0]
+    E = np.zeros((0, n), dtype=np.int64)
+    while E.shape[0] < k:
+        x = rng.integers(0, p, size=(1, n))
+        cand = np.vstack([E, x])
+        if rank(cand, p) > E.shape[0] and not np.any(cand @ form % p @ x.T % p):
+            E = cand
+    return E
+
+
+FORMS = {
+    Family.B: split_symmetric_form,
+    Family.C: symplectic_form,
+    Family.D: split_symmetric_form,
+}
+
+# (family, n, dim E, target); W is E^perp, of dimension at most 4, so the
+# brute force over every target-dimensional subspace of W stays small.
+EXTENSION_CASES = [
+    (Family.B, 3, 0, 1),
+    (Family.B, 5, 1, 2),
+    (Family.B, 5, 1, 3),
+    (Family.C, 4, 0, 1),
+    (Family.C, 4, 0, 2),
+    (Family.C, 4, 1, 2),
+    (Family.C, 6, 2, 3),
+    (Family.D, 4, 0, 2),
+    (Family.D, 4, 1, 2),
+    (Family.D, 6, 2, 3),
+]
+
+
+class TestIsotropicExtensions:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "fam,n,k,target", EXTENSION_CASES, ids=lambda c: str(getattr(c, "value", c))
+    )
+    def test_matches_bruteforce(self, fam, n, k, target, p):
+        form = FORMS[fam](n) % p
+        rng = np.random.default_rng(1000 * n + 10 * k + p)
+        E = _random_isotropic(form, k, p, rng)
+        W = nullspace(E @ form % p, p)
+        expected = set()
+        for coeff in rref_subspaces(W.shape[0], target, p):
+            F = coeff @ W % p
+            if rank(np.vstack([F, E]), p) == target and not np.any(F @ form % p @ F.T % p):
+                expected.add(_canon(F, p))
+        counter = [0]
+        got = list(_isotropic_extensions(E, W, target, form, p, counter, DEFAULT_BUDGET))
+        assert all(np.array_equal(F[:k], E) for F in got)
+        canon = [_canon(F, p) for F in got]
+        assert len(canon) == len(set(canon))  # each subspace exactly once
+        assert set(canon) == expected
+        assert counter[0] >= len(got)
+
+
+class TestCloses:
+    @pytest.mark.parametrize(
+        "orbit,fam",
+        [("2,2,1", Family.B), ("3,1,1", Family.B), ("2,1,1", Family.C),
+         ("2,2", Family.C), ("2,2,1,1", Family.D), ("3,3", Family.D)],
+    )
+    def test_matches_containment(self, orbit, fam):
+        outcomes = set()
+        for p in (3, 5):
+            real = realize(P(orbit), fam, p)
+            e, g = real.e, real.gram
+            eg = e.T @ g % p
+            rng = np.random.default_rng(p)
+            witt = real.dim // 2
+            for k in range(witt + 1):
+                for _ in range(20):
+                    E = _random_isotropic(g, k, p, rng)
+                    perp = nullspace(E @ g % p, p)
+                    want = contains(E, perp @ e.T % p, p)
+                    assert _closes(E, eg, g, p) == want, (orbit, p, E)
+                    outcomes.add(want)
+            # random subspaces rarely close; the maximal isotropic subspaces
+            # of ker e supply closing cases
+            for F in _isotropic_extensions(
+                np.zeros((0, real.dim), dtype=np.int64), nullspace(e, p), witt, g, p,
+                [0], DEFAULT_BUDGET,
+            ):
+                perp = nullspace(F @ g % p, p)
+                want = contains(F, perp @ e.T % p, p)
+                assert _closes(F, eg, g, p) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+class TestNodeBudget:
+    def test_cap_is_exact(self):
+        real = realize(P("4,4,2,2,1"), Family.B, 3)
+        levi = L("2,4;1")
+        full = fiber_point_count(real, levi)
+        assert full.count is not None and full.nodes <= DEFAULT_BUDGET
+        at_cap = fiber_point_count(real, levi, budget=full.nodes)
+        assert (at_cap.count, at_cap.nodes) == (full.count, full.nodes)
+        below = fiber_point_count(real, levi, budget=full.nodes - 1)
+        assert below.count is None and below.skipped == "budget"
+        assert below.nodes == full.nodes
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 30])  # the full count takes 31
+    def test_skip_reports_cap_plus_one(self, cap):
+        real = realize(P("2,2,1"), Family.B, 5)
+        res = fiber_point_count(real, L("1;3"), budget=cap)
+        assert res.count is None and res.skipped == "budget"
+        assert res.nodes == cap + 1
+
+    def test_batch_charged_before_evaluation(self):
+        # E = 0, W = F_3^3: the first pivot's batch holds 9 rows.
+        form = split_symmetric_form(3)
+        W = np.eye(3, dtype=np.int64)
+        counter = [0]
+        with pytest.raises(BudgetExceeded):
+            next(_isotropic_extensions(W[:0], W, 1, form, 3, counter, 8))
+        assert counter == [9]
+
+    def test_totals_repeat(self):
+        orbit = P("4,4,2,2,1")
+        levis = [levi for _, levi in pseudo_polarizations(orbit, Family.B)]
+        runs = [
+            [fiber_point_count(realize(orbit, Family.B, 3), levi).nodes for levi in levis]
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+
+
+class TestInvariantError:
+    CORRUPT = (
+        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
+        "from nilorbit.ff_oracle import _validate\n"
+        "real = realize(parse_partition('3,1,1'), Family.B, 3)\n"
+        "real.gram[0, 0] = (real.gram[0, 0] + 1) % 3\n"
+        "try:\n"
+        "    _validate(real)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+
+    def test_is_not_a_verification_failure(self):
+        assert not issubclass(InvariantError, RuntimeError)
+
+    @pytest.mark.parametrize("corrupt", ["asymmetric", "degenerate"])
+    def test_corrupt_gram_raises(self, corrupt):
+        real = realize(P("3,1,1"), Family.B, 3)
+        if corrupt == "asymmetric":
+            real.gram[0, 0] = (real.gram[0, 0] + 1) % 3
+        else:
+            real.gram[0] = 0
+            real.gram[:, 0] = 0
+        with pytest.raises(InvariantError):
+            _validate(real)
+
+    def test_corrupt_gram_raises_under_optimize(self):
+        src = Path(nilorbit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", self.CORRUPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
