@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import canonical_quotient_order, decompose, is_special
+from .errors import InvariantError
 from .levi import LeviType, langlands_dual_levi, polarizations
 from .minimal import minimal_richardson_orbits
 from .partitions import Family, Partition, collapse, enumerate_valid, is_valid, orbit_dim
@@ -34,7 +35,8 @@ def springer_dual(p: Partition) -> Partition:
     out = Partition(tuple(sorted((x for x in merged if x > 0), reverse=True)))
     lowered = p.parts[:-1] + ((p.parts[-1] - 1,) if p.parts[-1] > 1 else ())
     alt = collapse(Partition(lowered), Family.C)
-    assert out == alt, f"blockwise dual of {p} disagrees with collapse route: {out} vs {alt}"
+    if out != alt:
+        raise InvariantError(f"blockwise dual of {p} disagrees with collapse route: {out} vs {alt}")
     if not is_special(out, Family.C):
         raise AssertionError(f"dual {out} of {p} is not special in family C")
     return out

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import annihilator, nullspace, rank
+from ._linalg import annihilator, nullspace, rank, rref
+from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
 from .spaltenstein import GrassStep
@@ -32,6 +33,8 @@ DEFAULT_BUDGET = 1_000_000
 _BUDGET_ENV = "NILORBIT_ORACLE_BUDGET"
 # Candidate rows generated and tested per numpy product; keeps memory flat.
 _BATCH = 1024
+# Last rows decided per leaf-test product, which builds a (rows, m, m) array.
+_LEAF_SLICE = 64
 _INT64_LIMIT = 2**63
 
 
@@ -57,18 +60,10 @@ class BudgetExceeded(Exception):
     """Raised internally when the node cap is hit; converted to a skip."""
 
 
-class InvariantError(Exception):
-    """A realization broke an invariant it is built to satisfy (form
-    symmetry, nondegeneracy, e-invariance, the sl2 triple, Jordan ranks,
-    splitness).  This is an internal bug, unlike the RuntimeError that
-    ``dual_pair`` raises when a verification fails."""
-
-
 def check_modulus(modulus: int, n: int) -> None:
     """Reject a modulus that is not an odd prime, or so large that one
     reduced product of n-by-n matrices could overflow int64
-    (n * (modulus - 1)**2 >= 2**63).  The size bound comes first, which
-    also bounds the trial division."""
+    (n * (modulus - 1)**2 >= 2**63)."""
     if n * (modulus - 1) ** 2 >= _INT64_LIMIT:
         raise ValueError(
             f"modulus {modulus} is too large for dimension {n}: "
@@ -78,14 +73,35 @@ def check_modulus(modulus: int, n: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {modulus}")
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_odd_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a ValueError at or above the bound where
+    its bases stop being a proof."""
+    if n >= _MR_EXACT:
+        raise ValueError(f"cannot certify that {n} is prime: moduli must stay below {_MR_EXACT}")
     if n < 3 or n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -258,25 +274,22 @@ class FlagCount:
 
 
 def _complement(E: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
-    """Rows of W extending a basis of E to one of E + W (here E <= W)."""
-    acc = E % p
-    r = rank(acc, p) if acc.shape[0] else 0
-    out = []
-    for w in W % p:
-        cand = np.vstack([acc, w[None, :]])
-        if rank(cand, p) > r:
-            out.append(w)
-            acc = cand
-            r += 1
-    if not out:
-        return np.zeros((0, W.shape[1]), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    """Rows of W extending a basis of E to one of E + W (here E <= W): the
+    pivot columns of [E; W]^T that fall among the rows of W, which are the
+    rows a greedy rank test would pick in order."""
+    k = E.shape[0]
+    _, pivots = rref(np.vstack([E, W]).T, p)
+    return W[np.array([c - k for c in pivots if c >= k], dtype=np.intp)] % p
 
 
-def _isotropic_extensions(E, W, target, g, p, counter, cap):
-    """Yield every isotropic F with E <= F <= W and dim F = target, each
-    exactly once, as a row matrix extending E.  E must be isotropic with
-    W inside its perp, so only the new rows need testing.
+def _last_row_batches(E, W, target, g, p, counter, cap):
+    """Enumerate every isotropic F with E <= F <= W and dim F = target > dim E
+    down to its last row.  Yields (F1, X) for each batch of candidates for a
+    last row that has survivors: F1 is E plus the rows chosen before (one
+    matrix per such state, shared by all its batches) and X holds the
+    surviving last rows.  Each F is F1 plus one row of X, reached exactly
+    once.  E must be isotropic with W inside its perp, so only the new rows
+    need testing.
 
     F is enumerated by the reduced-echelon coefficient matrix of its new
     rows in the coordinates of a complement of E in W, built from the last
@@ -293,15 +306,13 @@ def _isotropic_extensions(E, W, target, g, p, counter, cap):
     extra = target - E.shape[0]
     comp = _complement(E, W, p)
     c = comp.shape[0]
-    if not 0 <= extra <= c:
+    if not 0 < extra <= c:
         return
     B = ((comp @ g) % p) @ comp.T % p
 
     def extend(rows: np.ndarray, pivots: tuple[int, ...]):
         left = extra - rows.shape[0]
-        if left == 0:
-            yield np.vstack([E, (rows @ comp) % p])
-            return
+        F1 = None
         for pc in range(left - 1, pivots[-1] if pivots else c):
             free = [col for col in range(pc + 1, c) if col not in pivots]
             total = p ** len(free)
@@ -321,18 +332,84 @@ def _isotropic_extensions(E, W, target, g, p, counter, cap):
                 keep = np.einsum("ij,ij->i", XB, X) % p == 0
                 if rows.shape[0]:
                     keep &= ~np.any((XB @ rows.T) % p, axis=1)
-                for x in X[keep]:
-                    yield from extend(np.vstack([rows, x]), pivots + (pc,))
+                X = X[keep]
+                if left > 1:
+                    for x in X:
+                        yield from extend(np.vstack([rows, x]), pivots + (pc,))
+                elif X.shape[0]:
+                    if F1 is None:
+                        F1 = np.vstack([E, (rows @ comp) % p])
+                    yield F1, (X @ comp) % p
 
     yield from extend(np.zeros((0, c), dtype=np.int64), ())
 
 
-def _closes(E: np.ndarray, eg: np.ndarray, g: np.ndarray, p: int) -> bool:
-    """True iff e(E^perp) <= E, given eg = e^T g mod p.  Since g is
-    nondegenerate, E = (E^perp)^perp, so this holds exactly when the form
-    (u, v) -> <e u, v> vanishes on a basis P of E^perp: P eg P^T = 0."""
-    perp = nullspace((E @ g) % p, p)
-    return not np.any(((perp @ eg) % p) @ perp.T % p)
+def _isotropic_extensions(E, W, target, g, p, counter, cap):
+    """Yield every isotropic F with E <= F <= W and dim F = target, each
+    exactly once, as a row matrix extending E (see _last_row_batches)."""
+    if target == E.shape[0]:
+        yield E
+        return
+    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
+        for w in X:
+            yield np.vstack([F1, w])
+
+
+def _closing_leaves(E, W, target, g, eg, p, counter, cap):
+    """Walk _last_row_batches and decide every leaf F = F1 + <w> at once:
+    yields (F1, X, closes) per batch, with closes[j] True iff the leaf with
+    last row X[j] satisfies e(F^perp) <= F, given eg = e^T g mod p.  The
+    leaf test charges no nodes.
+
+    Since g is nondegenerate, F = (F^perp)^perp, so F closes exactly when
+    the form (u, v) -> <e u, v> vanishes on F^perp.  For each state F1 with
+    one row left, Q is a basis of F1^perp, M = Q eg Q^T and G = Q g, built
+    once, on its first batch.  A last row w gives F^perp = ker(a) in Q
+    coordinates, a = G w, and a != 0 because w is not in F1 =
+    (F1^perp)^perp; _closing_mask decides the whole batch."""
+    state = None
+    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
+        if F1 is not state:
+            state = F1
+            Q = nullspace((F1 @ g) % p, p)
+            M = ((Q @ eg) % p) @ Q.T % p
+            G = (Q @ g) % p
+        yield F1, X, _closing_mask((X @ G.T) % p, M, p)
+
+
+def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
+    """Per row a of A: does M vanish on ker(a) x ker(a)?  With a pivot i
+    (a_i != 0), ker(a) is spanned by a_i e_j - a_j e_i, so it does iff
+        a_i^2 M - a_i (M[:, i] (x) a) - a_i (a (x) M[i, :]) + M_ii (a (x) a)
+    vanishes mod p.  That is a_i D - a (x) D[i, :] for D = a_i M - M[:, i] (x) a.
+    Rows are taken _LEAF_SLICE at a time, and every product has factors of
+    size below p, so n (p - 1)^2 < 2^63 bounds them all."""
+    nonzero = A != 0
+    if not nonzero.any(axis=1).all():
+        raise InvariantError("a last row lies in the span it extends")
+    pivot = nonzero.argmax(axis=1)
+    out = np.empty(A.shape[0], dtype=bool)
+    for s in range(0, A.shape[0], _LEAF_SLICE):
+        a = A[s : s + _LEAF_SLICE]
+        i = pivot[s : s + _LEAF_SLICE]
+        r = np.arange(a.shape[0])
+        ai = a[r, i][:, None, None]
+        # Two (rows, m, m) buffers, reduced in place to keep the peak low.
+        # D = a_i M - M[:, i] (x) a
+        D = ai * M
+        D %= p
+        T = M[:, i].T[:, :, None] * a[:, None, :]
+        T %= p
+        D -= T
+        # T = a_i D - a (x) D[i, :], with D's buffer holding the second term
+        Di = D[r, i][:, None, :]
+        np.multiply(ai, D, out=T)
+        T %= p
+        np.multiply(a[:, :, None], Di, out=D)
+        D %= p
+        T -= D
+        out[s : s + _LEAF_SLICE] = ~np.any(T, axis=(1, 2))  # |T| < p
+    return out
 
 
 def fiber_point_count(
@@ -343,10 +420,13 @@ def fiber_point_count(
 
     The enumeration recurses through isotropic E_i inside E_{i-1}^perp
     intersected with e^{-1}(E_{i-1}), adding one reduced-echelon row at a
-    time and dropping each candidate row as soon as it fails isotropy.  A
-    node is one candidate row tested, and the budget caps those rows: a
-    check whose total would exceed it returns an explicit skip with
-    ``nodes == budget + 1``, never a wrong count.
+    time and dropping each candidate row as soon as it fails isotropy.  The
+    last level is counted, not enumerated: each state with one row left
+    takes one nullspace, for a basis of its perp, and each batch of
+    surviving last rows is decided by one product and one broadcast check
+    (_closing_leaves).  A node is still one candidate row tested, and the
+    budget caps those rows: a check whose total would exceed it returns an
+    explicit skip with ``nodes == budget + 1``, never a wrong count.
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
@@ -358,19 +438,24 @@ def fiber_point_count(
     eg = (e.T @ g) % p
 
     def recurse(E: np.ndarray, t: int) -> int:
-        if t == len(dims):
-            return 1 if _closes(E, eg, g, p) else 0
         if E.shape[0] == 0:
             window = nullspace(e, p)
         else:
             window = nullspace(
                 np.vstack([(E @ g) % p, (annihilator(E, p) @ e) % p]), p
             )
+        if t == len(dims) - 1:
+            return sum(
+                int(np.count_nonzero(closes))
+                for _, _, closes in _closing_leaves(E, window, dims[t], g, eg, p, counter, cap)
+            )
         return sum(
             recurse(F, t + 1)
             for F in _isotropic_extensions(E, window, dims[t], g, p, counter, cap)
         )
 
+    if not dims:  # the only flag is E = 0, and e(V) <= 0 iff e = 0
+        return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
     empty = np.zeros((0, n), dtype=np.int64)
     try:
         value = recurse(empty, 0)

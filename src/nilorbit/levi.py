@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .partitions import Family, Partition, collapse, is_valid, partitions_of
 
 
@@ -83,7 +84,8 @@ def induced_shape(levi: LeviType) -> InducedShape:
             break
         raw.append(d)
     for j, d in enumerate(raw):
-        assert (d % 2 == 1) == (j < levi.q), f"raw parity pattern broken for {levi}"
+        if (d % 2 == 1) != (j < levi.q):
+            raise InvariantError(f"raw parity pattern broken for {levi}")
     return InducedShape(Partition(tuple(raw)), levi.q)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .levi import LeviType, polarizations, richardson_orbit_of
 from .minimal import minimal_richardson_orbits
 from .partitions import Family, Partition
@@ -258,7 +259,8 @@ def e_polynomial(d: FibrationDescriptor) -> EPolynomial:
         poly = poly * step.e_polynomial()
     for step in d.ig_factors:
         poly = poly * step.e_polynomial()
-    assert poly.degree == d.dimension, f"degree {poly.degree} != dimension {d.dimension}"
+    if poly.degree != d.dimension:
+        raise InvariantError(f"degree {poly.degree} != dimension {d.dimension}")
     return poly
 
 

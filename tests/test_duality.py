@@ -143,3 +143,18 @@ class TestTheoremChecks:
             dp = dual_pair(b)
             assert seesaw_check(dp).ok, b
             assert epoly_equality_check(dp).ok, b
+
+
+class TestInvariantError:
+    def test_disagreeing_routes_raise_under_optimize(self, run_optimized):
+        # Without the collapse, the second route returns 3,1 instead of 2,2.
+        code = (
+            "import nilorbit.duality as duality\n"
+            "from nilorbit import InvariantError, parse_partition\n"
+            "duality.collapse = lambda p, family: p\n"
+            "try:\n"
+            "    duality.springer_dual(parse_partition('3,1,1'))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(code) == "raised"

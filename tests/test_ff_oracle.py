@@ -3,14 +3,12 @@
 The Grassmannian step counts are cross-checked against a brute force that
 shares nothing with the package: it builds its own bilinear forms and its
 own reduced-echelon subspace enumerator.  The oracle's pruned enumerator is
-checked against the same enumerator plus an isotropy filter; the package's
-row reduction only builds the inputs and the canonical bases compared.
+checked against the same enumerator plus an isotropy filter, and its
+batched leaf test against a per-leaf containment check; the package's row
+reduction only builds the inputs and the canonical bases compared.
 """
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +34,14 @@ from nilorbit import (
     resolve_budget,
 )
 from nilorbit._linalg import contains, nullspace, rank, rref
-from nilorbit.ff_oracle import BudgetExceeded, _closes, _isotropic_extensions, _validate
+from nilorbit.ff_oracle import (
+    BudgetExceeded,
+    _closing_leaves,
+    _closing_mask,
+    _is_odd_prime,
+    _isotropic_extensions,
+    _validate,
+)
 
 
 def P(text):
@@ -123,6 +128,46 @@ class TestGrassmannianCounts:
     def test_modulus_must_be_odd_prime(self):
         with pytest.raises(ValueError):
             grassmannian_count(GrassStep("OG", 1, 2), 4)
+
+    def test_large_prime_modulus_is_fast(self):
+        step = GrassStep("OG", 1, 2)
+        start = time.perf_counter()
+        assert grassmannian_count(step, 2**61 - 1) == step.e_polynomial()(2**61 - 1)
+        assert time.perf_counter() - start < 1.0
+
+
+def _trial_division(n):
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, int(n**0.5) + 1, 2))
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if _is_odd_prime(n)] == [
+            n for n in range(10**5) if _trial_division(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # strong pseudoprime to bases 2 through 23
+            318665857834031151167461,  # strong pseudoprime to bases 2 through 37
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_odd_prime(n)
+
+    def test_known_primes_and_their_products(self):
+        primes = (3, 41, 43, 2**31 - 1, 2**61 - 1)
+        assert all(_is_odd_prime(q) for q in primes)
+        assert not any(
+            _is_odd_prime(a * b) for a, b in itertools.combinations(primes, 2) if a * b < 2**80
+        )
+
+    def test_beyond_the_exact_range_is_refused(self):
+        with pytest.raises(ValueError, match="cannot certify"):
+            grassmannian_count(GrassStep("OG", 1, 2), 2**127 - 1)
 
 
 class TestRealize:
@@ -326,38 +371,92 @@ class TestIsotropicExtensions:
         assert counter[0] >= len(got)
 
 
+def _closes(F, e, g, p):
+    """Per-leaf reference: e(F^perp) <= F by row-space containment."""
+    perp = nullspace(F @ g % p, p)
+    return contains(F, perp @ e.T % p, p)
+
+
+# (orbit, family) pairs whose realizations feed the leaf-test checks.
+CLOSES_CASES = [
+    ("2,2,1", Family.B), ("3,1,1", Family.B), ("2,1,1", Family.C),
+    ("2,2", Family.C), ("2,2,1,1", Family.D), ("3,3", Family.D),
+]
+
+
 class TestCloses:
-    @pytest.mark.parametrize(
-        "orbit,fam",
-        [("2,2,1", Family.B), ("3,1,1", Family.B), ("2,1,1", Family.C),
-         ("2,2", Family.C), ("2,2,1,1", Family.D), ("3,3", Family.D)],
-    )
+    @pytest.mark.parametrize("orbit,fam", CLOSES_CASES)
     def test_matches_containment(self, orbit, fam):
         outcomes = set()
-        for p in (3, 5):
+        for p in (3, 5, 7):
             real = realize(P(orbit), fam, p)
             e, g = real.e, real.gram
             eg = e.T @ g % p
             rng = np.random.default_rng(p)
             witt = real.dim // 2
-            for k in range(witt + 1):
-                for _ in range(20):
-                    E = _random_isotropic(g, k, p, rng)
-                    perp = nullspace(E @ g % p, p)
-                    want = contains(E, perp @ e.T % p, p)
-                    assert _closes(E, eg, g, p) == want, (orbit, p, E)
-                    outcomes.add(want)
-            # random subspaces rarely close; the maximal isotropic subspaces
-            # of ker e supply closing cases
-            for F in _isotropic_extensions(
-                np.zeros((0, real.dim), dtype=np.int64), nullspace(e, p), witt, g, p,
-                [0], DEFAULT_BUDGET,
-            ):
-                perp = nullspace(F @ g % p, p)
-                want = contains(F, perp @ e.T % p, p)
-                assert _closes(F, eg, g, p) == want
-                outcomes.add(want)
+            # Random isotropic E != 0 with W = E^perp, every target above
+            # dim E (last levels adding one row and several); random
+            # subspaces rarely close, and the maximal isotropic subspaces of
+            # ker e, reached from E = 0, supply closing cases.
+            states = [
+                (_random_isotropic(g, k, p, rng), None, target)
+                for k in range(1, witt)
+                for _ in range(2)
+                for target in range(k + 1, witt + 1)
+            ]
+            states.append((np.zeros((0, real.dim), dtype=np.int64), nullspace(e, p), witt))
+            for E, W, target in states:
+                W = nullspace(E @ g % p, p) if W is None else W
+                leaves = 0
+                for F1, X, closes in _closing_leaves(
+                    E, W, target, g, eg, p, [0], DEFAULT_BUDGET
+                ):
+                    assert closes.shape == (X.shape[0],)
+                    for w, got in zip(X, closes):
+                        want = _closes(np.vstack([F1, w]), e, g, p)
+                        assert got == want, (orbit, p, F1, w)
+                        outcomes.add(want)
+                    leaves += X.shape[0]
+                # the batches hold exactly the isotropic extensions
+                assert leaves == sum(
+                    1 for _ in _isotropic_extensions(E, W, target, g, p, [0], DEFAULT_BUDGET)
+                )
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("orbit,fam", CLOSES_CASES + [("1,1,1,1,1", Family.B)])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_levi_without_gl_parts(self, orbit, fam, p):
+        # the only flag is E = 0, whose perp is the whole space
+        real = realize(P(orbit), fam, p)
+        zero = np.zeros((0, real.dim), dtype=np.int64)
+        res = fiber_point_count(real, LeviType((), real.dim, fam))
+        assert (res.count, res.nodes) == (int(_closes(zero, real.e, real.gram, p)), 0)
+
+    def test_mask_is_sliced_consistently(self):
+        # 300 rows span three slices; each row decided alone must agree.
+        # M = u u^T vanishes on ker(a) x ker(a) exactly when a is a multiple
+        # of u, as every third row is.
+        p = 5
+        rng = np.random.default_rng(7)
+        u = np.array([1, 2, 0, 4, 3, 1])
+        M = np.outer(u, u) % p
+        A = rng.integers(0, p, size=(300, 6))
+        A[:, 0] = rng.integers(1, p, size=300)  # no zero rows
+        A[::3] = rng.integers(1, p, size=(100, 1)) * u % p
+        batched = _closing_mask(A, M, p)
+        single = np.array([_closing_mask(A[j : j + 1], M, p)[0] for j in range(300)])
+        assert np.array_equal(batched, single)
+        assert batched.any() and not batched.all()
+
+    def test_zero_row_is_an_invariant_error(self):
+        A = np.array([[1, 2, 0], [0, 0, 0]], dtype=np.int64)
+        with pytest.raises(InvariantError):
+            _closing_mask(A, np.zeros((3, 3), dtype=np.int64), 3)
+
+    def test_anchor(self):
+        real = realize(P("4,4,4,4,3,3,1"), Family.B, 3)
+        res = fiber_point_count(real, L("5,6;1"))
+        assert (res.count, res.nodes) == (4, 3140)
 
 
 class TestNodeBudget:
@@ -424,12 +523,8 @@ class TestInvariantError:
         with pytest.raises(InvariantError):
             _validate(real)
 
-    def test_corrupt_gram_raises_under_optimize(self):
-        src = Path(nilorbit.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", self.CORRUPT],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+    def test_corrupt_gram_raises_under_optimize(self, run_optimized):
+        assert run_optimized(self.CORRUPT) == "raised"
+
+    def test_exported_from_package_and_oracle(self):
+        assert nilorbit.InvariantError is nilorbit.ff_oracle.InvariantError is InvariantError

@@ -159,3 +159,20 @@ class TestLanglandsDual:
     def test_family_d_rejected(self):
         with pytest.raises(ValueError):
             langlands_dual_levi(L("1;0", Family.D))
+
+
+class TestInvariantError:
+    def test_broken_parity_pattern_raises_under_optimize(self, run_optimized):
+        # A q that is not an integer slips past the constructor's checks and
+        # breaks the raw shape's parity pattern at j = 1.
+        code = (
+            "from nilorbit import Family, InvariantError, LeviType, induced_shape\n"
+            "levi = object.__new__(LeviType)\n"
+            "for name, value in (('ps', (2,)), ('q', 1.5), ('family', Family.B)):\n"
+            "    object.__setattr__(levi, name, value)\n"
+            "try:\n"
+            "    induced_shape(levi)\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(code) == "raised"

@@ -199,3 +199,27 @@ class TestDescriptor:
                         d = descriptor(p, fam, r, levi)
                         assert e_polynomial(d).degree == d.dimension
                         assert component_count(d) >= 1
+
+
+class TestInvariantError:
+    def test_degree_mismatch_raises_under_optimize(self, run_optimized):
+        # A Lagrangian factor that claims one dimension more than its
+        # E-polynomial's degree.
+        code = (
+            "import dataclasses\n"
+            "from nilorbit import (Family, GrassStep, InvariantError, descriptor,\n"
+            "                      e_polynomial, parse_partition, pseudo_polarizations)\n"
+            "class Bent(GrassStep):\n"
+            "    @property\n"
+            "    def dimension(self):\n"
+            "        return super().dimension + 1\n"
+            "p = parse_partition('3,1,1')\n"
+            "r, levi = pseudo_polarizations(p, Family.B)[0]\n"
+            "d = dataclasses.replace(descriptor(p, Family.B, r, levi),\n"
+            "                        ig_factors=(Bent('IG', 1, 2),))\n"
+            "try:\n"
+            "    e_polynomial(d)\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        assert run_optimized(code) == "raised"
