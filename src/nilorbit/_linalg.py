@@ -54,22 +54,8 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return np.array(basis, dtype=np.int64)
 
 
-def annihilator(span: np.ndarray, p: int) -> np.ndarray:
-    """Matrix A with {x : A @ x = 0} equal to the row space of ``span``.
-
-    Works because a @ x = 0 for every nullspace row a and every x in the row
-    space, and the dimensions match (n - (n - rank) = rank).
-    """
-    return nullspace(span, p)
-
-
-def intersect(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-space intersection via stacked annihilators."""
-    return nullspace(np.vstack([annihilator(a, p), annihilator(b, p)]) % p, p)
-
-
 def contains(span: np.ndarray, vectors: np.ndarray, p: int) -> bool:
     """True iff every row of ``vectors`` lies in the row space of ``span``."""
     if vectors.shape[0] == 0:
         return True
-    return bool(np.all((vectors @ annihilator(span, p).T) % p == 0))
+    return bool(np.all((vectors @ nullspace(span, p).T) % p == 0))

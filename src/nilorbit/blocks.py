@@ -15,13 +15,15 @@ Block kinds, per family letter X in {B, C, D}:
   even pairs, ``[a, b1, b1, ...]``.
 
 Every valid partition splits uniquely into a left-to-right sequence of such
-blocks; ``decompose`` computes the segmentation greedily and ``reassemble``
-inverts it.
+blocks; ``decompose`` computes the segmentation greedily and
+``BlockDecomposition.partition`` inverts it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
+from .levi import levi_of_raw_shape
 from .partitions import Family, Partition, collapse, is_valid, transpose
 
 _PAIR_KINDS = ("B1", "C1", "D1")
@@ -248,11 +250,6 @@ class BlockDecomposition:
         return " ".join(blk.render() for blk in self.blocks)
 
 
-def reassemble(d: BlockDecomposition) -> Partition:
-    """Concatenate the block segments back into the original partition."""
-    return d.partition()
-
-
 def decompose(p: Partition, family: Family) -> BlockDecomposition:
     """Unique segmentation of a valid partition into blocks.
 
@@ -272,7 +269,7 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
         if family is Family.C:
             if v % 2 == 1:
                 if i + 1 >= len(parts) or parts[i + 1] != v:
-                    raise AssertionError(f"unpaired odd part {v} in {p}")
+                    raise InvariantError(f"unpaired odd part {v} in {p}")
                 blocks.append(Block("C1", alphas=(v, v)))
                 i += 2
                 continue
@@ -288,7 +285,7 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
                 j += 2
             if j < len(parts):
                 if parts[j] % 2 == 1:
-                    raise AssertionError(f"unpaired odd part {parts[j]} in {p}")
+                    raise InvariantError(f"unpaired odd part {parts[j]} in {p}")
                 blocks.append(Block("C2", alphas=tuple(mids), betas=(b1, parts[j])))
                 i = j + 1
             else:
@@ -297,7 +294,7 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
             continue
         if v % 2 == 0:
             if i + 1 >= len(parts) or parts[i + 1] != v:
-                raise AssertionError(f"unpaired even part {v} in {p}")
+                raise InvariantError(f"unpaired even part {v} in {p}")
             blocks.append(Block(f + "1*", betas=(v,)))
             i += 2
             continue
@@ -316,12 +313,12 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
             i = j + 1
         else:
             if family is not Family.B or j < len(parts):
-                raise AssertionError(f"stranded odd boundary {a1} in {p}")
+                raise InvariantError(f"stranded odd boundary {a1} in {p}")
             blocks.append(Block("B3", alphas=(a1,), betas=tuple(mids)))
             i = j
     d = BlockDecomposition(tuple(blocks), family)
     if d.partition() != p:
-        raise AssertionError(f"segmentation of {p} does not reassemble")
+        raise InvariantError(f"segmentation of {p} does not reassemble")
     return d
 
 
@@ -349,22 +346,22 @@ def is_special(p: Partition, family: Family) -> bool:
     else:
         by_blocks = all(not (blk.kind.endswith("2") and blk.k >= 1) for blk in blocks)
     if by_transpose != by_blocks:
-        raise AssertionError(f"specialness criteria disagree on {p} ({family.value})")
+        raise InvariantError(f"specialness criteria disagree on {p} ({family.value})")
     return by_transpose
 
 
-def _leading_odd_count(cand: tuple[int, ...]) -> int | None:
-    """Length of the odd prefix, or None if odds and evens interleave."""
-    q = 0
-    seen_even = False
-    for x in cand:
-        if x % 2 == 1:
-            if seen_even:
-                return None
-            q += 1
-        else:
-            seen_even = True
-    return q
+def _reassembly(mods: list[ModifiedBlocks], h: int, raise_pivot: bool = True) -> tuple[int, ...]:
+    """Split every block before ``h``, raise block ``h`` (lower it when
+    ``raise_pivot`` is false) and lower every block after it; ``h`` past the
+    last block splits them all."""
+    merged = [x for mb in mods[:h] for x in mb.double_prime]
+    if h < len(mods):
+        pivot = mods[h].circ if raise_pivot else mods[h].prime
+        if pivot is None:
+            raise InvariantError(f"block {mods[h].source.kind} has no raising variant")
+        merged += pivot
+    merged += [x for mb in mods[h + 1 :] for x in mb.prime]
+    return _desc(merged)
 
 
 def pivot_candidates(p: Partition, family: Family) -> list[tuple[int, ...]]:
@@ -375,26 +372,9 @@ def pivot_candidates(p: Partition, family: Family) -> list[tuple[int, ...]]:
     and D, the pure split/lower combinations at every cut point.
     """
     mods = [blk.modifications() for blk in decompose(p, family).blocks]
-    m = len(mods)
-    cands: set[tuple[int, ...]] = set()
-    for h in range(m):
-        if mods[h].circ is None:
-            continue
-        merged: list[int] = []
-        for g in range(h):
-            merged += mods[g].double_prime
-        merged += mods[h].circ
-        for g in range(h + 1, m):
-            merged += mods[g].prime
-        cands.add(_desc(merged))
+    cands = {_reassembly(mods, h) for h, mb in enumerate(mods) if mb.circ is not None}
     if family is not Family.B:
-        for j in range(m + 1):
-            merged = []
-            for g in range(j):
-                merged += mods[g].double_prime
-            for g in range(j, m):
-                merged += mods[g].prime
-            cands.add(_desc(merged))
+        cands.update(_reassembly(mods, j, raise_pivot=False) for j in range(len(mods) + 1))
     return sorted(cands, reverse=True)
 
 
@@ -405,16 +385,13 @@ def is_richardson(p: Partition, family: Family) -> bool:
     raw induced multiset (all odd entries before all even entries, with an
     admissible odd count) and collapses back onto ``p``.
     """
-    n = p.n
     for cand in pivot_candidates(p, family):
-        if sum(cand) != n:
+        if sum(cand) != p.n:
             continue
-        q = _leading_odd_count(cand)
-        if q is None:
+        raw = Partition(cand)
+        if levi_of_raw_shape(raw, family) is None:
             continue
-        if family is not Family.C and q == 2:
-            continue
-        if collapse(Partition(cand), family) == p:
+        if collapse(raw, family) == p:
             return True
     return False
 

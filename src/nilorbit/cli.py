@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .blocks import canonical_quotient_order, decompose, is_richardson, is_special
 from .duality import dual_pair, epoly_equality_check, seesaw_check, springer_dual, springer_dual_inverse
+from .errors import InvariantError
 from .ff_oracle import (
     _BUDGET_ENV,
     DEFAULT_BUDGET,
@@ -103,7 +104,7 @@ def _invalid_reason(p: Partition, fam: Family) -> str:
     for v in sorted(set(p.parts), reverse=True):
         if fam.needs_even_multiplicity(v) and p.parts.count(v) % 2 != 0:
             return f"part {v} must occur an even number of times in family {fam.value}"
-    raise AssertionError(f"{p} is valid")
+    raise InvariantError(f"{p} is valid")
 
 
 def cmd_validate(args) -> int:
@@ -366,11 +367,10 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         {"partition": list(r.parts), "block": e.block, "witness": e.witness}
         for r, e in minimal_richardson_witnessed(p, fam)
     ]
-    rec["pseudo_polarizations"] = [
-        {"min_richardson": list(r.parts), "levi": levi.literal()}
-        for r, levi in pseudo_polarizations(p, fam)
-    ]
     rec["fibers"], _ = _fiber_records(p, fam, primes, budget)
+    rec["pseudo_polarizations"] = [
+        {"min_richardson": fib["min_richardson"], "levi": fib["levi"]} for fib in rec["fibers"]
+    ]
 
     rec["dual_pair"] = None
     rec["seesaw"] = None

@@ -38,7 +38,7 @@ def springer_dual(p: Partition) -> Partition:
     if out != alt:
         raise InvariantError(f"blockwise dual of {p} disagrees with collapse route: {out} vs {alt}")
     if not is_special(out, Family.C):
-        raise AssertionError(f"dual {out} of {p} is not special in family C")
+        raise InvariantError(f"dual {out} of {p} is not special in family C")
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import annihilator, nullspace, rank, rref
+from ._linalg import nullspace, rank, rref
 from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
@@ -441,9 +441,7 @@ def fiber_point_count(
         if E.shape[0] == 0:
             window = nullspace(e, p)
         else:
-            window = nullspace(
-                np.vstack([(E @ g) % p, (annihilator(E, p) @ e) % p]), p
-            )
+            window = nullspace(np.vstack([(E @ g) % p, (nullspace(E, p) @ e) % p]), p)
         if t == len(dims) - 1:
             return sum(
                 int(np.count_nonzero(closes))

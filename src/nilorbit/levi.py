@@ -110,8 +110,13 @@ def enumerate_levis(n: int, family: Family) -> list[LeviType]:
 
 
 @functools.lru_cache(maxsize=None)
-def _richardson_table(n: int, family: Family) -> frozenset[tuple[int, ...]]:
-    return frozenset(richardson_orbit_of(L).parts for L in enumerate_levis(n, family))
+def _polarization_table(n: int, family: Family) -> dict[tuple[int, ...], list[LeviType]]:
+    """Richardson orbit parts -> every Levi type inducing it, in
+    ``enumerate_levis`` order; built once per (n, family)."""
+    table: dict[tuple[int, ...], list[LeviType]] = {}
+    for L in enumerate_levis(n, family):
+        table.setdefault(richardson_orbit_of(L).parts, []).append(L)
+    return table
 
 
 def is_richardson_via_induction(p: Partition, family: Family) -> bool:
@@ -119,19 +124,20 @@ def is_richardson_via_induction(p: Partition, family: Family) -> bool:
     reference the block-based test is checked against."""
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
-    return p.parts in _richardson_table(p.n, family)
+    return p.parts in _polarization_table(p.n, family)
 
 
 def polarizations(p: Partition, family: Family) -> list[LeviType]:
-    """Every Levi type inducing exactly the orbit ``p``.
+    """Every Levi type inducing exactly the orbit ``p``, in
+    ``enumerate_levis`` order, as a fresh list.
 
     Raises ``ValueError`` when there is none, i.e. when ``p`` is not a
     Richardson orbit.
     """
-    out = [L for L in enumerate_levis(p.n, family) if richardson_orbit_of(L) == p]
-    if not out:
+    levis = _polarization_table(p.n, family).get(p.parts)
+    if levis is None:
         raise ValueError(f"{p} is not a Richardson orbit in family {family.value}")
-    return out
+    return list(levis)
 
 
 def levi_of_raw_shape(raw: Partition, family: Family) -> LeviType | None:

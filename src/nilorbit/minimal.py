@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import Block, BlockDecomposition, ModifiedBlocks, _desc, decompose, is_richardson
+from .blocks import _reassembly, decompose, is_richardson
 from .levi import LeviType, polarizations
 from .partitions import Family, Partition, collapse, dominance_leq, enumerate_valid
-
-
-def modify_block(block: Block, family: Family) -> ModifiedBlocks:
-    """The raise/lower/split variants of one block."""
-    if block.family is not family:
-        raise ValueError(f"block {block.kind} does not belong to family {family.value}")
-    return block.modifications()
 
 
 @dataclass(frozen=True)
@@ -105,55 +98,27 @@ def index_set(p: Partition, family: Family) -> IndexSet:
     return IndexSet(tuple(IndexEntry(b + 1, l) for b, l in raw_entries), m)
 
 
-def _assemble(d: BlockDecomposition, block0: int) -> tuple[int, ...]:
-    """Reassembly for a witness in 0-based block ``block0`` (``>= n_blocks``
-    meaning the virtual block: split everything)."""
-    mods = [blk.modifications() for blk in d.blocks]
-    merged: list[int] = []
-    if block0 >= len(mods):
-        for mb in mods:
-            merged += mb.double_prime
-    else:
-        for mb in mods[:block0]:
-            merged += mb.double_prime
-        pivot = mods[block0].circ
-        if pivot is None:
-            raise AssertionError(f"witnessed block {d.blocks[block0].kind} has no raising variant")
-        merged += pivot
-        for mb in mods[block0 + 1 :]:
-            merged += mb.prime
-    return _desc(merged)
-
-
-def _witnessed_raws(p: Partition, family: Family) -> list[tuple[IndexEntry, tuple[int, ...]]]:
-    d = decompose(p, family)
-    idx = index_set(p, family)
-    return [(e, _assemble(d, e.block - 1)) for e in idx.entries]
-
-
-def minimal_richardson_orbits(p: Partition, family: Family) -> list[Partition]:
-    """The minimal Richardson orbits dominating ``p``, in witness order."""
-    out: list[Partition] = []
-    for _, raw in _witnessed_raws(p, family):
-        r = collapse(Partition(raw), family)
-        if r not in out:
-            out.append(r)
-    return out
-
-
 def minimal_richardson_witnessed(
     p: Partition, family: Family
 ) -> list[tuple[Partition, IndexEntry]]:
     """Minimal Richardson orbits paired with the witness that produced each
-    (first witness wins when two produce the same orbit)."""
+    (first witness wins when two produce the same orbit).  A witness in
+    block h is reassembled with the blocks before h split, block h raised
+    and the blocks after it lowered; the virtual block splits them all."""
+    mods = [blk.modifications() for blk in decompose(p, family).blocks]
     out: list[tuple[Partition, IndexEntry]] = []
     seen: set[tuple[int, ...]] = set()
-    for entry, raw in _witnessed_raws(p, family):
-        r = collapse(Partition(raw), family)
+    for entry in index_set(p, family).entries:
+        r = collapse(Partition(_reassembly(mods, entry.block - 1)), family)
         if r.parts not in seen:
             seen.add(r.parts)
             out.append((r, entry))
     return out
+
+
+def minimal_richardson_orbits(p: Partition, family: Family) -> list[Partition]:
+    """The minimal Richardson orbits dominating ``p``, in witness order."""
+    return [r for r, _ in minimal_richardson_witnessed(p, family)]
 
 
 def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, LeviType]]:

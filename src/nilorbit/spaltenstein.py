@@ -156,9 +156,7 @@ def distinguished_values(
     ig_side = odd if family is Family.C else even
     for v, mult in ig_side:
         if mult % 2 != 0:
-            raise AssertionError(
-                f"Lagrangian-side value {v} of {p} has odd multiplicity {mult}"
-            )
+            raise InvariantError(f"Lagrangian-side value {v} of {p} has odd multiplicity {mult}")
     return odd, even
 
 

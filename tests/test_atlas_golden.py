@@ -1,0 +1,95 @@
+"""Pinned atlas bytes: the sha256 of every atlas JSONL and summary CSV for
+B/C/D at ranks 1-4 with the default oracle budget and at ranks 1-6 with
+``--oracle-budget 0``.  The atlas is the package's behavioural contract, so a
+refactor must reproduce these files byte for byte; a change that alters them
+on purpose updates the digests here and says why in CHANGES.md."""
+import hashlib
+
+import pytest
+
+from nilorbit.cli import main
+
+# (JSONL sha256, summary CSV sha256) per family and rank.
+DEFAULT_BUDGET = {
+    "B1": ("8e065f8e37a368f602082a1153f148ea5356e8569931c99b5c1067977130c31b",
+           "1de397a36c6ca01dc9e31a892f3c4cfc00300f92905d74a00dbde5e53be6d19e"),
+    "B2": ("1bf6b53fc8a0c81815a810efafd3e95b7a7e2c01216414a211fe5d40f531257c",
+           "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
+    "B3": ("0e0993b3a7af5a652f3f0960da02011c4bb960162492c8ab37f35206cb97db96",
+           "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
+    "B4": ("7aad632d126c0d9ab2e4a77b3542a70f3ceb1ea7ddd82d87e994968e96e5005b",
+           "2616f7d4e764fae0f576d7eb25c988133b588e085da40584d366f81254cb98e2"),
+    "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
+           "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
+    "C2": ("19fc80bce5819a209f28d0d9622aad5ede6e5ed86bbbf868a066460f2c2b1411",
+           "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
+    "C3": ("0466a6eba910f472d2691078fec28809a4cc305c25452dbb495406d79c4ddf25",
+           "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
+    "C4": ("228c90141071c94f60565630445445789796acb53877e8289aad91a2b14cb875",
+           "7d9d98966181ddbebd30ee7d5bce5e506974165a8e688b4e8b4a50481516ddba"),
+    "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
+           "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
+    "D2": ("f53d5a97be04ebbcba755a458a7094f55fae3b304c0d530c1c0275757d99cd60",
+           "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
+    "D3": ("a7c7915aff310dddf94571ab956deccc22a1b031ef90b4cab2c0f2246643a575",
+           "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
+    "D4": ("789b356fd9cea2e301e06e2fcfafbe147a52d3f75c8c911b6094d9ff94588e49",
+           "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
+}
+BUDGET_0 = {
+    "B1": ("b411486cac537214846cbcc6afaa5063d3f17cc798ada82c5267d90a34c876f9",
+           "4450382a66956d7b26850f2c1398a71c2b3c4d8b053555f37bc24b890a8b20a0"),
+    "B2": ("448d1ad1555df9e54cb95cef85fa95c97722abc096ed4ef29daec7d94f219e8e",
+           "728db2ac93c87d0f8cff5bc8faaf639a9ced27a92e0f359ab9933f9f8739fec1"),
+    "B3": ("f800d07b7bed3477eac4043c1cb625d7034798c4eea14d5d212041cec4bc34ae",
+           "d103fdac031a5d3e050892e0a64e0a6e7ac6c48366f424b136e640d0cffe9958"),
+    "B4": ("51d38f4bedabf6629f243494b3f8d70105413ffad493e0858b761667adc035db",
+           "d22861b256f39c0235e445fb5b5427e62b37f83a07bdf3140cfb584b364540ee"),
+    "B5": ("29c5d7e9f07ac14e9e5b59aff7039b00bf12ae20f518c2a93b59823882edfacd",
+           "b561b98ebae88c6638b810218affcc3d0f9acc7001a9196372c7ceea92b6d46a"),
+    "B6": ("df153eb86ccb51e698114a9af76dc2c187129700344f04e9f0c4093668e3b32e",
+           "bd8c4ca5e9128c01f8eab7cdcfe32a23c899265f5ca680dd595a1e422c77d461"),
+    "C1": ("ba412072c4acb9390c71d25daafdd9f3e06c14d7bf0671b91b9885499aeff5cc",
+           "7576db99ff250efefcf0332edacf5b46cea61bfb61a4fef963a0f07696cdc128"),
+    "C2": ("6b6955ffb0cb544a4b8643c03ab34c529fe4567b893b88cdf5c395871f5a07aa",
+           "d136c26a8f8c79a066d14e262a78ea83b49dcc29e284dd87d9249c543c2a9010"),
+    "C3": ("be6a7c7635b53f815c2233c97b2bb162f69fb3ebb19ab787b334de1a268a75c3",
+           "b9450d8dc058f479c85d2a5405346d9275e72813ae2ebb4f8f09ee94b0350fb7"),
+    "C4": ("8c8b672212175d9343a91cb5c8fdbc9bd587775135ffab0fdc89cd7f2ea4920a",
+           "3ca4307eb348e4ff55b8dd16c1f8eeb7335a33844774a93bc669ae39768d0231"),
+    "C5": ("c4021fa29d28bb6dc60042ca1e56611bac292ed2546b1b741c5ae725ef0d1775",
+           "a7b4b86a0f2174af86e6eb3f9fd9a27463ed7a35715f6562511d6f571dec5e66"),
+    "C6": ("b6447817ae0093afa6fcf093ce8cc7c18c9f2f5c412483ca74f2a72684bec548",
+           "7aaa1710dafbbf420f00afb4c80867c8cdf1ba8daae01db4787a4232718af57b"),
+    "D1": ("85fc33a44d877a0457e82717c873afa13e191a750ba744ff862e3b1169eca41d",
+           "93c6b124caf00b58830680be57ae65f1a27d6ce8b780054172462c262b4bac3b"),
+    "D2": ("46dcf62761da36d1985cd5a954610079d20ef7ef085734c25f0ad6c968458a8f",
+           "c5def39ed0d54ef18287f1cc9cae77b99742fd911e805e2d9ac5de0adfc9a564"),
+    "D3": ("b9482eecb4c2108c861032fb737ee876ee9bb999b1bb2b1720ef1527dace3b6d",
+           "2e9c014e1f0e83f27e0321a509c1b0ffc93006b3552458b2b4d0945795f9a816"),
+    "D4": ("d66969cedf9470e91559386951f5330a69619ec67d82aa6efc431e12283673dc",
+           "b0bf46d94a740b5d7eaf67be7ca8ba3cd257aa674f5927ce29bd12cf5b38b64b"),
+    "D5": ("ad65d2a894b83bc57352fe5ae5a5ea159006494e065ccdeef7d8a55e175b3d43",
+           "0c1a5b0cbf777a4391504ad9ebe1bd2af5e1f2f1665c2cfe748422c39b6534ec"),
+    "D6": ("9b3cda5a29abd48eafe19aacd976899af4d4f9042eae81c98b6faf1cce878837",
+           "49672f7b7656af24cb07070f96855d564843a0ca218894c6596905a32fda18cd"),
+}
+
+CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
+    ("budget0", key, ["--oracle-budget", "0"]) for key in BUDGET_0
+]
+
+
+@pytest.mark.parametrize("budget, key, extra", CASES, ids=[f"{b}-{k}" for b, k, _ in CASES])
+def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
+    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    family, rank = key[0], key[1:]
+    code = main(["atlas", "--family", family, "--rank", rank, "--out", str(tmp_path), *extra])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in (f"atlas-{key}.jsonl", f"atlas-{key}-summary.csv")
+    )
+    pinned = (DEFAULT_BUDGET if budget == "default" else BUDGET_0)[key]
+    assert digests == pinned

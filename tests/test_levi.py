@@ -4,6 +4,7 @@ from nilorbit import (
     Family,
     LeviType,
     enumerate_levis,
+    enumerate_valid,
     induced_shape,
     is_richardson_via_induction,
     langlands_dual_levi,
@@ -20,6 +21,11 @@ def P(text):
 
 def L(text, fam):
     return LeviType.from_text(text, fam)
+
+
+def brute_polarizations(p, fam):
+    """Reference for the polarization table: filter every Levi type."""
+    return [levi for levi in enumerate_levis(p.n, fam) if richardson_orbit_of(levi) == p]
 
 
 class TestLeviType:
@@ -127,6 +133,24 @@ class TestPolarizations:
             for levi in enumerate_levis(n, fam):
                 r = richardson_orbit_of(levi)
                 assert levi in polarizations(r, fam)
+
+    def test_table_matches_brute_filter_in_order(self):
+        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for p in enumerate_valid(n, fam):
+                    brute = brute_polarizations(p, fam)
+                    if brute:
+                        assert polarizations(p, fam) == brute
+                    else:
+                        with pytest.raises(ValueError):
+                            polarizations(p, fam)
+                    assert is_richardson_via_induction(p, fam) == bool(brute)
+
+    def test_caller_cannot_corrupt_the_table(self):
+        first = polarizations(P("3,1,1"), Family.B)
+        first.reverse()
+        first.append(L("1,1;1", Family.B))
+        assert [x.literal() for x in polarizations(P("3,1,1"), Family.B)] == ["2;1", "1;3"]
 
 
 class TestRawShapeInversion:

@@ -13,7 +13,6 @@ from nilorbit import (
     minimal_richardson_bruteforce,
     minimal_richardson_orbits,
     minimal_richardson_witnessed,
-    modify_block,
     parse_partition,
     pseudo_polarizations,
 )
@@ -24,14 +23,9 @@ def P(text):
 
 
 class TestModifyBlock:
-    def test_family_mismatch(self):
-        blk = Block("B2", alphas=(3, 1))
-        with pytest.raises(ValueError):
-            modify_block(blk, Family.C)
-
     def test_delegates_to_block(self):
         blk = Block("B1", alphas=(3, 3))
-        mods = modify_block(blk, Family.B)
+        mods = blk.modifications()
         assert mods.circ is None
         assert mods.prime == (4, 2)
         assert mods.double_prime == (3, 3)

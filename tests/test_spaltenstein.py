@@ -4,6 +4,7 @@ from nilorbit import (
     EPolynomial,
     Family,
     GrassStep,
+    InvariantError,
     LeviType,
     component_count,
     descriptor,
@@ -124,7 +125,7 @@ class TestDistinguishedValues:
         assert even == []
 
     def test_lagrangian_side_multiplicity_checked(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             distinguished_values(P("2,1,1"), Family.D, 1)
 
 
