@@ -64,14 +64,16 @@ def _valid_partition(args) -> tuple[Partition, Family]:
 
 
 def _primes(args, n: int) -> list[int]:
-    """The --oracle-primes list, each an odd prime small enough for int64
-    products at dimension n."""
+    """The --oracle-primes list: distinct odd primes, each small enough for
+    int64 products at dimension n."""
     try:
         primes = [int(t) for t in args.oracle_primes.split(",") if t.strip()]
     except ValueError:
         raise UsageError(f"malformed prime list {args.oracle_primes!r}") from None
     if not primes:
         raise UsageError("at least one oracle prime is required")
+    if len(set(primes)) < len(primes):
+        raise UsageError(f"--oracle-primes repeats a prime: {args.oracle_primes!r}")
     for q in primes:
         try:
             check_modulus(q, n)

@@ -252,6 +252,8 @@ class TestOracleInputs:
             ["--oracle-primes", "4"],
             ["--oracle-primes", "2"],
             ["--oracle-primes", "3,9"],
+            ["--oracle-primes", "3,3"],
+            ["--oracle-primes", "5,3,5"],
             ["--oracle-primes", "2147483647"],  # prime 2^31-1, but n*(p-1)^2 >= 2^63
             ["--oracle-budget", "-1"],
         ],
