@@ -323,16 +323,26 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
 
 
 def is_special(p: Partition, family: Family) -> bool:
-    """Whether the orbit is special.
+    """Whether the orbit is special, read from its cached orbit analysis.
 
-    Two equivalent tests are run and cross-checked: the transpose must have
-    even multiplicities on the constrained parity (even parts for the odd
-    orthogonal family, odd parts for the symplectic and even orthogonal
-    families), and the segmentation must avoid the obstructing kinds (B1*
-    in family B; boundary blocks with interior pairs in C and D).
+    Two equivalent tests are run and cross-checked, once per orbit: the
+    transpose must have even multiplicities on the constrained parity (even
+    parts for the odd orthogonal family, odd parts for the symplectic and
+    even orthogonal families), and the segmentation must avoid the
+    obstructing kinds (B1* in family B; boundary blocks with interior pairs
+    in C and D).  Raises ``ValueError`` when ``p`` is not valid.
     """
-    if not is_valid(p, family):
-        raise ValueError(f"{p} is not valid for family {family.value}")
+    # The analysis sits above this module (it needs descriptors), so it is
+    # imported at call time.
+    from .spaltenstein import orbit_analysis
+
+    return orbit_analysis(p, family).special
+
+
+def _special(p: Partition, d: BlockDecomposition) -> bool:
+    """The two specialness criteria of ``is_special`` on the segmentation
+    ``d`` of ``p``, raising ``InvariantError`` when they disagree."""
+    family = d.family
     t = transpose(p)
     rule = Family.B if family is Family.B else Family.C
     by_transpose = all(
@@ -340,11 +350,10 @@ def is_special(p: Partition, family: Family) -> bool:
         for v in set(t.parts)
         if rule.needs_even_multiplicity(v)
     )
-    blocks = decompose(p, family).blocks
     if family is Family.B:
-        by_blocks = all(blk.kind != "B1*" for blk in blocks)
+        by_blocks = all(blk.kind != "B1*" for blk in d.blocks)
     else:
-        by_blocks = all(not (blk.kind.endswith("2") and blk.k >= 1) for blk in blocks)
+        by_blocks = all(not (blk.kind.endswith("2") and blk.k >= 1) for blk in d.blocks)
     if by_transpose != by_blocks:
         raise InvariantError(f"specialness criteria disagree on {p} ({family.value})")
     return by_transpose
@@ -371,27 +380,38 @@ def pivot_candidates(p: Partition, family: Family) -> list[tuple[int, ...]]:
     before the pivot, raise the pivot, lower everything after), plus, for C
     and D, the pure split/lower combinations at every cut point.
     """
-    mods = [blk.modifications() for blk in decompose(p, family).blocks]
+    return _pivot_candidates(decompose(p, family))
+
+
+def _pivot_candidates(d: BlockDecomposition) -> list[tuple[int, ...]]:
+    mods = [blk.modifications() for blk in d.blocks]
     cands = {_reassembly(mods, h) for h, mb in enumerate(mods) if mb.circ is not None}
-    if family is not Family.B:
+    if d.family is not Family.B:
         cands.update(_reassembly(mods, j, raise_pivot=False) for j in range(len(mods) + 1))
     return sorted(cands, reverse=True)
 
 
 def is_richardson(p: Partition, family: Family) -> bool:
-    """Whether the orbit is induced from the zero orbit of some Levi.
+    """Whether the orbit is induced from the zero orbit of some Levi, read
+    from its cached orbit analysis (see ``_richardson``).  Raises
+    ``ValueError`` when ``p`` is not valid."""
+    from .spaltenstein import orbit_analysis
 
-    A candidate reassembly witnesses the property when it has the shape of a
-    raw induced multiset (all odd entries before all even entries, with an
-    admissible odd count) and collapses back onto ``p``.
-    """
-    for cand in pivot_candidates(p, family):
+    return orbit_analysis(p, family).richardson
+
+
+def _richardson(p: Partition, d: BlockDecomposition) -> bool:
+    """A candidate reassembly of the segmentation ``d`` of ``p`` witnesses
+    the Richardson property when it has the shape of a raw induced multiset
+    (all odd entries before all even entries, with an admissible odd count)
+    and collapses back onto ``p``."""
+    for cand in _pivot_candidates(d):
         if sum(cand) != p.n:
             continue
         raw = Partition(cand)
-        if levi_of_raw_shape(raw, family) is None:
+        if levi_of_raw_shape(raw, d.family) is None:
             continue
-        if collapse(raw, family) == p:
+        if collapse(raw, d.family) == p:
             return True
     return False
 
@@ -400,8 +420,11 @@ def canonical_quotient_order(p: Partition, family: Family = Family.B) -> int:
     """Order of the canonical component quotient of a special orbit in the
     odd orthogonal family: 2 to the number of boundary blocks with two odd
     boundaries."""
+    from .spaltenstein import orbit_analysis
+
     if family is not Family.B:
         raise ValueError("canonical quotient order is defined here for family B only")
-    if not is_special(p, family):
+    analysis = orbit_analysis(p, family)
+    if not analysis.special:
         raise ValueError(f"{p} is not special in family B")
-    return 2 ** sum(1 for blk in decompose(p, family).blocks if blk.kind == "B2")
+    return 2 ** sum(1 for blk in analysis.decomposition.blocks if blk.kind == "B2")

@@ -22,11 +22,13 @@ from .ff_oracle import (
     DEFAULT_BUDGET,
     check_modulus,
     fiber_point_count,
+    first_row_nodes,
+    precharged_skip,
     realize,
     resolve_budget,
 )
 from .levi import polarizations
-from .minimal import minimal_richardson_witnessed, pseudo_polarizations
+from .minimal import minimal_richardson_witnessed
 from .partitions import (
     Family,
     Partition,
@@ -35,7 +37,7 @@ from .partitions import (
     parse_partition,
 )
 from .partitions import collapse as collapse_partition
-from .spaltenstein import component_count, descriptor, e_polynomial
+from .spaltenstein import OrbitAnalysis, e_polynomial, orbit_analysis
 
 _ATLAS_DEFAULT_BUDGET = 5000
 
@@ -215,16 +217,23 @@ def cmd_polarizations(args) -> int:
     return 0
 
 
-def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int):
+def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int):
+    """One record per pseudo-polarization of the analysed orbit, with its
+    oracle checks.  A prime's realization is built the first time a check
+    at that prime is not already a skip by its first row alone."""
+    p, fam = analysis.partition, analysis.family
     records = []
     failed = False
-    reals = [realize(p, fam, q) for q in primes]
-    for r, levi in pseudo_polarizations(p, fam):
-        d = descriptor(p, fam, r, levi)
+    reals = {}
+    for d in analysis.descriptors:
         poly = e_polynomial(d)
         oracle = []
-        for q, real in zip(primes, reals):
-            fc = fiber_point_count(real, levi, budget)
+        for q in primes:
+            fc = precharged_skip(p, d.levi, q, budget)
+            if fc is None:
+                if q not in reals:
+                    reals[q] = realize(p, fam, q)
+                fc = fiber_point_count(reals[q], d.levi, budget)
             if fc.count is None:
                 oracle.append(
                     {"p": q, "count": None, "expected": poly(q), "nodes": fc.nodes,
@@ -239,8 +248,8 @@ def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int):
                 )
         records.append(
             {
-                "min_richardson": list(r.parts),
-                "levi": levi.literal(),
+                "min_richardson": list(d.min_richardson.parts),
+                "levi": d.levi.literal(),
                 "descriptor": d.as_dict(),
                 "oracle": oracle,
             }
@@ -251,7 +260,9 @@ def _fiber_records(p: Partition, fam: Family, primes: list[int], budget: int):
 def cmd_fiber(args) -> int:
     p, fam = _valid_partition(args)
     primes = _primes(args, p.n)
-    records, failed = _fiber_records(p, fam, primes, _budget(args, DEFAULT_BUDGET))
+    budget = _budget(args, DEFAULT_BUDGET)
+    analysis = orbit_analysis(p, fam)
+    records, failed = _fiber_records(analysis, primes, budget)
     payload = {
         "schema": 1,
         "family": fam.value,
@@ -259,7 +270,7 @@ def cmd_fiber(args) -> int:
         "fibers": records,
     }
     human = []
-    for rec in records:
+    for rec, levi in zip(records, (d.levi for d in analysis.descriptors)):
         d = rec["descriptor"]
         tower = " * ".join(
             [f"OG({s['m']},{s['N']})" for s in d["og_tower"]]
@@ -270,12 +281,18 @@ def cmd_fiber(args) -> int:
             f"({rec['levi']}): {tower}, dim {d['dim']}, components {d['components']}"
         )
         for o in rec["oracle"]:
-            if o["count"] is None:
-                human.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
-            else:
+            first = first_row_nodes(p, levi, o["p"])
+            if o["count"] is not None:
                 human.append(
                     f"  p={o['p']}: count {o['count']}, expected {o['expected']}: {o['verdict']}"
                 )
+            elif first > budget:
+                human.append(
+                    f"  p={o['p']}: {o['verdict']}: its {first} first-row candidates exceed"
+                    f" the {budget}-node cap, so no row was tested"
+                )
+            else:
+                human.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
     _emit(args, payload, human)
     return 1 if failed else 0
 
@@ -355,6 +372,7 @@ def _orbit_labels(n: int, fam: Family):
 
 def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
                   primes: list[int], budget: int) -> dict:
+    analysis = orbit_analysis(p, fam)
     rec: dict = {
         "schema": 1,
         "family": fam.value,
@@ -362,14 +380,14 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         "n": p.n,
         "orbit": list(p.parts),
         "very_even_label": label,
-        "special": is_special(p, fam),
-        "richardson": is_richardson(p, fam),
+        "special": analysis.special,
+        "richardson": analysis.richardson,
     }
     rec["min_richardson"] = [
         {"partition": list(r.parts), "block": e.block, "witness": e.witness}
-        for r, e in minimal_richardson_witnessed(p, fam)
+        for r, e in analysis.witnessed
     ]
-    rec["fibers"], _ = _fiber_records(p, fam, primes, budget)
+    rec["fibers"], _ = _fiber_records(analysis, primes, budget)
     rec["pseudo_polarizations"] = [
         {"min_richardson": fib["min_richardson"], "levi": fib["levi"]} for fib in rec["fibers"]
     ]

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import canonical_quotient_order, decompose, is_special
+from .blocks import canonical_quotient_order, is_special
 from .errors import InvariantError
 from .levi import LeviType, langlands_dual_levi, polarizations
-from .minimal import minimal_richardson_orbits
 from .partitions import Family, Partition, collapse, enumerate_valid, is_valid, orbit_dim
-from .spaltenstein import component_count, descriptor, e_polynomial
+from .spaltenstein import component_count, descriptor, e_polynomial, orbit_analysis
 
 
 def springer_dual(p: Partition) -> Partition:
@@ -24,10 +23,11 @@ def springer_dual(p: Partition) -> Partition:
     """
     if not is_valid(p, Family.B):
         raise ValueError(f"{p} is not valid for family B")
-    if not is_special(p, Family.B):
+    analysis = orbit_analysis(p, Family.B)
+    if not analysis.special:
         raise ValueError(f"{p} is not special in family B")
     merged: list[int] = []
-    for blk in decompose(p, Family.B).blocks:
+    for blk in analysis.decomposition.blocks:
         if blk.kind == "B1":
             merged += blk.parts()
         else:
@@ -91,8 +91,8 @@ def dual_pair(b: Partition) -> DualPair:
             f"dual pair ({b}, {c}) is not dimension-preserving: "
             f"{orbit_dim(b, Family.B)} vs {orbit_dim(c, Family.C)}"
         )
-    min_b = minimal_richardson_orbits(b, Family.B)
-    min_c = minimal_richardson_orbits(c, Family.C)
+    min_b = orbit_analysis(b, Family.B).minimal
+    min_c = orbit_analysis(c, Family.C).minimal
     mapped = [springer_dual(r) for r in min_b]
     if sorted(x.parts for x in mapped) != sorted(x.parts for x in min_c):
         raise RuntimeError(

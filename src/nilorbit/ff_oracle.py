@@ -273,6 +273,27 @@ class FlagCount:
     skipped: str | None = None
 
 
+def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
+    """Nodes every count of this fiber charges before anything can end it:
+    the first flag space E_1 lies in ker e, of dimension c = the number of
+    Jordan blocks of ``p``, and has dimension d = the smallest general-linear
+    block of ``levi``, so all sum_{j=0}^{c-d} modulus^j candidates for its
+    first echelon row are tested (see _last_row_batches).  0 when ``levi``
+    has no general-linear block or d > c, where no row is tested."""
+    if not levi.ps or levi.ps[0] > len(p.parts):
+        return 0
+    return (modulus ** (len(p.parts) - levi.ps[0] + 1) - 1) // (modulus - 1)
+
+
+def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
+    """The skip that ``fiber_point_count`` must return when the first row
+    alone exceeds ``cap`` nodes, decided from (p, levi, modulus) without a
+    realization or any elimination; None when the first row fits."""
+    if first_row_nodes(p, levi, modulus) > cap:
+        return FlagCount(None, modulus, levi, cap + 1, skipped="budget")
+    return None
+
+
 def _complement(E: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
     """Rows of W extending a basis of E to one of E + W (here E <= W): the
     pivot columns of [E; W]^T that fall among the rows of W, which are the
@@ -427,10 +448,18 @@ def fiber_point_count(
     (_closing_leaves).  A node is still one candidate row tested, and the
     budget caps those rows: a check whose total would exceed it returns an
     explicit skip with ``nodes == budget + 1``, never a wrong count.
+
+    Every count tests all candidates for its first row before anything can
+    end it, so those first_row_nodes are charged up front: when they alone
+    exceed the budget, the same skip returns before any elimination
+    (precharged_skip).  Counts, node totals and skips are unchanged by it.
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
     cap = resolve_budget(budget)
+    skip = precharged_skip(real.partition, levi, real.modulus, cap)
+    if skip is not None:
+        return skip
     p, e, g = real.modulus, real.e, real.gram
     n = real.dim
     dims = list(itertools.accumulate(levi.ps))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import _reassembly, decompose, is_richardson
-from .levi import LeviType, polarizations
+from .blocks import BlockDecomposition, _reassembly, decompose, is_richardson
+from .levi import LeviType
 from .partitions import Family, Partition, collapse, dominance_leq, enumerate_valid
 
 
@@ -52,7 +52,11 @@ def index_set(p: Partition, family: Family) -> IndexSet:
     virtual block past the end otherwise; an omitted C2 closing boundary
     still owns one slot of its block.
     """
-    d = decompose(p, family)
+    return _index_set(p, decompose(p, family))
+
+
+def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
+    family = d.family
     blocks = d.blocks
     m = len(blocks)
     owner: dict[int, int] = {}
@@ -102,33 +106,46 @@ def minimal_richardson_witnessed(
     p: Partition, family: Family
 ) -> list[tuple[Partition, IndexEntry]]:
     """Minimal Richardson orbits paired with the witness that produced each
-    (first witness wins when two produce the same orbit).  A witness in
+    (first witness wins when two produce the same orbit), as a fresh list
+    read from the cached orbit analysis (see ``_witnessed``)."""
+    # The analysis sits above this module (it needs descriptors), so it is
+    # imported at call time.
+    from .spaltenstein import orbit_analysis
+
+    return list(orbit_analysis(p, family).witnessed)
+
+
+def _witnessed(p: Partition, d: BlockDecomposition) -> tuple[tuple[Partition, IndexEntry], ...]:
+    """The witness scan on the segmentation ``d`` of ``p``: a witness in
     block h is reassembled with the blocks before h split, block h raised
-    and the blocks after it lowered; the virtual block splits them all."""
-    mods = [blk.modifications() for blk in decompose(p, family).blocks]
+    and the blocks after it lowered; the virtual block splits them all.
+    Collapsing each reassembly gives a minimal Richardson orbit."""
+    mods = [blk.modifications() for blk in d.blocks]
     out: list[tuple[Partition, IndexEntry]] = []
     seen: set[tuple[int, ...]] = set()
-    for entry in index_set(p, family).entries:
-        r = collapse(Partition(_reassembly(mods, entry.block - 1)), family)
+    for entry in _index_set(p, d).entries:
+        r = collapse(Partition(_reassembly(mods, entry.block - 1)), d.family)
         if r.parts not in seen:
             seen.add(r.parts)
             out.append((r, entry))
-    return out
+    return tuple(out)
 
 
 def minimal_richardson_orbits(p: Partition, family: Family) -> list[Partition]:
-    """The minimal Richardson orbits dominating ``p``, in witness order."""
-    return [r for r, _ in minimal_richardson_witnessed(p, family)]
+    """The minimal Richardson orbits dominating ``p``, in witness order, as
+    a fresh list read from the cached orbit analysis."""
+    from .spaltenstein import orbit_analysis
+
+    return list(orbit_analysis(p, family).minimal)
 
 
 def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, LeviType]]:
     """Every (R, L) with R a minimal Richardson orbit over ``p`` and L a
-    polarization of R, in (witness order, polarization order)."""
-    return [
-        (r, levi)
-        for r in minimal_richardson_orbits(p, family)
-        for levi in polarizations(r, family)
-    ]
+    polarization of R, in (witness order, polarization order), as a fresh
+    list read from the cached orbit analysis."""
+    from .spaltenstein import orbit_analysis
+
+    return list(orbit_analysis(p, family).pseudo_polarizations)
 
 
 def minimal_richardson_bruteforce(p: Partition, family: Family) -> list[Partition]:

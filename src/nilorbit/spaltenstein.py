@@ -10,11 +10,13 @@ multiplicities drive the two factor families.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from .blocks import BlockDecomposition, _richardson, _special, decompose
 from .errors import InvariantError
-from .levi import LeviType, polarizations, richardson_orbit_of
-from .minimal import minimal_richardson_orbits
+from .levi import LeviType, polarizations
+from .minimal import IndexEntry, _witnessed
 from .partitions import Family, Partition
 
 
@@ -219,15 +221,24 @@ def descriptor(
     p: Partition, family: Family, r: Partition, levi: LeviType
 ) -> FibrationDescriptor:
     """Fibration descriptor of the fiber over ``p`` of the map attached to
-    ``levi``, a polarization of the minimal Richardson orbit ``r``.
+    ``levi``, a polarization of the minimal Richardson orbit ``r``, read
+    from the cached orbit analysis of ``p``.
 
     Raises ``ValueError`` unless r is a minimal Richardson orbit over ``p``
     and ``levi`` polarizes r.
     """
-    if r not in minimal_richardson_orbits(p, family):
+    analysis = orbit_analysis(p, family)
+    if r not in analysis.minimal:
         raise ValueError(f"{r} is not a minimal Richardson orbit over {p}")
-    if levi.family is not family or richardson_orbit_of(levi) != r:
-        raise ValueError(f"{levi} is not a polarization of {r}")
+    for d in analysis.descriptors:
+        if d.min_richardson == r and d.levi == levi:
+            return d
+    raise ValueError(f"{levi} is not a polarization of {r}")
+
+
+def _descriptor(p: Partition, family: Family, r: Partition, levi: LeviType) -> FibrationDescriptor:
+    """The descriptor of a pseudo-polarization (r, levi) of ``p``, which the
+    caller guarantees it is."""
     l = split_index(levi)
     odd, even = distinguished_values(p, family, l)
     og_vals, ig_vals = (even, odd) if family is Family.C else (odd, even)
@@ -246,6 +257,48 @@ def descriptor(
         levi=levi,
         split=l,
     )
+
+
+@dataclass(frozen=True)
+class OrbitAnalysis:
+    """What the package derives from one orbit on its own, computed once by
+    ``orbit_analysis``: the block segmentation, the special and Richardson
+    verdicts, the witnessed minimal Richardson orbits, and one descriptor
+    per pseudo-polarization, in (witness order, polarization order).  Every
+    field is immutable, so one cached value can serve every caller."""
+
+    partition: Partition
+    family: Family
+    decomposition: BlockDecomposition
+    special: bool
+    richardson: bool
+    witnessed: tuple[tuple[Partition, IndexEntry], ...]
+    descriptors: tuple[FibrationDescriptor, ...]
+
+    @property
+    def minimal(self) -> tuple[Partition, ...]:
+        """The minimal Richardson orbits over the orbit, in witness order."""
+        return tuple(r for r, _ in self.witnessed)
+
+    @property
+    def pseudo_polarizations(self) -> tuple[tuple[Partition, LeviType], ...]:
+        return tuple((d.min_richardson, d.levi) for d in self.descriptors)
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_analysis(p: Partition, family: Family) -> OrbitAnalysis:
+    """The analysis of the orbit ``p``, built once per (partition, family);
+    a ``ValueError`` when ``p`` is not valid.  The cache keeps one small
+    entry per orbit asked about for the life of the process, as an atlas
+    sweep keeps one record per orbit."""
+    d = decompose(p, family)
+    witnessed = _witnessed(p, d)
+    descriptors = tuple(
+        _descriptor(p, family, r, levi)
+        for r, _ in witnessed
+        for levi in polarizations(r, family)
+    )
+    return OrbitAnalysis(p, family, d, _special(p, d), _richardson(p, d), witnessed, descriptors)
 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:

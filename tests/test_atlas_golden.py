@@ -1,6 +1,6 @@
 """Pinned atlas bytes: the sha256 of every atlas JSONL and summary CSV for
-B/C/D at ranks 1-4 with the default oracle budget and at ranks 1-6 with
-``--oracle-budget 0``.  The atlas is the package's behavioural contract, so a
+B/C/D at ranks 1-4 with the default oracle budget and at ranks 1-6, 10 and
+12 with ``--oracle-budget 0``.  The atlas is the package's behavioural contract, so a
 refactor must reproduce these files byte for byte; a change that alters them
 on purpose updates the digests here and says why in CHANGES.md."""
 import hashlib
@@ -73,6 +73,18 @@ BUDGET_0 = {
            "0c1a5b0cbf777a4391504ad9ebe1bd2af5e1f2f1665c2cfe748422c39b6534ec"),
     "D6": ("9b3cda5a29abd48eafe19aacd976899af4d4f9042eae81c98b6faf1cce878837",
            "49672f7b7656af24cb07070f96855d564843a0ca218894c6596905a32fda18cd"),
+    "B10": ("83500c7de35578d3ba3aa5708e7c059efa160f3238303c9681fdca5d154ad6a2",
+            "99b17b9e4d319908af39abea955168f6f2c58c30d2e5057e87cd73a1d9eccef6"),
+    "B12": ("acd19ffbcdad827591a31f8202d7a649a9be69f275bdd9e6d0b2accf1ef04bcd",
+            "f07b0e6204ae8b843b6105e7774ba719658d10187d16bed183cfa217d28fc128"),
+    "C10": ("71039077c23f8fe60e98905ba43e8eaf6621f1056b6dd11728e231fcf9aad79f",
+            "f8929f94affb44f26da79a67b07a4aab3dba1fb2f2f2260a1192c0d49fa9b579"),
+    "C12": ("561b160efb3170da39d1a0c13c5f77e639bf5ec9a2f6fb034a32065d388ecff8",
+            "6d7667ccdbec7d00066a3e0565fc0d77a94ec7f2dbf53a601d19fda6d72c3ab9"),
+    "D10": ("f3f21daade0f37623a2d00a363c8dcaef60dc4a7f13f866e5c2acc6cef6abe55",
+            "a4378fde9435fe46b8ba620cca176bb85e3c5aeb72a9b07bdd3a7118dddd3301"),
+    "D12": ("3cc97e9b8bf18598422a7362dc2ff25714e5160d88c78483be8a26b2dce95ab9",
+            "815bee6aa41f959d2893085df4a098868d810a858468ea443a52ac4bf4cb6a63"),
 }
 
 CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
@@ -84,7 +96,8 @@ CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
 def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
     monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     family, rank = key[0], key[1:]
-    code = main(["atlas", "--family", family, "--rank", rank, "--out", str(tmp_path), *extra])
+    code = main(["atlas", "--family", family, "--rank", rank, "--ceiling", "12",
+                 "--out", str(tmp_path), *extra])
     capsys.readouterr()
     assert code == 0
     digests = tuple(

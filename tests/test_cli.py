@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nilorbit import cli
 from nilorbit.cli import main
 
 
@@ -147,6 +148,32 @@ class TestFiber:
         }
         assert verdicts == {"skipped: budget"}
 
+    def test_first_row_skip_names_its_cause(self, capsys):
+        # At p = 1000003 the first row alone has more candidates than the
+        # default cap, so the skip is decided before any row is tested.
+        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "3,1,1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("  p=")]
+        assert lines == [
+            "  p=1000003: skipped: budget: its 1000004 first-row candidates exceed"
+            " the 1000000-node cap, so no row was tested",
+            "  p=1000003: skipped: budget: its 1000007000013 first-row candidates exceed"
+            " the 1000000-node cap, so no row was tested",
+        ]
+        code, out, _ = run(capsys, *argv, "--json")
+        oracle = [o for rec in json.loads(out)["fibers"] for o in rec["oracle"]]
+        assert [(o["count"], o["nodes"], o["verdict"]) for o in oracle] == [
+            (None, 1000001, "skipped: budget")
+        ] * 2
+
+    def test_skip_after_rows_keeps_its_node_count(self, capsys):
+        # (2,4;1) tests its 40 first-row candidates, then skips at 101 nodes.
+        code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
+                           "--oracle-budget", "100", "4,4,2,2,1")
+        assert code == 0
+        assert "  p=3: skipped: budget after 101 nodes" in out.splitlines()
+
 
 class TestAtlas:
     def test_rank_two_run(self, capsys, tmp_path):
@@ -229,6 +256,36 @@ class TestAtlas:
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle_skipped"] > 0
+
+
+class TestRealizeOnDemand:
+    def test_budget_zero_realizes_only_levis_without_gl_blocks(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # At budget 0 every check with a general-linear block is a skip by
+        # its first row alone; only the zero orbit's Levi (;n), which tests
+        # e = 0, needs a realization: one per prime per family.
+        calls = []
+        build = cli.realize
+
+        def counting(p, fam, q):
+            calls.append((fam.value, p.parts, q))
+            return build(p, fam, q)
+
+        monkeypatch.setattr(cli, "realize", counting)
+        needed = []
+        for fam in "BCD":
+            code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "4",
+                             "--oracle-budget", "0", "--out", str(tmp_path))
+            assert code == 0
+            with open(tmp_path / f"atlas-{fam}4.jsonl") as fh:
+                for rec in map(json.loads, fh):
+                    for fib in rec["fibers"]:
+                        if fib["levi"].startswith(";"):
+                            needed += [(fam, tuple(rec["orbit"]), q) for q in (3, 5)]
+        assert calls == needed
+        n = {"B": 9, "C": 8, "D": 8}
+        assert calls == [(fam, (1,) * n[fam], q) for fam in "BCD" for q in (3, 5)]
 
 
 class TestOracleInputs:

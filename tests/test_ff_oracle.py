@@ -25,6 +25,7 @@ from nilorbit import (
     e_polynomial,
     enumerate_valid,
     fiber_point_count,
+    first_row_nodes,
     grassmannian_count,
     minimal_richardson_orbits,
     parse_partition,
@@ -486,6 +487,40 @@ class TestNodeBudget:
         with pytest.raises(BudgetExceeded):
             next(_isotropic_extensions(W[:0], W, 1, form, 3, counter, 8))
         assert counter == [9]
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_first_row_precharge_is_exact(self, q):
+        # Every pseudo-polarization at B N <= 7 and C/D N <= 6.  With T the
+        # unbudgeted node total and R the first row's candidates, R <= T, and
+        # each budget b around R and T gives a skip with b + 1 nodes exactly
+        # when T > b, and the unbudgeted result otherwise.
+        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    for _, levi in pseudo_polarizations(orbit, fam):
+                        real = realize(orbit, fam, q)
+                        full = fiber_point_count(real, levi, budget=10**12)
+                        T, R = full.nodes, first_row_nodes(orbit, levi, q)
+                        assert full.count is not None and R <= T, (orbit, levi)
+                        for b in {0, R - 1, R, T - 1, T} - {-1}:
+                            res = fiber_point_count(real, levi, budget=b)
+                            if T > b:
+                                assert res == FlagCount(None, q, levi, b + 1, "budget")
+                            else:
+                                assert res == full
+
+    def test_first_row_skip_needs_no_elimination(self, monkeypatch):
+        real = realize(P("3,1,1"), Family.B, 1_000_003)
+
+        def refuse(*args):
+            raise AssertionError("eliminated before a pre-charged skip")
+
+        for name in ("nullspace", "rank", "rref"):
+            monkeypatch.setattr(nilorbit.ff_oracle, name, refuse)
+        for levi, first in ((L("2;1"), 1_000_004), (L("1;3"), 1_000_007_000_013)):
+            assert first_row_nodes(real.partition, levi, 1_000_003) == first
+            res = fiber_point_count(real, levi, budget=first - 1)
+            assert res == FlagCount(None, 1_000_003, levi, first, "budget")
 
     def test_totals_repeat(self):
         orbit = P("4,4,2,2,1")

@@ -127,3 +127,26 @@ class TestPseudoPolarizations:
             assert orbits == {
                 r.parts for r in minimal_richardson_orbits(p, Family.B)
             }
+
+
+class TestCachedAnalysis:
+    """The minimal orbits and pseudo-polarizations come from one cached
+    analysis per orbit; every caller gets its own list."""
+
+    def test_callers_cannot_corrupt_the_analysis(self):
+        p = P("3,2,2,1,1,1,1")
+        low, high = P("3,2,2,2,2"), P("3,3,1,1,1,1,1")
+        expected = {
+            minimal_richardson_witnessed: [(low, IndexEntry(1, 1)), (high, IndexEntry(3, 4))],
+            minimal_richardson_orbits: [low, high],
+            pseudo_polarizations: [
+                (low, LeviType.from_text("5;1", Family.B)),
+                (high, LeviType.from_text("2;7", Family.B)),
+            ],
+        }
+        for fn, want in expected.items():
+            first = fn(p, Family.B)
+            assert first == want
+            first.reverse()
+            first.append(first[0])
+            assert fn(p, Family.B) == want

@@ -147,10 +147,14 @@ class TestStepBuilders:
 
 class TestDescriptor:
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a minimal Richardson orbit"):
             descriptor(P("2,2,1"), Family.B, P("5"), L("1,1;1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a polarization"):
             descriptor(P("2,2,1"), Family.B, P("3,1,1"), L("1,1;1"))
+        with pytest.raises(ValueError, match="not a polarization"):
+            descriptor(P("2,2,1"), Family.B, P("3,1,1"), LeviType.from_text("1;2", Family.C))
+        with pytest.raises(ValueError, match="not valid"):
+            descriptor(P("2,2"), Family.B, P("3,1"), L("1;3"))
 
     def test_spots(self):
         d = descriptor(P("2,2,1"), Family.B, P("3,1,1"), L("1;3"))
