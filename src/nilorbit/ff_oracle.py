@@ -274,15 +274,27 @@ class FlagCount:
 
 
 def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
-    """Nodes every count of this fiber charges before anything can end it:
-    the first flag space E_1 lies in ker e, of dimension c = the number of
-    Jordan blocks of ``p``, and has dimension d = the smallest general-linear
-    block of ``levi``, so all sum_{j=0}^{c-d} modulus^j candidates for its
-    first echelon row are tested (see _last_row_batches).  0 when ``levi``
-    has no general-linear block or d > c, where no row is tested."""
-    if not levi.ps or levi.ps[0] > len(p.parts):
+    """Nodes every count of this fiber charges before anything can end it,
+    from (p, levi, modulus) alone.  With k general-linear blocks, the first
+    flag space E_1 starts from the forced subspace L_1 = im e^(2k) (see
+    fiber_point_count), of dimension l = sum_j max(d_j - 2k, 0), inside
+    ker e, of dimension c = the number of Jordan blocks of ``p``, and has
+    dimension d = the first general-linear block of ``levi``.
+
+    It is 1 when some part exceeds 2k+1 (then e^(2k+1) != 0 and the count
+    is 0) or d <= l (L_1 alone decides the level).  Otherwise all
+    sum_{j=0}^{c-d} modulus^j candidates for the first echelon row are
+    tested (see _last_row_batches): the complement of L_1 and the rows
+    still to choose both lose l, so the sum does not.  0 when ``levi`` has
+    no general-linear block or d > c, where no row is tested."""
+    if not levi.ps:
         return 0
-    return (modulus ** (len(p.parts) - levi.ps[0] + 1) - 1) // (modulus - 1)
+    k, d, c = len(levi.ps), levi.ps[0], len(p.parts)
+    if max(p.parts) > 2 * k + 1 or d <= sum(max(x - 2 * k, 0) for x in p.parts):
+        return 1
+    if d > c:
+        return 0
+    return (modulus ** (c - d + 1) - 1) // (modulus - 1)
 
 
 def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
@@ -294,19 +306,33 @@ def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> Fla
     return None
 
 
-def _complement(E: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
-    """Rows of W extending a basis of E to one of E + W (here E <= W): the
-    pivot columns of [E; W]^T that fall among the rows of W, which are the
-    rows a greedy rank test would pick in order."""
+def _charge(counter: list[int], size: int, cap: int) -> None:
+    """Add ``size`` nodes to ``counter``; past ``cap`` it is set to cap + 1
+    and BudgetExceeded is raised."""
+    counter[0] += size
+    if counter[0] > cap:
+        counter[0] = cap + 1
+        raise BudgetExceeded
+
+
+def _complement(E: np.ndarray, W: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A basis of E + W (here E <= W) split as (rows of E, rows of W): the
+    pivot columns of [E; W]^T, which are the rows a greedy rank test would
+    pick in order.  The rows of E need not be independent; the first part
+    is a basis of their span."""
     k = E.shape[0]
     _, pivots = rref(np.vstack([E, W]).T, p)
-    return W[np.array([c - k for c in pivots if c >= k], dtype=np.intp)] % p
+    return (
+        E[np.array([c for c in pivots if c < k], dtype=np.intp)],
+        W[np.array([c - k for c in pivots if c >= k], dtype=np.intp)] % p,
+    )
 
 
 def _last_row_batches(E, W, target, g, p, counter, cap):
     """Enumerate every isotropic F with E <= F <= W and dim F = target > dim E
     down to its last row.  Yields (F1, X) for each batch of candidates for a
-    last row that has survivors: F1 is E plus the rows chosen before (one
+    last row that has survivors: F1 is a basis of E (the independent rows of
+    the matrix E, which may have others) plus the rows chosen before (one
     matrix per such state, shared by all its batches) and X holds the
     surviving last rows.  Each F is F1 plus one row of X, reached exactly
     once.  E must be isotropic with W inside its perp, so only the new rows
@@ -324,8 +350,8 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
     count past ``cap`` sets it to cap + 1 and raises BudgetExceeded, so a
     check skips exactly when its total exceeds the cap.
     """
+    E, comp = _complement(E, W, p)
     extra = target - E.shape[0]
-    comp = _complement(E, W, p)
     c = comp.shape[0]
     if not 0 < extra <= c:
         return
@@ -339,10 +365,7 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
             total = p ** len(free)
             for start in range(0, total, _BATCH):
                 size = min(_BATCH, total - start)
-                counter[0] += size
-                if counter[0] > cap:
-                    counter[0] = cap + 1
-                    raise BudgetExceeded
+                _charge(counter, size, cap)
                 digits = np.arange(start, start + size, dtype=np.int64)
                 X = np.zeros((size, c), dtype=np.int64)
                 X[:, pc] = 1
@@ -366,11 +389,8 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
 
 
 def _isotropic_extensions(E, W, target, g, p, counter, cap):
-    """Yield every isotropic F with E <= F <= W and dim F = target, each
-    exactly once, as a row matrix extending E (see _last_row_batches)."""
-    if target == E.shape[0]:
-        yield E
-        return
+    """Yield every isotropic F with E <= F <= W and dim F = target > dim E,
+    each exactly once, as a basis extending one of E (see _last_row_batches)."""
     for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
         for w in X:
             yield np.vstack([F1, w])
@@ -433,26 +453,52 @@ def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _forced_subspaces(e: np.ndarray, k: int, p: int) -> tuple[list[np.ndarray], bool]:
+    """Row bases of L_i = im e^(2k+1-i) for i = 1..k, and whether
+    e^(2k+1) = 0 mod p."""
+    power = np.eye(e.shape[0], dtype=np.int64)
+    for _ in range(k + 1):
+        power = power @ e % p
+    bases = []
+    for _ in range(k):
+        bases.append(rref(power.T, p)[0])
+        power = power @ e % p
+    return bases[::-1], not np.any(power)
+
+
 def fiber_point_count(
     real: JordanRealization, levi: LeviType, budget: int | None = None
 ) -> FlagCount:
     """Count isotropic chains E_1 < ... < E_k with dim E_i = p_1 + ... + p_i,
     e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k.
 
-    The enumeration recurses through isotropic E_i inside E_{i-1}^perp
-    intersected with e^{-1}(E_{i-1}), adding one reduced-echelon row at a
-    time and dropping each candidate row as soon as it fails isotropy.  The
-    last level is counted, not enumerated: each state with one row left
-    takes one nullspace, for a basis of its perp, and each batch of
-    surviving last rows is decided by one product and one broadcast check
-    (_closing_leaves).  A node is still one candidate row tested, and the
-    budget caps those rows: a check whose total would exceed it returns an
-    explicit skip with ``nodes == budget + 1``, never a wrong count.
+    Every such chain contains the forced subspaces L_i = im e^(2k+1-i):
+      E_i <= ker e^i by induction, so E_k^perp >= (ker e^k)^perp = im e^k;
+      then e(E_k^perp) <= E_k gives E_k >= im e^(k+1) = L_k;
+      and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
+    So L_1 <= E_1 <= ker e needs e^(2k+1) = 0, else the count is 0.  The
+    bases L_i are built once per check.  Their isotropy and E_{i-1} perp L_i
+    both follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y>;
+    they are checked, and a failure raises InvariantError.
 
-    Every count tests all candidates for its first row before anything can
-    end it, so those first_row_nodes are charged up front: when they alone
-    exceed the budget, the same skip returns before any elimination
-    (precharged_skip).  Counts, node totals and skips are unchanged by it.
+    The enumeration recurses through isotropic E_i that contain E_{i-1} +
+    L_i, inside E_{i-1}^perp intersected with e^{-1}(E_{i-1}) and L_i^perp,
+    adding one reduced-echelon row at a time and dropping each candidate
+    row as soon as it fails isotropy.  A level where E_{i-1} + L_i already
+    has dimension dim E_i (or more) has one candidate (or none): it is
+    charged one node and decided by one elimination, the rank before
+    recursing or, at the last level, a basis of F^perp for the closing
+    test.  Otherwise the last level is counted, not enumerated: each state
+    with one row left takes one nullspace, for a basis of its perp, and each
+    batch of surviving last rows is decided by one product and one broadcast
+    check (_closing_leaves).  A node is one candidate row tested, or one
+    level decided by its forced subspace, and the budget caps those nodes:
+    a check whose total would exceed it returns an explicit skip with
+    ``nodes == budget + 1``, never a wrong count.
+
+    Every count charges its first_row_nodes before anything can end it, so
+    they are charged up front: when they alone exceed the budget, the same
+    skip returns before any elimination (precharged_skip).
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
@@ -462,30 +508,58 @@ def fiber_point_count(
         return skip
     p, e, g = real.modulus, real.e, real.gram
     n = real.dim
+    if not levi.ps:  # the only flag is E = 0, and e(V) <= 0 iff e = 0
+        return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
     dims = list(itertools.accumulate(levi.ps))
+    last = len(dims) - 1
+    forced, nilpotent = _forced_subspaces(e, len(dims), p)
+    if not nilpotent:  # L_1 is not in ker e: one node decides the count
+        return FlagCount(0, p, levi, 1)
+    forced_g = [L @ g % p for L in forced]
+    for L, Lg in zip(forced, forced_g):
+        if np.any(Lg @ L.T % p):
+            raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
     counter = [0]
     eg = (e.T @ g) % p
 
     def recurse(E: np.ndarray, t: int) -> int:
-        if E.shape[0] == 0:
-            window = nullspace(e, p)
-        else:
-            window = nullspace(np.vstack([(E @ g) % p, (nullspace(E, p) @ e) % p]), p)
-        if t == len(dims) - 1:
+        target, L = dims[t], forced[t]
+        # E contains L_{i-1} <= L_i, so dim(E + L_i) <= dim E + new.
+        new = L.shape[0] - (forced[t - 1].shape[0] if t else 0)
+        start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
+        if new:
+            if np.any(start_g @ L.T % p):
+                raise InvariantError(
+                    f"E_{t} is not orthogonal to L_{t + 1} ({real.partition}, {levi}, p={p})"
+                )
+            # Rows spanning E + L_i; the enumeration picks a basis of them.
+            start, start_g = np.vstack([E, L]), np.vstack([start_g, forced_g[t]])
+            if E.shape[0] + new >= target:  # E + L_i may fill the level
+                if t == last:
+                    Q = nullspace(start_g, p)
+                    if n - Q.shape[0] >= target:  # F = E + L_k or nothing
+                        _charge(counter, 1, cap)
+                        return int(n - Q.shape[0] == target and not np.any(Q @ eg % p @ Q.T % p))
+                else:
+                    start = rref(start, p)[0]
+                    if start.shape[0] >= target:  # E_i = E + L_i or nothing
+                        _charge(counter, 1, cap)
+                        return recurse(start, t + 1) if start.shape[0] == target else 0
+        # F <= start^perp and e(F) <= E
+        lift = e if t == 0 else nullspace(E, p) @ e % p
+        window = nullspace(np.vstack([start_g, lift]), p)
+        if t == last:
             return sum(
                 int(np.count_nonzero(closes))
-                for _, _, closes in _closing_leaves(E, window, dims[t], g, eg, p, counter, cap)
+                for _, _, closes in _closing_leaves(start, window, target, g, eg, p, counter, cap)
             )
         return sum(
             recurse(F, t + 1)
-            for F in _isotropic_extensions(E, window, dims[t], g, p, counter, cap)
+            for F in _isotropic_extensions(start, window, target, g, p, counter, cap)
         )
 
-    if not dims:  # the only flag is E = 0, and e(V) <= 0 iff e = 0
-        return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
-    empty = np.zeros((0, n), dtype=np.int64)
     try:
-        value = recurse(empty, 0)
+        value = recurse(np.zeros((0, n), dtype=np.int64), 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     return FlagCount(value, p, levi, counter[0])

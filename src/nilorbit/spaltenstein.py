@@ -207,6 +207,19 @@ class FibrationDescriptor:
             s.dimension for s in self.ig_factors
         )
 
+    @functools.cached_property
+    def _e_polynomial(self) -> EPolynomial:
+        poly = EPolynomial.one()
+        for step in self.og_tower:
+            if step.kind != "OG":
+                raise ValueError("tower steps must be orthogonal")
+            poly = poly * step.e_polynomial()
+        for step in self.ig_factors:
+            poly = poly * step.e_polynomial()
+        if poly.degree != self.dimension:
+            raise InvariantError(f"degree {poly.degree} != dimension {self.dimension}")
+        return poly
+
     def as_dict(self) -> dict:
         return {
             "og_tower": [{"m": s.m, "N": s.n} for s in self.og_tower],
@@ -302,17 +315,10 @@ def orbit_analysis(p: Partition, family: Family) -> OrbitAnalysis:
 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:
-    """Product of the step E-polynomials; degree equals the fiber dimension."""
-    poly = EPolynomial.one()
-    for step in d.og_tower:
-        if step.kind != "OG":
-            raise ValueError("tower steps must be orthogonal")
-        poly = poly * step.e_polynomial()
-    for step in d.ig_factors:
-        poly = poly * step.e_polynomial()
-    if poly.degree != d.dimension:
-        raise InvariantError(f"degree {poly.degree} != dimension {d.dimension}")
-    return poly
+    """Product of the step E-polynomials; degree equals the fiber dimension.
+    Built on first use and kept on the (immutable) descriptor, so each
+    descriptor of an OrbitAnalysis computes it once."""
+    return d._e_polynomial
 
 
 def component_count(d: FibrationDescriptor) -> int:

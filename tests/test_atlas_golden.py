@@ -13,27 +13,27 @@ from nilorbit.cli import main
 DEFAULT_BUDGET = {
     "B1": ("8e065f8e37a368f602082a1153f148ea5356e8569931c99b5c1067977130c31b",
            "1de397a36c6ca01dc9e31a892f3c4cfc00300f92905d74a00dbde5e53be6d19e"),
-    "B2": ("1bf6b53fc8a0c81815a810efafd3e95b7a7e2c01216414a211fe5d40f531257c",
+    "B2": ("db2673562fcc8efabf956a03ed6fa60a88368f8ca7b4465845fcfd7e25779c01",
            "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
-    "B3": ("0e0993b3a7af5a652f3f0960da02011c4bb960162492c8ab37f35206cb97db96",
+    "B3": ("4c7bdd5361affb639baa6e76233d5c1ed7c15f5eadf4a9b4b0311ff79d205bef",
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
-    "B4": ("7aad632d126c0d9ab2e4a77b3542a70f3ceb1ea7ddd82d87e994968e96e5005b",
-           "2616f7d4e764fae0f576d7eb25c988133b588e085da40584d366f81254cb98e2"),
+    "B4": ("43357435e877db2b0be6166587301bdb2c963072541b7341c4d02b0ed9fca485",
+           "b7894f2c0ea40a15b00f667550e37c44435656925ae4f24f3bd69d5d7ca182c6"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
     "C2": ("19fc80bce5819a209f28d0d9622aad5ede6e5ed86bbbf868a066460f2c2b1411",
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
-    "C3": ("0466a6eba910f472d2691078fec28809a4cc305c25452dbb495406d79c4ddf25",
+    "C3": ("854374bb1107446ea138c065edb07a1c4b378a40ce3ef0dcdc1d2ae223afe537",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("228c90141071c94f60565630445445789796acb53877e8289aad91a2b14cb875",
-           "7d9d98966181ddbebd30ee7d5bce5e506974165a8e688b4e8b4a50481516ddba"),
+    "C4": ("b8f416dbb4b1b7f9cbd4c381302c3270265a0f0c9e3d9cc63105202f4164a57a",
+           "9896ca13e3eca3617668b971ea5e9b3f4fafb14f845bdbddd1b8cd7b419ed387"),
     "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
     "D2": ("f53d5a97be04ebbcba755a458a7094f55fae3b304c0d530c1c0275757d99cd60",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("a7c7915aff310dddf94571ab956deccc22a1b031ef90b4cab2c0f2246643a575",
+    "D3": ("e70b0af0901046484000d2d28efa13e854cc4be45b633f730dd70d515364a913",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("789b356fd9cea2e301e06e2fcfafbe147a52d3f75c8c911b6094d9ff94588e49",
+    "D4": ("394e5638a6e2a07ca7a65d474c1c58c809c3ccbe1d6f748771e5c63fde294ead",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
 }
 BUDGET_0 = {

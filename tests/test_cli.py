@@ -149,8 +149,9 @@ class TestFiber:
         assert verdicts == {"skipped: budget"}
 
     def test_first_row_skip_names_its_cause(self, capsys):
-        # At p = 1000003 the first row alone has more candidates than the
-        # default cap, so the skip is decided before any row is tested.
+        # At p = 1000003 the first row of (2;1) alone has more candidates
+        # than the default cap, so its skip is decided before any row is
+        # tested; (1;3) is filled by its forced subspace im e^2 in one node.
         argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "3,1,1"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -158,14 +159,13 @@ class TestFiber:
         assert lines == [
             "  p=1000003: skipped: budget: its 1000004 first-row candidates exceed"
             " the 1000000-node cap, so no row was tested",
-            "  p=1000003: skipped: budget: its 1000007000013 first-row candidates exceed"
-            " the 1000000-node cap, so no row was tested",
+            "  p=1000003: count 1, expected 1: pass",
         ]
         code, out, _ = run(capsys, *argv, "--json")
         oracle = [o for rec in json.loads(out)["fibers"] for o in rec["oracle"]]
         assert [(o["count"], o["nodes"], o["verdict"]) for o in oracle] == [
-            (None, 1000001, "skipped: budget")
-        ] * 2
+            (None, 1000001, "skipped: budget"), (1, 1, "pass")
+        ]
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
         # (2,4;1) tests its 40 first-row candidates, then skips at 101 nodes.

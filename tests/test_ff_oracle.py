@@ -3,9 +3,11 @@
 The Grassmannian step counts are cross-checked against a brute force that
 shares nothing with the package: it builds its own bilinear forms and its
 own reduced-echelon subspace enumerator.  The oracle's pruned enumerator is
-checked against the same enumerator plus an isotropy filter, and its
-batched leaf test against a per-leaf containment check; the package's row
-reduction only builds the inputs and the canonical bases compared.
+checked against the same enumerator plus an isotropy filter, its
+batched leaf test against a per-leaf containment check, and its forced
+subspaces against a test-side count that enumerates without them; the
+package's row reduction only builds the inputs and the canonical bases
+compared.
 """
 import itertools
 import time
@@ -23,6 +25,7 @@ from nilorbit import (
     LeviType,
     descriptor,
     e_polynomial,
+    enumerate_levis,
     enumerate_valid,
     fiber_point_count,
     first_row_nodes,
@@ -517,7 +520,7 @@ class TestNodeBudget:
 
         for name in ("nullspace", "rank", "rref"):
             monkeypatch.setattr(nilorbit.ff_oracle, name, refuse)
-        for levi, first in ((L("2;1"), 1_000_004), (L("1;3"), 1_000_007_000_013)):
+        for levi, first in ((L("2;1"), 1_000_004), (L("1,1;1"), 1_000_007_000_013)):
             assert first_row_nodes(real.partition, levi, 1_000_003) == first
             res = fiber_point_count(real, levi, budget=first - 1)
             assert res == FlagCount(None, 1_000_003, levi, first, "budget")
@@ -530,6 +533,139 @@ class TestNodeBudget:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+# --- the forced subspaces against the un-hoisted enumeration -----------------
+
+
+def unhoisted_count(real, levi, cap):
+    """(count, nodes) of the flag enumeration without the forced subspaces
+    im e^(2k+1-i): level i starts from E_{i-1} alone, inside E_{i-1}^perp
+    intersected with e^{-1}(E_{i-1}); (None, cap + 1) past the cap."""
+    p, e, g = real.modulus, real.e, real.gram
+    dims = list(itertools.accumulate(levi.ps))
+    counter = [0]
+    eg = e.T @ g % p
+
+    def recurse(E, t):
+        if E.shape[0] == 0:
+            window = nullspace(e, p)
+        else:
+            window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
+        if t == len(dims) - 1:
+            return sum(
+                int(np.count_nonzero(closes))
+                for _, _, closes in _closing_leaves(E, window, dims[t], g, eg, p, counter, cap)
+            )
+        return sum(
+            recurse(F, t + 1)
+            for F in _isotropic_extensions(E, window, dims[t], g, p, counter, cap)
+        )
+
+    if not dims:
+        return int(not np.any(e % p)), 0
+    try:
+        return recurse(np.zeros((0, real.dim), dtype=np.int64), 0), counter[0]
+    except BudgetExceeded:
+        return None, counter[0]
+
+
+class TestHoist:
+    # Every Levi, not only pseudo-polarizations, so that empty fibers and
+    # Levis with e^(2k+1) != 0 are covered.  Counts are compared wherever the
+    # reference finishes within the cap; the full flag varieties of the zero
+    # orbits are far beyond it.
+    CAP = 2000
+
+    # (prime, top N for B/C/D, checks the reference finishes, of which
+    # count 0, of which have e^(2k+1) != 0)
+    @pytest.mark.parametrize(
+        "q,tops,coverage",
+        [(3, (7, 6, 6), (164, 63, 25)), (5, (7, 6, 6), (145, 63, 25)), (7, (5, 4, 4), (46, 15, 4))],
+    )
+    def test_matches_unhoisted_reference(self, q, tops, coverage):
+        compared = zeros = not_nilpotent = 0
+        totals = [0, 0]
+        for fam, top in zip((Family.B, Family.C, Family.D), tops):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, q)
+                    for levi in enumerate_levis(n, fam):
+                        want, ref_nodes = unhoisted_count(real, levi, self.CAP)
+                        got = fiber_point_count(real, levi, budget=self.CAP)
+                        if want is None:
+                            continue
+                        case = (orbit, levi, q)
+                        assert (got.count, got.skipped) == (want, None), case
+                        big_part = bool(levi.ps) and max(orbit.parts) > 2 * len(levi.ps) + 1
+                        # A check whose reference tests no row (d > c) costs
+                        # one node when e^(2k+1) != 0 rejects L_1.
+                        assert got.nodes <= ref_nodes or (ref_nodes, got.nodes, big_part) == (
+                            0, 1, True
+                        ), case
+                        totals[0] += ref_nodes
+                        totals[1] += got.nodes
+                        compared += 1
+                        zeros += want == 0
+                        not_nilpotent += big_part
+        assert totals[1] <= totals[0]
+        assert (compared, zeros, not_nilpotent) == coverage
+
+    @pytest.mark.parametrize(
+        "fam,orbit,levi,k",
+        [
+            (Family.B, "3,1,1", "1;3", 1),
+            (Family.B, "5,1,1", "1,1;3", 2),
+            (Family.C, "6", "1,1,1;0", 3),
+            (Family.D, "5,1,1,1", "1,1;4", 2),
+        ],
+    )
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_a_filled_level_costs_one_node(self, fam, orbit, levi, k, q):
+        # E_i = E_{i-1} + im e^(2k+1-i) at every level: one flag, k nodes.
+        res = fiber_point_count(realize(P(orbit), fam, q), L(levi, fam))
+        assert (res.count, res.nodes) == (1, k)
+
+    def test_e_power_decides_at_one_node(self):
+        # B 5 via (1;3): e^3 != 0, so L_1 = im e^2 leaves ker e.
+        real = realize(P("5"), Family.B, 3)
+        assert first_row_nodes(real.partition, L("1;3"), 3) == 1
+        assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
+
+    # A broken form (not e-invariant) makes the forced subspaces violate
+    # what e-invariance guarantees: gram index 0 is x(1,0), the span of
+    # im e^2 for B 3,1,1; for C 4,2, index 4 is x(1,1), a first row in ker e
+    # that the broken form no longer makes orthogonal to L_2 = im e^3.
+    CORRUPT = (
+        "from nilorbit import (Family, InvariantError, LeviType, fiber_point_count,\n"
+        "                      parse_partition, realize)\n"
+        "def raises(orbit, fam, levi, entries):\n"
+        "    real = realize(parse_partition(orbit), fam, 3)\n"
+        "    for i, j in entries:\n"
+        "        real.gram[i, j] = 1\n"
+        "    try:\n"
+        "        fiber_point_count(real, LeviType.from_text(levi, fam))\n"
+        "    except InvariantError as exc:\n"
+        "        return str(exc).split(' (')[0]\n"
+        "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
+        "print(raises('4,2', Family.C, '1,2;0', [(0, 4), (4, 0)]))\n"
+    )
+
+    def test_forced_subspace_invariants_raise(self):
+        real = realize(P("3,1,1"), Family.B, 3)
+        real.gram[0, 0] = 1
+        with pytest.raises(InvariantError, match="not isotropic"):
+            fiber_point_count(real, L("1;3"))
+        real = realize(P("4,2"), Family.C, 3)
+        real.gram[0, 4] = real.gram[4, 0] = 1
+        with pytest.raises(InvariantError, match="not orthogonal"):
+            fiber_point_count(real, L("1,2;0", Family.C))
+
+    def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
+        assert run_optimized(self.CORRUPT).splitlines() == [
+            "im e^a is not isotropic",
+            "E_1 is not orthogonal to L_2",
+        ]
 
 
 class TestInvariantError:

@@ -17,6 +17,7 @@ from nilorbit import (
     orbit_dim,
     parse_partition,
     polarizations,
+    pseudo_polarizations,
     split_index,
 )
 
@@ -195,6 +196,13 @@ class TestDescriptor:
             "components": 1,
             "e_poly": [1],
         }
+
+    def test_e_polynomial_is_built_once_per_descriptor(self):
+        p = P("3,3,2,2,1")
+        for r, levi in pseudo_polarizations(p, Family.B):
+            d = descriptor(p, Family.B, r, levi)
+            assert e_polynomial(d) is e_polynomial(descriptor(p, Family.B, r, levi))
+            assert d.as_dict()["e_poly"] == list(e_polynomial(d).coeffs)
 
     def test_degree_matches_dimension_everywhere(self):
         for fam, n in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
