@@ -14,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .blocks import canonical_quotient_order, decompose, is_richardson, is_special
-from .duality import dual_pair, epoly_equality_check, seesaw_check, springer_dual, springer_dual_inverse
+from .blocks import decompose, is_richardson, is_special
+from .duality import dual_pair, pairing_records, springer_dual, springer_dual_inverse
 from .errors import InvariantError
 from .ff_oracle import (
     _BUDGET_ENV,
@@ -300,36 +300,23 @@ def cmd_fiber(args) -> int:
 def cmd_dual(args) -> int:
     fam = _family(args)
     p = _partition(args)
+    if fam is Family.D:
+        raise UsageError("duality relates families B and C only")
     try:
-        if fam is Family.B:
-            out = springer_dual(p)
-        elif fam is Family.C:
-            out = springer_dual_inverse(p)
-        else:
-            raise UsageError("duality relates families B and C only")
-        payload = {
-            "schema": 1,
-            "family": fam.value,
-            "partition": list(p.parts),
-            "dual": list(out.parts),
-        }
+        out = springer_dual(p) if fam is Family.B else springer_dual_inverse(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except RuntimeError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    payload = {
+        "schema": 1,
+        "family": fam.value,
+        "partition": list(p.parts),
+        "dual": list(out.parts),
+    }
     _emit(args, payload, [out.literal()])
     return 0
-
-
-def _seesaw_records(dp) -> tuple[list[dict], bool]:
-    see = seesaw_check(dp)
-    eq = epoly_equality_check(dp)
-    records = []
-    for srec, erec in zip(see.records, eq.records):
-        rec = dict(srec)
-        rec["e_poly"] = erec["e_poly"]
-        rec["per_component"] = erec["per_component"]
-        rec["e_equal"] = erec["verdict"]
-        records.append(rec)
-    return records, see.ok and eq.ok
 
 
 def cmd_seesaw(args) -> int:
@@ -344,7 +331,8 @@ def cmd_seesaw(args) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    records, ok = _seesaw_records(dp)
+    records = pairing_records(dp)
+    ok = all(rec["verdict"] == rec["e_equal"] == "pass" for rec in records)
     payload = {"schema": 1, "records": records}
     human = [f"dual pair {dp.b_orbit} <-> {dp.c_orbit}"]
     for rec in records:
@@ -392,26 +380,23 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         {"min_richardson": fib["min_richardson"], "levi": fib["levi"]} for fib in rec["fibers"]
     ]
 
-    rec["dual_pair"] = None
-    rec["seesaw"] = None
-    rec["e_equality"] = None
+    rec["dual_pair"] = rec["seesaw"] = rec["e_equality"] = None
     if fam is Family.D or not rec["special"]:
         return rec
     try:
         dp = dual_pair(p if fam is Family.B else springer_dual_inverse(p))
-        pairs, _ = _seesaw_records(dp)
-        rec["dual_pair"] = {
-            "b_orbit": list(dp.b_orbit.parts),
-            "c_orbit": list(dp.c_orbit.parts),
-            "a_bar": canonical_quotient_order(dp.b_orbit),
-            "pairings": pairs,
-        }
-        rec["seesaw"] = "pass" if all(x["verdict"] == "pass" for x in pairs) else "fail"
-        rec["e_equality"] = "pass" if all(x["e_equal"] == "pass" for x in pairs) else "fail"
     except RuntimeError as exc:
-        rec["dual_pair"] = {"error": str(exc)}
-        rec["seesaw"] = "fail"
-        rec["e_equality"] = "fail"
+        rec.update(dual_pair={"error": str(exc)}, seesaw="fail", e_equality="fail")
+        return rec
+    pairs = pairing_records(dp)
+    rec["dual_pair"] = {
+        "b_orbit": list(dp.b_orbit.parts),
+        "c_orbit": list(dp.c_orbit.parts),
+        "a_bar": dp.a_bar,
+        "pairings": pairs,
+    }
+    rec["seesaw"] = "pass" if all(x["verdict"] == "pass" for x in pairs) else "fail"
+    rec["e_equality"] = "pass" if all(x["e_equal"] == "pass" for x in pairs) else "fail"
     return rec
 
 
@@ -425,7 +410,10 @@ def cmd_atlas(args) -> int:
     primes = _primes(args, n)
     budget = _budget(args, _ATLAS_DEFAULT_BUDGET)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc.strerror}") from None
 
     records = [
         _atlas_record(p, fam, args.rank, label, primes, budget)
@@ -433,10 +421,7 @@ def cmd_atlas(args) -> int:
     ]
 
     jsonl = out_dir / f"atlas-{fam.value}{args.rank}.jsonl"
-    with open(jsonl, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-
+    summary = out_dir / f"atlas-{fam.value}{args.rank}-summary.csv"
     oracle = [o for rec in records for fib in rec["fibers"] for o in fib["oracle"]]
     counts = {
         "orbits": len(records),
@@ -452,12 +437,16 @@ def cmd_atlas(args) -> int:
     }
     failures = counts["oracle_fail"] + counts["seesaw_fail"] + counts["epoly_fail"]
 
-    summary = out_dir / f"atlas-{fam.value}{args.rank}-summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["family", "rank"] + list(counts) + ["failures"]
-        writer.writerow(header)
-        writer.writerow([fam.value, args.rank] + list(counts.values()) + [failures])
+    try:
+        with open(jsonl, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        with open(summary, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["family", "rank"] + list(counts) + ["failures"])
+            writer.writerow([fam.value, args.rank] + list(counts.values()) + [failures])
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
     if failures:
         for rec in records:

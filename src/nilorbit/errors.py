@@ -10,5 +10,5 @@ class InvariantError(Exception):
     of two routes (the specialness criteria, the Springer dual) or the
     specialness of a dual, or an invalid-input reason for a valid partition.
     Raised instead of ``assert`` so the checks hold under ``python -O``.
-    This is an internal bug, unlike the RuntimeError that ``dual_pair``
-    raises when a verification fails."""
+    This is an internal bug, unlike the RuntimeError that ``dual_pair`` and
+    ``springer_dual_inverse`` raise when a verification fails."""

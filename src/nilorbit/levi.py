@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .partitions import Family, Partition, collapse, is_valid, partitions_of
+from .partitions import Family, Partition, collapse, partitions_of
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,6 @@ def _polarization_table(n: int, family: Family) -> dict[tuple[int, ...], list[Le
     for L in enumerate_levis(n, family):
         table.setdefault(richardson_orbit_of(L).parts, []).append(L)
     return table
-
-
-def is_richardson_via_induction(p: Partition, family: Family) -> bool:
-    """Richardson test by brute enumeration of every Levi type; the slow
-    reference the block-based test is checked against."""
-    if not is_valid(p, family):
-        raise ValueError(f"{p} is not valid for family {family.value}")
-    return p.parts in _polarization_table(p.n, family)
 
 
 def polarizations(p: Partition, family: Family) -> list[LeviType]:

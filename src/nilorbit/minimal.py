@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BlockDecomposition, _reassembly, decompose, is_richardson
+from .blocks import BlockDecomposition, _reassembly, decompose
 from .levi import LeviType
-from .partitions import Family, Partition, collapse, dominance_leq, enumerate_valid
+from .partitions import Family, Partition, collapse
 
 
 @dataclass(frozen=True)
@@ -146,19 +146,3 @@ def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, 
     from .spaltenstein import orbit_analysis
 
     return list(orbit_analysis(p, family).pseudo_polarizations)
-
-
-def minimal_richardson_bruteforce(p: Partition, family: Family) -> list[Partition]:
-    """Reference computation: filter every valid partition for the
-    Richardson property and dominance over ``p``, then keep the minimal
-    elements.  Exponential in spirit; for cross-checking only."""
-    above = [
-        r
-        for r in enumerate_valid(p.n, family)
-        if dominance_leq(p, r) and is_richardson(r, family)
-    ]
-    return [
-        r
-        for r in above
-        if not any(s != r and dominance_leq(s, r) for s in above)
-    ]

@@ -277,8 +277,10 @@ class OrbitAnalysis:
     """What the package derives from one orbit on its own, computed once by
     ``orbit_analysis``: the block segmentation, the special and Richardson
     verdicts, the witnessed minimal Richardson orbits, and one descriptor
-    per pseudo-polarization, in (witness order, polarization order).  Every
-    field is immutable, so one cached value can serve every caller."""
+    per pseudo-polarization, in (witness order, polarization order).  The
+    descriptors are built on first use, since only they need the
+    polarization table of the orbit's size.  Every field is immutable, so
+    one cached value can serve every caller."""
 
     partition: Partition
     family: Family
@@ -286,7 +288,14 @@ class OrbitAnalysis:
     special: bool
     richardson: bool
     witnessed: tuple[tuple[Partition, IndexEntry], ...]
-    descriptors: tuple[FibrationDescriptor, ...]
+
+    @functools.cached_property
+    def descriptors(self) -> tuple[FibrationDescriptor, ...]:
+        return tuple(
+            _descriptor(self.partition, self.family, r, levi)
+            for r in self.minimal
+            for levi in polarizations(r, self.family)
+        )
 
     @property
     def minimal(self) -> tuple[Partition, ...]:
@@ -305,13 +314,7 @@ def orbit_analysis(p: Partition, family: Family) -> OrbitAnalysis:
     entry per orbit asked about for the life of the process, as an atlas
     sweep keeps one record per orbit."""
     d = decompose(p, family)
-    witnessed = _witnessed(p, d)
-    descriptors = tuple(
-        _descriptor(p, family, r, levi)
-        for r, _ in witnessed
-        for levi in polarizations(r, family)
-    )
-    return OrbitAnalysis(p, family, d, _special(p, d), _richardson(p, d), witnessed, descriptors)
+    return OrbitAnalysis(p, family, d, _special(p, d), _richardson(p, d), _witnessed(p, d))
 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:

@@ -1,6 +1,7 @@
 """Shared test plumbing: collects acceptance verdict lines and prints them
-in the terminal summary, where capture can't swallow them, and runs code
-snippets in a ``python -O`` child."""
+in the terminal summary, where capture can't swallow them, runs code
+snippets in a ``python -O`` child, and holds the brute-force reference
+routes that several test files check the package against."""
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import nilorbit
+from nilorbit import dominance_leq, enumerate_valid, is_richardson, is_valid
+from nilorbit.levi import _polarization_table
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -43,3 +46,27 @@ def run_optimized():
         return out.stdout.strip()
 
     return run
+
+
+def minimal_richardson_bruteforce(p, family):
+    """Reference computation: filter every valid partition for the
+    Richardson property and dominance over ``p``, then keep the minimal
+    elements.  Exponential in spirit; for cross-checking only."""
+    above = [
+        r
+        for r in enumerate_valid(p.n, family)
+        if dominance_leq(p, r) and is_richardson(r, family)
+    ]
+    return [
+        r
+        for r in above
+        if not any(s != r and dominance_leq(s, r) for s in above)
+    ]
+
+
+def is_richardson_via_induction(p, family):
+    """Richardson test by brute enumeration of every Levi type; the slow
+    reference the block-based test is checked against."""
+    if not is_valid(p, family):
+        raise ValueError(f"{p} is not valid for family {family.value}")
+    return p.parts in _polarization_table(p.n, family)

@@ -1,4 +1,5 @@
 import pytest
+from conftest import is_richardson_via_induction
 
 from nilorbit import (
     Block,
@@ -7,7 +8,6 @@ from nilorbit import (
     decompose,
     enumerate_valid,
     is_richardson,
-    is_richardson_via_induction,
     is_special,
     parse_partition,
     pivot_candidates,

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from nilorbit import cli
+import nilorbit.duality as duality
+import nilorbit.levi as levi
+from nilorbit import Family, Partition, cli
 from nilorbit.cli import main
 
 
@@ -90,6 +92,18 @@ class TestDualAndSeesaw:
         code, _, err = run(capsys, "dual", "--family", "B", "2,2,1")
         assert code == 2
         assert "not special" in err
+
+    def test_broken_round_trip_is_a_verification_failure(self, capsys, monkeypatch):
+        # Raising 2,2 to 3,2 and "collapsing" it to the regular orbit 5 gives
+        # a special B orbit whose dual is 4, not 2,2.
+        real = duality.collapse
+        monkeypatch.setattr(
+            duality, "collapse",
+            lambda p, family: real(p, family) if family is Family.C else Partition((p.n,)),
+        )
+        code, out, err = run(capsys, "dual", "--family", "C", "2,2")
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failure: ") and err.count("\n") == 1
 
     def test_seesaw_json(self, capsys):
         code, out, _ = run(capsys, "seesaw", "--family", "B", "--json", "3,1,1")
@@ -247,6 +261,23 @@ class TestAtlas:
         )
         assert code == 0
 
+    def test_out_naming_a_file_is_usage_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(
+            capsys, "atlas", "--family", "B", "--rank", "1", "--out", str(taken)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+
+    def test_unwritable_atlas_file_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "atlas-B1.jsonl").mkdir()
+        code, out, err = run(
+            capsys, "atlas", "--family", "B", "--rank", "1", "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
     def test_env_budget_respected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "1")
         code, out, _ = run(
@@ -256,6 +287,31 @@ class TestAtlas:
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle_skipped"] > 0
+
+
+class TestNoPolarizationTable:
+    """Commands that read no descriptor never build a polarization table;
+    at B 81 that table would enumerate 215,308 Levis."""
+
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def refuse(n, family):
+            raise AssertionError(f"polarization table built for ({n}, {family.value})")
+
+        monkeypatch.setattr(levi, "_polarization_table", refuse)
+
+    @pytest.mark.parametrize("command, out", [
+        ("special", "special\n"),
+        ("richardson", "Richardson\n"),
+        ("min-richardson", "[81] (from block 1, witness l=1)\n"),
+        ("dual", "80\n"),
+    ])
+    def test_b81(self, capsys, no_table, command, out):
+        assert run(capsys, command, "--family", "B", "81") == (0, out, "")
+
+    def test_the_patch_takes_effect(self, capsys, no_table):
+        with pytest.raises(AssertionError, match="polarization table"):
+            run(capsys, "polarizations", "--family", "B", "3,1,1")
 
 
 class TestRealizeOnDemand:

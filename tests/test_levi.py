@@ -1,4 +1,5 @@
 import pytest
+from conftest import is_richardson_via_induction
 
 from nilorbit import (
     Family,
@@ -6,7 +7,6 @@ from nilorbit import (
     enumerate_levis,
     enumerate_valid,
     induced_shape,
-    is_richardson_via_induction,
     langlands_dual_levi,
     levi_of_raw_shape,
     parse_partition,

@@ -1,4 +1,5 @@
 import pytest
+from conftest import minimal_richardson_bruteforce
 
 from nilorbit import (
     Block,
@@ -10,7 +11,6 @@ from nilorbit import (
     enumerate_valid,
     index_set,
     is_richardson,
-    minimal_richardson_bruteforce,
     minimal_richardson_orbits,
     minimal_richardson_witnessed,
     parse_partition,
