@@ -6,8 +6,7 @@ into lists, every pivot step is a list comprehension over the rows whose
 entry in the pivot column is nonzero, and the result becomes an int64 array
 once at the end.  Python ints cannot wrap, so ``rref``, ``rank`` and
 ``nullspace`` are exact for any prime p below 2^63; their outputs are
-reduced residues.  ``contains`` multiplies in int64 and needs
-n (p - 1)^2 < 2^63, the bound ``ff_oracle.check_modulus`` enforces.
+reduced residues.
 
 Row spaces are the working representation of subspaces: a subspace is a
 matrix whose rows span it.
@@ -66,9 +65,3 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     free[pivots] = False
     return k.T[free]
 
-
-def contains(span: np.ndarray, vectors: np.ndarray, p: int) -> bool:
-    """True iff every row of ``vectors`` lies in the row space of ``span``."""
-    if vectors.shape[0] == 0:
-        return True
-    return bool(np.all((vectors @ nullspace(span, p).T) % p == 0))

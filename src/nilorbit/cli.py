@@ -2,23 +2,25 @@
 batch verifier, which sweeps every orbit at a given rank, re-runs all the
 identity checks, and persists one JSON-Lines record per orbit label.
 
-Exit codes: 0 on success, 1 when a verification fails (or a yes/no check
-answers "no" for ``validate``), 2 on usage or input errors.
+Each ``cmd_*`` handler returns (payload, exit code) and prints nothing to
+stdout; ``main`` prints the payload as JSON under ``--json``, and otherwise
+the lines of the renderer registered with the subcommand, which reads only
+the payload.  Exit codes: 0 on success, 1 when a verification fails (a
+failed check, a ``VerificationError``, or "invalid" from ``validate``), 2 on
+usage or input errors.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 from .blocks import decompose, is_richardson, is_special
 from .duality import dual_pair, pairing_records, springer_dual, springer_dual_inverse
-from .errors import InvariantError
+from .errors import InvariantError, VerificationError
 from .ff_oracle import (
-    _BUDGET_ENV,
     DEFAULT_BUDGET,
     check_modulus,
     fiber_point_count,
@@ -27,7 +29,7 @@ from .ff_oracle import (
     realize,
     resolve_budget,
 )
-from .levi import polarizations
+from .levi import LeviType, polarizations
 from .minimal import minimal_richardson_witnessed
 from .partitions import (
     Family,
@@ -86,20 +88,19 @@ def _primes(args, n: int) -> list[int]:
 
 def _budget(args, default: int) -> int:
     """--oracle-budget, else the environment variable, else ``default``."""
-    if args.oracle_budget is None and not os.environ.get(_BUDGET_ENV):
-        return default
     try:
-        return resolve_budget(args.oracle_budget)
+        return resolve_budget(args.oracle_budget, default)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in human:
-            print(line)
+def _head(fam: Family, key: str, p: Partition) -> dict:
+    """The fields every single-orbit payload opens with."""
+    return {"schema": 1, "family": fam.value, key: list(p.parts)}
+
+
+def _literal(parts: list[int]) -> str:
+    return ",".join(map(str, parts))
 
 
 def _invalid_reason(p: Partition, fam: Family) -> str:
@@ -111,119 +112,65 @@ def _invalid_reason(p: Partition, fam: Family) -> str:
     raise InvariantError(f"{p} is valid")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     fam = _family(args)
     p = _partition(args)
     ok = is_valid(p, fam)
     reason = None if ok else _invalid_reason(p, fam)
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "partition": list(p.parts),
-        "valid": ok,
-        "reason": reason,
-    }
-    _emit(args, payload, ["valid"] if ok else [f"invalid: {reason}"])
-    return 0 if ok else 1
+    return {**_head(fam, "partition", p), "valid": ok, "reason": reason}, 0 if ok else 1
 
 
-def cmd_collapse(args) -> int:
+def cmd_collapse(args) -> tuple[dict, int]:
     fam = _family(args)
     p = _partition(args)
     try:
         out = collapse_partition(p, fam)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "input": list(p.parts),
-        "result": list(out.parts),
-    }
-    _emit(args, payload, [out.literal()])
-    return 0
+    return {**_head(fam, "input", p), "result": list(out.parts)}, 0
 
 
-def cmd_blocks(args) -> int:
+def cmd_blocks(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
     d = decompose(p, fam)
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "partition": list(p.parts),
-        "blocks": [{"kind": blk.kind, "parts": list(blk.parts())} for blk in d.blocks],
-        "rendered": d.render(),
-    }
-    _emit(args, payload, [d.render()])
-    return 0
+    blocks = [{"kind": blk.kind, "parts": list(blk.parts())} for blk in d.blocks]
+    return {**_head(fam, "partition", p), "blocks": blocks, "rendered": d.render()}, 0
 
 
-def cmd_special(args) -> int:
+def cmd_special(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
-    ok = is_special(p, fam)
-    payload = {"schema": 1, "family": fam.value, "partition": list(p.parts), "special": ok}
-    _emit(args, payload, ["special" if ok else "not special"])
-    return 0
+    return {**_head(fam, "partition", p), "special": is_special(p, fam)}, 0
 
 
-def cmd_richardson(args) -> int:
+def cmd_richardson(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
-    ok = is_richardson(p, fam)
-    payload = {"schema": 1, "family": fam.value, "partition": list(p.parts), "richardson": ok}
-    _emit(args, payload, ["Richardson" if ok else "not Richardson"])
-    return 0
+    return {**_head(fam, "partition", p), "richardson": is_richardson(p, fam)}, 0
 
 
-def cmd_min_richardson(args) -> int:
+def cmd_min_richardson(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
-    witnessed = minimal_richardson_witnessed(p, fam)
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "partition": list(p.parts),
-        "orbits": [
-            {"partition": list(r.parts), "block": e.block, "witness": e.witness}
-            for r, e in witnessed
-        ],
-    }
-    human = [f"{r} (from block {e.block}, witness l={e.witness})" for r, e in witnessed]
-    _emit(args, payload, human)
-    return 0
+    orbits = [
+        {"partition": list(r.parts), "block": e.block, "witness": e.witness}
+        for r, e in minimal_richardson_witnessed(p, fam)
+    ]
+    return {**_head(fam, "partition", p), "orbits": orbits}, 0
 
 
-def cmd_polarizations(args) -> int:
+def cmd_polarizations(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
     try:
-        levis = polarizations(p, fam)
+        levis = [L.literal() for L in polarizations(p, fam)]
     except ValueError:
-        _emit(
-            args,
-            {
-                "schema": 1,
-                "family": fam.value,
-                "partition": list(p.parts),
-                "polarizations": None,
-            },
-            ["not a Richardson orbit"],
-        )
-        return 1
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "partition": list(p.parts),
-        "polarizations": [L.literal() for L in levis],
-    }
-    _emit(args, payload, [str(L) for L in levis])
-    return 0
+        levis = None
+    return {**_head(fam, "partition", p), "polarizations": levis}, 0 if levis is not None else 1
 
 
-def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int):
+def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int) -> list[dict]:
     """One record per pseudo-polarization of the analysed orbit, with its
     oracle checks.  A prime's realization is built the first time a check
     at that prime is not already a skip by its first row alone."""
     p, fam = analysis.partition, analysis.family
     records = []
-    failed = False
     reals = {}
     for d in analysis.descriptors:
         poly = e_polynomial(d)
@@ -235,17 +182,11 @@ def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int):
                     reals[q] = realize(p, fam, q)
                 fc = fiber_point_count(reals[q], d.levi, budget)
             if fc.count is None:
-                oracle.append(
-                    {"p": q, "count": None, "expected": poly(q), "nodes": fc.nodes,
-                     "verdict": f"skipped: {fc.skipped}"}
-                )
+                verdict = f"skipped: {fc.skipped}"
             else:
-                ok = fc.count == poly(q)
-                failed = failed or not ok
-                oracle.append(
-                    {"p": q, "count": fc.count, "expected": poly(q), "nodes": fc.nodes,
-                     "verdict": "pass" if ok else "fail"}
-                )
+                verdict = "pass" if fc.count == poly(q) else "fail"
+            oracle.append({"p": q, "count": fc.count, "expected": poly(q), "nodes": fc.nodes,
+                           "verdict": verdict})
         records.append(
             {
                 "min_richardson": list(d.min_richardson.parts),
@@ -254,50 +195,55 @@ def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int):
                 "oracle": oracle,
             }
         )
-    return records, failed
+    return records
 
 
-def cmd_fiber(args) -> int:
+def _failed(fibers: list[dict]) -> bool:
+    return any(o["verdict"] == "fail" for fib in fibers for o in fib["oracle"])
+
+
+def cmd_fiber(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
     primes = _primes(args, p.n)
     budget = _budget(args, DEFAULT_BUDGET)
-    analysis = orbit_analysis(p, fam)
-    records, failed = _fiber_records(analysis, primes, budget)
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "orbit": list(p.parts),
-        "fibers": records,
-    }
-    human = []
-    for rec, levi in zip(records, (d.levi for d in analysis.descriptors)):
+    records = _fiber_records(orbit_analysis(p, fam), primes, budget)
+    return {**_head(fam, "orbit", p), "fibers": records}, 1 if _failed(records) else 0
+
+
+def show_fiber(args, payload: dict) -> list[str]:
+    """A skipped check always reports cap + 1 nodes; when its first row
+    alone has more candidates than that cap, say so instead."""
+    p, fam = Partition(tuple(payload["orbit"])), Family(payload["family"])
+    lines = []
+    for rec in payload["fibers"]:
         d = rec["descriptor"]
         tower = " * ".join(
             [f"OG({s['m']},{s['N']})" for s in d["og_tower"]]
             + [f"IG({s['m']},{s['N']})" for s in d["ig_factors"]]
         ) or "point"
-        human.append(
-            f"minimal [{','.join(str(x) for x in rec['min_richardson'])}] via "
-            f"({rec['levi']}): {tower}, dim {d['dim']}, components {d['components']}"
+        lines.append(
+            f"minimal [{_literal(rec['min_richardson'])}] via ({rec['levi']}): {tower},"
+            f" dim {d['dim']}, components {d['components']}"
         )
+        levi = LeviType.from_text(rec["levi"], fam)
         for o in rec["oracle"]:
-            first = first_row_nodes(p, levi, o["p"])
             if o["count"] is not None:
-                human.append(
+                lines.append(
                     f"  p={o['p']}: count {o['count']}, expected {o['expected']}: {o['verdict']}"
                 )
-            elif first > budget:
-                human.append(
+                continue
+            first, cap = first_row_nodes(p, levi, o["p"]), o["nodes"] - 1
+            if first > cap:
+                lines.append(
                     f"  p={o['p']}: {o['verdict']}: its {first} first-row candidates exceed"
-                    f" the {budget}-node cap, so no row was tested"
+                    f" the {cap}-node cap, so no row was tested"
                 )
             else:
-                human.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
-    _emit(args, payload, human)
-    return 1 if failed else 0
+                lines.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
+    return lines
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> tuple[dict, int]:
     fam = _family(args)
     p = _partition(args)
     if fam is Family.D:
@@ -306,47 +252,38 @@ def cmd_dual(args) -> int:
         out = springer_dual(p) if fam is Family.B else springer_dual_inverse(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except RuntimeError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    payload = {
-        "schema": 1,
-        "family": fam.value,
-        "partition": list(p.parts),
-        "dual": list(out.parts),
-    }
-    _emit(args, payload, [out.literal()])
-    return 0
+    return {**_head(fam, "partition", p), "dual": list(out.parts)}, 0
 
 
-def cmd_seesaw(args) -> int:
+def cmd_seesaw(args) -> tuple[dict, int]:
     fam = _family(args)
     if fam is not Family.B:
         raise UsageError("seesaw starts from a special orbit of family B")
-    p = _partition(args)
     try:
-        dp = dual_pair(p)
+        dp = dual_pair(_partition(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except RuntimeError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     records = pairing_records(dp)
     ok = all(rec["verdict"] == rec["e_equal"] == "pass" for rec in records)
-    payload = {"schema": 1, "records": records}
-    human = [f"dual pair {dp.b_orbit} <-> {dp.c_orbit}"]
-    for rec in records:
+    return {"schema": 1, "records": records}, 0 if ok else 1
+
+
+def show_seesaw(args, payload: dict) -> list[str]:
+    """Every orbit has a minimal Richardson orbit with a polarization, so a
+    dual pair has at least one pairing record to name the pair from."""
+    first = payload["records"][0]
+    lines = [f"dual pair [{_literal(first['b_orbit'])}] <-> [{_literal(first['c_orbit'])}]"]
+    for rec in payload["records"]:
         min_b, min_c = rec["min_pair"]
         levi_b, levi_c = rec["levi_pair"]
         cb, cc = rec["components"]
-        human.append(
-            f"  minimal [{','.join(map(str, min_b))}] -> [{','.join(map(str, min_c))}]"
+        lines.append(
+            f"  minimal [{_literal(min_b)}] -> [{_literal(min_c)}]"
             f" levis ({levi_b})|({levi_c}): components {cb} x {cc} = {rec['product']}"
             f" vs #A-bar {rec['a_bar']}: {rec['verdict']};"
             f" E per component {'equal' if rec['e_equal'] == 'pass' else 'UNEQUAL'}"
         )
-    _emit(args, payload, human)
-    return 0 if ok else 1
+    return lines
 
 
 def _orbit_labels(n: int, fam: Family):
@@ -375,7 +312,7 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         {"partition": list(r.parts), "block": e.block, "witness": e.witness}
         for r, e in analysis.witnessed
     ]
-    rec["fibers"], _ = _fiber_records(analysis, primes, budget)
+    rec["fibers"] = _fiber_records(analysis, primes, budget)
     rec["pseudo_polarizations"] = [
         {"min_richardson": fib["min_richardson"], "levi": fib["levi"]} for fib in rec["fibers"]
     ]
@@ -385,7 +322,7 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         return rec
     try:
         dp = dual_pair(p if fam is Family.B else springer_dual_inverse(p))
-    except RuntimeError as exc:
+    except VerificationError as exc:
         rec.update(dual_pair={"error": str(exc)}, seesaw="fail", e_equality="fail")
         return rec
     pairs = pairing_records(dp)
@@ -400,7 +337,7 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
     return rec
 
 
-def cmd_atlas(args) -> int:
+def cmd_atlas(args) -> tuple[dict, int]:
     fam = _family(args)
     if args.rank < 1:
         raise UsageError("rank must be at least 1")
@@ -448,27 +385,26 @@ def cmd_atlas(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
-    if failures:
-        for rec in records:
-            if rec["seesaw"] == "fail" or rec["e_equality"] == "fail" or any(
-                o["verdict"] == "fail" for fib in rec["fibers"] for o in fib["oracle"]
-            ):
-                print(f"FAIL: orbit {rec['orbit']}", file=sys.stderr)
-
+    for rec in records:
+        if rec["seesaw"] == "fail" or rec["e_equality"] == "fail" or _failed(rec["fibers"]):
+            print(f"FAIL: orbit {rec['orbit']}", file=sys.stderr)
     payload = {"schema": 1, "files": [str(jsonl), str(summary)], **counts,
                "failures": failures}
-    human = [
-        f"atlas {fam.value} rank {args.rank}: wrote {jsonl} ({len(records)} records)",
-        f"orbits {counts['orbits']} | richardson {counts['richardson_orbits']}"
-        f" | special {counts['special_orbits']}",
-        f"oracle checks: {counts['oracle_pass']} pass, {counts['oracle_fail']} fail,"
-        f" {counts['oracle_skipped']} skipped",
-        f"seesaw: {counts['seesaw_pass']} pass, {counts['seesaw_fail']} fail;"
-        f" E-equality: {counts['epoly_pass']} pass, {counts['epoly_fail']} fail",
-        f"failures: {failures}",
+    return payload, 1 if failures else 0
+
+
+def show_atlas(args, payload: dict) -> list[str]:
+    return [
+        f"atlas {args.family} rank {args.rank}: wrote {payload['files'][0]}"
+        f" ({payload['orbits']} records)",
+        f"orbits {payload['orbits']} | richardson {payload['richardson_orbits']}"
+        f" | special {payload['special_orbits']}",
+        f"oracle checks: {payload['oracle_pass']} pass, {payload['oracle_fail']} fail,"
+        f" {payload['oracle_skipped']} skipped",
+        f"seesaw: {payload['seesaw_pass']} pass, {payload['seesaw_fail']} fail;"
+        f" E-equality: {payload['epoly_pass']} pass, {payload['epoly_fail']} fail",
+        f"failures: {payload['failures']}",
     ]
-    _emit(args, payload, human)
-    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,31 +420,50 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated odd primes for finite-field checks")
     common.add_argument("--oracle-budget", type=int, default=None,
                         help="node cap for the flag enumeration (default: "
-                             f"${_BUDGET_ENV} or built-in)")
+                             "$NILORBIT_ORACLE_BUDGET or built-in)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str, partition: bool = True):
+    def add(name: str, func, show, help_: str, partition: bool = True):
+        """Register a subcommand: ``func(args)`` returns (payload, exit code)
+        and ``show(args, payload)`` the lines printed without --json."""
         sp = sub.add_parser(name, parents=[common], help=help_)
         if partition:
             sp.add_argument("partition", help="comma-separated parts, e.g. 4,3,3,1")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, show=show)
         return sp
 
-    add("validate", cmd_validate, "check a partition against the family's parity rules")
-    add("collapse", cmd_collapse, "largest valid partition dominated by the input")
-    add("blocks", cmd_blocks, "segment a valid partition into boundary/pair blocks")
-    add("special", cmd_special, "test whether the orbit is special")
-    add("richardson", cmd_richardson, "test whether the orbit is Richardson")
+    add("validate", cmd_validate,
+        lambda args, pl: ["valid" if pl["valid"] else f"invalid: {pl['reason']}"],
+        "check a partition against the family's parity rules")
+    add("collapse", cmd_collapse, lambda args, pl: [_literal(pl["result"])],
+        "largest valid partition dominated by the input")
+    add("blocks", cmd_blocks, lambda args, pl: [pl["rendered"]],
+        "segment a valid partition into boundary/pair blocks")
+    add("special", cmd_special,
+        lambda args, pl: ["special" if pl["special"] else "not special"],
+        "test whether the orbit is special")
+    add("richardson", cmd_richardson,
+        lambda args, pl: ["Richardson" if pl["richardson"] else "not Richardson"],
+        "test whether the orbit is Richardson")
     add("min-richardson", cmd_min_richardson,
+        lambda args, pl: [
+            f"[{_literal(o['partition'])}] (from block {o['block']}, witness l={o['witness']})"
+            for o in pl["orbits"]
+        ],
         "minimal Richardson orbits dominating the input, with witnesses")
-    add("polarizations", cmd_polarizations, "Levi types inducing exactly this orbit")
-    add("fiber", cmd_fiber,
+    add("polarizations", cmd_polarizations,
+        lambda args, pl: (["not a Richardson orbit"] if pl["polarizations"] is None
+                          else [f"({lit})" for lit in pl["polarizations"]]),
+        "Levi types inducing exactly this orbit")
+    add("fiber", cmd_fiber, show_fiber,
         "fiber descriptors for every pseudo-polarization, checked over finite fields")
-    add("dual", cmd_dual, "partner special orbit in the other family (B <-> C)")
-    add("seesaw", cmd_seesaw,
+    add("dual", cmd_dual, lambda args, pl: [_literal(pl["dual"])],
+        "partner special orbit in the other family (B <-> C)")
+    add("seesaw", cmd_seesaw, show_seesaw,
         "component-count seesaw and E-polynomial equality across a dual pair")
-    atlas = add("atlas", cmd_atlas, "batch-verify every orbit at a rank", partition=False)
+    atlas = add("atlas", cmd_atlas, show_atlas, "batch-verify every orbit at a rank",
+                partition=False)
     atlas.add_argument("--rank", type=int, default=6, help="rank of the ambient algebra")
     atlas.add_argument("--ceiling", type=int, default=6,
                        help="largest rank the atlas will attempt")
@@ -519,10 +474,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in args.show(args, payload):
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import functools
 from dataclasses import dataclass
 
 from .blocks import canonical_quotient_order, is_special
-from .errors import InvariantError
+from .errors import InvariantError, VerificationError
 from .levi import langlands_dual_levi
 from .partitions import Family, Partition, collapse, is_valid, orbit_dim
 from .spaltenstein import FibrationDescriptor, component_count, e_polynomial, orbit_analysis
@@ -20,8 +20,7 @@ def springer_dual(p: Partition) -> Partition:
     """Dual of a special odd orthogonal orbit: an equal-size symplectic
     special orbit.  Pair blocks pass through unchanged; boundary blocks are
     replaced by their lowering variants; the result is re-sorted with zeros
-    dropped.  A one-step cross-check (decrement the last part, then
-    symplectic collapse) is asserted on every call.
+    dropped.
     """
     if not is_valid(p, Family.B):
         raise ValueError(f"{p} is not valid for family B")
@@ -35,10 +34,6 @@ def springer_dual(p: Partition) -> Partition:
         else:
             merged += blk.modifications().prime
     out = Partition(tuple(sorted((x for x in merged if x > 0), reverse=True)))
-    lowered = p.parts[:-1] + ((p.parts[-1] - 1,) if p.parts[-1] > 1 else ())
-    alt = collapse(Partition(lowered), Family.C)
-    if out != alt:
-        raise InvariantError(f"blockwise dual of {p} disagrees with collapse route: {out} vs {alt}")
     if not is_special(out, Family.C):
         raise InvariantError(f"dual {out} of {p} is not special in family C")
     return out
@@ -48,7 +43,7 @@ def springer_dual_inverse(p: Partition) -> Partition:
     """The unique special odd orthogonal orbit mapping onto a special
     symplectic one: raise the first part and collapse.  A round trip that
     does not come back to ``p`` is a verification failure and raises
-    RuntimeError.
+    VerificationError.
     """
     if not is_valid(p, Family.C):
         raise ValueError(f"{p} is not valid for family C")
@@ -57,7 +52,7 @@ def springer_dual_inverse(p: Partition) -> Partition:
     bumped = Partition(((p.parts[0] + 1,) if p.parts else (1,)) + p.parts[1:])
     out = collapse(bumped, Family.B)
     if not (is_special(out, Family.B) and springer_dual(out) == p):
-        raise RuntimeError(
+        raise VerificationError(
             f"raising the first part of {p} and collapsing gives {out}, "
             f"which is not a special orbit dual to {p}"
         )
@@ -82,21 +77,21 @@ def dual_pair(b: Partition) -> DualPair:
     """The verified dual pair over the special B orbit ``b``, built once per
     orbit from the cached analyses of both orbits.
 
-    Checks, raising RuntimeError with the offending data on failure: the
+    Checks, raising VerificationError with the offending data on failure: the
     dual is dimension-preserving; minimal Richardson orbits commute with
     the dual map; and the polarizations of each minimal pair correspond
     bijectively under the Levi duality.
     """
     c = springer_dual(b)
     if orbit_dim(b, Family.B) != orbit_dim(c, Family.C):
-        raise RuntimeError(
+        raise VerificationError(
             f"dual pair ({b}, {c}) is not dimension-preserving: "
             f"{orbit_dim(b, Family.B)} vs {orbit_dim(c, Family.C)}"
         )
     an_b, an_c = orbit_analysis(b, Family.B), orbit_analysis(c, Family.C)
     mapped = {r: springer_dual(r) for r in an_b.minimal}
     if sorted(x.parts for x in mapped.values()) != sorted(x.parts for x in an_c.minimal):
-        raise RuntimeError(
+        raise VerificationError(
             f"minimal Richardson orbits do not commute with the dual on {b}: "
             f"{[str(x) for x in mapped.values()]} vs {[str(x) for x in an_c.minimal]}"
         )
@@ -106,10 +101,10 @@ def dual_pair(b: Partition) -> DualPair:
         r_c, levi_c = mapped[d_b.min_richardson], langlands_dual_levi(d_b.levi)
         d_c = unpaired.pop((r_c, levi_c), None)
         if d_c is None:
-            raise RuntimeError(f"dual Levi {levi_c} of {d_b.levi} does not polarize {r_c}")
+            raise VerificationError(f"dual Levi {levi_c} of {d_b.levi} does not polarize {r_c}")
         pairings.append((d_b, d_c))
     if unpaired:
-        raise RuntimeError(
+        raise VerificationError(
             f"polarizations of ({b}, {c}) do not correspond: "
             f"{[f'{r} via {levi}' for r, levi in unpaired]} have no B-side partner"
         )

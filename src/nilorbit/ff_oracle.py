@@ -38,13 +38,13 @@ _LEAF_SLICE = 64
 _INT64_LIMIT = 2**63
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the NILORBIT_ORACLE_BUDGET variable, else the
-    default node cap.  A negative or non-integer budget is a ValueError."""
+def resolve_budget(budget: int | None = None, default: int = DEFAULT_BUDGET) -> int:
+    """Explicit argument, else the NILORBIT_ORACLE_BUDGET variable, else
+    ``default``.  A negative or non-integer budget is a ValueError."""
     if budget is None:
         env = os.environ.get(_BUDGET_ENV)
         if not env:
-            return DEFAULT_BUDGET
+            return default
         try:
             budget = int(env)
         except ValueError:

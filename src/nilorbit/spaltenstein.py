@@ -314,7 +314,7 @@ def orbit_analysis(p: Partition, family: Family) -> OrbitAnalysis:
     entry per orbit asked about for the life of the process, as an atlas
     sweep keeps one record per orbit."""
     d = decompose(p, family)
-    return OrbitAnalysis(p, family, d, _special(p, d), _richardson(p, d), _witnessed(p, d))
+    return OrbitAnalysis(p, family, d, _special(d), _richardson(p, d), _witnessed(p, d))
 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:

@@ -1,16 +1,19 @@
 """Shared test plumbing: collects acceptance verdict lines and prints them
 in the terminal summary, where capture can't swallow them, runs code
 snippets in a ``python -O`` child, and holds the brute-force reference
-routes that several test files check the package against."""
+routes and subspace helpers that several test files check the package
+against."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nilorbit
 from nilorbit import dominance_leq, enumerate_valid, is_richardson, is_valid
+from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -70,3 +73,11 @@ def is_richardson_via_induction(p, family):
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
     return p.parts in _polarization_table(p.n, family)
+
+
+def contains(span, vectors, p):
+    """True iff every row of ``vectors`` lies in the row space of ``span``
+    mod p.  Multiplies in int64, so it needs n (p - 1)^2 < 2^63."""
+    if vectors.shape[0] == 0:
+        return True
+    return bool(np.all((vectors @ nullspace(span, p).T) % p == 0))

@@ -323,7 +323,7 @@ def test_criterion_8_segmentation_uniqueness():
                 for p in enumerate_valid(n, fam):
                     segmentations = _legal_segmentations(p.parts, fam)
                     assert len(segmentations) == 1, (fam, p, segmentations)
-                    assert segmentations[0] == tuple(
-                        blk.parts() for blk in decompose(p, fam).blocks
-                    ), (fam, p)
+                    d = decompose(p, fam)
+                    assert d.partition() == p, (fam, p)
+                    assert segmentations[0] == tuple(blk.parts() for blk in d.blocks), (fam, p)
         assert time.monotonic() - t0 < 30.0

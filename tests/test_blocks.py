@@ -11,7 +11,17 @@ from nilorbit import (
     is_special,
     parse_partition,
     pivot_candidates,
+    transpose,
 )
+
+
+def special_by_transpose(p, fam):
+    """Specialness read off the transpose: even multiplicities on the
+    constrained parity, even parts for the odd orthogonal family and odd
+    parts for the symplectic and even orthogonal families."""
+    t = transpose(p)
+    rule = Family.B if fam is Family.B else Family.C
+    return all(t.parts.count(v) % 2 == 0 for v in set(t.parts) if rule.needs_even_multiplicity(v))
 
 
 def P(text):
@@ -175,8 +185,8 @@ class TestSpecial:
         assert not is_special(P("5,2,2,1"), Family.D)
 
     def test_criteria_cross_check_runs_clean(self):
-        # is_special raises internally if the transpose and block criteria
-        # ever disagree
+        # is_special reads the segmentation; the transpose criterion must
+        # agree with it on every orbit
         for fam, sizes in (
             (Family.B, (1, 3, 5, 7, 9, 11)),
             (Family.C, (2, 4, 6, 8, 10)),
@@ -184,7 +194,7 @@ class TestSpecial:
         ):
             for n in sizes:
                 for p in enumerate_valid(n, fam):
-                    is_special(p, fam)
+                    assert is_special(p, fam) == special_by_transpose(p, fam), (fam, p)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

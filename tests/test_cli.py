@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import nilorbit.duality as duality
 import nilorbit.levi as levi
-from nilorbit import Family, Partition, cli
+from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, cli, dual_pair
 from nilorbit.cli import main
 
 
@@ -403,3 +404,177 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["collapse", "4,3,3,1"])
         assert exc.value.code == 2
+
+
+# --- every command's exact output ---------------------------------------------
+
+
+def _scale_c_side(monkeypatch):
+    """Multiply every C-side E-polynomial by 1 + q, so each pairing's
+    per-component E-polynomials differ while the seesaw still holds."""
+    real = duality.e_polynomial
+    monkeypatch.setattr(
+        duality, "e_polynomial",
+        lambda d: real(d) * EPolynomial((1, 1)) if d.family is Family.C else real(d),
+    )
+
+
+def _shift_expected_counts(monkeypatch):
+    """Add 1 to every E-polynomial the fiber checks compare against."""
+    real = cli.e_polynomial
+
+    def shifted(d):
+        poly = real(d)
+        return EPolynomial((poly.coeffs[0] + 1,) + poly.coeffs[1:])
+
+    monkeypatch.setattr(cli, "e_polynomial", shifted)
+
+
+def _break_round_trip(monkeypatch):
+    real = duality.collapse
+    monkeypatch.setattr(
+        duality, "collapse",
+        lambda p, family: real(p, family) if family is Family.C else Partition((p.n,)),
+    )
+
+
+def _unpolarizing_dual_levi(monkeypatch):
+    monkeypatch.setattr(duality, "langlands_dual_levi", lambda L: LeviType((), 4, Family.C))
+
+
+PATCHES = {
+    "unequal-e": _scale_c_side,
+    "oracle-fail": _shift_expected_counts,
+    "broken-round-trip": _break_round_trip,
+    "unpolarizing-levi": _unpolarizing_dual_levi,
+}
+
+# (patch, command line without --json); each runs in human and JSON mode.
+PINNED = [
+    (None, "validate --family B 3,1,1"),
+    (None, "validate --family B 2,2,2,1"),
+    (None, "validate --family D 2,2,1"),
+    (None, "validate --family B 3,x"),
+    (None, "collapse --family B 4,3,3,1"),
+    (None, "collapse --family C 6,5,1"),
+    (None, "collapse --family B 2,2"),
+    (None, "blocks --family B 5,4,4,3,2,2,1"),
+    (None, "blocks --family C 3,1,1"),
+    (None, "special --family B 3,1,1"),
+    (None, "special --family D 5,2,2,1"),
+    (None, "richardson --family C 2,2"),
+    (None, "richardson --family B 2,2,1"),
+    (None, "min-richardson --family B 4,4,4,4,3,3,1"),
+    (None, "polarizations --family B 3,1,1"),
+    (None, "polarizations --family B 2,2,1"),
+    (None, "fiber --family B 2,2,1"),
+    (None, "fiber --family C 2,2,1,1"),
+    (None, "fiber --family D 3,3,1,1"),
+    (None, "fiber --family B --oracle-budget 1 2,2,1"),
+    (None, "fiber --family B --oracle-primes 1000003 3,1,1"),
+    (None, "fiber --family B --oracle-primes 3 --oracle-budget 100 4,4,2,2,1"),
+    (None, "fiber --family B --oracle-primes 3;5 2,2,1"),
+    ("oracle-fail", "fiber --family B 2,2,1"),
+    (None, "dual --family B 3,3,1,1,1"),
+    (None, "dual --family C 2,2"),
+    (None, "dual --family D 3,1"),
+    (None, "dual --family B 2,2,1"),
+    ("broken-round-trip", "dual --family C 2,2"),
+    (None, "seesaw --family B 3,1,1"),
+    (None, "seesaw --family C 2,2"),
+    (None, "seesaw --family B 2,2,1"),
+    ("unequal-e", "seesaw --family B 3,1,1"),
+    ("unpolarizing-levi", "seesaw --family B 3,1,1"),
+    (None, "atlas --family B --rank 3 --out out"),
+    (None, "atlas --family C --rank 3 --oracle-budget 0 --out out"),
+    (None, "atlas --family D --rank 4 --out out"),
+    (None, "atlas --family D --rank 4 --oracle-budget 0 --out out"),
+    (None, "atlas --family B --rank 7 --out out"),
+    ("unequal-e", "atlas --family B --rank 2 --out out"),
+    ("oracle-fail", "atlas --family C --rank 2 --out out"),
+]
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def pinned_run(capsys, monkeypatch, tmp_path, patch, command, mode):
+    """Exit code, stdout and stderr of one pinned command, run from
+    ``tmp_path`` so atlas paths are relative, with the budget variable unset
+    and the dual-pair cache cleared around it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    if patch:
+        PATCHES[patch](monkeypatch)
+    argv = command.split() + (["--json"] if mode == "json" else [])
+    dual_pair.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        dual_pair.cache_clear()
+    return {"code": code, "stdout": out, "stderr": err}
+
+
+def pinned_key(patch, command, mode="human"):
+    return command + (" --json" if mode == "json" else "") + (f" [{patch}]" if patch else "")
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+@pytest.mark.parametrize("patch, command", PINNED, ids=[pinned_key(*c) for c in PINNED])
+def test_pinned_output(capsys, monkeypatch, tmp_path, patch, command, mode):
+    """Every subcommand in both modes, with the success, skip, usage-error and
+    verification-failure paths, prints exactly the bytes recorded in
+    cli_golden.json."""
+    expected = json.loads(GOLDEN.read_text())[pinned_key(patch, command, mode)]
+    assert pinned_run(capsys, monkeypatch, tmp_path, patch, command, mode) == expected
+
+
+@pytest.mark.parametrize("patch, command", PINNED, ids=[pinned_key(*c) for c in PINNED])
+def test_handlers_print_nothing_to_stdout(capsys, monkeypatch, tmp_path, patch, command):
+    """A handler returns its payload; only ``main`` prints it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    if patch:
+        PATCHES[patch](monkeypatch)
+    args = cli.build_parser().parse_args(command.split())
+    dual_pair.cache_clear()
+    try:
+        args.func(args)
+    except (cli.UsageError, VerificationError):
+        pass
+    finally:
+        dual_pair.cache_clear()
+    assert capsys.readouterr().out == ""
+
+
+class TestInternalErrors:
+    """Only a VerificationError is reported as a verification failure; any
+    other exception, RuntimeError subclasses included, is an internal bug
+    and propagates as a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        dual_pair.cache_clear()
+        yield
+        dual_pair.cache_clear()
+
+    @pytest.mark.parametrize("exc", [RecursionError, NotImplementedError, RuntimeError])
+    def test_dual(self, capsys, monkeypatch, exc):
+        def broken(p, family):
+            raise exc("internal")
+
+        monkeypatch.setattr(duality, "collapse", broken)
+        with pytest.raises(exc):
+            main(["dual", "--family", "C", "2,2"])
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("exc", [RecursionError, NotImplementedError, RuntimeError])
+    def test_seesaw(self, capsys, monkeypatch, exc):
+        def broken(levi):
+            raise exc("internal")
+
+        monkeypatch.setattr(duality, "langlands_dual_levi", broken)
+        with pytest.raises(exc):
+            main(["seesaw", "--family", "B", "3,1,1"])
+        assert capsys.readouterr() == ("", "")
+
+    def test_verification_error_is_a_runtime_error(self):
+        assert issubclass(VerificationError, RuntimeError)

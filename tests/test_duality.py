@@ -6,6 +6,9 @@ import nilorbit.duality as duality
 from nilorbit import (
     Family,
     LeviType,
+    Partition,
+    VerificationError,
+    collapse,
     dual_pair,
     enumerate_valid,
     is_special,
@@ -54,6 +57,13 @@ class TestSpringerDual:
     def test_dimension_preserving(self):
         for b in special_orbits(11, Family.B):
             assert orbit_dim(b, Family.B) == orbit_dim(springer_dual(b), Family.C)
+
+    def test_agrees_with_lowering_the_last_part_and_collapsing(self):
+        # The second route: lower the last part by one, then collapse in C.
+        for n in (1, 3, 5, 7, 9, 11, 13):
+            for b in special_orbits(n, Family.B):
+                lowered = b.parts[:-1] + ((b.parts[-1] - 1,) if b.parts[-1] > 1 else ())
+                assert springer_dual(b) == collapse(Partition(lowered), Family.C), b
 
 
 class TestSpringerDualInverse:
@@ -136,7 +146,7 @@ class TestDualPairChecks:
 
     def test_dual_levi_that_does_not_polarize(self, monkeypatch):
         monkeypatch.setattr(duality, "langlands_dual_levi", lambda L: LeviType((), 4, Family.C))
-        with pytest.raises(RuntimeError, match="does not polarize"):
+        with pytest.raises(VerificationError, match="does not polarize"):
             dual_pair(P("3,1,1"))
 
     def test_c_side_polarization_without_partner(self, monkeypatch):
@@ -150,7 +160,7 @@ class TestDualPairChecks:
             return an
 
         monkeypatch.setattr(duality, "orbit_analysis", drop_last_b_descriptor)
-        with pytest.raises(RuntimeError, match="do not correspond"):
+        with pytest.raises(VerificationError, match="do not correspond"):
             dual_pair(P("3,1,1"))
 
     def test_one_build_per_special_b_orbit_across_b_and_c_atlas(self, capsys, tmp_path):
@@ -207,18 +217,3 @@ class TestTheoremChecks:
             records = pairing_records(dual_pair(b))
             assert all(rec["verdict"] == "pass" for rec in records), b
             assert all(rec["e_equal"] == "pass" for rec in records), b
-
-
-class TestInvariantError:
-    def test_disagreeing_routes_raise_under_optimize(self, run_optimized):
-        # Without the collapse, the second route returns 3,1 instead of 2,2.
-        code = (
-            "import nilorbit.duality as duality\n"
-            "from nilorbit import InvariantError, parse_partition\n"
-            "duality.collapse = lambda p, family: p\n"
-            "try:\n"
-            "    duality.springer_dual(parse_partition('3,1,1'))\n"
-            "except InvariantError:\n"
-            "    print('raised')\n"
-        )
-        assert run_optimized(code) == "raised"

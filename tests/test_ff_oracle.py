@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import contains
 
 import nilorbit
 from nilorbit import (
@@ -37,7 +38,7 @@ from nilorbit import (
     realize,
     resolve_budget,
 )
-from nilorbit._linalg import contains, nullspace, rank, rref
+from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
     _closing_leaves,
@@ -288,6 +289,13 @@ class TestBudget:
         monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "123")
         assert resolve_budget() == 123
         assert resolve_budget(77) == 77
+
+    def test_default_comes_last(self, monkeypatch):
+        monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+        assert resolve_budget(None, 5000) == 5000
+        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "123")
+        assert resolve_budget(None, 5000) == 123
+        assert resolve_budget(77, 5000) == 77
 
     @pytest.mark.parametrize("text", ["abc", "-1", "1.5"])
     def test_bad_environment_value_names_the_variable(self, monkeypatch, text):

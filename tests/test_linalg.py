@@ -1,7 +1,7 @@
 """Exact F_p linear algebra (``nilorbit._linalg``).
 
-``rref``, ``rank``, ``nullspace`` and ``contains`` are compared with a
-reference: a per-row numpy elimination kept here as a copy of the package's
+``rref``, ``rank``, ``nullspace`` and the test-side ``contains`` in
+conftest.py are compared with a reference: a per-row numpy elimination kept here as a copy of the package's
 former kernel, plus the nullspace and containment built on it.  Reduced row
 echelon form is unique, so rows, pivots, shapes and dtype must agree
 exactly.  Random cases are drawn by hypothesis, derandomized; the structured
@@ -13,11 +13,12 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import contains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorbit import Family, parse_partition, realize
-from nilorbit._linalg import contains, nullspace, rank, rref
+from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import _is_odd_prime
 
 PRIMES = (3, 5, 7, 101, 1_000_003)
