@@ -71,6 +71,11 @@ class DualPair:
     a_bar: int
     pairings: tuple[tuple[FibrationDescriptor, FibrationDescriptor], ...]
 
+    @functools.cached_property
+    def _records(self) -> tuple[dict, ...]:
+        """The pairing records, walked once per pair."""
+        return tuple(_walk_pairings(self))
+
 
 @functools.lru_cache(maxsize=None)
 def dual_pair(b: Partition) -> DualPair:
@@ -115,7 +120,14 @@ def pairing_records(dp: DualPair) -> list[dict]:
     """One fresh record per pairing of ``dp`` with both theorem verdicts:
     ``verdict`` compares the product of the two fiber component counts with
     #A-bar (the seesaw), and ``e_equal`` requires the per-component
-    E-polynomials of the two fibers to agree, with both divisions exact."""
+    E-polynomials of the two fibers to agree, with both divisions exact.
+    The pairings are walked once per pair, and each call copies the record
+    dicts; their list and dict values are shared and must not be changed
+    in place."""
+    return [dict(rec) for rec in dp._records]
+
+
+def _walk_pairings(dp: DualPair) -> list[dict]:
     records = []
     for d_b, d_c in dp.pairings:
         comp_b, comp_c = component_count(d_b), component_count(d_c)

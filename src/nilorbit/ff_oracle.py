@@ -273,28 +273,52 @@ class FlagCount:
     skipped: str | None = None
 
 
+def _need(d: int, d_next: int, c: int) -> int:
+    """Least dim(E cap im e) for which a flag space E of dimension d can
+    extend to the next level, of dimension d_next, when e has c Jordan
+    blocks.
+
+    The next window lies in E^perp cap e^{-1}(E) = (E + e(E^perp))^perp,
+    as e^{-1}(E) = (e(E^perp))^perp.  Since (ker e)^perp = im e,
+    dim e(E^perp) = rank e - dim(E cap im e), and e(E^perp) <= im e, so
+    the window has dimension at most c - d + 2 dim(E cap im e)."""
+    return -((c - d - d_next) // 2)
+
+
 def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     """Nodes every count of this fiber charges before anything can end it,
     from (p, levi, modulus) alone.  With k general-linear blocks, the first
     flag space E_1 starts from the forced subspace L_1 = im e^(2k) (see
     fiber_point_count), of dimension l = sum_j max(d_j - 2k, 0), inside
-    ker e, of dimension c = the number of Jordan blocks of ``p``, and has
-    dimension d = the first general-linear block of ``levi``.
+    its window ker e, of dimension c = the number of Jordan blocks of
+    ``p``, and has dimension d = the first general-linear block of ``levi``.
 
     It is 1 when some part exceeds 2k+1 (then e^(2k+1) != 0 and the count
-    is 0) or d <= l (L_1 alone decides the level).  Otherwise all
-    sum_{j=0}^{c-d} modulus^j candidates for the first echelon row are
-    tested (see _last_row_batches): the complement of L_1 and the rows
-    still to choose both lose l, so the sum does not.  0 when ``levi`` has
-    no general-linear block or d > c, where no row is tested."""
+    is 0) or d <= l (L_1 alone decides the level).  Otherwise every
+    candidate for the first echelon row is tested (see _last_row_batches):
+    modulus^(c-l-1-pc) of them per pivot column pc of the c - l columns of
+    a complement of L_1 in ker e, for pc from the floor d - l - 1 up.  With
+    a second level, E_1 needs dim(E_1 cap im e) >= _need(...), and ker e
+    cap im e has dimension c2 = the number of parts >= 2; its c2 - l
+    columns come last, so at m = _need - l > 0 the first row's pivot is at
+    least c - c2 + m - 1, and no row is tested when m exceeds c2 - l or
+    d - l.  0 when ``levi`` has no general-linear block or d > c."""
     if not levi.ps:
         return 0
     k, d, c = len(levi.ps), levi.ps[0], len(p.parts)
-    if max(p.parts) > 2 * k + 1 or d <= sum(max(x - 2 * k, 0) for x in p.parts):
+    forced = sum(max(x - 2 * k, 0) for x in p.parts)
+    if max(p.parts) > 2 * k + 1 or d <= forced:
         return 1
-    if d > c:
-        return 0
-    return (modulus ** (c - d + 1) - 1) // (modulus - 1)
+    lo = d - forced - 1
+    if k > 1:
+        inside = sum(x >= 2 for x in p.parts) - forced
+        m = _need(d, d + levi.ps[1], c) - forced
+        if m > min(inside, d - forced):
+            return 0
+        if m > 0:
+            lo = max(lo, c - forced - inside + m - 1)
+    top = c - forced - lo
+    return (modulus**top - 1) // (modulus - 1) if top > 0 else 0
 
 
 def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
@@ -315,34 +339,44 @@ def _charge(counter: list[int], size: int, cap: int) -> None:
         raise BudgetExceeded
 
 
-def _complement(E: np.ndarray, W: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """A basis of E + W (here E <= W) split as (rows of E, rows of W): the
-    pivot columns of [E; W]^T, which are the rows a greedy rank test would
-    pick in order.  The rows of E need not be independent; the first part
-    is a basis of their span."""
-    k = E.shape[0]
-    _, pivots = rref(np.vstack([E, W]).T, p)
+def _complement(
+    E: np.ndarray, I: np.ndarray, W: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A basis of E + I + W (here E, I <= W) split as (rows of E, rows of I,
+    rows of W): the pivot columns of [E; I; W]^T, which are the rows a
+    greedy rank test would pick in order.  The rows of E need not be
+    independent; the first part is a basis of their span."""
+    k, j = E.shape[0], E.shape[0] + I.shape[0]
+    _, pivots = rref(np.vstack([E, I, W]).T, p)
+    pivots = np.array(pivots, dtype=np.intp)
     return (
-        E[np.array([c for c in pivots if c < k], dtype=np.intp)],
-        W[np.array([c - k for c in pivots if c >= k], dtype=np.intp)] % p,
+        E[pivots[pivots < k]],
+        I[pivots[(pivots >= k) & (pivots < j)] - k] % p,
+        W[pivots[pivots >= j] - j] % p,
     )
 
 
-def _last_row_batches(E, W, target, g, p, counter, cap):
-    """Enumerate every isotropic F with E <= F <= W and dim F = target > dim E
-    down to its last row.  Yields (F1, X) for each batch of candidates for a
-    last row that has survivors: F1 is a basis of E (the independent rows of
-    the matrix E, which may have others) plus the rows chosen before (one
-    matrix per such state, shared by all its batches) and X holds the
-    surviving last rows.  Each F is F1 plus one row of X, reached exactly
-    once.  E must be isotropic with W inside its perp, so only the new rows
-    need testing.
+def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
+    """Enumerate every isotropic F with E <= F <= W, dim F = target > dim E
+    and dim(F cap I) >= need down to its last row, where I (independent
+    rows, default none) spans a subspace of W.  Yields (F1, X) for each
+    batch of candidates for a last row that has survivors: F1 is a basis of
+    E (the independent rows of the matrix E, which may have others) plus
+    the rows chosen before (one matrix per such state, shared by all its
+    batches) and X holds the surviving last rows.  Each F is F1 plus one
+    row of X, reached exactly once.  E must be isotropic with W inside its
+    perp, so only the new rows need testing.
 
     F is enumerated by the reduced-echelon coefficient matrix of its new
     rows in the coordinates of a complement of E in W, built from the last
     pivot down: a row with pivot pc has free entries at the later columns
     that are not pivots yet, so all p**f candidates for it are known up
-    front.  They are generated in batches of at most _BATCH rows, and each
+    front.  The complement ends with the u rows that extend E to E + I, so
+    dim(F cap I) = dim(E cap I) + the number of rows pivoting there.  With
+    m = need - dim(E cap I), the first m rows chosen must pivot there: the
+    j-th pivot is at least c - u + m - 1 - j, and no other row is
+    generated.
+    Candidates are generated in batches of at most _BATCH rows, and each
     batch is tested in one product against the restricted Gram matrix: a
     row survives when it is isotropic and orthogonal to the rows already
     chosen.  One node is one candidate row tested.  A batch is charged to
@@ -350,17 +384,21 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
     count past ``cap`` sets it to cap + 1 and raises BudgetExceeded, so a
     check skips exactly when its total exceeds the cap.
     """
-    E, comp = _complement(E, W, p)
-    extra = target - E.shape[0]
-    c = comp.shape[0]
-    if not 0 < extra <= c:
+    I = W[:0] if I is None else I
+    E, tail, head = _complement(E, I, W, p)
+    comp = np.vstack([head, tail])
+    extra, c, u = target - E.shape[0], comp.shape[0], tail.shape[0]
+    m = need - (I.shape[0] - u)
+    if not 0 < extra <= c or m > min(u, extra):
         return
     B = ((comp @ g) % p) @ comp.T % p
 
     def extend(rows: np.ndarray, pivots: tuple[int, ...]):
-        left = extra - rows.shape[0]
+        chosen = rows.shape[0]
+        left = extra - chosen
+        floor = left - 1 if chosen >= m else max(left, c - u + m - chosen) - 1
         F1 = None
-        for pc in range(left - 1, pivots[-1] if pivots else c):
+        for pc in range(floor, pivots[-1] if pivots else c):
             free = [col for col in range(pc + 1, c) if col not in pivots]
             total = p ** len(free)
             for start in range(0, total, _BATCH):
@@ -388,10 +426,11 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
     yield from extend(np.zeros((0, c), dtype=np.int64), ())
 
 
-def _isotropic_extensions(E, W, target, g, p, counter, cap):
-    """Yield every isotropic F with E <= F <= W and dim F = target > dim E,
-    each exactly once, as a basis extending one of E (see _last_row_batches)."""
-    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
+def _isotropic_extensions(E, W, target, g, p, counter, cap, I=None, need=0):
+    """Yield every isotropic F with E <= F <= W, dim F = target > dim E and
+    dim(F cap I) >= need, each exactly once, as a basis extending one of E
+    (see _last_row_batches)."""
+    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap, I, need):
         for w in X:
             yield np.vstack([F1, w])
 
@@ -484,17 +523,27 @@ def fiber_point_count(
     The enumeration recurses through isotropic E_i that contain E_{i-1} +
     L_i, inside E_{i-1}^perp intersected with e^{-1}(E_{i-1}) and L_i^perp,
     adding one reduced-echelon row at a time and dropping each candidate
-    row as soon as it fails isotropy.  A level where E_{i-1} + L_i already
-    has dimension dim E_i (or more) has one candidate (or none): it is
-    charged one node and decided by one elimination, the rank before
-    recursing or, at the last level, a basis of F^perp for the closing
-    test.  Otherwise the last level is counted, not enumerated: each state
-    with one row left takes one nullspace, for a basis of its perp, and each
-    batch of surviving last rows is decided by one product and one broadcast
-    check (_closing_leaves).  A node is one candidate row tested, or one
-    level decided by its forced subspace, and the budget caps those nodes:
-    a check whose total would exceed it returns an explicit skip with
-    ``nodes == budget + 1``, never a wrong count.
+    row as soon as it fails isotropy.  It looks one level ahead: the next
+    window of E_i has dimension at most c - dim E_i + 2 dim(E_i cap im e)
+    (_need; c is the number of Jordan blocks), so below the last level
+    only E_i with dim(E_i cap im e) >= _need(dim E_i, dim E_{i+1}, c) are
+    enumerated, and the rows of any other E_i are never generated (see
+    _last_row_batches, with I = window cap im e).
+
+    A level where E_{i-1} + L_i already has dimension dim E_i (or more) has
+    one candidate (or none): it is charged one node and decided by one
+    elimination, the rank before recursing or, at the last level, a basis
+    of F^perp for the closing test.  When dim E_{k-1} + dim L_k -
+    dim L_{k-1} >= dim E_k, every child of level k-1 may be such a last
+    level, and level k-1 decides its children in its own batches, with one
+    nullspace per state rather than per child (close_children).  Otherwise
+    the last level is counted, not enumerated: each state with one row left
+    takes one nullspace, for a basis of its perp, and each batch of
+    surviving last rows is decided by one product and one broadcast check
+    (_closing_leaves).  A node is one candidate row generated and tested,
+    or one level decided by its forced subspace, and the budget caps those
+    nodes: a check whose total would exceed it returns an explicit skip
+    with ``nodes == budget + 1``, never a wrong count.
 
     Every count charges its first_row_nodes before anything can end it, so
     they are charged up front: when they alone exceed the budget, the same
@@ -521,6 +570,20 @@ def fiber_point_count(
             raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
     counter = [0]
     eg = (e.T @ g) % p
+    # x is in im e iff im_cut x = 0 (im_cut spans the left kernel of e).
+    im_cut = nullspace(e.T, p)
+    needs = [_need(dims[t], dims[t + 1], len(real.partition.parts)) for t in range(last)]
+    # Every child E of the penultimate level has dim E + new >= dims[k], so
+    # its E + L_k may fill the last level: the penultimate level decides
+    # its children in its own batches (close_children).
+    batch_last = last > 0 and (
+        dims[last - 1] + forced[last].shape[0] - forced[last - 1].shape[0] >= dims[last]
+    )
+
+    def orthogonality_error(t: int) -> InvariantError:
+        return InvariantError(
+            f"E_{t} is not orthogonal to L_{t + 1} ({real.partition}, {levi}, p={p})"
+        )
 
     def recurse(E: np.ndarray, t: int) -> int:
         target, L = dims[t], forced[t]
@@ -529,9 +592,7 @@ def fiber_point_count(
         start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
         if new:
             if np.any(start_g @ L.T % p):
-                raise InvariantError(
-                    f"E_{t} is not orthogonal to L_{t + 1} ({real.partition}, {levi}, p={p})"
-                )
+                raise orthogonality_error(t)
             # Rows spanning E + L_i; the enumeration picks a basis of them.
             start, start_g = np.vstack([E, L]), np.vstack([start_g, forced_g[t]])
             if E.shape[0] + new >= target:  # E + L_i may fill the level
@@ -553,10 +614,50 @@ def fiber_point_count(
                 int(np.count_nonzero(closes))
                 for _, _, closes in _closing_leaves(start, window, target, g, eg, p, counter, cap)
             )
+        # Only children with dim(F cap im e) >= needs[t] can reach the next level.
+        inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
+        if t == last - 1 and batch_last:
+            return close_children(
+                _last_row_batches(start, window, target, g, p, counter, cap, inside, needs[t])
+            )
         return sum(
             recurse(F, t + 1)
-            for F in _isotropic_extensions(start, window, target, g, p, counter, cap)
+            for F in _isotropic_extensions(
+                start, window, target, g, p, counter, cap, inside, needs[t]
+            )
         )
+
+    def close_children(batches) -> int:
+        """The count below the penultimate level's children E = F1 + <x>,
+        decided batch by batch as recurse would decide each child.  Per
+        state F1, S = F1 + L_k and Q, a basis of S^perp, are built once;
+        a = G x, with G = Q g, is 0 iff x lies in S, so E + L_k is S or
+        S + <x>.  A child whose E + L_k reaches dims[k] costs one node and
+        is decided by _closing_mask on M = Q eg Q^T (by S itself for x in
+        S); any other child recurses."""
+        target, L, Lg = dims[last], forced[last], forced_g[last]
+        total, state = 0, None
+        for F1, X in batches:
+            if F1 is not state:
+                state, F1g = F1, F1 @ g % p
+                if np.any(F1g @ L.T % p):
+                    raise orthogonality_error(last)
+                Q = nullspace(np.vstack([F1g, Lg]), p)
+                size = n - Q.shape[0]  # dim S
+                M = Q @ eg % p @ Q.T % p
+                G = Q @ g % p
+            if np.any(X @ Lg.T % p):
+                raise orthogonality_error(last)
+            A = X @ G.T % p
+            grows = A.any(axis=1)  # x is not in S
+            decided = size + grows >= target
+            _charge(counter, int(np.count_nonzero(decided)), cap)
+            if size + 1 == target and grows.any():
+                total += int(np.count_nonzero(_closing_mask(A[grows], M, p)))
+            elif size == target and not np.any(M):
+                total += int(np.count_nonzero(~grows))
+            total += sum(recurse(np.vstack([F1, x]), last) for x in X[~decided])
+        return total
 
     try:
         value = recurse(np.zeros((0, n), dtype=np.int64), 0)

@@ -1,9 +1,11 @@
 """Pinned atlas bytes: the sha256 of every atlas JSONL and summary CSV for
 B/C/D at ranks 1-4 with the default oracle budget and at ranks 1-6, 10 and
-12 with ``--oracle-budget 0``.  The atlas is the package's behavioural contract, so a
-refactor must reproduce these files byte for byte; a change that alters them
-on purpose updates the digests here and says why in CHANGES.md."""
+12 with ``--oracle-budget 0``, and the rank-5 oracle skips per family.  The
+atlas is the package's behavioural contract, so a refactor must reproduce
+these files byte for byte; a change that alters them on purpose updates the
+digests here and says why in CHANGES.md."""
 import hashlib
+import json
 
 import pytest
 
@@ -17,23 +19,23 @@ DEFAULT_BUDGET = {
            "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
     "B3": ("4c7bdd5361affb639baa6e76233d5c1ed7c15f5eadf4a9b4b0311ff79d205bef",
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
-    "B4": ("43357435e877db2b0be6166587301bdb2c963072541b7341c4d02b0ed9fca485",
+    "B4": ("9d93ffd2c1575d601de3f96a9087c443e81d75cc55f1f820de1d2301f556a0de",
            "b7894f2c0ea40a15b00f667550e37c44435656925ae4f24f3bd69d5d7ca182c6"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
     "C2": ("19fc80bce5819a209f28d0d9622aad5ede6e5ed86bbbf868a066460f2c2b1411",
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
-    "C3": ("854374bb1107446ea138c065edb07a1c4b378a40ce3ef0dcdc1d2ae223afe537",
+    "C3": ("2e95d9035bda712981c9b58c1752e4766980a0769940f683f2a5269a32b2fb74",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("b8f416dbb4b1b7f9cbd4c381302c3270265a0f0c9e3d9cc63105202f4164a57a",
+    "C4": ("7bbda0296ea91d94fb4b1ec9e1fec4458346c54c1f3c983fcb227878337b3002",
            "9896ca13e3eca3617668b971ea5e9b3f4fafb14f845bdbddd1b8cd7b419ed387"),
     "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
-    "D2": ("f53d5a97be04ebbcba755a458a7094f55fae3b304c0d530c1c0275757d99cd60",
+    "D2": ("3166c238c78c872accabace2463f40ce2c63fd118ad8b0bc7741144afc7d2253",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("e70b0af0901046484000d2d28efa13e854cc4be45b633f730dd70d515364a913",
+    "D3": ("95bf829c4a50e6ba54ce163a5a60e4f62a129541636ce2bdd91cffbb10b1e977",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("394e5638a6e2a07ca7a65d474c1c58c809c3ccbe1d6f748771e5c63fde294ead",
+    "D4": ("27cf0074f58a8cd555dbc101d1bc2c6d89104cc94c8ed875cbd2ff22c2f722eb",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
 }
 BUDGET_0 = {
@@ -106,3 +108,15 @@ def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
     )
     pinned = (DEFAULT_BUDGET if budget == "default" else BUDGET_0)[key]
     assert digests == pinned
+
+
+@pytest.mark.parametrize("family, skipped", [("B", 4), ("C", 10), ("D", 3)])
+def test_rank_five_oracle_skips(capsys, tmp_path, monkeypatch, family, skipped):
+    """The F_p checks the default 5,000-node budget still skips at rank 5,
+    per family, and no check fails: an oracle change that skips more shows
+    here before it shows in the benchmark."""
+    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    code = main(["atlas", "--family", family, "--rank", "5", "--out", str(tmp_path), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["oracle_skipped"], payload["failures"]) == (skipped, 0)

@@ -183,7 +183,7 @@ class TestFiber:
         ]
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
-        # (2,4;1) tests its 40 first-row candidates, then skips at 101 nodes.
+        # (2,4;1) tests its 13 first-row candidates, then skips at 101 nodes.
         code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
                            "--oracle-budget", "100", "4,4,2,2,1")
         assert code == 0

@@ -163,7 +163,12 @@ class TestDualPairChecks:
         with pytest.raises(VerificationError, match="do not correspond"):
             dual_pair(P("3,1,1"))
 
-    def test_one_build_per_special_b_orbit_across_b_and_c_atlas(self, capsys, tmp_path):
+    def test_one_build_per_special_b_orbit_across_b_and_c_atlas(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        walks = []
+        walk = duality._walk_pairings
+        monkeypatch.setattr(duality, "_walk_pairings", lambda dp: walks.append(dp) or walk(dp))
         for fam in "BC":
             argv = ["atlas", "--family", fam, "--rank", "10", "--ceiling", "10",
                     "--oracle-budget", "0", "--out", str(tmp_path)]
@@ -173,6 +178,7 @@ class TestDualPairChecks:
         assert n_special == len(special_orbits(20, Family.C)) == 131
         info = dual_pair.cache_info()
         assert (info.misses, info.hits, info.currsize) == (n_special, n_special, n_special)
+        assert len(walks) == len(set(map(id, walks))) == n_special
 
 
 class TestTheoremChecks:

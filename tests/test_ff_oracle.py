@@ -10,6 +10,7 @@ package's row reduction only builds the inputs and the canonical bases
 compared.
 """
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -38,6 +39,7 @@ from nilorbit import (
     realize,
     resolve_budget,
 )
+from nilorbit import ff_oracle
 from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
@@ -468,7 +470,7 @@ class TestCloses:
     def test_anchor(self):
         real = realize(P("4,4,4,4,3,3,1"), Family.B, 3)
         res = fiber_point_count(real, L("5,6;1"))
-        assert (res.count, res.nodes) == (4, 3140)
+        assert (res.count, res.nodes) == (4, 2055)
 
 
 class TestNodeBudget:
@@ -500,25 +502,41 @@ class TestNodeBudget:
         assert counter == [9]
 
     @pytest.mark.parametrize("q", [3, 5])
-    def test_first_row_precharge_is_exact(self, q):
-        # Every pseudo-polarization at B N <= 7 and C/D N <= 6.  With T the
-        # unbudgeted node total and R the first row's candidates, R <= T, and
-        # each budget b around R and T gives a skip with b + 1 nodes exactly
-        # when T > b, and the unbudgeted result otherwise.
-        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
-            for n in range(2 - fam.size_parity, top + 1, 2):
-                for orbit in enumerate_valid(n, fam):
-                    for _, levi in pseudo_polarizations(orbit, fam):
-                        real = realize(orbit, fam, q)
-                        full = fiber_point_count(real, levi, budget=10**12)
-                        T, R = full.nodes, first_row_nodes(orbit, levi, q)
-                        assert full.count is not None and R <= T, (orbit, levi)
-                        for b in {0, R - 1, R, T - 1, T} - {-1}:
-                            res = fiber_point_count(real, levi, budget=b)
-                            if T > b:
-                                assert res == FlagCount(None, q, levi, b + 1, "budget")
-                            else:
-                                assert res == full
+    def test_first_row_precharge_is_exact(self, monkeypatch, q):
+        # Every pseudo-polarization at B N <= 7 and C/D N <= 6, and C
+        # 4,2,2,1,1 via (1,4;0), whose first row the look-ahead trims from
+        # 121 candidates to 13 at p=3 (781 to 31 at p=5).  first_row_nodes
+        # is exactly what the first level's first row charges, unless one
+        # node decides the first level.  With T the unbudgeted node total
+        # and R the first row's candidates, R <= T, and each budget b
+        # around R and T gives a skip with b + 1 nodes exactly when T > b,
+        # and the unbudgeted result otherwise.
+        first_rows = spy_first_rows(monkeypatch)
+        cases = [
+            (fam, orbit, levi)
+            for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6))
+            for n in range(2 - fam.size_parity, top + 1, 2)
+            for orbit in enumerate_valid(n, fam)
+            for _, levi in pseudo_polarizations(orbit, fam)
+        ] + [(Family.C, P("4,2,2,1,1"), L("1,4;0", Family.C))]
+        for fam, orbit, levi in cases:
+            real = realize(orbit, fam, q)
+            first_rows.clear()
+            full = fiber_point_count(real, levi, budget=10**12)
+            T, R = full.nodes, first_row_nodes(orbit, levi, q)
+            assert full.count is not None and R <= T, (orbit, levi)
+            k = len(levi.ps)
+            one_node = k and (
+                max(orbit.parts) > 2 * k + 1
+                or levi.ps[0] <= sum(max(x - 2 * k, 0) for x in orbit.parts)
+            )
+            assert sum(first_rows) == (0 if one_node else R), (orbit, levi)
+            for b in {0, R - 1, R, T - 1, T} - {-1}:
+                res = fiber_point_count(real, levi, budget=b)
+                if T > b:
+                    assert res == FlagCount(None, q, levi, b + 1, "budget")
+                else:
+                    assert res == full
 
     def test_first_row_skip_needs_no_elimination(self, monkeypatch):
         real = realize(P("3,1,1"), Family.B, 1_000_003)
@@ -541,6 +559,26 @@ class TestNodeBudget:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def spy_first_rows(monkeypatch):
+    """Record every charge made for a candidate first row of the first flag
+    level: by an ``extend`` frame choosing its first row, below the level-0
+    ``recurse`` frame."""
+    sizes = []
+    charge = ff_oracle._charge
+
+    def spy(counter, size, cap):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "extend" and frame.f_locals["chosen"] == 0:
+            while frame.f_code.co_name != "recurse":
+                frame = frame.f_back
+            if frame.f_locals["t"] == 0:
+                sizes.append(size)
+        charge(counter, size, cap)
+
+    monkeypatch.setattr(ff_oracle, "_charge", spy)
+    return sizes
 
 
 # --- the forced subspaces against the un-hoisted enumeration -----------------
@@ -640,6 +678,46 @@ class TestHoist:
         assert first_row_nodes(real.partition, L("1;3"), 3) == 1
         assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
 
+    # Checks where the look-ahead prunes ("a": fewer nodes than with no
+    # floor on dim(E cap im e)) and where the penultimate level decides its
+    # children's last level in its own batches ("b": _closing_mask called
+    # from close_children), each against the un-hoisted reference.
+    LOOKAHEAD = [
+        ("a", Family.B, "3,3,1", "1,2;1"),
+        ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
+        ("a", Family.C, "4,2,1,1", "2,2;0"),
+        ("a", Family.C, "4,4", "1,3;0"),  # no first row can reach level 2
+        ("a", Family.D, "3,3,1,1", "1,3;0"),
+        ("b", Family.B, "5,2,2", "1,1,1;3"),
+        ("b", Family.C, "4,2,1,1", "1,1;4"),
+        ("b", Family.C, "4,2", "1,1;2"),
+        ("b", Family.C, "6,2", "1,1,1;2"),
+    ]
+
+    @pytest.mark.parametrize("path,fam,orbit,levi", LOOKAHEAD)
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_lookahead_matches_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
+        real, levi = realize(P(orbit), fam, q), L(levi, fam)
+        want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
+        callers = []
+        mask = ff_oracle._closing_mask
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return mask(*args)
+
+        monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
+        got = fiber_point_count(real, levi)
+        assert (got.count, got.skipped) == (want, None)
+        assert got.nodes <= ref_nodes
+        monkeypatch.setattr(ff_oracle, "_need", lambda *args: 0)
+        unpruned = fiber_point_count(real, levi)
+        assert (unpruned.count, unpruned.skipped) == (want, None)
+        if path == "a":
+            assert got.nodes < unpruned.nodes
+        else:
+            assert got.nodes == unpruned.nodes and "close_children" in callers
+
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
     # im e^2 for B 3,1,1; for C 4,2, index 4 is x(1,1), a first row in ker e
@@ -669,11 +747,76 @@ class TestHoist:
         with pytest.raises(InvariantError, match="not orthogonal"):
             fiber_point_count(real, L("1,2;0", Family.C))
 
+    def test_batched_last_level_keeps_the_orthogonality_check(self):
+        # C 4,2 via (1,1;2) decides its last level in its first level's
+        # batches; the broken form of the test above makes E_1 = <x(1,1)>
+        # meet L_2 = im e^3 there.
+        real = realize(P("4,2"), Family.C, 3)
+        real.gram[0, 4] = real.gram[4, 0] = 1
+        with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
+            fiber_point_count(real, L("1,1;2", Family.C))
+        assert "close_children" in {entry.name for entry in info.traceback}
+
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
             "im e^a is not isotropic",
             "E_1 is not orthogonal to L_2",
         ]
+
+
+def _states(real, levi, cap):
+    """Every (t, E, L, W) of the forced-subspace enumeration without the
+    look-ahead: E = E_t of a partial flag (E_0 = 0), L = im e^(2k-t) and
+    the window W = (E + L)^perp cap e^{-1}(E) of level t + 1, built as
+    fiber_point_count builds it.  Raises BudgetExceeded once the
+    enumeration has tested ``cap`` rows."""
+    p, e, g = real.modulus, real.e, real.gram
+    dims = list(itertools.accumulate(levi.ps))
+    k = len(dims)
+    if not k or np.any(_pow(e, 2 * k + 1, p)):
+        return
+    forced = [rref(_pow(e, 2 * k - t, p).T, p)[0] for t in range(k)]
+    level, counter = [np.zeros((0, real.dim), dtype=np.int64)], [0]
+    for t in range(k):
+        children = []
+        for E in level:
+            L = forced[t]
+            start = np.vstack([E, L])
+            W = nullspace(np.vstack([start @ g % p, nullspace(E, p) @ e % p]), p)
+            yield t, E, L, W
+            if rank(start, p) <= dims[t] <= W.shape[0]:
+                children += _isotropic_extensions(start, W, dims[t], g, p, counter, cap)
+        level = children
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_window_lemma_on_every_state(self, q):
+        # dim W = n - dim(E + L + e(E^perp)), since e^{-1}(E) = (e(E^perp))^perp;
+        # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
+        # + 2 dim(E cap im e), the bound _need turns into a floor.
+        states = 0
+        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, q)
+                    p, e, g = q, real.e, real.gram
+                    rank_e, c = rank(e, p), len(orbit.parts)
+                    for levi in enumerate_levis(n, fam):
+                        try:
+                            reached = list(_states(real, levi, 2000))
+                        except BudgetExceeded:
+                            continue
+                        for t, E, L, W in reached:
+                            e_perp = nullspace(E @ g % p, p) @ e.T % p
+                            d = E.shape[0]
+                            meet = d + rank_e - rank(np.vstack([E, e.T]), p)
+                            case = (orbit, levi, t, E)
+                            assert W.shape[0] == n - rank(np.vstack([E, L, e_perp]), p), case
+                            assert rank(e_perp, p) == rank_e - meet, case
+                            assert W.shape[0] <= c - d + 2 * meet, case
+                            states += 1
+        assert states > 1000
 
 
 class TestInvariantError:
