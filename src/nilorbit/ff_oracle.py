@@ -530,20 +530,26 @@ def fiber_point_count(
     enumerated, and the rows of any other E_i are never generated (see
     _last_row_batches, with I = window cap im e).
 
-    A level where E_{i-1} + L_i already has dimension dim E_i (or more) has
-    one candidate (or none): it is charged one node and decided by one
-    elimination, the rank before recursing or, at the last level, a basis
-    of F^perp for the closing test.  When dim E_{k-1} + dim L_k -
-    dim L_{k-1} >= dim E_k, every child of level k-1 may be such a last
-    level, and level k-1 decides its children in its own batches, with one
-    nullspace per state rather than per child (close_children).  Otherwise
-    the last level is counted, not enumerated: each state with one row left
-    takes one nullspace, for a basis of its perp, and each batch of
-    surviving last rows is decided by one product and one broadcast check
-    (_closing_leaves).  A node is one candidate row generated and tested,
-    or one level decided by its forced subspace, and the budget caps those
-    nodes: a check whose total would exceed it returns an explicit skip
-    with ``nodes == budget + 1``, never a wrong count.
+    Level i is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
+    which depends on (partition, Levi) alone: E_{i-1} + L_i may then fill
+    the level, which has one candidate (or none, when it overfills) and is
+    charged one node.  A level whose next level is fillable decides its
+    children's whole run of fillable levels in its own batches
+    (decide_chain): per state F1 and level i of the run, one nullspace
+    gives Q, a basis of (F1 + L_i)^perp, and a child x reaches
+    dim(F1 + L_i) + [Q g x != 0] at level i.  A child that overfills counts
+    0, one that falls short recurses into level i, and one that fills the
+    last level is decided by _closing_mask on Q eg Q^T.  The root decides a
+    fillable first level the same way, as the one child x = 0 of F1 = 0.
+    Any other last level is counted, not enumerated: each state with one
+    row left takes one nullspace, for a basis of its perp, and each batch
+    of surviving last rows is decided by one product and one broadcast
+    check (_closing_leaves).  A node is one candidate row generated and
+    tested, or one level decided by its forced subspace; deciding a run in
+    batches charges the same node per child and level as recursing into
+    each child would.  The budget caps the nodes: a check whose total would
+    exceed it returns an explicit skip with ``nodes == budget + 1``, never
+    a wrong count.
 
     Every count charges its first_row_nodes before anything can end it, so
     they are charged up front: when they alone exceed the budget, the same
@@ -573,12 +579,10 @@ def fiber_point_count(
     # x is in im e iff im_cut x = 0 (im_cut spans the left kernel of e).
     im_cut = nullspace(e.T, p)
     needs = [_need(dims[t], dims[t + 1], len(real.partition.parts)) for t in range(last)]
-    # Every child E of the penultimate level has dim E + new >= dims[k], so
-    # its E + L_k may fill the last level: the penultimate level decides
-    # its children in its own batches (close_children).
-    batch_last = last > 0 and (
-        dims[last - 1] + forced[last].shape[0] - forced[last - 1].shape[0] >= dims[last]
-    )
+    # Level i is fillable when E_{i-1} + L_i may reach dims[i]: dim L_i
+    # grows by more than the level adds, as E_{i-1} >= L_{i-1}.
+    sizes = [0] + [L.shape[0] for L in forced]
+    fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last + 1)]
 
     def orthogonality_error(t: int) -> InvariantError:
         return InvariantError(
@@ -586,26 +590,15 @@ def fiber_point_count(
         )
 
     def recurse(E: np.ndarray, t: int) -> int:
+        """Enumerate level t over E = E_{t-1}, whose E + L_t is short of
+        dims[t] (decide_chain decides every other level)."""
         target, L = dims[t], forced[t]
-        # E contains L_{i-1} <= L_i, so dim(E + L_i) <= dim E + new.
-        new = L.shape[0] - (forced[t - 1].shape[0] if t else 0)
         start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
-        if new:
+        if L.shape[0] > (forced[t - 1].shape[0] if t else 0):  # L_t is not in E
             if np.any(start_g @ L.T % p):
                 raise orthogonality_error(t)
             # Rows spanning E + L_i; the enumeration picks a basis of them.
             start, start_g = np.vstack([E, L]), np.vstack([start_g, forced_g[t]])
-            if E.shape[0] + new >= target:  # E + L_i may fill the level
-                if t == last:
-                    Q = nullspace(start_g, p)
-                    if n - Q.shape[0] >= target:  # F = E + L_k or nothing
-                        _charge(counter, 1, cap)
-                        return int(n - Q.shape[0] == target and not np.any(Q @ eg % p @ Q.T % p))
-                else:
-                    start = rref(start, p)[0]
-                    if start.shape[0] >= target:  # E_i = E + L_i or nothing
-                        _charge(counter, 1, cap)
-                        return recurse(start, t + 1) if start.shape[0] == target else 0
         # F <= start^perp and e(F) <= E
         lift = e if t == 0 else nullspace(E, p) @ e % p
         window = nullspace(np.vstack([start_g, lift]), p)
@@ -616,51 +609,66 @@ def fiber_point_count(
             )
         # Only children with dim(F cap im e) >= needs[t] can reach the next level.
         inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
-        if t == last - 1 and batch_last:
-            return close_children(
-                _last_row_batches(start, window, target, g, p, counter, cap, inside, needs[t])
-            )
-        return sum(
-            recurse(F, t + 1)
-            for F in _isotropic_extensions(
-                start, window, target, g, p, counter, cap, inside, needs[t]
-            )
-        )
+        args = (start, window, target, g, p, counter, cap, inside, needs[t])
+        if fills[t + 1]:
+            return decide_chain(_last_row_batches(*args), t + 1)
+        return sum(recurse(F, t + 1) for F in _isotropic_extensions(*args))
 
-    def close_children(batches) -> int:
-        """The count below the penultimate level's children E = F1 + <x>,
-        decided batch by batch as recurse would decide each child.  Per
-        state F1, S = F1 + L_k and Q, a basis of S^perp, are built once;
-        a = G x, with G = Q g, is 0 iff x lies in S, so E + L_k is S or
-        S + <x>.  A child whose E + L_k reaches dims[k] costs one node and
-        is decided by _closing_mask on M = Q eg Q^T (by S itself for x in
-        S); any other child recurses."""
-        target, L, Lg = dims[last], forced[last], forced_g[last]
+    def decide_chain(batches, t: int) -> int:
+        """The count below children E = F1 + <x> of level t - 1, given as
+        the batches (F1, X) of _last_row_batches, with the run of fillable
+        levels t, t+1, ... decided in those batches as recurse would decide
+        each child.  Below level i - 1 >= t the child is F1 + L_{i-1} + <x>,
+        so E_{i-1} + L_i = F1 + L_i + <x>.  Per state F1 and level i, Q, a
+        basis of (F1 + L_i)^perp, is built on first use, and a = G x, with
+        G = Q g, is 0 iff x lies in F1 + L_i.  A child whose F1 + L_i + <x>
+        exceeds dims[i] costs one node and counts 0; one that reaches it
+        costs one node and goes on to level i + 1, where at the last level
+        _closing_mask on M = Q eg Q^T decides it (M = 0 for x in F1 + L_k);
+        any other child recurses into level i, as does every child left
+        when the run ends above the last level."""
+        end = t
+        while end < last and fills[end + 1]:
+            end += 1
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g = F1, F1 @ g % p
-                if np.any(F1g @ L.T % p):
-                    raise orthogonality_error(last)
-                Q = nullspace(np.vstack([F1g, Lg]), p)
-                size = n - Q.shape[0]  # dim S
-                M = Q @ eg % p @ Q.T % p
-                G = Q @ g % p
-            if np.any(X @ Lg.T % p):
-                raise orthogonality_error(last)
-            A = X @ G.T % p
-            grows = A.any(axis=1)  # x is not in S
-            decided = size + grows >= target
-            _charge(counter, int(np.count_nonzero(decided)), cap)
-            if size + 1 == target and grows.any():
-                total += int(np.count_nonzero(_closing_mask(A[grows], M, p)))
-            elif size == target and not np.any(M):
-                total += int(np.count_nonzero(~grows))
-            total += sum(recurse(np.vstack([F1, x]), last) for x in X[~decided])
+                state, F1g, bases = F1, F1 @ g % p, {}
+            for i in range(t, end + 1):
+                if not X.shape[0]:
+                    break
+                if np.any(X @ forced_g[i].T % p):
+                    raise orthogonality_error(i)
+                if i not in bases:
+                    if np.any(F1g @ forced[i].T % p):
+                        raise orthogonality_error(i)
+                    Q = nullspace(np.vstack([F1g, forced_g[i]]), p)
+                    M = Q @ eg % p @ Q.T % p if i == last else None
+                    bases[i] = n - Q.shape[0], Q @ g % p, M
+                size, G, M = bases[i]
+                A = X @ G.T % p
+                reach = size + A.any(axis=1)  # dim(F1 + L_i + <x>)
+                _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
+                below = F1 if i == t else np.vstack([F1, forced[i - 1]])
+                total += sum(recurse(np.vstack([below, x]), i) for x in X[reach < dims[i]])
+                fit = reach == dims[i]
+                X = X[fit]
+                if i == last and X.shape[0]:
+                    if size < dims[i]:
+                        total += int(np.count_nonzero(_closing_mask(A[fit], M, p)))
+                    elif not np.any(M):
+                        total += X.shape[0]
+            if end < last:
+                below = np.vstack([F1, forced[end]])
+                total += sum(recurse(np.vstack([below, x]), end + 1) for x in X)
         return total
 
+    root = np.zeros((0, n), dtype=np.int64)
     try:
-        value = recurse(np.zeros((0, n), dtype=np.int64), 0)
+        if fills[0]:  # the root is the one child of F1 = 0, with x = 0
+            value = decide_chain([(root, np.zeros((1, n), dtype=np.int64))], 0)
+        else:
+            value = recurse(root, 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     return FlagCount(value, p, levi, counter[0])

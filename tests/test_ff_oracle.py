@@ -681,7 +681,7 @@ class TestHoist:
     # Checks where the look-ahead prunes ("a": fewer nodes than with no
     # floor on dim(E cap im e)) and where the penultimate level decides its
     # children's last level in its own batches ("b": _closing_mask called
-    # from close_children), each against the un-hoisted reference.
+    # from decide_chain), each against the un-hoisted reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -716,7 +716,7 @@ class TestHoist:
         if path == "a":
             assert got.nodes < unpruned.nodes
         else:
-            assert got.nodes == unpruned.nodes and "close_children" in callers
+            assert got.nodes == unpruned.nodes and "decide_chain" in callers
 
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
@@ -755,7 +755,7 @@ class TestHoist:
         real.gram[0, 4] = real.gram[4, 0] = 1
         with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
             fiber_point_count(real, L("1,1;2", Family.C))
-        assert "close_children" in {entry.name for entry in info.traceback}
+        assert "decide_chain" in {entry.name for entry in info.traceback}
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
