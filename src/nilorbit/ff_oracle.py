@@ -281,7 +281,9 @@ def _need(d: int, d_next: int, c: int) -> int:
     The next window lies in E^perp cap e^{-1}(E) = (E + e(E^perp))^perp,
     as e^{-1}(E) = (e(E^perp))^perp.  Since (ker e)^perp = im e,
     dim e(E^perp) = rank e - dim(E cap im e), and e(E^perp) <= im e, so
-    the window has dimension at most c - d + 2 dim(E cap im e)."""
+    the window has dimension at most c - d + 2 dim(E cap im e).  At the
+    last level, d_next = n - d: e(E^perp) <= E means E^perp lies in that
+    window, which is the closing test's own floor."""
     return -((c - d - d_next) // 2)
 
 
@@ -302,7 +304,11 @@ def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     cap im e has dimension c2 = the number of parts >= 2; its c2 - l
     columns come last, so at m = _need - l > 0 the first row's pivot is at
     least c - c2 + m - 1, and no row is tested when m exceeds c2 - l or
-    d - l.  0 when ``levi`` has no general-linear block or d > c."""
+    d - l.  A one-level Levi with d = l + 1 has the same floor, with the
+    closing test's _need(d, n - d, c).  Multi-row levels of one-level Levis
+    keep their plain order, where the floor's reordered complement can cost
+    more nodes than it saves.  0 when ``levi`` has no general-linear block
+    or d > c."""
     if not levi.ps:
         return 0
     k, d, c = len(levi.ps), levi.ps[0], len(p.parts)
@@ -310,9 +316,9 @@ def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     if max(p.parts) > 2 * k + 1 or d <= forced:
         return 1
     lo = d - forced - 1
-    if k > 1:
+    if k > 1 or lo == 0:
         inside = sum(x >= 2 for x in p.parts) - forced
-        m = _need(d, d + levi.ps[1], c) - forced
+        m = _need(d, d + levi.ps[1] if k > 1 else p.n - d, c) - forced
         if m > min(inside, d - forced):
             return 0
         if m > 0:
@@ -435,7 +441,7 @@ def _isotropic_extensions(E, W, target, g, p, counter, cap, I=None, need=0):
             yield np.vstack([F1, w])
 
 
-def _closing_leaves(E, W, target, g, eg, p, counter, cap):
+def _closing_leaves(E, W, target, g, eg, p, counter, cap, I=None, need=0):
     """Walk _last_row_batches and decide every leaf F = F1 + <w> at once:
     yields (F1, X, closes) per batch, with closes[j] True iff the leaf with
     last row X[j] satisfies e(F^perp) <= F, given eg = e^T g mod p.  The
@@ -448,7 +454,7 @@ def _closing_leaves(E, W, target, g, eg, p, counter, cap):
     coordinates, a = G w, and a != 0 because w is not in F1 =
     (F1^perp)^perp; _closing_mask decides the whole batch."""
     state = None
-    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
+    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap, I, need):
         if F1 is not state:
             state = F1
             Q = nullspace((F1 @ g) % p, p)
@@ -578,11 +584,17 @@ def fiber_point_count(
     eg = (e.T @ g) % p
     # x is in im e iff im_cut x = 0 (im_cut spans the left kernel of e).
     im_cut = nullspace(e.T, p)
-    needs = [_need(dims[t], dims[t + 1], len(real.partition.parts)) for t in range(last)]
     # Level i is fillable when E_{i-1} + L_i may reach dims[i]: dim L_i
     # grows by more than the level adds, as E_{i-1} >= L_{i-1}.
     sizes = [0] + [L.shape[0] for L in forced]
     fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last + 1)]
+    c = len(real.partition.parts)
+    # A level space must fit its next window; a one-level Levi whose level
+    # adds one row to L_1 must fit e(F^perp) into F cap im e (the closing
+    # floor, with F^perp as the next level).
+    needs = [_need(dims[t], dims[t + 1], c) for t in range(last)] + [
+        _need(dims[0], n - dims[0], c) if last == 0 and dims[0] - sizes[1] == 1 else 0
+    ]
 
     def orthogonality_error(t: int) -> InvariantError:
         return InvariantError(
@@ -602,13 +614,15 @@ def fiber_point_count(
         # F <= start^perp and e(F) <= E
         lift = e if t == 0 else nullspace(E, p) @ e % p
         window = nullspace(np.vstack([start_g, lift]), p)
+        # Only children with dim(F cap im e) >= needs[t] can reach the next level.
+        inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
         if t == last:
             return sum(
                 int(np.count_nonzero(closes))
-                for _, _, closes in _closing_leaves(start, window, target, g, eg, p, counter, cap)
+                for _, _, closes in _closing_leaves(
+                    start, window, target, g, eg, p, counter, cap, inside, needs[t]
+                )
             )
-        # Only children with dim(F cap im e) >= needs[t] can reach the next level.
-        inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
         args = (start, window, target, g, p, counter, cap, inside, needs[t])
         if fills[t + 1]:
             return decide_chain(_last_row_batches(*args), t + 1)

@@ -485,10 +485,11 @@ class TestNodeBudget:
         assert below.count is None and below.skipped == "budget"
         assert below.nodes == full.nodes
 
-    @pytest.mark.parametrize("cap", [0, 1, 5, 30])  # the full count takes 31
+    # The full count takes 37 nodes; caps below 6 skip on the first row.
+    @pytest.mark.parametrize("cap", [0, 1, 5, 30])
     def test_skip_reports_cap_plus_one(self, cap):
-        real = realize(P("2,2,1"), Family.B, 5)
-        res = fiber_point_count(real, L("1;3"), budget=cap)
+        real = realize(P("2,1,1"), Family.C, 5)
+        res = fiber_point_count(real, L("2;0", Family.C), budget=cap)
         assert res.count is None and res.skipped == "budget"
         assert res.nodes == cap + 1
 
