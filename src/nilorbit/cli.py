@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         "test whether the orbit is Richardson")
     add("min-richardson", cmd_min_richardson,
         lambda args, pl: [
-            f"[{_literal(o['partition'])}] (from block {o['block']}, witness l={o['witness']})"
+            f"[{_literal(o['partition'])}] ("
+            + (f"from block {o['block']}, " if o["block"] is not None else "")
+            + f"witness l={o['witness']})"
             for o in pl["orbits"]
         ],
         "minimal Richardson orbits dominating the input, with witnesses")

@@ -19,9 +19,10 @@ from .partitions import Family, Partition, collapse
 @dataclass(frozen=True)
 class IndexEntry:
     """One accepted witness: 1-based block index (``n_blocks + 1`` denotes
-    the virtual block past the end) and the 1-based witness position l."""
+    the virtual block past the end; None when the partition is empty and
+    has no blocks) and the 1-based witness position l."""
 
-    block: int
+    block: int | None
     witness: int
 
 
@@ -99,7 +100,7 @@ def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
             last_l = l
         if b >= m or (family is Family.B and val(i1) == 0):
             break
-    return IndexSet(tuple(IndexEntry(b + 1, l) for b, l in raw_entries), m)
+    return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries), m)
 
 
 def minimal_richardson_witnessed(
@@ -124,7 +125,8 @@ def _witnessed(p: Partition, d: BlockDecomposition) -> tuple[tuple[Partition, In
     out: list[tuple[Partition, IndexEntry]] = []
     seen: set[tuple[int, ...]] = set()
     for entry in _index_set(p, d).entries:
-        r = collapse(Partition(_reassembly(mods, entry.block - 1)), d.family)
+        h = len(mods) if entry.block is None else entry.block - 1
+        r = collapse(Partition(_reassembly(mods, h)), d.family)
         if r.parts not in seen:
             seen.add(r.parts)
             out.append((r, entry))

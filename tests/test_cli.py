@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,13 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "min-richardson", "--family", "B", "2,2,1")
         assert code == 0
         assert out == "[3,1,1] (from block 2, witness l=2)\n"
+
+    @pytest.mark.parametrize("fam", ["C", "D"])
+    def test_min_richardson_of_the_zero_orbit_names_no_block(self, capsys, fam):
+        assert run(capsys, "min-richardson", "--family", fam, "") == (0, "[] (witness l=1)\n", "")
+        code, out, _ = run(capsys, "min-richardson", "--family", fam, "", "--json")
+        assert code == 0
+        assert json.loads(out)["orbits"] == [{"block": None, "partition": [], "witness": 1}]
 
     def test_polarizations(self, capsys):
         code, out, _ = run(capsys, "polarizations", "--family", "B", "3,1,1")
@@ -465,6 +473,7 @@ PINNED = [
     (None, "richardson --family C 2,2"),
     (None, "richardson --family B 2,2,1"),
     (None, "min-richardson --family B 4,4,4,4,3,3,1"),
+    (None, "min-richardson --family C ''"),
     (None, "polarizations --family B 3,1,1"),
     (None, "polarizations --family B 2,2,1"),
     (None, "fiber --family B 2,2,1"),
@@ -504,7 +513,7 @@ def pinned_run(capsys, monkeypatch, tmp_path, patch, command, mode):
     monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     if patch:
         PATCHES[patch](monkeypatch)
-    argv = command.split() + (["--json"] if mode == "json" else [])
+    argv = shlex.split(command) + (["--json"] if mode == "json" else [])
     dual_pair.cache_clear()
     try:
         code, out, err = run(capsys, *argv)
@@ -534,7 +543,7 @@ def test_handlers_print_nothing_to_stdout(capsys, monkeypatch, tmp_path, patch, 
     monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     if patch:
         PATCHES[patch](monkeypatch)
-    args = cli.build_parser().parse_args(command.split())
+    args = cli.build_parser().parse_args(shlex.split(command))
     dual_pair.cache_clear()
     try:
         args.func(args)

@@ -54,6 +54,15 @@ class TestIndexSet:
         assert idx.entries == (IndexEntry(2, 2),)
         assert idx.n_blocks == 1
 
+    @pytest.mark.parametrize("fam", [Family.C, Family.D])
+    def test_empty_partition_names_no_block(self, fam):
+        # The zero orbit of rank 0 has no blocks, so its witness has none.
+        idx = index_set(P(""), fam)
+        assert (idx.entries, idx.n_blocks) == ((IndexEntry(None, 1),), 0)
+        assert minimal_richardson_witnessed(P(""), fam) == [
+            (P(""), IndexEntry(None, 1))
+        ]
+
     def test_richardson_input_witnesses_its_own_blocks(self):
         idx = index_set(P("3,1,1"), Family.B)
         assert len(idx.entries) == 1
