@@ -680,8 +680,8 @@ class TestHoist:
         assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
 
     # Checks where the look-ahead prunes ("a": fewer nodes than with no
-    # floor on dim(E cap im e)) and where the penultimate level decides its
-    # children's last level in its own batches ("b": _closing_mask called
+    # floor on dim(E cap im e)) and where a level decides its children's
+    # last level in its own batches ("b": _closing_mask called
     # from decide_chain), each against the un-hoisted reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
@@ -719,6 +719,69 @@ class TestHoist:
         else:
             assert got.nodes == unpruned.nodes and "decide_chain" in callers
 
+    # Runs of two or more fillable levels, each against the un-hoisted
+    # reference: "c", decide_chain decides children by _closing_mask two or
+    # more levels below the level that made them; "s", every child of the
+    # run falls short of its first level and recurses, and _closing_leaves
+    # decides the last level; "m", a child falls short in the middle of a
+    # run and its level is enumerated.  The references for C 6,1,1,1,1 and
+    # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.
+    CHAINS = [
+        ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
+        ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
+        ("c", Family.D, "7,5", "1,1,1,1;4", (3, 5, 7)),  # count 0
+        ("s", Family.C, "6", "1,1,1;0", (3, 5, 7)),
+        ("m", Family.B, "6,6,5", "1,2,3;5", (3, 5)),  # count 0
+    ]
+
+    @pytest.mark.parametrize(
+        "path,fam,orbit,levi,q",
+        [case[:4] + (q,) for case in CHAINS for q in case[4]],
+    )
+    def test_chains_match_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
+        real, levi = realize(P(orbit), fam, q), L(levi, fam)
+        want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
+        mask, charge = ff_oracle._closing_mask, ff_oracle._charge
+        decided, closed, enumerated = [], [], []
+
+        def sent(frame):
+            """(t, end, level) when ``frame`` runs below a child that
+            decide_chain, deciding the run t..end, sent to recurse into
+            ``level``; None otherwise."""
+            while frame.f_code.co_name != "recurse":
+                frame = frame.f_back
+            run = frame.f_back.f_back  # recurse <- its generator expression
+            if run is None or run.f_code.co_name != "decide_chain":
+                return None
+            return run.f_locals["t"], run.f_locals["end"], frame.f_locals["t"]
+
+        def spy_mask(*args):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "decide_chain":
+                decided.append(frame.f_locals["i"] - frame.f_locals["t"])
+            else:
+                closed.append(sent(frame))
+            return mask(*args)
+
+        def spy_charge(*args):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "extend":
+                enumerated.append(sent(frame))
+            return charge(*args)
+
+        monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
+        monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
+        got = fiber_point_count(real, levi)
+        assert (got.count, got.skipped) == (want, None)
+        assert got.nodes <= ref_nodes
+        if path == "c":
+            assert max(decided) >= 1
+        elif path == "s":
+            assert not decided and closed
+            assert all(run is not None and run[0] == run[2] for run in closed)
+        else:
+            assert any(run is not None and run[0] < run[2] <= run[1] for run in enumerated)
+
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
     # im e^2 for B 3,1,1; for C 4,2, index 4 is x(1,1), a first row in ker e
@@ -736,6 +799,7 @@ class TestHoist:
         "        return str(exc).split(' (')[0]\n"
         "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
         "print(raises('4,2', Family.C, '1,2;0', [(0, 4), (4, 0)]))\n"
+        "print(raises('7,3,1', Family.B, '1,1,1,1;3', [(8, 0)]))\n"
     )
 
     def test_forced_subspace_invariants_raise(self):
@@ -758,10 +822,23 @@ class TestHoist:
             fiber_point_count(real, L("1,1;2", Family.C))
         assert "decide_chain" in {entry.name for entry in info.traceback}
 
+    def test_mid_run_level_keeps_the_orthogonality_check(self):
+        # B 7,3,1 via (1,1,1,1;3): level 3 starts a run of fillable levels
+        # 3 and 4.  Gram index 8 is x(2,1) and index 0 is x(1,0), which
+        # spans L_4 = im e^5 with x(2,0); the broken entry makes E_3 meet
+        # L_4, which the run checks at its second level.
+        real = realize(P("7,3,1"), Family.B, 3)
+        real.gram[8, 0] = 1
+        with pytest.raises(InvariantError, match="E_3 is not orthogonal to L_4") as info:
+            fiber_point_count(real, L("1,1,1,1;3"))
+        runs = [entry.locals for entry in info.traceback if entry.name == "decide_chain"]
+        assert runs[-1]["i"] > runs[-1]["t"]
+
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
             "im e^a is not isotropic",
             "E_1 is not orthogonal to L_2",
+            "E_3 is not orthogonal to L_4",
         ]
 
 
