@@ -606,7 +606,7 @@ def fiber_point_count(
         dims[t] (decide_chain decides every other level)."""
         target, L = dims[t], forced[t]
         start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
-        if L.shape[0] > (forced[t - 1].shape[0] if t else 0):  # L_t is not in E
+        if sizes[t + 1] > sizes[t]:  # L_t is not in E
             if np.any(start_g @ L.T % p):
                 raise orthogonality_error(t)
             # Rows spanning E + L_i; the enumeration picks a basis of them.
@@ -629,18 +629,13 @@ def fiber_point_count(
         return sum(recurse(F, t + 1) for F in _isotropic_extensions(*args))
 
     def decide_chain(batches, t: int) -> int:
-        """The count below children E = F1 + <x> of level t - 1, given as
-        the batches (F1, X) of _last_row_batches, with the run of fillable
-        levels t, t+1, ... decided in those batches as recurse would decide
-        each child.  Below level i - 1 >= t the child is F1 + L_{i-1} + <x>,
-        so E_{i-1} + L_i = F1 + L_i + <x>.  Per state F1 and level i, Q, a
-        basis of (F1 + L_i)^perp, is built on first use, and a = G x, with
-        G = Q g, is 0 iff x lies in F1 + L_i.  A child whose F1 + L_i + <x>
-        exceeds dims[i] costs one node and counts 0; one that reaches it
-        costs one node and goes on to level i + 1, where at the last level
-        _closing_mask on M = Q eg Q^T decides it (M = 0 for x in F1 + L_k);
-        any other child recurses into level i, as does every child left
-        when the run ends above the last level."""
+        """The count below children F1 + <x> of level t - 1, given as the
+        batches (F1, X) of _last_row_batches, deciding the run of fillable
+        levels from t in those batches.  Below level i - 1 >= t a child is
+        F1 + L_{i-1} + <x>, so E_{i-1} + L_i = F1 + L_i + <x>, which has
+        dimension dim(F1 + L_i) + [G x != 0] with G = Q g, for Q a basis of
+        (F1 + L_i)^perp built once per state and level.  Children left when
+        the run ends above the last level recurse into the next level."""
         end = t
         while end < last and fills[end + 1]:
             end += 1
