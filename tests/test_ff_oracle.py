@@ -799,7 +799,7 @@ class TestHoist:
         "        return str(exc).split(' (')[0]\n"
         "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
         "print(raises('4,2', Family.C, '1,2;0', [(0, 4), (4, 0)]))\n"
-        "print(raises('7,3,1', Family.B, '1,1,1,1;3', [(8, 0)]))\n"
+        "print(raises('6,2', Family.C, '1,1,1;2', [(0, 2), (1, 6)]))\n"
     )
 
     def test_forced_subspace_invariants_raise(self):
@@ -823,22 +823,26 @@ class TestHoist:
         assert "decide_chain" in {entry.name for entry in info.traceback}
 
     def test_mid_run_level_keeps_the_orthogonality_check(self):
-        # B 7,3,1 via (1,1,1,1;3): level 3 starts a run of fillable levels
-        # 3 and 4.  Gram index 8 is x(2,1) and index 0 is x(1,0), which
-        # spans L_4 = im e^5 with x(2,0); the broken entry makes E_3 meet
-        # L_4, which the run checks at its second level.
-        real = realize(P("7,3,1"), Family.B, 3)
-        real.gram[8, 0] = 1
-        with pytest.raises(InvariantError, match="E_3 is not orthogonal to L_4") as info:
-            fiber_point_count(real, L("1,1,1,1;3"))
-        runs = [entry.locals for entry in info.traceback if entry.name == "decide_chain"]
-        assert runs[-1]["i"] > runs[-1]["t"]
+        # C 6,2 via (1,1,1;2): level 1 decides its children's run of levels
+        # 2 and 3.  Gram index 6 is x(1,1) and index 1 is x(2,0), in L_3 =
+        # im e^4, so gram[1, 6] makes E_2 meet L_3.  gram[0, 2] breaks the
+        # form's symmetry in the row of x(1,0), which spans L_2, so the run
+        # no longer finds the child x(1,0) inside F1 + L_2: no child falls
+        # short and recurses, and the batch reaches level 3, where the run
+        # itself must raise.
+        real = realize(P("6,2"), Family.C, 3)
+        real.gram[0, 2] = real.gram[1, 6] = 1
+        with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
+            fiber_point_count(real, L("1,1,1;2", Family.C))
+        raised = info.traceback[-1]
+        assert raised.name == "decide_chain"
+        assert raised.locals["i"] > raised.locals["t"]
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
             "im e^a is not isotropic",
             "E_1 is not orthogonal to L_2",
-            "E_3 is not orthogonal to L_4",
+            "E_2 is not orthogonal to L_3",
         ]
 
 
