@@ -681,8 +681,8 @@ class TestHoist:
 
     # Checks where the look-ahead prunes ("a": fewer nodes than with no
     # floor on dim(E cap im e)) and where a level decides its children's
-    # last level in its own batches ("b": _closing_mask called
-    # from decide_chain), each against the un-hoisted reference.
+    # last level in its own batches ("b": _closing_mask called from
+    # decide_chain), each against the un-hoisted reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
