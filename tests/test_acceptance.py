@@ -136,11 +136,15 @@ def test_criterion_4_springer_dual_bijection():
         assert springer_dual(P("3,1,1")) == P("2,2")
 
 
-def test_criterion_5_fiber_counts_over_finite_fields():
+def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
+    # All 180 checks finish at the default budget, and their node total is
+    # pinned: an oracle refactor that visits more or fewer nodes shows here.
+    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     with reported(5, "fiber point counts over F_3 and F_5 equal the descriptor"
                      " E-polynomial values (all pseudo-polarizations, N <= 9)"):
         skipped = []
         realizations = {}
+        checks = nodes = 0
         for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for p in enumerate_valid(n, fam):
@@ -151,15 +155,18 @@ def test_criterion_5_fiber_counts_over_finite_fields():
                             if key not in realizations:
                                 realizations[key] = realize(p, fam, q)
                             fc = fiber_point_count(realizations[key], levi)
+                            checks += 1
+                            nodes += fc.nodes
                             if fc.count is None:
                                 skipped.append((fam, p, levi, q, fc.nodes))
                                 continue
                             assert fc.count == poly(q), (fam, p, levi, q)
-        for fam, p, levi, q, nodes in skipped:
+        for fam, p, levi, q, spent in skipped:
             acceptance_line(
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
-                f" after {nodes} nodes"
+                f" after {spent} nodes"
             )
+        assert (checks, len(skipped), nodes) == (180, 0, 6752)
         for orbit, levi_text, want3, want5 in (
             ("2,2,1", "1;3", 4, 6),
             ("3,1,1", "2;1", 2, 2),
