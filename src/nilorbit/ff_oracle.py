@@ -27,7 +27,6 @@ from ._linalg import nullspace, rank, rref
 from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
-from .spaltenstein import GrassStep
 
 DEFAULT_BUDGET = 1_000_000
 _BUDGET_ENV = "NILORBIT_ORACLE_BUDGET"
@@ -108,39 +107,34 @@ def _is_odd_prime(n: int) -> bool:
 @dataclass(eq=False)
 class JordanRealization:
     """A nilpotent matrix in Jordan form together with a split invariant
-    form over F_p, plus the lowering operator of its standard triple."""
+    form over F_p."""
 
     family: Family
     partition: Partition
     modulus: int
-    convention: str
-    basis: tuple[tuple[int, int], ...]
-    beta: tuple[int, ...]
     e: np.ndarray
-    f: np.ndarray
     gram: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.e.shape[0]
 
 
 def _self_paired(v: int, family: Family) -> bool:
     return (v % 2 == 0) == (family is Family.C)
 
 
-def _block_units(p: Partition, family: Family, convention: str) -> list[int]:
+def _block_units(p: Partition, family: Family) -> list[int]:
     """Unit in front of each self-paired Jordan block (0 for paired parts,
     which carry the fixed cross-block pairing instead)."""
     units = [0] * len(p.parts)
-    first_pair = -1 if convention == "alternate" else 1
     leftovers: list[tuple[int, int]] = []
     for v in sorted(set(p.parts), reverse=True):
         if not _self_paired(v, family):
             continue
         js = [j for j, x in enumerate(p.parts) if x == v]
         for t, j in enumerate(js):
-            units[j] = first_pair if t % 2 == 0 else -first_pair
+            units[j] = 1 if t % 2 == 0 else -1
         if len(js) % 2 == 1:
             units[js[-1]] = 1
             leftovers.append((v, js[-1]))
@@ -176,30 +170,21 @@ def _signed_det(mat: np.ndarray) -> int:
     return sign * value
 
 
-def realize(
-    p: Partition, family: Family, modulus: int, convention: str = "default"
-) -> JordanRealization:
+def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     """Nilpotent element of Jordan type ``p`` with a split invariant form
-    over F_modulus.  Only odd prime moduli are accepted; the two sign
-    conventions give isometric forms and must yield identical counts.
-    """
+    over F_modulus.  Only odd prime moduli are accepted."""
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
     check_modulus(modulus, p.n)
-    if convention not in ("default", "alternate"):
-        raise ValueError(f"unknown sign convention {convention!r}")
     parts = p.parts
     n = p.n
-    basis = tuple((i, j) for j, d in enumerate(parts) for i in range(1, d + 1))
+    basis = [(i, j) for j, d in enumerate(parts) for i in range(1, d + 1)]
     index = {bj: a for a, bj in enumerate(basis)}
 
     e = np.zeros((n, n), dtype=np.int64)
-    f = np.zeros((n, n), dtype=np.int64)
     for j, d in enumerate(parts):
         for i in range(2, d + 1):
             e[index[(i - 1, j)], index[(i, j)]] = 1
-        for i in range(1, d):
-            f[index[(i + 1, j)], index[(i, j)]] = (i * (d - i)) % modulus
 
     beta = list(range(len(parts)))
     for v in sorted(set(parts), reverse=True):
@@ -212,8 +197,7 @@ def realize(
             beta[a], beta[b] = b, a
 
     eps = family.epsilon
-    pair_unit = -1 if convention == "alternate" else 1
-    units = _block_units(p, family, convention)
+    units = _block_units(p, family)
     gram = np.zeros((n, n), dtype=np.int64)
     for j, d in enumerate(parts):
         if beta[j] == j:
@@ -222,20 +206,18 @@ def realize(
         elif beta[j] > j:
             b = beta[j]
             for i in range(1, d + 1):
-                s = pair_unit * (-1) ** (i - 1)
+                s = (-1) ** (i - 1)
                 gram[index[(i, j)], index[(d + 1 - i, b)]] = s
                 gram[index[(d + 1 - i, b)], index[(i, j)]] = eps * s
     gram %= modulus
 
-    real = JordanRealization(
-        family, p, modulus, convention, basis, tuple(beta), e, f, gram
-    )
+    real = JordanRealization(family, p, modulus, e, gram)
     _validate(real)
     return real
 
 
 def _validate(real: JordanRealization) -> None:
-    p, e, g, f = real.modulus, real.e, real.gram, real.f
+    p, e, g = real.modulus, real.e, real.gram
     n = real.dim
 
     def require(ok, what: str) -> None:
@@ -245,9 +227,6 @@ def _validate(real: JordanRealization) -> None:
     require(not np.any((g.T - real.family.epsilon * g) % p), "form symmetry broken")
     require(rank(g, p) == n, "form is degenerate")
     require(not np.any((e.T @ g + g @ e) % p), "form is not e-invariant")
-    h = (e @ f - f @ e) % p
-    require(not np.any((h @ e - e @ h - 2 * e) % p), "triple relation [h,e]=2e broken")
-    require(not np.any((h @ f - f @ h + 2 * f) % p), "triple relation [h,f]=-2f broken")
     power = np.eye(n, dtype=np.int64)
     for k in itertools.count():
         expected = sum(max(d - k, 0) for d in real.partition.parts)
@@ -682,10 +661,3 @@ def fiber_point_count(
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     return FlagCount(value, p, levi, counter[0])
 
-
-def grassmannian_count(step: GrassStep, modulus: int) -> int:
-    """Point count of a maximal orthogonal / Lagrangian Grassmannian over
-    F_modulus: the step E-polynomial evaluated there."""
-    if not _is_odd_prime(modulus):
-        raise ValueError(f"modulus must be an odd prime, got {modulus}")
-    return step.e_polynomial()(modulus)
