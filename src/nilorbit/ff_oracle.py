@@ -411,37 +411,6 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
     yield from extend(np.zeros((0, c), dtype=np.int64), ())
 
 
-def _isotropic_extensions(E, W, target, g, p, counter, cap, I=None, need=0):
-    """Yield every isotropic F with E <= F <= W, dim F = target > dim E and
-    dim(F cap I) >= need, each exactly once, as a basis extending one of E
-    (see _last_row_batches)."""
-    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap, I, need):
-        for w in X:
-            yield np.vstack([F1, w])
-
-
-def _closing_leaves(E, W, target, g, eg, p, counter, cap, I=None, need=0):
-    """Walk _last_row_batches and decide every leaf F = F1 + <w> at once:
-    yields (F1, X, closes) per batch, with closes[j] True iff the leaf with
-    last row X[j] satisfies e(F^perp) <= F, given eg = e^T g mod p.  The
-    leaf test charges no nodes.
-
-    Since g is nondegenerate, F = (F^perp)^perp, so F closes exactly when
-    the form (u, v) -> <e u, v> vanishes on F^perp.  For each state F1 with
-    one row left, Q is a basis of F1^perp, M = Q eg Q^T and G = Q g, built
-    once, on its first batch.  A last row w gives F^perp = ker(a) in Q
-    coordinates, a = G w, and a != 0 because w is not in F1 =
-    (F1^perp)^perp; _closing_mask decides the whole batch."""
-    state = None
-    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap, I, need):
-        if F1 is not state:
-            state = F1
-            Q = nullspace((F1 @ g) % p, p)
-            M = ((Q @ eg) % p) @ Q.T % p
-            G = (Q @ g) % p
-        yield F1, X, _closing_mask((X @ G.T) % p, M, p)
-
-
 def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """Per row a of A: does M vanish on ker(a) x ker(a)?  With a pivot i
     (a_i != 0), ker(a) is spanned by a_i e_j - a_j e_i, so it does iff
@@ -518,23 +487,24 @@ def fiber_point_count(
     Level i is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
     which depends on (partition, Levi) alone: E_{i-1} + L_i may then fill
     the level, which has one candidate (or none, when it overfills) and is
-    charged one node.  A level whose next level is fillable decides its
-    children's whole run of fillable levels in its own batches
-    (decide_chain): per state F1 and level i of the run, one nullspace
-    gives Q, a basis of (F1 + L_i)^perp, and a child x reaches
-    dim(F1 + L_i) + [Q g x != 0] at level i.  A child that overfills counts
-    0, one that falls short recurses into level i, and one that fills the
-    last level is decided by _closing_mask on Q eg Q^T.  The root decides a
-    fillable first level the same way, as the one child x = 0 of F1 = 0.
-    Any other last level is counted, not enumerated: each state with one
-    row left takes one nullspace, for a basis of its perp, and each batch
-    of surviving last rows is decided by one product and one broadcast
-    check (_closing_leaves).  A node is one candidate row generated and
-    tested, or one level decided by its forced subspace; deciding a run in
-    batches charges the same node per child and level as recursing into
-    each child would.  The budget caps the nodes: a check whose total would
-    exceed it returns an explicit skip with ``nodes == budget + 1``, never
-    a wrong count.
+    charged one node.  Every enumerated level hands its children, the
+    batches of _last_row_batches, to settle, and the root enters settle as
+    the one child x = 0 of F1 = 0.  settle decides the children's run of
+    fillable levels, which may be empty, in those batches: per state F1
+    and level i of the run, one nullspace gives Q, a basis of
+    (F1 + L_i)^perp, and a child x reaches dim(F1 + L_i) + [Q g x != 0] at
+    level i.  A child that overfills counts 0 and one that falls short
+    recurses into level i.  After the run, a child past the last level is
+    closed: F = (F^perp)^perp, so e(F^perp) <= F exactly when the form
+    (u, v) -> <e u, v> vanishes on F^perp, and _closing_mask decides that
+    for a whole batch from Q eg Q^T, with Q a basis of (F1 + L_k)^perp
+    (of F1^perp when the last level was enumerated, as L_k <= F1 there).
+    Any other child recurses into the level after the run.  A node is one
+    candidate row generated and tested, or one level decided by its forced
+    subspace; deciding a run in batches charges the same node per child
+    and level as recursing into each child would.  The budget caps the
+    nodes: a check whose total would exceed it returns an explicit skip
+    with ``nodes == budget + 1``, never a wrong count.
 
     Every count charges its first_row_nodes before anything can end it, so
     they are charged up front: when they alone exceed the budget, the same
@@ -582,7 +552,7 @@ def fiber_point_count(
 
     def recurse(E: np.ndarray, t: int) -> int:
         """Enumerate level t over E = E_{t-1}, whose E + L_t is short of
-        dims[t] (decide_chain decides every other level)."""
+        dims[t], and settle its children."""
         target, L = dims[t], forced[t]
         start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
         if sizes[t + 1] > sizes[t]:  # L_t is not in E
@@ -595,69 +565,74 @@ def fiber_point_count(
         window = nullspace(np.vstack([start_g, lift]), p)
         # Only children with dim(F cap im e) >= needs[t] can reach the next level.
         inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
-        if t == last:
-            return sum(
-                int(np.count_nonzero(closes))
-                for _, _, closes in _closing_leaves(
-                    start, window, target, g, eg, p, counter, cap, inside, needs[t]
-                )
-            )
-        args = (start, window, target, g, p, counter, cap, inside, needs[t])
-        if fills[t + 1]:
-            return decide_chain(_last_row_batches(*args), t + 1)
-        return sum(recurse(F, t + 1) for F in _isotropic_extensions(*args))
+        return settle(
+            _last_row_batches(start, window, target, g, p, counter, cap, inside, needs[t]), t + 1
+        )
 
-    def decide_chain(batches, t: int) -> int:
-        """The count below children F1 + <x> of level t - 1, given as the
-        batches (F1, X) of _last_row_batches, deciding the run of fillable
-        levels from t in those batches.  Below level i - 1 >= t a child is
-        F1 + L_{i-1} + <x>, so E_{i-1} + L_i = F1 + L_i + <x>, which has
-        dimension dim(F1 + L_i) + [G x != 0] with G = Q g, for Q a basis of
-        (F1 + L_i)^perp built once per state and level.  Children left when
-        the run ends above the last level recurse into the next level."""
+    def settle(batches, t: int) -> int:
+        """The count below the children F1 + <x> of level t - 1, given as
+        the batches (F1, X) of _last_row_batches, deciding the run t..end-1
+        of fillable levels, which may be empty, in those batches.  Below
+        level i - 1 >= t a child is F1 + L_{i-1} + <x>, so E_{i-1} + L_i =
+        F1 + L_i + <x>, of dimension dim(F1 + L_i) + [G x != 0].  A child
+        that falls short of level i recurses into it.  After the run, a
+        child past the last level is closed, and any other recurses into
+        level end."""
         end = t
-        while end < last and fills[end + 1]:
+        while end <= last and fills[end]:
             end += 1
+
+        def basis(i: int):
+            """(dim(F1 + L_i), G = Q g, M = Q eg Q^T at the last level) for
+            Q a basis of (F1 + L_i)^perp, built once per state and level.
+            A level enumerated above the run (i < t) has L_i <= F1."""
+            if i not in bases:
+                rows = F1g
+                if i >= t:
+                    if np.any(F1g @ forced[i].T % p):
+                        raise orthogonality_error(i)
+                    rows = np.vstack([F1g, forced_g[i]])
+                Q = nullspace(rows, p)
+                M = Q @ eg % p @ Q.T % p if i == last else None
+                bases[i] = n - Q.shape[0], Q @ g % p, M
+            return bases[i]
+
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
                 state, F1g, bases = F1, F1 @ g % p, {}
-            for i in range(t, end + 1):
-                if not X.shape[0]:
-                    break
+            for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
-                if i not in bases:
-                    if np.any(F1g @ forced[i].T % p):
-                        raise orthogonality_error(i)
-                    Q = nullspace(np.vstack([F1g, forced_g[i]]), p)
-                    M = Q @ eg % p @ Q.T % p if i == last else None
-                    bases[i] = n - Q.shape[0], Q @ g % p, M
-                size, G, M = bases[i]
+                size, G, _ = basis(i)
                 A = X @ G.T % p
                 reach = size + A.any(axis=1)  # dim(F1 + L_i + <x>)
                 _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
                 below = F1 if i == t else np.vstack([F1, forced[i - 1]])
                 total += sum(recurse(np.vstack([below, x]), i) for x in X[reach < dims[i]])
                 fit = reach == dims[i]
-                X = X[fit]
-                if i == last and X.shape[0]:
-                    if size < dims[i]:
-                        total += int(np.count_nonzero(_closing_mask(A[fit], M, p)))
-                    elif not np.any(M):
-                        total += X.shape[0]
-            if end < last:
-                below = np.vstack([F1, forced[end]])
-                total += sum(recurse(np.vstack([below, x]), end + 1) for x in X)
+                X, A = X[fit], A[fit]
+                if not X.shape[0]:
+                    break
+            if not X.shape[0]:
+                continue
+            if end <= last:
+                below = F1 if end == t else np.vstack([F1, forced[end - 1]])
+                total += sum(recurse(np.vstack([below, x]), end) for x in X)
+                continue
+            # F = F1 + L_k + <x> closes iff M vanishes on F^perp = ker(G x) in Q
+            # coordinates (_closing_mask); when G x = 0, F^perp is all of Q.
+            size, G, M = basis(last)
+            if end == t:  # the last level was enumerated, so no run built A
+                A = X @ G.T % p
+            if size < dims[last]:
+                total += int(np.count_nonzero(_closing_mask(A, M, p)))
+            elif not np.any(M):
+                total += X.shape[0]
         return total
 
-    root = np.zeros((0, n), dtype=np.int64)
-    try:
-        if fills[0]:  # the root is the one child of F1 = 0, with x = 0
-            value = decide_chain([(root, np.zeros((1, n), dtype=np.int64))], 0)
-        else:
-            value = recurse(root, 0)
+    try:  # the root is the one child x = 0 of F1 = 0
+        value = settle([(np.zeros((0, n), dtype=np.int64), np.zeros((1, n), dtype=np.int64))], 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     return FlagCount(value, p, levi, counter[0])
-

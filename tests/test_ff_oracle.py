@@ -42,10 +42,9 @@ from nilorbit import ff_oracle
 from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
-    _closing_leaves,
     _closing_mask,
     _is_odd_prime,
-    _isotropic_extensions,
+    _last_row_batches,
     _validate,
 )
 
@@ -344,6 +343,26 @@ def _random_isotropic(form, k, p, rng):
     return E
 
 
+def extensions(*args):
+    """Every F of _last_row_batches(*args), as F1 plus one surviving row."""
+    return [np.vstack([F1, w]) for F1, X in _last_row_batches(*args) for w in X]
+
+
+def closing_batches(E, W, target, g, eg, p, counter, cap):
+    """(F1, X, closes) per batch of _last_row_batches, with closes[j] True
+    iff F = F1 + <X[j]> satisfies e(F^perp) <= F.  Per state F1, Q is a
+    basis of F1^perp; F^perp is ker(Q g X[j]) in Q coordinates, where
+    _closing_mask decides whether <e u, v> vanishes."""
+    state = None
+    for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
+        if F1 is not state:
+            state = F1
+            Q = nullspace(F1 @ g % p, p)
+            M = Q @ eg % p @ Q.T % p
+            G = Q @ g % p
+        yield F1, X, _closing_mask(X @ G.T % p, M, p)
+
+
 FORMS = {
     Family.B: split_symmetric_form,
     Family.C: symplectic_form,
@@ -382,7 +401,7 @@ class TestIsotropicExtensions:
             if rank(np.vstack([F, E]), p) == target and not np.any(F @ form % p @ F.T % p):
                 expected.add(_canon(F, p))
         counter = [0]
-        got = list(_isotropic_extensions(E, W, target, form, p, counter, DEFAULT_BUDGET))
+        got = extensions(E, W, target, form, p, counter, DEFAULT_BUDGET)
         assert all(np.array_equal(F[:k], E) for F in got)
         canon = [_canon(F, p) for F in got]
         assert len(canon) == len(set(canon))  # each subspace exactly once
@@ -426,20 +445,12 @@ class TestCloses:
             states.append((np.zeros((0, real.dim), dtype=np.int64), nullspace(e, p), witt))
             for E, W, target in states:
                 W = nullspace(E @ g % p, p) if W is None else W
-                leaves = 0
-                for F1, X, closes in _closing_leaves(
-                    E, W, target, g, eg, p, [0], DEFAULT_BUDGET
-                ):
+                for F1, X, closes in closing_batches(E, W, target, g, eg, p, [0], DEFAULT_BUDGET):
                     assert closes.shape == (X.shape[0],)
                     for w, got in zip(X, closes):
                         want = _closes(np.vstack([F1, w]), e, g, p)
                         assert got == want, (orbit, p, F1, w)
                         outcomes.add(want)
-                    leaves += X.shape[0]
-                # the batches hold exactly the isotropic extensions
-                assert leaves == sum(
-                    1 for _ in _isotropic_extensions(E, W, target, g, p, [0], DEFAULT_BUDGET)
-                )
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("orbit,fam", CLOSES_CASES + [("1,1,1,1,1", Family.B)])
@@ -504,7 +515,7 @@ class TestNodeBudget:
         W = np.eye(3, dtype=np.int64)
         counter = [0]
         with pytest.raises(BudgetExceeded):
-            next(_isotropic_extensions(W[:0], W, 1, form, 3, counter, 8))
+            next(_last_row_batches(W[:0], W, 1, form, 3, counter, 8))
         assert counter == [9]
 
     @pytest.mark.parametrize("q", [3, 5])
@@ -607,11 +618,10 @@ def unhoisted_count(real, levi, cap):
         if t == len(dims) - 1:
             return sum(
                 int(np.count_nonzero(closes))
-                for _, _, closes in _closing_leaves(E, window, dims[t], g, eg, p, counter, cap)
+                for _, _, closes in closing_batches(E, window, dims[t], g, eg, p, counter, cap)
             )
         return sum(
-            recurse(F, t + 1)
-            for F in _isotropic_extensions(E, window, dims[t], g, p, counter, cap)
+            recurse(F, t + 1) for F in extensions(E, window, dims[t], g, p, counter, cap)
         )
 
     if not dims:
@@ -686,8 +696,8 @@ class TestHoist:
 
     # Checks where the look-ahead prunes ("a": fewer nodes than with no
     # floor on dim(E cap im e)) and where a level decides its children's
-    # last level in its own batches ("b": _closing_mask called from
-    # decide_chain), each against the un-hoisted reference.
+    # last level in its own batches ("b": _closing_mask called by a settle
+    # whose run is not empty), each against the un-hoisted reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -705,11 +715,13 @@ class TestHoist:
     def test_lookahead_matches_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        callers = []
+        runs = []
         mask = ff_oracle._closing_mask
 
         def spy(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
+            frame = sys._getframe(1)
+            assert frame.f_code.co_name == "settle"
+            runs.append(frame.f_locals["end"] - frame.f_locals["t"])
             return mask(*args)
 
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
@@ -722,14 +734,14 @@ class TestHoist:
         if path == "a":
             assert got.nodes < unpruned.nodes
         else:
-            assert got.nodes == unpruned.nodes and "decide_chain" in callers
+            assert got.nodes == unpruned.nodes and max(runs) > 0
 
     # Runs of two or more fillable levels, each against the un-hoisted
-    # reference: "c", decide_chain decides children by _closing_mask two or
-    # more levels below the level that made them; "s", every child of the
-    # run falls short of its first level and recurses, and _closing_leaves
-    # decides the last level; "m", a child falls short in the middle of a
-    # run and its level is enumerated.  The references for C 6,1,1,1,1 and
+    # reference: "c", settle decides children by _closing_mask two or more
+    # levels below the level that made them; "s", every child of the run
+    # falls short of its first level and recurses, and the last level is
+    # closed after an empty run; "m", a child falls short in the middle of
+    # a run and its level is enumerated.  The references for C 6,1,1,1,1 and
     # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
@@ -750,20 +762,22 @@ class TestHoist:
         decided, closed, enumerated = [], [], []
 
         def sent(frame):
-            """(t, end, level) when ``frame`` runs below a child that
-            decide_chain, deciding the run t..end, sent to recurse into
-            ``level``; None otherwise."""
+            """(t, end, level) when ``frame`` runs below a child that a
+            settle, deciding the run t..end-1 of one or more levels, sent to
+            recurse into ``level``; None otherwise."""
             while frame.f_code.co_name != "recurse":
                 frame = frame.f_back
             run = frame.f_back.f_back  # recurse <- its generator expression
-            if run is None or run.f_code.co_name != "decide_chain":
+            if run is None or run.f_code.co_name != "settle":
                 return None
-            return run.f_locals["t"], run.f_locals["end"], frame.f_locals["t"]
+            t, end = run.f_locals["t"], run.f_locals["end"]
+            return (t, end, frame.f_locals["t"]) if end > t else None
 
         def spy_mask(*args):
-            frame = sys._getframe(1)
-            if frame.f_code.co_name == "decide_chain":
-                decided.append(frame.f_locals["i"] - frame.f_locals["t"])
+            frame = sys._getframe(1)  # the settle closing its children
+            run = frame.f_locals["end"] - frame.f_locals["t"]
+            if run:
+                decided.append(run)
             else:
                 closed.append(sent(frame))
             return mask(*args)
@@ -780,12 +794,12 @@ class TestHoist:
         assert (got.count, got.skipped) == (want, None)
         assert got.nodes <= ref_nodes
         if path == "c":
-            assert max(decided) >= 1
+            assert max(decided) >= 2
         elif path == "s":
             assert not decided and closed
             assert all(run is not None and run[0] == run[2] for run in closed)
         else:
-            assert any(run is not None and run[0] < run[2] <= run[1] for run in enumerated)
+            assert any(run is not None and run[0] < run[2] < run[1] for run in enumerated)
 
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
@@ -825,7 +839,8 @@ class TestHoist:
         real.gram[0, 4] = real.gram[4, 0] = 1
         with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
             fiber_point_count(real, L("1,1;2", Family.C))
-        assert "decide_chain" in {entry.name for entry in info.traceback}
+        raised = info.traceback[-1]  # the run of level 1 alone, the last level
+        assert (raised.name, raised.locals["t"], raised.locals["end"]) == ("settle", 1, 2)
 
     def test_mid_run_level_keeps_the_orthogonality_check(self):
         # C 6,2 via (1,1,1;2): level 1 decides its children's run of levels
@@ -840,7 +855,7 @@ class TestHoist:
         with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
             fiber_point_count(real, L("1,1,1;2", Family.C))
         raised = info.traceback[-1]
-        assert raised.name == "decide_chain"
+        assert raised.name == "settle"
         assert raised.locals["i"] > raised.locals["t"]
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
@@ -872,7 +887,7 @@ def _states(real, levi, cap):
             W = nullspace(np.vstack([start @ g % p, nullspace(E, p) @ e % p]), p)
             yield t, E, L, W
             if rank(start, p) <= dims[t] <= W.shape[0]:
-                children += _isotropic_extensions(start, W, dims[t], g, p, counter, cap)
+                children += extensions(start, W, dims[t], g, p, counter, cap)
         level = children
 
 
