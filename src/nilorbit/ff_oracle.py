@@ -178,7 +178,7 @@ def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     check_modulus(modulus, p.n)
     parts = p.parts
     n = p.n
-    basis = [(i, j) for j, d in enumerate(parts) for i in range(1, d + 1)]
+    basis = tuple((i, j) for j, d in enumerate(parts) for i in range(1, d + 1))
     index = {bj: a for a, bj in enumerate(basis)}
 
     e = np.zeros((n, n), dtype=np.int64)
