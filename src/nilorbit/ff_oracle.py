@@ -446,6 +446,85 @@ def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _window_map(below: np.ndarray, Q: np.ndarray, e: np.ndarray, p: int):
+    """What the windows of one state's children at one level share, from
+    one elimination.  Q is a basis of T0^perp in the form nullspace returns,
+    the rows of ``below`` span B, and c Q has coordinates c.  Reducing
+    [B, 0; Q e^T, J], with J tagging row j of Q in column q - 1 - j, gives
+    (R, pivots, C, K, lead): R, a reduced-echelon basis of B + e(span Q)
+    with pivot columns ``pivots``; C, per row of R, the coordinates of a z
+    with e z = R_j mod B, zero at K's leading coordinates; K, those of
+    Z0 = {z in span Q : e z in B}, in the reduced form nullspace returns;
+    and ``lead``, the last nonzero coordinate of each row of K."""
+    (q, n), d = Q.shape, below.shape[0]
+    M = np.zeros((d + q, n + q), dtype=np.int64)
+    M[:d, :n] = below
+    M[d:, :n] = Q @ e.T % p
+    M[np.arange(d, d + q), np.arange(n + q - 1, n - 1, -1)] = 1
+    red, pivots = rref(M, p)
+    split = sum(col < n for col in pivots)
+    lead = np.array([n + q - 1 - col for col in pivots[split:]], dtype=np.intp)[::-1]
+    coords = red[:, n:][:, ::-1]
+    return red[:split, :n], pivots[:split], coords[:split], coords[split:][::-1], lead
+
+
+def _child_windows(wmap, Q: np.ndarray, X: np.ndarray, A: np.ndarray, target: int, g, p: int):
+    """The windows W_x = (T0 + x)^perp cap e^{-1}(B + x) of the children x,
+    the reduced rows of X, of one state at one level, from the _window_map
+    of B and Q and A = X g Q^T.  A w in span Q with e w in B + <x> has
+    e w = a x mod B, so with h_x = [x in e(span Q) + B, x not in B] and
+    e z_x = x mod B, W_x = (Z0 + h_x <z_x>) cap x^perp and
+        dim W_x = dim Z0 + h_x - [Z0 + h_x <z_x> is not in x^perp],
+    for the whole batch by products.  Returns (j, W_j) for each child j
+    whose window can reach ``target`` (_fits), in order; no other window is
+    built.  Each is K with z_x added and the x^perp cut made as row updates
+    of K, so W_j is the basis nullspace returns."""
+    R, pivots, C, K, lead = wmap
+    coef = X[:, pivots]
+    Z = coef @ C % p
+    Z[((X - coef @ R) % p).any(axis=1)] = 0  # x is not in e(span Q) + B
+    h = Z.any(axis=1)  # z_x = 0 exactly when x is in B
+    cut = (A @ K.T % p).any(axis=1) | (np.einsum("ij,ij->i", Z, A) % p != 0)
+    dims = K.shape[0] + h - cut
+    windows = []
+    for add, cuts in itertools.product((False, True), repeat=2):
+        js = np.flatnonzero((h == add) & (cut == cuts) & (dims >= target))
+        if not js.size:
+            continue
+        r = np.arange(js.size)
+        B = np.broadcast_to(K, (js.size,) + K.shape)  # K per child, rows by lead
+        if add:  # insert z_x, scaled to 1 at its last nonzero coordinate col
+            z = Z[js]
+            col = z.shape[1] - 1 - (z[:, ::-1] != 0).argmax(axis=1)
+            z = z * np.array([pow(int(v), -1, p) for v in z[r, col]])[:, None] % p
+            B = (B - K[:, col].T[:, :, None] * z[:, None, :]) % p
+            # z goes between the rows whose lead is below col and the rest
+            at = np.count_nonzero(lead < col[:, None], axis=1)[:, None]
+            m = np.arange(K.shape[0] + 1)
+            order = np.where(m == at, K.shape[0], m - (m > at))
+            B = np.concatenate([B, z[:, None, :]], axis=1)[r[:, None], order]
+        if cuts:  # drop the first row (least lead) that x^perp cuts
+            f = np.einsum("jkq,jq->jk", B, A[js]) % p
+            k = (f != 0).argmax(axis=1)
+            f = f * np.array([pow(int(v), -1, p) for v in f[r, k]])[:, None] % p
+            B = (B - f[:, :, None] * B[r, k][:, None, :]) % p
+            B = B[np.arange(B.shape[1]) != k[:, None]].reshape(js.size, -1, B.shape[2])
+        W = B @ Q % p
+        fits = _fits(W, target, g, p)
+        windows += [(j, W[i]) for i, j in enumerate(js) if fits[i]]
+    windows.sort(key=lambda item: item[0])
+    return windows
+
+
+def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> np.ndarray:
+    """Per window (the rows of W, or of each W[j]): can an isotropic F of
+    dimension ``target`` lie in it?  Not when it is smaller than that, nor
+    when it has that dimension and is not isotropic."""
+    if W.shape[-2] != target:
+        return np.full(W.shape[:-2], W.shape[-2] > target)
+    return ~(W @ g % p @ np.swapaxes(W, -1, -2) % p).any(axis=(-2, -1))
+
+
 def _forced_subspaces(e: np.ndarray, k: int, p: int) -> tuple[list[np.ndarray], bool]:
     """Row bases of L_i = im e^(2k+1-i) for i = 1..k, and whether
     e^(2k+1) = 0 mod p."""
@@ -493,16 +572,24 @@ def fiber_point_count(
     fillable levels, which may be empty, in those batches: per state F1
     and level i of the run, one nullspace gives Q, a basis of
     (F1 + L_i)^perp, and a child x reaches dim(F1 + L_i) + [Q g x != 0] at
-    level i.  A child that overfills counts 0 and one that falls short
-    recurses into level i.  After the run, a child past the last level is
-    closed: F = (F^perp)^perp, so e(F^perp) <= F exactly when the form
-    (u, v) -> <e u, v> vanishes on F^perp, and _closing_mask decides that
-    for a whole batch from Q eg Q^T, with Q a basis of (F1 + L_k)^perp
-    (of F1^perp when the last level was enumerated, as L_k <= F1 there).
-    Any other child recurses into the level after the run.  A node is one
-    candidate row generated and tested, or one level decided by its forced
-    subspace; deciding a run in batches charges the same node per child
-    and level as recursing into each child would.  The budget caps the
+    level i.  A child that overfills counts 0.  After the run, a child past
+    the last level is closed: F = (F^perp)^perp, so e(F^perp) <= F exactly
+    when the form (u, v) -> <e u, v> vanishes on F^perp, and _closing_mask
+    decides that for a whole batch from Q eg Q^T, with Q a basis of
+    (F1 + L_k)^perp (of F1^perp when the last level was enumerated, as
+    L_k <= F1 there).
+
+    A child that falls short of level i, or that the run leaves short of
+    the level after it, is enumerated there in its window (E + L_i)^perp
+    cap e^{-1}(E), E = F1 + L_{i-1} + <x>.  The parent's batch sizes the
+    windows (_window_map, _child_windows; a lone child takes two
+    eliminations instead), and a child whose window is smaller than
+    dim E_i, or of that dimension and not isotropic, is never enumerated.
+
+    A node is one candidate row generated and tested, or one level decided
+    by its forced subspace; deciding a run in batches charges the same node
+    per child and level as recursing into each child would, and a child
+    whose window cannot reach its level costs none.  The budget caps the
     nodes: a check whose total would exceed it returns an explicit skip
     with ``nodes == budget + 1``, never a wrong count.
 
@@ -550,23 +637,18 @@ def fiber_point_count(
             f"E_{t} is not orthogonal to L_{t + 1} ({real.partition}, {levi}, p={p})"
         )
 
-    def recurse(E: np.ndarray, t: int) -> int:
-        """Enumerate level t over E = E_{t-1}, whose E + L_t is short of
-        dims[t], and settle its children."""
-        target, L = dims[t], forced[t]
-        start, start_g = E, E @ g % p  # start^perp is the kernel of start_g
-        if sizes[t + 1] > sizes[t]:  # L_t is not in E
-            if np.any(start_g @ L.T % p):
-                raise orthogonality_error(t)
-            # Rows spanning E + L_i; the enumeration picks a basis of them.
-            start, start_g = np.vstack([E, L]), np.vstack([start_g, forced_g[t]])
-        # F <= start^perp and e(F) <= E
-        lift = e if t == 0 else nullspace(E, p) @ e % p
-        window = nullspace(np.vstack([start_g, lift]), p)
-        # Only children with dim(F cap im e) >= needs[t] can reach the next level.
-        inside = nullspace(im_cut @ window.T % p, p) @ window % p if needs[t] > 0 else None
+    def recurse(E: np.ndarray, window: np.ndarray, t: int) -> int:
+        """Enumerate level t over E = E_{t-1} in its window (E + L_t)^perp
+        cap e^{-1}(E), which can reach dims[t], and settle its children;
+        0 when the window cannot meet im e in needs[t] dimensions."""
+        start = E if sizes[t + 1] == sizes[t] else np.vstack([E, forced[t]])
+        inside = None
+        if needs[t] > 0:  # only F with dim(F cap im e) >= needs[t] go on
+            inside = nullspace(im_cut @ window.T % p, p) @ window % p
+            if inside.shape[0] < needs[t]:
+                return 0
         return settle(
-            _last_row_batches(start, window, target, g, p, counter, cap, inside, needs[t]), t + 1
+            _last_row_batches(start, window, dims[t], g, p, counter, cap, inside, needs[t]), t + 1
         )
 
     def settle(batches, t: int) -> int:
@@ -575,17 +657,17 @@ def fiber_point_count(
         of fillable levels, which may be empty, in those batches.  Below
         level i - 1 >= t a child is F1 + L_{i-1} + <x>, so E_{i-1} + L_i =
         F1 + L_i + <x>, of dimension dim(F1 + L_i) + [G x != 0].  A child
-        that falls short of level i recurses into it.  After the run, a
-        child past the last level is closed, and any other recurses into
-        level end."""
+        that falls short of level i, or that the run leaves short of level
+        end, descends into that level.  After the run, a child past the last
+        level is closed."""
         end = t
         while end <= last and fills[end]:
             end += 1
 
         def basis(i: int):
-            """(dim(F1 + L_i), G = Q g, M = Q eg Q^T at the last level) for
-            Q a basis of (F1 + L_i)^perp, built once per state and level.
-            A level enumerated above the run (i < t) has L_i <= F1."""
+            """(dim(F1 + L_i), Q, G = Q g, M = Q eg Q^T at the last level)
+            for Q a basis of (F1 + L_i)^perp, built once per state and
+            level.  A level enumerated above the run (i < t) has L_i <= F1."""
             if i not in bases:
                 rows = F1g
                 if i >= t:
@@ -594,22 +676,43 @@ def fiber_point_count(
                     rows = np.vstack([F1g, forced_g[i]])
                 Q = nullspace(rows, p)
                 M = Q @ eg % p @ Q.T % p if i == last else None
-                bases[i] = n - Q.shape[0], Q @ g % p, M
+                bases[i] = n - Q.shape[0], Q, Q @ g % p, M
             return bases[i]
+
+        def descend(X: np.ndarray, i: int, A: np.ndarray | None = None) -> int:
+            """The count below the children of X, whose level i is
+            enumerated (A = X G^T for basis(i), when the run built it): each
+            child x that can reach dims[i] in the window of E = B + <x>,
+            B = F1 + L_{i-1}, recurses with it.  Two or more children are
+            sized in one batch, and only the windows that can reach dims[i]
+            are built; a lone child's window takes two eliminations."""
+            below = F1 if i == t else np.vstack([F1, forced[i - 1]])
+            if X.shape[0] == 1:
+                E = np.vstack([below, X])
+                W = nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
+                windows = [(0, W)] if _fits(W, dims[i], g, p) else []
+            else:
+                _, Q, G, _ = basis(i)
+                if i not in maps:
+                    maps[i] = _window_map(below, Q, e, p)
+                A = X @ G.T % p if A is None else A
+                windows = _child_windows(maps[i], Q, X, A, dims[i], g, p)
+            return sum(recurse(np.vstack([below, X[j]]), W, i) for j, W in windows)
 
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases = F1, F1 @ g % p, {}
+                state, F1g, bases, maps = F1, F1 @ g % p, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
-                size, G, _ = basis(i)
+                size, _, G, _ = basis(i)
                 A = X @ G.T % p
                 reach = size + A.any(axis=1)  # dim(F1 + L_i + <x>)
                 _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
-                below = F1 if i == t else np.vstack([F1, forced[i - 1]])
-                total += sum(recurse(np.vstack([below, x]), i) for x in X[reach < dims[i]])
+                short = reach < dims[i]
+                if short.any():
+                    total += descend(X[short], i, A[short])
                 fit = reach == dims[i]
                 X, A = X[fit], A[fit]
                 if not X.shape[0]:
@@ -617,12 +720,13 @@ def fiber_point_count(
             if not X.shape[0]:
                 continue
             if end <= last:
-                below = F1 if end == t else np.vstack([F1, forced[end - 1]])
-                total += sum(recurse(np.vstack([below, x]), end) for x in X)
+                if np.any(X @ forced_g[end].T % p) or np.any(F1g @ forced[end].T % p):
+                    raise orthogonality_error(end)
+                total += descend(X, end)
                 continue
             # F = F1 + L_k + <x> closes iff M vanishes on F^perp = ker(G x) in Q
             # coordinates (_closing_mask); when G x = 0, F^perp is all of Q.
-            size, G, M = basis(last)
+            size, _, G, M = basis(last)
             if end == t:  # the last level was enumerated, so no run built A
                 A = X @ G.T % p
             if size < dims[last]:

@@ -42,10 +42,12 @@ from nilorbit import ff_oracle
 from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
+    _child_windows,
     _closing_mask,
     _is_odd_prime,
     _last_row_batches,
     _validate,
+    _window_map,
 )
 
 
@@ -767,9 +769,10 @@ class TestHoist:
             recurse into ``level``; None otherwise."""
             while frame.f_code.co_name != "recurse":
                 frame = frame.f_back
-            run = frame.f_back.f_back  # recurse <- its generator expression
-            if run is None or run.f_code.co_name != "settle":
-                return None
+            # recurse <- descend's generator expression <- descend <- settle
+            chain = [frame.f_back, frame.f_back.f_back, frame.f_back.f_back.f_back]
+            assert [f.f_code.co_name for f in chain] == ["<genexpr>", "descend", "settle"]
+            run = chain[-1]
             t, end = run.f_locals["t"], run.f_locals["end"]
             return (t, end, frame.f_locals["t"]) if end > t else None
 
@@ -869,8 +872,8 @@ class TestHoist:
 def _states(real, levi, cap):
     """Every (t, E, L, W) of the forced-subspace enumeration without the
     look-ahead: E = E_t of a partial flag (E_0 = 0), L = im e^(2k-t) and
-    the window W = (E + L)^perp cap e^{-1}(E) of level t + 1, built as
-    fiber_point_count builds it.  Raises BudgetExceeded once the
+    the window W = (E + L)^perp cap e^{-1}(E) of level t + 1, built for
+    each E on its own by two eliminations.  Raises BudgetExceeded once the
     enumeration has tested ``cap`` rows."""
     p, e, g = real.modulus, real.e, real.gram
     dims = list(itertools.accumulate(levi.ps))
@@ -891,6 +894,21 @@ def _states(real, levi, cap):
         level = children
 
 
+def _swept_states(q):
+    """(real, levi, states) for every Levi of B N <= 7 and C/D N <= 6 at
+    p = q whose _states finish within 2,000 tested rows."""
+    for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+        for n in range(2 - fam.size_parity, top + 1, 2):
+            for orbit in enumerate_valid(n, fam):
+                real = realize(orbit, fam, q)
+                for levi in enumerate_levis(n, fam):
+                    try:
+                        reached = list(_states(real, levi, 2000))
+                    except BudgetExceeded:
+                        continue
+                    yield real, levi, reached
+
+
 class TestLookAhead:
     @pytest.mark.parametrize("q", [3, 5])
     def test_window_lemma_on_every_state(self, q):
@@ -898,27 +916,60 @@ class TestLookAhead:
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
         # + 2 dim(E cap im e), the bound _need turns into a floor.
         states = 0
-        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
-            for n in range(2 - fam.size_parity, top + 1, 2):
-                for orbit in enumerate_valid(n, fam):
-                    real = realize(orbit, fam, q)
-                    p, e, g = q, real.e, real.gram
-                    rank_e, c = rank(e, p), len(orbit.parts)
-                    for levi in enumerate_levis(n, fam):
-                        try:
-                            reached = list(_states(real, levi, 2000))
-                        except BudgetExceeded:
-                            continue
-                        for t, E, L, W in reached:
-                            e_perp = nullspace(E @ g % p, p) @ e.T % p
-                            d = E.shape[0]
-                            meet = d + rank_e - rank(np.vstack([E, e.T]), p)
-                            case = (orbit, levi, t, E)
-                            assert W.shape[0] == n - rank(np.vstack([E, L, e_perp]), p), case
-                            assert rank(e_perp, p) == rank_e - meet, case
-                            assert W.shape[0] <= c - d + 2 * meet, case
-                            states += 1
+        p = q
+        for real, levi, reached in _swept_states(q):
+            e, g, n = real.e, real.gram, real.dim
+            rank_e, c = rank(e, p), len(real.partition.parts)
+            for t, E, L, W in reached:
+                e_perp = nullspace(E @ g % p, p) @ e.T % p
+                d = E.shape[0]
+                meet = d + rank_e - rank(np.vstack([E, e.T]), p)
+                case = (real.partition, levi, t, E)
+                assert W.shape[0] == n - rank(np.vstack([E, L, e_perp]), p), case
+                assert rank(e_perp, p) == rank_e - meet, case
+                assert W.shape[0] <= c - d + 2 * meet, case
+                states += 1
         assert states > 1000
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_batched_windows_match_per_child_windows(self, q):
+        # Each state E_t = F1 + <x>, x the row its parent added last (E_0 =
+        # 0 is the root's x = 0 over F1 = 0), is grouped with its siblings.
+        # One _window_map per group, with B = F1 and Q a basis of (F1 + L)^perp,
+        # sizes every child's window by products; each must equal _states'
+        # W in dimension and in basis (the form nullspace returns) at target
+        # 0, where every window is built, and at dims[t] exactly the
+        # windows that an F of that dimension can fit (dim W > dims[t], or
+        # = dims[t] with W isotropic) must be built.
+        p = q
+        seen = {"groups of 2+": 0, "fit exactly": 0, "too small": 0, "not isotropic": 0}
+        for real, levi, reached in _swept_states(q):
+            e, g, n = real.e, real.gram, real.dim
+            dims = list(itertools.accumulate(levi.ps))
+            groups = {}
+            for t, E, L, W in reached:
+                F1, x = (E, np.zeros((1, n), dtype=np.int64)) if t == 0 else (E[:-1], E[-1:])
+                groups.setdefault((t, F1.tobytes()), (F1, L, []))[2].append((x, W))
+            for (t, _), (F1, L, kids) in groups.items():
+                X = np.vstack([x for x, _ in kids])
+                Q = nullspace(np.vstack([F1, L]) @ g % p, p)
+                wmap = _window_map(F1, Q, e, p)
+                A = X @ (Q @ g % p).T % p
+                built = dict(_child_windows(wmap, Q, X, A, 0, g, p))
+                fitting = dict(_child_windows(wmap, Q, X, A, dims[t], g, p))
+                seen["groups of 2+"] += len(kids) > 1
+                for j, (x, W) in enumerate(kids):
+                    case = (real.partition, levi, t, F1, x)
+                    isotropic = not np.any(W @ g % p @ W.T % p)
+                    fits = W.shape[0] > dims[t] or (W.shape[0] == dims[t] and isotropic)
+                    assert np.array_equal(built[j], W), case
+                    assert (j in fitting) == fits, case
+                    if j in fitting:
+                        assert np.array_equal(fitting[j], W), case
+                    seen["fit exactly"] += fits and W.shape[0] == dims[t]
+                    seen["too small"] += W.shape[0] < dims[t]
+                    seen["not isotropic"] += W.shape[0] == dims[t] and not isotropic
+        assert min(seen.values()) > 0, seen
 
 
 class TestInvariantError:
