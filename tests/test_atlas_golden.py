@@ -21,9 +21,9 @@ DEFAULT_BUDGET = {
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
     "B4": ("7e76b425df9dbf6fc5f248da9a762ec27bb130a85b5a834f50c24997c6faa35f",
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
-    "B5": ("51f4e3700bcd877968febcddecf16d9fad7b23ad087a30f3f7f1646ad8425e06",
+    "B5": ("413f38b2eaeb85531658cc997293b3ecb1cddbbdff57707af27d65dfb846b7de",
            "2a06ecea940d3a90c2c6926712aaafe54d16468011d9af745be3d11fe967d0ba"),
-    "B6": ("d442e9fe91992871a225749fd0ea84fa771787717d6d5f102184e052232b5780",
+    "B6": ("7a1eba1d63506a86b35c47d4e975fbd6ac76e4c7ea05df4d3f1856550f5f6cfa",
            "9b0d15ed395166dc5f680ce9bc48729fcf371c33175f2ed4055d31f391fd1dab"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
@@ -31,23 +31,23 @@ DEFAULT_BUDGET = {
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
     "C3": ("6025a832f4950b499a5c2c65234ac5499198f5cbf489fdf8f9ca8ed47ff33276",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("6c31e623e37f3aa9141909d9a1c4dfed91356141e8d838182651295fd4f5b280",
+    "C4": ("defe7ce029163077d8b91b718eb4aec25f3068043130c7ef5e3cce199ef016e4",
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
-    "C5": ("6a7182bc0aafb72f6895d274f541fd8e3221e2a66f2f0fdca8d9e26c91eadf05",
+    "C5": ("8e306c5a94e1122ab4bae5e96301847d8ccf92c9c0fb2fa6791c6efd7b0244a4",
            "a3f0aaeedcc17705d427cabeae5c6395b7804f6d43b68823729a116b24138b53"),
-    "C6": ("d7a605978dfe741a3e532a15a1fc4e3ce5f6e349de5ddb39d5d1a86490e752ce",
+    "C6": ("f6df25c06442b91a14a52d58da8f810ae8c1818c8960b1e0d8bee5185fb84e6c",
            "e9c2656644ed9cf3e67513974c981e9d233efcd41824fc5f237ca0f1c0aa1dd9"),
     "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
     "D2": ("3166c238c78c872accabace2463f40ce2c63fd118ad8b0bc7741144afc7d2253",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("95bf829c4a50e6ba54ce163a5a60e4f62a129541636ce2bdd91cffbb10b1e977",
+    "D3": ("fffe56e0cc89384f56fe4de9508331c5b95b058246e9da7bddfee6bcc7b8c989",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("af08114a8509e177cfa910f4dac4711b8232aed39147ecf0187a9a4424a715ef",
+    "D4": ("2383b665863cd0e05a0e3a956056e42f8e627f513ebc8badf314e2c97f5b40f8",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("95a9e597540a81a916bf66c1635366bacad668aa70239e819545cd003740b7e4",
+    "D5": ("007363bf491d95e2456536530f356d0c12ea64b341a41e9ea84077066ee6c8bc",
            "c770f7bedd7db697ea6a646b53ddf46ee2f3ede9a6f78cf6992654f1a43f0639"),
-    "D6": ("072df277932d738fddf84b851b6d9a0f8cdae9fecd32b1383f867d1ef38d6574",
+    "D6": ("f3786bda5ac237dff2552e99eb516c2b1b32dbb4e329a96288b98b8d6855afe3",
            "e2d78ece773b3bd2e5d9a2dda7b6bb208256fa0d6444c191e0d2177ab9b81743"),
 }
 BUDGET_0 = {
