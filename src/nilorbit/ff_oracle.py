@@ -266,6 +266,67 @@ def _need(d: int, d_next: int, c: int) -> int:
     return -((c - d - d_next) // 2)
 
 
+def _quotient_slack(p: Partition, levi: LeviType, i: int) -> np.ndarray:
+    """n - rank e^a - S_a for a = 1 .. max(p) - 1, where S_a is the sum of
+    the a largest steps of the chain p_i, ..., p_k, q, p_k, ..., p_i left
+    below level i (levi.ps from index i on).  Read by _quotient_cut; it
+    uses only the parts of p and the steps of levi."""
+    steps = sorted(levi.ps[i:] * 2 + (levi.q,), reverse=True)
+    top = list(itertools.accumulate(steps))
+    return np.array(
+        [
+            p.n - sum(max(d - a, 0) for d in p.parts) - top[min(a, len(top)) - 1]
+            for a in range(1, max(p.parts))
+        ],
+        dtype=np.int64,
+    )
+
+
+def _quotient_cut(below: np.ndarray, order: np.ndarray, height: np.ndarray, slack, p: int):
+    """What _quotient_alive needs to decide, for the children E = B + <x>
+    of one state at level i (B the row span of ``below``), whether any flag
+    continues below E, from one elimination of B.  ``order`` sorts the
+    Jordan basis by the height d_j - i of x(i,j), ``height`` is the sorted
+    heights, and ``slack`` is _quotient_slack at level i.
+
+    The flags below E are flags of the induced e' on E^perp/E, of dimension
+    N' = n - 2 dim E, for the chain that _quotient_slack's steps make, and
+    e' lowers that chain strictly.  The largest rank of the a-th power on
+    its nilradical is N' - S_a, and rank is lower semicontinuous.  As
+    dim e^a(E^perp) = rank e^a - dim(E cap im e^a) and e^a(E^perp) meets E
+    inside E cap im e^a, rank e'^a >= rank e^a - 2 dim(E cap im e^a).  So no
+    flag continues below E when, for some a >= 1,
+        rank e^a - 2 dim(E cap im e^a) > N' - S_a.
+    im e^a is spanned by the x(i,j) of height >= a.  With r_a pivots of B's
+    reduced form at heights < a (columns in height order), dim(E cap im e^a)
+    = dim E - r_a - [x, reduced by B, has an entry at height < a]; an x in
+    B adds no dimension.  dim E cancels: the bound holds for no child when
+    slack_a < 2 r_a for some a, and otherwise for exactly the x outside
+    B + im e^a, a the largest with slack_a <= 2 r_a + 1.
+    Returns None in the first case, else (cols, piv, R): x can continue iff
+    x[cols] = x[piv] R mod p."""
+    if not slack.size:  # e = 0: every rank is 0
+        return order[:0], order[:0], np.zeros((0, 0), dtype=np.int64)
+    R, pivots = rref(below[:, order[: np.searchsorted(height, slack.size)]], p)
+    at = height[pivots]
+    slack = slack - 2 * np.searchsorted(at, np.arange(1, slack.size + 1))
+    if slack.min() < 0:
+        return None
+    low = np.flatnonzero(slack <= 1)
+    a = low[-1] + 1 if low.size else 0
+    m, k = np.searchsorted(height, a), np.searchsorted(at, a)
+    return order[:m], order[np.array(pivots[:k], dtype=np.intp)], R[:k, :m]
+
+
+def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
+    """Per child x, a row of X: can a flag continue below E = B + <x>, by
+    the rank bound that _quotient_cut decided for B?"""
+    if cut is None:
+        return np.zeros(X.shape[0], dtype=bool)
+    cols, piv, R = cut
+    return ~((X[:, cols] - X[:, piv] @ R) % p).any(axis=1)
+
+
 def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     """Nodes every count of this fiber charges before anything can end it,
     from (p, levi, modulus) alone.  With k general-linear blocks, the first
@@ -586,10 +647,25 @@ def fiber_point_count(
     eliminations instead), and a child whose window is smaller than
     dim E_i, or of that dimension and not isotropic, is never enumerated.
 
+    Before that, a child E = E_{i-1}, i >= 2, is dropped when its quotient
+    cannot hold the rest of the flag.  The flags below E are flags of the
+    induced e' on E^perp/E, of dimension N' = n - 2 dim E, for the Levi
+    (p_i, ..., p_k; q), and e' lowers the chain E'_i < ... < E'_k^perp
+    strictly.  On that nilradical rank x^a is at most N' - S_a, S_a the sum
+    of the a largest steps among p_i, ..., p_k, q, p_k, ..., p_i, as rank
+    is lower semicontinuous.  And rank e'^a >= rank e^a - 2 dim(E cap
+    im e^a), since dim e^a(E^perp) = rank e^a - dim(E cap im e^a) and
+    e^a(E^perp) meets E inside E cap im e^a.  A child for which the second
+    exceeds the first at some a >= 1 has nothing below it.  The test reads
+    only the Jordan coordinates and the Levi's steps: one elimination per
+    state and level (_quotient_cut) and one product per batch
+    (_quotient_alive).
+
     A node is one candidate row generated and tested, or one level decided
     by its forced subspace; deciding a run in batches charges the same node
     per child and level as recursing into each child would, and a child
-    whose window cannot reach its level costs none.  The budget caps the
+    that the quotient bound drops or whose window cannot reach its level
+    costs none.  The budget caps the
     nodes: a check whose total would exceed it returns an explicit skip
     with ``nodes == budget + 1``, never a wrong count.
 
@@ -631,6 +707,12 @@ def fiber_point_count(
     needs = [_need(dims[t], dims[t + 1], c) for t in range(last)] + [
         _need(dims[0], n - dims[0], c) if last == 0 and dims[0] - sizes[1] == 1 else 0
     ]
+
+    # The Jordan basis in order of height, and the rank table of each level.
+    heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+    order = np.argsort(heights, kind="stable")
+    height = heights[order]
+    slack = [_quotient_slack(real.partition, levi, i) for i in range(last + 1)]
 
     def orthogonality_error(t: int) -> InvariantError:
         return InvariantError(
@@ -682,11 +764,20 @@ def fiber_point_count(
         def descend(X: np.ndarray, i: int, A: np.ndarray | None = None) -> int:
             """The count below the children of X, whose level i is
             enumerated (A = X G^T for basis(i), when the run built it): each
-            child x that can reach dims[i] in the window of E = B + <x>,
+            child x whose quotient can hold the levels left (for i >= 1)
+            and that can reach dims[i] in the window of E = B + <x>,
             B = F1 + L_{i-1}, recurses with it.  Two or more children are
             sized in one batch, and only the windows that can reach dims[i]
             are built; a lone child's window takes two eliminations."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
+            if i:  # drop each child whose quotient cannot hold levels i..k
+                if i not in cuts:
+                    cuts[i] = _quotient_cut(below, order, height, slack[i], p)
+                alive = _quotient_alive(cuts[i], X, p)
+                if not alive.all():
+                    X, A = X[alive], None if A is None else A[alive]
+                    if not X.shape[0]:
+                        return 0
             if X.shape[0] == 1:
                 E = np.vstack([below, X])
                 W = nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
@@ -702,7 +793,7 @@ def fiber_point_count(
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases, maps = F1, F1 @ g % p, {}, {}
+                state, F1g, bases, maps, cuts = F1, F1 @ g % p, {}, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)

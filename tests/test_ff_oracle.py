@@ -46,6 +46,9 @@ from nilorbit.ff_oracle import (
     _closing_mask,
     _is_odd_prime,
     _last_row_batches,
+    _quotient_alive,
+    _quotient_cut,
+    _quotient_slack,
     _validate,
     _window_map,
 )
@@ -603,10 +606,11 @@ def spy_first_rows(monkeypatch):
 # --- the forced subspaces against the un-hoisted enumeration -----------------
 
 
-def unhoisted_count(real, levi, cap):
+def unhoisted_count(real, levi, cap, start=None, t=0):
     """(count, nodes) of the flag enumeration without the forced subspaces
     im e^(2k+1-i): level i starts from E_{i-1} alone, inside E_{i-1}^perp
-    intersected with e^{-1}(E_{i-1}); (None, cap + 1) past the cap."""
+    intersected with e^{-1}(E_{i-1}); (None, cap + 1) past the cap.  With
+    ``start``, the rows of a level space E_t, only the flags through it."""
     p, e, g = real.modulus, real.e, real.gram
     dims = list(itertools.accumulate(levi.ps))
     counter = [0]
@@ -629,7 +633,9 @@ def unhoisted_count(real, levi, cap):
     if not dims:
         return int(not np.any(e % p)), 0
     try:
-        return recurse(np.zeros((0, real.dim), dtype=np.int64), 0), counter[0]
+        if start is None:
+            start = np.zeros((0, real.dim), dtype=np.int64)
+        return recurse(start, t), counter[0]
     except BudgetExceeded:
         return None, counter[0]
 
@@ -744,7 +750,10 @@ class TestHoist:
     # falls short of its first level and recurses, and the last level is
     # closed after an empty run; "m", a child falls short in the middle of
     # a run and its level is enumerated.  The references for C 6,1,1,1,1 and
-    # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.
+    # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.  The
+    # paths are pinned with the quotient bound off: it drops the children of
+    # the count-0 cases before they reach them.  With it on, the count is
+    # the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
@@ -791,11 +800,13 @@ class TestHoist:
                 enumerated.append(sent(frame))
             return charge(*args)
 
+        pruned = fiber_point_count(real, levi)
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
         monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
+        monkeypatch.setattr(ff_oracle, "_quotient_alive", lambda cut, X, p: np.ones(len(X), dtype=bool))
         got = fiber_point_count(real, levi)
-        assert (got.count, got.skipped) == (want, None)
-        assert got.nodes <= ref_nodes
+        assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
+        assert pruned.nodes <= got.nodes <= ref_nodes
         if path == "c":
             assert max(decided) >= 2
         elif path == "s":
@@ -970,6 +981,46 @@ class TestLookAhead:
                     seen["too small"] += W.shape[0] < dims[t]
                     seen["not isotropic"] += W.shape[0] == dims[t] and not isotropic
         assert min(seen.values()) > 0, seen
+
+    # States E = E_t, t >= 1, of the sweep that the quotient bound drops.
+    @pytest.mark.parametrize("q,drops", [(3, 42), (5, 100)])
+    def test_quotient_bound_on_every_state(self, q, drops):
+        # On E^perp/E, rank e'^a = rank(E + e^a(E^perp)) - dim E exactly, and
+        # the bound's side rank e^a - 2 dim(E cap im e^a) may not exceed it.
+        # The flags below E lower the chain of steps p_{t+1}, .., q, .., p_{t+1}
+        # of E^perp/E, so none exist when that side exceeds N' - (the a
+        # largest steps).  _quotient_cut and _quotient_alive must drop E,
+        # split as B + <x> with x in B or not, exactly then, and the
+        # un-hoisted reference must count no flag below a dropped E.
+        p = q
+        dropped = 0
+        for real, levi, reached in _swept_states(q):
+            e, g, n = real.e, real.gram, real.dim
+            heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+            order = np.argsort(heights, kind="stable")
+            powers = [_pow(e, a, p) for a in range(1, max(real.partition.parts))]
+            for t, E, _, _ in reached:
+                if t == 0:
+                    continue
+                d = rank(E, p)
+                steps = sorted(levi.ps[t:] * 2 + (levi.q,), reverse=True)
+                perp = nullspace(E @ g % p, p)
+                dead = False
+                for a, power in enumerate(powers, 1):
+                    rank_a = rank(power, p)
+                    meet = d + rank_a - rank(np.vstack([E, power.T]), p)
+                    exact = rank(np.vstack([E, perp @ power.T % p]), p) - d
+                    assert rank_a - 2 * meet <= exact, (real.partition, levi, E, a)
+                    dead |= rank_a - 2 * meet > n - 2 * d - sum(steps[:a])
+                slack = _quotient_slack(real.partition, levi, t)
+                for B in (E[:-1], E):
+                    cut = _quotient_cut(B, order, heights[order], slack, p)
+                    assert _quotient_alive(cut, E[-1:], p)[0] != dead, (real.partition, levi, B)
+                if dead:
+                    below = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
+                    assert below == (0, below[1]), (real.partition, levi, E)
+                    dropped += 1
+        assert dropped == drops
 
 
 class TestInvariantError:
