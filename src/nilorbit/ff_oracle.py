@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,56 +267,44 @@ def _need(d: int, d_next: int, c: int) -> int:
     return -((c - d - d_next) // 2)
 
 
-def _quotient_slack(p: Partition, levi: LeviType, i: int) -> np.ndarray:
+def _quotient_slack(p: Partition, levi: LeviType, i: int) -> list[int]:
     """n - rank e^a - S_a for a = 1 .. max(p) - 1, where S_a is the sum of
     the a largest steps of the chain p_i, ..., p_k, q, p_k, ..., p_i left
     below level i (levi.ps from index i on).  Read by _quotient_cut; it
     uses only the parts of p and the steps of levi."""
     steps = sorted(levi.ps[i:] * 2 + (levi.q,), reverse=True)
     top = list(itertools.accumulate(steps))
-    return np.array(
-        [
-            p.n - sum(max(d - a, 0) for d in p.parts) - top[min(a, len(top)) - 1]
-            for a in range(1, max(p.parts))
-        ],
-        dtype=np.int64,
-    )
+    return [
+        p.n - sum(max(d - a, 0) for d in p.parts) - top[min(a, len(top)) - 1]
+        for a in range(1, max(p.parts))
+    ]
 
 
-def _quotient_cut(below: np.ndarray, order: np.ndarray, height: np.ndarray, slack, p: int):
-    """What _quotient_alive needs to decide, for the children E = B + <x>
-    of one state at level i (B the row span of ``below``), whether any flag
-    continues below E, from one elimination of B.  ``order`` sorts the
-    Jordan basis by the height d_j - i of x(i,j), ``height`` is the sorted
+def _quotient_cut(below: np.ndarray, order: list[int], height: list[int], slack: list[int], p: int):
+    """What _quotient_alive needs to decide fiber_point_count's quotient
+    bound, that no flag continues below E when for some a >= 1
+        rank e^a - 2 dim(E cap im e^a) > N' - S_a,  N' = n - 2 dim E,
+    for the children E = B + <x> of one state at level i (B the row span of
+    ``below``), from one elimination of B.  ``order`` sorts the Jordan
+    basis by the height d_j - i of x(i,j), ``height`` is the sorted
     heights, and ``slack`` is _quotient_slack at level i.
 
-    The flags below E are flags of the induced e' on E^perp/E, of dimension
-    N' = n - 2 dim E, for the chain that _quotient_slack's steps make, and
-    e' lowers that chain strictly.  The largest rank of the a-th power on
-    its nilradical is N' - S_a, and rank is lower semicontinuous.  As
-    dim e^a(E^perp) = rank e^a - dim(E cap im e^a) and e^a(E^perp) meets E
-    inside E cap im e^a, rank e'^a >= rank e^a - 2 dim(E cap im e^a).  So no
-    flag continues below E when, for some a >= 1,
-        rank e^a - 2 dim(E cap im e^a) > N' - S_a.
     im e^a is spanned by the x(i,j) of height >= a.  With r_a pivots of B's
     reduced form at heights < a (columns in height order), dim(E cap im e^a)
     = dim E - r_a - [x, reduced by B, has an entry at height < a]; an x in
-    B adds no dimension.  dim E cancels: the bound holds for no child when
-    slack_a < 2 r_a for some a, and otherwise for exactly the x outside
-    B + im e^a, a the largest with slack_a <= 2 r_a + 1.
-    Returns None in the first case, else (cols, piv, R): x can continue iff
+    B adds no dimension.  dim E cancels: no child continues when
+    slack_a < 2 r_a for some a, and otherwise exactly the x in B + im e^a
+    do, for the largest a with slack_a <= 2 r_a + 1 (none: every x).
+    Returns None in the first case, else (cols, piv, R): x continues iff
     x[cols] = x[piv] R mod p."""
-    if not slack.size:  # e = 0: every rank is 0
-        return order[:0], order[:0], np.zeros((0, 0), dtype=np.int64)
-    R, pivots = rref(below[:, order[: np.searchsorted(height, slack.size)]], p)
-    at = height[pivots]
-    slack = slack - 2 * np.searchsorted(at, np.arange(1, slack.size + 1))
-    if slack.min() < 0:
+    R, pivots = rref(below[:, order[: bisect_left(height, len(slack))]], p)
+    at = [height[col] for col in pivots]
+    slack = [s - 2 * bisect_left(at, a) for a, s in enumerate(slack, 1)]
+    if slack and min(slack) < 0:
         return None
-    low = np.flatnonzero(slack <= 1)
-    a = low[-1] + 1 if low.size else 0
-    m, k = np.searchsorted(height, a), np.searchsorted(at, a)
-    return order[:m], order[np.array(pivots[:k], dtype=np.intp)], R[:k, :m]
+    a = max((a for a, s in enumerate(slack, 1) if s <= 1), default=0)
+    m, k = bisect_left(height, a), bisect_left(at, a)
+    return order[:m], [order[col] for col in pivots[:k]], R[:k, :m]
 
 
 def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
@@ -507,83 +496,13 @@ def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _window_map(below: np.ndarray, Q: np.ndarray, e: np.ndarray, p: int):
-    """What the windows of one state's children at one level share, from
-    one elimination.  Q is a basis of T0^perp in the form nullspace returns,
-    the rows of ``below`` span B, and c Q has coordinates c.  Reducing
-    [B, 0; Q e^T, J], with J tagging row j of Q in column q - 1 - j, gives
-    (R, pivots, C, K, lead): R, a reduced-echelon basis of B + e(span Q)
-    with pivot columns ``pivots``; C, per row of R, the coordinates of a z
-    with e z = R_j mod B, zero at K's leading coordinates; K, those of
-    Z0 = {z in span Q : e z in B}, in the reduced form nullspace returns;
-    and ``lead``, the last nonzero coordinate of each row of K."""
-    (q, n), d = Q.shape, below.shape[0]
-    M = np.zeros((d + q, n + q), dtype=np.int64)
-    M[:d, :n] = below
-    M[d:, :n] = Q @ e.T % p
-    M[np.arange(d, d + q), np.arange(n + q - 1, n - 1, -1)] = 1
-    red, pivots = rref(M, p)
-    split = sum(col < n for col in pivots)
-    lead = np.array([n + q - 1 - col for col in pivots[split:]], dtype=np.intp)[::-1]
-    coords = red[:, n:][:, ::-1]
-    return red[:split, :n], pivots[:split], coords[:split], coords[split:][::-1], lead
-
-
-def _child_windows(wmap, Q: np.ndarray, X: np.ndarray, A: np.ndarray, target: int, g, p: int):
-    """The windows W_x = (T0 + x)^perp cap e^{-1}(B + x) of the children x,
-    the reduced rows of X, of one state at one level, from the _window_map
-    of B and Q and A = X g Q^T.  A w in span Q with e w in B + <x> has
-    e w = a x mod B, so with h_x = [x in e(span Q) + B, x not in B] and
-    e z_x = x mod B, W_x = (Z0 + h_x <z_x>) cap x^perp and
-        dim W_x = dim Z0 + h_x - [Z0 + h_x <z_x> is not in x^perp],
-    for the whole batch by products.  Returns (j, W_j) for each child j
-    whose window can reach ``target`` (_fits), in order; no other window is
-    built.  Each is K with z_x added and the x^perp cut made as row updates
-    of K, so W_j is the basis nullspace returns."""
-    R, pivots, C, K, lead = wmap
-    coef = X[:, pivots]
-    Z = coef @ C % p
-    Z[((X - coef @ R) % p).any(axis=1)] = 0  # x is not in e(span Q) + B
-    h = Z.any(axis=1)  # z_x = 0 exactly when x is in B
-    cut = (A @ K.T % p).any(axis=1) | (np.einsum("ij,ij->i", Z, A) % p != 0)
-    dims = K.shape[0] + h - cut
-    windows = []
-    for add, cuts in itertools.product((False, True), repeat=2):
-        js = np.flatnonzero((h == add) & (cut == cuts) & (dims >= target))
-        if not js.size:
-            continue
-        r = np.arange(js.size)
-        B = np.broadcast_to(K, (js.size,) + K.shape)  # K per child, rows by lead
-        if add:  # insert z_x, scaled to 1 at its last nonzero coordinate col
-            z = Z[js]
-            col = z.shape[1] - 1 - (z[:, ::-1] != 0).argmax(axis=1)
-            z = z * np.array([pow(int(v), -1, p) for v in z[r, col]])[:, None] % p
-            B = (B - K[:, col].T[:, :, None] * z[:, None, :]) % p
-            # z goes between the rows whose lead is below col and the rest
-            at = np.count_nonzero(lead < col[:, None], axis=1)[:, None]
-            m = np.arange(K.shape[0] + 1)
-            order = np.where(m == at, K.shape[0], m - (m > at))
-            B = np.concatenate([B, z[:, None, :]], axis=1)[r[:, None], order]
-        if cuts:  # drop the first row (least lead) that x^perp cuts
-            f = np.einsum("jkq,jq->jk", B, A[js]) % p
-            k = (f != 0).argmax(axis=1)
-            f = f * np.array([pow(int(v), -1, p) for v in f[r, k]])[:, None] % p
-            B = (B - f[:, :, None] * B[r, k][:, None, :]) % p
-            B = B[np.arange(B.shape[1]) != k[:, None]].reshape(js.size, -1, B.shape[2])
-        W = B @ Q % p
-        fits = _fits(W, target, g, p)
-        windows += [(j, W[i]) for i, j in enumerate(js) if fits[i]]
-    windows.sort(key=lambda item: item[0])
-    return windows
-
-
-def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> np.ndarray:
-    """Per window (the rows of W, or of each W[j]): can an isotropic F of
-    dimension ``target`` lie in it?  Not when it is smaller than that, nor
-    when it has that dimension and is not isotropic."""
-    if W.shape[-2] != target:
-        return np.full(W.shape[:-2], W.shape[-2] > target)
-    return ~(W @ g % p @ np.swapaxes(W, -1, -2) % p).any(axis=(-2, -1))
+def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> bool:
+    """Can an isotropic F of dimension ``target`` lie in the window spanned
+    by the rows of W?  Not when W is smaller than that, nor when it has
+    that dimension and is not isotropic."""
+    if W.shape[0] != target:
+        return W.shape[0] > target
+    return not np.any(W @ g % p @ W.T % p)
 
 
 def _forced_subspaces(e: np.ndarray, k: int, p: int) -> tuple[list[np.ndarray], bool]:
@@ -641,33 +560,30 @@ def fiber_point_count(
     L_k <= F1 there).
 
     A child that falls short of level i, or that the run leaves short of
-    the level after it, is enumerated there in its window (E + L_i)^perp
-    cap e^{-1}(E), E = F1 + L_{i-1} + <x>.  The parent's batch sizes the
-    windows (_window_map, _child_windows; a lone child takes two
-    eliminations instead), and a child whose window is smaller than
-    dim E_i, or of that dimension and not isotropic, is never enumerated.
-
-    Before that, a child E = E_{i-1}, i >= 2, is dropped when its quotient
-    cannot hold the rest of the flag.  The flags below E are flags of the
-    induced e' on E^perp/E, of dimension N' = n - 2 dim E, for the Levi
-    (p_i, ..., p_k; q), and e' lowers the chain E'_i < ... < E'_k^perp
-    strictly.  On that nilradical rank x^a is at most N' - S_a, S_a the sum
-    of the a largest steps among p_i, ..., p_k, q, p_k, ..., p_i, as rank
-    is lower semicontinuous.  And rank e'^a >= rank e^a - 2 dim(E cap
-    im e^a), since dim e^a(E^perp) = rank e^a - dim(E cap im e^a) and
-    e^a(E^perp) meets E inside E cap im e^a.  A child for which the second
-    exceeds the first at some a >= 1 has nothing below it.  The test reads
-    only the Jordan coordinates and the Levi's steps: one elimination per
-    state and level (_quotient_cut) and one product per batch
-    (_quotient_alive).
+    the level after it, is enumerated there, unless its quotient cannot
+    hold the rest of the flag.  For E = E_{i-1}, i >= 2, the flags below E
+    are flags of the induced e' on E^perp/E, of dimension N' = n - 2 dim E,
+    for the Levi (p_i, ..., p_k; q), and e' lowers the chain E'_i < ... <
+    E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
+    S_a the sum of the a largest steps among p_i, ..., p_k, q, p_k, ...,
+    p_i, as rank is lower semicontinuous.  And rank e'^a >= rank e^a -
+    2 dim(E cap im e^a), since dim e^a(E^perp) = rank e^a - dim(E cap
+    im e^a) and e^a(E^perp) meets E inside E cap im e^a.  A child for which
+    the second exceeds the first at some a >= 1 has nothing below it and is
+    dropped.  The test reads only the Jordan coordinates and the Levi's
+    steps: one elimination per state and level (_quotient_cut) and one
+    product per batch (_quotient_alive).  A child that is kept builds its
+    window (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by two
+    eliminations, and is not enumerated when the window is smaller than
+    dim E_i, or of that dimension and not isotropic (_fits).
 
     A node is one candidate row generated and tested, or one level decided
     by its forced subspace; deciding a run in batches charges the same node
     per child and level as recursing into each child would, and a child
     that the quotient bound drops or whose window cannot reach its level
-    costs none.  The budget caps the
-    nodes: a check whose total would exceed it returns an explicit skip
-    with ``nodes == budget + 1``, never a wrong count.
+    costs none.  The budget caps the nodes: a check whose total would
+    exceed it returns an explicit skip with ``nodes == budget + 1``, never
+    a wrong count.
 
     Every count charges its first_row_nodes before anything can end it, so
     they are charged up front: when they alone exceed the budget, the same
@@ -708,10 +624,11 @@ def fiber_point_count(
         _need(dims[0], n - dims[0], c) if last == 0 and dims[0] - sizes[1] == 1 else 0
     ]
 
-    # The Jordan basis in order of height, and the rank table of each level.
-    heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
-    order = np.argsort(heights, kind="stable")
-    height = heights[order]
+    # The Jordan basis in order of height, and the rank table of each level,
+    # as plain lists: numpy's sorting and searching code adds to peak RSS.
+    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
+    order = sorted(range(n), key=heights.__getitem__)
+    height = [heights[col] for col in order]
     slack = [_quotient_slack(real.partition, levi, i) for i in range(last + 1)]
 
     def orthogonality_error(t: int) -> InvariantError:
@@ -761,39 +678,27 @@ def fiber_point_count(
                 bases[i] = n - Q.shape[0], Q, Q @ g % p, M
             return bases[i]
 
-        def descend(X: np.ndarray, i: int, A: np.ndarray | None = None) -> int:
+        def descend(X: np.ndarray, i: int) -> int:
             """The count below the children of X, whose level i is
-            enumerated (A = X G^T for basis(i), when the run built it): each
-            child x whose quotient can hold the levels left (for i >= 1)
-            and that can reach dims[i] in the window of E = B + <x>,
-            B = F1 + L_{i-1}, recurses with it.  Two or more children are
-            sized in one batch, and only the windows that can reach dims[i]
-            are built; a lone child's window takes two eliminations."""
+            enumerated: each child x whose quotient can hold the levels left
+            (for i >= 1) and that can reach dims[i] in its window, of
+            E = B + <x> for B = F1 + L_{i-1}, recurses with it."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
             if i:  # drop each child whose quotient cannot hold levels i..k
                 if i not in cuts:
                     cuts[i] = _quotient_cut(below, order, height, slack[i], p)
-                alive = _quotient_alive(cuts[i], X, p)
-                if not alive.all():
-                    X, A = X[alive], None if A is None else A[alive]
-                    if not X.shape[0]:
-                        return 0
-            if X.shape[0] == 1:
-                E = np.vstack([below, X])
-                W = nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
-                windows = [(0, W)] if _fits(W, dims[i], g, p) else []
-            else:
-                _, Q, G, _ = basis(i)
-                if i not in maps:
-                    maps[i] = _window_map(below, Q, e, p)
-                A = X @ G.T % p if A is None else A
-                windows = _child_windows(maps[i], Q, X, A, dims[i], g, p)
-            return sum(recurse(np.vstack([below, X[j]]), W, i) for j, W in windows)
+                X = X[_quotient_alive(cuts[i], X, p)]
+            spaces = [np.vstack([below, x]) for x in X]
+            windows = [
+                nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
+                for E in spaces
+            ]
+            return sum(recurse(E, W, i) for E, W in zip(spaces, windows) if _fits(W, dims[i], g, p))
 
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases, maps, cuts = F1, F1 @ g % p, {}, {}, {}
+                state, F1g, bases, cuts = F1, F1 @ g % p, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
@@ -803,7 +708,7 @@ def fiber_point_count(
                 _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
                 short = reach < dims[i]
                 if short.any():
-                    total += descend(X[short], i, A[short])
+                    total += descend(X[short], i)
                 fit = reach == dims[i]
                 X, A = X[fit], A[fit]
                 if not X.shape[0]:

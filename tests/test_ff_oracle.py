@@ -42,7 +42,6 @@ from nilorbit import ff_oracle
 from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
-    _child_windows,
     _closing_mask,
     _is_odd_prime,
     _last_row_batches,
@@ -50,7 +49,6 @@ from nilorbit.ff_oracle import (
     _quotient_cut,
     _quotient_slack,
     _validate,
-    _window_map,
 )
 
 
@@ -942,46 +940,6 @@ class TestLookAhead:
                 states += 1
         assert states > 1000
 
-    @pytest.mark.parametrize("q", [3, 5])
-    def test_batched_windows_match_per_child_windows(self, q):
-        # Each state E_t = F1 + <x>, x the row its parent added last (E_0 =
-        # 0 is the root's x = 0 over F1 = 0), is grouped with its siblings.
-        # One _window_map per group, with B = F1 and Q a basis of (F1 + L)^perp,
-        # sizes every child's window by products; each must equal _states'
-        # W in dimension and in basis (the form nullspace returns) at target
-        # 0, where every window is built, and at dims[t] exactly the
-        # windows that an F of that dimension can fit (dim W > dims[t], or
-        # = dims[t] with W isotropic) must be built.
-        p = q
-        seen = {"groups of 2+": 0, "fit exactly": 0, "too small": 0, "not isotropic": 0}
-        for real, levi, reached in _swept_states(q):
-            e, g, n = real.e, real.gram, real.dim
-            dims = list(itertools.accumulate(levi.ps))
-            groups = {}
-            for t, E, L, W in reached:
-                F1, x = (E, np.zeros((1, n), dtype=np.int64)) if t == 0 else (E[:-1], E[-1:])
-                groups.setdefault((t, F1.tobytes()), (F1, L, []))[2].append((x, W))
-            for (t, _), (F1, L, kids) in groups.items():
-                X = np.vstack([x for x, _ in kids])
-                Q = nullspace(np.vstack([F1, L]) @ g % p, p)
-                wmap = _window_map(F1, Q, e, p)
-                A = X @ (Q @ g % p).T % p
-                built = dict(_child_windows(wmap, Q, X, A, 0, g, p))
-                fitting = dict(_child_windows(wmap, Q, X, A, dims[t], g, p))
-                seen["groups of 2+"] += len(kids) > 1
-                for j, (x, W) in enumerate(kids):
-                    case = (real.partition, levi, t, F1, x)
-                    isotropic = not np.any(W @ g % p @ W.T % p)
-                    fits = W.shape[0] > dims[t] or (W.shape[0] == dims[t] and isotropic)
-                    assert np.array_equal(built[j], W), case
-                    assert (j in fitting) == fits, case
-                    if j in fitting:
-                        assert np.array_equal(fitting[j], W), case
-                    seen["fit exactly"] += fits and W.shape[0] == dims[t]
-                    seen["too small"] += W.shape[0] < dims[t]
-                    seen["not isotropic"] += W.shape[0] == dims[t] and not isotropic
-        assert min(seen.values()) > 0, seen
-
     # States E = E_t, t >= 1, of the sweep that the quotient bound drops.
     @pytest.mark.parametrize("q,drops", [(3, 42), (5, 100)])
     def test_quotient_bound_on_every_state(self, q, drops):
@@ -996,8 +954,8 @@ class TestLookAhead:
         dropped = 0
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
-            heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
-            order = np.argsort(heights, kind="stable")
+            heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
+            order = sorted(range(n), key=heights.__getitem__)
             powers = [_pow(e, a, p) for a in range(1, max(real.partition.parts))]
             for t, E, _, _ in reached:
                 if t == 0:
@@ -1014,7 +972,7 @@ class TestLookAhead:
                     dead |= rank_a - 2 * meet > n - 2 * d - sum(steps[:a])
                 slack = _quotient_slack(real.partition, levi, t)
                 for B in (E[:-1], E):
-                    cut = _quotient_cut(B, order, heights[order], slack, p)
+                    cut = _quotient_cut(B, order, [heights[j] for j in order], slack, p)
                     assert _quotient_alive(cut, E[-1:], p)[0] != dead, (real.partition, levi, B)
                 if dead:
                     below = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
