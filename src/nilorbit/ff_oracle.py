@@ -664,7 +664,7 @@ def fiber_point_count(
             end += 1
 
         def basis(i: int):
-            """(dim(F1 + L_i), Q, G = Q g, M = Q eg Q^T at the last level)
+            """(dim(F1 + L_i), G = Q g, M = Q eg Q^T at the last level)
             for Q a basis of (F1 + L_i)^perp, built once per state and
             level.  A level enumerated above the run (i < t) has L_i <= F1."""
             if i not in bases:
@@ -675,7 +675,7 @@ def fiber_point_count(
                     rows = np.vstack([F1g, forced_g[i]])
                 Q = nullspace(rows, p)
                 M = Q @ eg % p @ Q.T % p if i == last else None
-                bases[i] = n - Q.shape[0], Q, Q @ g % p, M
+                bases[i] = n - Q.shape[0], Q @ g % p, M
             return bases[i]
 
         def descend(X: np.ndarray, i: int) -> int:
@@ -702,7 +702,7 @@ def fiber_point_count(
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
-                size, _, G, _ = basis(i)
+                size, G, _ = basis(i)
                 A = X @ G.T % p
                 reach = size + A.any(axis=1)  # dim(F1 + L_i + <x>)
                 _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
@@ -722,7 +722,7 @@ def fiber_point_count(
                 continue
             # F = F1 + L_k + <x> closes iff M vanishes on F^perp = ker(G x) in Q
             # coordinates (_closing_mask); when G x = 0, F^perp is all of Q.
-            size, _, G, M = basis(last)
+            size, G, M = basis(last)
             if end == t:  # the last level was enumerated, so no run built A
                 A = X @ G.T % p
             if size < dims[last]:
