@@ -23,8 +23,8 @@ DEFAULT_BUDGET = {
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
     "B5": ("413f38b2eaeb85531658cc997293b3ecb1cddbbdff57707af27d65dfb846b7de",
            "2a06ecea940d3a90c2c6926712aaafe54d16468011d9af745be3d11fe967d0ba"),
-    "B6": ("7a1eba1d63506a86b35c47d4e975fbd6ac76e4c7ea05df4d3f1856550f5f6cfa",
-           "9b0d15ed395166dc5f680ce9bc48729fcf371c33175f2ed4055d31f391fd1dab"),
+    "B6": ("7d38d9e647b2c5732c3c906e01d208684fe249c4d45e74db5686370c27fb25fc",
+           "3ab057ae3dc2354e90cc9da33b9cb5ee395927a9044662b44c9ba6499ff5fe0d"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
     "C2": ("1e95d49f691733cf6fca53923014b1147763e16dfaed547b7c6c45aeb40d9994",
@@ -33,22 +33,22 @@ DEFAULT_BUDGET = {
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
     "C4": ("defe7ce029163077d8b91b718eb4aec25f3068043130c7ef5e3cce199ef016e4",
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
-    "C5": ("8e306c5a94e1122ab4bae5e96301847d8ccf92c9c0fb2fa6791c6efd7b0244a4",
+    "C5": ("810314b2e27c20cd0b9213a122d000fe6dcbf86c306b0e5da9ecda9f5fe8f356",
            "a3f0aaeedcc17705d427cabeae5c6395b7804f6d43b68823729a116b24138b53"),
-    "C6": ("f6df25c06442b91a14a52d58da8f810ae8c1818c8960b1e0d8bee5185fb84e6c",
-           "e9c2656644ed9cf3e67513974c981e9d233efcd41824fc5f237ca0f1c0aa1dd9"),
+    "C6": ("7e88a94170837c72c0e8842ec4820d62f15423b81d1a0c319a7ff3b60ec88d27",
+           "9126d3ebb6b9031a6ca8f2729656654bd38aef2fad1b1778a7d1b7c90c4b5de8"),
     "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
     "D2": ("3166c238c78c872accabace2463f40ce2c63fd118ad8b0bc7741144afc7d2253",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
     "D3": ("fffe56e0cc89384f56fe4de9508331c5b95b058246e9da7bddfee6bcc7b8c989",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("2383b665863cd0e05a0e3a956056e42f8e627f513ebc8badf314e2c97f5b40f8",
+    "D4": ("426c60321b692c48506d1cc1649560f0d59c72f893eaf1e530cbcf57922741a6",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("007363bf491d95e2456536530f356d0c12ea64b341a41e9ea84077066ee6c8bc",
+    "D5": ("18d0ca3958aee3acceb514be71a7cc46ab7a4ac11e790b59bfa814894aba70a8",
            "c770f7bedd7db697ea6a646b53ddf46ee2f3ede9a6f78cf6992654f1a43f0639"),
-    "D6": ("f3786bda5ac237dff2552e99eb516c2b1b32dbb4e329a96288b98b8d6855afe3",
-           "e2d78ece773b3bd2e5d9a2dda7b6bb208256fa0d6444c191e0d2177ab9b81743"),
+    "D6": ("04bf2d9745374dbff5d81deae2eba35fd1b66e98f2936ef2e10c05b481cc789b",
+           "bde663e5cf79e5b9d0cfaa8b60355e964732d06d0e70f43e6e0e0d4cfd843f31"),
 }
 BUDGET_0 = {
     "B1": ("b411486cac537214846cbcc6afaa5063d3f17cc798ada82c5267d90a34c876f9",
