@@ -975,8 +975,8 @@ class TestLookAhead:
                     cut = _quotient_cut(B, order, [heights[j] for j in order], slack, p)
                     assert _quotient_alive(cut, E[-1:], p)[0] != dead, (real.partition, levi, B)
                 if dead:
-                    below = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
-                    assert below == (0, below[1]), (real.partition, levi, E)
+                    below, _ = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
+                    assert below == 0, (real.partition, levi, E)
                     dropped += 1
         assert dropped == drops
 
