@@ -1,6 +1,7 @@
 """Segmentation of a valid partition into boundary/pair blocks, the three
-modification variants of each block, and the criteria built from them
-(specialness, the Richardson property, and the component-quotient order).
+modification variants of each block, the specialness criterion read off the
+segmentation, and the reassembly of modified blocks that the witness scan
+in ``minimal`` collapses into minimal Richardson orbits.
 
 Block kinds, per family letter X in {B, C, D}:
 
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .levi import levi_of_raw_shape
-from .partitions import Family, Partition, collapse, is_valid
+from .partitions import Family, Partition, is_valid
 
 _PAIR_KINDS = ("B1", "C1", "D1")
 _STAR_KINDS = ("B1*", "C1*", "D1*")
@@ -319,17 +319,6 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
     return BlockDecomposition(tuple(blocks), family)
 
 
-def is_special(p: Partition, family: Family) -> bool:
-    """Whether the orbit is special, read from its cached orbit analysis
-    (see ``_special``).  Raises ``ValueError`` when ``p`` is not valid.
-    """
-    # The analysis sits above this module (it needs descriptors), so it is
-    # imported at call time.
-    from .spaltenstein import orbit_analysis
-
-    return orbit_analysis(p, family).special
-
-
 def _special(d: BlockDecomposition) -> bool:
     """A segmentation is special when it avoids the obstructing kinds: B1*
     in family B, boundary blocks with interior pairs in C and D.  (The
@@ -339,72 +328,13 @@ def _special(d: BlockDecomposition) -> bool:
     return all(not (blk.kind.endswith("2") and blk.k >= 1) for blk in d.blocks)
 
 
-def _reassembly(mods: list[ModifiedBlocks], h: int, raise_pivot: bool = True) -> tuple[int, ...]:
-    """Split every block before ``h``, raise block ``h`` (lower it when
-    ``raise_pivot`` is false) and lower every block after it; ``h`` past the
-    last block splits them all."""
+def _reassembly(mods: list[ModifiedBlocks], h: int) -> tuple[int, ...]:
+    """Split every block before ``h``, raise block ``h`` and lower every
+    block after it; ``h`` past the last block splits them all."""
     merged = [x for mb in mods[:h] for x in mb.double_prime]
     if h < len(mods):
-        pivot = mods[h].circ if raise_pivot else mods[h].prime
-        if pivot is None:
+        if mods[h].circ is None:
             raise InvariantError(f"block {mods[h].source.kind} has no raising variant")
-        merged += pivot
+        merged += mods[h].circ
     merged += [x for mb in mods[h + 1 :] for x in mb.prime]
     return _desc(merged)
-
-
-def pivot_candidates(p: Partition, family: Family) -> list[tuple[int, ...]]:
-    """Modified-block reassemblies that could collapse back onto ``p``.
-
-    One candidate per block admitting the raising variant (split everything
-    before the pivot, raise the pivot, lower everything after), plus, for C
-    and D, the pure split/lower combinations at every cut point.
-    """
-    return _pivot_candidates(decompose(p, family))
-
-
-def _pivot_candidates(d: BlockDecomposition) -> list[tuple[int, ...]]:
-    mods = [blk.modifications() for blk in d.blocks]
-    cands = {_reassembly(mods, h) for h, mb in enumerate(mods) if mb.circ is not None}
-    if d.family is not Family.B:
-        cands.update(_reassembly(mods, j, raise_pivot=False) for j in range(len(mods) + 1))
-    return sorted(cands, reverse=True)
-
-
-def is_richardson(p: Partition, family: Family) -> bool:
-    """Whether the orbit is induced from the zero orbit of some Levi, read
-    from its cached orbit analysis (see ``_richardson``).  Raises
-    ``ValueError`` when ``p`` is not valid."""
-    from .spaltenstein import orbit_analysis
-
-    return orbit_analysis(p, family).richardson
-
-
-def _richardson(p: Partition, d: BlockDecomposition) -> bool:
-    """A candidate reassembly of the segmentation ``d`` of ``p`` witnesses
-    the Richardson property when it has the shape of a raw induced multiset
-    (all odd entries before all even entries, with an admissible odd count)
-    and collapses back onto ``p``."""
-    for cand in _pivot_candidates(d):
-        if sum(cand) != p.n:
-            continue
-        raw = Partition(cand)
-        if levi_of_raw_shape(raw, d.family) is None:
-            continue
-        if collapse(raw, d.family) == p:
-            return True
-    return False
-
-
-def canonical_quotient_order(p: Partition, family: Family = Family.B) -> int:
-    """Order of the canonical component quotient of a special orbit in the
-    odd orthogonal family: 2 to the number of boundary blocks with two odd
-    boundaries."""
-    from .spaltenstein import orbit_analysis
-
-    if family is not Family.B:
-        raise ValueError("canonical quotient order is defined here for family B only")
-    analysis = orbit_analysis(p, family)
-    if not analysis.special:
-        raise ValueError(f"{p} is not special in family B")
-    return 2 ** sum(1 for blk in analysis.decomposition.blocks if blk.kind == "B2")

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import decompose, is_richardson, is_special
+from .blocks import decompose
 from .duality import dual_pair, pairing_records, springer_dual, springer_dual_inverse
 from .errors import InvariantError, VerificationError
 from .ff_oracle import (
@@ -30,7 +30,6 @@ from .ff_oracle import (
     resolve_budget,
 )
 from .levi import LeviType, polarizations
-from .minimal import minimal_richardson_witnessed
 from .partitions import (
     Family,
     Partition,
@@ -39,7 +38,14 @@ from .partitions import (
     parse_partition,
 )
 from .partitions import collapse as collapse_partition
-from .spaltenstein import OrbitAnalysis, e_polynomial, orbit_analysis
+from .spaltenstein import (
+    OrbitAnalysis,
+    e_polynomial,
+    is_richardson,
+    is_special,
+    minimal_richardson_witnessed,
+    orbit_analysis,
+)
 
 _ATLAS_DEFAULT_BUDGET = 5000
 

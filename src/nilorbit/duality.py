@@ -9,11 +9,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .blocks import canonical_quotient_order, is_special
 from .errors import InvariantError, VerificationError
 from .levi import langlands_dual_levi
 from .partitions import Family, Partition, collapse, is_valid, orbit_dim
-from .spaltenstein import FibrationDescriptor, component_count, e_polynomial, orbit_analysis
+from .spaltenstein import (
+    FibrationDescriptor,
+    canonical_quotient_order,
+    component_count,
+    e_polynomial,
+    is_special,
+    orbit_analysis,
+)
 
 
 def springer_dual(p: Partition) -> Partition:

@@ -5,14 +5,14 @@ equal even entries (at even/odd position pairs fixed per family), attributes
 each accepted witness to the block containing it, and reassembles the
 partition with the witnessed block raised, earlier blocks split, and later
 blocks lowered.  Collapsing each reassembly yields exactly the minimal
-Richardson orbits dominating the input.
+Richardson orbits dominating the input.  The scan runs once per orbit, in
+``spaltenstein.orbit_analysis``, whose readers hand its results out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .blocks import BlockDecomposition, _reassembly, decompose
-from .levi import LeviType
 from .partitions import Family, Partition, collapse
 
 
@@ -103,19 +103,6 @@ def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
     return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries), m)
 
 
-def minimal_richardson_witnessed(
-    p: Partition, family: Family
-) -> list[tuple[Partition, IndexEntry]]:
-    """Minimal Richardson orbits paired with the witness that produced each
-    (first witness wins when two produce the same orbit), as a fresh list
-    read from the cached orbit analysis (see ``_witnessed``)."""
-    # The analysis sits above this module (it needs descriptors), so it is
-    # imported at call time.
-    from .spaltenstein import orbit_analysis
-
-    return list(orbit_analysis(p, family).witnessed)
-
-
 def _witnessed(p: Partition, d: BlockDecomposition) -> tuple[tuple[Partition, IndexEntry], ...]:
     """The witness scan on the segmentation ``d`` of ``p``: a witness in
     block h is reassembled with the blocks before h split, block h raised
@@ -131,20 +118,3 @@ def _witnessed(p: Partition, d: BlockDecomposition) -> tuple[tuple[Partition, In
             seen.add(r.parts)
             out.append((r, entry))
     return tuple(out)
-
-
-def minimal_richardson_orbits(p: Partition, family: Family) -> list[Partition]:
-    """The minimal Richardson orbits dominating ``p``, in witness order, as
-    a fresh list read from the cached orbit analysis."""
-    from .spaltenstein import orbit_analysis
-
-    return list(orbit_analysis(p, family).minimal)
-
-
-def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, LeviType]]:
-    """Every (R, L) with R a minimal Richardson orbit over ``p`` and L a
-    polarization of R, in (witness order, polarization order), as a fresh
-    list read from the cached orbit analysis."""
-    from .spaltenstein import orbit_analysis
-
-    return list(orbit_analysis(p, family).pseudo_polarizations)

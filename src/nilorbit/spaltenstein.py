@@ -7,13 +7,19 @@ A descriptor is attached to a triple (orbit ``p``, minimal Richardson orbit
 the zero-padded part sequence of ``p`` into a head and a tail; the values of
 ``p`` wholly inside the relevant segment are *distinguished* and their
 multiplicities drive the two factor families.
+
+The module also holds ``orbit_analysis``, everything the package derives
+from one orbit on its own, cached per (partition, family), and the public
+readers of it: ``is_special``, ``is_richardson``,
+``canonical_quotient_order``, ``minimal_richardson_witnessed``,
+``minimal_richardson_orbits`` and ``pseudo_polarizations``.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 
-from .blocks import BlockDecomposition, _richardson, _special, decompose
+from .blocks import BlockDecomposition, _special, decompose
 from .errors import InvariantError
 from .levi import LeviType, polarizations
 from .minimal import IndexEntry, _witnessed
@@ -275,18 +281,19 @@ def _descriptor(p: Partition, family: Family, r: Partition, levi: LeviType) -> F
 @dataclass(frozen=True)
 class OrbitAnalysis:
     """What the package derives from one orbit on its own, computed once by
-    ``orbit_analysis``: the block segmentation, the special and Richardson
-    verdicts, the witnessed minimal Richardson orbits, and one descriptor
-    per pseudo-polarization, in (witness order, polarization order).  The
-    descriptors are built on first use, since only they need the
-    polarization table of the orbit's size.  Every field is immutable, so
-    one cached value can serve every caller."""
+    ``orbit_analysis``: the block segmentation, the special verdict, the
+    witnessed minimal Richardson orbits, and one descriptor per
+    pseudo-polarization, in (witness order, polarization order).  The orbit
+    is Richardson exactly when it is its own minimal Richardson orbit, so
+    that verdict is read off the witness scan.  The descriptors are built
+    on first use, since only they need the polarization table of the
+    orbit's size.  Every field is immutable, so one cached value can serve
+    every caller."""
 
     partition: Partition
     family: Family
     decomposition: BlockDecomposition
     special: bool
-    richardson: bool
     witnessed: tuple[tuple[Partition, IndexEntry], ...]
 
     @functools.cached_property
@@ -303,6 +310,11 @@ class OrbitAnalysis:
         return tuple(r for r, _ in self.witnessed)
 
     @property
+    def richardson(self) -> bool:
+        """Whether the orbit is induced from the zero orbit of some Levi."""
+        return self.partition in self.minimal
+
+    @property
     def pseudo_polarizations(self) -> tuple[tuple[Partition, LeviType], ...]:
         return tuple((d.min_richardson, d.levi) for d in self.descriptors)
 
@@ -314,7 +326,53 @@ def orbit_analysis(p: Partition, family: Family) -> OrbitAnalysis:
     entry per orbit asked about for the life of the process, as an atlas
     sweep keeps one record per orbit."""
     d = decompose(p, family)
-    return OrbitAnalysis(p, family, d, _special(d), _richardson(p, d), _witnessed(p, d))
+    return OrbitAnalysis(p, family, d, _special(d), _witnessed(p, d))
+
+
+def is_special(p: Partition, family: Family) -> bool:
+    """Whether the orbit is special, read from its cached orbit analysis
+    (see ``blocks._special``).  Raises ``ValueError`` when ``p`` is not
+    valid."""
+    return orbit_analysis(p, family).special
+
+
+def is_richardson(p: Partition, family: Family) -> bool:
+    """Whether the orbit is induced from the zero orbit of some Levi, read
+    from its cached orbit analysis: it is its own minimal Richardson orbit.
+    Raises ``ValueError`` when ``p`` is not valid."""
+    return orbit_analysis(p, family).richardson
+
+
+def canonical_quotient_order(p: Partition) -> int:
+    """Order of the canonical component quotient of a special orbit in the
+    odd orthogonal family: 2 to the number of boundary blocks with two odd
+    boundaries.  Raises ``ValueError`` unless ``p`` is special in B."""
+    analysis = orbit_analysis(p, Family.B)
+    if not analysis.special:
+        raise ValueError(f"{p} is not special in family B")
+    return 2 ** sum(1 for blk in analysis.decomposition.blocks if blk.kind == "B2")
+
+
+def minimal_richardson_witnessed(
+    p: Partition, family: Family
+) -> list[tuple[Partition, IndexEntry]]:
+    """Minimal Richardson orbits paired with the witness that produced each
+    (first witness wins when two produce the same orbit), as a fresh list
+    read from the cached orbit analysis (see ``minimal._witnessed``)."""
+    return list(orbit_analysis(p, family).witnessed)
+
+
+def minimal_richardson_orbits(p: Partition, family: Family) -> list[Partition]:
+    """The minimal Richardson orbits dominating ``p``, in witness order, as
+    a fresh list read from the cached orbit analysis."""
+    return list(orbit_analysis(p, family).minimal)
+
+
+def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, LeviType]]:
+    """Every (R, L) with R a minimal Richardson orbit over ``p`` and L a
+    polarization of R, in (witness order, polarization order), as a fresh
+    list read from the cached orbit analysis."""
+    return list(orbit_analysis(p, family).pseudo_polarizations)
 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:

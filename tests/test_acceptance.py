@@ -75,7 +75,7 @@ def test_criterion_1_collapse_is_the_dominance_maximum():
 
 
 def test_criterion_2_richardson_blocks_match_induction():
-    with reported(2, "block Richardson test agrees with Levi induction"
+    with reported(2, "witness-scan Richardson verdict agrees with Levi induction"
                      " (ranks 1-6, < 30 s)"):
         t0 = time.monotonic()
         for fam, sizes in RANGES:
@@ -102,7 +102,7 @@ def test_criterion_3_minimal_richardson_orbits():
                     for i, a in enumerate(orbits):
                         for b in orbits[i + 1 :]:
                             assert not dominance_leq(a, b) and not dominance_leq(b, a)
-                    if is_richardson(p, fam):
+                    if is_richardson_via_induction(p, fam):
                         assert orbits == [p]
         assert minimal_richardson_orbits(P("2,2,1"), Family.B) == [P("3,1,1")]
         spots = minimal_richardson_orbits(P("4,4,4,4,3,3,1"), Family.B)

@@ -1,5 +1,5 @@
 import pytest
-from conftest import minimal_richardson_bruteforce
+from conftest import is_richardson_via_induction, minimal_richardson_bruteforce
 
 from nilorbit import (
     Block,
@@ -10,7 +10,6 @@ from nilorbit import (
     dominance_leq,
     enumerate_valid,
     index_set,
-    is_richardson,
     minimal_richardson_orbits,
     minimal_richardson_witnessed,
     parse_partition,
@@ -92,7 +91,7 @@ class TestMinimalRichardson:
             for p in enumerate_valid(n, fam):
                 for r in minimal_richardson_orbits(p, fam):
                     assert dominance_leq(p, r)
-                    assert is_richardson(r, fam)
+                    assert is_richardson_via_induction(r, fam)
 
     def test_results_pairwise_incomparable(self):
         for fam, n in ((Family.B, 11), (Family.C, 10), (Family.D, 10)):
@@ -107,7 +106,7 @@ class TestMinimalRichardson:
         for fam, n in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for p in enumerate_valid(n, fam):
                 orbits = minimal_richardson_orbits(p, fam)
-                if is_richardson(p, fam):
+                if is_richardson_via_induction(p, fam):
                     assert orbits == [p]
                 else:
                     assert p not in orbits

@@ -42,3 +42,24 @@ def test_private_helpers_serve_the_package():
             ):
                 unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+def test_no_function_imports_a_package_module():
+    """Every package import sits at module level, so the modules' imports
+    form one acyclic layering rather than a cycle broken at call time."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "nilorbit"
+                ):
+                    found.add(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "nilorbit" for alias in node.names
+                ):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
