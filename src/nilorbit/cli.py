@@ -77,11 +77,9 @@ def _primes(args, n: int) -> list[int]:
     """The --oracle-primes list: distinct odd primes, each small enough for
     int64 products at dimension n."""
     try:
-        primes = [int(t) for t in args.oracle_primes.split(",") if t.strip()]
-    except ValueError:
+        primes = [int(t) for t in args.oracle_primes.split(",")]
+    except ValueError:  # an empty item, as in "3,,5", is malformed too
         raise UsageError(f"malformed prime list {args.oracle_primes!r}") from None
-    if not primes:
-        raise UsageError("at least one oracle prime is required")
     if len(set(primes)) < len(primes):
         raise UsageError(f"--oracle-primes repeats a prime: {args.oracle_primes!r}")
     for q in primes:

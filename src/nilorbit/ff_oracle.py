@@ -253,56 +253,70 @@ class FlagCount:
     skipped: str | None = None
 
 
-def _need(d: int, d_next: int, c: int) -> int:
-    """Least dim(E cap im e) for which a flag space E of dimension d can
-    extend to the next level, of dimension d_next, when e has c Jordan
-    blocks.
-
-    The next window lies in E^perp cap e^{-1}(E) = (E + e(E^perp))^perp,
-    as e^{-1}(E) = (e(E^perp))^perp.  Since (ker e)^perp = im e,
-    dim e(E^perp) = rank e - dim(E cap im e), and e(E^perp) <= im e, so
-    the window has dimension at most c - d + 2 dim(E cap im e).  At the
-    last level, d_next = n - d: e(E^perp) <= E means E^perp lies in that
-    window, which is the closing test's own floor."""
-    return -((c - d - d_next) // 2)
-
-
 def _quotient_slack(p: Partition, levi: LeviType, i: int) -> list[int]:
-    """n - rank e^a - S_a for a = 1 .. max(p) - 1, where S_a is the sum of
-    the a largest steps of the chain p_i, ..., p_k, q, p_k, ..., p_i left
-    below level i (levi.ps from index i on).  Read by _quotient_cut; it
-    uses only the parts of p and the steps of levi."""
-    steps = sorted(levi.ps[i:] * 2 + (levi.q,), reverse=True)
-    top = list(itertools.accumulate(steps))
-    return [
-        p.n - sum(max(d - a, 0) for d in p.parts) - top[min(a, len(top)) - 1]
-        for a in range(1, max(p.parts))
-    ]
+    """n - rank e^a - S_a = dim ker e^a - S_a for a = 1 .. max(p) - 1,
+    where S_a is the sum of the a largest steps of the chain p_{i+1}, ...,
+    p_k, q, p_k, ..., p_{i+1} left below the flag space E_i (levi.ps from
+    index i on; below E_k the chain is q alone).  Flags continue below E_i
+    only when
+        rank e^a - 2 dim(E_i cap im e^a) <= N' - S_a,  N' = n - 2 dim E_i
+    (see fiber_point_count), that is dim(E_i cap im e^a) >= dim E_i -
+    slack_a / 2: row i - 1 of the floor table (_floors).  It reads only the
+    parts of p and the steps of levi."""
+    parts = p.parts
+    steps = sorted(levi.ps[i:] * 2 + (levi.q,) + (0,) * parts[0], reverse=True)
+    slack, kernel, j = [], 0, len(parts)
+    for a, top in zip(range(1, parts[0]), itertools.accumulate(steps)):
+        while parts[j - 1] < a:  # j = the number of parts >= a
+            j -= 1
+        kernel += j
+        slack.append(kernel - top)
+    return slack
 
 
-def _quotient_cut(below: np.ndarray, order: list[int], height: list[int], slack: list[int], p: int):
-    """What _quotient_alive needs to decide fiber_point_count's quotient
-    bound, that no flag continues below E when for some a >= 1
-        rank e^a - 2 dim(E cap im e^a) > N' - S_a,  N' = n - 2 dim E,
-    for the children E = B + <x> of one state at level i (B the row span of
-    ``below``), from one elimination of B.  ``order`` sorts the Jordan
-    basis by the height d_j - i of x(i,j), ``height`` is the sorted
-    heights, and ``slack`` is _quotient_slack at level i.
+def _floors(p: Partition, levi: LeviType, t: int) -> list[int]:
+    """Row t of fiber_point_count's floor table: m_a = ceil(d - slack_a / 2)
+    for a = 1 .. max(p) - 1, with d = dim E_{t+1} = p_1 + ... + p_{t+1} and
+    slack from _quotient_slack(p, levi, t + 1), the least dim(E_{t+1} cap
+    im e^a) of any counted flag.  m_a = d puts all of E_{t+1} in im e^a
+    (_cut); m_a > d leaves no flag."""
+    d = sum(levi.ps[: t + 1])
+    return [d - s // 2 for s in _quotient_slack(p, levi, t + 1)]
+
+
+def _cut(floor: list[int], d: int) -> int | None:
+    """The largest a at which a row of the floor table, for a flag space of
+    dimension d, forces the whole space into im e^a (0 for none), or None
+    when some floor exceeds d, so that no flag exists."""
+    top = max(floor, default=0)
+    if top > d:
+        return None
+    return len(floor) - floor[::-1].index(d) if top == d else 0
+
+
+def _quotient_cut(below: np.ndarray, order: list[int], height: list[int], spare: list[int], p: int):
+    """What _quotient_alive needs to apply a row of the floor table,
+    dim(E cap im e^a) >= dim E - spare_a for a = 1 .., to the children
+    E = B + <x> of one state (B the row span of ``below``), from one
+    elimination of B.  ``order`` sorts the Jordan basis by the height
+    d_j - i of x(i,j), ``height`` is the sorted heights, and spare_a =
+    floor(slack_a / 2) (_quotient_slack) is how many dimensions of E may lie
+    outside im e^a.
 
     im e^a is spanned by the x(i,j) of height >= a.  With r_a pivots of B's
     reduced form at heights < a (columns in height order), dim(E cap im e^a)
     = dim E - r_a - [x, reduced by B, has an entry at height < a]; an x in
     B adds no dimension.  dim E cancels: no child continues when
-    slack_a < 2 r_a for some a, and otherwise exactly the x in B + im e^a
-    do, for the largest a with slack_a <= 2 r_a + 1 (none: every x).
+    r_a > spare_a for some a, and otherwise exactly the x in B + im e^a
+    do, for the largest a with r_a = spare_a (none: every x).
     Returns None in the first case, else (cols, piv, R): x continues iff
     x[cols] = x[piv] R mod p."""
-    R, pivots = rref(below[:, order[: bisect_left(height, len(slack))]], p)
+    R, pivots = rref(below[:, order[: bisect_left(height, len(spare))]], p)
     at = [height[col] for col in pivots]
-    slack = [s - 2 * bisect_left(at, a) for a, s in enumerate(slack, 1)]
-    if slack and min(slack) < 0:
+    spare = [s - bisect_left(at, a) for a, s in enumerate(spare, 1)]
+    if spare and min(spare) < 0:
         return None
-    a = max((a for a, s in enumerate(slack, 1) if s <= 1), default=0)
+    a = max((a for a, s in enumerate(spare, 1) if s == 0), default=0)
     m, k = bisect_left(height, a), bisect_left(at, a)
     return order[:m], [order[col] for col in pivots[:k]], R[:k, :m]
 
@@ -318,41 +332,46 @@ def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
 
 def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     """Nodes every count of this fiber charges before anything can end it,
-    from (p, levi, modulus) alone.  With k general-linear blocks, the first
-    flag space E_1 starts from the forced subspace L_1 = im e^(2k) (see
-    fiber_point_count), of dimension l = sum_j max(d_j - 2k, 0), inside
-    its window ker e, of dimension c = the number of Jordan blocks of
-    ``p``, and has dimension d = the first general-linear block of ``levi``.
+    from (p, levi, modulus) alone.  With k general-linear blocks and s =
+    2k + [q > 0], the first flag space E_1, of dimension d = the first
+    general-linear block of ``levi``, starts from the forced subspace
+    L_1 = im e^(s-1) (see fiber_point_count), spanned by the x(1,j) of the
+    l parts equal to s, inside its window ker e, spanned by the x(1,j) of
+    height d_j - 1.
 
-    It is 1 when some part exceeds 2k+1 (then e^(2k+1) != 0 and the count
-    is 0) or d <= l (L_1 alone decides the level).  Otherwise every
+    It is 1 when some part exceeds s (then e^s != 0 and the count is 0) or
+    d <= l (L_1 alone decides the level).  Otherwise row 0 of the floor
+    table (_floors) decides the level, as in fiber_point_count: 0 nodes
+    when a floor exceeds d; a cut to im e^a (_cut) keeps the x(1,j) of
+    height >= a, c of them (c = the number of parts with no cut).  Every
     candidate for the first echelon row is tested (see _last_row_batches):
     modulus^(c-l-1-pc) of them per pivot column pc of the c - l columns of
-    a complement of L_1 in ker e, for pc from the floor d - l - 1 up.  With
-    a second level, E_1 needs dim(E_1 cap im e) >= _need(...), and ker e
-    cap im e has dimension c2 = the number of parts >= 2; its c2 - l
-    columns come last, so at m = _need - l > 0 the first row's pivot is at
+    a complement of L_1, for pc from the floor d - l - 1 up.  With no cut,
+    E_1 needs dim(E_1 cap im e) >= m_1, the a = 1 floor, when a second
+    level follows or when d = l + 1 (the level adds one row); ker e cap
+    im e has dimension c2 = the number of parts >= 2, and its c2 - l
+    columns come last, so at m = m_1 - l > 0 the first row's pivot is at
     least c - c2 + m - 1, and no row is tested when m exceeds c2 - l or
-    d - l.  A one-level Levi with d = l + 1 has the same floor, with the
-    closing test's _need(d, n - d, c).  Multi-row levels of one-level Levis
-    keep their plain order, where the floor's reordered complement can cost
-    more nodes than it saves.  0 when ``levi`` has no general-linear block
-    or d > c."""
+    d - l.  0 when ``levi`` has no general-linear block or d > c."""
     if not levi.ps:
         return 0
-    k, d, c = len(levi.ps), levi.ps[0], len(p.parts)
-    forced = sum(max(x - 2 * k, 0) for x in p.parts)
-    if max(p.parts) > 2 * k + 1 or d <= forced:
+    k, d = len(levi.ps), levi.ps[0]
+    s = 2 * k + (levi.q > 0)
+    l = p.parts.count(s)
+    if max(p.parts) > s or d <= l:
         return 1
-    lo = d - forced - 1
-    if k > 1 or lo == 0:
-        inside = sum(x >= 2 for x in p.parts) - forced
-        m = _need(d, d + levi.ps[1] if k > 1 else p.n - d, c) - forced
-        if m > min(inside, d - forced):
+    floor = _floors(p, levi, 0)
+    a = _cut(floor, d)
+    if a is None:
+        return 0
+    c, lo = sum(x > a for x in p.parts) if a else len(p.parts), d - l - 1
+    if not a and floor and (k > 1 or lo == 0) and floor[0] > l:
+        inside = sum(x >= 2 for x in p.parts) - l
+        m = floor[0] - l
+        if m > min(inside, d - l):
             return 0
-        if m > 0:
-            lo = max(lo, c - forced - inside + m - 1)
-    top = c - forced - lo
+        lo = max(lo, c - l - inside + m - 1)
+    top = c - l - lo
     return (modulus**top - 1) // (modulus - 1) if top > 0 else 0
 
 
@@ -505,11 +524,11 @@ def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> bool:
     return not np.any(W @ g % p @ W.T % p)
 
 
-def _forced_subspaces(e: np.ndarray, k: int, p: int) -> tuple[list[np.ndarray], bool]:
-    """Row bases of L_i = im e^(2k+1-i) for i = 1..k, and whether
-    e^(2k+1) = 0 mod p."""
+def _forced_subspaces(e: np.ndarray, s: int, k: int, p: int) -> tuple[list[np.ndarray], bool]:
+    """Row bases of L_i = im e^(s-i) for i = 1..k, and whether e^s = 0
+    mod p.  fiber_point_count takes s = 2k + 1, or s = 2k when q = 0."""
     power = np.eye(e.shape[0], dtype=np.int64)
-    for _ in range(k + 1):
+    for _ in range(s - k):
         power = power @ e % p
     bases = []
     for _ in range(k):
@@ -524,24 +543,50 @@ def fiber_point_count(
     """Count isotropic chains E_1 < ... < E_k with dim E_i = p_1 + ... + p_i,
     e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k.
 
-    Every such chain contains the forced subspaces L_i = im e^(2k+1-i):
+    Every such chain contains the forced subspaces L_i = im e^(s-i), with
+    s = 2k + 1, or s = 2k when q = 0:
       E_i <= ker e^i by induction, so E_k^perp >= (ker e^k)^perp = im e^k;
-      then e(E_k^perp) <= E_k gives E_k >= im e^(k+1) = L_k;
+      then e(E_k^perp) <= E_k gives E_k >= im e^(k+1), and when q = 0,
+      E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
       and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
-    So L_1 <= E_1 <= ker e needs e^(2k+1) = 0, else the count is 0.  The
-    bases L_i are built once per check.  Their isotropy and E_{i-1} perp L_i
-    both follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y>;
-    they are checked, and a failure raises InvariantError.
+    So L_1 <= E_1 <= ker e needs e^s = 0, else the count is 0.  The bases
+    L_i are built once per check.  Their isotropy and E_{i-1} perp L_i both
+    follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y> and
+    s - i >= i - 1; they are checked, and a failure raises InvariantError.
 
-    The enumeration recurses through isotropic E_i that contain E_{i-1} +
-    L_i, inside E_{i-1}^perp intersected with e^{-1}(E_{i-1}) and L_i^perp,
-    adding one reduced-echelon row at a time and dropping each candidate
-    row as soon as it fails isotropy.  It looks one level ahead: the next
-    window of E_i has dimension at most c - dim E_i + 2 dim(E_i cap im e)
-    (_need; c is the number of Jordan blocks), so below the last level
-    only E_i with dim(E_i cap im e) >= _need(dim E_i, dim E_{i+1}, c) are
-    enumerated, and the rows of any other E_i are never generated (see
-    _last_row_batches, with I = window cap im e).
+    One floor table prunes every level.  The flags below E_t are flags of
+    the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, for the
+    Levi (p_{t+1}, ..., p_k; q), and e' lowers the chain E'_{t+1} < ... <
+    E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
+    S_a the sum of the a largest steps among p_{t+1}, ..., p_k, q, p_k, ...,
+    p_{t+1}, as rank is lower semicontinuous.  And rank e'^a >= rank e^a -
+    2 dim(E_t cap im e^a), since dim e^a(E_t^perp) = rank e^a - dim(E_t cap
+    im e^a) and e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every
+    counted flag has dim(E_t cap im e^a) >= m_{t,a} = ceil(dim E_t -
+    slack_a / 2), slack_a = n - rank e^a - S_a (_quotient_slack, _floors):
+    a table of (partition, Levi) alone, built once per check.  At t = k the
+    chain is q alone, and the floor is the closing test's own.  The
+    enumeration recurses through isotropic E_t that contain E_{t-1} + L_t,
+    inside the window E_{t-1}^perp cap e^{-1}(E_{t-1}) cap L_t^perp, adding
+    one reduced-echelon row at a time and dropping each candidate row as
+    soon as it fails isotropy, and it reads the table three ways:
+    - The cut.  When m_{t,a} = dim E_t, all of E_t lies in im e^a, which is
+      spanned by the Jordan coordinates x(i,j) of height d_j - i >= a.  For
+      the largest such a (_cut) the window shrinks to its part in im e^a,
+      one nullspace of its columns at heights < a.  A start E_{t-1} + L_t
+      with an entry there, or a floor above dim E_t, counts 0.  The whole
+      window lies in ker e^t and so is orthogonal to L_k; that is checked
+      before the cut drops the rows that settle would check.
+    - The a = 1 floor.  With no cut, E_t with dim(E_t cap im e) below
+      m_{t,1} are never generated (_last_row_batches, with I = window cap
+      im e) when another level follows, or when the level adds one row to
+      E_{t-1} + L_t (one rank); a last level that adds several rows keeps
+      its plain order, where the floor's reordered complement can cost
+      more nodes than it saves.
+    - The children.  A child E = B + <x> of an enumerated or filled level
+      that is to be enumerated at level i is dropped when it fails a floor
+      of its own level i - 1, decided by one elimination of B per state
+      and level (_quotient_cut) and one product per batch (_quotient_alive).
 
     Level i is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
     which depends on (partition, Levi) alone: E_{i-1} + L_i may then fill
@@ -557,33 +602,21 @@ def fiber_point_count(
     when the form (u, v) -> <e u, v> vanishes on F^perp, and _closing_mask
     decides that for a whole batch from Q eg Q^T, with Q a basis of
     (F1 + L_k)^perp (of F1^perp when the last level was enumerated, as
-    L_k <= F1 there).
-
-    A child that falls short of level i, or that the run leaves short of
-    the level after it, is enumerated there, unless its quotient cannot
-    hold the rest of the flag.  For E = E_{i-1}, i >= 2, the flags below E
-    are flags of the induced e' on E^perp/E, of dimension N' = n - 2 dim E,
-    for the Levi (p_i, ..., p_k; q), and e' lowers the chain E'_i < ... <
-    E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
-    S_a the sum of the a largest steps among p_i, ..., p_k, q, p_k, ...,
-    p_i, as rank is lower semicontinuous.  And rank e'^a >= rank e^a -
-    2 dim(E cap im e^a), since dim e^a(E^perp) = rank e^a - dim(E cap
-    im e^a) and e^a(E^perp) meets E inside E cap im e^a.  A child for which
-    the second exceeds the first at some a >= 1 has nothing below it and is
-    dropped.  The test reads only the Jordan coordinates and the Levi's
-    steps: one elimination per state and level (_quotient_cut) and one
-    product per batch (_quotient_alive).  A child that is kept builds its
-    window (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by two
+    L_k <= F1 there).  A child that falls short of level i, or that the run
+    leaves short of the level after it, is enumerated there unless the
+    table drops it.  A child that is kept builds its window
+    (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by two
     eliminations, and is not enumerated when the window is smaller than
     dim E_i, or of that dimension and not isotropic (_fits).
 
     A node is one candidate row generated and tested, or one level decided
     by its forced subspace; deciding a run in batches charges the same node
-    per child and level as recursing into each child would, and a child
-    that the quotient bound drops or whose window cannot reach its level
-    costs none.  The budget caps the nodes: a check whose total would
-    exceed it returns an explicit skip with ``nodes == budget + 1``, never
-    a wrong count.
+    per child and level as recursing into each child would.  What the
+    table removes costs none: a child it drops, a level it ends or cuts
+    away, and every row below the a = 1 floor; nor does a child whose
+    window cannot reach its level.  The budget caps the nodes: a check
+    whose total would exceed it returns an explicit skip with
+    ``nodes == budget + 1``, never a wrong count.
 
     Every count charges its first_row_nodes before anything can end it, so
     they are charged up front: when they alone exceed the budget, the same
@@ -601,7 +634,7 @@ def fiber_point_count(
         return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
     dims = list(itertools.accumulate(levi.ps))
     last = len(dims) - 1
-    forced, nilpotent = _forced_subspaces(e, len(dims), p)
+    forced, nilpotent = _forced_subspaces(e, 2 * len(dims) + (levi.q > 0), len(dims), p)
     if not nilpotent:  # L_1 is not in ker e: one node decides the count
         return FlagCount(0, p, levi, 1)
     forced_g = [L @ g % p for L in forced]
@@ -610,26 +643,25 @@ def fiber_point_count(
             raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
     counter = [0]
     eg = (e.T @ g) % p
-    # x is in im e iff im_cut x = 0 (im_cut spans the left kernel of e).
-    im_cut = nullspace(e.T, p)
     # Level i is fillable when E_{i-1} + L_i may reach dims[i]: dim L_i
     # grows by more than the level adds, as E_{i-1} >= L_{i-1}.
     sizes = [0] + [L.shape[0] for L in forced]
     fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last + 1)]
-    c = len(real.partition.parts)
-    # A level space must fit its next window; a one-level Levi whose level
-    # adds one row to L_1 must fit e(F^perp) into F cap im e (the closing
-    # floor, with F^perp as the next level).
-    needs = [_need(dims[t], dims[t + 1], c) for t in range(last)] + [
-        _need(dims[0], n - dims[0], c) if last == 0 and dims[0] - sizes[1] == 1 else 0
-    ]
+    # The floor table, its cut per level, and per level the dimensions of a
+    # level space that may lie outside im e^a.
+    floors = [_floors(real.partition, levi, t) for t in range(last + 1)]
+    cuts = [_cut(floor, d) for floor, d in zip(floors, dims)]
+    spares = [[d - m for m in floor] for floor, d in zip(floors, dims)]
 
-    # The Jordan basis in order of height, and the rank table of each level,
-    # as plain lists: numpy's sorting and searching code adds to peak RSS.
+    # The Jordan basis in order of height, as plain lists: numpy's sorting
+    # and searching code adds to peak RSS.
     heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
     order = sorted(range(n), key=heights.__getitem__)
     height = [heights[col] for col in order]
-    slack = [_quotient_slack(real.partition, levi, i) for i in range(last + 1)]
+
+    def image(W: np.ndarray, a: int) -> np.ndarray:
+        """W cap im e^a: the rows of W's span with no entry at height < a."""
+        return nullspace(W[:, order[: bisect_left(height, a)]].T, p) @ W % p
 
     def orthogonality_error(t: int) -> InvariantError:
         return InvariantError(
@@ -638,16 +670,31 @@ def fiber_point_count(
 
     def recurse(E: np.ndarray, window: np.ndarray, t: int) -> int:
         """Enumerate level t over E = E_{t-1} in its window (E + L_t)^perp
-        cap e^{-1}(E), which can reach dims[t], and settle its children;
-        0 when the window cannot meet im e in needs[t] dimensions."""
+        cap e^{-1}(E), which can reach dims[t], and settle its children.
+        With a cut, the window shrinks to its part in im e^a, which must
+        hold E + L_t; with none, the a = 1 floor holds back every F with
+        dim(F cap im e) below it when another level follows, or when the
+        level adds one row to E + L_t.  0 when some floor exceeds dims[t]."""
+        a = cuts[t]
+        if a is None:
+            return 0
         start = E if sizes[t + 1] == sizes[t] else np.vstack([E, forced[t]])
-        inside = None
-        if needs[t] > 0:  # only F with dim(F cap im e) >= needs[t] go on
-            inside = nullspace(im_cut @ window.T % p, p) @ window % p
-            if inside.shape[0] < needs[t]:
+        inside, need = None, 0
+        if a:
+            # The whole window lies in ker e^(t+1), so it is orthogonal to
+            # L_k, which holds every L_i: check it before the cut drops
+            # rows that settle would have checked.
+            if t < last and np.any(window @ forced_g[last].T % p):
+                raise orthogonality_error(last)
+            if start[:, order[: bisect_left(height, a)]].any():
+                return 0
+            window = image(window, a)
+        elif floors[t] and floors[t][0] > 0 and (t < last or dims[t] - rank(start, p) == 1):
+            inside, need = image(window, 1), floors[t][0]
+            if inside.shape[0] < need:
                 return 0
         return settle(
-            _last_row_batches(start, window, dims[t], g, p, counter, cap, inside, needs[t]), t + 1
+            _last_row_batches(start, window, dims[t], g, p, counter, cap, inside, need), t + 1
         )
 
     def settle(batches, t: int) -> int:
@@ -684,10 +731,10 @@ def fiber_point_count(
             (for i >= 1) and that can reach dims[i] in its window, of
             E = B + <x> for B = F1 + L_{i-1}, recurses with it."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
-            if i:  # drop each child whose quotient cannot hold levels i..k
-                if i not in cuts:
-                    cuts[i] = _quotient_cut(below, order, height, slack[i], p)
-                X = X[_quotient_alive(cuts[i], X, p)]
+            if i:  # drop each child below the floors of level i - 1
+                if i not in bounds:
+                    bounds[i] = _quotient_cut(below, order, height, spares[i - 1], p)
+                X = X[_quotient_alive(bounds[i], X, p)]
             spaces = [np.vstack([below, x]) for x in X]
             windows = [
                 nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
@@ -698,7 +745,7 @@ def fiber_point_count(
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases, cuts = F1, F1 @ g % p, {}, {}
+                state, F1g, bases, bounds = F1, F1 @ g % p, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)

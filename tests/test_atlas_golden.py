@@ -1,8 +1,9 @@
 """Pinned atlas bytes: the sha256 of every atlas JSONL and summary CSV for
-B/C/D at ranks 1-6 with the default oracle budget and at ranks 1-6, 10 and
-12 with ``--oracle-budget 0``, and the rank-5 oracle skips per family.  The
-atlas is the package's behavioural contract, so a refactor must reproduce
-these files byte for byte; a change that alters them on purpose updates the
+B/C/D at ranks 1-7 with the default oracle budget and at ranks 1-6, 10 and
+12 with ``--oracle-budget 0``, and the oracle skips per family at ranks 5
+and 7 (rank 7's read from the run that its digests come from).  The atlas
+is the package's behavioural contract, so a refactor must reproduce these
+files byte for byte; a change that alters them on purpose updates the
 digests here and says why in CHANGES.md."""
 import hashlib
 import json
@@ -19,36 +20,42 @@ DEFAULT_BUDGET = {
            "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
     "B3": ("533729b1b3442194bf29bbaecf26d02c8ddab05f38484b3e732e89b74a8b1680",
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
-    "B4": ("7e76b425df9dbf6fc5f248da9a762ec27bb130a85b5a834f50c24997c6faa35f",
+    "B4": ("d6a1f516be1e7d339625c5ea688f41be417317dec84611c06872c185b1005744",
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
-    "B5": ("413f38b2eaeb85531658cc997293b3ecb1cddbbdff57707af27d65dfb846b7de",
-           "2a06ecea940d3a90c2c6926712aaafe54d16468011d9af745be3d11fe967d0ba"),
-    "B6": ("7d38d9e647b2c5732c3c906e01d208684fe249c4d45e74db5686370c27fb25fc",
-           "3ab057ae3dc2354e90cc9da33b9cb5ee395927a9044662b44c9ba6499ff5fe0d"),
+    "B5": ("2e2aba7ead7a4affb3492709de2dae9f177f40d661aae77c457be3ce5c5ab899",
+           "09c29ce0d1f38eecc60c57a47f065fde15d2e0eac1ab056418e9e7c0fab77ad5"),
+    "B6": ("3d698a4f19c978b985b5f1cbc55bd77a1efeb2a6d2dcf7671d1d27546b14f6ba",
+           "e211d09be7ad8c1e34cc4e08e6cb2db1e33728cd5056e13e905df93791de2cda"),
+    "B7": ("5996bbfb9900b19e0cb5b4f9cfc60de8e476c2d0377af610fa176400f9feff28",
+           "0a7e55612d3a3b4ed8b2f08b1c124cd12a671ef159a92cbde8f07b87801c3411"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
-    "C2": ("1e95d49f691733cf6fca53923014b1147763e16dfaed547b7c6c45aeb40d9994",
+    "C2": ("3c92d5903c8d142cef9de61d20b4d94a1385d865e9f83ec1ff4730867d7f53a4",
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
-    "C3": ("6025a832f4950b499a5c2c65234ac5499198f5cbf489fdf8f9ca8ed47ff33276",
+    "C3": ("01260313476460a4af0abd4da883951f7e6b45bac9543daf01a9434fac90af28",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("defe7ce029163077d8b91b718eb4aec25f3068043130c7ef5e3cce199ef016e4",
+    "C4": ("d3c4fa58e10f7798fabb770e5de7e28a0b8b1d75f4efa232e692308ffa863a46",
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
-    "C5": ("810314b2e27c20cd0b9213a122d000fe6dcbf86c306b0e5da9ecda9f5fe8f356",
-           "a3f0aaeedcc17705d427cabeae5c6395b7804f6d43b68823729a116b24138b53"),
-    "C6": ("7e88a94170837c72c0e8842ec4820d62f15423b81d1a0c319a7ff3b60ec88d27",
-           "9126d3ebb6b9031a6ca8f2729656654bd38aef2fad1b1778a7d1b7c90c4b5de8"),
+    "C5": ("f3eca71cb7c82abc2930bdec2d1a65a13bd75f66767eda33304cb25d3339a555",
+           "ead2ef34333a66d8825efd18a63b6c088a1726a52613411cb2c044130d65b9b6"),
+    "C6": ("6ff0cd941cd4df0352ea650d277675d1a33ec219cef3d785053275071df66fa3",
+           "943fd61e7bb021908b3d6321dff788ea12471cf67528c021039273f26500416e"),
+    "C7": ("7426b95357a1cf4e3fd3c9a59ad117b438ebdc166f278a7213e2ff50970c5069",
+           "69c33e5a27ab3b4ef6e48846b404aa6c986f9901438b6c06a69e685f9115358d"),
     "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
-    "D2": ("3166c238c78c872accabace2463f40ce2c63fd118ad8b0bc7741144afc7d2253",
+    "D2": ("5ea538acb07e25f304982b646180454ab71f515fde212310d3cf7a661e4c7d3b",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("fffe56e0cc89384f56fe4de9508331c5b95b058246e9da7bddfee6bcc7b8c989",
+    "D3": ("633cd82d61244b876c86d80c24134d15e6454072aa30fdb3c437fe58c4c80302",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("426c60321b692c48506d1cc1649560f0d59c72f893eaf1e530cbcf57922741a6",
+    "D4": ("6500d4f52ebcc53a3cad0fbc816c8336355abcb7a0ffa3d1a1eeae70e3f37872",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("18d0ca3958aee3acceb514be71a7cc46ab7a4ac11e790b59bfa814894aba70a8",
-           "c770f7bedd7db697ea6a646b53ddf46ee2f3ede9a6f78cf6992654f1a43f0639"),
-    "D6": ("04bf2d9745374dbff5d81deae2eba35fd1b66e98f2936ef2e10c05b481cc789b",
-           "bde663e5cf79e5b9d0cfaa8b60355e964732d06d0e70f43e6e0e0d4cfd843f31"),
+    "D5": ("f088040bc2b9c76936901a1328df7f453879844156cd41cc2846f94eb5c866c6",
+           "bb9c7b98d7d2e2ce3c73b989971be3c6950850083c4f25fab84490dce6384584"),
+    "D6": ("e1111bf85cfc6745935954837364bdd4ce17ff9d1a6847234ede916aaa7de4db",
+           "3fe8a891bc08bb5f8e3ffe9c86dcbba1d0f631663c30e9ddb4d6a84a1cdc16f7"),
+    "D7": ("a18859f9fd8cd348d4bbed5e630370302d857e319b8603610157c088e95ddc99",
+           "66c55c0b3b1443a47910eff7ccc366aa539ef34b0b83b82ce65d2eef8f2a1384"),
 }
 BUDGET_0 = {
     "B1": ("b411486cac537214846cbcc6afaa5063d3f17cc798ada82c5267d90a34c876f9",
@@ -101,6 +108,9 @@ BUDGET_0 = {
             "815bee6aa41f959d2893085df4a098868d810a858468ea443a52ac4bf4cb6a63"),
 }
 
+# Checks the default 5,000-node budget skips at rank 7, per family.
+SKIPPED = {"B7": 8, "C7": 11, "D7": 5}
+
 CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
     ("budget0", key, ["--oracle-budget", "0"]) for key in BUDGET_0
 ]
@@ -111,18 +121,20 @@ def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
     monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     family, rank = key[0], key[1:]
     code = main(["atlas", "--family", family, "--rank", rank, "--ceiling", "12",
-                 "--out", str(tmp_path), *extra])
-    capsys.readouterr()
-    assert code == 0
+                 "--out", str(tmp_path), "--json", *extra])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["failures"] == 0
     digests = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in (f"atlas-{key}.jsonl", f"atlas-{key}-summary.csv")
     )
     pinned = (DEFAULT_BUDGET if budget == "default" else BUDGET_0)[key]
     assert digests == pinned
+    if budget == "default" and key in SKIPPED:
+        assert payload["oracle_skipped"] == SKIPPED[key]
 
 
-@pytest.mark.parametrize("family, skipped", [("B", 2), ("C", 7), ("D", 2)])
+@pytest.mark.parametrize("family, skipped", [("B", 0), ("C", 0), ("D", 1)])
 def test_rank_five_oracle_skips(capsys, tmp_path, monkeypatch, family, skipped):
     """The F_p checks the default 5,000-node budget still skips at rank 5,
     per family, and no check fails: an oracle change that skips more shows

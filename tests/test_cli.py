@@ -191,11 +191,11 @@ class TestFiber:
         ]
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
-        # (2,4;1) tests its 13 first-row candidates, then skips at 101 nodes.
+        # (2,4;1) tests its one first-row candidate, then skips at 11 nodes.
         code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
-                           "--oracle-budget", "100", "4,4,2,2,1")
+                           "--oracle-budget", "10", "4,4,2,2,1")
         assert code == 0
-        assert "  p=3: skipped: budget after 101 nodes" in out.splitlines()
+        assert "  p=3: skipped: budget after 11 nodes" in out.splitlines()
 
 
 class TestAtlas:
@@ -376,6 +376,7 @@ class TestOracleInputs:
             ["--oracle-primes", "3,9"],
             ["--oracle-primes", "3,3"],
             ["--oracle-primes", "5,3,5"],
+            ["--oracle-primes", "3,,5"],
             ["--oracle-primes", "2147483647"],  # prime 2^31-1, but n*(p-1)^2 >= 2^63
             ["--oracle-budget", "-1"],
         ],
@@ -387,6 +388,12 @@ class TestOracleInputs:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["fiber", "atlas"])
+    @pytest.mark.parametrize("primes", ["3,,5", "3,5,", ""])
+    def test_empty_prime_is_malformed(self, capsys, tmp_path, command, primes):
+        code, out, err = self._run(capsys, tmp_path, command, "--oracle-primes", primes)
+        assert (code, out, err) == (2, "", f"error: malformed prime list {primes!r}\n")
 
     @pytest.mark.parametrize("command", ["fiber", "atlas"])
     @pytest.mark.parametrize("value", ["abc", "-1"])

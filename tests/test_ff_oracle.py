@@ -9,6 +9,7 @@ subspaces against a test-side count that enumerates without them; the
 package's row reduction only builds the inputs and the canonical bases
 compared.
 """
+import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -45,6 +46,8 @@ from nilorbit.ff_oracle import (
     _closing_mask,
     _is_odd_prime,
     _last_row_batches,
+    _cut,
+    _floors,
     _quotient_alive,
     _quotient_cut,
     _quotient_slack,
@@ -504,11 +507,13 @@ class TestNodeBudget:
         assert below.count is None and below.skipped == "budget"
         assert below.nodes == full.nodes
 
-    # The full count takes 37 nodes; caps below 6 skip on the first row.
+    # The full count takes 102 nodes; caps below 6 skip on the first row.
     @pytest.mark.parametrize("cap", [0, 1, 5, 30])
     def test_skip_reports_cap_plus_one(self, cap):
-        real = realize(P("2,1,1"), Family.C, 5)
-        res = fiber_point_count(real, L("2;0", Family.C), budget=cap)
+        real, levi = realize(P("3,3,1,1"), Family.D, 5), L("1,3;0", Family.D)
+        assert first_row_nodes(real.partition, levi, 5) == 6
+        assert fiber_point_count(real, levi).nodes == 102
+        res = fiber_point_count(real, levi, budget=cap)
         assert res.count is None and res.skipped == "budget"
         assert res.nodes == cap + 1
 
@@ -523,9 +528,11 @@ class TestNodeBudget:
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_first_row_precharge_is_exact(self, monkeypatch, q):
-        # Every pseudo-polarization at B N <= 7 and C/D N <= 6, and C
-        # 4,2,2,1,1 via (1,4;0), whose first row the look-ahead trims from
-        # 121 candidates to 13 at p=3 (781 to 31 at p=5).  first_row_nodes
+        # Every pseudo-polarization at B N <= 7 and C/D N <= 6, among them
+        # cuts such as B 2,2,1 via (1;3); C 4,2,2,1,1 via (1,4;0), whose
+        # L_1 = im e^3 decides the first level; and C 3,3,1,1 via (2,2;0),
+        # whose first row the a = 1 floor trims from 13 candidates to 4 at
+        # p=3 (31 to 6 at p=5).  first_row_nodes
         # is exactly what the first level's first row charges, unless one
         # node decides the first level.  With T the unbudgeted node total
         # and R the first row's candidates, R <= T, and each budget b
@@ -538,17 +545,19 @@ class TestNodeBudget:
             for n in range(2 - fam.size_parity, top + 1, 2)
             for orbit in enumerate_valid(n, fam)
             for _, levi in pseudo_polarizations(orbit, fam)
-        ] + [(Family.C, P("4,2,2,1,1"), L("1,4;0", Family.C))]
+        ] + [
+            (Family.C, P("4,2,2,1,1"), L("1,4;0", Family.C)),
+            (Family.C, P("3,3,1,1"), L("2,2;0", Family.C)),
+        ]
         for fam, orbit, levi in cases:
             real = realize(orbit, fam, q)
             first_rows.clear()
             full = fiber_point_count(real, levi, budget=10**12)
             T, R = full.nodes, first_row_nodes(orbit, levi, q)
             assert full.count is not None and R <= T, (orbit, levi)
-            k = len(levi.ps)
-            one_node = k and (
-                max(orbit.parts) > 2 * k + 1
-                or levi.ps[0] <= sum(max(x - 2 * k, 0) for x in orbit.parts)
+            s = 2 * len(levi.ps) + (levi.q > 0)
+            one_node = bool(levi.ps) and (
+                max(orbit.parts) > s or levi.ps[0] <= sum(max(x - s + 1, 0) for x in orbit.parts)
             )
             assert sum(first_rows) == (0 if one_node else R), (orbit, levi)
             for b in {0, R - 1, R, T - 1, T} - {-1}:
@@ -604,28 +613,33 @@ def spy_first_rows(monkeypatch):
 # --- the forced subspaces against the un-hoisted enumeration -----------------
 
 
-def unhoisted_count(real, levi, cap, start=None, t=0):
+def unhoisted_count(real, levi, cap, start=None, t=0, flags=None):
     """(count, nodes) of the flag enumeration without the forced subspaces
-    im e^(2k+1-i): level i starts from E_{i-1} alone, inside E_{i-1}^perp
-    intersected with e^{-1}(E_{i-1}); (None, cap + 1) past the cap.  With
-    ``start``, the rows of a level space E_t, only the flags through it."""
+    and the floor table: level i starts from E_{i-1} alone, inside
+    E_{i-1}^perp intersected with e^{-1}(E_{i-1}); (None, cap + 1) past the
+    cap.  With ``start``, the rows of a level space E_t, only the flags
+    through it.  With a list ``flags``, each counted flag is appended to it
+    as the list of its level spaces below ``start``."""
     p, e, g = real.modulus, real.e, real.gram
     dims = list(itertools.accumulate(levi.ps))
     counter = [0]
     eg = e.T @ g % p
 
-    def recurse(E, t):
+    def recurse(E, t, chain):
         if E.shape[0] == 0:
             window = nullspace(e, p)
         else:
             window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
         if t == len(dims) - 1:
-            return sum(
-                int(np.count_nonzero(closes))
-                for _, _, closes in closing_batches(E, window, dims[t], g, eg, p, counter, cap)
-            )
+            total = 0
+            for F1, X, closes in closing_batches(E, window, dims[t], g, eg, p, counter, cap):
+                total += int(np.count_nonzero(closes))
+                if flags is not None:
+                    flags.extend(chain + [np.vstack([F1, x])] for x in X[closes])
+            return total
         return sum(
-            recurse(F, t + 1) for F in extensions(E, window, dims[t], g, p, counter, cap)
+            recurse(F, t + 1, chain + [F])
+            for F in extensions(E, window, dims[t], g, p, counter, cap)
         )
 
     if not dims:
@@ -633,23 +647,32 @@ def unhoisted_count(real, levi, cap, start=None, t=0):
     try:
         if start is None:
             start = np.zeros((0, real.dim), dtype=np.int64)
-        return recurse(start, t), counter[0]
+        return recurse(start, t, []), counter[0]
     except BudgetExceeded:
         return None, counter[0]
 
 
+@functools.lru_cache(maxsize=None)
+def swept_reference(fam, orbit, levi, q, cap):
+    """unhoisted_count(realize(orbit, fam, q), levi, cap) with the flags it
+    counts: (count, nodes, flags).  The sweeps of every Levi share it."""
+    flags = []
+    count, nodes = unhoisted_count(realize(orbit, fam, q), levi, cap, flags=flags)
+    return count, nodes, flags
+
+
 class TestHoist:
     # Every Levi, not only pseudo-polarizations, so that empty fibers and
-    # Levis with e^(2k+1) != 0 are covered.  Counts are compared wherever the
+    # Levis with e^s != 0 (s = 2k + [q > 0]) are covered.  Counts are compared wherever the
     # reference finishes within the cap; the full flag varieties of the zero
     # orbits are far beyond it.
     CAP = 2000
 
     # (prime, top N for B/C/D, checks the reference finishes, of which
-    # count 0, of which have e^(2k+1) != 0)
+    # count 0, of which have e^s != 0)
     @pytest.mark.parametrize(
         "q,tops,coverage",
-        [(3, (7, 6, 6), (164, 63, 25)), (5, (7, 6, 6), (145, 63, 25)), (7, (5, 4, 4), (46, 15, 4))],
+        [(3, (7, 6, 6), (164, 63, 30)), (5, (7, 6, 6), (145, 63, 30)), (7, (5, 4, 4), (46, 15, 5))],
     )
     def test_matches_unhoisted_reference(self, q, tops, coverage):
         compared = zeros = not_nilpotent = 0
@@ -659,15 +682,16 @@ class TestHoist:
                 for orbit in enumerate_valid(n, fam):
                     real = realize(orbit, fam, q)
                     for levi in enumerate_levis(n, fam):
-                        want, ref_nodes = unhoisted_count(real, levi, self.CAP)
+                        want, ref_nodes, _ = swept_reference(fam, orbit, levi, q, self.CAP)
                         got = fiber_point_count(real, levi, budget=self.CAP)
                         if want is None:
                             continue
                         case = (orbit, levi, q)
                         assert (got.count, got.skipped) == (want, None), case
-                        big_part = bool(levi.ps) and max(orbit.parts) > 2 * len(levi.ps) + 1
+                        s = 2 * len(levi.ps) + (levi.q > 0)
+                        big_part = bool(levi.ps) and max(orbit.parts) > s
                         # A check whose reference tests no row (d > c) costs
-                        # one node when e^(2k+1) != 0 rejects L_1.
+                        # one node when e^s != 0 rejects L_1.
                         assert got.nodes <= ref_nodes or (ref_nodes, got.nodes, big_part) == (
                             0, 1, True
                         ), case
@@ -690,7 +714,7 @@ class TestHoist:
     )
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_a_filled_level_costs_one_node(self, fam, orbit, levi, k, q):
-        # E_i = E_{i-1} + im e^(2k+1-i) at every level: one flag, k nodes.
+        # E_i = E_{i-1} + L_i at every level: one flag, k nodes.
         res = fiber_point_count(realize(P(orbit), fam, q), L(levi, fam))
         assert (res.count, res.nodes) == (1, k)
 
@@ -700,10 +724,15 @@ class TestHoist:
         assert first_row_nodes(real.partition, L("1;3"), 3) == 1
         assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
 
-    # Checks where the look-ahead prunes ("a": fewer nodes than with no
+    # Checks where the a = 1 floor prunes ("a": fewer nodes than with no
     # floor on dim(E cap im e)) and where a level decides its children's
     # last level in its own batches ("b": _closing_mask called by a settle
-    # whose run is not empty), each against the un-hoisted reference.
+    # whose run is not empty), each against the un-hoisted reference.  The
+    # paths are pinned with the floor table's cut off, since it prunes
+    # first, and with the forced subspaces L_i = im e^(2k+1-i) of q > 0,
+    # which every flag contains: for q = 0 the larger im e^(2k-i) decides
+    # the C cases before any floor applies.  With both on, the count is the
+    # same and takes at most as many nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -715,14 +744,19 @@ class TestHoist:
         ("b", Family.C, "4,2", "1,1;2"),
         ("b", Family.C, "6,2", "1,1,1;2"),
     ]
+    # "b" checks that the a = 1 floor prunes too: its column of the table
+    # is stronger there than the look-ahead bound it replaced.
+    ALSO_PRUNED = {("5,2,2", "1,1,1;3"), ("4,2,1,1", "1,1;4")}
 
     @pytest.mark.parametrize("path,fam,orbit,levi", LOOKAHEAD)
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_lookahead_matches_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
+        pruned = path == "a" or (orbit, levi) in self.ALSO_PRUNED
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
+        full = fiber_point_count(real, levi)
         runs = []
-        mask = ff_oracle._closing_mask
+        mask, forced = ff_oracle._closing_mask, ff_oracle._forced_subspaces
 
         def spy(*args):
             frame = sys._getframe(1)
@@ -731,16 +765,21 @@ class TestHoist:
             return mask(*args)
 
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda e, s, k, p: forced(e, 2 * k + 1, k, p))
         got = fiber_point_count(real, levi)
-        assert (got.count, got.skipped) == (want, None)
-        assert got.nodes <= ref_nodes
-        monkeypatch.setattr(ff_oracle, "_need", lambda *args: 0)
+        assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
+        assert max(full.nodes, got.nodes) <= ref_nodes
+        batches = ff_oracle._last_row_batches  # the same, with no floor
+        monkeypatch.setattr(ff_oracle, "_last_row_batches", lambda *args: batches(*args[:7]))
         unpruned = fiber_point_count(real, levi)
         assert (unpruned.count, unpruned.skipped) == (want, None)
-        if path == "a":
+        if pruned:
             assert got.nodes < unpruned.nodes
         else:
-            assert got.nodes == unpruned.nodes and max(runs) > 0
+            assert got.nodes == unpruned.nodes
+        if path == "b":
+            assert max(runs) > 0
 
     # Runs of two or more fillable levels, each against the un-hoisted
     # reference: "c", settle decides children by _closing_mask two or more
@@ -749,9 +788,11 @@ class TestHoist:
     # closed after an empty run; "m", a child falls short in the middle of
     # a run and its level is enumerated.  The references for C 6,1,1,1,1 and
     # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.  The
-    # paths are pinned with the quotient bound off: it drops the children of
-    # the count-0 cases before they reach them.  With it on, the count is
-    # the same and takes at most as many nodes.
+    # paths are pinned with the floor table off (no row in it), as it cuts
+    # the windows before the runs see them and drops the children of the
+    # count-0 cases, and with the forced subspaces of q > 0, as the larger
+    # ones of q = 0 fill every level of C 6 via (1,1,1;0).  With both on,
+    # the count is the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
@@ -767,7 +808,7 @@ class TestHoist:
     def test_chains_match_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        mask, charge = ff_oracle._closing_mask, ff_oracle._charge
+        mask, charge, forced = ff_oracle._closing_mask, ff_oracle._charge, ff_oracle._forced_subspaces
         decided, closed, enumerated = [], [], []
 
         def sent(frame):
@@ -801,7 +842,8 @@ class TestHoist:
         pruned = fiber_point_count(real, levi)
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
         monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
-        monkeypatch.setattr(ff_oracle, "_quotient_alive", lambda cut, X, p: np.ones(len(X), dtype=bool))
+        monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda e, s, k, p: forced(e, 2 * k + 1, k, p))
         got = fiber_point_count(real, levi)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
@@ -815,8 +857,10 @@ class TestHoist:
 
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
-    # im e^2 for B 3,1,1; for C 4,2, index 4 is x(1,1), a first row in ker e
-    # that the broken form no longer makes orthogonal to L_2 = im e^3.
+    # im e^2 for B 3,1,1; for C 4,2 via (1,1;2), index 4 is x(1,1), a first
+    # row in ker e that the broken form no longer makes orthogonal to
+    # L_2 = im e^3.  The floor table cuts E_1 to im e^3 there (and E_1 of
+    # C 6,2 to im e^5), so the whole window is checked before the cut.
     CORRUPT = (
         "from nilorbit import (Family, InvariantError, LeviType, fiber_point_count,\n"
         "                      parse_partition, realize)\n"
@@ -829,7 +873,7 @@ class TestHoist:
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
         "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
-        "print(raises('4,2', Family.C, '1,2;0', [(0, 4), (4, 0)]))\n"
+        "print(raises('4,2', Family.C, '1,1;2', [(0, 4), (4, 0)]))\n"
         "print(raises('6,2', Family.C, '1,1,1;2', [(0, 2), (1, 6)]))\n"
     )
 
@@ -841,29 +885,39 @@ class TestHoist:
         real = realize(P("4,2"), Family.C, 3)
         real.gram[0, 4] = real.gram[4, 0] = 1
         with pytest.raises(InvariantError, match="not orthogonal"):
-            fiber_point_count(real, L("1,2;0", Family.C))
+            fiber_point_count(real, L("1,1;2", Family.C))
 
-    def test_batched_last_level_keeps_the_orthogonality_check(self):
+    def test_batched_last_level_keeps_the_orthogonality_check(self, monkeypatch):
         # C 4,2 via (1,1;2) decides its last level in its first level's
         # batches; the broken form of the test above makes E_1 = <x(1,1)>
-        # meet L_2 = im e^3 there.
+        # meet L_2 = im e^3 there.  The cut to im e^3 never enumerates that
+        # E_1, so recurse checks the window; with the cut off, the run does.
         real = realize(P("4,2"), Family.C, 3)
         real.gram[0, 4] = real.gram[4, 0] = 1
+        with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
+            fiber_point_count(real, L("1,1;2", Family.C))
+        assert (info.traceback[-1].name, info.traceback[-1].locals["t"]) == ("recurse", 0)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
             fiber_point_count(real, L("1,1;2", Family.C))
         raised = info.traceback[-1]  # the run of level 1 alone, the last level
         assert (raised.name, raised.locals["t"], raised.locals["end"]) == ("settle", 1, 2)
 
-    def test_mid_run_level_keeps_the_orthogonality_check(self):
+    def test_mid_run_level_keeps_the_orthogonality_check(self, monkeypatch):
         # C 6,2 via (1,1,1;2): level 1 decides its children's run of levels
         # 2 and 3.  Gram index 6 is x(1,1) and index 1 is x(2,0), in L_3 =
         # im e^4, so gram[1, 6] makes E_2 meet L_3.  gram[0, 2] breaks the
         # form's symmetry in the row of x(1,0), which spans L_2, so the run
         # no longer finds the child x(1,0) inside F1 + L_2: no child falls
         # short and recurses, and the batch reaches level 3, where the run
-        # itself must raise.
+        # itself must raise.  The cut to im e^5 keeps x(1,1) out of E_1, so
+        # recurse checks the window first; with the cut off, the run does.
         real = realize(P("6,2"), Family.C, 3)
         real.gram[0, 2] = real.gram[1, 6] = 1
+        with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
+            fiber_point_count(real, L("1,1,1;2", Family.C))
+        assert (info.traceback[-1].name, info.traceback[-1].locals["t"]) == ("recurse", 0)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
             fiber_point_count(real, L("1,1,1;2", Family.C))
         raised = info.traceback[-1]
@@ -880,7 +934,8 @@ class TestHoist:
 
 def _states(real, levi, cap):
     """Every (t, E, L, W) of the forced-subspace enumeration without the
-    look-ahead: E = E_t of a partial flag (E_0 = 0), L = im e^(2k-t) and
+    floor table: E = E_t of a partial flag (E_0 = 0), L = im e^(2k-t) (the
+    forced subspace for q > 0, which every flag contains for any q) and
     the window W = (E + L)^perp cap e^{-1}(E) of level t + 1, built for
     each E on its own by two eliminations.  Raises BudgetExceeded once the
     enumeration has tested ``cap`` rows."""
@@ -923,7 +978,8 @@ class TestLookAhead:
     def test_window_lemma_on_every_state(self, q):
         # dim W = n - dim(E + L + e(E^perp)), since e^{-1}(E) = (e(E^perp))^perp;
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
-        # + 2 dim(E cap im e), the bound _need turns into a floor.
+        # + 2 dim(E cap im e), a bound the floor table's a = 1 column meets
+        # or beats.
         states = 0
         p = q
         for real, levi, reached in _swept_states(q):
@@ -939,6 +995,59 @@ class TestLookAhead:
                 assert W.shape[0] <= c - d + 2 * meet, case
                 states += 1
         assert states > 1000
+
+    # (flags counted, levels with a cut that hold them)
+    @pytest.mark.parametrize("q,flags", [(3, (4388, 60)), (5, (3651, 60))])
+    def test_counted_flags_lie_in_the_cut_windows(self, monkeypatch, q, flags):
+        # Every flag that the un-hoisted reference counts (it knows neither
+        # the forced subspaces nor the floor table), for every Levi of B
+        # N <= 7 and C/D N <= 6 whose reference finishes within TestHoist's
+        # cap, contains the forced subspaces that fiber_point_count builds,
+        # and each level space E_t meets every floor of row t of the table:
+        # dim(E_t cap im e^a) = dim E_t - rank(E_t at heights < a) >= m_a.
+        # So E_t lies in its window cut to im e^a at _cut's a.
+        p = q
+        built = []
+        forced_subspaces = ff_oracle._forced_subspaces
+
+        def spy(*args):
+            built.append(forced_subspaces(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", spy)
+        seen = cut = 0
+        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, q)
+                    heights = np.array([d - j for d in orbit.parts for j in range(1, d + 1)])
+                    for levi in enumerate_levis(n, fam):
+                        count, _, counted = swept_reference(fam, orbit, levi, q, TestHoist.CAP)
+                        if not levi.ps or count is None:
+                            continue
+                        built.clear()
+                        got = fiber_point_count(real, levi, budget=10**6)
+                        assert got.count == len(counted), (orbit, levi)
+                        if not counted:
+                            continue
+                        forced, nilpotent = built[-1]
+                        assert nilpotent, (orbit, levi)
+                        dims = list(itertools.accumulate(levi.ps))
+                        for t, d in enumerate(dims):
+                            floor = _floors(orbit, levi, t)
+                            a = _cut(floor, d)
+                            assert a is not None, (orbit, levi, t)
+                            cut += bool(a)
+                            for flag in counted:
+                                E = flag[t]
+                                case = (orbit, levi, t, E)
+                                assert rank(E, p) == d, case
+                                assert contains(E, forced[t], p), case
+                                assert not E[:, heights < a].any(), case
+                                for b, m in enumerate(floor, 1):
+                                    assert d - rank(E[:, heights < b], p) >= m, case
+                        seen += len(counted)
+        assert (seen, cut) == flags
 
     # States E = E_t, t >= 1, of the sweep that the quotient bound drops.
     @pytest.mark.parametrize("q,drops", [(3, 42), (5, 100)])
@@ -970,9 +1079,9 @@ class TestLookAhead:
                     exact = rank(np.vstack([E, perp @ power.T % p]), p) - d
                     assert rank_a - 2 * meet <= exact, (real.partition, levi, E, a)
                     dead |= rank_a - 2 * meet > n - 2 * d - sum(steps[:a])
-                slack = _quotient_slack(real.partition, levi, t)
+                spare = [s // 2 for s in _quotient_slack(real.partition, levi, t)]
                 for B in (E[:-1], E):
-                    cut = _quotient_cut(B, order, [heights[j] for j in order], slack, p)
+                    cut = _quotient_cut(B, order, [heights[j] for j in order], spare, p)
                     assert _quotient_alive(cut, E[-1:], p)[0] != dead, (real.partition, levi, B)
                 if dead:
                     below, _ = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
