@@ -576,7 +576,8 @@ def fiber_point_count(
       one nullspace of its columns at heights < a.  A start E_{t-1} + L_t
       with an entry there, or a floor above dim E_t, counts 0.  The whole
       window lies in ker e^t and so is orthogonal to L_k; that is checked
-      before the cut drops the rows that settle would check.
+      before the table cuts or ends the level, dropping rows that settle
+      would check.
     - The a = 1 floor.  With no cut, E_t with dim(E_t cap im e) below
       m_{t,1} are never generated (_last_row_batches, with I = window cap
       im e) when another level follows, or when the level adds one row to
@@ -676,16 +677,16 @@ def fiber_point_count(
         dim(F cap im e) below it when another level follows, or when the
         level adds one row to E + L_t.  0 when some floor exceeds dims[t]."""
         a = cuts[t]
+        # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
+        # which holds every L_i: check it before the table drops rows that
+        # settle would have checked.
+        if a != 0 and t < last and np.any(window @ forced_g[last].T % p):
+            raise orthogonality_error(last)
         if a is None:
             return 0
         start = E if sizes[t + 1] == sizes[t] else np.vstack([E, forced[t]])
         inside, need = None, 0
         if a:
-            # The whole window lies in ker e^(t+1), so it is orthogonal to
-            # L_k, which holds every L_i: check it before the cut drops
-            # rows that settle would have checked.
-            if t < last and np.any(window @ forced_g[last].T % p):
-                raise orthogonality_error(last)
             if start[:, order[: bisect_left(height, a)]].any():
                 return 0
             window = image(window, a)
