@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import nullspace, rank, rref
+from ._linalg import det, nullspace, rank, rref
 from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
@@ -148,29 +148,6 @@ def _block_units(p: Partition, family: Family) -> list[int]:
     return units
 
 
-def _signed_det(mat: np.ndarray) -> int:
-    """Exact determinant of a matrix with one nonzero entry per row/column."""
-    n = mat.shape[0]
-    cols = [int(np.nonzero(mat[i])[0][0]) for i in range(n)]
-    value = 1
-    for i in range(n):
-        value *= int(mat[i, cols[i]])
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = cols[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign * value
-
-
 def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     """Nilpotent element of Jordan type ``p`` with a split invariant form
     over F_modulus.  Only odd prime moduli are accepted."""
@@ -226,19 +203,28 @@ def _validate(real: JordanRealization) -> None:
             raise InvariantError(f"{what} ({real.family.value}, {real.partition}, p={p})")
 
     require(not np.any((g.T - real.family.epsilon * g) % p), "form symmetry broken")
-    require(rank(g, p) == n, "form is degenerate")
+    det_g = det(g, p)
+    require(det_g, "form is degenerate")
+    # A 0/1 matrix with at most one 1 in each row and column has powers of
+    # the same kind, and the rank of each is its number of nonzero entries.
+    # It is checked on Python lists: numpy's reductions add to peak RSS.
+    rows = e.tolist()
+    require(
+        all(x in (0, 1) for row in rows for x in row)
+        and all(sum(line) <= 1 for line in itertools.chain(rows, zip(*rows))),
+        "e is not a 0/1 partial permutation",
+    )
     require(not np.any((e.T @ g + g @ e) % p), "form is not e-invariant")
-    power = np.eye(n, dtype=np.int64)
-    for k in itertools.count():
+    power = e
+    for k in itertools.count(1):
         expected = sum(max(d - k, 0) for d in real.partition.parts)
-        require(rank(power, p) == expected, f"rank of e^{k} is not {expected}")
+        require(np.count_nonzero(power) == expected, f"rank of e^{k} is not {expected}")
         if expected == 0:
             break
-        power = (power @ e) % p
+        power = power @ e
     if real.family is Family.D:
-        det = _signed_det(real.gram) % p
         target = ((-1) ** (n // 2)) % p
-        ratio = (det * pow(target, p - 2, p)) % p
+        ratio = (det_g * pow(target, p - 2, p)) % p
         require(pow(ratio, (p - 1) // 2, p) == 1, "even orthogonal form is not split")
 
 
@@ -524,17 +510,39 @@ def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> bool:
     return not np.any(W @ g % p @ W.T % p)
 
 
-def _forced_subspaces(e: np.ndarray, s: int, k: int, p: int) -> tuple[list[np.ndarray], bool]:
-    """Row bases of L_i = im e^(s-i) for i = 1..k, and whether e^s = 0
-    mod p.  fiber_point_count takes s = 2k + 1, or s = 2k when q = 0."""
-    power = np.eye(e.shape[0], dtype=np.int64)
-    for _ in range(s - k):
-        power = power @ e % p
-    bases = []
-    for _ in range(k):
-        bases.append(rref(power.T, p)[0])
-        power = power @ e % p
-    return bases[::-1], not np.any(power)
+def _child_windows(
+    Bg: np.ndarray, Y: np.ndarray, Ye: np.ndarray, Lg: np.ndarray, X: np.ndarray, g: np.ndarray, p: int
+) -> list[np.ndarray]:
+    """The window (E + L)^perp cap e^{-1}(E) of each child E = B + <x>, x a
+    row of X, given Bg = B g, a basis Y of ann(B) = {y : B y = 0}, Ye = Y e
+    and Lg = L g: one nullspace of [B g; x g; L g; ann(E) e] per child, as
+    e^{-1}(E) = (ann(E) e)^perp.  ann(E) is ann(B) cut by c = Y x, spanned by
+    Y_k - (c_k / c_j) Y_j for c_j the first nonzero entry of c (row j
+    becomes 0), or by Y when c = 0; only its image under e is formed, in
+    one update of Ye per child.  nullspace depends only on the span of its
+    rows, so this spanning set gives the window that a nullspace of E
+    would."""
+    C = X @ Y.T % p
+    first = (C != 0).argmax(axis=1)
+    lead = C[np.arange(C.shape[0]), first].tolist()
+    scale = np.array([pow(c, -1, p) if c else 0 for c in lead], dtype=np.int64)
+    ratios = C * scale[:, None] % p  # 0 when c = 0
+    return [
+        nullspace(np.vstack([Bg, xg, Lg, Ye - ratio[:, None] * Ye[j]]), p)
+        for xg, ratio, j in zip(X @ g % p, ratios, first)
+    ]
+
+
+def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarray], bool]:
+    """Row bases of L_i = im e^(s-i) for i = 1..k, and whether e^s = 0, on
+    realize's Jordan basis, whose x(i,j) has height d_j - i (``heights``, in
+    coordinate order).  im e^a is spanned by the x(i,j) of height >= a, so
+    L_i is the identity rows at those coordinates, in order (its reduced
+    form), and e^s = 0 when no height reaches s (max part <= s).
+    fiber_point_count takes s = 2k + 1, or s = 2k when q = 0."""
+    eye = np.eye(len(heights), dtype=np.int64)
+    bases = [eye[[c for c, h in enumerate(heights) if h >= s - i]] for i in range(1, k + 1)]
+    return bases, max(heights) < s
 
 
 def fiber_point_count(
@@ -549,8 +557,11 @@ def fiber_point_count(
       then e(E_k^perp) <= E_k gives E_k >= im e^(k+1), and when q = 0,
       E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
       and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
-    So L_1 <= E_1 <= ker e needs e^s = 0, else the count is 0.  The bases
-    L_i are built once per check.  Their isotropy and E_{i-1} perp L_i both
+    So L_1 <= E_1 <= ker e needs e^s = 0, that is max part <= s, else the
+    count is 0.  The bases L_i are built once per check, with no
+    elimination: im e^a is spanned by the Jordan coordinates x(i,j) of
+    height d_j - i >= a, so L_i is the identity rows at the heights >= s - i
+    (_forced_subspaces).  Their isotropy and E_{i-1} perp L_i both
     follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y> and
     s - i >= i - 1; they are checked, and a failure raises InvariantError.
 
@@ -606,8 +617,10 @@ def fiber_point_count(
     L_k <= F1 there).  A child that falls short of level i, or that the run
     leaves short of the level after it, is enumerated there unless the
     table drops it.  A child that is kept builds its window
-    (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by two
-    eliminations, and is not enumerated when the window is smaller than
+    (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by one
+    elimination: e^{-1}(E) is (ann(E) e)^perp, and ann(E) comes from one
+    basis of ann(F1 + L_{i-1}) per state and level by a rank-one update
+    (_child_windows).  It is not enumerated when the window is smaller than
     dim E_i, or of that dimension and not isotropic (_fits).
 
     A node is one candidate row generated and tested, or one level decided
@@ -635,7 +648,10 @@ def fiber_point_count(
         return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
     dims = list(itertools.accumulate(levi.ps))
     last = len(dims) - 1
-    forced, nilpotent = _forced_subspaces(e, 2 * len(dims) + (levi.q > 0), len(dims), p)
+    # The heights d_j - i of the Jordan basis x(i,j), as plain lists: numpy's
+    # sorting and searching code adds to peak RSS.
+    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
+    forced, nilpotent = _forced_subspaces(heights, 2 * len(dims) + (levi.q > 0), len(dims))
     if not nilpotent:  # L_1 is not in ker e: one node decides the count
         return FlagCount(0, p, levi, 1)
     forced_g = [L @ g % p for L in forced]
@@ -654,10 +670,7 @@ def fiber_point_count(
     cuts = [_cut(floor, d) for floor, d in zip(floors, dims)]
     spares = [[d - m for m in floor] for floor, d in zip(floors, dims)]
 
-    # The Jordan basis in order of height, as plain lists: numpy's sorting
-    # and searching code adds to peak RSS.
-    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
-    order = sorted(range(n), key=heights.__getitem__)
+    order = sorted(range(n), key=heights.__getitem__)  # the Jordan basis by height
     height = [heights[col] for col in order]
 
     def image(W: np.ndarray, a: int) -> np.ndarray:
@@ -730,23 +743,25 @@ def fiber_point_count(
             """The count below the children of X, whose level i is
             enumerated: each child x whose quotient can hold the levels left
             (for i >= 1) and that can reach dims[i] in its window, of
-            E = B + <x> for B = F1 + L_{i-1}, recurses with it."""
+            E = B + <x> for B = F1 + L_{i-1}, recurses with it.  A basis Y
+            of ann(B) is built once per state and level (_child_windows)."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
             if i:  # drop each child below the floors of level i - 1
                 if i not in bounds:
                     bounds[i] = _quotient_cut(below, order, height, spares[i - 1], p)
                 X = X[_quotient_alive(bounds[i], X, p)]
+            if i not in annihilators:
+                Y = nullspace(below, p)
+                Bg = F1g if i == t else np.vstack([F1g, forced_g[i - 1]])
+                annihilators[i] = Bg, Y, Y @ e % p
+            windows = _child_windows(*annihilators[i], forced_g[i], X, g, p)
             spaces = [np.vstack([below, x]) for x in X]
-            windows = [
-                nullspace(np.vstack([E @ g % p, forced_g[i], nullspace(E, p) @ e % p]), p)
-                for E in spaces
-            ]
             return sum(recurse(E, W, i) for E, W in zip(spaces, windows) if _fits(W, dims[i], g, p))
 
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases, bounds = F1, F1 @ g % p, {}, {}
+                state, F1g, bases, bounds, annihilators = F1, F1 @ g % p, {}, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)

@@ -16,6 +16,9 @@ from nilorbit import dominance_leq, enumerate_valid, is_valid
 from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
+# The least prime above 2^32: int64 products of two residues wrap.
+BIG_PRIME = 4_294_967_311
+
 _ACCEPTANCE_LINES: list[str] = []
 
 

@@ -36,6 +36,7 @@ from nilorbit import (
     springer_dual,
     springer_dual_inverse,
 )
+from nilorbit import _linalg
 
 P = parse_partition
 
@@ -139,12 +140,23 @@ def test_criterion_4_springer_dual_bijection():
 def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # All 180 checks finish at the default budget, and their node total is
     # pinned: an oracle refactor that visits more or fewer nodes shows here.
+    # So is the number of eliminations (calls of _linalg's row reduction,
+    # behind rref, rank and nullspace) that the checks make.
     monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    eliminations = 0
+    reduce = _linalg._reduce
+
+    def counted(mat, p):
+        nonlocal eliminations
+        eliminations += 1
+        return reduce(mat, p)
+
+    monkeypatch.setattr(_linalg, "_reduce", counted)
     with reported(5, "fiber point counts over F_3 and F_5 equal the descriptor"
                      " E-polynomial values (all pseudo-polarizations, N <= 9)"):
         skipped = []
         realizations = {}
-        checks = nodes = 0
+        checks = nodes = checks_eliminations = 0
         for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for p in enumerate_valid(n, fam):
@@ -154,7 +166,9 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                             key = (p.parts, fam, q)
                             if key not in realizations:
                                 realizations[key] = realize(p, fam, q)
+                            before = eliminations
                             fc = fiber_point_count(realizations[key], levi)
+                            checks_eliminations += eliminations - before
                             checks += 1
                             nodes += fc.nodes
                             if fc.count is None:
@@ -166,7 +180,7 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
                 f" after {spent} nodes"
             )
-        assert (checks, len(skipped), nodes) == (180, 0, 1030)
+        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 1030, 1054)
         for orbit, levi_text, want3, want5 in (
             ("2,2,1", "1;3", 4, 6),
             ("3,1,1", "2;1", 2, 2),

@@ -4,10 +4,11 @@ The Grassmannian step counts are cross-checked against a brute force that
 shares nothing with the package: it builds its own bilinear forms and its
 own reduced-echelon subspace enumerator.  The oracle's pruned enumerator is
 checked against the same enumerator plus an isotropy filter, its
-batched leaf test against a per-leaf containment check, and its forced
-subspaces against a test-side count that enumerates without them; the
-package's row reduction only builds the inputs and the canonical bases
-compared.
+batched leaf test against a per-leaf containment check, its forced
+subspaces against a test-side count that enumerates without them and
+against the former route by matrix powers and rref, and its children's
+windows against a fresh nullspace of each child; the package's row
+reduction only builds the inputs and the canonical bases compared.
 """
 import functools
 import itertools
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import contains
+from conftest import BIG_PRIME, contains
 
 import nilorbit
 from nilorbit import (
@@ -43,11 +44,13 @@ from nilorbit import ff_oracle
 from nilorbit._linalg import nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
+    _child_windows,
     _closing_mask,
     _is_odd_prime,
     _last_row_batches,
     _cut,
     _floors,
+    _forced_subspaces,
     _quotient_alive,
     _quotient_cut,
     _quotient_slack,
@@ -236,6 +239,45 @@ def _rank(e, k, p):
                 mat[r] = (mat[r] - mat[r, c] * mat[rank]) % p
         rank += 1
     return rank
+
+
+def reference_forced_subspaces(e, s, k, p):
+    """The former route to the forced subspaces: row bases of L_i =
+    im e^(s-i), i = 1..k, by rref of the transposed matrix powers, and
+    whether e^s = 0 mod p."""
+    power = _pow(e, s - k, p)
+    bases = []
+    for _ in range(k):
+        bases.append(rref(power.T, p)[0])
+        power = power @ e % p
+    return bases[::-1], not np.any(power)
+
+
+class TestForcedSubspaces:
+    def test_heights_match_matrix_powers(self):
+        # Every realization of B N <= 9 and C/D N <= 8 at p = 3 and 5, and
+        # its e (a 0/1 matrix, the same at every p) at BIG_PRIME, where
+        # realize refuses the modulus; k up to n // 2 general-linear blocks
+        # and s = 2k or 2k + 1, as fiber_point_count takes them.
+        compared = 0
+        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    heights = [d - i for d in orbit.parts for i in range(1, d + 1)]
+                    e = realize(orbit, fam, 3).e
+                    assert np.array_equal(realize(orbit, fam, 5).e, e)
+                    for q in (3, 5, BIG_PRIME):
+                        for k in range(1, n // 2 + 1):
+                            for s in (2 * k, 2 * k + 1):
+                                got, nilpotent = _forced_subspaces(heights, s, k)
+                                want, want_nilpotent = reference_forced_subspaces(e, s, k, q)
+                                assert nilpotent == want_nilpotent, (orbit, s, k, q)
+                                assert len(got) == k
+                                for L, ref in zip(got, want):
+                                    assert L.dtype == np.int64 and L.shape == ref.shape
+                                    assert np.array_equal(L, ref), (orbit, s, k, q)
+                                compared += 1
+        assert compared == 1410
 
 
 class TestFiberCounts:
@@ -766,7 +808,7 @@ class TestHoist:
 
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda e, s, k, p: forced(e, 2 * k + 1, k, p))
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
         got = fiber_point_count(real, levi)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
@@ -843,7 +885,7 @@ class TestHoist:
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
         monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda e, s, k, p: forced(e, 2 * k + 1, k, p))
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
         got = fiber_point_count(real, levi)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
@@ -979,13 +1021,22 @@ class TestLookAhead:
         # dim W = n - dim(E + L + e(E^perp)), since e^{-1}(E) = (e(E^perp))^perp;
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
         # + 2 dim(E cap im e), a bound the floor table's a = 1 column meets
-        # or beats.
+        # or beats.  And W, built here by a nullspace of E for each E, is
+        # the window that _child_windows builds from one basis of ann(B)
+        # for E = B + <x>: with x the last row of E (c = Y x != 0), with x
+        # in B = E (c = 0), and at the root, where E = 0 is the child x = 0
+        # of B = 0.
         states = 0
         p = q
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
             rank_e, c = rank(e, p), len(real.partition.parts)
             for t, E, L, W in reached:
+                splits = [(E[:-1], E[-1:]), (E, E[-1:])] if E.shape[0] else [(E, np.zeros((1, n), dtype=np.int64))]
+                for B, X in splits:
+                    Y = nullspace(B, p)
+                    windows = _child_windows(B @ g % p, Y, Y @ e % p, L @ g % p, X, g, p)
+                    assert len(windows) == 1 and np.array_equal(windows[0], W), (real.partition, levi, B)
                 e_perp = nullspace(E @ g % p, p) @ e.T % p
                 d = E.shape[0]
                 meet = d + rank_e - rank(np.vstack([E, e.T]), p)
@@ -1118,6 +1169,55 @@ class TestInvariantError:
 
     def test_corrupt_gram_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT) == "raised"
+
+    # Mutants of e for B 3,2,2 (x(i,j) at index 0-2, 3-4, 5-6; e[a, b] = 1
+    # maps x(i,j) at b to x(i-1,j) at a): an entry 2, a second 1 in column
+    # 2, which already holds e[1, 2], and the e of 1^7, which is 0 and so
+    # e-invariant for any form, with the message each must raise.
+    E_MUTANTS = (
+        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
+        "from nilorbit.ff_oracle import _validate\n"
+        "def mutant(kind):\n"
+        "    real = realize(parse_partition('3,2,2'), Family.B, 3)\n"
+        "    if kind == 'two':\n"
+        "        real.e[0, 1] = 2\n"
+        "    elif kind == 'column':\n"
+        "        real.e[4, 2] = 1\n"
+        "    else:\n"
+        "        real.e = realize(parse_partition('1,1,1,1,1,1,1'), Family.B, 3).e\n"
+        "    return real\n"
+        "def raised(kind):\n"
+        "    try:\n"
+        "        _validate(mutant(kind))\n"
+        "    except InvariantError as exc:\n"
+        "        return str(exc).split(' (')[0]\n"
+    )
+    E_RAISED = {
+        "two": "e is not a 0/1 partial permutation",
+        "column": "e is not a 0/1 partial permutation",
+        "partition": "rank of e^1 is not 4",
+    }
+
+    @pytest.mark.parametrize("kind", list(E_RAISED))
+    def test_corrupt_e_raises(self, kind):
+        scope = {}
+        exec(self.E_MUTANTS, scope)
+        assert scope["raised"](kind) == self.E_RAISED[kind]
+
+    def test_corrupt_e_raises_under_optimize(self, run_optimized):
+        script = self.E_MUTANTS + "".join(f"print(raised({kind!r}))\n" for kind in self.E_RAISED)
+        assert run_optimized(script).splitlines() == list(self.E_RAISED.values())
+
+    def test_split_check_reads_the_determinant(self):
+        # D 1,1,1,1 at p = 5, where e = 0 and any nondegenerate symmetric
+        # form is e-invariant.  This Gram matrix is not monomial; its
+        # determinant is 4, a square, as is (-1)^(4/2), so the form is
+        # split.  diag(1, 1, 1, 2) has determinant 2, a non-square.
+        real = realize(P("1,1,1,1"), Family.D, 5)
+        gram = np.array([[3, 4, 2, 3], [4, 0, 4, 3], [2, 4, 1, 3], [3, 3, 3, 1]], dtype=np.int64)
+        _validate(replace(real, gram=gram))
+        with pytest.raises(InvariantError, match="even orthogonal form is not split"):
+            _validate(replace(real, gram=np.diag([1, 1, 1, 2]).astype(np.int64)))
 
     def test_exported_from_package_and_oracle(self):
         assert nilorbit.InvariantError is nilorbit.ff_oracle.InvariantError is InvariantError

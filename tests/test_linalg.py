@@ -13,16 +13,15 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import contains
+from conftest import BIG_PRIME, contains
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorbit import Family, parse_partition, realize
-from nilorbit._linalg import nullspace, rank, rref
+from nilorbit._linalg import det, nullspace, rank, rref
 from nilorbit.ff_oracle import _is_odd_prime
 
 PRIMES = (3, 5, 7, 101, 1_000_003)
-BIG_PRIME = 4_294_967_311  # the least prime above 2^32
 MAX_SIDE = 22
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 
@@ -255,3 +254,70 @@ def test_contains_structured():
             unit[:] = 0
             unit[0, c] = 1
             assert contains(mat, unit, p) is reference_contains(mat, unit, p)
+
+
+# --- the canonical-basis contract and the determinant --------------------------
+
+
+def as_int64(mat):
+    return np.array(mat.tolist(), dtype=np.int64).reshape(mat.shape)
+
+
+def invertible(size, p, rng):
+    """A random invertible matrix mod p, as an object array: a unit lower
+    triangular matrix times a unit upper triangular one."""
+    unit = np.eye(size, dtype=np.int64)
+    lower = np.tril(rng.integers(0, p, size=(size, size), dtype=np.int64), -1) + unit
+    upper = np.triu(rng.integers(0, p, size=(size, size), dtype=np.int64), 1) + unit
+    return exact(lower) @ exact(upper) % p
+
+
+@pytest.mark.parametrize("p", PRIMES + (BIG_PRIME,))
+def test_outputs_depend_only_on_the_row_space(p):
+    """nullspace(A M) = nullspace(M) and rref(A M) = rref(M) for invertible
+    A, and so for any spanning set of M's row space, with combinations and
+    zero rows added: the oracle builds a window from a spanning set of an
+    annihilator (ff_oracle._child_windows) and relies on this."""
+    rng = np.random.default_rng(p % 10_007)
+    for _ in range(60):
+        rows, cols = int(rng.integers(0, 9)), int(rng.integers(1, 13))
+        M = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        low = int(rng.integers(0, rows + 1))
+        if low < rows:  # rank at most low
+            left = rng.integers(0, p, size=(rows, low), dtype=np.int64)
+            M = as_int64(exact(left) @ exact(M[:low]) % p)
+        AM = as_int64(invertible(rows, p, rng) @ exact(M) % p)
+        combos = as_int64(exact(rng.integers(0, p, size=(2, rows), dtype=np.int64)) @ exact(M) % p)
+        spanning = np.vstack([combos[:1], AM, np.zeros((1, cols), dtype=np.int64), combos[1:]])
+        red, pivots = rref(M, p)
+        for other in (AM, spanning):
+            assert np.array_equal(nullspace(other, p), nullspace(M, p))
+            other_red, other_pivots = rref(other, p)
+            assert other_pivots == pivots and np.array_equal(other_red, red)
+
+
+def leibniz(mat, p):
+    """det mod p as the signed sum over permutations, in Python ints."""
+    rows = mat.tolist()
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("p", PRIMES + (BIG_PRIME,))
+def test_det_matches_leibniz(p):
+    rng = np.random.default_rng(p % 10_007 + 1)
+    for size in range(6):
+        for trial in range(8):
+            mat = rng.integers(-2 * p, 2 * p, size=(size, size), dtype=np.int64)
+            mat[rng.random((size, size)) < 0.3] = 0
+            if size > 1 and trial % 3 == 0:  # singular: a row repeated
+                mat[-1] = mat[0]
+            got = det(mat, p)
+            assert got == leibniz(mat, p) and 0 <= got < p
+            assert (got == 0) == (rank(mat, p) < size)
