@@ -22,6 +22,7 @@ from .duality import dual_pair, pairing_records, springer_dual, springer_dual_in
 from .errors import InvariantError, VerificationError
 from .ff_oracle import (
     DEFAULT_BUDGET,
+    _peel,
     check_modulus,
     fiber_point_count,
     first_row_nodes,
@@ -216,7 +217,8 @@ def cmd_fiber(args) -> tuple[dict, int]:
 
 def show_fiber(args, payload: dict) -> list[str]:
     """A skipped check always reports cap + 1 nodes; when its first row
-    alone has more candidates than that cap, say so instead."""
+    alone has more candidates than that cap, say so instead, and when the
+    peel decides the check, that its closed form's one node does."""
     p, fam = Partition(tuple(payload["orbit"])), Family(payload["family"])
     lines = []
     for rec in payload["fibers"]:
@@ -237,7 +239,12 @@ def show_fiber(args, payload: dict) -> list[str]:
                 )
                 continue
             first, cap = first_row_nodes(p, levi, o["p"]), o["nodes"] - 1
-            if first > cap:
+            if first > cap and _peel(p, levi) is not None:
+                lines.append(
+                    f"  p={o['p']}: {o['verdict']}: its closed-form count costs {first} node,"
+                    f" over the {cap}-node cap, so nothing was counted"
+                )
+            elif first > cap:
                 lines.append(
                     f"  p={o['p']}: {o['verdict']}: its {first} first-row candidates exceed"
                     f" the {cap}-node cap, so no row was tested"

@@ -18,6 +18,7 @@ for the largest value.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -316,21 +317,21 @@ def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
     return ~((X[:, cols] - X[:, piv] @ R) % p).any(axis=1)
 
 
-def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
-    """Nodes every count of this fiber charges before anything can end it,
-    from (p, levi, modulus) alone.  With k general-linear blocks and s =
-    2k + [q > 0], the first flag space E_1, of dimension d = the first
-    general-linear block of ``levi``, starts from the forced subspace
-    L_1 = im e^(s-1) (see fiber_point_count), spanned by the x(1,j) of the
-    l parts equal to s, inside its window ker e, spanned by the x(1,j) of
-    height d_j - 1.
+def _first_row(p: Partition, levi: LeviType, modulus: int) -> int:
+    """Nodes every enumeration of this fiber (_enumerate) charges before
+    anything can end it, from (p, levi, modulus) alone.  With k
+    general-linear blocks and s = 2k + [q > 0], the first flag space E_1, of
+    dimension d = the first general-linear block of ``levi``, starts from
+    the forced subspace L_1 = im e^(s-1) (see _enumerate), spanned by the
+    x(1,j) of the l parts equal to s, inside its window ker e, spanned by the
+    x(1,j) of height d_j - 1.
 
     It is 1 when some part exceeds s (then e^s != 0 and the count is 0) or
     d <= l (L_1 alone decides the level).  Otherwise row 0 of the floor
-    table (_floors) decides the level, as in fiber_point_count: 0 nodes
-    when a floor exceeds d; a cut to im e^a (_cut) keeps the x(1,j) of
-    height >= a, c of them (c = the number of parts with no cut).  Every
-    candidate for the first echelon row is tested (see _last_row_batches):
+    table (_floors) decides the level, as in _enumerate: 0 nodes when a
+    floor exceeds d; a cut to im e^a (_cut) keeps the x(1,j) of height
+    >= a, c of them (c = the number of parts with no cut).  Every candidate
+    for the first echelon row is tested (see _last_row_batches):
     modulus^(c-l-1-pc) of them per pivot column pc of the c - l columns of
     a complement of L_1, for pc from the floor d - l - 1 up.  With no cut,
     E_1 needs dim(E_1 cap im e) >= m_1, the a = 1 floor, when a second
@@ -361,11 +362,24 @@ def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
     return (modulus**top - 1) // (modulus - 1) if top > 0 else 0
 
 
+def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
+    """Nodes every count of this fiber charges before anything can end it,
+    from (p, levi, modulus) alone.  A check that the peel decides (_peel,
+    see fiber_point_count) costs min(1, n) nodes, where n is what the
+    enumeration's first row would charge (_first_row); any other check
+    charges n."""
+    nodes = _first_row(p, levi, modulus)
+    return 1 if nodes > 1 and _peel(p, levi) is not None else nodes
+
+
 def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
     """The skip that ``fiber_point_count`` must return when the first row
     alone exceeds ``cap`` nodes, decided from (p, levi, modulus) without a
-    realization or any elimination; None when the first row fits."""
-    if first_row_nodes(p, levi, modulus) > cap:
+    realization or any elimination; None when the first row fits.  The
+    peel is consulted only when the enumeration's first row exceeds a cap
+    of at least 1, the one node a peeled check costs: at cap 0 it cannot
+    save a check that the first row skips."""
+    if _first_row(p, levi, modulus) > cap and (cap < 1 or _peel(p, levi) is None):
         return FlagCount(None, modulus, levi, cap + 1, skipped="budget")
     return None
 
@@ -545,6 +559,75 @@ def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarr
     return bases, max(heights) < s
 
 
+def _peel(p: Partition, levi: LeviType) -> int | tuple[int, tuple[int, ...]] | None:
+    """The peel of fiber_point_count, from the parts and the Levi's steps
+    alone: while some part equals s = 2k + [q > 0], take off the m parts
+    equal to s, lower every step by m and q by m [q > 0], and merge the
+    levels of zero steps.  0 when a part exceeds s or a step or q turns
+    negative (no flag); (m_1, steps) when only parts 1 remain (the closed
+    form's V_1 and its flag's steps); None when no part equals s, where the
+    flags are enumerated."""
+    parts, steps, q = p.parts, levi.ps, levi.q
+    while True:
+        s = 2 * len(steps) + (q > 0)
+        if parts and parts[0] > s:
+            return 0
+        if not parts or parts[0] == 1:
+            return len(parts), steps
+        m = parts.count(s)
+        if not m:
+            return None
+        parts, steps, q = parts[m:], tuple(x - m for x in steps), q - m if q else 0
+        if q < 0 or min(steps, default=0) < 0:
+            return 0
+        steps = tuple(x for x in steps if x)
+
+
+def _isotropic_vectors(m: int, p: int, symplectic: bool, split: bool) -> int:
+    """iso(m): the nonzero isotropic vectors of a nondegenerate form on F_p^m,
+    symplectic, or symmetric and (for even m) split or not."""
+    if m <= 0:
+        return 0
+    if symplectic:
+        return p**m - 1
+    if m % 2:
+        return p ** (m - 1) - 1
+    sign = 1 if split else -1
+    return (p ** (m // 2) - sign) * (p ** (m // 2 - 1) + sign)
+
+
+def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...]) -> int:
+    """The isotropic flags with the given steps in V_1, the span of the
+    Jordan chains of length 1, of dimension m_1 = ``ones`` (e = 0 there):
+    N(r) [r; steps]_p for r = sum(steps), as in fiber_point_count.  First
+    g and e must have no entry between chains of different lengths, which
+    the peel's V_s perp W reads from realize's basis; an even orthogonal
+    V_1 is split iff (-1)^(m_1/2) det(g on V_1) is a square mod p."""
+    p, parts = real.modulus, real.partition.parts
+    lengths = np.repeat(parts, parts)  # the length of each coordinate's chain
+    cross = lengths[:, None] != lengths
+    if np.any(real.gram[cross] % p) or np.any(real.e[cross] % p):
+        raise InvariantError(
+            f"g or e couples Jordan chains of different lengths ({real.partition}, p={p})"
+        )
+    r = sum(steps)
+    symplectic, split = real.family is Family.C, True
+    if r and not symplectic and ones % 2 == 0:
+        v1 = np.flatnonzero(lengths == 1)
+        d = det(real.gram[np.ix_(v1, v1)], p)
+        if not d:
+            raise InvariantError(f"the form is degenerate on V_1 ({real.partition}, p={p})")
+        split = pow((-1) ** (ones // 2) * d % p, (p - 1) // 2, p) == 1
+
+    def factorial(t: int) -> int:  # [t]_p! up to the factor (p - 1)^t
+        return math.prod(p**j - 1 for j in range(1, t + 1))
+
+    subspaces = math.prod(
+        _isotropic_vectors(ones - 2 * i, p, symplectic, split) for i in range(r)
+    ) // factorial(r)
+    return subspaces * (factorial(r) // math.prod(map(factorial, steps)))
+
+
 def fiber_point_count(
     real: JordanRealization, levi: LeviType, budget: int | None = None
 ) -> FlagCount:
@@ -552,6 +635,56 @@ def fiber_point_count(
     e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k.
 
     Every such chain contains the forced subspaces L_i = im e^(s-i), with
+    s = 2k + [q > 0] (see _enumerate), so the count is 0 when a part
+    exceeds s.  The peel (_peel) then takes off the m Jordan chains of
+    length s, which span V_s; the other chains span W, and V_s perp W in
+    realize's basis.  Every counted flag splits as
+        E_i = (L_i cap V_s) + (E_i cap W),
+    because ker e^i is the sum of its parts on the chains and
+        L_i cap V_s <= E_i cap V_s <= ker e^i cap V_s = L_i cap V_s.
+    The V_s parts meet every condition, as s <= 2k + 1, so the count is
+    the count for e on W and the Levi (p_1 - m, ..., p_k - m; q - m [q > 0]):
+    a negative step or q leaves no flag, and a zero step merges two levels.
+    The peel repeats until a part exceeds s (the count is 0), no part
+    equals s (it stops, and the flags are enumerated, _enumerate) or only
+    parts 1 remain.  Then e = 0 on what is left, V_1 of dimension m_1, and
+    the flags are the isotropic flags of V_1 with cumulative dimensions
+    c_1 < ... < c_k: the closed form (_closed_form)
+        N(c_k) [c_k; c_1, c_2 - c_1, ...]_p,
+        N(r) = prod_{i<r} iso(m_1 - 2i) / prod_{j<=r} (p^j - 1),
+    counts them (Bruhat decomposition; Taylor, The Geometry of the
+    Classical Groups), where iso(m) is the number of nonzero isotropic
+    vectors of V_1's form (_isotropic_vectors).  Whether an even orthogonal
+    V_1 is split is read from the realization's Gram matrix, never from the
+    descriptor.
+
+    A check the peel decides costs one node, like a level that its forced
+    subspace decides, or none where the enumeration's first row would cost
+    none (first_row_nodes).  The budget caps the nodes: a check whose total
+    would exceed it returns an explicit skip with ``nodes == budget + 1``,
+    never a wrong count.  Every count charges its first_row_nodes before
+    anything can end it, so they are charged up front: when they alone
+    exceed the budget, the same skip returns before any elimination
+    (precharged_skip).
+    """
+    if levi.family is not real.family or levi.n != real.dim:
+        raise ValueError(f"{levi} does not match a realization of size {real.dim}")
+    cap = resolve_budget(budget)
+    skip = precharged_skip(real.partition, levi, real.modulus, cap)
+    if skip is not None:
+        return skip
+    shape = _peel(real.partition, levi)
+    if shape is None:
+        return _enumerate(real, levi, cap)
+    nodes = min(1, _first_row(real.partition, levi, real.modulus))
+    return FlagCount(0 if shape == 0 else _closed_form(real, *shape), real.modulus, levi, nodes)
+
+
+def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
+    """fiber_point_count by enumerating the flags, for a Levi with at least
+    one general-linear block, at most ``cap`` nodes.
+
+    Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:
       E_i <= ker e^i by induction, so E_k^perp >= (ker e^k)^perp = im e^k;
       then e(E_k^perp) <= E_k gives E_k >= im e^(k+1), and when q = 0,
@@ -631,21 +764,9 @@ def fiber_point_count(
     window cannot reach its level.  The budget caps the nodes: a check
     whose total would exceed it returns an explicit skip with
     ``nodes == budget + 1``, never a wrong count.
-
-    Every count charges its first_row_nodes before anything can end it, so
-    they are charged up front: when they alone exceed the budget, the same
-    skip returns before any elimination (precharged_skip).
     """
-    if levi.family is not real.family or levi.n != real.dim:
-        raise ValueError(f"{levi} does not match a realization of size {real.dim}")
-    cap = resolve_budget(budget)
-    skip = precharged_skip(real.partition, levi, real.modulus, cap)
-    if skip is not None:
-        return skip
     p, e, g = real.modulus, real.e, real.gram
     n = real.dim
-    if not levi.ps:  # the only flag is E = 0, and e(V) <= 0 iff e = 0
-        return FlagCount(0 if np.any(e % p) else 1, p, levi, 0)
     dims = list(itertools.accumulate(levi.ps))
     last = len(dims) - 1
     # The heights d_j - i of the Jordan basis x(i,j), as plain lists: numpy's

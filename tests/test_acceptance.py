@@ -180,7 +180,7 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
                 f" after {spent} nodes"
             )
-        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 1030, 1054)
+        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 606, 706)
         for orbit, levi_text, want3, want5 in (
             ("2,2,1", "1;3", 4, 6),
             ("3,1,1", "2;1", 2, 2),

@@ -16,46 +16,46 @@ from nilorbit.cli import main
 DEFAULT_BUDGET = {
     "B1": ("8e065f8e37a368f602082a1153f148ea5356e8569931c99b5c1067977130c31b",
            "1de397a36c6ca01dc9e31a892f3c4cfc00300f92905d74a00dbde5e53be6d19e"),
-    "B2": ("3d62f5f0c63faa58ebc063c38e6be2f17a3f60282b5cf68b73b545a1fb8dc1d7",
+    "B2": ("172f26800b75623a8582e483babea9e8124c986f73147af907f1aa89968f7136",
            "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
-    "B3": ("533729b1b3442194bf29bbaecf26d02c8ddab05f38484b3e732e89b74a8b1680",
+    "B3": ("7a0e67066bfe5d5fc0f854b8f68463dbd4bd99d6897dc057b7a8fda120bed9dd",
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
-    "B4": ("d6a1f516be1e7d339625c5ea688f41be417317dec84611c06872c185b1005744",
+    "B4": ("a55916e80a710af63dc1971a9d4bf06459b7407b4f245e3db70cea30e74a2c86",
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
-    "B5": ("2e2aba7ead7a4affb3492709de2dae9f177f40d661aae77c457be3ce5c5ab899",
+    "B5": ("e349d4d69c7e3e15f7bd32d07e70bc003c2f0a00ffe1ef86de45d7a2e2670d1e",
            "09c29ce0d1f38eecc60c57a47f065fde15d2e0eac1ab056418e9e7c0fab77ad5"),
-    "B6": ("3d698a4f19c978b985b5f1cbc55bd77a1efeb2a6d2dcf7671d1d27546b14f6ba",
-           "e211d09be7ad8c1e34cc4e08e6cb2db1e33728cd5056e13e905df93791de2cda"),
-    "B7": ("5996bbfb9900b19e0cb5b4f9cfc60de8e476c2d0377af610fa176400f9feff28",
-           "0a7e55612d3a3b4ed8b2f08b1c124cd12a671ef159a92cbde8f07b87801c3411"),
+    "B6": ("6ced4ea8735e14b343b4aa4ac849e98688eaa4ac138d5ffab3b0fbde55e125cd",
+           "7e45aa38b68781c699381e97a0daa2a4f6eb7a5be91f0cbaff2ac4d8ee007d82"),
+    "B7": ("336dcf0a68894844bb811371cfeddffa0748411f7d9903e8d433bff54d55b42a",
+           "9f5aeab518a68229cf2cbf826a33bddd5155f6d4f0402f6cf14f7c10bc945bd9"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
-    "C2": ("3c92d5903c8d142cef9de61d20b4d94a1385d865e9f83ec1ff4730867d7f53a4",
+    "C2": ("2b09e65fcb73659c9ee090406ee47418f38c43bca55cbfd99c73a792db9aad9a",
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
-    "C3": ("01260313476460a4af0abd4da883951f7e6b45bac9543daf01a9434fac90af28",
+    "C3": ("e31cb25253da367c31041f7ed714ae2eba6254c59603f6591650dd6d179ec521",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("d3c4fa58e10f7798fabb770e5de7e28a0b8b1d75f4efa232e692308ffa863a46",
+    "C4": ("a4b3ba464ac6a5925f1d3cc14f8c490c160a5fdb1431de1d6f7db9e273313797",
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
-    "C5": ("f3eca71cb7c82abc2930bdec2d1a65a13bd75f66767eda33304cb25d3339a555",
+    "C5": ("ac4a5608d6001d457186f5734c94d426c81be6efd65a4a363353b7cbab6fd678",
            "ead2ef34333a66d8825efd18a63b6c088a1726a52613411cb2c044130d65b9b6"),
-    "C6": ("6ff0cd941cd4df0352ea650d277675d1a33ec219cef3d785053275071df66fa3",
-           "943fd61e7bb021908b3d6321dff788ea12471cf67528c021039273f26500416e"),
-    "C7": ("7426b95357a1cf4e3fd3c9a59ad117b438ebdc166f278a7213e2ff50970c5069",
-           "69c33e5a27ab3b4ef6e48846b404aa6c986f9901438b6c06a69e685f9115358d"),
-    "D1": ("58b025d01ed17368ae5b9ef49f05682c8a1400ad9e7be4fd9c6b6722257e31cd",
+    "C6": ("9504aac4ee500e5beca4b33ed1cc3ab7971c7edd3557ac8896b8bce92db9935c",
+           "b3a6aee080ecea5a686f9d13193e180aca4533a86c1de41966aac9cbb2455c15"),
+    "C7": ("0f4e6009b352368dbddc54e21382bc4b4c223d0bc2f81385246b30a94018d840",
+           "bd295da8018d9b4646d354a6a13b0d4ce90d50e3c86ad13af9cdc70e24459da8"),
+    "D1": ("e314a53011ccc3f5c2428b76838eb9e8a6bfcd6ea21370beb54a800f0cbf8617",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
     "D2": ("5ea538acb07e25f304982b646180454ab71f515fde212310d3cf7a661e4c7d3b",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("633cd82d61244b876c86d80c24134d15e6454072aa30fdb3c437fe58c4c80302",
+    "D3": ("9d4d30ca43b0affbb4938685e5d2b6e4281d2d1165969538be3e913f183f42a2",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("6500d4f52ebcc53a3cad0fbc816c8336355abcb7a0ffa3d1a1eeae70e3f37872",
+    "D4": ("ec8d21c7af70db16ffa70c6ec3dfebf3ee39d979366b9b18c51d76fa3b1f94d4",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("f088040bc2b9c76936901a1328df7f453879844156cd41cc2846f94eb5c866c6",
-           "bb9c7b98d7d2e2ce3c73b989971be3c6950850083c4f25fab84490dce6384584"),
-    "D6": ("e1111bf85cfc6745935954837364bdd4ce17ff9d1a6847234ede916aaa7de4db",
-           "3fe8a891bc08bb5f8e3ffe9c86dcbba1d0f631663c30e9ddb4d6a84a1cdc16f7"),
-    "D7": ("a18859f9fd8cd348d4bbed5e630370302d857e319b8603610157c088e95ddc99",
-           "66c55c0b3b1443a47910eff7ccc366aa539ef34b0b83b82ce65d2eef8f2a1384"),
+    "D5": ("eaa27e40dea0e23ec47d9268b237dc7abfc2602b8f3638f075101c6f8067b1e9",
+           "c65c102cbc6ed03c723457aa10d1f6533d3356f66ae2d0c0b91ad950d4c6ffa5"),
+    "D6": ("c0561b0362a9addcea174a28102d5ea75b006ee5a1560fae2196ee61349427e0",
+           "814a41d6d25883d28e50c7f25e5895e1d9eaab3b129ff570fec764c933630068"),
+    "D7": ("4861205516cb15732559b2478181c1cd5e21e4c96ca04911ddb7298b4857dfee",
+           "93c7afb74fab35a6729a9fce60a786ed8c7d78defbd4dea7ceaa63eea0afd51b"),
 }
 BUDGET_0 = {
     "B1": ("b411486cac537214846cbcc6afaa5063d3f17cc798ada82c5267d90a34c876f9",
@@ -109,7 +109,7 @@ BUDGET_0 = {
 }
 
 # Checks the default 5,000-node budget skips at rank 7, per family.
-SKIPPED = {"B7": 8, "C7": 11, "D7": 5}
+SKIPPED = {"B7": 4, "C7": 3, "D7": 1}
 
 CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
     ("budget0", key, ["--oracle-budget", "0"]) for key in BUDGET_0
@@ -134,7 +134,7 @@ def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
         assert payload["oracle_skipped"] == SKIPPED[key]
 
 
-@pytest.mark.parametrize("family, skipped", [("B", 0), ("C", 0), ("D", 1)])
+@pytest.mark.parametrize("family, skipped", [("B", 0), ("C", 0), ("D", 0)])
 def test_rank_five_oracle_skips(capsys, tmp_path, monkeypatch, family, skipped):
     """The F_p checks the default 5,000-node budget still skips at rank 5,
     per family, and no check fails: an oracle change that skips more shows

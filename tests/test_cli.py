@@ -172,23 +172,46 @@ class TestFiber:
         assert verdicts == {"skipped: budget"}
 
     def test_first_row_skip_names_its_cause(self, capsys):
-        # At p = 1000003 the first row of (2;1) alone has more candidates
-        # than the default cap, so its skip is decided before any row is
-        # tested; (1;3) is filled by its forced subspace im e^2 in one node.
-        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "3,1,1"]
+        # At p = 1000003 the first rows of (2;1) and (1;3) alone have more
+        # candidates than the default cap, so their skips are decided
+        # before any row is tested; the peel stops at once on 2,2,1, as
+        # no part equals s = 3.
+        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "2,2,1"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("  p=")]
         assert lines == [
             "  p=1000003: skipped: budget: its 1000004 first-row candidates exceed"
             " the 1000000-node cap, so no row was tested",
-            "  p=1000003: count 1, expected 1: pass",
-        ]
+        ] * 2
         code, out, _ = run(capsys, *argv, "--json")
         oracle = [o for rec in json.loads(out)["fibers"] for o in rec["oracle"]]
         assert [(o["count"], o["nodes"], o["verdict"]) for o in oracle] == [
-            (None, 1000001, "skipped: budget"), (1, 1, "pass")
+            (None, 1000001, "skipped: budget")
+        ] * 2
+
+    def test_peeled_check_is_not_precharged(self, capsys):
+        # B 3,1,1 via (2;1) has 1000004 first-row candidates at p =
+        # 1000003, but the peel takes off the part 3 and counts the two
+        # isotropic lines of the split plane left, in one node; (1;3)
+        # merges its one level away.
+        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "3,1,1", "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        oracle = [o for rec in json.loads(out)["fibers"] for o in rec["oracle"]]
+        assert [(o["count"], o["nodes"], o["verdict"]) for o in oracle] == [
+            (2, 1, "pass"), (1, 1, "pass")
         ]
+
+    def test_peeled_skip_names_its_closed_form(self, capsys):
+        code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
+                           "--oracle-budget", "0", "3,1,1")
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("  p=")]
+        assert lines == [
+            "  p=3: skipped: budget: its closed-form count costs 1 node, over the"
+            " 0-node cap, so nothing was counted",
+        ] * 2
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
         # (2,4;1) tests its one first-row candidate, then skips at 11 nodes.
@@ -488,6 +511,7 @@ PINNED = [
     (None, "fiber --family D 3,3,1,1"),
     (None, "fiber --family B --oracle-budget 1 2,2,1"),
     (None, "fiber --family B --oracle-primes 1000003 3,1,1"),
+    (None, "fiber --family B --oracle-budget 0 3,1,1"),
     (None, "fiber --family B --oracle-primes 3 --oracle-budget 100 4,4,2,2,1"),
     (None, "fiber --family B --oracle-primes 3;5 2,2,1"),
     ("oracle-fail", "fiber --family B 2,2,1"),

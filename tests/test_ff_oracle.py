@@ -11,8 +11,10 @@ windows against a fresh nullspace of each child; the package's row
 reduction only builds the inputs and the canonical bases compared.
 """
 import functools
+import inspect
 import itertools
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +51,8 @@ from nilorbit.ff_oracle import (
     _is_odd_prime,
     _last_row_batches,
     _cut,
+    _enumerate,
+    _first_row,
     _floors,
     _forced_subspaces,
     _quotient_alive,
@@ -574,12 +578,13 @@ class TestNodeBudget:
         # cuts such as B 2,2,1 via (1;3); C 4,2,2,1,1 via (1,4;0), whose
         # L_1 = im e^3 decides the first level; and C 3,3,1,1 via (2,2;0),
         # whose first row the a = 1 floor trims from 13 candidates to 4 at
-        # p=3 (31 to 6 at p=5).  first_row_nodes
-        # is exactly what the first level's first row charges, unless one
-        # node decides the first level.  With T the unbudgeted node total
-        # and R the first row's candidates, R <= T, and each budget b
-        # around R and T gives a skip with b + 1 nodes exactly when T > b,
-        # and the unbudgeted result otherwise.
+        # p=3 (31 to 6 at p=5).  _first_row is exactly what the
+        # enumeration's first level's first row charges, unless one node
+        # decides the first level.  With T the enumeration's unbudgeted
+        # node total and R the first row's candidates, R <= T, and each
+        # budget b around R and T gives a skip with b + 1 nodes exactly
+        # when T > b, and the unbudgeted result otherwise.  (The peel,
+        # which decides many of these checks, is TestPeel's.)
         first_rows = spy_first_rows(monkeypatch)
         cases = [
             (fam, orbit, levi)
@@ -594,8 +599,10 @@ class TestNodeBudget:
         for fam, orbit, levi in cases:
             real = realize(orbit, fam, q)
             first_rows.clear()
-            full = fiber_point_count(real, levi, budget=10**12)
-            T, R = full.nodes, first_row_nodes(orbit, levi, q)
+            if not levi.ps:
+                continue
+            full = _enumerate(real, levi, 10**12)
+            T, R = full.nodes, _first_row(orbit, levi, q)
             assert full.count is not None and R <= T, (orbit, levi)
             s = 2 * len(levi.ps) + (levi.q > 0)
             one_node = bool(levi.ps) and (
@@ -603,21 +610,23 @@ class TestNodeBudget:
             )
             assert sum(first_rows) == (0 if one_node else R), (orbit, levi)
             for b in {0, R - 1, R, T - 1, T} - {-1}:
-                res = fiber_point_count(real, levi, budget=b)
+                res = _enumerate(real, levi, b)
                 if T > b:
                     assert res == FlagCount(None, q, levi, b + 1, "budget")
                 else:
                     assert res == full
 
     def test_first_row_skip_needs_no_elimination(self, monkeypatch):
-        real = realize(P("3,1,1"), Family.B, 1_000_003)
+        # B 3,2,2 via (2;3) and (1,1;3): the peel takes off the part 3 and
+        # stops at 2,2, so the enumeration's first row is charged.
+        real = realize(P("3,2,2"), Family.B, 1_000_003)
 
         def refuse(*args):
             raise AssertionError("eliminated before a pre-charged skip")
 
         for name in ("nullspace", "rank", "rref"):
             monkeypatch.setattr(nilorbit.ff_oracle, name, refuse)
-        for levi, first in ((L("2;1"), 1_000_004), (L("1,1;1"), 1_000_007_000_013)):
+        for levi, first in ((L("2;3"), 1_000_004), (L("1,1;3"), 1_000_007_000_013)):
             assert first_row_nodes(real.partition, levi, 1_000_003) == first
             res = fiber_point_count(real, levi, budget=first - 1)
             assert res == FlagCount(None, 1_000_003, levi, first, "budget")
@@ -756,8 +765,9 @@ class TestHoist:
     )
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_a_filled_level_costs_one_node(self, fam, orbit, levi, k, q):
-        # E_i = E_{i-1} + L_i at every level: one flag, k nodes.
-        res = fiber_point_count(realize(P(orbit), fam, q), L(levi, fam))
+        # E_i = E_{i-1} + L_i at every level: one flag, k nodes.  The peel
+        # decides all but C 6 in one node, so this is the enumeration's.
+        res = _enumerate(realize(P(orbit), fam, q), L(levi, fam), DEFAULT_BUDGET)
         assert (res.count, res.nodes) == (1, k)
 
     def test_e_power_decides_at_one_node(self):
@@ -796,7 +806,7 @@ class TestHoist:
         pruned = path == "a" or (orbit, levi) in self.ALSO_PRUNED
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        full = fiber_point_count(real, levi)
+        full = _enumerate(real, levi, DEFAULT_BUDGET)
         runs = []
         mask, forced = ff_oracle._closing_mask, ff_oracle._forced_subspaces
 
@@ -809,12 +819,12 @@ class TestHoist:
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
-        got = fiber_point_count(real, levi)
+        got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
         batches = ff_oracle._last_row_batches  # the same, with no floor
         monkeypatch.setattr(ff_oracle, "_last_row_batches", lambda *args: batches(*args[:7]))
-        unpruned = fiber_point_count(real, levi)
+        unpruned = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (unpruned.count, unpruned.skipped) == (want, None)
         if pruned:
             assert got.nodes < unpruned.nodes
@@ -881,12 +891,12 @@ class TestHoist:
                 enumerated.append(sent(frame))
             return charge(*args)
 
-        pruned = fiber_point_count(real, levi)
+        pruned = _enumerate(real, levi, DEFAULT_BUDGET)
         monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
         monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
-        got = fiber_point_count(real, levi)
+        got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
         if path == "c":
@@ -902,16 +912,17 @@ class TestHoist:
     # im e^2 for B 3,1,1; for C 4,2 via (1,1;2), index 4 is x(1,1), a first
     # row in ker e that the broken form no longer makes orthogonal to
     # L_2 = im e^3.  The floor table cuts E_1 to im e^3 there (and E_1 of
-    # C 6,2 to im e^5), so the whole window is checked before the cut.
+    # C 6,2 to im e^5), so the whole window is checked before the cut.  B
+    # 3,1,1 runs on the enumeration, as the peel decides it without L_1.
     CORRUPT = (
-        "from nilorbit import (Family, InvariantError, LeviType, fiber_point_count,\n"
-        "                      parse_partition, realize)\n"
+        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
+        "from nilorbit.ff_oracle import _enumerate\n"
         "def raises(orbit, fam, levi, entries):\n"
         "    real = realize(parse_partition(orbit), fam, 3)\n"
         "    for i, j in entries:\n"
         "        real.gram[i, j] = 1\n"
         "    try:\n"
-        "        fiber_point_count(real, LeviType.from_text(levi, fam))\n"
+        "        _enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
         "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
@@ -923,7 +934,7 @@ class TestHoist:
         real = realize(P("3,1,1"), Family.B, 3)
         real.gram[0, 0] = 1
         with pytest.raises(InvariantError, match="not isotropic"):
-            fiber_point_count(real, L("1;3"))
+            _enumerate(real, L("1;3"), DEFAULT_BUDGET)
         real = realize(P("4,2"), Family.C, 3)
         real.gram[0, 4] = real.gram[4, 0] = 1
         with pytest.raises(InvariantError, match="not orthogonal"):
@@ -1053,7 +1064,7 @@ class TestLookAhead:
         # Every flag that the un-hoisted reference counts (it knows neither
         # the forced subspaces nor the floor table), for every Levi of B
         # N <= 7 and C/D N <= 6 whose reference finishes within TestHoist's
-        # cap, contains the forced subspaces that fiber_point_count builds,
+        # cap, contains the forced subspaces that the enumeration builds,
         # and each level space E_t meets every floor of row t of the table:
         # dim(E_t cap im e^a) = dim E_t - rank(E_t at heights < a) >= m_a.
         # So E_t lies in its window cut to im e^a at _cut's a.
@@ -1077,7 +1088,7 @@ class TestLookAhead:
                         if not levi.ps or count is None:
                             continue
                         built.clear()
-                        got = fiber_point_count(real, levi, budget=10**6)
+                        got = _enumerate(real, levi, 10**6)
                         assert got.count == len(counted), (orbit, levi)
                         if not counted:
                             continue
@@ -1139,6 +1150,220 @@ class TestLookAhead:
                     assert below == 0, (real.partition, levi, E)
                     dropped += 1
         assert dropped == drops
+
+
+# --- the peel and its closed form against the enumeration ---------------------
+
+
+PEEL_CAP = 100_000
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_reference(fam, orbit, levi, q):
+    """(count, nodes) of the flag enumeration alone (_enumerate) under
+    PEEL_CAP; count None past it.  A counted flag is a tested row, so the
+    nodes are at least the count."""
+    res = _enumerate(realize(orbit, fam, q), levi, PEEL_CAP)
+    assert res.count is None or res.nodes >= res.count, (orbit, levi, q)
+    return res.count, res.nodes
+
+
+def peel_sweep(oracle, q, tops):
+    """Run ``oracle``'s fiber_point_count on every check that its _peel
+    decides, over every Levi (enumerate_levis) of B, C and D up to the
+    sizes ``tops`` at p = q.  Returns (decided, compared, wrong): compared
+    counts the checks whose count equals the enumeration's, where that
+    finishes under PEEL_CAP (it cannot where the count exceeds the cap);
+    with no general-linear block the one flag is E = 0, counted iff e = 0.
+    wrong lists every other count and every decided check that costs more
+    than one node."""
+    decided = compared = 0
+    wrong = []
+    for fam, top in zip((Family.B, Family.C, Family.D), tops):
+        for n in range(2 - fam.size_parity, top + 1, 2):
+            for orbit in enumerate_valid(n, fam):
+                real = realize(orbit, fam, q)
+                for levi in enumerate_levis(n, fam):
+                    if oracle._peel(orbit, levi) is None:
+                        continue
+                    decided += 1
+                    got = oracle.fiber_point_count(real, levi, budget=PEEL_CAP)
+                    case = (fam.value, orbit.literal(), levi.literal(), q)
+                    if got.nodes > 1 or got.count is None:
+                        wrong.append((case, got))
+                        continue
+                    if not levi.ps:
+                        want = int(not real.e.any())
+                    elif got.count > PEEL_CAP:
+                        continue
+                    else:
+                        want, _ = enumerated_reference(fam, orbit, levi, q)
+                        if want is None:
+                            continue
+                    if got.count == want:
+                        compared += 1
+                    else:
+                        wrong.append((case, got.count, want))
+    return decided, compared, wrong
+
+
+def mutant_oracle(monkeypatch, old, new):
+    """A copy of ff_oracle with the one occurrence of ``old`` in its source
+    replaced by ``new``."""
+    source = inspect.getsource(ff_oracle)
+    assert source.count(old) == 1, old
+    name = "nilorbit._ff_oracle_mutant"
+    module = types.ModuleType(name)
+    module.__package__ = "nilorbit"
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    exec(compile(source.replace(old, new), ff_oracle.__file__, "exec"), module.__dict__)
+    return module
+
+
+class TestPeel:
+    # (prime, top N for B/C/D, checks the peel decides, of which equal to
+    # the enumeration or, with no general-linear block, to [e = 0]).  At
+    # p = 3 and 5, 71 decided checks are not compared: the enumeration
+    # does not finish under the cap.
+    SWEEPS = [(3, (9, 8, 8), (348, 319)), (5, (9, 8, 8), (348, 306)), (7, (7, 6, 6), (124, 110))]
+
+    @pytest.mark.parametrize("q,tops,coverage", SWEEPS)
+    def test_closed_form_matches_enumeration(self, q, tops, coverage):
+        decided, compared, wrong = peel_sweep(ff_oracle, q, tops)
+        assert wrong == []
+        assert (decided, compared) == coverage
+
+    # Each mutant changes a count or makes the peel decide fewer checks:
+    # a zero step kept as a level, or q left unlowered, raises s, so the
+    # peel stops where it should go on and the enumeration costs more
+    # than the one node of a peeled check.
+    MUTANTS = {
+        "split swapped": ("sign = 1 if split else -1", "sign = -1 if split else 1"),
+        "zero step kept": ("steps = tuple(x for x in steps if x)", "steps = tuple(steps)"),
+        "q not lowered": ("q - m if q else 0", "q"),
+        "multinomial dropped": (
+            "return subspaces * (factorial(r) // math.prod(map(factorial, steps)))",
+            "return subspaces",
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutants_fail(self, monkeypatch, mutant):
+        q, tops, coverage = 3, (7, 6, 6), (124, 122)
+        assert peel_sweep(ff_oracle, q, tops) == coverage + ([],)
+        oracle = mutant_oracle(monkeypatch, *self.MUTANTS[mutant])
+        assert peel_sweep(oracle, q, tops) != coverage + ([],)
+
+    # The brute force over F_5^6 takes 40 s for D, so n = 6 runs at p = 3.
+    ZERO_ORBITS = [
+        (fam, n, p)
+        for fam, sizes in ((Family.B, (3, 5)), (Family.C, (2, 4, 6)), (Family.D, (4, 6)))
+        for n in sizes
+        for p in (3, 5)
+        if n < 6 or p == 3
+    ]
+
+    @pytest.mark.parametrize("fam,n,p", ZERO_ORBITS)
+    def test_zero_orbit_matches_brute_force(self, fam, n, p):
+        # e = 0: the isotropic r-subspaces of the whole space, by the
+        # test's own enumerator, for every Levi with one block.
+        real = realize(P(",".join(["1"] * n)), fam, p)
+        for r in range(1, n // 2 + 1):
+            if fam is not Family.C and n - 2 * r == 2:
+                continue  # no such Levi; _closed_form's own test covers it
+            res = fiber_point_count(real, LeviType((r,), n - 2 * r, fam))
+            assert (res.count, res.nodes) == (brute_isotropic_count(real.gram, r, p), 1), (fam, n, r)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_closed_form_of_each_form_matches_brute_force(self, p):
+        # _closed_form on V_1 = F_p^m itself, one level of every dimension,
+        # for split and non-split symmetric forms and symplectic ones,
+        # against the brute force.  realize's Gram on 1^m is diagonal for
+        # B and D, and 2, a non-square mod 3 and 5, times one unit makes
+        # the even form non-split.
+        for fam, m in [(Family.D, 2), (Family.D, 4), (Family.B, 3), (Family.C, 4)]:
+            real = realize(P(",".join(["1"] * m)), fam, p)
+            forms = [real.gram]
+            if fam is Family.D:
+                assert np.count_nonzero(real.gram) == m == np.count_nonzero(np.diag(real.gram))
+                other = real.gram.copy()
+                other[0, 0] = other[0, 0] * 2 % p
+                forms.append(other)
+            for gram in forms:
+                for r in range(1, m // 2 + 1):
+                    got = ff_oracle._closed_form(replace(real, gram=gram), m, (r,))
+                    assert got == brute_isotropic_count(gram, r, p), (fam, m, r, gram)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_non_split_branch(self, p):
+        # realize's V_1 is always split.  In B 3,1,1, V_1 is spanned by
+        # x(1,1) and x(1,2) (indices 3 and 4); a non-square unit on x(1,2)
+        # keeps the form valid and e-invariant and makes V_1 non-split.
+        # The peel takes off the part 3, then counts isotropic lines of V_1
+        # for (2;1): none; (1;3) merges its one level away.
+        real = realize(P("3,1,1"), Family.B, p)
+        real.gram[4, 4] = real.gram[4, 4] * 2 % p
+        _validate(real)
+        for levi, want in (("2;1", 0), ("1;3", 1)):
+            got = fiber_point_count(real, L(levi))
+            assert (got.count, got.nodes) == (want, 1)
+            assert _enumerate(real, L(levi), DEFAULT_BUDGET).count == want
+
+    def test_peeled_checks_cost_at_most_one_node(self, monkeypatch):
+        # Every pseudo-polarization at B N <= 7 and C/D N <= 6: a check the
+        # peel decides costs min(1, R) nodes, R what the enumeration's
+        # first row charges, and first_row_nodes says so; at budget b it
+        # skips with b + 1 nodes exactly when that exceeds b.  At budget 0
+        # the peel is never consulted when R > 0.
+        peeled = 0
+        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    for _, levi in pseudo_polarizations(orbit, fam):
+                        if ff_oracle._peel(orbit, levi) is None:
+                            continue
+                        for q in (3, 5):
+                            real = realize(orbit, fam, q)
+                            cost = min(1, _first_row(orbit, levi, q))
+                            assert first_row_nodes(orbit, levi, q) == cost
+                            for b in (0, 1, DEFAULT_BUDGET):
+                                res = fiber_point_count(real, levi, budget=b)
+                                if cost > b:
+                                    assert res == FlagCount(None, q, levi, b + 1, "budget")
+                                else:
+                                    assert (res.nodes, res.skipped) == (cost, None)
+                            peeled += 1
+        assert peeled == 64
+
+        def refuse(*args):
+            raise AssertionError("the peel was consulted at budget 0")
+
+        monkeypatch.setattr(ff_oracle, "_peel", refuse)
+        real = realize(P("3,1,1"), Family.B, 3)
+        for levi in (L("2;1"), L("1;3")):
+            assert fiber_point_count(real, levi, budget=0) == FlagCount(None, 3, levi, 1, "budget")
+
+    COUPLED = (
+        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
+        "from nilorbit import fiber_point_count\n"
+        "real = realize(parse_partition('3,1,1'), Family.B, 3)\n"
+        "real.gram[0, 3] = real.gram[3, 0] = 1\n"
+        "try:\n"
+        "    fiber_point_count(real, LeviType.from_text('2;1', Family.B))\n"
+        "except InvariantError as exc:\n"
+        "    print(str(exc).split(' (')[0])\n"
+    )
+
+    def test_coupled_gram_raises(self):
+        # gram[0, 3] pairs x(1,0), on the chain of length 3 that the peel
+        # takes off, with x(1,1), on a chain of length 1.
+        real = realize(P("3,1,1"), Family.B, 3)
+        real.gram[0, 3] = real.gram[3, 0] = 1
+        with pytest.raises(InvariantError, match="couples Jordan chains"):
+            fiber_point_count(real, L("2;1"))
+
+    def test_coupled_gram_raises_under_optimize(self, run_optimized):
+        assert run_optimized(self.COUPLED) == "g or e couples Jordan chains of different lengths"
 
 
 class TestInvariantError:
