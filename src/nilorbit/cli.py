@@ -22,15 +22,13 @@ from .duality import dual_pair, pairing_records, springer_dual, springer_dual_in
 from .errors import InvariantError, VerificationError
 from .ff_oracle import (
     DEFAULT_BUDGET,
-    _peel,
     check_modulus,
     fiber_point_count,
-    first_row_nodes,
     precharged_skip,
     realize,
     resolve_budget,
 )
-from .levi import LeviType, polarizations
+from .levi import polarizations
 from .partitions import (
     Family,
     Partition,
@@ -92,7 +90,7 @@ def _primes(args, n: int) -> list[int]:
 
 
 def _budget(args, default: int) -> int:
-    """--oracle-budget, else the environment variable, else ``default``."""
+    """--oracle-budget, else ``default``."""
     try:
         return resolve_budget(args.oracle_budget, default)
     except ValueError as exc:
@@ -173,7 +171,9 @@ def cmd_polarizations(args) -> tuple[dict, int]:
 def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int) -> list[dict]:
     """One record per pseudo-polarization of the analysed orbit, with its
     oracle checks.  A prime's realization is built the first time a check
-    at that prime is not already a skip by its first row alone."""
+    at that prime is not already a skip before any realization
+    (precharged_skip): at budget 0, only for a Levi with no general-linear
+    block."""
     p, fam = analysis.partition, analysis.family
     records = []
     reals = {}
@@ -181,7 +181,7 @@ def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int) -> l
         poly = e_polynomial(d)
         oracle = []
         for q in primes:
-            fc = precharged_skip(p, d.levi, q, budget)
+            fc = precharged_skip(d.levi, q, budget)
             if fc is None:
                 if q not in reals:
                     reals[q] = realize(p, fam, q)
@@ -216,10 +216,7 @@ def cmd_fiber(args) -> tuple[dict, int]:
 
 
 def show_fiber(args, payload: dict) -> list[str]:
-    """A skipped check always reports cap + 1 nodes; when its first row
-    alone has more candidates than that cap, say so instead, and when the
-    peel decides the check, that its closed form's one node does."""
-    p, fam = Partition(tuple(payload["orbit"])), Family(payload["family"])
+    """A skipped check reports its cap + 1 nodes."""
     lines = []
     for rec in payload["fibers"]:
         d = rec["descriptor"]
@@ -231,26 +228,13 @@ def show_fiber(args, payload: dict) -> list[str]:
             f"minimal [{_literal(rec['min_richardson'])}] via ({rec['levi']}): {tower},"
             f" dim {d['dim']}, components {d['components']}"
         )
-        levi = LeviType.from_text(rec["levi"], fam)
         for o in rec["oracle"]:
-            if o["count"] is not None:
+            if o["count"] is None:
+                lines.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
+            else:
                 lines.append(
                     f"  p={o['p']}: count {o['count']}, expected {o['expected']}: {o['verdict']}"
                 )
-                continue
-            first, cap = first_row_nodes(p, levi, o["p"]), o["nodes"] - 1
-            if first > cap and _peel(p, levi) is not None:
-                lines.append(
-                    f"  p={o['p']}: {o['verdict']}: its closed-form count costs {first} node,"
-                    f" over the {cap}-node cap, so nothing was counted"
-                )
-            elif first > cap:
-                lines.append(
-                    f"  p={o['p']}: {o['verdict']}: its {first} first-row candidates exceed"
-                    f" the {cap}-node cap, so no row was tested"
-                )
-            else:
-                lines.append(f"  p={o['p']}: {o['verdict']} after {o['nodes']} nodes")
     return lines
 
 
@@ -431,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated odd primes for finite-field checks")
     common.add_argument("--oracle-budget", type=int, default=None,
                         help="node cap for the flag enumeration (default: "
-                             "$NILORBIT_ORACLE_BUDGET or built-in)")
+                             "1000000, or 5000 for atlas)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .levi import LeviType
 from .partitions import Family, Partition, is_valid
 
 DEFAULT_BUDGET = 1_000_000
-_BUDGET_ENV = "NILORBIT_ORACLE_BUDGET"
 # Candidate rows generated and tested per numpy product; keeps memory flat.
 _BATCH = 1024
 # Last rows decided per leaf-test product, which builds a (rows, m, m) array.
@@ -40,18 +38,9 @@ _INT64_LIMIT = 2**63
 
 
 def resolve_budget(budget: int | None = None, default: int = DEFAULT_BUDGET) -> int:
-    """Explicit argument, else the NILORBIT_ORACLE_BUDGET variable, else
-    ``default``.  A negative or non-integer budget is a ValueError."""
+    """``budget``, else ``default``.  A negative budget is a ValueError."""
     if budget is None:
-        env = os.environ.get(_BUDGET_ENV)
-        if not env:
-            return default
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
-        if budget < 0:
-            raise ValueError(f"{_BUDGET_ENV} must be non-negative, got {budget}")
+        return default
     if budget < 0:
         raise ValueError(f"oracle budget must be non-negative, got {budget}")
     return budget
@@ -317,69 +306,12 @@ def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
     return ~((X[:, cols] - X[:, piv] @ R) % p).any(axis=1)
 
 
-def _first_row(p: Partition, levi: LeviType, modulus: int) -> int:
-    """Nodes every enumeration of this fiber (_enumerate) charges before
-    anything can end it, from (p, levi, modulus) alone.  With k
-    general-linear blocks and s = 2k + [q > 0], the first flag space E_1, of
-    dimension d = the first general-linear block of ``levi``, starts from
-    the forced subspace L_1 = im e^(s-1) (see _enumerate), spanned by the
-    x(1,j) of the l parts equal to s, inside its window ker e, spanned by the
-    x(1,j) of height d_j - 1.
-
-    It is 1 when some part exceeds s (then e^s != 0 and the count is 0) or
-    d <= l (L_1 alone decides the level).  Otherwise row 0 of the floor
-    table (_floors) decides the level, as in _enumerate: 0 nodes when a
-    floor exceeds d; a cut to im e^a (_cut) keeps the x(1,j) of height
-    >= a, c of them (c = the number of parts with no cut).  Every candidate
-    for the first echelon row is tested (see _last_row_batches):
-    modulus^(c-l-1-pc) of them per pivot column pc of the c - l columns of
-    a complement of L_1, for pc from the floor d - l - 1 up.  With no cut,
-    E_1 needs dim(E_1 cap im e) >= m_1, the a = 1 floor, when a second
-    level follows or when d = l + 1 (the level adds one row); ker e cap
-    im e has dimension c2 = the number of parts >= 2, and its c2 - l
-    columns come last, so at m = m_1 - l > 0 the first row's pivot is at
-    least c - c2 + m - 1, and no row is tested when m exceeds c2 - l or
-    d - l.  0 when ``levi`` has no general-linear block or d > c."""
-    if not levi.ps:
-        return 0
-    k, d = len(levi.ps), levi.ps[0]
-    s = 2 * k + (levi.q > 0)
-    l = p.parts.count(s)
-    if max(p.parts) > s or d <= l:
-        return 1
-    floor = _floors(p, levi, 0)
-    a = _cut(floor, d)
-    if a is None:
-        return 0
-    c, lo = sum(x > a for x in p.parts) if a else len(p.parts), d - l - 1
-    if not a and floor and (k > 1 or lo == 0) and floor[0] > l:
-        inside = sum(x >= 2 for x in p.parts) - l
-        m = floor[0] - l
-        if m > min(inside, d - l):
-            return 0
-        lo = max(lo, c - l - inside + m - 1)
-    top = c - l - lo
-    return (modulus**top - 1) // (modulus - 1) if top > 0 else 0
-
-
-def first_row_nodes(p: Partition, levi: LeviType, modulus: int) -> int:
-    """Nodes every count of this fiber charges before anything can end it,
-    from (p, levi, modulus) alone.  A check that the peel decides (_peel,
-    see fiber_point_count) costs min(1, n) nodes, where n is what the
-    enumeration's first row would charge (_first_row); any other check
-    charges n."""
-    nodes = _first_row(p, levi, modulus)
-    return 1 if nodes > 1 and _peel(p, levi) is not None else nodes
-
-
-def precharged_skip(p: Partition, levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
-    """The skip that ``fiber_point_count`` must return when the first row
-    alone exceeds ``cap`` nodes, decided from (p, levi, modulus) without a
-    realization or any elimination; None when the first row fits.  The
-    peel is consulted only when the enumeration's first row exceeds a cap
-    of at least 1, the one node a peeled check costs: at cap 0 it cannot
-    save a check that the first row skips."""
-    if _first_row(p, levi, modulus) > cap and (cap < 1 or _peel(p, levi) is None):
+def precharged_skip(levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
+    """The skip that ``fiber_point_count`` returns before any realization
+    or elimination: a check costs at least one node when ``levi`` has a
+    general-linear block and none otherwise, so it skips when that exceeds
+    ``cap``.  None when it does not."""
+    if bool(levi.ps) > cap:
         return FlagCount(None, modulus, levi, cap + 1, skipped="budget")
     return None
 
@@ -433,10 +365,12 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
     Candidates are generated in batches of at most _BATCH rows, and each
     batch is tested in one product against the restricted Gram matrix: a
     row survives when it is isotropic and orthogonal to the rows already
-    chosen.  One node is one candidate row tested.  A batch is charged to
-    ``counter`` in full before it is evaluated; one that would take the
-    count past ``cap`` sets it to cap + 1 and raises BudgetExceeded, so a
-    check skips exactly when its total exceeds the cap.
+    chosen.  One node is one candidate row tested.  A pivot column's p**f
+    candidates are charged to ``counter`` in one sum before its first batch
+    is evaluated; a sum that would take the count past ``cap`` sets it to
+    cap + 1 and raises BudgetExceeded, so a check skips exactly when its
+    total exceeds the cap, and a row with more candidates than the cap
+    skips before any is generated.
     """
     I = W[:0] if I is None else I
     E, tail, head = _complement(E, I, W, p)
@@ -455,9 +389,9 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
         for pc in range(floor, pivots[-1] if pivots else c):
             free = [col for col in range(pc + 1, c) if col not in pivots]
             total = p ** len(free)
+            _charge(counter, total, cap)
             for start in range(0, total, _BATCH):
                 size = min(_BATCH, total - start)
-                _charge(counter, size, cap)
                 digits = np.arange(start, start + size, dtype=np.int64)
                 X = np.zeros((size, c), dtype=np.int64)
                 X[:, pc] = 1
@@ -658,31 +592,30 @@ def fiber_point_count(
     V_1 is split is read from the realization's Gram matrix, never from the
     descriptor.
 
-    A check the peel decides costs one node, like a level that its forced
-    subspace decides, or none where the enumeration's first row would cost
-    none (first_row_nodes).  The budget caps the nodes: a check whose total
-    would exceed it returns an explicit skip with ``nodes == budget + 1``,
-    never a wrong count.  Every count charges its first_row_nodes before
-    anything can end it, so they are charged up front: when they alone
-    exceed the budget, the same skip returns before any elimination
-    (precharged_skip).
+    A check with no general-linear block costs no node.  One with a
+    general-linear block costs at least one: exactly one when the peel
+    decides it, like a level that its forced subspace decides, and
+    max(1, rows tested) when it is enumerated.  The budget caps the nodes:
+    a check whose total would exceed it returns an explicit skip with
+    ``nodes == budget + 1``, never a wrong count.  At budget 0 a check with
+    a general-linear block returns that skip at once (precharged_skip).
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
     cap = resolve_budget(budget)
-    skip = precharged_skip(real.partition, levi, real.modulus, cap)
+    skip = precharged_skip(levi, real.modulus, cap)
     if skip is not None:
         return skip
     shape = _peel(real.partition, levi)
     if shape is None:
         return _enumerate(real, levi, cap)
-    nodes = min(1, _first_row(real.partition, levi, real.modulus))
-    return FlagCount(0 if shape == 0 else _closed_form(real, *shape), real.modulus, levi, nodes)
+    count = 0 if shape == 0 else _closed_form(real, *shape)
+    return FlagCount(count, real.modulus, levi, 1 if levi.ps else 0)
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     """fiber_point_count by enumerating the flags, for a Levi with at least
-    one general-linear block, at most ``cap`` nodes.
+    one general-linear block, at most ``cap`` >= 1 nodes.
 
     Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:
@@ -761,9 +694,10 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     per child and level as recursing into each child would.  What the
     table removes costs none: a child it drops, a level it ends or cuts
     away, and every row below the a = 1 floor; nor does a child whose
-    window cannot reach its level.  The budget caps the nodes: a check
-    whose total would exceed it returns an explicit skip with
-    ``nodes == budget + 1``, never a wrong count.
+    window cannot reach its level.  A check that charges none still costs
+    one node.  The budget caps the nodes: a check whose total would exceed
+    it returns an explicit skip with ``nodes == budget + 1``, never a wrong
+    count.
     """
     p, e, g = real.modulus, real.e, real.gram
     n = real.dim
@@ -919,4 +853,4 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         value = settle([(np.zeros((0, n), dtype=np.int64), np.zeros((1, n), dtype=np.int64))], 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
-    return FlagCount(value, p, levi, counter[0])
+    return FlagCount(value, p, levi, max(1, counter[0]))

@@ -142,7 +142,6 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # pinned: an oracle refactor that visits more or fewer nodes shows here.
     # So is the number of eliminations (calls of _linalg's row reduction,
     # behind rref, rank and nullspace) that the checks make.
-    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     eliminations = 0
     reduce = _linalg._reduce
 

@@ -117,8 +117,7 @@ CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
 
 
 @pytest.mark.parametrize("budget, key, extra", CASES, ids=[f"{b}-{k}" for b, k, _ in CASES])
-def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
-    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+def test_atlas_golden(capsys, tmp_path, budget, key, extra):
     family, rank = key[0], key[1:]
     code = main(["atlas", "--family", family, "--rank", rank, "--ceiling", "12",
                  "--out", str(tmp_path), "--json", *extra])
@@ -135,11 +134,10 @@ def test_atlas_golden(capsys, tmp_path, monkeypatch, budget, key, extra):
 
 
 @pytest.mark.parametrize("family, skipped", [("B", 0), ("C", 0), ("D", 0)])
-def test_rank_five_oracle_skips(capsys, tmp_path, monkeypatch, family, skipped):
+def test_rank_five_oracle_skips(capsys, tmp_path, family, skipped):
     """The F_p checks the default 5,000-node budget still skips at rank 5,
     per family, and no check fails: an oracle change that skips more shows
     here before it shows in the benchmark."""
-    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     code = main(["atlas", "--family", family, "--rank", "5", "--out", str(tmp_path), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

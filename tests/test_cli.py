@@ -172,18 +172,16 @@ class TestFiber:
         assert verdicts == {"skipped: budget"}
 
     def test_first_row_skip_names_its_cause(self, capsys):
-        # At p = 1000003 the first rows of (2;1) and (1;3) alone have more
-        # candidates than the default cap, so their skips are decided
-        # before any row is tested; the peel stops at once on 2,2,1, as
-        # no part equals s = 3.
+        # At p = 1000003 the first pivot column of (2;1) and (1;3) alone has
+        # more candidates than the default cap, so their skips are decided
+        # before any row is tested; the peel stops at once on 2,2,1, as no
+        # part equals s = 3.  The line names the budget and the cap + 1
+        # nodes, as every skip does.
         argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "2,2,1"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("  p=")]
-        assert lines == [
-            "  p=1000003: skipped: budget: its 1000004 first-row candidates exceed"
-            " the 1000000-node cap, so no row was tested",
-        ] * 2
+        assert lines == ["  p=1000003: skipped: budget after 1000001 nodes"] * 2
         code, out, _ = run(capsys, *argv, "--json")
         oracle = [o for rec in json.loads(out)["fibers"] for o in rec["oracle"]]
         assert [(o["count"], o["nodes"], o["verdict"]) for o in oracle] == [
@@ -191,7 +189,7 @@ class TestFiber:
         ] * 2
 
     def test_peeled_check_is_not_precharged(self, capsys):
-        # B 3,1,1 via (2;1) has 1000004 first-row candidates at p =
+        # B 3,1,1 via (2;1) would test 1000004 first-row candidates at p =
         # 1000003, but the peel takes off the part 3 and counts the two
         # isotropic lines of the split plane left, in one node; (1;3)
         # merges its one level away.
@@ -203,15 +201,13 @@ class TestFiber:
             (2, 1, "pass"), (1, 1, "pass")
         ]
 
-    def test_peeled_skip_names_its_closed_form(self, capsys):
+    def test_peeled_skip_reports_its_one_node(self, capsys):
+        # The peel would decide both checks in one node, over the 0-node cap.
         code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
                            "--oracle-budget", "0", "3,1,1")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("  p=")]
-        assert lines == [
-            "  p=3: skipped: budget: its closed-form count costs 1 node, over the"
-            " 0-node cap, so nothing was counted",
-        ] * 2
+        assert lines == ["  p=3: skipped: budget after 1 nodes"] * 2
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
         # (2,4;1) tests its one first-row candidate, then skips at 11 nodes.
@@ -310,16 +306,6 @@ class TestAtlas:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
-    def test_env_budget_respected(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "1")
-        code, out, _ = run(
-            capsys, "atlas", "--family", "B", "--rank", "2", "--json",
-            "--out", str(tmp_path)
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["oracle_skipped"] > 0
-
 
 class TestNoPolarizationTable:
     """Commands that read no descriptor never build a polarization table;
@@ -417,19 +403,6 @@ class TestOracleInputs:
     def test_empty_prime_is_malformed(self, capsys, tmp_path, command, primes):
         code, out, err = self._run(capsys, tmp_path, command, "--oracle-primes", primes)
         assert (code, out, err) == (2, "", f"error: malformed prime list {primes!r}\n")
-
-    @pytest.mark.parametrize("command", ["fiber", "atlas"])
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_bad_environment_budget(self, capsys, tmp_path, monkeypatch, command, value):
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", value)
-        code, _, err = self._run(capsys, tmp_path, command)
-        assert code == 2
-        assert len(err.splitlines()) == 1 and "NILORBIT_ORACLE_BUDGET" in err
-
-    def test_explicit_budget_overrides_environment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "abc")
-        code, _, _ = self._run(capsys, tmp_path, "fiber", "--oracle-budget", "0")
-        assert code == 0
 
 
 class TestArgparse:
@@ -538,10 +511,9 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 def pinned_run(capsys, monkeypatch, tmp_path, patch, command, mode):
     """Exit code, stdout and stderr of one pinned command, run from
-    ``tmp_path`` so atlas paths are relative, with the budget variable unset
-    and the dual-pair cache cleared around it."""
+    ``tmp_path`` so atlas paths are relative, with the dual-pair cache
+    cleared around it."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     if patch:
         PATCHES[patch](monkeypatch)
     argv = shlex.split(command) + (["--json"] if mode == "json" else [])
@@ -571,7 +543,6 @@ def test_pinned_output(capsys, monkeypatch, tmp_path, patch, command, mode):
 def test_handlers_print_nothing_to_stdout(capsys, monkeypatch, tmp_path, patch, command):
     """A handler returns its payload; only ``main`` prints it."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
     if patch:
         PATCHES[patch](monkeypatch)
     args = cli.build_parser().parse_args(shlex.split(command))

@@ -34,7 +34,6 @@ from nilorbit import (
     enumerate_levis,
     enumerate_valid,
     fiber_point_count,
-    first_row_nodes,
     minimal_richardson_orbits,
     parse_partition,
     polarizations,
@@ -52,7 +51,6 @@ from nilorbit.ff_oracle import (
     _last_row_batches,
     _cut,
     _enumerate,
-    _first_row,
     _floors,
     _forced_subspaces,
     _quotient_alive,
@@ -341,25 +339,14 @@ class TestFiberCounts:
 
 
 class TestBudget:
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    def test_resolve_precedence(self):
         assert resolve_budget() == DEFAULT_BUDGET
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "123")
-        assert resolve_budget() == 123
         assert resolve_budget(77) == 77
+        assert resolve_budget(0) == 0
 
-    def test_default_comes_last(self, monkeypatch):
-        monkeypatch.delenv("NILORBIT_ORACLE_BUDGET", raising=False)
+    def test_default_comes_last(self):
         assert resolve_budget(None, 5000) == 5000
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", "123")
-        assert resolve_budget(None, 5000) == 123
         assert resolve_budget(77, 5000) == 77
-
-    @pytest.mark.parametrize("text", ["abc", "-1", "1.5"])
-    def test_bad_environment_value_names_the_variable(self, monkeypatch, text):
-        monkeypatch.setenv("NILORBIT_ORACLE_BUDGET", text)
-        with pytest.raises(ValueError, match="NILORBIT_ORACLE_BUDGET"):
-            resolve_budget()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -557,7 +544,6 @@ class TestNodeBudget:
     @pytest.mark.parametrize("cap", [0, 1, 5, 30])
     def test_skip_reports_cap_plus_one(self, cap):
         real, levi = realize(P("3,3,1,1"), Family.D, 5), L("1,3;0", Family.D)
-        assert first_row_nodes(real.partition, levi, 5) == 6
         assert fiber_point_count(real, levi).nodes == 102
         res = fiber_point_count(real, levi, budget=cap)
         assert res.count is None and res.skipped == "budget"
@@ -572,64 +558,70 @@ class TestNodeBudget:
             next(_last_row_batches(W[:0], W, 1, form, 3, counter, 8))
         assert counter == [9]
 
-    @pytest.mark.parametrize("q", [3, 5])
-    def test_first_row_precharge_is_exact(self, monkeypatch, q):
-        # Every pseudo-polarization at B N <= 7 and C/D N <= 6, among them
-        # cuts such as B 2,2,1 via (1;3); C 4,2,2,1,1 via (1,4;0), whose
-        # L_1 = im e^3 decides the first level; and C 3,3,1,1 via (2,2;0),
-        # whose first row the a = 1 floor trims from 13 candidates to 4 at
-        # p=3 (31 to 6 at p=5).  _first_row is exactly what the
-        # enumeration's first level's first row charges, unless one node
-        # decides the first level.  With T the enumeration's unbudgeted
-        # node total and R the first row's candidates, R <= T, and each
-        # budget b around R and T gives a skip with b + 1 nodes exactly
-        # when T > b, and the unbudgeted result otherwise.  (The peel,
-        # which decides many of these checks, is TestPeel's.)
-        first_rows = spy_first_rows(monkeypatch)
-        cases = [
-            (fam, orbit, levi)
-            for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6))
-            for n in range(2 - fam.size_parity, top + 1, 2)
-            for orbit in enumerate_valid(n, fam)
-            for _, levi in pseudo_polarizations(orbit, fam)
-        ] + [
-            (Family.C, P("4,2,2,1,1"), L("1,4;0", Family.C)),
-            (Family.C, P("3,3,1,1"), L("2,2;0", Family.C)),
-        ]
-        for fam, orbit, levi in cases:
-            real = realize(orbit, fam, q)
-            first_rows.clear()
-            if not levi.ps:
-                continue
-            full = _enumerate(real, levi, 10**12)
-            T, R = full.nodes, _first_row(orbit, levi, q)
-            assert full.count is not None and R <= T, (orbit, levi)
-            s = 2 * len(levi.ps) + (levi.q > 0)
-            one_node = bool(levi.ps) and (
-                max(orbit.parts) > s or levi.ps[0] <= sum(max(x - s + 1, 0) for x in orbit.parts)
-            )
-            assert sum(first_rows) == (0 if one_node else R), (orbit, levi)
-            for b in {0, R - 1, R, T - 1, T} - {-1}:
-                res = _enumerate(real, levi, b)
-                if T > b:
-                    assert res == FlagCount(None, q, levi, b + 1, "budget")
-                else:
-                    assert res == full
+    # Checks whose node total exceeds this are checked only at budgets 0,
+    # 1 and SWEEP_CAP, where they skip: C 2,1,1,1,1 via (1,1,1;0) alone
+    # takes 54,133 nodes and 7 s at p=5.
+    SWEEP_CAP = 2000
+    # q: (checks, peeled, over SWEEP_CAP)
+    SWEEP = {3: (145, 88, 5), 5: (145, 88, 14)}
 
-    def test_first_row_skip_needs_no_elimination(self, monkeypatch):
-        # B 3,2,2 via (2;3) and (1,1;3): the peel takes off the part 3 and
-        # stops at 2,2, so the enumeration's first row is charged.
-        real = realize(P("3,2,2"), Family.B, 1_000_003)
+    @pytest.mark.parametrize("q", list(SWEEP))
+    def test_node_rule_at_every_budget(self, q):
+        # Every Levi with a general-linear block of every orbit at B N <= 7
+        # and C/D N <= 6, among them B 3,3,1 via (3;1), where the peel finds
+        # a negative q and the enumeration charges no row: a check the peel
+        # decides costs exactly one node, and an enumerated one at least
+        # one.  With T the node total, each budget b in {0, 1, T - 1, T}
+        # gives a skip with b + 1 nodes exactly when T > b, and the result
+        # at SWEEP_CAP otherwise.
+        checks = peeled = over = 0
+        for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, q)
+                    for levi in enumerate_levis(n, fam):
+                        if not levi.ps:
+                            continue
+                        full = fiber_point_count(real, levi, budget=self.SWEEP_CAP)
+                        T = full.nodes
+                        if ff_oracle._peel(orbit, levi) is not None:
+                            assert (full.nodes, full.skipped) == (1, None), (orbit, levi)
+                            peeled += 1
+                        assert T >= 1, (orbit, levi)
+                        budgets = {0, 1, T - 1, T}
+                        if full.count is None:
+                            assert T == self.SWEEP_CAP + 1, (orbit, levi)
+                            budgets, over = {0, 1}, over + 1
+                        for b in budgets:
+                            res = fiber_point_count(real, levi, budget=b)
+                            if T > b:
+                                assert res == FlagCount(None, q, levi, b + 1, "budget"), (orbit, levi, b)
+                            else:
+                                assert res == full, (orbit, levi, b)
+                        checks += 1
+        assert (checks, peeled, over) == self.SWEEP[q]
+        real = realize(P("3,3,1"), Family.B, q)
+        res = fiber_point_count(real, L("3;1"))
+        assert res == _enumerate(real, L("3;1"), 1) == FlagCount(0, q, L("3;1"), 1)
 
-        def refuse(*args):
-            raise AssertionError("eliminated before a pre-charged skip")
+    def test_first_row_over_the_cap_skips_on_one_charge(self, monkeypatch):
+        # B 2,2,1 via (1;3) and (2;1) at p = 1,000,003: the first row's
+        # first pivot column alone has p candidates, more than the cap, so
+        # the one charge for that column skips before any row is generated.
+        charges = []
+        charge = ff_oracle._charge
 
-        for name in ("nullspace", "rank", "rref"):
-            monkeypatch.setattr(nilorbit.ff_oracle, name, refuse)
-        for levi, first in ((L("2;3"), 1_000_004), (L("1,1;3"), 1_000_007_000_013)):
-            assert first_row_nodes(real.partition, levi, 1_000_003) == first
-            res = fiber_point_count(real, levi, budget=first - 1)
-            assert res == FlagCount(None, 1_000_003, levi, first, "budget")
+        def spy(counter, size, cap):
+            charges.append(size)
+            charge(counter, size, cap)
+
+        monkeypatch.setattr(ff_oracle, "_charge", spy)
+        real = realize(P("2,2,1"), Family.B, 1_000_003)
+        for levi in (L("1;3"), L("2;1")):
+            charges.clear()
+            res = _enumerate(real, levi, 10**6)
+            assert res == FlagCount(None, 1_000_003, levi, 10**6 + 1, "budget")
+            assert charges == [1_000_003], levi
 
     def test_totals_repeat(self):
         orbit = P("4,4,2,2,1")
@@ -639,26 +631,6 @@ class TestNodeBudget:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-
-def spy_first_rows(monkeypatch):
-    """Record every charge made for a candidate first row of the first flag
-    level: by an ``extend`` frame choosing its first row, below the level-0
-    ``recurse`` frame."""
-    sizes = []
-    charge = ff_oracle._charge
-
-    def spy(counter, size, cap):
-        frame = sys._getframe(1)
-        if frame.f_code.co_name == "extend" and frame.f_locals["chosen"] == 0:
-            while frame.f_code.co_name != "recurse":
-                frame = frame.f_back
-            if frame.f_locals["t"] == 0:
-                sizes.append(size)
-        charge(counter, size, cap)
-
-    monkeypatch.setattr(ff_oracle, "_charge", spy)
-    return sizes
 
 
 # --- the forced subspaces against the un-hoisted enumeration -----------------
@@ -773,7 +745,6 @@ class TestHoist:
     def test_e_power_decides_at_one_node(self):
         # B 5 via (1;3): e^3 != 0, so L_1 = im e^2 leaves ker e.
         real = realize(P("5"), Family.B, 3)
-        assert first_row_nodes(real.partition, L("1;3"), 3) == 1
         assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
 
     # Checks where the a = 1 floor prunes ("a": fewer nodes than with no
@@ -1311,10 +1282,10 @@ class TestPeel:
 
     def test_peeled_checks_cost_at_most_one_node(self, monkeypatch):
         # Every pseudo-polarization at B N <= 7 and C/D N <= 6: a check the
-        # peel decides costs min(1, R) nodes, R what the enumeration's
-        # first row charges, and first_row_nodes says so; at budget b it
-        # skips with b + 1 nodes exactly when that exceeds b.  At budget 0
-        # the peel is never consulted when R > 0.
+        # peel decides costs one node, or none with no general-linear block
+        # (the zero orbit's); at budget b it skips with b + 1 nodes exactly
+        # when that exceeds b.  At budget 0 the peel is never consulted for
+        # a Levi with a general-linear block.
         peeled = 0
         for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
             for n in range(2 - fam.size_parity, top + 1, 2):
@@ -1324,8 +1295,7 @@ class TestPeel:
                             continue
                         for q in (3, 5):
                             real = realize(orbit, fam, q)
-                            cost = min(1, _first_row(orbit, levi, q))
-                            assert first_row_nodes(orbit, levi, q) == cost
+                            cost = 1 if levi.ps else 0
                             for b in (0, 1, DEFAULT_BUDGET):
                                 res = fiber_point_count(real, levi, budget=b)
                                 if cost > b:

@@ -12,7 +12,6 @@ import pytest
 
 import nilorbit
 from nilorbit.cli import main
-from nilorbit.ff_oracle import _BUDGET_ENV
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,7 +35,6 @@ def test_readme_has_every_example():
 @pytest.mark.parametrize("command, expected", examples(), ids=[c for c, _ in examples()])
 def test_example(command, expected, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(_BUDGET_ENV, raising=False)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
 
@@ -56,5 +54,5 @@ def test_prose_names_resolve():
         importlib.import_module(f"nilorbit.{info.name}")
         for info in pkgutil.iter_modules(nilorbit.__path__)
     ]
-    assert {"first_row_nodes", "rref"} <= named
+    assert {"precharged_skip", "rref"} <= named
     assert sorted(name for name in named if not any(hasattr(m, name) for m in modules)) == []

@@ -63,3 +63,19 @@ def test_no_function_imports_a_package_module():
                 ):
                     found.add(f"{path.name}:{node.lineno}")
     assert sorted(found) == []
+
+
+def test_cli_imports_no_private_name():
+    """``cli.py`` imports no ``_``-prefixed name from another package
+    module: its renderers read only the payload, and its handlers use the
+    package's public functions."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "nilorbit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
