@@ -493,24 +493,25 @@ def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarr
     return bases, max(heights) < s
 
 
-def _peel(p: Partition, levi: LeviType) -> int | tuple[int, tuple[int, ...]] | None:
+def _peel(p: Partition, levi: LeviType) -> int | tuple[int, tuple[int, ...], int] | None:
     """The peel of fiber_point_count, from the parts and the Levi's steps
     alone: while some part equals s = 2k + [q > 0], take off the m parts
     equal to s, lower every step by m and q by m [q > 0], and merge the
     levels of zero steps.  0 when a part exceeds s or a step or q turns
-    negative (no flag); (m_1, steps) when only parts 1 remain (the closed
-    form's V_1 and its flag's steps); None when no part equals s, where the
-    flags are enumerated."""
+    negative (no flag); (m_1, steps, m_2) when only parts 1 remain (m_2 =
+    0), or only parts 2 and 1 under one level (the closed form's V_1, its
+    flag's steps and the number of parts 2); None when no part equals s
+    and two or more levels remain, where the flags are enumerated."""
     parts, steps, q = p.parts, levi.ps, levi.q
     while True:
         s = 2 * len(steps) + (q > 0)
         if parts and parts[0] > s:
             return 0
         if not parts or parts[0] == 1:
-            return len(parts), steps
+            return len(parts), steps, 0
         m = parts.count(s)
-        if not m:
-            return None
+        if not m:  # one level has s = 3 here, so the parts are 2 and 1
+            return (parts.count(1), steps, parts.count(2)) if len(steps) == 1 else None
         parts, steps, q = parts[m:], tuple(x - m for x in steps), q - m if q else 0
         if q < 0 or min(steps, default=0) < 0:
             return 0
@@ -530,36 +531,65 @@ def _isotropic_vectors(m: int, p: int, symplectic: bool, split: bool) -> int:
     return (p ** (m // 2) - sign) * (p ** (m // 2 - 1) + sign)
 
 
-def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...]) -> int:
-    """The isotropic flags with the given steps in V_1, the span of the
-    Jordan chains of length 1, of dimension m_1 = ``ones`` (e = 0 there):
-    N(r) [r; steps]_p for r = sum(steps), as in fiber_point_count.  First
-    g and e must have no entry between chains of different lengths, which
-    the peel's V_s perp W reads from realize's basis; an even orthogonal
-    V_1 is split iff (-1)^(m_1/2) det(g on V_1) is a square mod p."""
-    p, parts = real.modulus, real.partition.parts
+def _gl_factorial(t: int, p: int) -> int:
+    """[t]_p! up to the factor (p - 1)^t: prod_{j<=t} (p^j - 1)."""
+    return math.prod(p**j - 1 for j in range(1, t + 1))
+
+
+def _isotropic_subspaces(m: int, r: int, p: int, symplectic: bool, split: bool) -> int:
+    """N(r): the totally isotropic r-dimensional subspaces of a nondegenerate
+    form on F_p^m, prod_{i<r} iso(m - 2i) / prod_{j<=r} (p^j - 1)."""
+    isotropic = math.prod(_isotropic_vectors(m - 2 * i, p, symplectic, split) for i in range(r))
+    return isotropic // _gl_factorial(r, p)
+
+
+def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], twos: int) -> int:
+    """The flags left by the peel on the span V_2 + V_1 of the m_2 = ``twos``
+    Jordan chains of length 2 and the m_1 = ``ones`` of length 1, as in
+    fiber_point_count: with r = sum(steps), S [r; steps]_p for
+        S = sum_{f = ceil(m_2/2)}^{min(m_2, r)} N_b(m_2 - f) N_1(r - f) p^((r - f)(m_2 - f)),
+    which is N_1(r) when m_2 = 0 (the peel leaves m_2 > 0 only under one
+    level, where [r; r]_p = 1).  N_1 counts the isotropic subspaces of V_1
+    and N_b those of b(u, v) = <e^-1 u, v> on U = e(V_2), whose Gram matrix
+    is <t_i, e t_j> over the tops t_i = x(2, i) of the chains of length 2:
+    b is alternating for B and D and symmetric for C, where V_1's form is
+    the other kind.  A symmetric form of even dimension m is split iff
+    (-1)^(m/2) det is a square mod p.  g and e must have no entry between
+    chains of different lengths, which the peel's V_s perp W reads from
+    realize's basis, b must be of its kind, and b and the form on V_1 must
+    be nondegenerate: else InvariantError.  With r = 0 the count is 1 and
+    neither form is read."""
+    p, g, e, parts = real.modulus, real.gram, real.e, real.partition.parts
+    where = f"({real.partition}, p={p})"
     lengths = np.repeat(parts, parts)  # the length of each coordinate's chain
     cross = lengths[:, None] != lengths
-    if np.any(real.gram[cross] % p) or np.any(real.e[cross] % p):
-        raise InvariantError(
-            f"g or e couples Jordan chains of different lengths ({real.partition}, p={p})"
-        )
+    if np.any(g[cross] % p) or np.any(e[cross] % p):
+        raise InvariantError(f"g or e couples Jordan chains of different lengths {where}")
     r = sum(steps)
-    symplectic, split = real.family is Family.C, True
-    if r and not symplectic and ones % 2 == 0:
-        v1 = np.flatnonzero(lengths == 1)
-        d = det(real.gram[np.ix_(v1, v1)], p)
+    if not r:  # no general-linear block: E = 0 is the one flag, and m_2 = 0
+        return 1
+    tops = (np.cumsum(parts) - 1)[np.array(parts) == 2]  # x(2, j) ends a chain j
+    b = g[tops] @ e[:, tops] % p
+    symplectic = real.family is Family.C  # V_1's form; b is the other kind
+    if np.any((b.T + real.family.epsilon * b) % p):  # b(eu, ev) = -eps b(ev, eu)
+        kind = "symmetric" if symplectic else "alternating"
+        raise InvariantError(f"b = <e^-1 u, v> is not {kind} {where}")
+    v1 = np.flatnonzero(lengths == 1)
+
+    def split(gram: np.ndarray, space: str) -> bool:
+        d = det(gram, p)
         if not d:
-            raise InvariantError(f"the form is degenerate on V_1 ({real.partition}, p={p})")
-        split = pow((-1) ** (ones // 2) * d % p, (p - 1) // 2, p) == 1
+            raise InvariantError(f"the form is degenerate on {space} {where}")
+        return pow((-1) ** (gram.shape[0] // 2) * d % p, (p - 1) // 2, p) == 1
 
-    def factorial(t: int) -> int:  # [t]_p! up to the factor (p - 1)^t
-        return math.prod(p**j - 1 for j in range(1, t + 1))
-
-    subspaces = math.prod(
-        _isotropic_vectors(ones - 2 * i, p, symplectic, split) for i in range(r)
-    ) // factorial(r)
-    return subspaces * (factorial(r) // math.prod(map(factorial, steps)))
+    split_1, split_b = split(g[np.ix_(v1, v1)], "V_1"), split(b, "e(V_2)")
+    total = sum(
+        _isotropic_subspaces(twos, twos - f, p, not symplectic, split_b)
+        * _isotropic_subspaces(ones, r - f, p, symplectic, split_1)
+        * p ** ((r - f) * (twos - f))
+        for f in range((twos + 1) // 2, min(twos, r) + 1)
+    )
+    return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))
 
 
 def fiber_point_count(
@@ -579,26 +609,50 @@ def fiber_point_count(
     The V_s parts meet every condition, as s <= 2k + 1, so the count is
     the count for e on W and the Levi (p_1 - m, ..., p_k - m; q - m [q > 0]):
     a negative step or q leaves no flag, and a zero step merges two levels.
-    The peel repeats until a part exceeds s (the count is 0), no part
-    equals s (it stops, and the flags are enumerated, _enumerate) or only
-    parts 1 remain.  Then e = 0 on what is left, V_1 of dimension m_1, and
-    the flags are the isotropic flags of V_1 with cumulative dimensions
-    c_1 < ... < c_k: the closed form (_closed_form)
-        N(c_k) [c_k; c_1, c_2 - c_1, ...]_p,
-        N(r) = prod_{i<r} iso(m_1 - 2i) / prod_{j<=r} (p^j - 1),
-    counts them (Bruhat decomposition; Taylor, The Geometry of the
-    Classical Groups), where iso(m) is the number of nonzero isotropic
-    vectors of V_1's form (_isotropic_vectors).  Whether an even orthogonal
-    V_1 is split is read from the realization's Gram matrix, never from the
-    descriptor.
+    The peel repeats until a part exceeds s (the count is 0), only parts 1
+    remain, or no part equals s.  In the last case the flags are
+    enumerated (_enumerate) when two or more levels remain; one level
+    (r; q) has q > 0 there (q = 0 gives s = 2), so s = 3 and the parts
+    left are 2 and 1.  These two shapes, only parts 1 and one level over
+    parts 2 and 1, are counted in closed form (_closed_form).
+
+    Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
+    are the isotropic flags of V_1 with cumulative dimensions
+    c_1 < ... < c_k, which N_1(c_k) [c_k; c_1, c_2 - c_1, ...]_p counts
+    (Bruhat decomposition; Taylor, The Geometry of the Classical Groups).
+    Here N_1 is N for V_1's form, and
+        N(r) = prod_{i<r} iso(m - 2i) / prod_{j<=r} (p^j - 1)
+    counts the isotropic r-subspaces of a nondegenerate form on F_p^m,
+    with iso(m) its nonzero isotropic vectors (_isotropic_vectors).
+
+    One level over parts 2 and 1: V_2 perp V_1 for the spans of the m_2
+    chains of length 2 and the m_1 of length 1, U = e(V) = e(V_2) has
+    dimension m_2, and ker e = U + V_1.  The form b(u, v) = <e^-1 u, v> on
+    U is well defined, as <ker e, im e> = 0, and nondegenerate, as
+    (im e)^perp = ker e; b(ev, ew) = <v, ew> = -eps b(ew, ev), so b is
+    alternating for B and D and symmetric for C.  A counted E lies in
+    ker e; with F = E cap U and E' its projection to V_1, E is F plus the
+    graph of a map E' -> U/F.  U is isotropic and orthogonal to V_1, so E
+    is isotropic exactly when E' is.  And e(E^perp) = e(F^perp) =
+    F^perp_b: E^perp <= F^perp, and a v in F^perp pairs with E through E'
+    alone, so a vector of V_1, whose form is nondegenerate, moves v into
+    E^perp without changing ev.  So e(E^perp) <= E, that is <= F, exactly
+    when F is b-coisotropic: f = dim F >= m_2 / 2 and F^perp_b is an
+    isotropic (m_2 - f)-subspace of b.  Summing over f,
+        sum_{f = ceil(m_2/2)}^{min(m_2, r)} N_b(m_2 - f) N_1(r - f) p^((r - f)(m_2 - f)),
+    which is N_1(r) when m_2 = 0.  Whether a symmetric V_1 or b of even
+    dimension is split is read from the realization's Gram matrix (b's is
+    <t_i, e t_j> over the tops t_i = x(2, i) of the chains of length 2),
+    never from the descriptor.
 
     A check with no general-linear block costs no node.  One with a
     general-linear block costs at least one: exactly one when the peel
-    decides it, like a level that its forced subspace decides, and
-    max(1, rows tested) when it is enumerated.  The budget caps the nodes:
-    a check whose total would exceed it returns an explicit skip with
-    ``nodes == budget + 1``, never a wrong count.  At budget 0 a check with
-    a general-linear block returns that skip at once (precharged_skip).
+    decides it (a count of 0 or either closed form), like a level that its
+    forced subspace decides, and max(1, rows tested) when it is
+    enumerated.  The budget caps the nodes: a check whose total would
+    exceed it returns an explicit skip with ``nodes == budget + 1``, never
+    a wrong count.  At budget 0 a check with a general-linear block returns
+    that skip at once (precharged_skip).
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
@@ -615,7 +669,9 @@ def fiber_point_count(
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     """fiber_point_count by enumerating the flags, for a Levi with at least
-    one general-linear block, at most ``cap`` >= 1 nodes.
+    one general-linear block, at most ``cap`` >= 1 nodes: the route for
+    the Levis that the peel leaves with two or more levels, and the tests'
+    reference for the closed forms.
 
     Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:

@@ -141,7 +141,9 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # All 180 checks finish at the default budget, and their node total is
     # pinned: an oracle refactor that visits more or fewer nodes shows here.
     # So is the number of eliminations (calls of _linalg's row reduction,
-    # behind rref, rank and nullspace) that the checks make.
+    # behind rref, rank and nullspace) that the checks make.  Beyond them,
+    # every Levi with one general-linear block at ranks 6-8 is checked too:
+    # 308 checks, each decided in closed form at one node.
     eliminations = 0
     reduce = _linalg._reduce
 
@@ -152,7 +154,8 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
 
     monkeypatch.setattr(_linalg, "_reduce", counted)
     with reported(5, "fiber point counts over F_3 and F_5 equal the descriptor"
-                     " E-polynomial values (all pseudo-polarizations, N <= 9)"):
+                     " E-polynomial values (all pseudo-polarizations, N <= 9;"
+                     " one-level ones at ranks 6-8)"):
         skipped = []
         realizations = {}
         checks = nodes = checks_eliminations = 0
@@ -179,7 +182,19 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
                 f" after {spent} nodes"
             )
-        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 606, 706)
+        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 494, 576)
+        wide = []
+        for fam, sizes in ((Family.B, (13, 15, 17)), (Family.C, (12, 14, 16)), (Family.D, (12, 14, 16))):
+            for n in sizes:
+                for p in enumerate_valid(n, fam):
+                    one_level = [(r, levi) for r, levi in pseudo_polarizations(p, fam) if len(levi.ps) == 1]
+                    for q in (3, 5) if one_level else ():
+                        real = realize(p, fam, q)
+                        for r, levi in one_level:
+                            fc = fiber_point_count(real, levi)
+                            wide.append(fc.nodes)
+                            assert fc.count == e_polynomial(descriptor(p, fam, r, levi))(q), (fam, p, levi, q)
+        assert (len(wide), sum(wide)) == (308, 308)
         for orbit, levi_text, want3, want5 in (
             ("2,2,1", "1;3", 4, 6),
             ("3,1,1", "2;1", 2, 2),

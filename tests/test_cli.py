@@ -161,8 +161,10 @@ class TestFiber:
         assert code == 2
 
     def test_budget_skip_reported(self, capsys):
+        # Both Levis of B 4,4,1 have two levels, so they are enumerated,
+        # and each needs more than one node.
         code, out, _ = run(
-            capsys, "fiber", "--family", "B", "--json", "--oracle-budget", "1", "2,2,1"
+            capsys, "fiber", "--family", "B", "--json", "--oracle-budget", "1", "4,4,1"
         )
         assert code == 0  # a skip is not a failure
         payload = json.loads(out)
@@ -172,12 +174,13 @@ class TestFiber:
         assert verdicts == {"skipped: budget"}
 
     def test_first_row_skip_names_its_cause(self, capsys):
-        # At p = 1000003 the first pivot column of (2;1) and (1;3) alone has
-        # more candidates than the default cap, so their skips are decided
-        # before any row is tested; the peel stops at once on 2,2,1, as no
-        # part equals s = 3.  The line names the budget and the cap + 1
-        # nodes, as every skip does.
-        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "2,2,1"]
+        # B 4,4,1 via (1,2;3) and (2,2;1), two-level Levis that the peel
+        # leaves to the enumeration, as no part equals s = 5.  At p = 1000003
+        # the first pivot column of (1,2;3) alone has more candidates than
+        # the default cap, so its skip is decided before any row is tested;
+        # (2,2;1) meets such a column after two nodes.  The line names the
+        # budget and the cap + 1 nodes, as every skip does.
+        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "4,4,1"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("  p=")]

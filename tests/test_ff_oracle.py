@@ -98,6 +98,21 @@ def brute_isotropic_count(form, m, p):
     return total
 
 
+def brute_one_level_count(real, r):
+    """The r-dimensional E with e(E) = 0, E isotropic and e(E^perp) <= E:
+    every r-dimensional subspace of ker e, spanned by the coordinates whose
+    column of the Jordan matrix e is zero, tested one at a time."""
+    p, e, g = real.modulus, real.e, real.gram
+    kernel = np.eye(real.dim, dtype=np.int64)[~e.any(axis=0)]
+    total = 0
+    for mat in rref_subspaces(kernel.shape[0], r, p):
+        E = mat @ kernel
+        if not np.any(E @ g @ E.T % p):
+            perp = nullspace(E @ g % p, p)
+            total += contains(E, perp @ e.T % p, p)
+    return total
+
+
 def split_symmetric_form(n):
     return np.flipud(np.eye(n, dtype=np.int64))
 
@@ -355,9 +370,10 @@ class TestBudget:
             fiber_point_count(realize(P("2,2,1"), Family.B, 3), L("1;3"), budget=-1)
 
     def test_exhaustion_is_an_explicit_skip(self):
-        real = realize(P("2,2,1"), Family.B, 3)
-        res = fiber_point_count(real, L("1;3"), budget=1)
-        assert res == FlagCount(None, 3, L("1;3"), res.nodes, skipped="budget")
+        # A two-level Levi, which the peel leaves to the enumeration.
+        real = realize(P("4,4,2,2,1"), Family.B, 3)
+        res = fiber_point_count(real, L("2,4;1"), budget=1)
+        assert res == FlagCount(None, 3, L("2,4;1"), res.nodes, skipped="budget")
         assert res.count is None
         assert res.nodes >= 1
 
@@ -562,18 +578,20 @@ class TestNodeBudget:
     # 1 and SWEEP_CAP, where they skip: C 2,1,1,1,1 via (1,1,1;0) alone
     # takes 54,133 nodes and 7 s at p=5.
     SWEEP_CAP = 2000
-    # q: (checks, peeled, over SWEEP_CAP)
-    SWEEP = {3: (145, 88, 5), 5: (145, 88, 14)}
+    # q: (checks, peeled, enumerations over SWEEP_CAP)
+    SWEEP = {3: (145, 103, 17), 5: (145, 103, 32)}
 
     @pytest.mark.parametrize("q", list(SWEEP))
     def test_node_rule_at_every_budget(self, q):
         # Every Levi with a general-linear block of every orbit at B N <= 7
         # and C/D N <= 6, among them B 3,3,1 via (3;1), where the peel finds
-        # a negative q and the enumeration charges no row: a check the peel
-        # decides costs exactly one node, and an enumerated one at least
-        # one.  With T the node total, each budget b in {0, 1, T - 1, T}
-        # gives a skip with b + 1 nodes exactly when T > b, and the result
-        # at SWEEP_CAP otherwise.
+        # a negative q and the enumeration charges no row.  A check the
+        # peel decides costs exactly one node: it skips at budget 0 and
+        # finishes at budget 1.  The enumeration's rule is checked on every
+        # check, through _enumerate where the peel decides it: with T the
+        # node total, each budget b >= 1 in {1, T - 1, T} (and 0, through
+        # fiber_point_count) gives a skip with b + 1 nodes exactly when
+        # T > b, and the result at SWEEP_CAP otherwise.
         checks = peeled = over = 0
         for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
             for n in range(2 - fam.size_parity, top + 1, 2):
@@ -582,18 +600,25 @@ class TestNodeBudget:
                     for levi in enumerate_levis(n, fam):
                         if not levi.ps:
                             continue
-                        full = fiber_point_count(real, levi, budget=self.SWEEP_CAP)
-                        T = full.nodes
+                        count = functools.partial(fiber_point_count, real, levi)
                         if ff_oracle._peel(orbit, levi) is not None:
+                            full = count(self.SWEEP_CAP)
                             assert (full.nodes, full.skipped) == (1, None), (orbit, levi)
+                            assert count(0) == FlagCount(None, q, levi, 1, "budget")
+                            assert count(1) == full, (orbit, levi)
+                            count = functools.partial(_enumerate, real, levi)
                             peeled += 1
+                        full = count(self.SWEEP_CAP)
+                        T = full.nodes
                         assert T >= 1, (orbit, levi)
                         budgets = {0, 1, T - 1, T}
                         if full.count is None:
                             assert T == self.SWEEP_CAP + 1, (orbit, levi)
                             budgets, over = {0, 1}, over + 1
+                        if count.func is _enumerate:
+                            budgets.discard(0)  # a cap >= 1; 0 is the precharged skip above
                         for b in budgets:
-                            res = fiber_point_count(real, levi, budget=b)
+                            res = count(b)
                             if T > b:
                                 assert res == FlagCount(None, q, levi, b + 1, "budget"), (orbit, levi, b)
                             else:
@@ -1146,8 +1171,11 @@ def peel_sweep(oracle, q, tops):
     counts the checks whose count equals the enumeration's, where that
     finishes under PEEL_CAP (it cannot where the count exceeds the cap);
     with no general-linear block the one flag is E = 0, counted iff e = 0.
-    wrong lists every other count and every decided check that costs more
-    than one node."""
+    wrong lists every other count, every decided check that costs more
+    than one node, and every shape (m_1, steps, m_2) left to the closed
+    form where the peel should have gone on: the parts 2 and 1 left span
+    2 m_2 + m_1 = 2 r + q' dimensions, r = sum(steps), and parts 2 are
+    taken off while they equal s' = 2 len(steps) + [q' > 0]."""
     decided = compared = 0
     wrong = []
     for fam, top in zip((Family.B, Family.C, Family.D), tops):
@@ -1155,11 +1183,17 @@ def peel_sweep(oracle, q, tops):
             for orbit in enumerate_valid(n, fam):
                 real = realize(orbit, fam, q)
                 for levi in enumerate_levis(n, fam):
-                    if oracle._peel(orbit, levi) is None:
+                    shape = oracle._peel(orbit, levi)
+                    if shape is None:
                         continue
                     decided += 1
-                    got = oracle.fiber_point_count(real, levi, budget=PEEL_CAP)
                     case = (fam.value, orbit.literal(), levi.literal(), q)
+                    if shape:
+                        ones, steps, twos = shape
+                        left = 2 * twos + ones - 2 * sum(steps)
+                        if left < 0 or twos and 2 * len(steps) + (left > 0) == 2:
+                            wrong.append((case, shape))
+                    got = oracle.fiber_point_count(real, levi, budget=PEEL_CAP)
                     if got.nodes > 1 or got.count is None:
                         wrong.append((case, got))
                         continue
@@ -1194,9 +1228,9 @@ def mutant_oracle(monkeypatch, old, new):
 class TestPeel:
     # (prime, top N for B/C/D, checks the peel decides, of which equal to
     # the enumeration or, with no general-linear block, to [e = 0]).  At
-    # p = 3 and 5, 71 decided checks are not compared: the enumeration
-    # does not finish under the cap.
-    SWEEPS = [(3, (9, 8, 8), (348, 319)), (5, (9, 8, 8), (348, 306)), (7, (7, 6, 6), (124, 110))]
+    # p = 3 and 5, 30 and 49 decided checks are not compared: the
+    # enumeration does not finish under the cap.
+    SWEEPS = [(3, (9, 8, 8), (391, 361)), (5, (9, 8, 8), (391, 342)), (7, (7, 6, 6), (139, 124))]
 
     @pytest.mark.parametrize("q,tops,coverage", SWEEPS)
     def test_closed_form_matches_enumeration(self, q, tops, coverage):
@@ -1204,23 +1238,65 @@ class TestPeel:
         assert wrong == []
         assert (decided, compared) == coverage
 
-    # Each mutant changes a count or makes the peel decide fewer checks:
-    # a zero step kept as a level, or q left unlowered, raises s, so the
-    # peel stops where it should go on and the enumeration costs more
-    # than the one node of a peeled check.
+    # (prime, top N for B/C/D, one-level checks left with parts 2, of which
+    # the enumeration finishes under ONE_LEVEL_CAP).  The four it does not
+    # finish, all at p = 5, count more than 3,900 flags, among them C
+    # 2,1^6 via (3;2) with 101,556.
+    ONE_LEVEL_CAP = 10**6
+    ONE_LEVEL = [(3, (9, 8, 8), (43, 43)), (5, (9, 8, 8), (43, 39)), (7, (7, 6, 6), (15, 15))]
+
+    @pytest.mark.parametrize("q,tops,coverage", ONE_LEVEL)
+    def test_one_level_closed_form_matches_enumeration(self, q, tops, coverage):
+        # Every Levi whose peel leaves one level over chains of lengths 2
+        # and 1, where the sum over f = dim(E cap e(V_2)) counts the flags,
+        # against the enumeration at a larger cap than peel_sweep's.
+        decided = compared = 0
+        for fam, top in zip((Family.B, Family.C, Family.D), tops):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, q)
+                    for levi in enumerate_levis(n, fam):
+                        shape = ff_oracle._peel(orbit, levi)
+                        if not isinstance(shape, tuple) or not shape[2]:
+                            continue
+                        decided += 1
+                        got = fiber_point_count(real, levi)
+                        assert (got.nodes, got.skipped) == (1, None), (orbit, levi)
+                        want = _enumerate(real, levi, self.ONE_LEVEL_CAP)
+                        if want.count is not None:
+                            assert got.count == want.count, (fam, orbit, levi, q)
+                            compared += 1
+        assert (decided, compared) == coverage
+
+    # Each mutant changes a count, makes the peel decide fewer checks or
+    # hands the closed form a shape the peel should have gone on from: a
+    # zero step kept as a level, or q left unlowered, raises s, so the
+    # peel stops early, and the enumeration costs more than the one node
+    # of a peeled check or a part 2 is left equal to s' (peel_sweep's
+    # shape test; the sum over f itself reads no q).  The last four break
+    # the sum over f: its coisotropic range, its p^((r - f)(m_2 - f))
+    # maps, b's kind (alternating for B and D, symmetric for C) and b's
+    # own split type, which differs from V_1's for C 2,2,1,1 at p = 3.
     MUTANTS = {
         "split swapped": ("sign = 1 if split else -1", "sign = -1 if split else 1"),
         "zero step kept": ("steps = tuple(x for x in steps if x)", "steps = tuple(steps)"),
         "q not lowered": ("q - m if q else 0", "q"),
         "multinomial dropped": (
-            "return subspaces * (factorial(r) // math.prod(map(factorial, steps)))",
-            "return subspaces",
+            "return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))",
+            "return total",
         ),
+        "coisotropic flipped": (
+            "range((twos + 1) // 2, min(twos, r) + 1)",
+            "range(0, min(twos // 2, r) + 1)",
+        ),
+        "maps dropped": ("* p ** ((r - f) * (twos - f))", ""),
+        "b's kind swapped": ("p, not symplectic, split_b)", "p, symplectic, split_b)"),
+        "b's split from V_1": ("p, not symplectic, split_b)", "p, not symplectic, split_1)"),
     }
 
     @pytest.mark.parametrize("mutant", list(MUTANTS))
     def test_mutants_fail(self, monkeypatch, mutant):
-        q, tops, coverage = 3, (7, 6, 6), (124, 122)
+        q, tops, coverage = 3, (7, 6, 6), (139, 137)
         assert peel_sweep(ff_oracle, q, tops) == coverage + ([],)
         oracle = mutant_oracle(monkeypatch, *self.MUTANTS[mutant])
         assert peel_sweep(oracle, q, tops) != coverage + ([],)
@@ -1262,7 +1338,7 @@ class TestPeel:
                 forms.append(other)
             for gram in forms:
                 for r in range(1, m // 2 + 1):
-                    got = ff_oracle._closed_form(replace(real, gram=gram), m, (r,))
+                    got = ff_oracle._closed_form(replace(real, gram=gram), m, (r,), 0)
                     assert got == brute_isotropic_count(gram, r, p), (fam, m, r, gram)
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -1279,6 +1355,26 @@ class TestPeel:
             got = fiber_point_count(real, L(levi))
             assert (got.count, got.nodes) == (want, 1)
             assert _enumerate(real, L(levi), DEFAULT_BUDGET).count == want
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_non_split_b(self, p):
+        # In C 2,2,1,1 (x(1,j), x(2,j) at 2j and 2j + 1 for the parts 2) b
+        # is diag(-u_0, -u_1) on e(V_2) = <x(1,0), x(1,1)>, split as
+        # realize builds it.  A non-square unit on the first chain keeps
+        # the form e-invariant and makes b non-split: (1;4) then has no
+        # flag, and (2;2) only E = e(V_2).  Both counts agree with the
+        # test's own enumeration and with _enumerate, for either b.
+        real = realize(P("2,2,1,1"), Family.C, p)
+        other = replace(real, gram=real.gram.copy())
+        other.gram[[0, 1], [1, 0]] = other.gram[[0, 1], [1, 0]] * 2 % p
+        _validate(other)
+        for form, wants in ((real, (2, 2 * p * (p + 1) + 1)), (other, (0, 1))):
+            for r, want in zip((1, 2), wants):
+                levi = LeviType((r,), 6 - 2 * r, Family.C)
+                got = fiber_point_count(form, levi)
+                assert (got.count, got.nodes) == (want, 1), (r, form.gram)
+                assert brute_one_level_count(form, r) == want
+                assert _enumerate(form, levi, DEFAULT_BUDGET).count == want
 
     def test_peeled_checks_cost_at_most_one_node(self, monkeypatch):
         # Every pseudo-polarization at B N <= 7 and C/D N <= 6: a check the
@@ -1303,7 +1399,7 @@ class TestPeel:
                                 else:
                                     assert (res.nodes, res.skipped) == (cost, None)
                             peeled += 1
-        assert peeled == 64
+        assert peeled == 78
 
         def refuse(*args):
             raise AssertionError("the peel was consulted at budget 0")
@@ -1334,6 +1430,40 @@ class TestPeel:
 
     def test_coupled_gram_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.COUPLED) == "g or e couples Jordan chains of different lengths"
+
+    # B 2,2,1: x(1,j), x(2,j) at 2j and 2j + 1 for the parts 2, which
+    # realize pairs with each other, so b = <x(2,i), e x(2,j)> is
+    # alternating on e(V_2) = <x(1,0), x(1,1)>.  With the pairing of x(2,i)
+    # and x(1,j) taken out of g, b is 0; with x(2,0) sent to x(1,1) by e, b
+    # has a nonzero diagonal entry.
+    BROKEN_B = (
+        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
+        "from nilorbit import fiber_point_count\n"
+        "def broken(kind):\n"
+        "    real = realize(parse_partition('2,2,1'), Family.B, 3)\n"
+        "    if kind == 'degenerate b':\n"
+        "        real.gram[[1, 2, 3, 0], [2, 1, 0, 3]] = 0\n"
+        "    else:\n"
+        "        real.e[0, 1], real.e[2, 1] = 0, 1\n"
+        "    try:\n"
+        "        fiber_point_count(real, LeviType.from_text('1;3', Family.B))\n"
+        "    except InvariantError as exc:\n"
+        "        return str(exc).split(' (')[0]\n"
+    )
+    BROKEN_B_RAISED = {
+        "degenerate b": "the form is degenerate on e(V_2)",
+        "corrupted e": "b = <e^-1 u, v> is not alternating",
+    }
+
+    @pytest.mark.parametrize("kind", list(BROKEN_B_RAISED))
+    def test_broken_b_raises(self, kind):
+        scope = {}
+        exec(self.BROKEN_B, scope)
+        assert scope["broken"](kind) == self.BROKEN_B_RAISED[kind]
+
+    def test_broken_b_raises_under_optimize(self, run_optimized):
+        script = self.BROKEN_B + "".join(f"print(broken({kind!r}))\n" for kind in self.BROKEN_B_RAISED)
+        assert run_optimized(script).splitlines() == list(self.BROKEN_B_RAISED.values())
 
 
 class TestInvariantError:

@@ -79,3 +79,38 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that ``tree`` imports from, by file stem; the
+    package itself counts as "__init__", since it re-exports every module."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") if node.module else []
+            if node.level == 0:
+                if parts[0] != "nilorbit":
+                    continue
+                parts = parts[1:]
+            found.add(parts[0] if parts else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "nilorbit":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_oracle_imports_nothing_it_checks():
+    """``ff_oracle.py``, directly or through the modules it imports, imports
+    nothing from the modules whose results it checks: the segmentation,
+    the minimal Richardson orbits, the descriptors and the duality.  So a
+    count of flags over F_p never reads what it is compared with."""
+    reached, todo = set(), ["ff_oracle"]
+    while todo:
+        stem = todo.pop()
+        if stem not in reached:
+            reached.add(stem)
+            todo.extend(_package_imports(ast.parse((SRC / f"{stem}.py").read_text())))
+    assert {"_linalg", "levi", "partitions"} <= reached  # the walk follows imports
+    assert reached.isdisjoint({"__init__", "blocks", "minimal", "spaltenstein", "duality"})
