@@ -32,8 +32,6 @@ from .partitions import Family, Partition, is_valid
 DEFAULT_BUDGET = 1_000_000
 # Candidate rows generated and tested per numpy product; keeps memory flat.
 _BATCH = 1024
-# Last rows decided per leaf-test product, which builds a (rows, m, m) array.
-_LEAF_SLICE = 64
 _INT64_LIMIT = 2**63
 
 
@@ -414,41 +412,6 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
     yield from extend(np.zeros((0, c), dtype=np.int64), ())
 
 
-def _closing_mask(A: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
-    """Per row a of A: does M vanish on ker(a) x ker(a)?  With a pivot i
-    (a_i != 0), ker(a) is spanned by a_i e_j - a_j e_i, so it does iff
-        a_i^2 M - a_i (M[:, i] (x) a) - a_i (a (x) M[i, :]) + M_ii (a (x) a)
-    vanishes mod p.  That is a_i D - a (x) D[i, :] for D = a_i M - M[:, i] (x) a.
-    Rows are taken _LEAF_SLICE at a time, and every product has factors of
-    size below p, so n (p - 1)^2 < 2^63 bounds them all."""
-    nonzero = A != 0
-    if not nonzero.any(axis=1).all():
-        raise InvariantError("a last row lies in the span it extends")
-    pivot = nonzero.argmax(axis=1)
-    out = np.empty(A.shape[0], dtype=bool)
-    for s in range(0, A.shape[0], _LEAF_SLICE):
-        a = A[s : s + _LEAF_SLICE]
-        i = pivot[s : s + _LEAF_SLICE]
-        r = np.arange(a.shape[0])
-        ai = a[r, i][:, None, None]
-        # Two (rows, m, m) buffers, reduced in place to keep the peak low.
-        # D = a_i M - M[:, i] (x) a
-        D = ai * M
-        D %= p
-        T = M[:, i].T[:, :, None] * a[:, None, :]
-        T %= p
-        D -= T
-        # T = a_i D - a (x) D[i, :], with D's buffer holding the second term
-        Di = D[r, i][:, None, :]
-        np.multiply(ai, D, out=T)
-        T %= p
-        np.multiply(a[:, :, None], Di, out=D)
-        D %= p
-        T -= D
-        out[s : s + _LEAF_SLICE] = ~np.any(T, axis=(1, 2))  # |T| < p
-    return out
-
-
 def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> bool:
     """Can an isotropic F of dimension ``target`` lie in the window spanned
     by the rows of W?  Not when W is smaller than that, nor when it has
@@ -493,16 +456,18 @@ def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarr
     return bases, max(heights) < s
 
 
-def _peel(p: Partition, levi: LeviType) -> int | tuple[int, tuple[int, ...], int] | None:
-    """The peel of fiber_point_count, from the parts and the Levi's steps
-    alone: while some part equals s = 2k + [q > 0], take off the m parts
-    equal to s, lower every step by m and q by m [q > 0], and merge the
-    levels of zero steps.  0 when a part exceeds s or a step or q turns
-    negative (no flag); (m_1, steps, m_2) when only parts 1 remain (m_2 =
-    0), or only parts 2 and 1 under one level (the closed form's V_1, its
-    flag's steps and the number of parts 2); None when no part equals s
-    and two or more levels remain, where the flags are enumerated."""
-    parts, steps, q = p.parts, levi.ps, levi.q
+def _peel(
+    parts: tuple[int, ...], steps: tuple[int, ...], q: int
+) -> int | tuple[int, tuple[int, ...], int] | None:
+    """The peel of fiber_point_count, from the parts of a Jordan type and the
+    steps and q of a Levi alone: while some part equals s = 2k + [q > 0],
+    take off the m parts equal to s, lower every step by m and q by m
+    [q > 0], and merge the levels of zero steps.  0 when a part exceeds s
+    or a step or q turns negative (no flag); (m_1, steps, m_2) when only
+    parts 1 remain (m_2 = 0), or only parts 2 and 1 under one level (the
+    closed form's V_1, its flag's steps and the number of parts 2); None
+    when no part equals s and two or more levels remain, where the flags
+    are enumerated."""
     while True:
         s = 2 * len(steps) + (q > 0)
         if parts and parts[0] > s:
@@ -543,17 +508,42 @@ def _isotropic_subspaces(m: int, r: int, p: int, symplectic: bool, split: bool) 
     return isotropic // _gl_factorial(r, p)
 
 
-def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], twos: int) -> int:
-    """The flags left by the peel on the span V_2 + V_1 of the m_2 = ``twos``
-    Jordan chains of length 2 and the m_1 = ``ones`` of length 1, as in
-    fiber_point_count: with r = sum(steps), S [r; steps]_p for
+def _is_square(x: int, p: int) -> bool:
+    """Whether the unit x is a square mod p (Euler's criterion)."""
+    return pow(x % p, (p - 1) // 2, p) == 1
+
+
+def _flag_sum(
+    p: int, symplectic: bool, ones: int, steps: tuple[int, ...], twos: int,
+    split_1: bool, split_b: bool,
+) -> int:
+    """The flags of the peel's last shape, as in fiber_point_count: on the
+    span V_2 + V_1 of m_2 = ``twos`` Jordan chains of length 2 and m_1 =
+    ``ones`` of length 1, with r = sum(steps), S [r; steps]_p for
         S = sum_{f = ceil(m_2/2)}^{min(m_2, r)} N_b(m_2 - f) N_1(r - f) p^((r - f)(m_2 - f)),
     which is N_1(r) when m_2 = 0 (the peel leaves m_2 > 0 only under one
-    level, where [r; r]_p = 1).  N_1 counts the isotropic subspaces of V_1
-    and N_b those of b(u, v) = <e^-1 u, v> on U = e(V_2), whose Gram matrix
-    is <t_i, e t_j> over the tops t_i = x(2, i) of the chains of length 2:
-    b is alternating for B and D and symmetric for C, where V_1's form is
-    the other kind.  A symmetric form of even dimension m is split iff
+    level, where [r; r]_p = 1).  N_1 counts the isotropic subspaces of V_1,
+    whose form is symplectic when ``symplectic`` and symmetric otherwise,
+    and N_b those of b(u, v) = <e^-1 u, v> on U = e(V_2), of the other
+    kind; ``split_1`` and ``split_b`` say whether each is split, which
+    matters only for a symmetric form of even dimension."""
+    r = sum(steps)
+    total = sum(
+        _isotropic_subspaces(twos, twos - f, p, not symplectic, split_b)
+        * _isotropic_subspaces(ones, r - f, p, symplectic, split_1)
+        * p ** ((r - f) * (twos - f))
+        for f in range((twos + 1) // 2, min(twos, r) + 1)
+    )
+    return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))
+
+
+def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], twos: int) -> int:
+    """_flag_sum for the shape (m_1, steps, m_2) = (``ones``, ``steps``,
+    ``twos``) that the peel leaves of ``real``, with the split types read
+    from its Gram matrix: V_1's, and b's, whose Gram matrix is <t_i, e t_j>
+    over the tops t_i = x(2, i) of the chains of length 2.  b is
+    alternating for B and D and symmetric for C, where V_1's form is the
+    other kind.  A symmetric form of even dimension m is split iff
     (-1)^(m/2) det is a square mod p.  g and e must have no entry between
     chains of different lengths, which the peel's V_s perp W reads from
     realize's basis, b must be of its kind, and b and the form on V_1 must
@@ -565,8 +555,7 @@ def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], two
     cross = lengths[:, None] != lengths
     if np.any(g[cross] % p) or np.any(e[cross] % p):
         raise InvariantError(f"g or e couples Jordan chains of different lengths {where}")
-    r = sum(steps)
-    if not r:  # no general-linear block: E = 0 is the one flag, and m_2 = 0
+    if not steps:  # no general-linear block: E = 0 is the one flag, and m_2 = 0
         return 1
     tops = (np.cumsum(parts) - 1)[np.array(parts) == 2]  # x(2, j) ends a chain j
     b = g[tops] @ e[:, tops] % p
@@ -580,16 +569,71 @@ def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], two
         d = det(gram, p)
         if not d:
             raise InvariantError(f"the form is degenerate on {space} {where}")
-        return pow((-1) ** (gram.shape[0] // 2) * d % p, (p - 1) // 2, p) == 1
+        return _is_square((-1) ** (gram.shape[0] // 2) * d, p)
 
     split_1, split_b = split(g[np.ix_(v1, v1)], "V_1"), split(b, "e(V_2)")
-    total = sum(
-        _isotropic_subspaces(twos, twos - f, p, not symplectic, split_b)
-        * _isotropic_subspaces(ones, r - f, p, symplectic, split_1)
-        * p ** ((r - f) * (twos - f))
-        for f in range((twos + 1) // 2, min(twos, r) + 1)
-    )
-    return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))
+    return _flag_sum(p, symplectic, ones, steps, twos, split_1, split_b)
+
+
+def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_g: int) -> int:
+    """The last level of _enumerate over a state E = E_{k-1} (rows spanning
+    it, isotropic, of dimension d = p_1 + ... + p_{k-1}): the one-level
+    count of the induced e' on V' = E^perp/E for the Levi (p_k; q), from
+    products on a basis Q of E^perp (one nullspace of E g).
+
+    G_a = Q g e^a Q^T is the form <x, e^a y> on E^perp.  E lies in its
+    radical, so rank G_a = rank e'^a, and rank G_0 = dim V' = 2 p_k + q,
+    else InvariantError.  With s' = 2 + [q > 0], G_s' != 0 leaves a part of
+    e' above s', which no flag allows (fiber_point_count), so the count is
+    0.  Otherwise e' has m_3 = rank G_2 parts 3 (none when s' = 2), m_2 =
+    rank G_1 - 2 m_3 parts 2 and m_1 = 2 p_k + q - 2 rank G_1 + m_3 parts 1,
+    and the count is the peel's (_peel) and _flag_sum's.
+
+    A nilpotent's rational type is its Jordan type and the discriminants of
+    its multiplicity forms (Springer and Steinberg), and the split types
+    that _flag_sum needs come from the discriminant of the nondegenerate
+    part of a G_a: the det of a maximal nonsingular principal block, on the
+    pivot columns of an rref.  For C, b on e'(V'_2) has the det of G_1's
+    part, as G_1 is b on im e' and the paired chains of length 3 add a
+    square.  For B and D, V_1's det is (-1)^d det g (``det_g``: E + E*
+    adds d hyperbolic planes) times G_2's part: the paired chains of length
+    2 add 1, and each chain of length 3 adds its unit, its entry of G_2."""
+    p, g, e = real.modulus, real.gram, real.e
+    step, q = levi.ps[-1], levi.q
+    Q = nullspace(E @ g % p, p)
+    Qg = Q @ g % p
+    if rank(Qg @ Q.T % p, p) != 2 * step + q:
+        raise InvariantError(
+            f"the form is degenerate on E^perp/E ({real.partition}, {levi}, p={p})"
+        )
+    grams = []  # G_1, .., G_s'
+    for _ in range(2 + (q > 0)):
+        Qg = Qg @ e % p
+        grams.append(Qg @ Q.T % p)
+    if grams[-1].any():  # a part of e' exceeds s'
+        return 0
+    pivots_1 = rref(grams[0], p)[1]
+    pivots_2 = rref(grams[1], p)[1] if q else []
+    threes, rank_1 = len(pivots_2), len(pivots_1)
+    twos, ones = rank_1 - 2 * threes, 2 * step + q - 2 * rank_1 + threes
+    shape = _peel((3,) * threes + (2,) * twos + (1,) * ones, (step,), q)
+    if not shape:
+        return 0
+    ones, steps, twos = shape
+    if not steps:
+        return 1
+
+    def disc(G: np.ndarray, pivots: list[int]) -> int:
+        return det(G[np.ix_(pivots, pivots)], p)
+
+    symplectic = real.family is Family.C
+    split_1 = split_b = True  # a symplectic V_1, or an alternating b
+    if symplectic:
+        split_b = _is_square((-1) ** (twos // 2) * disc(grams[0], pivots_1), p)
+    else:
+        d = (real.dim - 2 * step - q) // 2
+        split_1 = _is_square((-1) ** (ones // 2 + d) * det_g * disc(grams[1], pivots_2), p)
+    return _flag_sum(p, symplectic, ones, steps, twos, split_1, split_b)
 
 
 def fiber_point_count(
@@ -610,11 +654,12 @@ def fiber_point_count(
     the count for e on W and the Levi (p_1 - m, ..., p_k - m; q - m [q > 0]):
     a negative step or q leaves no flag, and a zero step merges two levels.
     The peel repeats until a part exceeds s (the count is 0), only parts 1
-    remain, or no part equals s.  In the last case the flags are
-    enumerated (_enumerate) when two or more levels remain; one level
+    remain, or no part equals s.  In the last case, when two or more
+    levels remain, the flags are enumerated down to E_{k-1} and the last
+    level of each is counted on E_{k-1}^perp/E_{k-1} (_enumerate); one level
     (r; q) has q > 0 there (q = 0 gives s = 2), so s = 3 and the parts
     left are 2 and 1.  These two shapes, only parts 1 and one level over
-    parts 2 and 1, are counted in closed form (_closed_form).
+    parts 2 and 1, are counted in closed form (_closed_form, _flag_sum).
 
     Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
     are the isotropic flags of V_1 with cumulative dimensions
@@ -648,11 +693,11 @@ def fiber_point_count(
     A check with no general-linear block costs no node.  One with a
     general-linear block costs at least one: exactly one when the peel
     decides it (a count of 0 or either closed form), like a level that its
-    forced subspace decides, and max(1, rows tested) when it is
-    enumerated.  The budget caps the nodes: a check whose total would
-    exceed it returns an explicit skip with ``nodes == budget + 1``, never
-    a wrong count.  At budget 0 a check with a general-linear block returns
-    that skip at once (precharged_skip).
+    forced subspace decides, and max(1, the nodes _enumerate charges)
+    when it is enumerated.  The budget caps the nodes: a check whose total
+    would exceed it returns an explicit skip with ``nodes == budget + 1``,
+    never a wrong count.  At budget 0 a check with a general-linear block
+    returns that skip at once (precharged_skip).
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
@@ -660,7 +705,7 @@ def fiber_point_count(
     skip = precharged_skip(levi, real.modulus, cap)
     if skip is not None:
         return skip
-    shape = _peel(real.partition, levi)
+    shape = _peel(real.partition.parts, levi.ps, levi.q)
     if shape is None:
         return _enumerate(real, levi, cap)
     count = 0 if shape == 0 else _closed_form(real, *shape)
@@ -668,10 +713,21 @@ def fiber_point_count(
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
-    """fiber_point_count by enumerating the flags, for a Levi with at least
-    one general-linear block, at most ``cap`` >= 1 nodes: the route for
-    the Levis that the peel leaves with two or more levels, and the tests'
-    reference for the closed forms.
+    """fiber_point_count by enumerating the flags down to E_{k-1} and
+    counting the last level of each on the quotient, for a Levi with at
+    least one general-linear block, at most ``cap`` >= 1 nodes: the route
+    for the Levis that the peel leaves with two or more levels.  With one
+    level, E_0 = 0 and the quotient is V itself.
+
+    The last level on the quotient.  The E_k over a state E = E_{k-1}, of
+    dimension d, are exactly the one-level flags E'_k = E_k/E of the
+    induced e' on V' = E^perp/E for the Levi (p_k; q): E_k lies in E^perp,
+    isotropy carries over, e' E'_k = 0 iff e(E_k) <= E, and e'(E'_k^perp)
+    <= E'_k iff e(E_k^perp) <= E_k, as E_k^perp <= E^perp and E'_k^perp =
+    E_k^perp/E.  So the last level needs no window, no candidate row and
+    no closing test: _quotient_count counts it from the Jordan type and
+    the split types of e', which it reads from products on a basis of
+    E^perp, never from the descriptor.
 
     Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:
@@ -697,12 +753,12 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     im e^a) and e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every
     counted flag has dim(E_t cap im e^a) >= m_{t,a} = ceil(dim E_t -
     slack_a / 2), slack_a = n - rank e^a - S_a (_quotient_slack, _floors):
-    a table of (partition, Levi) alone, built once per check.  At t = k the
-    chain is q alone, and the floor is the closing test's own.  The
-    enumeration recurses through isotropic E_t that contain E_{t-1} + L_t,
-    inside the window E_{t-1}^perp cap e^{-1}(E_{t-1}) cap L_t^perp, adding
-    one reduced-echelon row at a time and dropping each candidate row as
-    soon as it fails isotropy, and it reads the table three ways:
+    a table of (partition, Levi) alone, built once per check.  The
+    enumeration recurses through isotropic E_t, t < k, that contain
+    E_{t-1} + L_t, inside the window E_{t-1}^perp cap e^{-1}(E_{t-1}) cap
+    L_t^perp, adding one reduced-echelon row at a time and dropping each
+    candidate row as soon as it fails isotropy, and it reads the table
+    three ways:
     - The cut.  When m_{t,a} = dim E_t, all of E_t lies in im e^a, which is
       spanned by the Jordan coordinates x(i,j) of height d_j - i >= a.  For
       the largest such a (_cut) the window shrinks to its part in im e^a,
@@ -713,47 +769,43 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
       would check.
     - The a = 1 floor.  With no cut, E_t with dim(E_t cap im e) below
       m_{t,1} are never generated (_last_row_batches, with I = window cap
-      im e) when another level follows, or when the level adds one row to
-      E_{t-1} + L_t (one rank); a last level that adds several rows keeps
-      its plain order, where the floor's reordered complement can cost
-      more nodes than it saves.
+      im e).
     - The children.  A child E = B + <x> of an enumerated or filled level
-      that is to be enumerated at level i is dropped when it fails a floor
-      of its own level i - 1, decided by one elimination of B per state
-      and level (_quotient_cut) and one product per batch (_quotient_alive).
+      that is to be enumerated at level i, or counted there on the
+      quotient, is dropped when it fails a floor of its own level i - 1,
+      decided by one elimination of B per state and level (_quotient_cut)
+      and one product per batch (_quotient_alive).
 
-    Level i is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
-    which depends on (partition, Levi) alone: E_{i-1} + L_i may then fill
-    the level, which has one candidate (or none, when it overfills) and is
-    charged one node.  Every enumerated level hands its children, the
-    batches of _last_row_batches, to settle, and the root enters settle as
-    the one child x = 0 of F1 = 0.  settle decides the children's run of
-    fillable levels, which may be empty, in those batches: per state F1
-    and level i of the run, one nullspace gives Q, a basis of
-    (F1 + L_i)^perp, and a child x reaches dim(F1 + L_i) + [Q g x != 0] at
-    level i.  A child that overfills counts 0.  After the run, a child past
-    the last level is closed: F = (F^perp)^perp, so e(F^perp) <= F exactly
-    when the form (u, v) -> <e u, v> vanishes on F^perp, and _closing_mask
-    decides that for a whole batch from Q eg Q^T, with Q a basis of
-    (F1 + L_k)^perp (of F1^perp when the last level was enumerated, as
-    L_k <= F1 there).  A child that falls short of level i, or that the run
-    leaves short of the level after it, is enumerated there unless the
-    table drops it.  A child that is kept builds its window
+    Level i < k is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >=
+    dim E_i, which depends on (partition, Levi) alone: E_{i-1} + L_i may
+    then fill the level, which has one candidate (or none, when it
+    overfills) and is charged one node.  Every enumerated level hands its
+    children, the batches of _last_row_batches, to settle, and the root
+    enters settle as the one child x = 0 of F1 = 0.  settle decides the
+    children's run of fillable levels before the last, which may be empty,
+    in those batches: per state F1 and level i of the run, one nullspace
+    gives Q, a basis of (F1 + L_i)^perp, and a child x reaches
+    dim(F1 + L_i) + [Q g x != 0] at level i.  A child that overfills counts
+    0.  A child that falls short of level i, or that the run leaves short
+    of the level after it, is enumerated there unless the table drops it;
+    at the last level each child E is counted on E^perp/E instead.  A
+    child that is enumerated builds its window
     (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by one
     elimination: e^{-1}(E) is (ann(E) e)^perp, and ann(E) comes from one
     basis of ann(F1 + L_{i-1}) per state and level by a rank-one update
     (_child_windows).  It is not enumerated when the window is smaller than
     dim E_i, or of that dimension and not isotropic (_fits).
 
-    A node is one candidate row generated and tested, or one level decided
-    by its forced subspace; deciding a run in batches charges the same node
-    per child and level as recursing into each child would.  What the
-    table removes costs none: a child it drops, a level it ends or cuts
-    away, and every row below the a = 1 floor; nor does a child whose
-    window cannot reach its level.  A check that charges none still costs
-    one node.  The budget caps the nodes: a check whose total would exceed
-    it returns an explicit skip with ``nodes == budget + 1``, never a wrong
-    count.
+    A node is one candidate row generated and tested, one level decided by
+    its forced subspace, or one last level counted on the quotient whose
+    count is not 0; deciding a run in batches charges the same node per
+    child and level as recursing into each child would.  What the table
+    removes costs none: a child it drops, a level it ends or cuts away,
+    and every row below the a = 1 floor; nor does a child whose window
+    cannot reach its level, or whose last level counts 0.  A check that
+    charges none still costs one node.  The budget caps the nodes: a check
+    whose total would exceed it returns an explicit skip with ``nodes ==
+    budget + 1``, never a wrong count.
     """
     p, e, g = real.modulus, real.e, real.gram
     n = real.dim
@@ -770,14 +822,14 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         if np.any(Lg @ L.T % p):
             raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
     counter = [0]
-    eg = (e.T @ g) % p
-    # Level i is fillable when E_{i-1} + L_i may reach dims[i]: dim L_i
-    # grows by more than the level adds, as E_{i-1} >= L_{i-1}.
+    det_g = det(g, p)
+    # Level i < last is fillable when E_{i-1} + L_i may reach dims[i]: dim
+    # L_i grows by more than the level adds, as E_{i-1} >= L_{i-1}.
     sizes = [0] + [L.shape[0] for L in forced]
-    fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last + 1)]
-    # The floor table, its cut per level, and per level the dimensions of a
-    # level space that may lie outside im e^a.
-    floors = [_floors(real.partition, levi, t) for t in range(last + 1)]
+    fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last)]
+    # The floor table, its cut per enumerated level, and per level the
+    # dimensions of a level space that may lie outside im e^a.
+    floors = [_floors(real.partition, levi, t) for t in range(last)]
     cuts = [_cut(floor, d) for floor, d in zip(floors, dims)]
     spares = [[d - m for m in floor] for floor, d in zip(floors, dims)]
 
@@ -794,17 +846,17 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         )
 
     def recurse(E: np.ndarray, window: np.ndarray, t: int) -> int:
-        """Enumerate level t over E = E_{t-1} in its window (E + L_t)^perp
-        cap e^{-1}(E), which can reach dims[t], and settle its children.
-        With a cut, the window shrinks to its part in im e^a, which must
-        hold E + L_t; with none, the a = 1 floor holds back every F with
-        dim(F cap im e) below it when another level follows, or when the
-        level adds one row to E + L_t.  0 when some floor exceeds dims[t]."""
+        """Enumerate level t < last over E = E_{t-1} in its window (E +
+        L_t)^perp cap e^{-1}(E), which can reach dims[t], and settle its
+        children.  With a cut, the window shrinks to its part in im e^a,
+        which must hold E + L_t; with none, the a = 1 floor holds back every
+        F with dim(F cap im e) below it.  0 when some floor exceeds
+        dims[t]."""
         a = cuts[t]
         # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
         # which holds every L_i: check it before the table drops rows that
         # settle would have checked.
-        if a != 0 and t < last and np.any(window @ forced_g[last].T % p):
+        if a != 0 and np.any(window @ forced_g[last].T % p):
             raise orthogonality_error(last)
         if a is None:
             return 0
@@ -814,7 +866,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
             if start[:, order[: bisect_left(height, a)]].any():
                 return 0
             window = image(window, a)
-        elif floors[t] and floors[t][0] > 0 and (t < last or dims[t] - rank(start, p) == 1):
+        elif floors[t] and floors[t][0] > 0:
             inside, need = image(window, 1), floors[t][0]
             if inside.shape[0] < need:
                 return 0
@@ -825,42 +877,42 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     def settle(batches, t: int) -> int:
         """The count below the children F1 + <x> of level t - 1, given as
         the batches (F1, X) of _last_row_batches, deciding the run t..end-1
-        of fillable levels, which may be empty, in those batches.  Below
-        level i - 1 >= t a child is F1 + L_{i-1} + <x>, so E_{i-1} + L_i =
-        F1 + L_i + <x>, of dimension dim(F1 + L_i) + [G x != 0].  A child
-        that falls short of level i, or that the run leaves short of level
-        end, descends into that level.  After the run, a child past the last
-        level is closed."""
+        of fillable levels before the last, which may be empty, in those
+        batches.  Below level i - 1 >= t a child is F1 + L_{i-1} + <x>, so
+        E_{i-1} + L_i = F1 + L_i + <x>, of dimension dim(F1 + L_i) + [G x !=
+        0].  A child that falls short of level i, or that the run leaves
+        short of level end, descends into that level; level end = last is
+        counted on the quotient."""
         end = t
-        while end <= last and fills[end]:
+        while end < last and fills[end]:
             end += 1
 
         def basis(i: int):
-            """(dim(F1 + L_i), G = Q g, M = Q eg Q^T at the last level)
-            for Q a basis of (F1 + L_i)^perp, built once per state and
-            level.  A level enumerated above the run (i < t) has L_i <= F1."""
+            """(dim(F1 + L_i), G = Q g) for Q a basis of (F1 + L_i)^perp,
+            built once per state and level of the run."""
             if i not in bases:
-                rows = F1g
-                if i >= t:
-                    if np.any(F1g @ forced[i].T % p):
-                        raise orthogonality_error(i)
-                    rows = np.vstack([F1g, forced_g[i]])
-                Q = nullspace(rows, p)
-                M = Q @ eg % p @ Q.T % p if i == last else None
-                bases[i] = n - Q.shape[0], Q @ g % p, M
+                if np.any(F1g @ forced[i].T % p):
+                    raise orthogonality_error(i)
+                Q = nullspace(np.vstack([F1g, forced_g[i]]), p)
+                bases[i] = n - Q.shape[0], Q @ g % p
             return bases[i]
 
         def descend(X: np.ndarray, i: int) -> int:
-            """The count below the children of X, whose level i is
-            enumerated: each child x whose quotient can hold the levels left
-            (for i >= 1) and that can reach dims[i] in its window, of
-            E = B + <x> for B = F1 + L_{i-1}, recurses with it.  A basis Y
-            of ann(B) is built once per state and level (_child_windows)."""
+            """The count below the children of X at level i, of E = B + <x>
+            for B = F1 + L_{i-1}: each child whose quotient can hold the
+            levels left (for i >= 1) is counted on E^perp/E when i is the
+            last level (one node when its count is not 0), and otherwise
+            recurses with E when it can reach dims[i] in its window.  A basis
+            Y of ann(B) is built once per state and level (_child_windows)."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
             if i:  # drop each child below the floors of level i - 1
                 if i not in bounds:
                     bounds[i] = _quotient_cut(below, order, height, spares[i - 1], p)
                 X = X[_quotient_alive(bounds[i], X, p)]
+            if i == last:
+                counts = [_quotient_count(real, levi, np.vstack([below, x]), det_g) for x in X]
+                _charge(counter, sum(map(bool, counts)), cap)
+                return sum(counts)
             if i not in annihilators:
                 Y = nullspace(below, p)
                 Bg = F1g if i == t else np.vstack([F1g, forced_g[i - 1]])
@@ -876,33 +928,20 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
-                size, G, _ = basis(i)
-                A = X @ G.T % p
-                reach = size + A.any(axis=1)  # dim(F1 + L_i + <x>)
+                size, G = basis(i)
+                reach = size + (X @ G.T % p).any(axis=1)  # dim(F1 + L_i + <x>)
                 _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
                 short = reach < dims[i]
                 if short.any():
                     total += descend(X[short], i)
-                fit = reach == dims[i]
-                X, A = X[fit], A[fit]
+                X = X[reach == dims[i]]
                 if not X.shape[0]:
                     break
             if not X.shape[0]:
                 continue
-            if end <= last:
-                if np.any(X @ forced_g[end].T % p) or np.any(F1g @ forced[end].T % p):
-                    raise orthogonality_error(end)
-                total += descend(X, end)
-                continue
-            # F = F1 + L_k + <x> closes iff M vanishes on F^perp = ker(G x) in Q
-            # coordinates (_closing_mask); when G x = 0, F^perp is all of Q.
-            size, G, M = basis(last)
-            if end == t:  # the last level was enumerated, so no run built A
-                A = X @ G.T % p
-            if size < dims[last]:
-                total += int(np.count_nonzero(_closing_mask(A, M, p)))
-            elif not np.any(M):
-                total += X.shape[0]
+            if np.any(X @ forced_g[end].T % p) or np.any(F1g @ forced[end].T % p):
+                raise orthogonality_error(end)
+            total += descend(X, end)
         return total
 
     try:  # the root is the one child x = 0 of F1 = 0

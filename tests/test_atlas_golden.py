@@ -1,10 +1,10 @@
 """Pinned atlas bytes: the sha256 of every atlas JSONL and summary CSV for
-B/C/D at ranks 1-7 with the default oracle budget and at ranks 1-6, 10 and
-12 with ``--oracle-budget 0``, and the oracle skips per family at ranks 5
-and 7 (rank 7's read from the run that its digests come from).  The atlas
-is the package's behavioural contract, so a refactor must reproduce these
-files byte for byte; a change that alters them on purpose updates the
-digests here and says why in CHANGES.md."""
+B/C/D at ranks 1-8 with the default oracle budget and at ranks 1-6, 10 and
+12 with ``--oracle-budget 0``, and the oracle skips per family at ranks 5,
+7 and 8 (ranks 7 and 8 read from the runs that their digests come from).
+The atlas is the package's behavioural contract, so a refactor must
+reproduce these files byte for byte; a change that alters them on purpose
+updates the digests here and says why in CHANGES.md."""
 import hashlib
 import json
 
@@ -20,42 +20,48 @@ DEFAULT_BUDGET = {
            "8b3fba5bf1b80809feb799262de7934ab5f93d35e779da4722d121d74affbb76"),
     "B3": ("52315a71ef396a33ec944a129978c3a9274306f5e66859ff1cabd7780813c18d",
            "a7cb60cdd98d1fb85fc48be818f9d63a78107b5d7b3863eb85ba0cfda15cca4b"),
-    "B4": ("0c2a3b63d1057b285e611e31530dcc6da6db145587c5fae921144119673cea13",
+    "B4": ("6296003cd6694a231df3ed47ac4027c227460389f2d593d2ccdf392ca22b6f45",
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
-    "B5": ("6809224f1198326f15890fb8f3c606325dfed40067a2a5cca01aaa07cb62b36a",
+    "B5": ("8b9162ac4245c4116770335c8adb68bfb2f3c243acf61e7ce0ccf86f0184cb6d",
            "09c29ce0d1f38eecc60c57a47f065fde15d2e0eac1ab056418e9e7c0fab77ad5"),
-    "B6": ("5ebed958e7cc479a935a914f012d71cd372a9eef277551205f81b47208b3764c",
+    "B6": ("40cdbdbf030ed98d843f01990541777848ec1323148196e8c13f97946a5214fe",
            "caa7a19a5437b416d2adec111712be5f8752edf55e5849f4e57b147dc04b29fd"),
-    "B7": ("29ca175a9f4941fc4162dab920a668f9fb2b03d0599d883eb450d75d2373ea50",
+    "B7": ("f806b520035b4d70c9ac8fcb1829972f3c8bd2cf507b45d04e37a15c3cb85a50",
            "034e18709173d1b4f18859a9b9807ff550553946745662e7e5ba8bc73753f5da"),
+    "B8": ("4b6e1ee96e7311fdf8d63e80c4e31d0ba91e63ec5c52ddb12789661034885cab",
+           "bf889ba43e15b9a9df2efd5ae09f9cd4c74dedf3cc0a4cab9e2e0564b6b434ec"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
     "C2": ("1e422b1dba12ea827f8dd40159164e36a754ac9bf3ae0449ebf7945017823bd0",
            "74c97d3fda8f1aa23f500e53ab86a1fd9a68ef0a0100f77c731c3197dc6aef97"),
-    "C3": ("c77689ecb44939b199736f5ae5d8a3adf1e7c4ff4bb4ecc29df4c7ba3de5db07",
+    "C3": ("a288098435fe1b35ed2a2a1c04172cac6e97da2a9f564c47e812672f8c05ccac",
            "18fdd1f9bbe4ada5d409d2f262f192d53165667c4488feb11dd98ff78f83b46a"),
-    "C4": ("81cee697edf101e027b0ddd36631b86cf90ddb58da044f903ea1f7a7a8ddbd18",
+    "C4": ("fbd1c5c235e3f63e69174aed79c8b42795056f5409e45983f2670777d295d90a",
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
-    "C5": ("d7a25ec6e5be2df11aa3a06216a1a7c2fab754b27eeaaeb9d4ecdef3257a39c2",
+    "C5": ("c53b0467bb3160d2576204ca5785f1a9644ae4209a058181aaf131d02433d4ea",
            "ead2ef34333a66d8825efd18a63b6c088a1726a52613411cb2c044130d65b9b6"),
-    "C6": ("2b52da30ee1e4aa754af466b6d01bc3bc4ffeec4266fa720499381e516b7dbac",
+    "C6": ("eefdf8797e2b1074dea60b564db821984754115586fcb128744dd9b3344eb073",
            "b3a6aee080ecea5a686f9d13193e180aca4533a86c1de41966aac9cbb2455c15"),
-    "C7": ("d5cc1958852488c37acfce1a8f0d19097e941554c4d9fa54b83904f7c3eb9ee8",
+    "C7": ("34190d01bdae483d1babae79a14010837e1941a63aefa5dfbf5f920d88d92815",
            "0069762cd97e31470929b9cffd25d0e22fd6a602dfdedee496ebac1c3f7f8ace"),
+    "C8": ("dbf055cc04636063da415733888692ab7c09d17c4b8e93286b1706f8d68fc1f7",
+           "9f1272eac3432902de8dde719495e4337b4d087e271a3d6e547b79fcd5d0fbf8"),
     "D1": ("e314a53011ccc3f5c2428b76838eb9e8a6bfcd6ea21370beb54a800f0cbf8617",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
-    "D2": ("5ea538acb07e25f304982b646180454ab71f515fde212310d3cf7a661e4c7d3b",
+    "D2": ("f61ab7a8a25e4d71c37bb2a29e485a6e5203c399980e0b80ed4edf8009c72464",
            "8fc7d2f4eb96e86da137df0df77fe5a388d2c219def5ee242e46530769e89361"),
-    "D3": ("9d4d30ca43b0affbb4938685e5d2b6e4281d2d1165969538be3e913f183f42a2",
+    "D3": ("3786731eff121e764a9fa691493cf4e41d7a41a586516d23a1b85beb5d15430e",
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
-    "D4": ("eee11fc1bd820b232bf622bb140dd4297437705fd3694469d6e27028568a027d",
+    "D4": ("cafe389808ec9c8d7369a98a4811f8c0b1fcefacf62760f55becb640a91bc6ce",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("3e64e6c3268fa03946f42d528b8197e9e4e55c4d8999e15111ebc08633bd580a",
+    "D5": ("389748315bf0f98cee926c5b1ec4c9accde9bf23f0751285574f63ac5c9b308d",
            "c65c102cbc6ed03c723457aa10d1f6533d3356f66ae2d0c0b91ad950d4c6ffa5"),
-    "D6": ("75c78fede236f8d284ff4893e22b8a6e7f9400134f996ec6fd7bae4ec38d2561",
+    "D6": ("42c85ab7c21e57fa9b7dd856ccdff92c593a4fc67957e0f197f8ec5fbd0315b5",
            "814a41d6d25883d28e50c7f25e5895e1d9eaab3b129ff570fec764c933630068"),
-    "D7": ("735fbb91201dcecf9787e9caa0fdf59d7b40d470792a110f1fdb638412761a64",
-           "93c7afb74fab35a6729a9fce60a786ed8c7d78defbd4dea7ceaa63eea0afd51b"),
+    "D7": ("a79da3cdf842574163d8c546ae48f5b348880f0634889b83e6221b4b6851801d",
+           "9291a42144822948bc5d4cb5530b47edfe84147d0766680b0053a865c5ebe29c"),
+    "D8": ("97d3a171b710445298a626027fab9430a87fcad13864579473133b08d44b1bee",
+           "08da7ca66c5830af98c227af8d493fb1bbc8685904cf02c55cc9eab71a4032d4"),
 }
 BUDGET_0 = {
     "B1": ("b411486cac537214846cbcc6afaa5063d3f17cc798ada82c5267d90a34c876f9",
@@ -108,8 +114,8 @@ BUDGET_0 = {
             "815bee6aa41f959d2893085df4a098868d810a858468ea443a52ac4bf4cb6a63"),
 }
 
-# Checks the default 5,000-node budget skips at rank 7, per family.
-SKIPPED = {"B7": 0, "C7": 0, "D7": 1}
+# Checks the default 5,000-node budget skips at ranks 7 and 8, per family.
+SKIPPED = {"B7": 0, "C7": 0, "D7": 0, "B8": 0, "C8": 0, "D8": 0}
 
 CASES = [("default", key, []) for key in DEFAULT_BUDGET] + [
     ("budget0", key, ["--oracle-budget", "0"]) for key in BUDGET_0

@@ -174,13 +174,13 @@ class TestFiber:
         assert verdicts == {"skipped: budget"}
 
     def test_first_row_skip_names_its_cause(self, capsys):
-        # B 4,4,1 via (1,2;3) and (2,2;1), two-level Levis that the peel
+        # B 4,4,3 via (2,3;1) and (1,3;3), two-level Levis that the peel
         # leaves to the enumeration, as no part equals s = 5.  At p = 1000003
-        # the first pivot column of (1,2;3) alone has more candidates than
-        # the default cap, so its skip is decided before any row is tested;
-        # (2,2;1) meets such a column after two nodes.  The line names the
-        # budget and the cap + 1 nodes, as every skip does.
-        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "4,4,1"]
+        # the first pivot column of each alone has more candidates than the
+        # default cap, so each skip is decided before any row is tested.
+        # The line names the budget and the cap + 1 nodes, as every skip
+        # does.
+        argv = ["fiber", "--family", "B", "--oracle-primes", "1000003", "4,4,3"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("  p=")]
@@ -213,11 +213,13 @@ class TestFiber:
         assert lines == ["  p=3: skipped: budget after 1 nodes"] * 2
 
     def test_skip_after_rows_keeps_its_node_count(self, capsys):
-        # (2,4;1) tests its one first-row candidate, then skips at 11 nodes.
+        # (1,4;3) tests its six first-row candidates and counts the last
+        # level of one child (a node for a count that is not 0), then skips
+        # at 8 nodes on the next child.
         code, out, _ = run(capsys, "fiber", "--family", "B", "--oracle-primes", "3",
-                           "--oracle-budget", "10", "4,4,2,2,1")
+                           "--oracle-budget", "7", "4,4,2,2,1")
         assert code == 0
-        assert "  p=3: skipped: budget after 11 nodes" in out.splitlines()
+        assert "  p=3: skipped: budget after 8 nodes" in out.splitlines()
 
 
 class TestAtlas:

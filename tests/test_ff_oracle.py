@@ -42,11 +42,10 @@ from nilorbit import (
     resolve_budget,
 )
 from nilorbit import ff_oracle
-from nilorbit._linalg import nullspace, rank, rref
+from nilorbit._linalg import det, nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
     _child_windows,
-    _closing_mask,
     _is_odd_prime,
     _last_row_batches,
     _cut,
@@ -403,11 +402,27 @@ def extensions(*args):
     return [np.vstack([F1, w]) for F1, X in _last_row_batches(*args) for w in X]
 
 
+def closing_mask(A, M, p):
+    """Per row a of A: does M vanish on ker(a) x ker(a)?  With a pivot i
+    (a_i != 0), ker(a) is spanned by a_i e_j - a_j e_i, so it does iff
+        a_i^2 M - a_i (M[:, i] (x) a) - a_i (a (x) M[i, :]) + M_ii (a (x) a)
+    vanishes mod p, that is a_i D - a (x) D[i, :] for D = a_i M - M[:, i] (x) a.
+    Every product has factors below p, so n (p - 1)^2 < 2^63 bounds them."""
+    nonzero = A != 0
+    assert nonzero.any(axis=1).all(), "a last row lies in the span it extends"
+    r = np.arange(A.shape[0])
+    i = nonzero.argmax(axis=1)
+    ai = A[r, i][:, None, None]
+    D = (ai * M % p - M[:, i].T[:, :, None] * A[:, None, :] % p) % p
+    T = ai * D % p - A[:, :, None] * D[r, i][:, None, :] % p
+    return ~np.any(T % p, axis=(1, 2))
+
+
 def closing_batches(E, W, target, g, eg, p, counter, cap):
     """(F1, X, closes) per batch of _last_row_batches, with closes[j] True
     iff F = F1 + <X[j]> satisfies e(F^perp) <= F.  Per state F1, Q is a
     basis of F1^perp; F^perp is ker(Q g X[j]) in Q coordinates, where
-    _closing_mask decides whether <e u, v> vanishes."""
+    closing_mask decides whether <e u, v> vanishes."""
     state = None
     for F1, X in _last_row_batches(E, W, target, g, p, counter, cap):
         if F1 is not state:
@@ -415,7 +430,7 @@ def closing_batches(E, W, target, g, eg, p, counter, cap):
             Q = nullspace(F1 @ g % p, p)
             M = Q @ eg % p @ Q.T % p
             G = Q @ g % p
-        yield F1, X, _closing_mask(X @ G.T % p, M, p)
+        yield F1, X, closing_mask(X @ G.T % p, M, p)
 
 
 FORMS = {
@@ -470,7 +485,8 @@ def _closes(F, e, g, p):
     return contains(F, perp @ e.T % p, p)
 
 
-# (orbit, family) pairs whose realizations feed the leaf-test checks.
+# (orbit, family) pairs whose realizations feed the leaf-test checks of
+# the reference's closing test (closing_mask).
 CLOSES_CASES = [
     ("2,2,1", Family.B), ("3,1,1", Family.B), ("2,1,1", Family.C),
     ("2,2", Family.C), ("2,2,1,1", Family.D), ("3,3", Family.D),
@@ -517,31 +533,31 @@ class TestCloses:
         res = fiber_point_count(real, LeviType((), real.dim, fam))
         assert (res.count, res.nodes) == (int(_closes(zero, real.e, real.gram, p)), 0)
 
-    def test_mask_is_sliced_consistently(self):
-        # 300 rows span three slices; each row decided alone must agree.
-        # M = u u^T vanishes on ker(a) x ker(a) exactly when a is a multiple
-        # of u, as every third row is.
-        p = 5
-        rng = np.random.default_rng(7)
-        u = np.array([1, 2, 0, 4, 3, 1])
-        M = np.outer(u, u) % p
-        A = rng.integers(0, p, size=(300, 6))
-        A[:, 0] = rng.integers(1, p, size=300)  # no zero rows
-        A[::3] = rng.integers(1, p, size=(100, 1)) * u % p
-        batched = _closing_mask(A, M, p)
-        single = np.array([_closing_mask(A[j : j + 1], M, p)[0] for j in range(300)])
-        assert np.array_equal(batched, single)
-        assert batched.any() and not batched.all()
-
-    def test_zero_row_is_an_invariant_error(self):
-        A = np.array([[1, 2, 0], [0, 0, 0]], dtype=np.int64)
-        with pytest.raises(InvariantError):
-            _closing_mask(A, np.zeros((3, 3), dtype=np.int64), 3)
+    # (states E = E_{k-1}, of which count 0)
+    @pytest.mark.parametrize("q,states", [(3, (1343, 58)), (5, (1300, 126))])
+    def test_quotient_count_on_every_state(self, q, states):
+        # The package never closes a flag: it counts the last level of every
+        # state E = E_{k-1} on E^perp/E (_quotient_count).  On every such
+        # state of the enumeration without the floor table (_states), for
+        # every Levi of B N <= 7 and C/D N <= 6 whose states finish within
+        # 2,000 rows, that count equals the flags through E that the
+        # un-hoisted reference closes one by one.
+        seen = zeros = 0
+        for real, levi, reached in _swept_states(q):
+            k, det_g = len(levi.ps), det(real.gram, q)
+            for t, E, _, _ in reached:
+                if t != k - 1:
+                    continue
+                want, _ = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
+                assert ff_oracle._quotient_count(real, levi, E, det_g) == want, (real.partition, levi, E)
+                seen += 1
+                zeros += want == 0
+        assert (seen, zeros) == states
 
     def test_anchor(self):
         real = realize(P("4,4,4,4,3,3,1"), Family.B, 3)
         res = fiber_point_count(real, L("5,6;1"))
-        assert (res.count, res.nodes) == (4, 2055)
+        assert (res.count, res.nodes) == (4, 545)
 
 
 class TestNodeBudget:
@@ -556,11 +572,12 @@ class TestNodeBudget:
         assert below.count is None and below.skipped == "budget"
         assert below.nodes == full.nodes
 
-    # The full count takes 102 nodes; caps below 6 skip on the first row.
+    # B 3,2,2 via (1,2;1), a two-level Levi: the full count takes 62
+    # nodes, and caps below 25 skip on the first row's first pivot column.
     @pytest.mark.parametrize("cap", [0, 1, 5, 30])
     def test_skip_reports_cap_plus_one(self, cap):
-        real, levi = realize(P("3,3,1,1"), Family.D, 5), L("1,3;0", Family.D)
-        assert fiber_point_count(real, levi).nodes == 102
+        real, levi = realize(P("3,2,2"), Family.B, 5), L("1,2;1")
+        assert fiber_point_count(real, levi).nodes == 62
         res = fiber_point_count(real, levi, budget=cap)
         assert res.count is None and res.skipped == "budget"
         assert res.nodes == cap + 1
@@ -576,10 +593,10 @@ class TestNodeBudget:
 
     # Checks whose node total exceeds this are checked only at budgets 0,
     # 1 and SWEEP_CAP, where they skip: C 2,1,1,1,1 via (1,1,1;0) alone
-    # takes 54,133 nodes and 7 s at p=5.
+    # takes 49,453 nodes and 2 s at p=5.
     SWEEP_CAP = 2000
     # q: (checks, peeled, enumerations over SWEEP_CAP)
-    SWEEP = {3: (145, 103, 17), 5: (145, 103, 32)}
+    SWEEP = {3: (145, 103, 4), 5: (145, 103, 12)}
 
     @pytest.mark.parametrize("q", list(SWEEP))
     def test_node_rule_at_every_budget(self, q):
@@ -601,7 +618,7 @@ class TestNodeBudget:
                         if not levi.ps:
                             continue
                         count = functools.partial(fiber_point_count, real, levi)
-                        if ff_oracle._peel(orbit, levi) is not None:
+                        if ff_oracle._peel(orbit.parts, levi.ps, levi.q) is not None:
                             full = count(self.SWEEP_CAP)
                             assert (full.nodes, full.skipped) == (1, None), (orbit, levi)
                             assert count(0) == FlagCount(None, q, levi, 1, "budget")
@@ -630,9 +647,10 @@ class TestNodeBudget:
         assert res == _enumerate(real, L("3;1"), 1) == FlagCount(0, q, L("3;1"), 1)
 
     def test_first_row_over_the_cap_skips_on_one_charge(self, monkeypatch):
-        # B 2,2,1 via (1;3) and (2;1) at p = 1,000,003: the first row's
-        # first pivot column alone has p candidates, more than the cap, so
-        # the one charge for that column skips before any row is generated.
+        # B 3,3,1 via (1,2;1) and (1,1;3), two-level Levis, at p =
+        # 1,000,003: the first row's first pivot column alone has p
+        # candidates, more than the cap, so the one charge for that column
+        # skips before any row is generated.
         charges = []
         charge = ff_oracle._charge
 
@@ -641,10 +659,10 @@ class TestNodeBudget:
             charge(counter, size, cap)
 
         monkeypatch.setattr(ff_oracle, "_charge", spy)
-        real = realize(P("2,2,1"), Family.B, 1_000_003)
-        for levi in (L("1;3"), L("2;1")):
+        real = realize(P("3,3,1"), Family.B, 1_000_003)
+        for levi in (L("1,2;1"), L("1,1;3")):
             charges.clear()
-            res = _enumerate(real, levi, 10**6)
+            res = fiber_point_count(real, levi, 10**6)
             assert res == FlagCount(None, 1_000_003, levi, 10**6 + 1, "budget")
             assert charges == [1_000_003], levi
 
@@ -774,13 +792,14 @@ class TestHoist:
 
     # Checks where the a = 1 floor prunes ("a": fewer nodes than with no
     # floor on dim(E cap im e)) and where a level decides its children's
-    # last level in its own batches ("b": _closing_mask called by a settle
-    # whose run is not empty), each against the un-hoisted reference.  The
-    # paths are pinned with the floor table's cut off, since it prunes
-    # first, and with the forced subspaces L_i = im e^(2k+1-i) of q > 0,
-    # which every flag contains: for q = 0 the larger im e^(2k-i) decides
-    # the C cases before any floor applies.  With both on, the count is the
-    # same and takes at most as many nodes as the reference.
+    # fillable last level in its own batches ("b": E_{k-1} + L_k may fill
+    # it, and _quotient_count counts it there with no row of it generated),
+    # each against the un-hoisted reference.  The paths are pinned with the
+    # floor table's cut off, since it prunes first, and with the forced
+    # subspaces L_i = im e^(2k+1-i) of q > 0, which every flag contains:
+    # for q = 0 the larger im e^(2k-i) decides the C cases before any floor
+    # applies.  With both on, the count is the same and takes at most as
+    # many nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -803,23 +822,25 @@ class TestHoist:
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
         full = _enumerate(real, levi, DEFAULT_BUDGET)
-        runs = []
-        mask, forced = ff_oracle._closing_mask, ff_oracle._forced_subspaces
+        counted, targets = [], []
+        count, forced, batches = ff_oracle._quotient_count, ff_oracle._forced_subspaces, ff_oracle._last_row_batches
 
         def spy(*args):
-            frame = sys._getframe(1)
-            assert frame.f_code.co_name == "settle"
-            runs.append(frame.f_locals["end"] - frame.f_locals["t"])
-            return mask(*args)
+            counted.append(args[2])
+            return count(*args)
 
-        monkeypatch.setattr(ff_oracle, "_closing_mask", spy)
+        def spy_batches(*args):
+            targets.append(args[2])
+            return batches(*args)
+
+        monkeypatch.setattr(ff_oracle, "_quotient_count", spy)
+        monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
-        batches = ff_oracle._last_row_batches  # the same, with no floor
-        monkeypatch.setattr(ff_oracle, "_last_row_batches", lambda *args: batches(*args[:7]))
+        monkeypatch.setattr(ff_oracle, "_last_row_batches", lambda *args: batches(*args[:7]))  # no floor
         unpruned = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (unpruned.count, unpruned.skipped) == (want, None)
         if pruned:
@@ -827,26 +848,30 @@ class TestHoist:
         else:
             assert got.nodes == unpruned.nodes
         if path == "b":
-            assert max(runs) > 0
+            assert counted and sum(levi.ps) not in targets
 
-    # Runs of two or more fillable levels, each against the un-hoisted
-    # reference: "c", settle decides children by _closing_mask two or more
-    # levels below the level that made them; "s", every child of the run
-    # falls short of its first level and recurses, and the last level is
-    # closed after an empty run; "m", a child falls short in the middle of
-    # a run and its level is enumerated.  The references for C 6,1,1,1,1 and
-    # D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run at p=3 only.  The
-    # paths are pinned with the floor table off (no row in it), as it cuts
-    # the windows before the runs see them and drops the children of the
-    # count-0 cases, and with the forced subspaces of q > 0, as the larger
-    # ones of q = 0 fill every level of C 6 via (1,1,1;0).  With both on,
-    # the count is the same and takes at most as many nodes.
+    # Runs of fillable levels, each against the un-hoisted reference: "c",
+    # settle decides children two or more levels below the level that made
+    # them, a run and then the last level by _quotient_count; "s", every
+    # child of the run falls short of its first level and recurses, and the
+    # last level is counted after an empty run; "m", a child falls short in
+    # the middle of a run and its level is enumerated, which needs two
+    # fillable levels before the last (the run never holds the last level,
+    # so B 6,6,5 via (1,2,3;5), whose middle level was its last, is now a
+    # "c" case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and
+    # 0.5 s at p=5, so they run at p=3 only.  The paths are pinned with the
+    # floor table off (no row in it), as it cuts the windows before the runs
+    # see them and drops the children of the count-0 cases, and with the
+    # forced subspaces of q > 0, as the larger ones of q = 0 fill every
+    # level of C 6 via (1,1,1;0).  With both on, the count is the same and
+    # takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
         ("c", Family.D, "7,5", "1,1,1,1;4", (3, 5, 7)),  # count 0
         ("s", Family.C, "6", "1,1,1;0", (3, 5, 7)),
-        ("m", Family.B, "6,6,5", "1,2,3;5", (3, 5)),  # count 0
+        ("c", Family.B, "6,6,5", "1,2,3;5", (3, 5)),  # count 0
+        ("m", Family.B, "8,8,7", "1,2,3,3;5", (3, 5)),  # count 0
     ]
 
     @pytest.mark.parametrize(
@@ -856,7 +881,7 @@ class TestHoist:
     def test_chains_match_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        mask, charge, forced = ff_oracle._closing_mask, ff_oracle._charge, ff_oracle._forced_subspaces
+        count, charge, forced = ff_oracle._quotient_count, ff_oracle._charge, ff_oracle._forced_subspaces
         decided, closed, enumerated = [], [], []
 
         def sent(frame):
@@ -872,14 +897,16 @@ class TestHoist:
             t, end = run.f_locals["t"], run.f_locals["end"]
             return (t, end, frame.f_locals["t"]) if end > t else None
 
-        def spy_mask(*args):
-            frame = sys._getframe(1)  # the settle closing its children
-            run = frame.f_locals["end"] - frame.f_locals["t"]
+        def spy_count(*args):
+            frame = settle = sys._getframe(1)
+            while settle.f_code.co_name != "settle":  # the settle counting its children
+                settle = settle.f_back
+            run = settle.f_locals["end"] - settle.f_locals["t"]
             if run:
-                decided.append(run)
+                decided.append(run + 1)  # the run's levels and the last
             else:
                 closed.append(sent(frame))
-            return mask(*args)
+            return count(*args)
 
         def spy_charge(*args):
             frame = sys._getframe(1)
@@ -888,7 +915,7 @@ class TestHoist:
             return charge(*args)
 
         pruned = _enumerate(real, levi, DEFAULT_BUDGET)
-        monkeypatch.setattr(ff_oracle, "_closing_mask", spy_mask)
+        monkeypatch.setattr(ff_oracle, "_quotient_count", spy_count)
         monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
@@ -937,10 +964,11 @@ class TestHoist:
             fiber_point_count(real, L("1,1;2", Family.C))
 
     def test_batched_last_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 4,2 via (1,1;2) decides its last level in its first level's
+        # C 4,2 via (1,1;2) counts its last level in its first level's
         # batches; the broken form of the test above makes E_1 = <x(1,1)>
         # meet L_2 = im e^3 there.  The cut to im e^3 never enumerates that
-        # E_1, so recurse checks the window; with the cut off, the run does.
+        # E_1, so recurse checks the window; with the cut off, settle does
+        # before it counts the last level on the quotient.
         real = realize(P("4,2"), Family.C, 3)
         real.gram[0, 4] = real.gram[4, 0] = 1
         with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
@@ -949,18 +977,19 @@ class TestHoist:
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
             fiber_point_count(real, L("1,1;2", Family.C))
-        raised = info.traceback[-1]  # the run of level 1 alone, the last level
-        assert (raised.name, raised.locals["t"], raised.locals["end"]) == ("settle", 1, 2)
+        raised = info.traceback[-1]  # an empty run, then the last level
+        assert (raised.name, raised.locals["t"], raised.locals["end"]) == ("settle", 1, 1)
 
     def test_mid_run_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 6,2 via (1,1,1;2): level 1 decides its children's run of levels
-        # 2 and 3.  Gram index 6 is x(1,1) and index 1 is x(2,0), in L_3 =
-        # im e^4, so gram[1, 6] makes E_2 meet L_3.  gram[0, 2] breaks the
-        # form's symmetry in the row of x(1,0), which spans L_2, so the run
-        # no longer finds the child x(1,0) inside F1 + L_2: no child falls
-        # short and recurses, and the batch reaches level 3, where the run
-        # itself must raise.  The cut to im e^5 keeps x(1,1) out of E_1, so
-        # recurse checks the window first; with the cut off, the run does.
+        # C 6,2 via (1,1,1;2): level 1 decides its children's run of level
+        # 2, and level 3, the last, on the quotient.  Gram index 6 is x(1,1)
+        # and index 1 is x(2,0), in L_3 = im e^4, so gram[1, 6] makes E_2
+        # meet L_3.  gram[0, 2] breaks the form's symmetry in the row of
+        # x(1,0), which spans L_2, so the run no longer finds the child
+        # x(1,0) inside F1 + L_2: no child falls short and recurses, and the
+        # batch passes level 2 and reaches level 3, where settle must raise
+        # before it counts it.  The cut to im e^5 keeps x(1,1) out of E_1,
+        # so recurse checks the window first; with the cut off, settle does.
         real = realize(P("6,2"), Family.C, 3)
         real.gram[0, 2] = real.gram[1, 6] = 1
         with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
@@ -969,9 +998,8 @@ class TestHoist:
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
             fiber_point_count(real, L("1,1,1;2", Family.C))
-        raised = info.traceback[-1]
-        assert raised.name == "settle"
-        assert raised.locals["i"] > raised.locals["t"]
+        raised = info.traceback[-1]  # after the run's level 2, before the last
+        assert (raised.name, raised.locals["t"], raised.locals["i"], raised.locals["end"]) == ("settle", 1, 1, 2)
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
@@ -1007,19 +1035,22 @@ def _states(real, levi, cap):
         level = children
 
 
+@functools.lru_cache(maxsize=None)
 def _swept_states(q):
     """(real, levi, states) for every Levi of B N <= 7 and C/D N <= 6 at
-    p = q whose _states finish within 2,000 tested rows."""
+    p = q whose _states finish within 2,000 tested rows.  The sweeps over
+    every state share it."""
+    swept = []
     for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
         for n in range(2 - fam.size_parity, top + 1, 2):
             for orbit in enumerate_valid(n, fam):
                 real = realize(orbit, fam, q)
                 for levi in enumerate_levis(n, fam):
                     try:
-                        reached = list(_states(real, levi, 2000))
+                        swept.append((real, levi, list(_states(real, levi, 2000))))
                     except BudgetExceeded:
                         continue
-                    yield real, levi, reached
+    return swept
 
 
 class TestLookAhead:
@@ -1152,16 +1183,21 @@ class TestLookAhead:
 
 
 PEEL_CAP = 100_000
+# Checks whose reference needs more: the flag-by-flag enumeration tests
+# 2,624,816 rows for B 3,1^6 via (2;5) and 102,941 for D 3,1^5 via (2;4).
+PEEL_CAPS = {("B", "3,1,1,1,1,1,1", "2;5", 5): 3_000_000, ("D", "3,1,1,1,1,1", "2;4", 5): 200_000}
 
 
 @functools.lru_cache(maxsize=None)
 def enumerated_reference(fam, orbit, levi, q):
-    """(count, nodes) of the flag enumeration alone (_enumerate) under
-    PEEL_CAP; count None past it.  A counted flag is a tested row, so the
-    nodes are at least the count."""
-    res = _enumerate(realize(orbit, fam, q), levi, PEEL_CAP)
-    assert res.count is None or res.nodes >= res.count, (orbit, levi, q)
-    return res.count, res.nodes
+    """(count, nodes) of the flag-by-flag reference (unhoisted_count) under
+    PEEL_CAP, or under the cap PEEL_CAPS gives the check; count None past
+    it.  A counted flag is a tested row, so the nodes are at least the
+    count."""
+    cap = PEEL_CAPS.get((fam.value, orbit.literal(), levi.literal(), q), PEEL_CAP)
+    count, nodes = unhoisted_count(realize(orbit, fam, q), levi, cap)
+    assert count is None or nodes >= count, (orbit, levi, q)
+    return count, nodes
 
 
 def peel_sweep(oracle, q, tops):
@@ -1183,7 +1219,7 @@ def peel_sweep(oracle, q, tops):
             for orbit in enumerate_valid(n, fam):
                 real = realize(orbit, fam, q)
                 for levi in enumerate_levis(n, fam):
-                    shape = oracle._peel(orbit, levi)
+                    shape = oracle._peel(orbit.parts, levi.ps, levi.q)
                     if shape is None:
                         continue
                     decided += 1
@@ -1227,9 +1263,9 @@ def mutant_oracle(monkeypatch, old, new):
 
 class TestPeel:
     # (prime, top N for B/C/D, checks the peel decides, of which equal to
-    # the enumeration or, with no general-linear block, to [e = 0]).  At
-    # p = 3 and 5, 30 and 49 decided checks are not compared: the
-    # enumeration does not finish under the cap.
+    # the flag-by-flag reference or, with no general-linear block, to
+    # [e = 0]).  At p = 3 and 5, 30 and 49 decided checks are not compared:
+    # the reference does not finish under the cap.
     SWEEPS = [(3, (9, 8, 8), (391, 361)), (5, (9, 8, 8), (391, 342)), (7, (7, 6, 6), (139, 124))]
 
     @pytest.mark.parametrize("q,tops,coverage", SWEEPS)
@@ -1239,9 +1275,9 @@ class TestPeel:
         assert (decided, compared) == coverage
 
     # (prime, top N for B/C/D, one-level checks left with parts 2, of which
-    # the enumeration finishes under ONE_LEVEL_CAP).  The four it does not
-    # finish, all at p = 5, count more than 3,900 flags, among them C
-    # 2,1^6 via (3;2) with 101,556.
+    # the flag-by-flag reference finishes under ONE_LEVEL_CAP).  The four
+    # it does not finish, all at p = 5, count more than 3,900 flags, among
+    # them C 2,1^6 via (3;2) with 101,556.
     ONE_LEVEL_CAP = 10**6
     ONE_LEVEL = [(3, (9, 8, 8), (43, 43)), (5, (9, 8, 8), (43, 39)), (7, (7, 6, 6), (15, 15))]
 
@@ -1256,15 +1292,15 @@ class TestPeel:
                 for orbit in enumerate_valid(n, fam):
                     real = realize(orbit, fam, q)
                     for levi in enumerate_levis(n, fam):
-                        shape = ff_oracle._peel(orbit, levi)
+                        shape = ff_oracle._peel(orbit.parts, levi.ps, levi.q)
                         if not isinstance(shape, tuple) or not shape[2]:
                             continue
                         decided += 1
                         got = fiber_point_count(real, levi)
                         assert (got.nodes, got.skipped) == (1, None), (orbit, levi)
-                        want = _enumerate(real, levi, self.ONE_LEVEL_CAP)
-                        if want.count is not None:
-                            assert got.count == want.count, (fam, orbit, levi, q)
+                        want, _ = unhoisted_count(real, levi, self.ONE_LEVEL_CAP)
+                        if want is not None:
+                            assert got.count == want, (fam, orbit, levi, q)
                             compared += 1
         assert (decided, compared) == coverage
 
@@ -1387,7 +1423,7 @@ class TestPeel:
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for orbit in enumerate_valid(n, fam):
                     for _, levi in pseudo_polarizations(orbit, fam):
-                        if ff_oracle._peel(orbit, levi) is None:
+                        if ff_oracle._peel(orbit.parts, levi.ps, levi.q) is None:
                             continue
                         for q in (3, 5):
                             real = realize(orbit, fam, q)
@@ -1464,6 +1500,119 @@ class TestPeel:
     def test_broken_b_raises_under_optimize(self, run_optimized):
         script = self.BROKEN_B + "".join(f"print(broken({kind!r}))\n" for kind in self.BROKEN_B_RAISED)
         assert run_optimized(script).splitlines() == list(self.BROKEN_B_RAISED.values())
+
+
+@functools.lru_cache(maxsize=None)
+def pseudo_polarization_checks(top_rank):
+    """(family, orbit, Levi, p, expected count) for every pseudo-polarization
+    of B, C and D at ranks <= top_rank and p = 3, 5, the expected count
+    read from the descriptor's E-polynomial."""
+    checks = []
+    for fam in (Family.B, Family.C, Family.D):
+        for rank_ in range(1, top_rank + 1):
+            n = 2 * rank_ + fam.size_parity
+            for orbit in enumerate_valid(n, fam):
+                for r, levi in pseudo_polarizations(orbit, fam):
+                    poly = e_polynomial(descriptor(orbit, fam, r, levi))
+                    checks += [(fam, orbit, levi, q, poly(q)) for q in (3, 5)]
+    return checks
+
+
+def pseudo_polarization_sweep(oracle, top_rank=6):
+    """The checks of pseudo_polarization_checks(top_rank) whose count by
+    ``oracle`` at the 5,000-node budget differs from the descriptor's, with
+    the number of checks."""
+    wrong, realizations = [], {}
+    checks = pseudo_polarization_checks(top_rank)
+    for fam, orbit, levi, q, want in checks:
+        key = (fam, orbit, q)
+        if key not in realizations:
+            realizations[key] = oracle.realize(orbit, fam, q)
+        got = oracle.fiber_point_count(realizations[key], levi, budget=5000)
+        if got.count != want:
+            wrong.append((fam.value, orbit.literal(), levi.literal(), q, got.count, want))
+    return len(checks), wrong
+
+
+class TestQuotient:
+    # (prime, top N for B/C/D): 513 one-level Levis in all.
+    ONE_LEVEL = [(3, (9, 8, 8)), (5, (9, 8, 8)), (7, (7, 6, 6))]
+
+    def test_one_level_enumeration_is_the_closed_form(self):
+        # At k = 1, E = 0 and V' = V, so _enumerate counts the one level on
+        # the quotient: the Jordan type of e from the ranks of the G_a and
+        # the split types from their discriminants and det g.
+        # fiber_point_count's peel reads the partition, and _closed_form the
+        # Gram matrix on realize's basis: two independent readings of the
+        # split types.  Either costs one node, so _enumerate finishes at a
+        # budget of 1.
+        checks = 0
+        for q, tops in self.ONE_LEVEL:
+            for fam, top in zip((Family.B, Family.C, Family.D), tops):
+                for n in range(2 - fam.size_parity, top + 1, 2):
+                    for orbit in enumerate_valid(n, fam):
+                        real = realize(orbit, fam, q)
+                        for levi in enumerate_levis(n, fam):
+                            if len(levi.ps) != 1:
+                                continue
+                            want = fiber_point_count(real, levi)
+                            got = _enumerate(real, levi, 1)
+                            assert got == replace(want, nodes=1), (fam, orbit, levi, q)
+                            checks += 1
+        assert checks == 513
+
+    def test_pseudo_polarizations_match_descriptors(self):
+        checks, wrong = pseudo_polarization_sweep(ff_oracle)
+        assert (checks, wrong) == (626, [])
+
+    # Each mutant breaks one invariant of the quotient count and changes
+    # counts of the pseudo-polarization sweep at ranks <= 6: V_1's det
+    # without (-1)^d, the hyperbolic planes of E + E*; without G_2's disc,
+    # the units of the chains of length 3; C's split of b without
+    # (-1)^(m_2/2); and a part above s' let through, which the ranks of G_1
+    # and G_2 then misread as parts 3, 2 and 1.  (old, new, mismatches)
+    QUOTIENT_MUTANTS = {
+        "(-1)^d dropped": ("(-1) ** (ones // 2 + d)", "(-1) ** (ones // 2)", 13),
+        "disc(b_3) dropped": ("* det_g * disc(grams[1], pivots_2)", "* det_g", 5),
+        "C's (-1)^(m_2/2) dropped": (
+            "(-1) ** (twos // 2) * disc(grams[0], pivots_1)", "disc(grams[0], pivots_1)", 12
+        ),
+        "G_s' test skipped": ("if grams[-1].any():", "if False:", 52),
+    }
+
+    @pytest.mark.parametrize("mutant", list(QUOTIENT_MUTANTS))
+    def test_mutants_fail(self, monkeypatch, mutant):
+        old, new, mismatches = self.QUOTIENT_MUTANTS[mutant]
+        checks, wrong = pseudo_polarization_sweep(mutant_oracle(monkeypatch, old, new))
+        assert (checks, len(wrong)) == (626, mismatches)
+
+    # B 3,3,1 via (1,2;1), with the row and column of x(1,2), the chain of
+    # length 1, taken out of g: no state's quotient carries a
+    # nondegenerate form.
+    DEGENERATE = (
+        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
+        "from nilorbit import fiber_point_count\n"
+        "real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
+        "real.gram[6] = real.gram[:, 6] = 0\n"
+        "try:\n"
+        "    fiber_point_count(real, LeviType.from_text('1,2;1', Family.B))\n"
+        "except InvariantError as exc:\n"
+        "    print(str(exc).split(' (')[0])\n"
+    )
+
+    def test_degenerate_quotient_raises(self):
+        real = realize(P("3,3,1"), Family.B, 3)
+        real.gram[6] = real.gram[:, 6] = 0
+        with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
+            fiber_point_count(real, L("1,2;1"))
+        # A state that is not isotropic: E^perp/E is then no quotient.
+        real = realize(P("3,3,1"), Family.B, 3)
+        E = np.eye(7, dtype=np.int64)[[6]]  # x(1,2), with <x, x> != 0
+        with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
+            ff_oracle._quotient_count(real, L("1,2;1"), E, det(real.gram, 3))
+
+    def test_degenerate_quotient_raises_under_optimize(self, run_optimized):
+        assert run_optimized(self.DEGENERATE) == "the form is degenerate on E^perp/E"
 
 
 class TestInvariantError:
