@@ -227,35 +227,24 @@ class FlagCount:
     skipped: str | None = None
 
 
-def _quotient_slack(p: Partition, levi: LeviType, i: int) -> list[int]:
-    """n - rank e^a - S_a = dim ker e^a - S_a for a = 1 .. max(p) - 1,
-    where S_a is the sum of the a largest steps of the chain p_{i+1}, ...,
-    p_k, q, p_k, ..., p_{i+1} left below the flag space E_i (levi.ps from
-    index i on; below E_k the chain is q alone).  Flags continue below E_i
-    only when
-        rank e^a - 2 dim(E_i cap im e^a) <= N' - S_a,  N' = n - 2 dim E_i
-    (see fiber_point_count), that is dim(E_i cap im e^a) >= dim E_i -
-    slack_a / 2: row i - 1 of the floor table (_floors).  It reads only the
-    parts of p and the steps of levi."""
+def _floors(p: Partition, levi: LeviType, t: int) -> list[int]:
+    """Row t of _enumerate's floor table: m_a = ceil(d - slack_a / 2) for
+    a = 1 .. max(p) - 1, the least dim(E_{t+1} cap im e^a) of any counted
+    flag.  Here d = dim E_{t+1} = p_1 + ... + p_{t+1}, slack_a = n - rank e^a
+    - S_a = dim ker e^a - S_a, and S_a is the sum of the a largest steps of
+    the chain p_{t+2}, ..., p_k, q, p_k, ..., p_{t+2} left below E_{t+1}.
+    m_a = d puts all of E_{t+1} in im e^a (_cut); m_a > d leaves no flag.
+    It reads only the parts of p and the steps of levi."""
     parts = p.parts
-    steps = sorted(levi.ps[i:] * 2 + (levi.q,) + (0,) * parts[0], reverse=True)
-    slack, kernel, j = [], 0, len(parts)
+    d = sum(levi.ps[: t + 1])
+    steps = sorted(levi.ps[t + 1 :] * 2 + (levi.q,) + (0,) * parts[0], reverse=True)
+    floor, kernel, j = [], 0, len(parts)
     for a, top in zip(range(1, parts[0]), itertools.accumulate(steps)):
         while parts[j - 1] < a:  # j = the number of parts >= a
             j -= 1
         kernel += j
-        slack.append(kernel - top)
-    return slack
-
-
-def _floors(p: Partition, levi: LeviType, t: int) -> list[int]:
-    """Row t of fiber_point_count's floor table: m_a = ceil(d - slack_a / 2)
-    for a = 1 .. max(p) - 1, with d = dim E_{t+1} = p_1 + ... + p_{t+1} and
-    slack from _quotient_slack(p, levi, t + 1), the least dim(E_{t+1} cap
-    im e^a) of any counted flag.  m_a = d puts all of E_{t+1} in im e^a
-    (_cut); m_a > d leaves no flag."""
-    d = sum(levi.ps[: t + 1])
-    return [d - s // 2 for s in _quotient_slack(p, levi, t + 1)]
+        floor.append(d - (kernel - top) // 2)
+    return floor
 
 
 def _cut(floor: list[int], d: int) -> int | None:
@@ -266,42 +255,6 @@ def _cut(floor: list[int], d: int) -> int | None:
     if top > d:
         return None
     return len(floor) - floor[::-1].index(d) if top == d else 0
-
-
-def _quotient_cut(below: np.ndarray, order: list[int], height: list[int], spare: list[int], p: int):
-    """What _quotient_alive needs to apply a row of the floor table,
-    dim(E cap im e^a) >= dim E - spare_a for a = 1 .., to the children
-    E = B + <x> of one state (B the row span of ``below``), from one
-    elimination of B.  ``order`` sorts the Jordan basis by the height
-    d_j - i of x(i,j), ``height`` is the sorted heights, and spare_a =
-    floor(slack_a / 2) (_quotient_slack) is how many dimensions of E may lie
-    outside im e^a.
-
-    im e^a is spanned by the x(i,j) of height >= a.  With r_a pivots of B's
-    reduced form at heights < a (columns in height order), dim(E cap im e^a)
-    = dim E - r_a - [x, reduced by B, has an entry at height < a]; an x in
-    B adds no dimension.  dim E cancels: no child continues when
-    r_a > spare_a for some a, and otherwise exactly the x in B + im e^a
-    do, for the largest a with r_a = spare_a (none: every x).
-    Returns None in the first case, else (cols, piv, R): x continues iff
-    x[cols] = x[piv] R mod p."""
-    R, pivots = rref(below[:, order[: bisect_left(height, len(spare))]], p)
-    at = [height[col] for col in pivots]
-    spare = [s - bisect_left(at, a) for a, s in enumerate(spare, 1)]
-    if spare and min(spare) < 0:
-        return None
-    a = max((a for a, s in enumerate(spare, 1) if s == 0), default=0)
-    m, k = bisect_left(height, a), bisect_left(at, a)
-    return order[:m], [order[col] for col in pivots[:k]], R[:k, :m]
-
-
-def _quotient_alive(cut, X: np.ndarray, p: int) -> np.ndarray:
-    """Per child x, a row of X: can a flag continue below E = B + <x>, by
-    the rank bound that _quotient_cut decided for B?"""
-    if cut is None:
-        return np.zeros(X.shape[0], dtype=bool)
-    cols, piv, R = cut
-    return ~((X[:, cols] - X[:, piv] @ R) % p).any(axis=1)
 
 
 def precharged_skip(levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
@@ -323,43 +276,22 @@ def _charge(counter: list[int], size: int, cap: int) -> None:
         raise BudgetExceeded
 
 
-def _complement(
-    E: np.ndarray, I: np.ndarray, W: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A basis of E + I + W (here E, I <= W) split as (rows of E, rows of I,
-    rows of W): the pivot columns of [E; I; W]^T, which are the rows a
-    greedy rank test would pick in order.  The rows of E need not be
-    independent; the first part is a basis of their span."""
-    k, j = E.shape[0], E.shape[0] + I.shape[0]
-    _, pivots = rref(np.vstack([E, I, W]).T, p)
-    pivots = np.array(pivots, dtype=np.intp)
-    return (
-        E[pivots[pivots < k]],
-        I[pivots[(pivots >= k) & (pivots < j)] - k] % p,
-        W[pivots[pivots >= j] - j] % p,
-    )
-
-
-def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
-    """Enumerate every isotropic F with E <= F <= W, dim F = target > dim E
-    and dim(F cap I) >= need down to its last row, where I (independent
-    rows, default none) spans a subspace of W.  Yields (F1, X) for each
-    batch of candidates for a last row that has survivors: F1 is a basis of
-    E (the independent rows of the matrix E, which may have others) plus
-    the rows chosen before (one matrix per such state, shared by all its
-    batches) and X holds the surviving last rows.  Each F is F1 plus one
-    row of X, reached exactly once.  E must be isotropic with W inside its
-    perp, so only the new rows need testing.
+def _last_row_batches(E, W, target, g, p, counter, cap):
+    """Enumerate every isotropic F with E <= F <= W and dim F = target >
+    dim E down to its last row.  Yields (F1, X) for each batch of
+    candidates for a last row that has survivors: F1 is a basis of E (the
+    independent rows of the matrix E, which may have others) plus the rows
+    chosen before (one matrix per such state, shared by all its batches)
+    and X holds the surviving last rows.  Each F is F1 plus one row of X,
+    reached exactly once.  E must be isotropic with W inside its perp, so
+    only the new rows need testing.
 
     F is enumerated by the reduced-echelon coefficient matrix of its new
-    rows in the coordinates of a complement of E in W, built from the last
-    pivot down: a row with pivot pc has free entries at the later columns
-    that are not pivots yet, so all p**f candidates for it are known up
-    front.  The complement ends with the u rows that extend E to E + I, so
-    dim(F cap I) = dim(E cap I) + the number of rows pivoting there.  With
-    m = need - dim(E cap I), the first m rows chosen must pivot there: the
-    j-th pivot is at least c - u + m - 1 - j, and no other row is
-    generated.
+    rows in the coordinates of a complement of E in W (the rows of W that a
+    greedy rank test after those of E picks, from the pivot columns of
+    [E; W]^T), built from the last pivot down: a row with pivot pc has free
+    entries at the later columns that are not pivots yet, so all p**f
+    candidates for it are known up front.
     Candidates are generated in batches of at most _BATCH rows, and each
     batch is tested in one product against the restricted Gram matrix: a
     row survives when it is isotropic and orthogonal to the rows already
@@ -370,21 +302,18 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
     total exceeds the cap, and a row with more candidates than the cap
     skips before any is generated.
     """
-    I = W[:0] if I is None else I
-    E, tail, head = _complement(E, I, W, p)
-    comp = np.vstack([head, tail])
-    extra, c, u = target - E.shape[0], comp.shape[0], tail.shape[0]
-    m = need - (I.shape[0] - u)
-    if not 0 < extra <= c or m > min(u, extra):
+    k = E.shape[0]
+    cols = np.array(rref(np.vstack([E, W]).T, p)[1], dtype=np.intp)
+    E, comp = E[cols[cols < k]], W[cols[cols >= k] - k] % p
+    extra, c = target - E.shape[0], comp.shape[0]
+    if not 0 < extra <= c:
         return
     B = ((comp @ g) % p) @ comp.T % p
 
     def extend(rows: np.ndarray, pivots: tuple[int, ...]):
-        chosen = rows.shape[0]
-        left = extra - chosen
-        floor = left - 1 if chosen >= m else max(left, c - u + m - chosen) - 1
+        left = extra - rows.shape[0]
         F1 = None
-        for pc in range(floor, pivots[-1] if pivots else c):
+        for pc in range(left - 1, pivots[-1] if pivots else c):
             free = [col for col in range(pc + 1, c) if col not in pivots]
             total = p ** len(free)
             _charge(counter, total, cap)
@@ -409,16 +338,10 @@ def _last_row_batches(E, W, target, g, p, counter, cap, I=None, need=0):
                         F1 = np.vstack([E, (rows @ comp) % p])
                     yield F1, (X @ comp) % p
 
-    yield from extend(np.zeros((0, c), dtype=np.int64), ())
-
-
-def _fits(W: np.ndarray, target: int, g: np.ndarray, p: int) -> bool:
-    """Can an isotropic F of dimension ``target`` lie in the window spanned
-    by the rows of W?  Not when W is smaller than that, nor when it has
-    that dimension and is not isotropic."""
-    if W.shape[0] != target:
-        return W.shape[0] > target
-    return not np.any(W @ g % p @ W.T % p)
+    try:
+        yield from extend(np.zeros((0, c), dtype=np.int64), ())
+    finally:  # extend refers to itself: free it without the cyclic collector
+        del extend
 
 
 def _child_windows(
@@ -743,7 +666,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y> and
     s - i >= i - 1; they are checked, and a failure raises InvariantError.
 
-    One floor table prunes every level.  The flags below E_t are flags of
+    One floor table cuts the windows.  The flags below E_t are flags of
     the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, for the
     Levi (p_{t+1}, ..., p_k; q), and e' lowers the chain E'_{t+1} < ... <
     E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
@@ -752,29 +675,18 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     2 dim(E_t cap im e^a), since dim e^a(E_t^perp) = rank e^a - dim(E_t cap
     im e^a) and e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every
     counted flag has dim(E_t cap im e^a) >= m_{t,a} = ceil(dim E_t -
-    slack_a / 2), slack_a = n - rank e^a - S_a (_quotient_slack, _floors):
-    a table of (partition, Levi) alone, built once per check.  The
-    enumeration recurses through isotropic E_t, t < k, that contain
-    E_{t-1} + L_t, inside the window E_{t-1}^perp cap e^{-1}(E_{t-1}) cap
-    L_t^perp, adding one reduced-echelon row at a time and dropping each
-    candidate row as soon as it fails isotropy, and it reads the table
-    three ways:
-    - The cut.  When m_{t,a} = dim E_t, all of E_t lies in im e^a, which is
-      spanned by the Jordan coordinates x(i,j) of height d_j - i >= a.  For
-      the largest such a (_cut) the window shrinks to its part in im e^a,
-      one nullspace of its columns at heights < a.  A start E_{t-1} + L_t
-      with an entry there, or a floor above dim E_t, counts 0.  The whole
-      window lies in ker e^t and so is orthogonal to L_k; that is checked
-      before the table cuts or ends the level, dropping rows that settle
-      would check.
-    - The a = 1 floor.  With no cut, E_t with dim(E_t cap im e) below
-      m_{t,1} are never generated (_last_row_batches, with I = window cap
-      im e).
-    - The children.  A child E = B + <x> of an enumerated or filled level
-      that is to be enumerated at level i, or counted there on the
-      quotient, is dropped when it fails a floor of its own level i - 1,
-      decided by one elimination of B per state and level (_quotient_cut)
-      and one product per batch (_quotient_alive).
+    slack_a / 2), slack_a = n - rank e^a - S_a (_floors): a table of
+    (partition, Levi) alone, built once per check.  When m_{t,a} = dim E_t,
+    all of E_t lies in im e^a, which is spanned by the Jordan coordinates
+    x(i,j) of height d_j - i >= a.  The enumeration recurses through
+    isotropic E_t, t < k, that contain E_{t-1} + L_t, inside the window
+    E_{t-1}^perp cap e^{-1}(E_{t-1}) cap L_t^perp cut to im e^a for the
+    largest such a (_cut), by one nullspace of its columns at heights < a.
+    It adds one reduced-echelon row at a time and drops each candidate row
+    as soon as it fails isotropy.  A start E_{t-1} + L_t with an entry at
+    heights < a, or a floor above dim E_t, counts 0.  The whole window lies
+    in ker e^t and so is orthogonal to L_k; that is checked before the
+    table cuts or ends the level, dropping rows that settle would check.
 
     Level i < k is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >=
     dim E_i, which depends on (partition, Levi) alone: E_{i-1} + L_i may
@@ -787,22 +699,19 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     gives Q, a basis of (F1 + L_i)^perp, and a child x reaches
     dim(F1 + L_i) + [Q g x != 0] at level i.  A child that overfills counts
     0.  A child that falls short of level i, or that the run leaves short
-    of the level after it, is enumerated there unless the table drops it;
-    at the last level each child E is counted on E^perp/E instead.  A
-    child that is enumerated builds its window
-    (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>, by one
-    elimination: e^{-1}(E) is (ann(E) e)^perp, and ann(E) comes from one
-    basis of ann(F1 + L_{i-1}) per state and level by a rank-one update
-    (_child_windows).  It is not enumerated when the window is smaller than
-    dim E_i, or of that dimension and not isotropic (_fits).
+    of the level after it, is enumerated there; at the last level each
+    child E is counted on E^perp/E instead.  A child that is enumerated
+    builds its window (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>,
+    by one elimination: e^{-1}(E) is (ann(E) e)^perp, and ann(E) comes from
+    one basis of ann(F1 + L_{i-1}) per state and level by a rank-one update
+    (_child_windows).
 
     A node is one candidate row generated and tested, one level decided by
     its forced subspace, or one last level counted on the quotient whose
     count is not 0; deciding a run in batches charges the same node per
-    child and level as recursing into each child would.  What the table
-    removes costs none: a child it drops, a level it ends or cuts away,
-    and every row below the a = 1 floor; nor does a child whose window
-    cannot reach its level, or whose last level counts 0.  A check that
+    child and level as recursing into each child would.  A level that the
+    table ends or cuts away costs none, and so does a child whose window
+    cannot reach its level or whose last level counts 0.  A check that
     charges none still costs one node.  The budget caps the nodes: a check
     whose total would exceed it returns an explicit skip with ``nodes ==
     budget + 1``, never a wrong count.
@@ -827,11 +736,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     # L_i grows by more than the level adds, as E_{i-1} >= L_{i-1}.
     sizes = [0] + [L.shape[0] for L in forced]
     fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last)]
-    # The floor table, its cut per enumerated level, and per level the
-    # dimensions of a level space that may lie outside im e^a.
-    floors = [_floors(real.partition, levi, t) for t in range(last)]
-    cuts = [_cut(floor, d) for floor, d in zip(floors, dims)]
-    spares = [[d - m for m in floor] for floor, d in zip(floors, dims)]
+    cuts = [_cut(_floors(real.partition, levi, t), dims[t]) for t in range(last)]
 
     order = sorted(range(n), key=heights.__getitem__)  # the Jordan basis by height
     height = [heights[col] for col in order]
@@ -847,11 +752,9 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
 
     def recurse(E: np.ndarray, window: np.ndarray, t: int) -> int:
         """Enumerate level t < last over E = E_{t-1} in its window (E +
-        L_t)^perp cap e^{-1}(E), which can reach dims[t], and settle its
-        children.  With a cut, the window shrinks to its part in im e^a,
-        which must hold E + L_t; with none, the a = 1 floor holds back every
-        F with dim(F cap im e) below it.  0 when some floor exceeds
-        dims[t]."""
+        L_t)^perp cap e^{-1}(E), and settle its children.  With a cut, the
+        window shrinks to its part in im e^a, which must hold E + L_t.  0
+        when some floor exceeds dims[t]."""
         a = cuts[t]
         # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
         # which holds every L_i: check it before the table drops rows that
@@ -861,18 +764,11 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         if a is None:
             return 0
         start = E if sizes[t + 1] == sizes[t] else np.vstack([E, forced[t]])
-        inside, need = None, 0
         if a:
             if start[:, order[: bisect_left(height, a)]].any():
                 return 0
             window = image(window, a)
-        elif floors[t] and floors[t][0] > 0:
-            inside, need = image(window, 1), floors[t][0]
-            if inside.shape[0] < need:
-                return 0
-        return settle(
-            _last_row_batches(start, window, dims[t], g, p, counter, cap, inside, need), t + 1
-        )
+        return settle(_last_row_batches(start, window, dims[t], g, p, counter, cap), t + 1)
 
     def settle(batches, t: int) -> int:
         """The count below the children F1 + <x> of level t - 1, given as
@@ -899,16 +795,11 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
 
         def descend(X: np.ndarray, i: int) -> int:
             """The count below the children of X at level i, of E = B + <x>
-            for B = F1 + L_{i-1}: each child whose quotient can hold the
-            levels left (for i >= 1) is counted on E^perp/E when i is the
-            last level (one node when its count is not 0), and otherwise
-            recurses with E when it can reach dims[i] in its window.  A basis
-            Y of ann(B) is built once per state and level (_child_windows)."""
+            for B = F1 + L_{i-1}: each child is counted on E^perp/E when i
+            is the last level (one node when its count is not 0), and
+            otherwise recurses with E in its window.  A basis Y of ann(B) is
+            built once per state and level (_child_windows)."""
             below = F1 if i == t else np.vstack([F1, forced[i - 1]])
-            if i:  # drop each child below the floors of level i - 1
-                if i not in bounds:
-                    bounds[i] = _quotient_cut(below, order, height, spares[i - 1], p)
-                X = X[_quotient_alive(bounds[i], X, p)]
             if i == last:
                 counts = [_quotient_count(real, levi, np.vstack([below, x]), det_g) for x in X]
                 _charge(counter, sum(map(bool, counts)), cap)
@@ -919,12 +810,12 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
                 annihilators[i] = Bg, Y, Y @ e % p
             windows = _child_windows(*annihilators[i], forced_g[i], X, g, p)
             spaces = [np.vstack([below, x]) for x in X]
-            return sum(recurse(E, W, i) for E, W in zip(spaces, windows) if _fits(W, dims[i], g, p))
+            return sum(recurse(E, W, i) for E, W in zip(spaces, windows))
 
         total, state = 0, None
         for F1, X in batches:
             if F1 is not state:
-                state, F1g, bases, bounds, annihilators = F1, F1 @ g % p, {}, {}, {}
+                state, F1g, bases, annihilators = F1, F1 @ g % p, {}, {}
             for i in range(t, end):
                 if np.any(X @ forced_g[i].T % p):
                     raise orthogonality_error(i)
@@ -948,4 +839,6 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         value = settle([(np.zeros((0, n), dtype=np.int64), np.zeros((1, n), dtype=np.int64))], 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
+    finally:  # recurse and settle refer to each other: free them without the cyclic collector
+        del recurse
     return FlagCount(value, p, levi, max(1, counter[0]))

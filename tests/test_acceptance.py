@@ -182,7 +182,7 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
                 f" after {spent} nodes"
             )
-        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 260, 470)
+        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 260, 424)
         wide = []
         for fam, sizes in ((Family.B, (13, 15, 17)), (Family.C, (12, 14, 16)), (Family.D, (12, 14, 16))):
             for n in sizes:

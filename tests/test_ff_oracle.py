@@ -11,6 +11,7 @@ windows against a fresh nullspace of each child; the package's row
 reduction only builds the inputs and the canonical bases compared.
 """
 import functools
+import gc
 import inspect
 import itertools
 import sys
@@ -52,9 +53,7 @@ from nilorbit.ff_oracle import (
     _enumerate,
     _floors,
     _forced_subspaces,
-    _quotient_alive,
-    _quotient_cut,
-    _quotient_slack,
+    _peel,
     _validate,
 )
 
@@ -666,6 +665,22 @@ class TestNodeBudget:
             assert res == FlagCount(None, 1_000_003, levi, 10**6 + 1, "budget")
             assert charges == [1_000_003], levi
 
+    @pytest.mark.parametrize("cap", [DEFAULT_BUDGET, 3])
+    def test_enumeration_leaves_no_reference_cycle(self, cap):
+        # B 4,4,2,2,1 via (1,4;3) is enumerated (8 nodes), and skips at cap
+        # 3.  Neither run leaves garbage for the cyclic collector: the
+        # recursive closures are freed when the check returns.
+        real, levi = realize(P("4,4,2,2,1"), Family.B, 3), L("1,4;3")
+        assert _peel(real.partition.parts, levi.ps, levi.q) is None
+        gc.collect()
+        gc.disable()
+        try:
+            res = fiber_point_count(real, levi, cap)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (res.count, res.nodes) == ((4, 8) if cap > 8 else (None, cap + 1))
+
     def test_totals_repeat(self):
         orbit = P("4,4,2,2,1")
         levis = [levi for _, levi in pseudo_polarizations(orbit, Family.B)]
@@ -790,16 +805,17 @@ class TestHoist:
         real = realize(P("5"), Family.B, 3)
         assert fiber_point_count(real, L("1;3")) == FlagCount(0, 3, L("1;3"), 1)
 
-    # Checks where the a = 1 floor prunes ("a": fewer nodes than with no
-    # floor on dim(E cap im e)) and where a level decides its children's
-    # fillable last level in its own batches ("b": E_{k-1} + L_k may fill
-    # it, and _quotient_count counts it there with no row of it generated),
-    # each against the un-hoisted reference.  The paths are pinned with the
-    # floor table's cut off, since it prunes first, and with the forced
-    # subspaces L_i = im e^(2k+1-i) of q > 0, which every flag contains:
-    # for q = 0 the larger im e^(2k-i) decides the C cases before any floor
-    # applies.  With both on, the count is the same and takes at most as
-    # many nodes as the reference.
+    # Checks where a floor on dim(E cap im e) alone would prune ("a": the
+    # enumeration keeps no such floor, so with the cut off it generates
+    # every row that one would exclude) and where a level decides its
+    # children's fillable last level in its own batches ("b": E_{k-1} + L_k
+    # may fill it, and _quotient_count counts it there with no row of it
+    # generated), each against the un-hoisted reference.  The paths are
+    # pinned with the floor table's cut off, since it prunes first, and
+    # with the forced subspaces L_i = im e^(2k+1-i) of q > 0, which every
+    # flag contains: for q = 0 the larger im e^(2k-i) decides the C cases
+    # first.  With both on, the count is the same and takes at most as many
+    # nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -811,14 +827,10 @@ class TestHoist:
         ("b", Family.C, "4,2", "1,1;2"),
         ("b", Family.C, "6,2", "1,1,1;2"),
     ]
-    # "b" checks that the a = 1 floor prunes too: its column of the table
-    # is stronger there than the look-ahead bound it replaced.
-    ALSO_PRUNED = {("5,2,2", "1,1,1;3"), ("4,2,1,1", "1,1;4")}
 
     @pytest.mark.parametrize("path,fam,orbit,levi", LOOKAHEAD)
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_lookahead_matches_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
-        pruned = path == "a" or (orbit, levi) in self.ALSO_PRUNED
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
         full = _enumerate(real, levi, DEFAULT_BUDGET)
@@ -840,13 +852,6 @@ class TestHoist:
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
-        monkeypatch.setattr(ff_oracle, "_last_row_batches", lambda *args: batches(*args[:7]))  # no floor
-        unpruned = _enumerate(real, levi, DEFAULT_BUDGET)
-        assert (unpruned.count, unpruned.skipped) == (want, None)
-        if pruned:
-            assert got.nodes < unpruned.nodes
-        else:
-            assert got.nodes == unpruned.nodes
         if path == "b":
             assert counted and sum(levi.ps) not in targets
 
@@ -861,10 +866,9 @@ class TestHoist:
     # "c" case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and
     # 0.5 s at p=5, so they run at p=3 only.  The paths are pinned with the
     # floor table off (no row in it), as it cuts the windows before the runs
-    # see them and drops the children of the count-0 cases, and with the
-    # forced subspaces of q > 0, as the larger ones of q = 0 fill every
-    # level of C 6 via (1,1,1;0).  With both on, the count is the same and
-    # takes at most as many nodes.
+    # see them, and with the forced subspaces of q > 0, as the larger ones
+    # of q = 0 fill every level of C 6 via (1,1,1;0).  With both on, the
+    # count is the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
@@ -1138,22 +1142,42 @@ class TestLookAhead:
                         seen += len(counted)
         assert (seen, cut) == flags
 
-    # States E = E_t, t >= 1, of the sweep that the quotient bound drops.
+    def test_the_cut_holds_every_enumerated_pseudo_polarization_level(self):
+        # The enumeration keeps no floor on dim(E_t cap im e) below a cut,
+        # because on what the atlas and fiber check it never needs one: for
+        # every B/C/D pseudo-polarization at ranks <= 12 that the peel leaves
+        # to _enumerate, every level t < k - 1 has a cut a >= 1, so its
+        # window already lies in im e.  (Level k - 1 is counted on the
+        # quotient.)  This reads only partitions and Levis.
+        checks = levels = 0
+        for fam in (Family.B, Family.C, Family.D):
+            for rank_ in range(1, 13):
+                for orbit in enumerate_valid(2 * rank_ + (fam is Family.B), fam):
+                    for _, levi in pseudo_polarizations(orbit, fam):
+                        if _peel(orbit.parts, levi.ps, levi.q) is not None:
+                            continue
+                        dims = list(itertools.accumulate(levi.ps))
+                        for t in range(len(dims) - 1):
+                            a = _cut(_floors(orbit, levi, t), dims[t])
+                            assert a is not None and a >= 1, (fam, orbit, levi, t)
+                            levels += 1
+                        checks += 1
+        assert (checks, levels) == (2665, 7097)
+
+    # States E = E_t, t >= 1, of the sweep that the quotient bound rules out.
     @pytest.mark.parametrize("q,drops", [(3, 42), (5, 100)])
     def test_quotient_bound_on_every_state(self, q, drops):
         # On E^perp/E, rank e'^a = rank(E + e^a(E^perp)) - dim E exactly, and
         # the bound's side rank e^a - 2 dim(E cap im e^a) may not exceed it.
         # The flags below E lower the chain of steps p_{t+1}, .., q, .., p_{t+1}
         # of E^perp/E, so none exist when that side exceeds N' - (the a
-        # largest steps).  _quotient_cut and _quotient_alive must drop E,
-        # split as B + <x> with x in B or not, exactly then, and the
-        # un-hoisted reference must count no flag below a dropped E.
+        # largest steps): the un-hoisted reference must count no flag below
+        # such an E.  The floor table rests on this bound: E fails it exactly
+        # when dim(E cap im e^a) falls below a floor of its row (_floors).
         p = q
         dropped = 0
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
-            heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
-            order = sorted(range(n), key=heights.__getitem__)
             powers = [_pow(e, a, p) for a in range(1, max(real.partition.parts))]
             for t, E, _, _ in reached:
                 if t == 0:
@@ -1161,17 +1185,15 @@ class TestLookAhead:
                 d = rank(E, p)
                 steps = sorted(levi.ps[t:] * 2 + (levi.q,), reverse=True)
                 perp = nullspace(E @ g % p, p)
-                dead = False
-                for a, power in enumerate(powers, 1):
+                dead = below_floor = False
+                for (a, power), floor in zip(enumerate(powers, 1), _floors(real.partition, levi, t - 1), strict=True):
                     rank_a = rank(power, p)
                     meet = d + rank_a - rank(np.vstack([E, power.T]), p)
                     exact = rank(np.vstack([E, perp @ power.T % p]), p) - d
                     assert rank_a - 2 * meet <= exact, (real.partition, levi, E, a)
                     dead |= rank_a - 2 * meet > n - 2 * d - sum(steps[:a])
-                spare = [s // 2 for s in _quotient_slack(real.partition, levi, t)]
-                for B in (E[:-1], E):
-                    cut = _quotient_cut(B, order, [heights[j] for j in order], spare, p)
-                    assert _quotient_alive(cut, E[-1:], p)[0] != dead, (real.partition, levi, B)
+                    below_floor |= meet < floor
+                assert below_floor == dead, (real.partition, levi, E)
                 if dead:
                     below, _ = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
                     assert below == 0, (real.partition, levi, E)
