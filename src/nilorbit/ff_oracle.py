@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,8 +438,7 @@ def _is_square(x: int, p: int) -> bool:
 
 
 def _flag_sum(
-    p: int, symplectic: bool, ones: int, steps: tuple[int, ...], twos: int,
-    split_1: bool, split_b: bool,
+    p: int, symplectic: bool, ones: int, steps: tuple[int, ...], twos: int, split: bool
 ) -> int:
     """The flags of the peel's last shape, as in fiber_point_count: on the
     span V_2 + V_1 of m_2 = ``twos`` Jordan chains of length 2 and m_1 =
@@ -448,54 +448,52 @@ def _flag_sum(
     level, where [r; r]_p = 1).  N_1 counts the isotropic subspaces of V_1,
     whose form is symplectic when ``symplectic`` and symmetric otherwise,
     and N_b those of b(u, v) = <e^-1 u, v> on U = e(V_2), of the other
-    kind; ``split_1`` and ``split_b`` say whether each is split, which
-    matters only for a symmetric form of even dimension."""
+    kind; ``split`` says whether the symmetric one of the two is split,
+    which matters only for an even dimension."""
     r = sum(steps)
     total = sum(
-        _isotropic_subspaces(twos, twos - f, p, not symplectic, split_b)
-        * _isotropic_subspaces(ones, r - f, p, symplectic, split_1)
+        _isotropic_subspaces(twos, twos - f, p, not symplectic, split)
+        * _isotropic_subspaces(ones, r - f, p, symplectic, split)
         * p ** ((r - f) * (twos - f))
         for f in range((twos + 1) // 2, min(twos, r) + 1)
     )
     return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))
 
 
-def _closed_form(real: JordanRealization, ones: int, steps: tuple[int, ...], twos: int) -> int:
-    """_flag_sum for the shape (m_1, steps, m_2) = (``ones``, ``steps``,
-    ``twos``) that the peel leaves of ``real``, with the split types read
-    from its Gram matrix: V_1's, and b's, whose Gram matrix is <t_i, e t_j>
-    over the tops t_i = x(2, i) of the chains of length 2.  b is
-    alternating for B and D and symmetric for C, where V_1's form is the
-    other kind.  A symmetric form of even dimension m is split iff
-    (-1)^(m/2) det is a square mod p.  g and e must have no entry between
-    chains of different lengths, which the peel's V_s perp W reads from
-    realize's basis, b must be of its kind, and b and the form on V_1 must
-    be nondegenerate: else InvariantError.  With r = 0 the count is 1 and
-    neither form is read."""
-    p, g, e, parts = real.modulus, real.gram, real.e, real.partition.parts
-    where = f"({real.partition}, p={p})"
-    lengths = np.repeat(parts, parts)  # the length of each coordinate's chain
-    cross = lengths[:, None] != lengths
-    if np.any(g[cross] % p) or np.any(e[cross] % p):
-        raise InvariantError(f"g or e couples Jordan chains of different lengths {where}")
-    if not steps:  # no general-linear block: E = 0 is the one flag, and m_2 = 0
-        return 1
-    tops = (np.cumsum(parts) - 1)[np.array(parts) == 2]  # x(2, j) ends a chain j
-    b = g[tops] @ e[:, tops] % p
-    symplectic = real.family is Family.C  # V_1's form; b is the other kind
-    if np.any((b.T + real.family.epsilon * b) % p):  # b(eu, ev) = -eps b(ev, eu)
-        kind = "symmetric" if symplectic else "alternating"
-        raise InvariantError(f"b = <e^-1 u, v> is not {kind} {where}")
-    v1 = np.flatnonzero(lengths == 1)
+def _discriminant(G: np.ndarray, p: int, pivots: list[int]) -> int:
+    """The det of the nondegenerate part of the symmetric or alternating
+    form with Gram matrix G: that of G's principal block on ``pivots``,
+    the pivot columns of an rref of G, which is nonsingular."""
+    return det(G[np.ix_(pivots, pivots)], p)
 
-    def split(gram: np.ndarray, space: str) -> bool:
-        d = det(gram, p)
-        if not d:
-            raise InvariantError(f"the form is degenerate on {space} {where}")
-        return _is_square((-1) ** (gram.shape[0] // 2) * d, p)
 
-    split_1, split_b = split(g[np.ix_(v1, v1)], "V_1"), split(b, "e(V_2)")
-    return _flag_sum(p, symplectic, ones, steps, twos, split_1, split_b)
+def _shape_count(
+    real: JordanRealization, shape: int | tuple[int, tuple[int, ...], int], disc: Callable[[int], int]
+) -> int:
+    """_flag_sum for a shape (m_1, steps, m_2) that _peel leaves of the
+    Jordan type of a nilpotent e in real's family (0 for the peel's 0).  A
+    symmetric V_1 or b of even dimension m > 0 is split iff (-1)^(m/2) det
+    is a square mod p, and its det comes from disc(a), the det of the
+    nondegenerate part of <x, e^a y>, called only then and under a step.
+    V splits orthogonally into Jordan chains: a self-paired one of length
+    j > a with unit u adds (-1)^(a(j-a)) u^(j-a) to disc(a), a pair of
+    length j > a adds eps^(j-a) (-1)^((j-a)(a+1)).  So for B and D, V_1's
+    det is disc(0) disc(2): the chains of length 1 add their units to
+    disc(0) alone, every other self-paired chain (odd, j >= 3) adds
+    u^(2j-2), and a pair adds 1.  For C, b's det is disc(1): a shape with
+    m_2 > 0 kept q > 0 through the whole peel, so only odd chains, paired
+    and adding 1, were peeled off, and a chain of length 2 with unit u adds
+    -u, as its top t does to b: b(et, et) = <t, et>."""
+    if not shape:
+        return 0
+    ones, steps, twos = shape
+    p, symplectic = real.modulus, real.family is Family.C
+    m = twos if symplectic else ones
+    split = True
+    if steps and m and not m % 2:
+        d = disc(1) if symplectic else disc(0) * disc(2)
+        split = _is_square((-1) ** (m // 2) * d, p)
+    return _flag_sum(p, symplectic, ones, steps, twos, split)
 
 
 def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_g: int) -> int:
@@ -510,17 +508,9 @@ def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_
     e' above s', which no flag allows (fiber_point_count), so the count is
     0.  Otherwise e' has m_3 = rank G_2 parts 3 (none when s' = 2), m_2 =
     rank G_1 - 2 m_3 parts 2 and m_1 = 2 p_k + q - 2 rank G_1 + m_3 parts 1,
-    and the count is the peel's (_peel) and _flag_sum's.
-
-    A nilpotent's rational type is its Jordan type and the discriminants of
-    its multiplicity forms (Springer and Steinberg), and the split types
-    that _flag_sum needs come from the discriminant of the nondegenerate
-    part of a G_a: the det of a maximal nonsingular principal block, on the
-    pivot columns of an rref.  For C, b on e'(V'_2) has the det of G_1's
-    part, as G_1 is b on im e' and the paired chains of length 3 add a
-    square.  For B and D, V_1's det is (-1)^d det g (``det_g``: E + E*
-    adds d hyperbolic planes) times G_2's part: the paired chains of length
-    2 add 1, and each chain of length 3 adds its unit, its entry of G_2."""
+    and the count is the peel's (_peel) and _shape_count's.  Its disc(a)
+    is read from G_a on the pivots that the ranks found, and is (-1)^d
+    det g (``det_g``) at a = 0, as E + E* adds d hyperbolic planes."""
     p, g, e = real.modulus, real.gram, real.e
     step, q = levi.ps[-1], levi.q
     Q = nullspace(E @ g % p, p)
@@ -535,28 +525,16 @@ def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_
         grams.append(Qg @ Q.T % p)
     if grams[-1].any():  # a part of e' exceeds s'
         return 0
-    pivots_1 = rref(grams[0], p)[1]
-    pivots_2 = rref(grams[1], p)[1] if q else []
-    threes, rank_1 = len(pivots_2), len(pivots_1)
+    pivots = [rref(grams[0], p)[1], rref(grams[1], p)[1] if q else []]
+    threes, rank_1 = len(pivots[1]), len(pivots[0])
     twos, ones = rank_1 - 2 * threes, 2 * step + q - 2 * rank_1 + threes
     shape = _peel((3,) * threes + (2,) * twos + (1,) * ones, (step,), q)
-    if not shape:
-        return 0
-    ones, steps, twos = shape
-    if not steps:
-        return 1
+    d = (real.dim - 2 * step - q) // 2
 
-    def disc(G: np.ndarray, pivots: list[int]) -> int:
-        return det(G[np.ix_(pivots, pivots)], p)
+    def disc(a: int) -> int:
+        return (-1) ** d * det_g if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
 
-    symplectic = real.family is Family.C
-    split_1 = split_b = True  # a symplectic V_1, or an alternating b
-    if symplectic:
-        split_b = _is_square((-1) ** (twos // 2) * disc(grams[0], pivots_1), p)
-    else:
-        d = (real.dim - 2 * step - q) // 2
-        split_1 = _is_square((-1) ** (ones // 2 + d) * det_g * disc(grams[1], pivots_2), p)
-    return _flag_sum(p, symplectic, ones, steps, twos, split_1, split_b)
+    return _shape_count(real, shape, disc)
 
 
 def fiber_point_count(
@@ -582,7 +560,7 @@ def fiber_point_count(
     level of each is counted on E_{k-1}^perp/E_{k-1} (_enumerate); one level
     (r; q) has q > 0 there (q = 0 gives s = 2), so s = 3 and the parts
     left are 2 and 1.  These two shapes, only parts 1 and one level over
-    parts 2 and 1, are counted in closed form (_closed_form, _flag_sum).
+    parts 2 and 1, are counted in closed form (_shape_count, _flag_sum).
 
     Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
     are the isotropic flags of V_1 with cumulative dimensions
@@ -609,13 +587,13 @@ def fiber_point_count(
     isotropic (m_2 - f)-subspace of b.  Summing over f,
         sum_{f = ceil(m_2/2)}^{min(m_2, r)} N_b(m_2 - f) N_1(r - f) p^((r - f)(m_2 - f)),
     which is N_1(r) when m_2 = 0.  Whether a symmetric V_1 or b of even
-    dimension is split is read from the realization's Gram matrix (b's is
-    <t_i, e t_j> over the tops t_i = x(2, i) of the chains of length 2),
-    never from the descriptor.
+    dimension is split is read from the discriminants of the forms
+    <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
+    descriptor: det g at a = 0, else one rref and one det of g e^a.
 
     A check with no general-linear block costs no node.  One with a
     general-linear block costs at least one: exactly one when the peel
-    decides it (a count of 0 or either closed form), like a level that its
+    decides it (a count of 0 or a closed form), like a level that its
     forced subspace decides, and max(1, the nodes _enumerate charges)
     when it is enumerated.  The budget caps the nodes: a check whose total
     would exceed it returns an explicit skip with ``nodes == budget + 1``,
@@ -631,8 +609,15 @@ def fiber_point_count(
     shape = _peel(real.partition.parts, levi.ps, levi.q)
     if shape is None:
         return _enumerate(real, levi, cap)
-    count = 0 if shape == 0 else _closed_form(real, *shape)
-    return FlagCount(count, real.modulus, levi, 1 if levi.ps else 0)
+    p, g = real.modulus, real.gram
+
+    def disc(a: int) -> int:
+        if not a:
+            return det(g, p)
+        G = g @ np.linalg.matrix_power(real.e, a) % p
+        return _discriminant(G, p, rref(G, p)[1])
+
+    return FlagCount(_shape_count(real, shape, disc), p, levi, 1 if levi.ps else 0)
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:

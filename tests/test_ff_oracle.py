@@ -14,6 +14,7 @@ import functools
 import gc
 import inspect
 import itertools
+import math
 import sys
 import types
 from dataclasses import replace
@@ -1331,10 +1332,11 @@ class TestPeel:
     # zero step kept as a level, or q left unlowered, raises s, so the
     # peel stops early, and the enumeration costs more than the one node
     # of a peeled check or a part 2 is left equal to s' (peel_sweep's
-    # shape test; the sum over f itself reads no q).  The last four break
+    # shape test; the sum over f itself reads no q).  The last three break
     # the sum over f: its coisotropic range, its p^((r - f)(m_2 - f))
-    # maps, b's kind (alternating for B and D, symmetric for C) and b's
-    # own split type, which differs from V_1's for C 2,2,1,1 at p = 3.
+    # maps and b's kind (alternating for B and D, symmetric for C).
+    # realize's forms are split, so the mutants of the split reading run
+    # on TestDiscriminants' non-split sweep instead.
     MUTANTS = {
         "split swapped": ("sign = 1 if split else -1", "sign = -1 if split else 1"),
         "zero step kept": ("steps = tuple(x for x in steps if x)", "steps = tuple(steps)"),
@@ -1348,8 +1350,7 @@ class TestPeel:
             "range(0, min(twos // 2, r) + 1)",
         ),
         "maps dropped": ("* p ** ((r - f) * (twos - f))", ""),
-        "b's kind swapped": ("p, not symplectic, split_b)", "p, symplectic, split_b)"),
-        "b's split from V_1": ("p, not symplectic, split_b)", "p, not symplectic, split_1)"),
+        "b's kind swapped": ("p, not symplectic, split)", "p, symplectic, split)"),
     }
 
     @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -1375,17 +1376,22 @@ class TestPeel:
         real = realize(P(",".join(["1"] * n)), fam, p)
         for r in range(1, n // 2 + 1):
             if fam is not Family.C and n - 2 * r == 2:
-                continue  # no such Levi; _closed_form's own test covers it
+                continue  # no such Levi; TestDiscriminants counts lines of a non-split 4-space
             res = fiber_point_count(real, LeviType((r,), n - 2 * r, fam))
             assert (res.count, res.nodes) == (brute_isotropic_count(real.gram, r, p), 1), (fam, n, r)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_closed_form_of_each_form_matches_brute_force(self, p):
-        # _closed_form on V_1 = F_p^m itself, one level of every dimension,
-        # for split and non-split symmetric forms and symplectic ones,
-        # against the brute force.  realize's Gram on 1^m is diagonal for
-        # B and D, and 2, a non-square mod 3 and 5, times one unit makes
-        # the even form non-split.
+        # fiber_point_count on e = 0 over V_1 = F_p^m, for split and
+        # non-split symmetric forms and symplectic ones, at every Levi with
+        # a general-linear block: the isotropic r-subspaces, r = sum(ps),
+        # by the brute force, times the flags of F_p^r with those steps.
+        # realize's Gram on 1^m is diagonal for B and D, and 2, a
+        # non-square mod 3 and 5, times one unit makes the even form
+        # non-split.
+        def factorial(t):  # [t]_p! up to (p - 1)^t
+            return math.prod(p**j - 1 for j in range(1, t + 1))
+
         for fam, m in [(Family.D, 2), (Family.D, 4), (Family.B, 3), (Family.C, 4)]:
             real = realize(P(",".join(["1"] * m)), fam, p)
             forms = [real.gram]
@@ -1395,9 +1401,13 @@ class TestPeel:
                 other[0, 0] = other[0, 0] * 2 % p
                 forms.append(other)
             for gram in forms:
-                for r in range(1, m // 2 + 1):
-                    got = ff_oracle._closed_form(replace(real, gram=gram), m, (r,), 0)
-                    assert got == brute_isotropic_count(gram, r, p), (fam, m, r, gram)
+                for levi in enumerate_levis(m, fam):
+                    if levi.ps:
+                        got = fiber_point_count(replace(real, gram=gram), levi)
+                        r = sum(levi.ps)
+                        flags = factorial(r) // math.prod(factorial(x) for x in levi.ps)
+                        want = brute_isotropic_count(gram, r, p) * flags
+                        assert (got.count, got.nodes) == (want, 1), (fam, m, levi, gram)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_non_split_branch(self, p):
@@ -1467,13 +1477,18 @@ class TestPeel:
         for levi in (L("2;1"), L("1;3")):
             assert fiber_point_count(real, levi, budget=0) == FlagCount(None, 3, levi, 1, "budget")
 
+    # The closed forms read the split types from the discriminants of the
+    # forms <x, e^a y>, which need no basis in which the Jordan chains are
+    # orthogonal, only a nondegenerate e-invariant form and an e of the
+    # realization's Jordan type.  realize's output passes _validate, which
+    # rejects each corruption below.
     COUPLED = (
-        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
-        "from nilorbit import fiber_point_count\n"
+        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
+        "from nilorbit.ff_oracle import _validate\n"
         "real = realize(parse_partition('3,1,1'), Family.B, 3)\n"
         "real.gram[0, 3] = real.gram[3, 0] = 1\n"
         "try:\n"
-        "    fiber_point_count(real, LeviType.from_text('2;1', Family.B))\n"
+        "    _validate(real)\n"
         "except InvariantError as exc:\n"
         "    print(str(exc).split(' (')[0])\n"
     )
@@ -1483,20 +1498,20 @@ class TestPeel:
         # takes off, with x(1,1), on a chain of length 1.
         real = realize(P("3,1,1"), Family.B, 3)
         real.gram[0, 3] = real.gram[3, 0] = 1
-        with pytest.raises(InvariantError, match="couples Jordan chains"):
-            fiber_point_count(real, L("2;1"))
+        with pytest.raises(InvariantError, match="form is not e-invariant"):
+            _validate(real)
 
     def test_coupled_gram_raises_under_optimize(self, run_optimized):
-        assert run_optimized(self.COUPLED) == "g or e couples Jordan chains of different lengths"
+        assert run_optimized(self.COUPLED) == "form is not e-invariant"
 
     # B 2,2,1: x(1,j), x(2,j) at 2j and 2j + 1 for the parts 2, which
     # realize pairs with each other, so b = <x(2,i), e x(2,j)> is
     # alternating on e(V_2) = <x(1,0), x(1,1)>.  With the pairing of x(2,i)
-    # and x(1,j) taken out of g, b is 0; with x(2,0) sent to x(1,1) by e, b
-    # has a nonzero diagonal entry.
+    # and x(1,j) taken out of g, b is 0 and g degenerate; with x(2,0) sent
+    # to x(1,1) by e, b has a nonzero diagonal entry and e two 1s in row 2.
     BROKEN_B = (
-        "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
-        "from nilorbit import fiber_point_count\n"
+        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
+        "from nilorbit.ff_oracle import _validate\n"
         "def broken(kind):\n"
         "    real = realize(parse_partition('2,2,1'), Family.B, 3)\n"
         "    if kind == 'degenerate b':\n"
@@ -1504,13 +1519,13 @@ class TestPeel:
         "    else:\n"
         "        real.e[0, 1], real.e[2, 1] = 0, 1\n"
         "    try:\n"
-        "        fiber_point_count(real, LeviType.from_text('1;3', Family.B))\n"
+        "        _validate(real)\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
     )
     BROKEN_B_RAISED = {
-        "degenerate b": "the form is degenerate on e(V_2)",
-        "corrupted e": "b = <e^-1 u, v> is not alternating",
+        "degenerate b": "form is degenerate",
+        "corrupted e": "e is not a 0/1 partial permutation",
     }
 
     @pytest.mark.parametrize("kind", list(BROKEN_B_RAISED))
@@ -1522,6 +1537,123 @@ class TestPeel:
     def test_broken_b_raises_under_optimize(self, run_optimized):
         script = self.BROKEN_B + "".join(f"print(broken({kind!r}))\n" for kind in self.BROKEN_B_RAISED)
         assert run_optimized(script).splitlines() == list(self.BROKEN_B_RAISED.values())
+
+
+def non_split(real):
+    """``real`` with the Gram block of its last self-paired Jordan chain
+    multiplied by the least non-square c mod p, or None when it has no
+    such chain.  Scaling a chain that pairs with itself alone keeps the
+    form e-invariant and multiplies its unit by c: for a chain of length 1
+    (B, D) or 2 (C), that makes V_1 or b non-split when it was split.  For
+    D, whose form must stay split, the first self-paired chain is scaled
+    too: they have odd lengths j, so det g changes by c^j per chain, and
+    D has an even number of them."""
+    p, fam, parts = real.modulus, real.family, real.partition.parts
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    chains = [j for j, v in enumerate(parts) if (v % 2 == 0) == (fam is Family.C)]
+    if not chains:
+        return None
+    chains = [chains[0], chains[-1]] if fam is Family.D else chains[-1:]
+    starts = list(itertools.accumulate(parts, initial=0))
+    gram = real.gram.copy()
+    for j in chains:
+        block = np.ix_(range(starts[j], starts[j + 1]), range(starts[j], starts[j + 1]))
+        gram[block] = gram[block] * c % p
+    scaled = replace(real, gram=gram)
+    _validate(scaled)
+    return scaled
+
+
+def non_split_sweep(oracle, q, tops):
+    """Run ``oracle``'s fiber_point_count on non_split(realize(...)) at
+    every Levi with a general-linear block that _peel decides, over B, C
+    and D up to the sizes ``tops`` at p = q, against the flag-by-flag
+    reference (unhoisted_count) where it finishes under NON_SPLIT_CAP.
+    Returns (compared, wrong), wrong listing every count that differs."""
+    compared, wrong = 0, []
+    for fam, top in zip((Family.B, Family.C, Family.D), tops):
+        for n in range(2 - fam.size_parity, top + 1, 2):
+            for orbit in enumerate_valid(n, fam):
+                real = non_split(realize(orbit, fam, q))
+                if real is None:
+                    continue
+                for levi in enumerate_levis(n, fam):
+                    if not levi.ps or oracle._peel(orbit.parts, levi.ps, levi.q) is None:
+                        continue
+                    want, _ = unhoisted_count(real, levi, NON_SPLIT_CAP)
+                    if want is None:
+                        continue
+                    got = oracle.fiber_point_count(real, levi).count
+                    compared += 1
+                    if got != want:
+                        wrong.append((fam.value, orbit.literal(), levi.literal(), q, got, want))
+    return compared, wrong
+
+
+NON_SPLIT_CAP = 2000
+
+
+class TestDiscriminants:
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_chain_rule(self, p):
+        # The lemma behind _shape_count, on realize's models of every orbit
+        # with N <= 13 and every a below the largest part: the det of the
+        # nondegenerate part of <x, e^a y> is, modulo squares, the product
+        # over the self-paired chains of length j > a, with unit u (g's
+        # entry at x(1,j), x(j,j)), of (-1)^(a(j-a)) u^(j-a), and over the
+        # pairs of chains of length j > a of eps^(j-a) (-1)^((j-a)(a+1)).
+        # At p = 3 and 7, -1 is not a square, so a wrong sign, or a wrong
+        # power of a unit -1, for any chain length fails.
+        cases = 0
+        for fam, top in ((Family.B, 13), (Family.C, 12), (Family.D, 12)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    real = realize(orbit, fam, p)
+                    parts, eps = orbit.parts, fam.epsilon
+                    starts = list(itertools.accumulate(parts, initial=0))
+                    power = np.eye(n, dtype=np.int64)
+                    for a in range(parts[0]):
+                        G = real.gram @ power % p
+                        got = ff_oracle._discriminant(G, p, rref(G, p)[1])
+                        want = 1
+                        for j, v in enumerate(parts):
+                            if v <= a:
+                                continue
+                            if (v % 2 == 0) == (fam is Family.C):
+                                u = int(real.gram[starts[j], starts[j] + v - 1])
+                                want *= (-1) ** (a * (v - a)) * u ** (v - a)
+                            elif parts.index(v) % 2 == j % 2:  # the first of a pair
+                                want *= eps ** (v - a) * (-1) ** ((v - a) * (a + 1))
+                        assert got and pow(got * want % p, (p - 1) // 2, p) == 1, (fam, orbit, a)
+                        power = power @ real.e
+                        cases += 1
+        assert cases == 1009
+
+    # (prime, top N for B/C/D, checks compared).  D runs to N = 10 at
+    # p = 3 for D 3,3,1^4 via (3;4), the lines of a non-split V_1 of
+    # dimension 4, which no Levi of D 1^4 counts.
+    SWEEPS = [(3, (9, 8, 10), 328), (5, (9, 8, 8), 214), (7, (7, 6, 6), 68)]
+
+    @pytest.mark.parametrize("q,tops,compared", SWEEPS)
+    def test_non_split_units_match_enumeration(self, q, tops, compared):
+        assert non_split_sweep(ff_oracle, q, tops) == (compared, [])
+
+    # Each mutant misreads a split type that realize's forms never show:
+    # b's det (C) read as V_1's, disc(0) disc(2), and the root's disc(0)
+    # dropped, which leaves the units of the chains of length 1 out of
+    # V_1's det (B, D).  (old, new, mismatches at p = 3, N <= 9/8/8)
+    MUTANTS = {
+        "b's split from V_1": (
+            "d = disc(1) if symplectic else disc(0) * disc(2)", "d = disc(0) * disc(2)", 2
+        ),
+        "root's disc(0) dropped": ("return det(g, p)", "return 1", 9),
+    }
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutants_fail(self, monkeypatch, mutant):
+        old, new, mismatches = self.MUTANTS[mutant]
+        compared, wrong = non_split_sweep(mutant_oracle(monkeypatch, old, new), 3, (9, 8, 8))
+        assert (compared, len(wrong)) == (243, mismatches)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1562,12 +1694,12 @@ class TestQuotient:
 
     def test_one_level_enumeration_is_the_closed_form(self):
         # At k = 1, E = 0 and V' = V, so _enumerate counts the one level on
-        # the quotient: the Jordan type of e from the ranks of the G_a and
-        # the split types from their discriminants and det g.
-        # fiber_point_count's peel reads the partition, and _closed_form the
-        # Gram matrix on realize's basis: two independent readings of the
-        # split types.  Either costs one node, so _enumerate finishes at a
-        # budget of 1.
+        # the quotient, reading the Jordan type of e from the ranks of the
+        # G_a, where fiber_point_count's peel reads the partition.  Both
+        # read the split types by the same discriminant rule
+        # (_shape_count), so the two sides differ only in how they read
+        # the Jordan type.  Either costs one node, so _enumerate finishes
+        # at a budget of 1.
         checks = 0
         for q, tops in self.ONE_LEVEL:
             for fam, top in zip((Family.B, Family.C, Family.D), tops):
@@ -1587,17 +1719,19 @@ class TestQuotient:
         checks, wrong = pseudo_polarization_sweep(ff_oracle)
         assert (checks, wrong) == (626, [])
 
-    # Each mutant breaks one invariant of the quotient count and changes
-    # counts of the pseudo-polarization sweep at ranks <= 6: V_1's det
-    # without (-1)^d, the hyperbolic planes of E + E*; without G_2's disc,
-    # the units of the chains of length 3; C's split of b without
+    # Each mutant breaks one invariant of the discriminant rule or of the
+    # quotient count and changes counts of the pseudo-polarization sweep
+    # at ranks <= 6: the quotient's disc(0) without (-1)^d, the hyperbolic
+    # planes of E + E*; V_1's det without disc(2), the units of the chains
+    # of length 3 (and 5, at the root); C's split of b without
     # (-1)^(m_2/2); and a part above s' let through, which the ranks of G_1
-    # and G_2 then misread as parts 3, 2 and 1.  (old, new, mismatches)
+    # and G_2 then misread as parts 3, 2 and 1.  The second and third
+    # reach the root's closed forms too.  (old, new, mismatches)
     QUOTIENT_MUTANTS = {
-        "(-1)^d dropped": ("(-1) ** (ones // 2 + d)", "(-1) ** (ones // 2)", 13),
-        "disc(b_3) dropped": ("* det_g * disc(grams[1], pivots_2)", "* det_g", 5),
+        "(-1)^d dropped": ("(-1) ** d * det_g if not a", "det_g if not a", 13),
+        "disc(b_3) dropped": ("disc(0) * disc(2)", "disc(0)", 7),
         "C's (-1)^(m_2/2) dropped": (
-            "(-1) ** (twos // 2) * disc(grams[0], pivots_1)", "disc(grams[0], pivots_1)", 12
+            "d = disc(1) if symplectic", "d = (-1) ** (m // 2) * disc(1) if symplectic", 19
         ),
         "G_s' test skipped": ("if grams[-1].any():", "if False:", 52),
     }
