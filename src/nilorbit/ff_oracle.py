@@ -345,29 +345,6 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
         del extend
 
 
-def _child_windows(
-    Bg: np.ndarray, Y: np.ndarray, Ye: np.ndarray, Lg: np.ndarray, X: np.ndarray, g: np.ndarray, p: int
-) -> list[np.ndarray]:
-    """The window (E + L)^perp cap e^{-1}(E) of each child E = B + <x>, x a
-    row of X, given Bg = B g, a basis Y of ann(B) = {y : B y = 0}, Ye = Y e
-    and Lg = L g: one nullspace of [B g; x g; L g; ann(E) e] per child, as
-    e^{-1}(E) = (ann(E) e)^perp.  ann(E) is ann(B) cut by c = Y x, spanned by
-    Y_k - (c_k / c_j) Y_j for c_j the first nonzero entry of c (row j
-    becomes 0), or by Y when c = 0; only its image under e is formed, in
-    one update of Ye per child.  nullspace depends only on the span of its
-    rows, so this spanning set gives the window that a nullspace of E
-    would."""
-    C = X @ Y.T % p
-    first = (C != 0).argmax(axis=1)
-    lead = C[np.arange(C.shape[0]), first].tolist()
-    scale = np.array([pow(c, -1, p) if c else 0 for c in lead], dtype=np.int64)
-    ratios = C * scale[:, None] % p  # 0 when c = 0
-    return [
-        nullspace(np.vstack([Bg, xg, Lg, Ye - ratio[:, None] * Ye[j]]), p)
-        for xg, ratio, j in zip(X @ g % p, ratios, first)
-    ]
-
-
 def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarray], bool]:
     """Row bases of L_i = im e^(s-i) for i = 1..k, and whether e^s = 0, on
     realize's Jordan basis, whose x(i,j) has height d_j - i (``heights``, in
@@ -663,40 +640,32 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     slack_a / 2), slack_a = n - rank e^a - S_a (_floors): a table of
     (partition, Levi) alone, built once per check.  When m_{t,a} = dim E_t,
     all of E_t lies in im e^a, which is spanned by the Jordan coordinates
-    x(i,j) of height d_j - i >= a.  The enumeration recurses through
-    isotropic E_t, t < k, that contain E_{t-1} + L_t, inside the window
-    E_{t-1}^perp cap e^{-1}(E_{t-1}) cap L_t^perp cut to im e^a for the
-    largest such a (_cut), by one nullspace of its columns at heights < a.
-    It adds one reduced-echelon row at a time and drops each candidate row
-    as soon as it fails isotropy.  A start E_{t-1} + L_t with an entry at
-    heights < a, or a floor above dim E_t, counts 0.  The whole window lies
-    in ker e^t and so is orthogonal to L_k; that is checked before the
-    table cuts or ends the level, dropping rows that settle would check.
+    x(i,j) of height d_j - i >= a.  For the largest such a (_cut), the
+    window of a level is cut to im e^a by one nullspace of its columns at
+    heights < a.  A start E_{t-1} + L_t with an entry at heights < a, or a
+    floor above dim E_t, counts 0.  The whole window lies in ker e^t and so
+    is orthogonal to L_k; that is checked before the table cuts or ends the
+    level.
 
-    Level i < k is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >=
-    dim E_i, which depends on (partition, Levi) alone: E_{i-1} + L_i may
-    then fill the level, which has one candidate (or none, when it
-    overfills) and is charged one node.  Every enumerated level hands its
-    children, the batches of _last_row_batches, to settle, and the root
-    enters settle as the one child x = 0 of F1 = 0.  settle decides the
-    children's run of fillable levels before the last, which may be empty,
-    in those batches: per state F1 and level i of the run, one nullspace
-    gives Q, a basis of (F1 + L_i)^perp, and a child x reaches
-    dim(F1 + L_i) + [Q g x != 0] at level i.  A child that overfills counts
-    0.  A child that falls short of level i, or that the run leaves short
-    of the level after it, is enumerated there; at the last level each
-    child E is counted on E^perp/E instead.  A child that is enumerated
-    builds its window (E + L_i)^perp cap e^{-1}(E), E = F1 + L_{i-1} + <x>,
-    by one elimination: e^{-1}(E) is (ann(E) e)^perp, and ann(E) comes from
-    one basis of ann(F1 + L_{i-1}) per state and level by a rank-one update
-    (_child_windows).
+    The enumeration is one recursion over the states E = E_{i-1} (E_0 = 0)
+    and their level i.  It checks E perp L_i, and at the last level counts
+    E_k on E^perp/E.  Level i < k is fillable when dim E_{i-1} + dim L_i -
+    dim L_{i-1} >= dim E_i, which depends on (partition, Levi) alone:
+    E_{i-1} + L_i may then fill the level.  There one rank of that start
+    decides: a start that overfills counts 0, one that fills is E_i, each at
+    one node, and one that falls short is enumerated like any other level.
+    An enumerated level builds its window (E + L_i)^perp cap e^{-1}(E) by
+    two eliminations, as e^{-1}(E) = (ann(E) e)^perp: one nullspace of E
+    gives ann(E), and one of [E g; L_i g; ann(E) e] the window.  After the
+    check against L_k and the cut, it adds one reduced-echelon row at a
+    time, drops each candidate row as soon as it fails isotropy
+    (_last_row_batches), and recurses into each E_i = F1 + <x> it yields.
 
     A node is one candidate row generated and tested, one level decided by
     its forced subspace, or one last level counted on the quotient whose
-    count is not 0; deciding a run in batches charges the same node per
-    child and level as recursing into each child would.  A level that the
-    table ends or cuts away costs none, and so does a child whose window
-    cannot reach its level or whose last level counts 0.  A check that
+    count is not 0, each charged by the state that spends it.  A level
+    that the table ends or cuts away costs none, and so does a child whose
+    window cannot reach its level or whose last level counts 0.  A check that
     charges none still costs one node.  The budget caps the nodes: a check
     whose total would exceed it returns an explicit skip with ``nodes ==
     budget + 1``, never a wrong count.
@@ -712,9 +681,10 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     if not nilpotent:  # L_1 is not in ker e: one node decides the count
         return FlagCount(0, p, levi, 1)
     forced_g = [L @ g % p for L in forced]
+    case = f"({real.partition}, {levi}, p={p})"
     for L, Lg in zip(forced, forced_g):
         if np.any(Lg @ L.T % p):
-            raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
+            raise InvariantError(f"im e^a is not isotropic {case}")
     counter = [0]
     det_g = det(g, p)
     # Level i < last is fillable when E_{i-1} + L_i may reach dims[i]: dim
@@ -726,104 +696,42 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     order = sorted(range(n), key=heights.__getitem__)  # the Jordan basis by height
     height = [heights[col] for col in order]
 
-    def image(W: np.ndarray, a: int) -> np.ndarray:
-        """W cap im e^a: the rows of W's span with no entry at height < a."""
-        return nullspace(W[:, order[: bisect_left(height, a)]].T, p) @ W % p
-
-    def orthogonality_error(t: int) -> InvariantError:
-        return InvariantError(
-            f"E_{t} is not orthogonal to L_{t + 1} ({real.partition}, {levi}, p={p})"
-        )
-
-    def recurse(E: np.ndarray, window: np.ndarray, t: int) -> int:
-        """Enumerate level t < last over E = E_{t-1} in its window (E +
-        L_t)^perp cap e^{-1}(E), and settle its children.  With a cut, the
-        window shrinks to its part in im e^a, which must hold E + L_t.  0
-        when some floor exceeds dims[t]."""
+    def count(E: np.ndarray, t: int) -> int:
+        """The flags over E = E_t (rows spanning it) from the level after
+        it on, E_{t+1} of dimension dims[t] first."""
+        if np.any(E @ forced_g[t].T % p):
+            raise InvariantError(f"E_{t} is not orthogonal to L_{t + 1} {case}")
+        if t == last:
+            value = _quotient_count(real, levi, E, det_g)
+            _charge(counter, bool(value), cap)
+            return value
+        start = np.vstack([E, forced[t]])
+        if fills[t]:
+            reach = rank(start, p)
+            if reach >= dims[t]:
+                _charge(counter, 1, cap)
+                return count(start, t + 1) if reach == dims[t] else 0
+        # The window (E + L_{t+1})^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp.
+        window = nullspace(np.vstack([E @ g % p, forced_g[t], nullspace(E, p) @ e % p]), p)
         a = cuts[t]
         # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
-        # which holds every L_i: check it before the table drops rows that
-        # settle would have checked.
+        # which holds every L_i: check it before the table drops its rows.
         if a != 0 and np.any(window @ forced_g[last].T % p):
-            raise orthogonality_error(last)
+            raise InvariantError(f"E_{last} is not orthogonal to L_{last + 1} {case}")
         if a is None:
             return 0
-        start = E if sizes[t + 1] == sizes[t] else np.vstack([E, forced[t]])
-        if a:
-            if start[:, order[: bisect_left(height, a)]].any():
+        if a:  # cut the window to im e^a, which must hold start
+            low = order[: bisect_left(height, a)]
+            if start[:, low].any():
                 return 0
-            window = image(window, a)
-        return settle(_last_row_batches(start, window, dims[t], g, p, counter, cap), t + 1)
+            window = nullspace(window[:, low].T, p) @ window % p
+        batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
+        return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
 
-    def settle(batches, t: int) -> int:
-        """The count below the children F1 + <x> of level t - 1, given as
-        the batches (F1, X) of _last_row_batches, deciding the run t..end-1
-        of fillable levels before the last, which may be empty, in those
-        batches.  Below level i - 1 >= t a child is F1 + L_{i-1} + <x>, so
-        E_{i-1} + L_i = F1 + L_i + <x>, of dimension dim(F1 + L_i) + [G x !=
-        0].  A child that falls short of level i, or that the run leaves
-        short of level end, descends into that level; level end = last is
-        counted on the quotient."""
-        end = t
-        while end < last and fills[end]:
-            end += 1
-
-        def basis(i: int):
-            """(dim(F1 + L_i), G = Q g) for Q a basis of (F1 + L_i)^perp,
-            built once per state and level of the run."""
-            if i not in bases:
-                if np.any(F1g @ forced[i].T % p):
-                    raise orthogonality_error(i)
-                Q = nullspace(np.vstack([F1g, forced_g[i]]), p)
-                bases[i] = n - Q.shape[0], Q @ g % p
-            return bases[i]
-
-        def descend(X: np.ndarray, i: int) -> int:
-            """The count below the children of X at level i, of E = B + <x>
-            for B = F1 + L_{i-1}: each child is counted on E^perp/E when i
-            is the last level (one node when its count is not 0), and
-            otherwise recurses with E in its window.  A basis Y of ann(B) is
-            built once per state and level (_child_windows)."""
-            below = F1 if i == t else np.vstack([F1, forced[i - 1]])
-            if i == last:
-                counts = [_quotient_count(real, levi, np.vstack([below, x]), det_g) for x in X]
-                _charge(counter, sum(map(bool, counts)), cap)
-                return sum(counts)
-            if i not in annihilators:
-                Y = nullspace(below, p)
-                Bg = F1g if i == t else np.vstack([F1g, forced_g[i - 1]])
-                annihilators[i] = Bg, Y, Y @ e % p
-            windows = _child_windows(*annihilators[i], forced_g[i], X, g, p)
-            spaces = [np.vstack([below, x]) for x in X]
-            return sum(recurse(E, W, i) for E, W in zip(spaces, windows))
-
-        total, state = 0, None
-        for F1, X in batches:
-            if F1 is not state:
-                state, F1g, bases, annihilators = F1, F1 @ g % p, {}, {}
-            for i in range(t, end):
-                if np.any(X @ forced_g[i].T % p):
-                    raise orthogonality_error(i)
-                size, G = basis(i)
-                reach = size + (X @ G.T % p).any(axis=1)  # dim(F1 + L_i + <x>)
-                _charge(counter, int(np.count_nonzero(reach >= dims[i])), cap)
-                short = reach < dims[i]
-                if short.any():
-                    total += descend(X[short], i)
-                X = X[reach == dims[i]]
-                if not X.shape[0]:
-                    break
-            if not X.shape[0]:
-                continue
-            if np.any(X @ forced_g[end].T % p) or np.any(F1g @ forced[end].T % p):
-                raise orthogonality_error(end)
-            total += descend(X, end)
-        return total
-
-    try:  # the root is the one child x = 0 of F1 = 0
-        value = settle([(np.zeros((0, n), dtype=np.int64), np.zeros((1, n), dtype=np.int64))], 0)
+    try:
+        value = count(np.zeros((0, n), dtype=np.int64), 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
-    finally:  # recurse and settle refer to each other: free them without the cyclic collector
-        del recurse
+    finally:  # count refers to itself: free it without the cyclic collector
+        del count
     return FlagCount(value, p, levi, max(1, counter[0]))

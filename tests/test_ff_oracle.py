@@ -47,7 +47,6 @@ from nilorbit import ff_oracle
 from nilorbit._linalg import det, nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
-    _child_windows,
     _is_odd_prime,
     _last_row_batches,
     _cut,
@@ -750,6 +749,10 @@ class TestHoist:
     # orbits are far beyond it.
     CAP = 2000
 
+    # prime: (checks, nodes, skips) of fiber_point_count at CAP on every
+    # Levi of the sweep, pseudo-polarization or not
+    SWEPT = {3: (181, 8155, 1), 5: (181, 21493, 4), 7: (51, 314, 0)}
+
     # (prime, top N for B/C/D, checks the reference finishes, of which
     # count 0, of which have e^s != 0)
     @pytest.mark.parametrize(
@@ -758,7 +761,7 @@ class TestHoist:
     )
     def test_matches_unhoisted_reference(self, q, tops, coverage):
         compared = zeros = not_nilpotent = 0
-        totals = [0, 0]
+        totals, swept = [0, 0], [0, 0, 0]
         for fam, top in zip((Family.B, Family.C, Family.D), tops):
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for orbit in enumerate_valid(n, fam):
@@ -766,6 +769,9 @@ class TestHoist:
                     for levi in enumerate_levis(n, fam):
                         want, ref_nodes, _ = swept_reference(fam, orbit, levi, q, self.CAP)
                         got = fiber_point_count(real, levi, budget=self.CAP)
+                        swept[0] += 1
+                        swept[1] += got.nodes
+                        swept[2] += got.skipped is not None
                         if want is None:
                             continue
                         case = (orbit, levi, q)
@@ -784,6 +790,7 @@ class TestHoist:
                         not_nilpotent += big_part
         assert totals[1] <= totals[0]
         assert (compared, zeros, not_nilpotent) == coverage
+        assert tuple(swept) == self.SWEPT[q]
 
     @pytest.mark.parametrize(
         "fam,orbit,levi,k",
@@ -808,10 +815,10 @@ class TestHoist:
 
     # Checks where a floor on dim(E cap im e) alone would prune ("a": the
     # enumeration keeps no such floor, so with the cut off it generates
-    # every row that one would exclude) and where a level decides its
-    # children's fillable last level in its own batches ("b": E_{k-1} + L_k
-    # may fill it, and _quotient_count counts it there with no row of it
-    # generated), each against the un-hoisted reference.  The paths are
+    # every row that one would exclude) and where the children of a level
+    # have their last level counted on the quotient ("b": _quotient_count
+    # counts it with no row of it generated), each against the un-hoisted
+    # reference.  The paths are
     # pinned with the floor table's cut off, since it prunes first, and
     # with the forced subspaces L_i = im e^(2k+1-i) of q > 0, which every
     # flag contains: for q = 0 the larger im e^(2k-i) decides the C cases
@@ -856,20 +863,25 @@ class TestHoist:
         if path == "b":
             assert counted and sum(levi.ps) not in targets
 
-    # Runs of fillable levels, each against the un-hoisted reference: "c",
-    # settle decides children two or more levels below the level that made
-    # them, a run and then the last level by _quotient_count; "s", every
-    # child of the run falls short of its first level and recurses, and the
-    # last level is counted after an empty run; "m", a child falls short in
-    # the middle of a run and its level is enumerated, which needs two
-    # fillable levels before the last (the run never holds the last level,
-    # so B 6,6,5 via (1,2,3;5), whose middle level was its last, is now a
-    # "c" case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and
-    # 0.5 s at p=5, so they run at p=3 only.  The paths are pinned with the
-    # floor table off (no row in it), as it cuts the windows before the runs
-    # see them, and with the forced subspaces of q > 0, as the larger ones
-    # of q = 0 fill every level of C 6 via (1,1,1;0).  With both on, the
-    # count is the same and takes at most as many nodes.
+    # Fillable levels, each against the un-hoisted reference.  Level t < k
+    # is fillable when dim E_{t-1} + dim L_t - dim L_{t-1} >= dim E_t: a
+    # child whose E_{t-1} + L_t reaches dim E_t has the level decided by its
+    # forced subspace, and one that falls short is enumerated there.  Every
+    # child that level t - 1 yields and every E_{t-1} that it decides enters
+    # level t, so the paths are read from the calls the enumeration makes:
+    # "c", a level decided by its forced subspace, then the quotient (more
+    # last levels counted than children yielded the level before); "s", a
+    # short child enumerated at a fillable level, and no level decided
+    # before the last; "m", a short child between two fillable levels (more
+    # enumerations at level t than children yielded at level t - 1, so some
+    # E_{t-1} was decided), which needs two fillable levels before the last
+    # (B 6,6,5 via (1,2,3;5), whose middle level is its last, is a "c"
+    # case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and 0.5
+    # s at p=5, so they run at p=3 only.  The paths are pinned with the
+    # floor table off (no row in it), as it cuts the windows before the
+    # fills see them, and with the forced subspaces of q > 0, as the larger
+    # ones of q = 0 fill every level of C 6 via (1,1,1;0).  With both on,
+    # the count is the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
@@ -886,77 +898,105 @@ class TestHoist:
     def test_chains_match_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        count, charge, forced = ff_oracle._quotient_count, ff_oracle._charge, ff_oracle._forced_subspaces
-        decided, closed, enumerated = [], [], []
+        count, batches, forced = ff_oracle._quotient_count, ff_oracle._last_row_batches, ff_oracle._forced_subspaces
+        dims = list(itertools.accumulate(levi.ps))
+        built, quotients = [], [0]
+        enumerated, yielded = [0] * len(dims), [0] * len(dims)  # per level
 
-        def sent(frame):
-            """(t, end, level) when ``frame`` runs below a child that a
-            settle, deciding the run t..end-1 of one or more levels, sent to
-            recurse into ``level``; None otherwise."""
-            while frame.f_code.co_name != "recurse":
-                frame = frame.f_back
-            # recurse <- descend's generator expression <- descend <- settle
-            chain = [frame.f_back, frame.f_back.f_back, frame.f_back.f_back.f_back]
-            assert [f.f_code.co_name for f in chain] == ["<genexpr>", "descend", "settle"]
-            run = chain[-1]
-            t, end = run.f_locals["t"], run.f_locals["end"]
-            return (t, end, frame.f_locals["t"]) if end > t else None
+        def spy_forced(heights, s, k):
+            built.append(forced(heights, 2 * k + 1, k))
+            return built[-1]
 
         def spy_count(*args):
-            frame = settle = sys._getframe(1)
-            while settle.f_code.co_name != "settle":  # the settle counting its children
-                settle = settle.f_back
-            run = settle.f_locals["end"] - settle.f_locals["t"]
-            if run:
-                decided.append(run + 1)  # the run's levels and the last
-            else:
-                closed.append(sent(frame))
+            quotients[0] += 1
             return count(*args)
 
-        def spy_charge(*args):
-            frame = sys._getframe(1)
-            if frame.f_code.co_name == "extend":
-                enumerated.append(sent(frame))
-            return charge(*args)
+        def spy_batches(E, W, target, *rest):
+            t = dims.index(target)
+            enumerated[t] += 1
+            for F1, X in batches(E, W, target, *rest):
+                yielded[t] += X.shape[0]
+                yield F1, X
 
         pruned = _enumerate(real, levi, DEFAULT_BUDGET)
         monkeypatch.setattr(ff_oracle, "_quotient_count", spy_count)
-        monkeypatch.setattr(ff_oracle, "_charge", spy_charge)
+        monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", spy_forced)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
+        sizes = [0] + [Li.shape[0] for Li in built[-1][0]]
+        fills = [([0] + dims)[t] + sizes[t + 1] - sizes[t] >= dims[t] for t in range(len(dims) - 1)]
         if path == "c":
-            assert max(decided) >= 2
+            assert quotients[0] > yielded[-2]
         elif path == "s":
-            assert not decided and closed
-            assert all(run is not None and run[0] == run[2] for run in closed)
+            assert quotients[0] == yielded[-2] > 0
+            assert any(fill and calls for fill, calls in zip(fills, enumerated))
         else:
-            assert any(run is not None and run[0] < run[2] < run[1] for run in enumerated)
+            assert any(fills[t - 1] and fills[t] and enumerated[t] > yielded[t - 1] for t in range(1, len(fills)))
 
     # A broken form (not e-invariant) makes the forced subspaces violate
     # what e-invariance guarantees: gram index 0 is x(1,0), the span of
     # im e^2 for B 3,1,1; for C 4,2 via (1,1;2), index 4 is x(1,1), a first
     # row in ker e that the broken form no longer makes orthogonal to
-    # L_2 = im e^3.  The floor table cuts E_1 to im e^3 there (and E_1 of
-    # C 6,2 to im e^5), so the whole window is checked before the cut.  B
+    # L_2 = im e^3.  For C 6,2 via (1,1,1;2), index 6 is x(1,1) and index 1
+    # is x(2,0), in L_3 = im e^4, so gram[1, 6] breaks E_2 perp L_3 for an
+    # E_2 that holds x(1,1); the other entries (MID_RUN) keep that E_2 from
+    # being enumerated (below).  The floor table cuts E_1 to im e^3 in C
+    # 4,2 and to im e^5 in C 6,2, so the whole window is checked before the
+    # cut; with the cut off, the check at the entry of a level raises.  B
     # 3,1,1 runs on the enumeration, as the peel decides it without L_1.
+    MID_RUN = {(1, 6): 1, (6, 1): 2, (6, 6): 1, (6, 0): 2}
     CORRUPT = (
         "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
-        "from nilorbit.ff_oracle import _enumerate\n"
+        "from nilorbit import ff_oracle\n"
         "def raises(orbit, fam, levi, entries):\n"
         "    real = realize(parse_partition(orbit), fam, 3)\n"
-        "    for i, j in entries:\n"
-        "        real.gram[i, j] = 1\n"
+        "    for (i, j), value in entries.items():\n"
+        "        real.gram[i, j] = value\n"
         "    try:\n"
-        "        _enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
+        "        ff_oracle._enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
-        "print(raises('3,1,1', Family.B, '1;3', [(0, 0)]))\n"
-        "print(raises('4,2', Family.C, '1,1;2', [(0, 4), (4, 0)]))\n"
-        "print(raises('6,2', Family.C, '1,1,1;2', [(0, 2), (1, 6)]))\n"
+        "print(raises('3,1,1', Family.B, '1;3', {(0, 0): 1}))\n"
+        "for _ in range(2):\n"
+        "    print(raises('4,2', Family.C, '1,1;2', {(0, 4): 1, (4, 0): 1}))\n"
+        f"    print(raises('6,2', Family.C, '1,1,1;2', {MID_RUN}))\n"
+        "    ff_oracle._cut = lambda floor, d: 0\n"
     )
+
+    @staticmethod
+    def raised_after(real, levi):
+        """The message of the InvariantError that _enumerate raises, and
+        what the enumeration did before it: ("enumerate", t) for each level
+        t enumerated, ("yield", rows) for each batch of children it
+        yields, ("quotient", count) for each last level counted and
+        ("charge", nodes) for each charge."""
+        dims, log = list(itertools.accumulate(levi.ps)), []
+        charge, batches, count = ff_oracle._charge, ff_oracle._last_row_batches, ff_oracle._quotient_count
+
+        def spy_charge(counter, size, cap):
+            log.append(("charge", int(size)))
+            charge(counter, size, cap)
+
+        def spy_batches(E, W, target, *rest):
+            log.append(("enumerate", dims.index(target)))
+            for F1, X in batches(E, W, target, *rest):
+                log.append(("yield", X.shape[0]))
+                yield F1, X
+
+        def spy_count(*args):
+            log.append(("quotient", count(*args)))
+            return log[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ff_oracle, "_charge", spy_charge)
+            patch.setattr(ff_oracle, "_last_row_batches", spy_batches)
+            patch.setattr(ff_oracle, "_quotient_count", spy_count)
+            with pytest.raises(InvariantError) as info:
+                _enumerate(real, levi, DEFAULT_BUDGET)
+        return str(info.value).split(" (")[0], log
 
     def test_forced_subspace_invariants_raise(self):
         real = realize(P("3,1,1"), Family.B, 3)
@@ -968,47 +1008,52 @@ class TestHoist:
         with pytest.raises(InvariantError, match="not orthogonal"):
             fiber_point_count(real, L("1,1;2", Family.C))
 
-    def test_batched_last_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 4,2 via (1,1;2) counts its last level in its first level's
-        # batches; the broken form of the test above makes E_1 = <x(1,1)>
-        # meet L_2 = im e^3 there.  The cut to im e^3 never enumerates that
-        # E_1, so recurse checks the window; with the cut off, settle does
-        # before it counts the last level on the quotient.
-        real = realize(P("4,2"), Family.C, 3)
+    def test_last_level_keeps_the_orthogonality_check(self, monkeypatch):
+        # C 4,2 via (1,1;2): the broken form of the test above makes E_1 =
+        # <x(1,1)> meet L_2 = im e^3.  The cut to im e^3 never enumerates
+        # that E_1, so the whole-window check raises before any node.  With
+        # the cut off, level 0 yields E_1 = <x(1,0)> (counted on the
+        # quotient: 0) and then <x(1,1)>, whose entry into the last level
+        # raises before it is counted.
+        real, levi = realize(P("4,2"), Family.C, 3), L("1,1;2", Family.C)
         real.gram[0, 4] = real.gram[4, 0] = 1
-        with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
-            fiber_point_count(real, L("1,1;2", Family.C))
-        assert (info.traceback[-1].name, info.traceback[-1].locals["t"]) == ("recurse", 0)
+        assert self.raised_after(real, levi) == ("E_1 is not orthogonal to L_2", [])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
-        with pytest.raises(InvariantError, match="E_1 is not orthogonal to L_2") as info:
-            fiber_point_count(real, L("1,1;2", Family.C))
-        raised = info.traceback[-1]  # an empty run, then the last level
-        assert (raised.name, raised.locals["t"], raised.locals["end"]) == ("settle", 1, 1)
+        assert self.raised_after(real, levi) == (
+            "E_1 is not orthogonal to L_2",
+            [("enumerate", 0), ("charge", 3), ("yield", 1), ("quotient", 0), ("charge", 0), ("charge", 1), ("yield", 1)],
+        )
 
-    def test_mid_run_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 6,2 via (1,1,1;2): level 1 decides its children's run of level
-        # 2, and level 3, the last, on the quotient.  Gram index 6 is x(1,1)
-        # and index 1 is x(2,0), in L_3 = im e^4, so gram[1, 6] makes E_2
-        # meet L_3.  gram[0, 2] breaks the form's symmetry in the row of
-        # x(1,0), which spans L_2, so the run no longer finds the child
-        # x(1,0) inside F1 + L_2: no child falls short and recurses, and the
-        # batch passes level 2 and reaches level 3, where settle must raise
-        # before it counts it.  The cut to im e^5 keeps x(1,1) out of E_1,
-        # so recurse checks the window first; with the cut off, settle does.
-        real = realize(P("6,2"), Family.C, 3)
-        real.gram[0, 2] = real.gram[1, 6] = 1
-        with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
-            fiber_point_count(real, L("1,1,1;2", Family.C))
-        assert (info.traceback[-1].name, info.traceback[-1].locals["t"]) == ("recurse", 0)
+    def test_decided_level_keeps_the_orthogonality_check(self, monkeypatch):
+        # C 6,2 via (1,1,1;2) with MID_RUN: level 0 yields E_1 = <x(1,0)>
+        # and <x(1,0) + x(1,1)>, isotropic as gram[6, 0] = -1 cancels
+        # gram[6, 6] = 1.  The first is L_2, so it falls short of the
+        # fillable level 1 and is enumerated there: its one child <x(1,0),
+        # x(2,0)> passes and counts 0 on the quotient, and <x(1,0), x(1,1)>
+        # is not isotropic, as gram[6, 6] = 1 and gram[6, 1] = -gram[1, 6].
+        # The second child fills level 1 with L_2 (one node), and that E_2 =
+        # <x(1,0), x(1,1)> raises at the entry of the last level.  The cut to
+        # im e^5 keeps x(1,1) out of E_1, so the whole-window check raises
+        # before any node.
+        real, levi = realize(P("6,2"), Family.C, 3), L("1,1,1;2", Family.C)
+        for (i, j), value in self.MID_RUN.items():
+            real.gram[i, j] = value
+        assert self.raised_after(real, levi) == ("E_2 is not orthogonal to L_3", [])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
-        with pytest.raises(InvariantError, match="E_2 is not orthogonal to L_3") as info:
-            fiber_point_count(real, L("1,1,1;2", Family.C))
-        raised = info.traceback[-1]  # after the run's level 2, before the last
-        assert (raised.name, raised.locals["t"], raised.locals["i"], raised.locals["end"]) == ("settle", 1, 1, 2)
+        assert self.raised_after(real, levi) == (
+            "E_2 is not orthogonal to L_3",
+            [
+                ("enumerate", 0), ("charge", 3), ("yield", 2),
+                ("enumerate", 1), ("charge", 3), ("yield", 1), ("quotient", 0), ("charge", 0), ("charge", 1),
+                ("charge", 1),
+            ],
+        )
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
             "im e^a is not isotropic",
+            "E_1 is not orthogonal to L_2",
+            "E_2 is not orthogonal to L_3",
             "E_1 is not orthogonal to L_2",
             "E_2 is not orthogonal to L_3",
         ]
@@ -1059,27 +1104,29 @@ def _swept_states(q):
 
 
 class TestLookAhead:
-    @pytest.mark.parametrize("q", [3, 5])
-    def test_window_lemma_on_every_state(self, q):
+    # prime: windows the enumeration passes to _last_row_batches
+    PASSED = {3: 183, 5: 164}
+
+    @pytest.mark.parametrize("q", list(PASSED))
+    def test_window_lemma_on_every_state(self, monkeypatch, q):
         # dim W = n - dim(E + L + e(E^perp)), since e^{-1}(E) = (e(E^perp))^perp;
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
         # + 2 dim(E cap im e), a bound the floor table's a = 1 column meets
-        # or beats.  And W, built here by a nullspace of E for each E, is
-        # the window that _child_windows builds from one basis of ann(B)
-        # for E = B + <x>: with x the last row of E (c = Y x != 0), with x
-        # in B = E (c = 0), and at the root, where E = 0 is the child x = 0
-        # of B = 0.
-        states = 0
+        # or beats.  And every window that the enumeration, with the same
+        # forced subspaces, passes to _last_row_batches at level t is W cut
+        # to im e^a at the level's cut a, for the one state E whose start
+        # E + L it is handed.
+        states = compared = 0
         p = q
+        forced, batches = ff_oracle._forced_subspaces, ff_oracle._last_row_batches
+        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
             rank_e, c = rank(e, p), len(real.partition.parts)
+            dims = list(itertools.accumulate(levi.ps))
+            heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+            cut = {}
             for t, E, L, W in reached:
-                splits = [(E[:-1], E[-1:]), (E, E[-1:])] if E.shape[0] else [(E, np.zeros((1, n), dtype=np.int64))]
-                for B, X in splits:
-                    Y = nullspace(B, p)
-                    windows = _child_windows(B @ g % p, Y, Y @ e % p, L @ g % p, X, g, p)
-                    assert len(windows) == 1 and np.array_equal(windows[0], W), (real.partition, levi, B)
                 e_perp = nullspace(E @ g % p, p) @ e.T % p
                 d = E.shape[0]
                 meet = d + rank_e - rank(np.vstack([E, e.T]), p)
@@ -1088,7 +1135,25 @@ class TestLookAhead:
                 assert rank(e_perp, p) == rank_e - meet, case
                 assert W.shape[0] <= c - d + 2 * meet, case
                 states += 1
+                a = _cut(_floors(real.partition, levi, t), dims[t])
+                if a is not None:
+                    W = nullspace(W[:, heights < a].T, p) @ W % p
+                    cut.setdefault((t, _canon(np.vstack([E, L]), p)), []).append(_canon(W, p))
+            if not levi.ps:
+                continue
+            calls = []
+
+            def spy(E, W, target, *rest):
+                calls.append(((dims.index(target), _canon(E, p)), _canon(W, p)))
+                return batches(E, W, target, *rest)
+
+            monkeypatch.setattr(ff_oracle, "_last_row_batches", spy)
+            _enumerate(real, levi, DEFAULT_BUDGET)
+            for start, W in calls:
+                assert cut.get(start) == [W], (real.partition, levi, start)
+            compared += len(calls)
         assert states > 1000
+        assert compared == self.PASSED[q]
 
     # (flags counted, levels with a cut that hold them)
     @pytest.mark.parametrize("q,flags", [(3, (4388, 60)), (5, (3651, 60))])

@@ -276,8 +276,9 @@ def invertible(size, p, rng):
 def test_outputs_depend_only_on_the_row_space(p):
     """nullspace(A M) = nullspace(M) and rref(A M) = rref(M) for invertible
     A, and so for any spanning set of M's row space, with combinations and
-    zero rows added: the oracle builds a window from a spanning set of an
-    annihilator (ff_oracle._child_windows) and relies on this."""
+    zero rows added: the oracle stacks E, L and ann(E) e to build a window,
+    and hands _last_row_batches a start E + L whose rows may repeat, and
+    relies on this."""
     rng = np.random.default_rng(p % 10_007)
     for _ in range(60):
         rows, cols = int(rng.integers(0, 9)), int(rng.integers(1, 13))
