@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -402,7 +403,10 @@ def show_atlas(args, payload: dict) -> list[str]:
     ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nilorbit",
         description="Nilpotent-orbit combinatorics for the classical families B, C, D.",

@@ -14,14 +14,19 @@ units inside one value group alternate (hyperbolic pairs), and the leftover
 unit of each odd-multiplicity group walks down the chain of such groups
 picking up a factor (-1)^((v_prev - v_next)/2 + 1) per hop, starting at +1
 for the largest value.
+
+All of this is integer data: one model over Z per orbit (_model), checked
+once (_check_model), which each prime's realization reduces (realize).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,20 +99,104 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class JordanModel:
+    """realize's model over Z of a nilpotent e of Jordan type ``partition``
+    and its invariant form g, on the Jordan basis of the module docstring:
+    the nonzero entries of e and of g, by (row, column).  _model builds one
+    per (partition, family) and checks it once (_check_model); every
+    realization of the orbit reduces it mod its prime (reduce)."""
+
+    family: Family
+    partition: Partition
+    e: Mapping[tuple[int, int], int]
+    gram: Mapping[tuple[int, int], int]
+
+    @functools.cached_property
+    def _flat(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The row-major positions and the values of the entries of e and of g."""
+        n = self.partition.n
+        return [
+            (np.array([i * n + j for i, j in entries], dtype=np.intp),
+             np.array(list(entries.values()), dtype=np.int64))
+            for entries in (self.e, self.gram)
+        ]
+
+    @functools.cached_property
+    def det(self) -> int:
+        """det g over Z, by elimination on sparse integer rows: a row is
+        multiplied by the pivot before the pivot row is taken off it, and
+        the product of those factors is divided out at the end, so every
+        step is exact.  A row with no entry in the pivot column costs
+        nothing, so a g with one entry per row and column costs no
+        elimination at all."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.partition.n)]
+        for (i, j), v in self.gram.items():
+            rows[i][j] = v
+        value = scale = 1
+        for c in range(len(rows)):
+            k = next((k for k in range(c, len(rows)) if rows[k].get(c)), None)
+            if k is None:
+                return 0
+            rows[c], rows[k] = rows[k], rows[c]
+            pivot = rows[c]
+            a = pivot.pop(c)
+            value *= a if k == c else -a
+            for row in rows[c + 1 :]:
+                x = row.pop(c, 0)
+                if x:
+                    scale *= a
+                    for j, v in pivot.items():
+                        row[j] = a * row.get(j, 0) - x * v
+                    for j in row.keys() - pivot.keys():
+                        row[j] *= a
+        return value // scale
+
+    def reduce(self, modulus: int) -> list[np.ndarray]:
+        """e and g mod ``modulus``, as fresh n-by-n int64 arrays."""
+        n = self.partition.n
+        out = []
+        for positions, values in self._flat:
+            dense = np.zeros(n * n, dtype=np.int64)
+            dense[positions] = values % modulus
+            out.append(dense.reshape(n, n))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class JordanRealization:
     """A nilpotent matrix in Jordan form together with a split invariant
-    form over F_p."""
+    form over F_p.  Immutable, with read-only arrays, so that the
+    discriminants it keeps (disc) stay true: a changed realization is a
+    new one (dataclasses.replace), which computes its own."""
 
     family: Family
     partition: Partition
     modulus: int
     e: np.ndarray
     gram: np.ndarray
+    _discs: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.e.flags.writeable = self.gram.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return self.e.shape[0]
+
+    def disc(self, a: int) -> int:
+        """The det of the nondegenerate part of the form <x, e^a y>, whose
+        Gram matrix is g e^a (_discriminant): det g at a = 0, else one rref
+        and one det of g e^a.  Each is computed once per realization, and
+        realize gives det g from its model's det over Z."""
+        if a not in self._discs:
+            p = self.modulus
+            if a:
+                G = self.gram @ np.linalg.matrix_power(self.e, a) % p
+                self._discs[a] = _discriminant(G, p, rref(G, p)[1])
+            else:
+                self._discs[a] = det(self.gram, p)
+        return self._discs[a]
 
 
 def _self_paired(v: int, family: Family) -> bool:
@@ -137,21 +226,16 @@ def _block_units(p: Partition, family: Family) -> list[int]:
     return units
 
 
-def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
-    """Nilpotent element of Jordan type ``p`` with a split invariant form
-    over F_modulus.  Only odd prime moduli are accepted."""
+@functools.lru_cache(maxsize=None)
+def _model(p: Partition, family: Family) -> JordanModel:
+    """The integer model of realize for the orbit ``p`` of ``family``,
+    built and checked over Z (_check_model) once per orbit.  The cache
+    holds index maps, not dense arrays, so it stays small at any rank."""
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
-    check_modulus(modulus, p.n)
     parts = p.parts
-    n = p.n
-    basis = tuple((i, j) for j, d in enumerate(parts) for i in range(1, d + 1))
-    index = {bj: a for a, bj in enumerate(basis)}
-
-    e = np.zeros((n, n), dtype=np.int64)
-    for j, d in enumerate(parts):
-        for i in range(2, d + 1):
-            e[index[(i - 1, j)], index[(i, j)]] = 1
+    start = list(itertools.accumulate(parts, initial=0))  # x(i,j) is at start[j] + i - 1
+    e = {(s + i - 1, s + i): 1 for s, d in zip(start, parts) for i in range(1, d)}
 
     beta = list(range(len(parts)))
     for v in sorted(set(parts), reverse=True):
@@ -165,54 +249,101 @@ def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
 
     eps = family.epsilon
     units = _block_units(p, family)
-    gram = np.zeros((n, n), dtype=np.int64)
+    gram = {}
     for j, d in enumerate(parts):
         if beta[j] == j:
             for i in range(1, d + 1):
-                gram[index[(i, j)], index[(d + 1 - i, j)]] = units[j] * (-1) ** (i - 1)
+                gram[start[j] + i - 1, start[j] + d - i] = units[j] * (-1) ** (i - 1)
         elif beta[j] > j:
             b = beta[j]
             for i in range(1, d + 1):
                 s = (-1) ** (i - 1)
-                gram[index[(i, j)], index[(d + 1 - i, b)]] = s
-                gram[index[(d + 1 - i, b)], index[(i, j)]] = eps * s
-    gram %= modulus
+                gram[start[j] + i - 1, start[b] + d - i] = s
+                gram[start[b] + d - i, start[j] + i - 1] = eps * s
+    model = JordanModel(family, p, MappingProxyType(e), MappingProxyType(gram))
+    _check_model(model)
+    return model
 
-    real = JordanRealization(family, p, modulus, e, gram)
+
+def _check_model(model: JordanModel) -> None:
+    """The checks of realize that no prime enters, run once per orbit and
+    exactly over Z, on the entries: g^T = eps g; e is a 0/1 partial
+    permutation; the form is e-invariant, e^T g + g e = 0; and rank e^k =
+    sum max(d - k, 0) over the parts d, for every k until it is 0.  The
+    first and third are identities of integer matrices, so they hold mod
+    every prime.  A power of a 0/1 partial permutation is one too, and its
+    rank over any field is its number of entries 1, so the ranks hold mod
+    every prime as well.  The last two checks read e as the partial
+    permutation that the second one proves: e x_c = x_r for each entry
+    (r, c)."""
+
+    def require(ok, what: str) -> None:
+        if not ok:
+            raise InvariantError(f"{what} ({model.family.value}, {model.partition}, over Z)")
+
+    e, g, eps = model.e, model.gram, model.family.epsilon
+    require(all(g.get((j, i), 0) == eps * v for (i, j), v in g.items()), "form symmetry broken")
+    ones = [key for key, v in e.items() if v]
+    lines = zip(*ones)  # the rows and the columns of the entries 1
+    require(set(e.values()) <= {0, 1} and all(len(set(x)) == len(ones) for x in lines),
+            "e is not a 0/1 partial permutation")
+    # (e^T g + g e)[a, b] = <e x_a, x_b> + <x_a, e x_b>: for each entry
+    # (r, c) of e, g[r, b] adds to (c, b) and g[a, r] to (a, c).
+    source = {r: c for r, c in ones}
+    invariance: dict[tuple[int, int], int] = {}
+    for (i, j), v in g.items():
+        if i in source:
+            key = source[i], j
+            invariance[key] = invariance.get(key, 0) + v
+        if j in source:
+            key = i, source[j]
+            invariance[key] = invariance.get(key, 0) + v
+    require(not any(invariance.values()), "form is not e-invariant")
+    down = {c: r for r, c in ones}
+    image = down  # e^k x_c for each c that e^k does not kill, from k = 1 on
+    for k in itertools.count(1):
+        expected = sum(max(d - k, 0) for d in model.partition.parts)
+        require(len(image) == expected, f"rank of e^{k} is not {expected}")
+        if expected == 0:
+            break
+        image = {c: down[r] for c, r in image.items() if r in down}
+
+
+def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
+    """Nilpotent element of Jordan type ``p`` with a split invariant form
+    over F_modulus.  Only odd prime moduli are accepted.
+
+    The orbit's integer model (_model) is built, and checked over Z, once
+    per orbit; each call reduces it mod ``modulus`` into fresh arrays and
+    runs only the checks that depend on the prime (_validate).  Reduction
+    mod q is a ring map, so det(g mod q) is the model's det over Z mod q:
+    the realization's disc(0) starts from it, and _validate reads it."""
+    model = _model(p, family)
+    check_modulus(modulus, p.n)
+    real = JordanRealization(family, p, modulus, *model.reduce(modulus))
+    real._discs[0] = model.det % modulus  # det(g mod q) = det g mod q
     _validate(real)
     return real
 
 
 def _validate(real: JordanRealization) -> None:
-    p, e, g = real.modulus, real.e, real.gram
-    n = real.dim
+    """The checks of realize that depend on the prime p, run on every
+    realization: g^T = eps g mod p, det g != 0 mod p, and for D that the
+    form is split, (-1)^(n/2) det g a square mod p.  The other checks are
+    identities over Z, made once per orbit on the model (_check_model),
+    and hold mod every prime: g^T = eps g over Z gives it mod p too, but
+    it is checked here again, on the arrays that the counts read."""
+    p, g = real.modulus, real.gram
 
     def require(ok, what: str) -> None:
         if not ok:
             raise InvariantError(f"{what} ({real.family.value}, {real.partition}, p={p})")
 
-    require(not np.any((g.T - real.family.epsilon * g) % p), "form symmetry broken")
-    det_g = det(g, p)
+    require(not ((g.T - real.family.epsilon * g) % p).any(), "form symmetry broken")
+    det_g = real.disc(0)
     require(det_g, "form is degenerate")
-    # A 0/1 matrix with at most one 1 in each row and column has powers of
-    # the same kind, and the rank of each is its number of nonzero entries.
-    # It is checked on Python lists: numpy's reductions add to peak RSS.
-    rows = e.tolist()
-    require(
-        all(x in (0, 1) for row in rows for x in row)
-        and all(sum(line) <= 1 for line in itertools.chain(rows, zip(*rows))),
-        "e is not a 0/1 partial permutation",
-    )
-    require(not np.any((e.T @ g + g @ e) % p), "form is not e-invariant")
-    power = e
-    for k in itertools.count(1):
-        expected = sum(max(d - k, 0) for d in real.partition.parts)
-        require(np.count_nonzero(power) == expected, f"rank of e^{k} is not {expected}")
-        if expected == 0:
-            break
-        power = power @ e
     if real.family is Family.D:
-        target = ((-1) ** (n // 2)) % p
+        target = ((-1) ** (real.dim // 2)) % p
         ratio = (det_g * pow(target, p - 2, p)) % p
         require(pow(ratio, (p - 1) // 2, p) == 1, "even orthogonal form is not split")
 
@@ -566,7 +697,8 @@ def fiber_point_count(
     which is N_1(r) when m_2 = 0.  Whether a symmetric V_1 or b of even
     dimension is split is read from the discriminants of the forms
     <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
-    descriptor: det g at a = 0, else one rref and one det of g e^a.
+    descriptor: det g at a = 0, else one rref and one det of g e^a, each
+    once per realization (JordanRealization.disc).
 
     A check with no general-linear block costs no node.  One with a
     general-linear block costs at least one: exactly one when the peel
@@ -586,15 +718,7 @@ def fiber_point_count(
     shape = _peel(real.partition.parts, levi.ps, levi.q)
     if shape is None:
         return _enumerate(real, levi, cap)
-    p, g = real.modulus, real.gram
-
-    def disc(a: int) -> int:
-        if not a:
-            return det(g, p)
-        G = g @ np.linalg.matrix_power(real.e, a) % p
-        return _discriminant(G, p, rref(G, p)[1])
-
-    return FlagCount(_shape_count(real, shape, disc), p, levi, 1 if levi.ps else 0)
+    return FlagCount(_shape_count(real, shape, real.disc), real.modulus, levi, 1 if levi.ps else 0)
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
@@ -686,7 +810,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         if np.any(Lg @ L.T % p):
             raise InvariantError(f"im e^a is not isotropic {case}")
     counter = [0]
-    det_g = det(g, p)
+    det_g = real.disc(0)
     # Level i < last is fillable when E_{i-1} + L_i may reach dims[i]: dim
     # L_i grows by more than the level adds, as E_{i-1} >= L_{i-1}.
     sizes = [0] + [L.shape[0] for L in forced]

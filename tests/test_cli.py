@@ -6,7 +6,7 @@ import pytest
 
 import nilorbit.duality as duality
 import nilorbit.levi as levi
-from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, cli, dual_pair
+from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, cli, dual_pair, ff_oracle
 from nilorbit.cli import main
 
 
@@ -366,6 +366,18 @@ class TestRealizeOnDemand:
         n = {"B": 9, "C": 8, "D": 8}
         assert calls == [(fam, (1,) * n[fam], q) for fam in "BCD" for q in (3, 5)]
 
+    def test_one_model_per_orbit(self, capsys, tmp_path, monkeypatch):
+        # At the default budget the rank-5 atlas realizes its 61 orbits at
+        # primes 3 and 5, from one integer model per orbit.
+        calls = []
+        build = cli.realize
+        monkeypatch.setattr(cli, "realize", lambda p, fam, q: calls.append(q) or build(p, fam, q))
+        ff_oracle._model.cache_clear()
+        for fam in "BCD":
+            code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "5", "--out", str(tmp_path))
+            assert code == 0
+        assert (len(calls), ff_oracle._model.cache_info().misses) == (122, 61)
+
 
 class TestOracleInputs:
     """Bad oracle inputs exit 2 with one line on stderr, for fiber and atlas."""
@@ -594,3 +606,18 @@ class TestInternalErrors:
 
     def test_verification_error_is_a_runtime_error(self):
         assert issubclass(VerificationError, RuntimeError)
+
+
+def test_parser_is_built_once(capsys):
+    """``main`` reuses one parser: a usage error, help and a run after them
+    leave it as it was."""
+    parser = cli.build_parser()
+    assert run(capsys, "collapse", "--family", "B", "4,3,3,1")[:2] == (0, "3,3,3,1,1\n")
+    with pytest.raises(SystemExit):
+        main(["collapse", "--family", "E", "4,3,3,1"])
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert run(capsys, "special", "--family", "C", "2,2")[:2] == (0, "special\n")
+    assert run(capsys, "collapse", "--family", "B", "4,3,3,1")[:2] == (0, "3,3,3,1,1\n")
+    assert cli.build_parser() is parser

@@ -43,16 +43,18 @@ from nilorbit import (
     realize,
     resolve_budget,
 )
-from nilorbit import ff_oracle
+from nilorbit import _linalg, ff_oracle
 from nilorbit._linalg import det, nullspace, rank, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
     _is_odd_prime,
     _last_row_batches,
+    _check_model,
     _cut,
     _enumerate,
     _floors,
     _forced_subspaces,
+    _model,
     _peel,
     _validate,
 )
@@ -64,6 +66,15 @@ def P(text):
 
 def L(text, fam=Family.B):
     return LeviType.from_text(text, fam)
+
+
+def with_gram(real, entries):
+    """A copy of the realization ``real`` with the Gram entries
+    ``{(i, j): value}`` set: realizations are immutable."""
+    gram = real.gram.copy()
+    for (i, j), value in entries.items():
+        gram[i, j] = value
+    return replace(real, gram=gram)
 
 
 # --- independent brute force ------------------------------------------------
@@ -213,6 +224,133 @@ class TestRealize:
         for k in range(1, 4):
             assert _rank(e, k, 5) == sum(max(x - k, 0) for x in p.parts)
         assert not np.any(_pow(e, 3, 5))
+
+
+def leibniz_det(rows):
+    """The determinant of a small integer matrix, summed over permutations."""
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestModel:
+    def test_one_model_per_orbit(self):
+        # Every prime of an orbit reduces the one cached model; each
+        # realization still gets fresh arrays, which are read-only.
+        _model.cache_clear()
+        reals = [realize(P("4,4,2,2,1"), Family.B, q) for q in (3, 5, 7)]
+        assert _model.cache_info()[:2] == (2, 1)
+        assert len({id(a) for real in reals for a in (real.e, real.gram)}) == 6
+        model = _model(P("4,4,2,2,1"), Family.B)
+        for real in reals:
+            q = real.modulus
+            assert all(real.e[key] == v for key, v in model.e.items())
+            assert all(real.gram[key] == v % q for key, v in model.gram.items())
+            assert np.count_nonzero(real.e) == len(model.e)
+            assert np.count_nonzero(real.gram) == len(model.gram)
+            with pytest.raises(ValueError, match="read-only"):
+                real.gram[0, 0] = 1
+            with pytest.raises(AttributeError):
+                real.gram = real.gram.copy()
+
+    def test_model_det_is_exact(self):
+        # The model's det over Z against the Leibniz sum, on sparse integer
+        # matrices with repeated rows, zero rows and large entries; and on
+        # every orbit with N <= 9, where realize reads det g mod q from it.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            rows = (rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < 0.5)).tolist()
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = rows[0]
+            entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+            model = ff_oracle.JordanModel(Family.B, P(",".join(["1"] * n)), {}, entries)
+            assert model.det == leibniz_det(rows), rows
+        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    assert _model(orbit, fam).det in (1, -1)
+                    for q in (3, 5, 7):
+                        real = realize(orbit, fam, q)
+                        assert real.disc(0) == det(real.gram, q), (fam, orbit, q)
+
+    def test_discriminants_read_once_per_realization(self, monkeypatch):
+        # B 3,1,1 via (2;1) peels to the lines of V_1 = <x(1,1), x(1,2)>,
+        # whose split type reads disc(0) disc(2): the first check reduces
+        # g e^2 once, the second reads the realization's disc(2).
+        real, levi = realize(P("3,1,1"), Family.B, 3), L("2;1")
+        reduce, calls = _linalg._reduce, []
+        monkeypatch.setattr(_linalg, "_reduce", lambda mat, p: calls.append(1) or reduce(mat, p))
+        for eliminations in (1, 0):
+            calls.clear()
+            assert fiber_point_count(real, levi) == FlagCount(2, 3, levi, 1)
+            assert len(calls) == eliminations
+        assert real._discs == {0: det(real.gram, 3), 2: 1}  # g e^2 is 1 at (2, 2), else 0
+
+    def test_prime_checks_raise(self):
+        # What _validate checks depends on the prime: symmetry of the
+        # reduced form (here a changed entry at x(1,0), x(2,0)), its
+        # nondegeneracy, and for D its split type.
+        real = realize(P("3,1,1"), Family.B, 3)
+        with pytest.raises(InvariantError, match="form symmetry broken .*p=3"):
+            _validate(with_gram(real, {(0, 1): 1}))
+        for q in (3, 5, 7):
+            _validate(realize(P("3,1,1"), Family.B, q))
+
+    # Each check of _check_model: the condition a mutant replaces by True,
+    # the entries that corrupt B 3,1,1's model (x(1,0), x(2,0), x(3,0) at
+    # 0-2, x(1,1) at 3, x(1,2) at 4; a 0 takes an entry of e out) and the
+    # message the check raises for it.  With the check skipped the
+    # corruption passes, or raises another message.
+    MODEL_CHECKS = {
+        "symmetry": (
+            "all(g.get((j, i), 0) == eps * v for (i, j), v in g.items())",
+            {"gram": {(0, 1): 1}},
+            "form symmetry broken",
+        ),
+        "partial permutation": (
+            "set(e.values()) <= {0, 1} and all(len(set(x)) == len(ones) for x in lines)",
+            {"e": {(0, 2): 1}},
+            "e is not a 0/1 partial permutation",
+        ),
+        "e-invariance": ("not any(invariance.values())", {"gram": {(0, 3): 1, (3, 0): 1}},
+                         "form is not e-invariant"),
+        "ranks": ("len(image) == expected", {"e": {(0, 1): 0, (1, 2): 0}}, "rank of e^1 is not 2"),
+    }
+
+    @staticmethod
+    def raised(check, model):
+        try:
+            check(model)
+        except InvariantError as exc:
+            return str(exc).split(" (")[0]
+        return None
+
+    def test_model_checks_raise_under_optimize(self, run_optimized):
+        script = (
+            "from dataclasses import replace\n"
+            "from nilorbit import Family, InvariantError, parse_partition\n"
+            "from nilorbit.ff_oracle import _check_model, _model\n"
+            "model = _model(parse_partition('3,1,1'), Family.B)\n"
+            f"for corruption in {[c for _, c, _ in self.MODEL_CHECKS.values()]}:\n"
+            "    try:\n"
+            "        _check_model(replace(model, **{k: {**getattr(model, k), **v} for k, v in corruption.items()}))\n"
+            "    except InvariantError as exc:\n"
+            "        print(str(exc).split(' (')[0])\n"
+        )
+        assert run_optimized(script).splitlines() == [m for _, _, m in self.MODEL_CHECKS.values()]
+
+    @pytest.mark.parametrize("check", list(MODEL_CHECKS))
+    def test_skipping_a_model_check_fails(self, monkeypatch, check):
+        condition, corruption, message = self.MODEL_CHECKS[check]
+        model = _model(P("3,1,1"), Family.B)
+        corrupt = replace(model, **{k: {**getattr(model, k), **v} for k, v in corruption.items()})
+        assert self.raised(_check_model, model) is None
+        assert self.raised(_check_model, corrupt) == message
+        mutant = mutant_oracle(monkeypatch, condition, "True")
+        assert self.raised(mutant._check_model, corrupt) != message
 
 
 def _block_symmetry(parts):
@@ -949,12 +1087,15 @@ class TestHoist:
     # 3,1,1 runs on the enumeration, as the peel decides it without L_1.
     MID_RUN = {(1, 6): 1, (6, 1): 2, (6, 6): 1, (6, 0): 2}
     CORRUPT = (
+        "from dataclasses import replace\n"
         "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
         "from nilorbit import ff_oracle\n"
         "def raises(orbit, fam, levi, entries):\n"
         "    real = realize(parse_partition(orbit), fam, 3)\n"
+        "    gram = real.gram.copy()\n"
         "    for (i, j), value in entries.items():\n"
-        "        real.gram[i, j] = value\n"
+        "        gram[i, j] = value\n"
+        "    real = replace(real, gram=gram)\n"
         "    try:\n"
         "        ff_oracle._enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
@@ -999,12 +1140,10 @@ class TestHoist:
         return str(info.value).split(" (")[0], log
 
     def test_forced_subspace_invariants_raise(self):
-        real = realize(P("3,1,1"), Family.B, 3)
-        real.gram[0, 0] = 1
+        real = with_gram(realize(P("3,1,1"), Family.B, 3), {(0, 0): 1})
         with pytest.raises(InvariantError, match="not isotropic"):
             _enumerate(real, L("1;3"), DEFAULT_BUDGET)
-        real = realize(P("4,2"), Family.C, 3)
-        real.gram[0, 4] = real.gram[4, 0] = 1
+        real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
         with pytest.raises(InvariantError, match="not orthogonal"):
             fiber_point_count(real, L("1,1;2", Family.C))
 
@@ -1015,8 +1154,8 @@ class TestHoist:
         # the cut off, level 0 yields E_1 = <x(1,0)> (counted on the
         # quotient: 0) and then <x(1,1)>, whose entry into the last level
         # raises before it is counted.
-        real, levi = realize(P("4,2"), Family.C, 3), L("1,1;2", Family.C)
-        real.gram[0, 4] = real.gram[4, 0] = 1
+        real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
+        levi = L("1,1;2", Family.C)
         assert self.raised_after(real, levi) == ("E_1 is not orthogonal to L_2", [])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         assert self.raised_after(real, levi) == (
@@ -1035,9 +1174,8 @@ class TestHoist:
         # <x(1,0), x(1,1)> raises at the entry of the last level.  The cut to
         # im e^5 keeps x(1,1) out of E_1, so the whole-window check raises
         # before any node.
-        real, levi = realize(P("6,2"), Family.C, 3), L("1,1,1;2", Family.C)
-        for (i, j), value in self.MID_RUN.items():
-            real.gram[i, j] = value
+        real = with_gram(realize(P("6,2"), Family.C, 3), self.MID_RUN)
+        levi = L("1,1,1;2", Family.C)
         assert self.raised_after(real, levi) == ("E_2 is not orthogonal to L_3", [])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         assert self.raised_after(real, levi) == (
@@ -1482,7 +1620,7 @@ class TestPeel:
         # The peel takes off the part 3, then counts isotropic lines of V_1
         # for (2;1): none; (1;3) merges its one level away.
         real = realize(P("3,1,1"), Family.B, p)
-        real.gram[4, 4] = real.gram[4, 4] * 2 % p
+        real = with_gram(real, {(4, 4): real.gram[4, 4] * 2 % p})
         _validate(real)
         for levi, want in (("2;1", 0), ("1;3", 1)):
             got = fiber_point_count(real, L(levi))
@@ -1498,8 +1636,7 @@ class TestPeel:
         # flag, and (2;2) only E = e(V_2).  Both counts agree with the
         # test's own enumeration and with _enumerate, for either b.
         real = realize(P("2,2,1,1"), Family.C, p)
-        other = replace(real, gram=real.gram.copy())
-        other.gram[[0, 1], [1, 0]] = other.gram[[0, 1], [1, 0]] * 2 % p
+        other = with_gram(real, {(i, j): real.gram[i, j] * 2 % p for i, j in ((0, 1), (1, 0))})
         _validate(other)
         for form, wants in ((real, (2, 2 * p * (p + 1) + 1)), (other, (0, 1))):
             for r, want in zip((1, 2), wants):
@@ -1545,26 +1682,27 @@ class TestPeel:
     # The closed forms read the split types from the discriminants of the
     # forms <x, e^a y>, which need no basis in which the Jordan chains are
     # orthogonal, only a nondegenerate e-invariant form and an e of the
-    # realization's Jordan type.  realize's output passes _validate, which
-    # rejects each corruption below.
+    # realization's Jordan type.  realize's integer model passes
+    # _check_model, and each realization _validate; the one that guards
+    # each property rejects each corruption below.
     COUPLED = (
-        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
-        "from nilorbit.ff_oracle import _validate\n"
-        "real = realize(parse_partition('3,1,1'), Family.B, 3)\n"
-        "real.gram[0, 3] = real.gram[3, 0] = 1\n"
+        "from dataclasses import replace\n"
+        "from nilorbit import Family, InvariantError, parse_partition\n"
+        "from nilorbit.ff_oracle import _check_model, _model\n"
+        "model = _model(parse_partition('3,1,1'), Family.B)\n"
         "try:\n"
-        "    _validate(real)\n"
+        "    _check_model(replace(model, gram={**model.gram, (0, 3): 1, (3, 0): 1}))\n"
         "except InvariantError as exc:\n"
         "    print(str(exc).split(' (')[0])\n"
     )
 
     def test_coupled_gram_raises(self):
         # gram[0, 3] pairs x(1,0), on the chain of length 3 that the peel
-        # takes off, with x(1,1), on a chain of length 1.
-        real = realize(P("3,1,1"), Family.B, 3)
-        real.gram[0, 3] = real.gram[3, 0] = 1
+        # takes off, with x(1,1), on a chain of length 1.  e-invariance is
+        # an identity over Z, so the model's check raises.
+        model = _model(P("3,1,1"), Family.B)
         with pytest.raises(InvariantError, match="form is not e-invariant"):
-            _validate(real)
+            _check_model(replace(model, gram={**model.gram, (0, 3): 1, (3, 0): 1}))
 
     def test_coupled_gram_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.COUPLED) == "form is not e-invariant"
@@ -1574,17 +1712,23 @@ class TestPeel:
     # alternating on e(V_2) = <x(1,0), x(1,1)>.  With the pairing of x(2,i)
     # and x(1,j) taken out of g, b is 0 and g degenerate; with x(2,0) sent
     # to x(1,1) by e, b has a nonzero diagonal entry and e two 1s in row 2.
+    # Degeneracy depends on the prime, so a realization's check raises;
+    # the shape of e does not, so the model's check raises.
     BROKEN_B = (
+        "from dataclasses import replace\n"
         "from nilorbit import Family, InvariantError, parse_partition, realize\n"
-        "from nilorbit.ff_oracle import _validate\n"
+        "from nilorbit.ff_oracle import _check_model, _model, _validate\n"
         "def broken(kind):\n"
-        "    real = realize(parse_partition('2,2,1'), Family.B, 3)\n"
-        "    if kind == 'degenerate b':\n"
-        "        real.gram[[1, 2, 3, 0], [2, 1, 0, 3]] = 0\n"
-        "    else:\n"
-        "        real.e[0, 1], real.e[2, 1] = 0, 1\n"
+        "    orbit = parse_partition('2,2,1')\n"
         "    try:\n"
-        "        _validate(real)\n"
+        "        if kind == 'degenerate b':\n"
+        "            real = realize(orbit, Family.B, 3)\n"
+        "            gram = real.gram.copy()\n"
+        "            gram[[1, 2, 3, 0], [2, 1, 0, 3]] = 0\n"
+        "            _validate(replace(real, gram=gram))\n"
+        "        else:\n"
+        "            model = _model(orbit, Family.B)\n"
+        "            _check_model(replace(model, e={**model.e, (0, 1): 0, (2, 1): 1}))\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
     )
@@ -1711,7 +1855,11 @@ class TestDiscriminants:
         "b's split from V_1": (
             "d = disc(1) if symplectic else disc(0) * disc(2)", "d = disc(0) * disc(2)", 2
         ),
-        "root's disc(0) dropped": ("return det(g, p)", "return 1", 9),
+        "root's disc(0) dropped": (
+            "_shape_count(real, shape, real.disc)",
+            "_shape_count(real, shape, lambda a: real.disc(a) if a else 1)",
+            9,
+        ),
     }
 
     @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -1811,10 +1959,13 @@ class TestQuotient:
     # length 1, taken out of g: no state's quotient carries a
     # nondegenerate form.
     DEGENERATE = (
+        "from dataclasses import replace\n"
         "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
         "from nilorbit import fiber_point_count\n"
         "real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
-        "real.gram[6] = real.gram[:, 6] = 0\n"
+        "gram = real.gram.copy()\n"
+        "gram[6] = gram[:, 6] = 0\n"
+        "real = replace(real, gram=gram)\n"
         "try:\n"
         "    fiber_point_count(real, LeviType.from_text('1,2;1', Family.B))\n"
         "except InvariantError as exc:\n"
@@ -1823,7 +1974,9 @@ class TestQuotient:
 
     def test_degenerate_quotient_raises(self):
         real = realize(P("3,3,1"), Family.B, 3)
-        real.gram[6] = real.gram[:, 6] = 0
+        gram = real.gram.copy()
+        gram[6] = gram[:, 6] = 0
+        real = replace(real, gram=gram)
         with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
             fiber_point_count(real, L("1,2;1"))
         # A state that is not isotropic: E^perp/E is then no quotient.
@@ -1837,13 +1990,14 @@ class TestQuotient:
 
 
 class TestInvariantError:
+    # B 3,1,1 with 1 added to the Gram entry at x(1,0), x(1,0), which is 0.
     CORRUPT = (
-        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
-        "from nilorbit.ff_oracle import _validate\n"
-        "real = realize(parse_partition('3,1,1'), Family.B, 3)\n"
-        "real.gram[0, 0] = (real.gram[0, 0] + 1) % 3\n"
+        "from dataclasses import replace\n"
+        "from nilorbit import Family, InvariantError, parse_partition\n"
+        "from nilorbit.ff_oracle import _check_model, _model\n"
+        "model = _model(parse_partition('3,1,1'), Family.B)\n"
         "try:\n"
-        "    _validate(real)\n"
+        "    _check_model(replace(model, gram={**model.gram, (0, 0): 1}))\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )
@@ -1853,37 +2007,40 @@ class TestInvariantError:
 
     @pytest.mark.parametrize("corrupt", ["asymmetric", "degenerate"])
     def test_corrupt_gram_raises(self, corrupt):
-        real = realize(P("3,1,1"), Family.B, 3)
+        # A changed diagonal entry keeps B's form symmetric, but not
+        # e-invariant, which the model's check over Z sees.  A zero row and
+        # column make the form degenerate, which a realization's check sees.
         if corrupt == "asymmetric":
-            real.gram[0, 0] = (real.gram[0, 0] + 1) % 3
+            model = _model(P("3,1,1"), Family.B)
+            with pytest.raises(InvariantError, match="form is not e-invariant"):
+                _check_model(replace(model, gram={**model.gram, (0, 0): 1}))
         else:
-            real.gram[0] = 0
-            real.gram[:, 0] = 0
-        with pytest.raises(InvariantError):
-            _validate(real)
+            real = realize(P("3,1,1"), Family.B, 3)
+            gram = real.gram.copy()
+            gram[0] = gram[:, 0] = 0
+            with pytest.raises(InvariantError, match="form is degenerate"):
+                _validate(replace(real, gram=gram))
 
     def test_corrupt_gram_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT) == "raised"
 
-    # Mutants of e for B 3,2,2 (x(i,j) at index 0-2, 3-4, 5-6; e[a, b] = 1
-    # maps x(i,j) at b to x(i-1,j) at a): an entry 2, a second 1 in column
-    # 2, which already holds e[1, 2], and the e of 1^7, which is 0 and so
-    # e-invariant for any form, with the message each must raise.
+    # Mutants of e in the integer model of B 3,2,2 (x(i,j) at index 0-2,
+    # 3-4, 5-6; an entry (a, b) = 1 maps x(i,j) at b to x(i-1,j) at a): an
+    # entry 2, a second 1 in column 2, which already holds (1, 2), and no
+    # entry at all, the e of 1^7, which is e-invariant for any form, with
+    # the message each must raise.  None depends on a prime, so the
+    # model's check raises.
     E_MUTANTS = (
-        "from nilorbit import Family, InvariantError, parse_partition, realize\n"
-        "from nilorbit.ff_oracle import _validate\n"
+        "from dataclasses import replace\n"
+        "from nilorbit import Family, InvariantError, parse_partition\n"
+        "from nilorbit.ff_oracle import _check_model, _model\n"
         "def mutant(kind):\n"
-        "    real = realize(parse_partition('3,2,2'), Family.B, 3)\n"
-        "    if kind == 'two':\n"
-        "        real.e[0, 1] = 2\n"
-        "    elif kind == 'column':\n"
-        "        real.e[4, 2] = 1\n"
-        "    else:\n"
-        "        real.e = realize(parse_partition('1,1,1,1,1,1,1'), Family.B, 3).e\n"
-        "    return real\n"
+        "    model = _model(parse_partition('3,2,2'), Family.B)\n"
+        "    e = {'two': {**model.e, (0, 1): 2}, 'column': {**model.e, (4, 2): 1}}.get(kind, {})\n"
+        "    return replace(model, e=e)\n"
         "def raised(kind):\n"
         "    try:\n"
-        "        _validate(mutant(kind))\n"
+        "        _check_model(mutant(kind))\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
     )
