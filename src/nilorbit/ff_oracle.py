@@ -611,22 +611,46 @@ def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_
     products on a basis Q of E^perp (one nullspace of E g).
 
     G_a = Q g e^a Q^T is the form <x, e^a y> on E^perp.  E lies in its
-    radical, so rank G_a = rank e'^a, and rank G_0 = dim V' = 2 p_k + q,
-    else InvariantError.  With s' = 2 + [q > 0], G_s' != 0 leaves a part of
-    e' above s', which no flag allows (fiber_point_count), so the count is
-    0.  Otherwise e' has m_3 = rank G_2 parts 3 (none when s' = 2), m_2 =
-    rank G_1 - 2 m_3 parts 2 and m_1 = 2 p_k + q - 2 rank G_1 + m_3 parts 1,
-    and the count is the peel's (_peel) and _shape_count's.  Its disc(a)
-    is read from G_a on the pivots that the ranks found, and is (-1)^d
-    det g (``det_g``) at a = 0, as E + E* adds d hyperbolic planes."""
+    radical, so rank G_a = rank e'^a.  V' must carry a nondegenerate form,
+    rank G_0 = dim V' = 2 p_k + q = n - 2d, else InvariantError naming the
+    clause below that failed; no rank of G_0 is taken.  For nondegenerate
+    g, dim E^perp = n - r with r = rank E, and rank G_0 = (n - r) -
+    dim(E cap E^perp).  Every state _enumerate passes has r <= d (a child
+    F1 + x has d independent rows, a filled start reaches exactly d), and
+    dim(E cap E^perp) <= r, so rank G_0 = n - 2d exactly when r = d and E
+    is isotropic.  So the check is: det g != 0 mod p (``det_g``),
+    r = n - (rows of Q) = d, and E g E^T = 0 mod p, one small product on
+    the E g at hand.  Where r > d, or g is degenerate (only a realization
+    changed by replace), it raises wherever rank G_0 != n - 2d would, and
+    more.  A state costs one nullspace and no rank of G_0.
+
+    With s' = 2 + [q > 0], G_s' != 0 leaves a part of e' above s', which
+    no flag allows (fiber_point_count), so the count is 0.  Otherwise e'
+    has m_3 = rank G_2 parts 3 (none when s' = 2), m_2 = rank G_1 - 2 m_3
+    parts 2 and m_1 = 2 p_k + q - 2 rank G_1 + m_3 parts 1, and the count
+    is the peel's (_peel) and _shape_count's.  Its disc(a) is read from G_a
+    on the pivots that the ranks found, and is (-1)^d det g (``det_g``) at
+    a = 0, as E + E* adds d hyperbolic planes."""
     p, g, e = real.modulus, real.gram, real.e
     step, q = levi.ps[-1], levi.q
-    Q = nullspace(E @ g % p, p)
-    Qg = Q @ g % p
-    if rank(Qg @ Q.T % p, p) != 2 * step + q:
+    d = (real.dim - 2 * step - q) // 2
+    Eg = E @ g % p
+    Q = nullspace(Eg, p)
+    r = real.dim - Q.shape[0]  # rank E g, which is rank E when det g != 0
+    pairing = Eg @ E.T % p
+    failed = ""
+    if not det_g:
+        failed = f"det g = 0 mod {p}"
+    elif r != d:
+        failed = f"rank E = {r}, expected {d}"
+    elif pairing.any():
+        i, j = np.argwhere(pairing)[0]
+        failed = f"<E_{i}, E_{j}> = {pairing[i, j]} mod {p}, expected 0"
+    if failed:
         raise InvariantError(
-            f"the form is degenerate on E^perp/E ({real.partition}, {levi}, p={p})"
+            f"the form is degenerate on E^perp/E ({real.partition}, {levi}, p={p}): {failed}"
         )
+    Qg = Q @ g % p
     grams = []  # G_1, .., G_s'
     for _ in range(2 + (q > 0)):
         Qg = Qg @ e % p
@@ -637,7 +661,6 @@ def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_
     threes, rank_1 = len(pivots[1]), len(pivots[0])
     twos, ones = rank_1 - 2 * threes, 2 * step + q - 2 * rank_1 + threes
     shape = _peel((3,) * threes + (2,) * twos + (1,) * ones, (step,), q)
-    d = (real.dim - 2 * step - q) // 2
 
     def disc(a: int) -> int:
         return (-1) ** d * det_g if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
@@ -773,8 +796,11 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
 
     The enumeration is one recursion over the states E = E_{i-1} (E_0 = 0)
     and their level i.  It checks E perp L_i, and at the last level counts
-    E_k on E^perp/E.  Level i < k is fillable when dim E_{i-1} + dim L_i -
-    dim L_{i-1} >= dim E_i, which depends on (partition, Levi) alone:
+    E_k on E^perp/E, at one nullspace of E g and no rank of G_0: E has at
+    most d independent rows there, so det g, rank E and E g E^T decide
+    that E^perp/E carries a nondegenerate form (_quotient_count).  Level
+    i < k is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
+    which depends on (partition, Levi) alone:
     E_{i-1} + L_i may then fill the level.  There one rank of that start
     decides: a start that overfills counts 0, one that fills is E_i, each at
     one node, and one that falls short is enumerated like any other level.

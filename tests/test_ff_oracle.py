@@ -1901,6 +1901,35 @@ def pseudo_polarization_sweep(oracle, top_rank=6):
     return len(checks), wrong
 
 
+def g0_reference(real, levi, E):
+    """The rank test that _quotient_count's check replaces: E^perp/E
+    carries a nondegenerate form iff rank G_0 = 2 p_k + q, for G_0 = Q g Q^T
+    on a basis Q of E^perp."""
+    p, g = real.modulus, real.gram
+    Q = nullspace(E @ g % p, p)
+    return rank(Q @ g % p @ Q.T % p, p) == 2 * levi.ps[-1] + levi.q
+
+
+def quotient_check(real, levi, E):
+    """Whether _quotient_count passes the state E, rather than raising."""
+    try:
+        ff_oracle._quotient_count(real, levi, E, real.disc(0))
+    except InvariantError:
+        return False
+    return True
+
+
+def anisotropic_row(real):
+    """A row x with <x, x> != 0, a Jordan basis vector or the sum of two;
+    None for an alternating form."""
+    eye = np.eye(real.dim, dtype=np.int64)
+    pairs = itertools.combinations(eye, 2)
+    for x in itertools.chain(eye, (a + b for a, b in pairs)):
+        if x @ real.gram @ x % real.modulus:
+            return x
+    return None
+
+
 class TestQuotient:
     # (prime, top N for B/C/D): 513 one-level Levis in all.
     ONE_LEVEL = [(3, (9, 8, 8)), (5, (9, 8, 8)), (7, (7, 6, 6))]
@@ -1987,6 +2016,127 @@ class TestQuotient:
 
     def test_degenerate_quotient_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.DEGENERATE) == "the form is degenerate on E^perp/E"
+
+    # (prime, states E = E_{k-1}, and per built corner case of a state: how
+    # many it makes, how many the rank of G_0 finds degenerate, and how many
+    # the package's check does).  The rank of G_0 lets through an appended
+    # x that pairs with E, as E + <x> then has rank d + 1 and a radical of
+    # dimension d - 1, and some states on the degenerate g; det g and
+    # rank E stop both.
+    NONDEGENERACY = [
+        (3, 1343, {
+            "dependent row": (1343, 0, 0),
+            "anisotropic row": (608, 359, 608),
+            "anisotropic last row": (575, 575, 575),
+            "degenerate g": (1343, 823, 1343),
+        }),
+        (5, 1300, {
+            "dependent row": (1300, 0, 0),
+            "anisotropic row": (339, 244, 339),
+            "anisotropic last row": (311, 311, 311),
+            "degenerate g": (1300, 912, 1300),
+        }),
+    ]
+
+    @pytest.mark.parametrize("q,states,corners", NONDEGENERACY)
+    def test_nondegeneracy_check_matches_rank_of_g0(self, q, states, corners):
+        # _quotient_count reads that E^perp/E carries a nondegenerate form
+        # from det g, rank E and E g E^T.  On every state E = E_{k-1} of
+        # the sweep the enumeration builds (_swept_states) it agrees with
+        # the rank of G_0 = Q g Q^T, Q a basis of E^perp, which must be
+        # 2 p_k + q: both pass.  On corner cases built from each state
+        # (its rows in reduced form) it raises wherever that rank does: E
+        # with a dependent row appended, which is the same subspace; E
+        # with a row x, <x, x> != 0, appended or in place of its last row
+        # (not for C, whose form is alternating); and E on g with the row
+        # and column of the last Jordan vector taken out (replace).
+        seen, tally = 0, {case: [0, 0, 0] for case in corners}
+        for real, levi, reached in _swept_states(q):
+            x = anisotropic_row(real)
+            gram = real.gram.copy()
+            gram[-1] = gram[:, -1] = 0
+            flat = replace(real, gram=gram)
+            for t, E, _, _ in reached:
+                if t != len(levi.ps) - 1:
+                    continue
+                E = rref(E, q)[0]
+                assert g0_reference(real, levi, E) and quotient_check(real, levi, E), (real, levi, E)
+                seen += 1
+                built = {
+                    "dependent row": (real, np.vstack([E, E.sum(axis=0) % q])),
+                    "degenerate g": (flat, E),
+                }
+                if x is not None:
+                    built["anisotropic row"] = (real, np.vstack([E, x]))
+                    if E.shape[0]:
+                        built["anisotropic last row"] = (real, np.vstack([E[:-1], x]))
+                for case, (r, F) in built.items():
+                    want, got = g0_reference(r, levi, F), quotient_check(r, levi, F)
+                    assert got <= want, (case, real, levi, F)
+                    tally[case] = [a + b for a, b in zip(tally[case], (1, not want, not got))]
+        assert seen == states
+        assert {case: tuple(v) for case, v in tally.items()} == corners
+
+    # The corrupt inputs of that check, each of which one clause alone
+    # stops, and the failure it names: B 3,3,1 via (1,2;1) at p = 3, so
+    # d = 1, on the state <x(1,0)> (index 0) with the row and column of
+    # x(1,2), the chain of length 1 (index 6), taken out of g; on E = 0,
+    # one row short; and on E = <x(1,2)>, where <x, x> = 1.
+    CORRUPT = (
+        "from dataclasses import replace\n"
+        "import numpy as np\n"
+        "from nilorbit import Family, InvariantError, LeviType, ff_oracle, parse_partition, realize\n"
+        "real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
+        "gram = real.gram.copy()\n"
+        "gram[6] = gram[:, 6] = 0\n"
+        "STATES = {\n"
+        "    'degenerate g': (replace(real, gram=gram), [0]),\n"
+        "    'E one row short': (real, []),\n"
+        "    'E not isotropic': (real, [6]),\n"
+        "}\n"
+        "def raised(oracle, kind):\n"
+        "    r, rows = STATES[kind]\n"
+        "    E = np.eye(7, dtype=np.int64)[rows]\n"
+        "    try:\n"
+        "        oracle._quotient_count(r, LeviType.from_text('1,2;1', Family.B), E, r.disc(0))\n"
+        "    except InvariantError as exc:\n"
+        "        return str(exc)\n"
+    )
+    CORRUPT_RAISED = {
+        "degenerate g": "det g = 0 mod 3",
+        "E one row short": "rank E = 0, expected 1",
+        "E not isotropic": "<E_0, E_0> = 1 mod 3, expected 0",
+    }
+    # (the clause, and its mutant: the clause dropped) by the input it stops
+    CLAUSES = {
+        "degenerate g": ("if not det_g:", "if False:"),
+        "E one row short": ("elif r != d:", "elif False:"),
+        "E not isotropic": ("elif pairing.any():", "elif False:"),
+    }
+
+    @pytest.mark.parametrize("kind", list(CORRUPT_RAISED))
+    def test_corrupt_state_names_its_clause(self, kind):
+        scope = {}
+        exec(self.CORRUPT, scope)
+        message = scope["raised"](ff_oracle, kind)
+        assert message.split(" (")[0] == "the form is degenerate on E^perp/E"
+        assert message.rsplit(": ", 1)[1] == self.CORRUPT_RAISED[kind]
+
+    def test_corrupt_states_raise_under_optimize(self, run_optimized):
+        script = self.CORRUPT + "".join(
+            f"print(raised(ff_oracle, {kind!r}).rsplit(': ', 1)[1])\n" for kind in self.CORRUPT_RAISED
+        )
+        assert run_optimized(script).splitlines() == list(self.CORRUPT_RAISED.values())
+
+    @pytest.mark.parametrize("kind", list(CLAUSES))
+    def test_dropped_clause_lets_its_input_through(self, monkeypatch, kind):
+        # Each clause is needed: without it, its corrupt input reaches the
+        # count, and the other two inputs still raise.
+        scope = {}
+        exec(self.CORRUPT, scope)
+        mutant = mutant_oracle(monkeypatch, *self.CLAUSES[kind])
+        through = [other for other in self.CORRUPT_RAISED if scope["raised"](mutant, other) is None]
+        assert through == [kind]
 
 
 class TestInvariantError:
