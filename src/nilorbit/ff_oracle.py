@@ -476,16 +476,14 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
         del extend
 
 
-def _forced_subspaces(heights: list[int], s: int, k: int) -> tuple[list[np.ndarray], bool]:
-    """Row bases of L_i = im e^(s-i) for i = 1..k, and whether e^s = 0, on
-    realize's Jordan basis, whose x(i,j) has height d_j - i (``heights``, in
-    coordinate order).  im e^a is spanned by the x(i,j) of height >= a, so
-    L_i is the identity rows at those coordinates, in order (its reduced
-    form), and e^s = 0 when no height reaches s (max part <= s).
-    fiber_point_count takes s = 2k + 1, or s = 2k when q = 0."""
+def _forced_subspaces(heights: list[int], s: int, k: int) -> list[np.ndarray]:
+    """Row bases of L_i = im e^(s-i) for i = 1..k on realize's Jordan basis,
+    whose x(i,j) has height d_j - i (``heights``, in coordinate order).
+    im e^a is spanned by the x(i,j) of height >= a, so L_i is the identity
+    rows at those coordinates, in order (its reduced form).  _enumerate
+    takes s = 2k + 1, or s = 2k when q = 0."""
     eye = np.eye(len(heights), dtype=np.int64)
-    bases = [eye[[c for c, h in enumerate(heights) if h >= s - i]] for i in range(1, k + 1)]
-    return bases, max(heights) < s
+    return [eye[[c for c, h in enumerate(heights) if h >= s - i]] for i in range(1, k + 1)]
 
 
 def _peel(
@@ -499,7 +497,7 @@ def _peel(
     parts 1 remain (m_2 = 0), or only parts 2 and 1 under one level (the
     closed form's V_1, its flag's steps and the number of parts 2); None
     when no part equals s and two or more levels remain, where the flags
-    are enumerated."""
+    are enumerated.  So a peel with one level, or none, always decides."""
     while True:
         s = 2 * len(steps) + (q > 0)
         if parts and parts[0] > s:
@@ -576,10 +574,12 @@ def _discriminant(G: np.ndarray, p: int, pivots: list[int]) -> int:
 
 
 def _shape_count(
-    real: JordanRealization, shape: int | tuple[int, tuple[int, ...], int], disc: Callable[[int], int]
-) -> int:
+    real: JordanRealization, shape: int | tuple[int, tuple[int, ...], int] | None,
+    disc: Callable[[int], int],
+) -> int | None:
     """_flag_sum for a shape (m_1, steps, m_2) that _peel leaves of the
-    Jordan type of a nilpotent e in real's family (0 for the peel's 0).  A
+    Jordan type of a nilpotent e in real's family (0 for the peel's 0, and
+    None where it does not decide).  A
     symmetric V_1 or b of even dimension m > 0 is split iff (-1)^(m/2) det
     is a square mod p, and its det comes from disc(a), the det of the
     nondegenerate part of <x, e^a y>, called only then and under a step.
@@ -593,7 +593,7 @@ def _shape_count(
     and adding 1, were peeled off, and a chain of length 2 with unit u adds
     -u, as its top t does to b: b(et, et) = <t, et>."""
     if not shape:
-        return 0
+        return shape
     ones, steps, twos = shape
     p, symplectic = real.modulus, real.family is Family.C
     m = twos if symplectic else ones
@@ -604,42 +604,51 @@ def _shape_count(
     return _flag_sum(p, symplectic, ones, steps, twos, split)
 
 
-def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_g: int) -> int:
-    """The last level of _enumerate over a state E = E_{k-1} (rows spanning
-    it, isotropic, of dimension d = p_1 + ... + p_{k-1}): the one-level
-    count of the induced e' on V' = E^perp/E for the Levi (p_k; q), from
-    products on a basis Q of E^perp (one nullspace of E g).
+def _state_count(real: JordanRealization, levi: LeviType, E: np.ndarray, t: int) -> int | None:
+    """The flags through a state E = E_t of _enumerate (rows spanning it,
+    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0) when the peel
+    decides them, else None.  The rest of such a flag lies in E^perp, as
+    E_k does, and is a flag of the induced e' on V' = E^perp/E for the
+    Levi (p_{t+1}, ..., p_k; q): isotropy carries over, e(E_i) <= E_{i-1}
+    iff e' lowers E_i/E into E_{i-1}/E, and e(E_k^perp) <= E_k iff e' maps
+    (E_k/E)^perp = E_k^perp/E into E_k/E.  So the count is the peel's
+    (_peel) for the Jordan type of e' and those steps, in closed form
+    (_shape_count) from the discriminants disc(a) of e'.
 
-    G_a = Q g e^a Q^T is the form <x, e^a y> on E^perp.  E lies in its
-    radical, so rank G_a = rank e'^a.  V' must carry a nondegenerate form,
-    rank G_0 = dim V' = 2 p_k + q = n - 2d, else InvariantError naming the
-    clause below that failed; no rank of G_0 is taken.  For nondegenerate
-    g, dim E^perp = n - r with r = rank E, and rank G_0 = (n - r) -
-    dim(E cap E^perp).  Every state _enumerate passes has r <= d (a child
-    F1 + x has d independent rows, a filled start reaches exactly d), and
-    dim(E cap E^perp) <= r, so rank G_0 = n - 2d exactly when r = d and E
-    is isotropic.  So the check is: det g != 0 mod p (``det_g``),
-    r = n - (rows of Q) = d, and E g E^T = 0 mod p, one small product on
-    the E g at hand.  Where r > d, or g is degenerate (only a realization
-    changed by replace), it raises wherever rank G_0 != n - 2d would, and
-    more.  A state costs one nullspace and no rank of G_0.
+    At E = 0, V' = V: the Jordan type is real's partition and disc is
+    real's, with no elimination.  Otherwise both come from products on a
+    basis Q of E^perp, one nullspace of E g.  G_a = Q g e^a Q^T is the form
+    <x, e^a y> on E^perp.  E lies in its radical, so rank G_a = rank e'^a.
+    V' must carry a nondegenerate form, rank G_0 = dim V' = n - 2d, else
+    InvariantError names the clause below that failed.  For nondegenerate
+    g, rank G_0 = (n - r) - dim(E cap E^perp) with r = rank E, and every
+    state _enumerate passes has r <= d (a child F1 + x has d independent
+    rows, a filled start exactly d), so rank G_0 = n - 2d exactly when r =
+    d and E is isotropic.  So no rank of G_0 is taken: the check is det g
+    != 0 mod p (disc(0)), r = n - (rows of Q) = d, and E g E^T = 0 mod p,
+    one small product on the E g at hand.  Where r > d, or g is degenerate
+    (only a realization changed by replace), it raises wherever rank G_0
+    != n - 2d would, and more.
 
-    With s' = 2 + [q > 0], G_s' != 0 leaves a part of e' above s', which
-    no flag allows (fiber_point_count), so the count is 0.  Otherwise e'
-    has m_3 = rank G_2 parts 3 (none when s' = 2), m_2 = rank G_1 - 2 m_3
-    parts 2 and m_1 = 2 p_k + q - 2 rank G_1 + m_3 parts 1, and the count
-    is the peel's (_peel) and _shape_count's.  Its disc(a) is read from G_a
-    on the pivots that the ranks found, and is (-1)^d det g (``det_g``) at
-    a = 0, as E + E* adds d hyperbolic planes."""
+    With s = 2(k - t) + [q > 0], G_s != 0 leaves a part of e' above s,
+    which no flag allows (_enumerate's forced subspaces, on V'), so the
+    count is 0.  With two or more levels left, G_{s-1} = 0 != G_1 says that
+    no part is s and not every part is 1, where the peel does not decide:
+    None, with no rank taken.  Otherwise the ranks r_a = rank G_a, with
+    r_0 = n - 2d and r_s = 0, give m_j = r_{j-1} - 2 r_j + r_{j+1} parts j
+    of e', and disc(a) is read from G_a on the pivots that the ranks found,
+    and is (-1)^d det g at a = 0, as E + E* adds d hyperbolic planes."""
+    steps, q = levi.ps[t:], levi.q
+    if not t:
+        return _shape_count(real, _peel(real.partition.parts, steps, q), real.disc)
     p, g, e = real.modulus, real.gram, real.e
-    step, q = levi.ps[-1], levi.q
-    d = (real.dim - 2 * step - q) // 2
+    d = sum(levi.ps[:t])
     Eg = E @ g % p
     Q = nullspace(Eg, p)
     r = real.dim - Q.shape[0]  # rank E g, which is rank E when det g != 0
     pairing = Eg @ E.T % p
     failed = ""
-    if not det_g:
+    if not real.disc(0):
         failed = f"det g = 0 mod {p}"
     elif r != d:
         failed = f"rank E = {r}, expected {d}"
@@ -650,22 +659,23 @@ def _quotient_count(real: JordanRealization, levi: LeviType, E: np.ndarray, det_
         raise InvariantError(
             f"the form is degenerate on E^perp/E ({real.partition}, {levi}, p={p}): {failed}"
         )
-    Qg = Q @ g % p
-    grams = []  # G_1, .., G_s'
-    for _ in range(2 + (q > 0)):
+    s = 2 * len(steps) + (q > 0)
+    Qg, grams = Q @ g % p, []  # G_1, .., G_s
+    for _ in range(s):
         Qg = Qg @ e % p
         grams.append(Qg @ Q.T % p)
-    if grams[-1].any():  # a part of e' exceeds s'
+    if grams[-1].any():  # a part of e' exceeds s
         return 0
-    pivots = [rref(grams[0], p)[1], rref(grams[1], p)[1] if q else []]
-    threes, rank_1 = len(pivots[1]), len(pivots[0])
-    twos, ones = rank_1 - 2 * threes, 2 * step + q - 2 * rank_1 + threes
-    shape = _peel((3,) * threes + (2,) * twos + (1,) * ones, (step,), q)
+    if len(steps) > 1 and grams[0].any() and not grams[-2].any():  # no part is s, not all are 1
+        return None
+    pivots = [rref(G, p)[1] for G in grams[:-1]] + [[]]  # G_s = 0
+    ranks = [real.dim - 2 * d] + [len(x) for x in pivots] + [0]
+    parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
 
     def disc(a: int) -> int:
-        return (-1) ** d * det_g if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
+        return (-1) ** d * real.disc(0) if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
 
-    return _shape_count(real, shape, disc)
+    return _shape_count(real, _peel(parts, steps, q), disc)
 
 
 def fiber_point_count(
@@ -686,12 +696,14 @@ def fiber_point_count(
     the count for e on W and the Levi (p_1 - m, ..., p_k - m; q - m [q > 0]):
     a negative step or q leaves no flag, and a zero step merges two levels.
     The peel repeats until a part exceeds s (the count is 0), only parts 1
-    remain, or no part equals s.  In the last case, when two or more
-    levels remain, the flags are enumerated down to E_{k-1} and the last
-    level of each is counted on E_{k-1}^perp/E_{k-1} (_enumerate); one level
-    (r; q) has q > 0 there (q = 0 gives s = 2), so s = 3 and the parts
-    left are 2 and 1.  These two shapes, only parts 1 and one level over
-    parts 2 and 1, are counted in closed form (_shape_count, _flag_sum).
+    remain, or no part equals s.  In the last case one level (r; q) has
+    q > 0 (q = 0 gives s = 2), so s = 3 and the parts left are 2 and 1.
+    These two shapes, only parts 1 and one level over parts 2 and 1, are
+    counted in closed form (_shape_count, _flag_sum).  With two or more
+    levels left the flags are enumerated level by level (_enumerate), and
+    the flags through each state E_t are counted the same way, on
+    E_t^perp/E_t, wherever the peel decides them (_state_count): the root
+    is its case E_0 = 0, and a state with one level left is always decided.
 
     Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
     are the isotropic flags of V_1 with cumulative dimensions
@@ -720,46 +732,49 @@ def fiber_point_count(
     which is N_1(r) when m_2 = 0.  Whether a symmetric V_1 or b of even
     dimension is split is read from the discriminants of the forms
     <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
-    descriptor: det g at a = 0, else one rref and one det of g e^a, each
-    once per realization (JordanRealization.disc).
+    descriptor: det g at a = 0, else one rref and one det of g e^a, at
+    the root once per realization (JordanRealization.disc).
 
-    A check with no general-linear block costs no node.  One with a
-    general-linear block costs at least one: exactly one when the peel
-    decides it (a count of 0 or a closed form), like a level that its
-    forced subspace decides, and max(1, the nodes _enumerate charges)
-    when it is enumerated.  The budget caps the nodes: a check whose total
-    would exceed it returns an explicit skip with ``nodes == budget + 1``,
-    never a wrong count.  At budget 0 a check with a general-linear block
-    returns that skip at once (precharged_skip).
+    A check costs one node when the root's peel decides it, max(1, the
+    nodes _enumerate charges) otherwise, and none without a general-linear
+    block.  A check whose total would exceed the budget returns an explicit
+    skip with ``nodes == budget + 1``, never a wrong count; at budget 0 a
+    check with a general-linear block returns it at once (precharged_skip).
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
     cap = resolve_budget(budget)
     skip = precharged_skip(levi, real.modulus, cap)
-    if skip is not None:
-        return skip
-    shape = _peel(real.partition.parts, levi.ps, levi.q)
-    if shape is None:
-        return _enumerate(real, levi, cap)
-    return FlagCount(_shape_count(real, shape, real.disc), real.modulus, levi, 1 if levi.ps else 0)
+    return skip if skip is not None else _enumerate(real, levi, cap)
+
+
+def _levels(real: JordanRealization, levi: LeviType) -> tuple:
+    """_enumerate's tables for a check that the root's peel leaves: the
+    forced subspaces L_i and their products with g, checked isotropic;
+    per level t + 1 < k whether it is fillable and its cut (_cut); and
+    the Jordan basis sorted by height, with the sorted heights."""
+    p, g, dims = real.modulus, real.gram, list(itertools.accumulate(levi.ps))
+    # The heights d_j - i of the Jordan basis x(i,j), as plain lists: numpy's
+    # sorting and searching code adds to peak RSS.
+    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
+    forced = _forced_subspaces(heights, 2 * len(dims) + (levi.q > 0), len(dims))
+    forced_g = [L @ g % p for L in forced]
+    if any(np.any(Lg @ L.T % p) for L, Lg in zip(forced, forced_g)):
+        raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
+    sizes = [0] + [L.shape[0] for L in forced]  # E_t + L_{t+1} may fill when L grows by p_{t+1}
+    fills = [([0] + dims)[t] + sizes[t + 1] - sizes[t] >= dims[t] for t in range(len(dims) - 1)]
+    cuts = [_cut(_floors(real.partition, levi, t), dims[t]) for t in range(len(dims) - 1)]
+    order = sorted(range(len(heights)), key=heights.__getitem__)
+    return forced, forced_g, fills, cuts, order, [heights[c] for c in order]
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
-    """fiber_point_count by enumerating the flags down to E_{k-1} and
-    counting the last level of each on the quotient, for a Levi with at
-    least one general-linear block, at most ``cap`` >= 1 nodes: the route
-    for the Levis that the peel leaves with two or more levels.  With one
-    level, E_0 = 0 and the quotient is V itself.
-
-    The last level on the quotient.  The E_k over a state E = E_{k-1}, of
-    dimension d, are exactly the one-level flags E'_k = E_k/E of the
-    induced e' on V' = E^perp/E for the Levi (p_k; q): E_k lies in E^perp,
-    isotropy carries over, e' E'_k = 0 iff e(E_k) <= E, and e'(E'_k^perp)
-    <= E'_k iff e(E_k^perp) <= E_k, as E_k^perp <= E^perp and E'_k^perp =
-    E_k^perp/E.  So the last level needs no window, no candidate row and
-    no closing test: _quotient_count counts it from the Jordan type and
-    the split types of e', which it reads from products on a basis of
-    E^perp, never from the descriptor.
+    """fiber_point_count as one recursion over the states E = E_t (rows
+    spanning E_t; E_0 = 0), at most ``cap`` nodes.  Each state is first
+    counted on E^perp/E (_state_count), where the peel may decide it: at
+    the root that is fiber_point_count's peel, and with one level left it
+    always decides.  Only the levels t + 1 < k of the states it leaves are
+    enumerated.
 
     Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:
@@ -768,12 +783,13 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
       E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
       and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
     So L_1 <= E_1 <= ker e needs e^s = 0, that is max part <= s, else the
-    count is 0.  The bases L_i are built once per check, with no
-    elimination: im e^a is spanned by the Jordan coordinates x(i,j) of
-    height d_j - i >= a, so L_i is the identity rows at the heights >= s - i
-    (_forced_subspaces).  Their isotropy and E_{i-1} perp L_i both
-    follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> = +-<x, e^a y> and
-    s - i >= i - 1; they are checked, and a failure raises InvariantError.
+    root's peel counts 0.  im e^a is spanned by the Jordan coordinates
+    x(i,j) of height d_j - i >= a, so L_i is the identity rows at the
+    heights >= s - i (_forced_subspaces), built with no elimination once
+    per check that the root leaves (_levels).  Their isotropy and E_{i-1}
+    perp L_i both follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> =
+    +-<x, e^a y> and s - i >= i - 1; they are checked, and a failure raises
+    InvariantError.
 
     One floor table cuts the windows.  The flags below E_t are flags of
     the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, for the
@@ -794,80 +810,59 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     is orthogonal to L_k; that is checked before the table cuts or ends the
     level.
 
-    The enumeration is one recursion over the states E = E_{i-1} (E_0 = 0)
-    and their level i.  It checks E perp L_i, and at the last level counts
-    E_k on E^perp/E, at one nullspace of E g and no rank of G_0: E has at
-    most d independent rows there, so det g, rank E and E g E^T decide
-    that E^perp/E carries a nondegenerate form (_quotient_count).  Level
-    i < k is fillable when dim E_{i-1} + dim L_i - dim L_{i-1} >= dim E_i,
-    which depends on (partition, Levi) alone:
-    E_{i-1} + L_i may then fill the level.  There one rank of that start
-    decides: a start that overfills counts 0, one that fills is E_i, each at
-    one node, and one that falls short is enumerated like any other level.
-    An enumerated level builds its window (E + L_i)^perp cap e^{-1}(E) by
-    two eliminations, as e^{-1}(E) = (ann(E) e)^perp: one nullspace of E
-    gives ann(E), and one of [E g; L_i g; ann(E) e] the window.  After the
-    check against L_k and the cut, it adds one reduced-echelon row at a
-    time, drops each candidate row as soon as it fails isotropy
-    (_last_row_batches), and recurses into each E_i = F1 + <x> it yields.
+    A state E_t, t >= 1, is checked orthogonal to L_{t+1} before its
+    count.  Level t + 1 is fillable when dim E_t + dim L_{t+1} - dim L_t >=
+    dim E_{t+1}, which depends on (partition, Levi) alone; there a start
+    E_t + L_{t+1} of rank dim E_{t+1} is E_{t+1}, at one node.  Any other
+    start is enumerated, one that overfills too: no flag goes through it,
+    and _last_row_batches yields nothing for it.  Its window (E +
+    L_{t+1})^perp cap e^{-1}(E) takes two eliminations, as e^{-1}(E) =
+    (ann(E) e)^perp: one nullspace of E gives ann(E), and one of [E g;
+    L_{t+1} g; ann(E) e] the window.  After the check against L_k and the
+    cut, _last_row_batches adds one reduced-echelon row at a time and drops
+    each candidate row as soon as it fails isotropy, and the recursion
+    goes into each E_{t+1} = F1 + <x> that it yields.
 
-    A node is one candidate row generated and tested, one level decided by
-    its forced subspace, or one last level counted on the quotient whose
-    count is not 0, each charged by the state that spends it.  A level
-    that the table ends or cuts away costs none, and so does a child whose
-    window cannot reach its level or whose last level counts 0.  A check that
-    charges none still costs one node.  The budget caps the nodes: a check
-    whose total would exceed it returns an explicit skip with ``nodes ==
-    budget + 1``, never a wrong count.
+    A node is one candidate row generated and tested, one level filled by
+    its forced subspace, or one state E_t, t >= 1, that its quotient
+    decides with a count that is not 0, each charged by the state that
+    spends it; a level that the table ends or cuts away costs none.  A
+    check with a general-linear block costs at least one node, one without
+    none.  A check whose total would exceed the cap returns an explicit
+    skip with ``nodes == cap + 1``, never a wrong count.
     """
     p, e, g = real.modulus, real.e, real.gram
-    n = real.dim
     dims = list(itertools.accumulate(levi.ps))
     last = len(dims) - 1
-    # The heights d_j - i of the Jordan basis x(i,j), as plain lists: numpy's
-    # sorting and searching code adds to peak RSS.
-    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
-    forced, nilpotent = _forced_subspaces(heights, 2 * len(dims) + (levi.q > 0), len(dims))
-    if not nilpotent:  # L_1 is not in ker e: one node decides the count
-        return FlagCount(0, p, levi, 1)
-    forced_g = [L @ g % p for L in forced]
-    case = f"({real.partition}, {levi}, p={p})"
-    for L, Lg in zip(forced, forced_g):
-        if np.any(Lg @ L.T % p):
-            raise InvariantError(f"im e^a is not isotropic {case}")
-    counter = [0]
-    det_g = real.disc(0)
-    # Level i < last is fillable when E_{i-1} + L_i may reach dims[i]: dim
-    # L_i grows by more than the level adds, as E_{i-1} >= L_{i-1}.
-    sizes = [0] + [L.shape[0] for L in forced]
-    fills = [([0] + dims)[i] + sizes[i + 1] - sizes[i] >= dims[i] for i in range(last)]
-    cuts = [_cut(_floors(real.partition, levi, t), dims[t]) for t in range(last)]
+    counter, levels = [0], None  # levels: _levels, once the root is not decided
 
-    order = sorted(range(n), key=heights.__getitem__)  # the Jordan basis by height
-    height = [heights[col] for col in order]
+    def broken(what: str) -> InvariantError:
+        return InvariantError(f"{what} ({real.partition}, {levi}, p={p})")
 
     def count(E: np.ndarray, t: int) -> int:
         """The flags over E = E_t (rows spanning it) from the level after
         it on, E_{t+1} of dimension dims[t] first."""
-        if np.any(E @ forced_g[t].T % p):
-            raise InvariantError(f"E_{t} is not orthogonal to L_{t + 1} {case}")
-        if t == last:
-            value = _quotient_count(real, levi, E, det_g)
-            _charge(counter, bool(value), cap)
+        nonlocal levels
+        if t and np.any(E @ levels[1][t].T % p):  # levels[1][t] = L_{t+1} g
+            raise broken(f"E_{t} is not orthogonal to L_{t + 1}")
+        value = _state_count(real, levi, E, t)
+        if value is not None:
+            if t:  # a decided root costs the check's one node (below)
+                _charge(counter, bool(value), cap)
             return value
+        levels = levels or _levels(real, levi)
+        forced, forced_g, fills, cuts, order, height = levels
         start = np.vstack([E, forced[t]])
-        if fills[t]:
-            reach = rank(start, p)
-            if reach >= dims[t]:
-                _charge(counter, 1, cap)
-                return count(start, t + 1) if reach == dims[t] else 0
+        if fills[t] and rank(start, p) == dims[t]:
+            _charge(counter, 1, cap)
+            return count(start, t + 1)
         # The window (E + L_{t+1})^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp.
         window = nullspace(np.vstack([E @ g % p, forced_g[t], nullspace(E, p) @ e % p]), p)
         a = cuts[t]
         # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
         # which holds every L_i: check it before the table drops its rows.
         if a != 0 and np.any(window @ forced_g[last].T % p):
-            raise InvariantError(f"E_{last} is not orthogonal to L_{last + 1} {case}")
+            raise broken(f"E_{last} is not orthogonal to L_{last + 1}")
         if a is None:
             return 0
         if a:  # cut the window to im e^a, which must hold start
@@ -879,9 +874,9 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
 
     try:
-        value = count(np.zeros((0, n), dtype=np.int64), 0)
+        value = count(np.zeros((0, real.dim), dtype=np.int64), 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     finally:  # count refers to itself: free it without the cyclic collector
         del count
-    return FlagCount(value, p, levi, max(1, counter[0]))
+    return FlagCount(value, p, levi, max(1 if levi.ps else 0, counter[0]))

@@ -24,11 +24,11 @@ DEFAULT_BUDGET = {
            "585964f6b4068c6f766189303a417ecc9cfbcd2a351fc947851dbfb4b056902c"),
     "B5": ("8b9162ac4245c4116770335c8adb68bfb2f3c243acf61e7ce0ccf86f0184cb6d",
            "09c29ce0d1f38eecc60c57a47f065fde15d2e0eac1ab056418e9e7c0fab77ad5"),
-    "B6": ("40cdbdbf030ed98d843f01990541777848ec1323148196e8c13f97946a5214fe",
+    "B6": ("e6c2b62d897e3a4085b5f735dd287834c5a6b594bf6b82f703ba7757d84c6abb",
            "caa7a19a5437b416d2adec111712be5f8752edf55e5849f4e57b147dc04b29fd"),
-    "B7": ("f806b520035b4d70c9ac8fcb1829972f3c8bd2cf507b45d04e37a15c3cb85a50",
+    "B7": ("e0043a44635656cc1ccb044078d6b1f2e70e658c0e3447ce8d32a3d5d2258953",
            "034e18709173d1b4f18859a9b9807ff550553946745662e7e5ba8bc73753f5da"),
-    "B8": ("4b6e1ee96e7311fdf8d63e80c4e31d0ba91e63ec5c52ddb12789661034885cab",
+    "B8": ("44a3069994983e859ddd42e0c3ea1595cbc7f6103abc4abe017a8a9f479951d7",
            "bf889ba43e15b9a9df2efd5ae09f9cd4c74dedf3cc0a4cab9e2e0564b6b434ec"),
     "C1": ("1af219883d6ede3d86473c3feb96527c79c2764a4b05bcc4ae9a33bb6c4066c0",
            "a867776814eff702acb33da264c23a1eda33eb74e0a6c8dc542e66d231ff6913"),
@@ -40,11 +40,11 @@ DEFAULT_BUDGET = {
            "2065f2b6938c372a6462db45c73d96278c0860adef6c3af37626531e914e6641"),
     "C5": ("c53b0467bb3160d2576204ca5785f1a9644ae4209a058181aaf131d02433d4ea",
            "ead2ef34333a66d8825efd18a63b6c088a1726a52613411cb2c044130d65b9b6"),
-    "C6": ("eefdf8797e2b1074dea60b564db821984754115586fcb128744dd9b3344eb073",
+    "C6": ("c24fd42d8036008af105a8b6a90d5b9b067d3b853e6f3ce03672e79d2776cbf9",
            "b3a6aee080ecea5a686f9d13193e180aca4533a86c1de41966aac9cbb2455c15"),
-    "C7": ("34190d01bdae483d1babae79a14010837e1941a63aefa5dfbf5f920d88d92815",
+    "C7": ("a14c31ac15a28cd51cb7397e95587598a5e754e6da5078e38f99b8cd072f306f",
            "0069762cd97e31470929b9cffd25d0e22fd6a602dfdedee496ebac1c3f7f8ace"),
-    "C8": ("dbf055cc04636063da415733888692ab7c09d17c4b8e93286b1706f8d68fc1f7",
+    "C8": ("987da59806ac1e4fec60a79574df67ef17d8dff5e89df5068bbeae15f7ef566d",
            "9f1272eac3432902de8dde719495e4337b4d087e271a3d6e547b79fcd5d0fbf8"),
     "D1": ("e314a53011ccc3f5c2428b76838eb9e8a6bfcd6ea21370beb54a800f0cbf8617",
            "d4713c7b46c41e7aee6045b3bdb1b8f813e4954020af6f70534c963caf1faec2"),
@@ -54,13 +54,13 @@ DEFAULT_BUDGET = {
            "24e93486f47c3b7ae524d9ff451f2450b24af72ad91bd852c5166289211b514d"),
     "D4": ("cafe389808ec9c8d7369a98a4811f8c0b1fcefacf62760f55becb640a91bc6ce",
            "7fcb004f76d4fbde7ac02e92914554eac0f7aa5b41eb15344589bd294231d70e"),
-    "D5": ("389748315bf0f98cee926c5b1ec4c9accde9bf23f0751285574f63ac5c9b308d",
+    "D5": ("634ee84181babb50f1210df9ba35fbdcd691c9d679a3bb4a6251f197f8ad21c4",
            "c65c102cbc6ed03c723457aa10d1f6533d3356f66ae2d0c0b91ad950d4c6ffa5"),
-    "D6": ("42c85ab7c21e57fa9b7dd856ccdff92c593a4fc67957e0f197f8ec5fbd0315b5",
+    "D6": ("e16352ee8451c5e4f982d37ba3163cb4b0b2ddb92e2f444b4d8097e9681677a0",
            "814a41d6d25883d28e50c7f25e5895e1d9eaab3b129ff570fec764c933630068"),
-    "D7": ("a79da3cdf842574163d8c546ae48f5b348880f0634889b83e6221b4b6851801d",
+    "D7": ("74e0b85366f2987c817fd51a23307237a27d2e671312dced388c0e0e5b4597fe",
            "9291a42144822948bc5d4cb5530b47edfe84147d0766680b0053a865c5ebe29c"),
-    "D8": ("97d3a171b710445298a626027fab9430a87fcad13864579473133b08d44b1bee",
+    "D8": ("8bbf48e4b8980585e0f08e8c3324091d3d605ae897644d81846752bc16f95c30",
            "08da7ca66c5830af98c227af8d493fb1bbc8685904cf02c55cc9eab71a4032d4"),
 }
 BUDGET_0 = {

@@ -396,14 +396,13 @@ def _rank(e, k, p):
 
 def reference_forced_subspaces(e, s, k, p):
     """The former route to the forced subspaces: row bases of L_i =
-    im e^(s-i), i = 1..k, by rref of the transposed matrix powers, and
-    whether e^s = 0 mod p."""
+    im e^(s-i), i = 1..k, by rref of the transposed matrix powers."""
     power = _pow(e, s - k, p)
     bases = []
     for _ in range(k):
         bases.append(rref(power.T, p)[0])
         power = power @ e % p
-    return bases[::-1], not np.any(power)
+    return bases[::-1]
 
 
 class TestForcedSubspaces:
@@ -411,7 +410,7 @@ class TestForcedSubspaces:
         # Every realization of B N <= 9 and C/D N <= 8 at p = 3 and 5, and
         # its e (a 0/1 matrix, the same at every p) at BIG_PRIME, where
         # realize refuses the modulus; k up to n // 2 general-linear blocks
-        # and s = 2k or 2k + 1, as fiber_point_count takes them.
+        # and s = 2k or 2k + 1, as _enumerate takes them.
         compared = 0
         for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for n in range(2 - fam.size_parity, top + 1, 2):
@@ -422,9 +421,8 @@ class TestForcedSubspaces:
                     for q in (3, 5, BIG_PRIME):
                         for k in range(1, n // 2 + 1):
                             for s in (2 * k, 2 * k + 1):
-                                got, nilpotent = _forced_subspaces(heights, s, k)
-                                want, want_nilpotent = reference_forced_subspaces(e, s, k, q)
-                                assert nilpotent == want_nilpotent, (orbit, s, k, q)
+                                got = _forced_subspaces(heights, s, k)
+                                want = reference_forced_subspaces(e, s, k, q)
                                 assert len(got) == k
                                 for L, ref in zip(got, want):
                                     assert L.dtype == np.int64 and L.shape == ref.shape
@@ -670,26 +668,37 @@ class TestCloses:
         res = fiber_point_count(real, LeviType((), real.dim, fam))
         assert (res.count, res.nodes) == (int(_closes(zero, real.e, real.gram, p)), 0)
 
-    # (states E = E_{k-1}, of which count 0)
-    @pytest.mark.parametrize("q,states", [(3, (1343, 58)), (5, (1300, 126))])
+    # (states E = E_t of the sweep, of which the package counts on E^perp/E,
+    # of which count 0)
+    @pytest.mark.parametrize("q,states", [(3, (1531, 1384, 59)), (5, (1469, 1358, 127))])
     def test_quotient_count_on_every_state(self, q, states):
-        # The package never closes a flag: it counts the last level of every
-        # state E = E_{k-1} on E^perp/E (_quotient_count).  On every such
-        # state of the enumeration without the floor table (_states), for
-        # every Levi of B N <= 7 and C/D N <= 6 whose states finish within
-        # 2,000 rows, that count equals the flags through E that the
-        # un-hoisted reference closes one by one.
-        seen = zeros = 0
-        for real, levi, reached in _swept_states(q):
-            k, det_g = len(levi.ps), det(real.gram, q)
-            for t, E, _, _ in reached:
-                if t != k - 1:
-                    continue
-                want, _ = unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)
-                assert ff_oracle._quotient_count(real, levi, E, det_g) == want, (real.partition, levi, E)
-                seen += 1
-                zeros += want == 0
-        assert (seen, zeros) == states
+        # The package never closes a flag: it counts every state E = E_t,
+        # the root E_0 = 0 among them, on E^perp/E (_state_count), and
+        # enumerates the next level only where the peel does not decide
+        # that count, never at E_{k-1}.  On every state of the enumeration
+        # without the floor table (_states), t = 0, .., k - 1, for every
+        # Levi of B N <= 7 and C/D N <= 6 whose states finish within 2,000
+        # rows, that count equals the flags through E that the un-hoisted
+        # reference closes one by one.
+        *counts, wrong = state_sweep(ff_oracle, q)
+        assert wrong == []
+        assert tuple(counts) == states
+
+    # Each mutant misreads the Jordan type of e' on some states and
+    # miscounts them at p = 3: s' = 2 + [q > 0] at every level, the reading
+    # that holds at the last one only, and a part above s let through,
+    # whose chain the ranks of G_1, .., G_{s-1} then misread.
+    # (old, new, states miscounted)
+    STATE_MUTANTS = {
+        "s' at every level": ("s = 2 * len(steps) + (q > 0)\n    Qg", "s = 2 + (q > 0)\n    Qg", 37),
+        "G_s test dropped": ("if grams[-1].any():", "if False:", 14),
+    }
+
+    @pytest.mark.parametrize("mutant", list(STATE_MUTANTS))
+    def test_state_count_mutants_fail(self, monkeypatch, mutant):
+        old, new, miscounted = self.STATE_MUTANTS[mutant]
+        *_, wrong = state_sweep(mutant_oracle(monkeypatch, old, new), 3)
+        assert len(wrong) == miscounted > 0
 
     def test_anchor(self):
         real = realize(P("4,4,4,4,3,3,1"), Family.B, 3)
@@ -742,7 +751,8 @@ class TestNodeBudget:
         # a negative q and the enumeration charges no row.  A check the
         # peel decides costs exactly one node: it skips at budget 0 and
         # finishes at budget 1.  The enumeration's rule is checked on every
-        # check, through _enumerate where the peel decides it: with T the
+        # check, where the peel decides it through _enumerate with only the
+        # last level counted on its quotient (last_level_only): with T the
         # node total, each budget b >= 1 in {1, T - 1, T} (and 0, through
         # fiber_point_count) gives a skip with b + 1 nodes exactly when
         # T > b, and the result at SWEEP_CAP otherwise.
@@ -760,7 +770,7 @@ class TestNodeBudget:
                             assert (full.nodes, full.skipped) == (1, None), (orbit, levi)
                             assert count(0) == FlagCount(None, q, levi, 1, "budget")
                             assert count(1) == full, (orbit, levi)
-                            count = functools.partial(_enumerate, real, levi)
+                            count = functools.partial(enumerate_levels, real, levi)
                             peeled += 1
                         full = count(self.SWEEP_CAP)
                         T = full.nodes
@@ -769,7 +779,7 @@ class TestNodeBudget:
                         if full.count is None:
                             assert T == self.SWEEP_CAP + 1, (orbit, levi)
                             budgets, over = {0, 1}, over + 1
-                        if count.func is _enumerate:
+                        if count.func is enumerate_levels:
                             budgets.discard(0)  # a cap >= 1; 0 is the precharged skip above
                         for b in budgets:
                             res = count(b)
@@ -871,6 +881,31 @@ def unhoisted_count(real, levi, cap, start=None, t=0, flags=None):
         return None, counter[0]
 
 
+def last_level_only(monkeypatch):
+    """Let _enumerate count only the states E_{k-1} on their quotient, and
+    the root only where a part exceeds s = 2k + [q > 0] (a count of 0, for
+    which the forced subspaces are not even isotropic), so that every
+    level before the last is enumerated and the tests of its fill, cut and
+    window paths reach the levels they pin."""
+    count = ff_oracle._state_count
+
+    def state_count(real, levi, E, t):
+        k = len(levi.ps)
+        if t == k - 1 or max(real.partition.parts) > 2 * k + (levi.q > 0):
+            return count(real, levi, E, t)
+        return None
+
+    monkeypatch.setattr(ff_oracle, "_state_count", state_count)
+
+
+def enumerate_levels(real, levi, cap):
+    """_enumerate under last_level_only: the route of a check whose levels
+    before the last are all enumerated, even where the peel decides it."""
+    with pytest.MonkeyPatch.context() as patch:
+        last_level_only(patch)
+        return _enumerate(real, levi, cap)
+
+
 @functools.lru_cache(maxsize=None)
 def swept_reference(fam, orbit, levi, q, cap):
     """unhoisted_count(realize(orbit, fam, q), levi, cap) with the flags it
@@ -889,7 +924,7 @@ class TestHoist:
 
     # prime: (checks, nodes, skips) of fiber_point_count at CAP on every
     # Levi of the sweep, pseudo-polarization or not
-    SWEPT = {3: (181, 8155, 1), 5: (181, 21493, 4), 7: (51, 314, 0)}
+    SWEPT = {3: (181, 6901, 1), 5: (181, 20111, 4), 7: (51, 314, 0)}
 
     # (prime, top N for B/C/D, checks the reference finishes, of which
     # count 0, of which have e^s != 0)
@@ -940,10 +975,14 @@ class TestHoist:
         ],
     )
     @pytest.mark.parametrize("q", [3, 5, 7])
-    def test_a_filled_level_costs_one_node(self, fam, orbit, levi, k, q):
-        # E_i = E_{i-1} + L_i at every level: one flag, k nodes.  The peel
-        # decides all but C 6 in one node, so this is the enumeration's.
-        res = _enumerate(realize(P(orbit), fam, q), L(levi, fam), DEFAULT_BUDGET)
+    def test_a_filled_level_costs_one_node(self, monkeypatch, fam, orbit, levi, k, q):
+        # E_i = E_{i-1} + L_i at every level: one flag, k nodes, when only
+        # the last level is counted on its quotient.  The root's peel
+        # decides each of them at one node.
+        real, levi = realize(P(orbit), fam, q), L(levi, fam)
+        assert _enumerate(real, levi, DEFAULT_BUDGET) == FlagCount(1, q, levi, 1)
+        last_level_only(monkeypatch)
+        res = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (res.count, res.nodes) == (1, k)
 
     def test_e_power_decides_at_one_node(self):
@@ -954,14 +993,14 @@ class TestHoist:
     # Checks where a floor on dim(E cap im e) alone would prune ("a": the
     # enumeration keeps no such floor, so with the cut off it generates
     # every row that one would exclude) and where the children of a level
-    # have their last level counted on the quotient ("b": _quotient_count
+    # have their last level counted on the quotient ("b": _state_count
     # counts it with no row of it generated), each against the un-hoisted
-    # reference.  The paths are
-    # pinned with the floor table's cut off, since it prunes first, and
-    # with the forced subspaces L_i = im e^(2k+1-i) of q > 0, which every
-    # flag contains: for q = 0 the larger im e^(2k-i) decides the C cases
-    # first.  With both on, the count is the same and takes at most as many
-    # nodes as the reference.
+    # reference.  The paths are pinned with only the last level counted on
+    # the quotient (last_level_only), with the floor table's cut off, since
+    # it prunes first, and with the forced subspaces L_i = im e^(2k+1-i) of
+    # q > 0, which every flag contains: for q = 0 the larger im e^(2k-i)
+    # decides the C cases first.  With all on, the count is the same and
+    # takes at most as many nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -981,17 +1020,18 @@ class TestHoist:
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
         full = _enumerate(real, levi, DEFAULT_BUDGET)
         counted, targets = [], []
-        count, forced, batches = ff_oracle._quotient_count, ff_oracle._forced_subspaces, ff_oracle._last_row_batches
+        last_level_only(monkeypatch)
+        count, forced, batches = ff_oracle._state_count, ff_oracle._forced_subspaces, ff_oracle._last_row_batches
 
         def spy(*args):
-            counted.append(args[2])
-            return count(*args)
+            counted.append(count(*args))
+            return counted[-1]
 
         def spy_batches(*args):
             targets.append(args[2])
             return batches(*args)
 
-        monkeypatch.setattr(ff_oracle, "_quotient_count", spy)
+        monkeypatch.setattr(ff_oracle, "_state_count", spy)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
@@ -999,7 +1039,7 @@ class TestHoist:
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
         if path == "b":
-            assert counted and sum(levi.ps) not in targets
+            assert any(value is not None for value in counted) and sum(levi.ps) not in targets
 
     # Fillable levels, each against the un-hoisted reference.  Level t < k
     # is fillable when dim E_{t-1} + dim L_t - dim L_{t-1} >= dim E_t: a
@@ -1017,9 +1057,11 @@ class TestHoist:
     # case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and 0.5
     # s at p=5, so they run at p=3 only.  The paths are pinned with the
     # floor table off (no row in it), as it cuts the windows before the
-    # fills see them, and with the forced subspaces of q > 0, as the larger
-    # ones of q = 0 fill every level of C 6 via (1,1,1;0).  With both on,
-    # the count is the same and takes at most as many nodes.
+    # fills see them, with the forced subspaces of q > 0, as the larger
+    # ones of q = 0 fill every level of C 6 via (1,1,1;0), and with only
+    # the last level counted on the quotient (last_level_only), as the
+    # quotient count decides some levels before the fills see them.  With
+    # all on, the count is the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
         ("c", Family.D, "7,3,1,1", "1,1,1,1;4", (3,)),
@@ -1036,7 +1078,9 @@ class TestHoist:
     def test_chains_match_unhoisted_reference(self, monkeypatch, path, fam, orbit, levi, q):
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
-        count, batches, forced = ff_oracle._quotient_count, ff_oracle._last_row_batches, ff_oracle._forced_subspaces
+        pruned = _enumerate(real, levi, DEFAULT_BUDGET)
+        last_level_only(monkeypatch)
+        count, batches, forced = ff_oracle._state_count, ff_oracle._last_row_batches, ff_oracle._forced_subspaces
         dims = list(itertools.accumulate(levi.ps))
         built, quotients = [], [0]
         enumerated, yielded = [0] * len(dims), [0] * len(dims)  # per level
@@ -1046,8 +1090,9 @@ class TestHoist:
             return built[-1]
 
         def spy_count(*args):
-            quotients[0] += 1
-            return count(*args)
+            value = count(*args)
+            quotients[0] += value is not None
+            return value
 
         def spy_batches(E, W, target, *rest):
             t = dims.index(target)
@@ -1056,15 +1101,14 @@ class TestHoist:
                 yielded[t] += X.shape[0]
                 yield F1, X
 
-        pruned = _enumerate(real, levi, DEFAULT_BUDGET)
-        monkeypatch.setattr(ff_oracle, "_quotient_count", spy_count)
+        monkeypatch.setattr(ff_oracle, "_state_count", spy_count)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", spy_forced)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
-        sizes = [0] + [Li.shape[0] for Li in built[-1][0]]
+        sizes = [0] + [Li.shape[0] for Li in built[-1]]
         fills = [([0] + dims)[t] + sizes[t + 1] - sizes[t] >= dims[t] for t in range(len(dims) - 1)]
         if path == "c":
             assert quotients[0] > yielded[-2]
@@ -1075,16 +1119,17 @@ class TestHoist:
             assert any(fills[t - 1] and fills[t] and enumerated[t] > yielded[t - 1] for t in range(1, len(fills)))
 
     # A broken form (not e-invariant) makes the forced subspaces violate
-    # what e-invariance guarantees: gram index 0 is x(1,0), the span of
-    # im e^2 for B 3,1,1; for C 4,2 via (1,1;2), index 4 is x(1,1), a first
-    # row in ker e that the broken form no longer makes orthogonal to
+    # what e-invariance guarantees: gram index 0 is x(1,0), in L_2 = im e^3
+    # for B 4,4,1 via (1,3;1); for C 4,2 via (1,1;2), index 4 is x(1,1), a
+    # first row in ker e that the broken form no longer makes orthogonal to
     # L_2 = im e^3.  For C 6,2 via (1,1,1;2), index 6 is x(1,1) and index 1
     # is x(2,0), in L_3 = im e^4, so gram[1, 6] breaks E_2 perp L_3 for an
     # E_2 that holds x(1,1); the other entries (MID_RUN) keep that E_2 from
     # being enumerated (below).  The floor table cuts E_1 to im e^3 in C
     # 4,2 and to im e^5 in C 6,2, so the whole window is checked before the
-    # cut; with the cut off, the check at the entry of a level raises.  B
-    # 3,1,1 runs on the enumeration, as the peel decides it without L_1.
+    # cut; with the cut off and only the last level counted on its
+    # quotient, the check at the entry of a level raises.  The root's peel
+    # decides none of the three, so each builds its L_i.
     MID_RUN = {(1, 6): 1, (6, 1): 2, (6, 6): 1, (6, 0): 2}
     CORRUPT = (
         "from dataclasses import replace\n"
@@ -1100,11 +1145,13 @@ class TestHoist:
         "        ff_oracle._enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
         "        return str(exc).split(' (')[0]\n"
-        "print(raises('3,1,1', Family.B, '1;3', {(0, 0): 1}))\n"
+        "print(raises('4,4,1', Family.B, '1,3;1', {(0, 0): 1}))\n"
         "for _ in range(2):\n"
         "    print(raises('4,2', Family.C, '1,1;2', {(0, 4): 1, (4, 0): 1}))\n"
         f"    print(raises('6,2', Family.C, '1,1,1;2', {MID_RUN}))\n"
         "    ff_oracle._cut = lambda floor, d: 0\n"
+        "    count = ff_oracle._state_count  # only the last level on its quotient\n"
+        "    ff_oracle._state_count = lambda r, l, E, t: count(r, l, E, t) if t == len(l.ps) - 1 else None\n"
     )
 
     @staticmethod
@@ -1112,10 +1159,11 @@ class TestHoist:
         """The message of the InvariantError that _enumerate raises, and
         what the enumeration did before it: ("enumerate", t) for each level
         t enumerated, ("yield", rows) for each batch of children it
-        yields, ("quotient", count) for each last level counted and
+        yields, ("state", t, count) for each state E_t counted on its
+        quotient (count None where the peel does not decide) and
         ("charge", nodes) for each charge."""
         dims, log = list(itertools.accumulate(levi.ps)), []
-        charge, batches, count = ff_oracle._charge, ff_oracle._last_row_batches, ff_oracle._quotient_count
+        charge, batches, count = ff_oracle._charge, ff_oracle._last_row_batches, ff_oracle._state_count
 
         def spy_charge(counter, size, cap):
             log.append(("charge", int(size)))
@@ -1127,40 +1175,44 @@ class TestHoist:
                 log.append(("yield", X.shape[0]))
                 yield F1, X
 
-        def spy_count(*args):
-            log.append(("quotient", count(*args)))
-            return log[-1][1]
+        def spy_count(real, levi, E, t):
+            log.append(("state", t, count(real, levi, E, t)))
+            return log[-1][2]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ff_oracle, "_charge", spy_charge)
             patch.setattr(ff_oracle, "_last_row_batches", spy_batches)
-            patch.setattr(ff_oracle, "_quotient_count", spy_count)
+            patch.setattr(ff_oracle, "_state_count", spy_count)
             with pytest.raises(InvariantError) as info:
                 _enumerate(real, levi, DEFAULT_BUDGET)
         return str(info.value).split(" (")[0], log
 
     def test_forced_subspace_invariants_raise(self):
-        real = with_gram(realize(P("3,1,1"), Family.B, 3), {(0, 0): 1})
+        real = with_gram(realize(P("4,4,1"), Family.B, 3), {(0, 0): 1})
         with pytest.raises(InvariantError, match="not isotropic"):
-            _enumerate(real, L("1;3"), DEFAULT_BUDGET)
+            fiber_point_count(real, L("1,3;1"))
         real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
         with pytest.raises(InvariantError, match="not orthogonal"):
             fiber_point_count(real, L("1,1;2", Family.C))
 
     def test_last_level_keeps_the_orthogonality_check(self, monkeypatch):
         # C 4,2 via (1,1;2): the broken form of the test above makes E_1 =
-        # <x(1,1)> meet L_2 = im e^3.  The cut to im e^3 never enumerates
-        # that E_1, so the whole-window check raises before any node.  With
-        # the cut off, level 0 yields E_1 = <x(1,0)> (counted on the
-        # quotient: 0) and then <x(1,1)>, whose entry into the last level
-        # raises before it is counted.
+        # <x(1,1)> meet L_2 = im e^3.  The root's peel does not decide the
+        # check, and the cut to im e^3 never enumerates that E_1, so the
+        # whole-window check raises before any node.  With the cut off,
+        # level 0 yields E_1 = <x(1,0)> (counted on the quotient: 0) and
+        # then <x(1,1)>, whose entry into the last level raises before it
+        # is counted.
         real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
         levi = L("1,1;2", Family.C)
-        assert self.raised_after(real, levi) == ("E_1 is not orthogonal to L_2", [])
+        assert self.raised_after(real, levi) == ("E_1 is not orthogonal to L_2", [("state", 0, None)])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         assert self.raised_after(real, levi) == (
             "E_1 is not orthogonal to L_2",
-            [("enumerate", 0), ("charge", 3), ("yield", 1), ("quotient", 0), ("charge", 0), ("charge", 1), ("yield", 1)],
+            [
+                ("state", 0, None), ("enumerate", 0), ("charge", 3), ("yield", 1),
+                ("state", 1, 0), ("charge", 0), ("charge", 1), ("yield", 1),
+            ],
         )
 
     def test_decided_level_keeps_the_orthogonality_check(self, monkeypatch):
@@ -1171,19 +1223,23 @@ class TestHoist:
         # x(2,0)> passes and counts 0 on the quotient, and <x(1,0), x(1,1)>
         # is not isotropic, as gram[6, 6] = 1 and gram[6, 1] = -gram[1, 6].
         # The second child fills level 1 with L_2 (one node), and that E_2 =
-        # <x(1,0), x(1,1)> raises at the entry of the last level.  The cut to
-        # im e^5 keeps x(1,1) out of E_1, so the whole-window check raises
-        # before any node.
+        # <x(1,0), x(1,1)> raises at the entry of the last level.  This path
+        # needs the states E_1 enumerated, not counted on their quotients
+        # (last_level_only), which decides both.  The root's peel does not
+        # decide the check, and the cut to im e^5 keeps x(1,1) out of E_1,
+        # so the whole-window check raises before any node.
         real = with_gram(realize(P("6,2"), Family.C, 3), self.MID_RUN)
         levi = L("1,1,1;2", Family.C)
-        assert self.raised_after(real, levi) == ("E_2 is not orthogonal to L_3", [])
+        assert self.raised_after(real, levi) == ("E_2 is not orthogonal to L_3", [("state", 0, None)])
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
+        last_level_only(monkeypatch)
         assert self.raised_after(real, levi) == (
             "E_2 is not orthogonal to L_3",
             [
-                ("enumerate", 0), ("charge", 3), ("yield", 2),
-                ("enumerate", 1), ("charge", 3), ("yield", 1), ("quotient", 0), ("charge", 0), ("charge", 1),
-                ("charge", 1),
+                ("state", 0, None), ("enumerate", 0), ("charge", 3), ("yield", 2),
+                ("state", 1, None), ("enumerate", 1), ("charge", 3), ("yield", 1),
+                ("state", 2, 0), ("charge", 0), ("charge", 1),
+                ("state", 1, None), ("charge", 1),
             ],
         )
 
@@ -1241,6 +1297,40 @@ def _swept_states(q):
     return swept
 
 
+@functools.lru_cache(maxsize=None)
+def state_reference(q, i, j):
+    """The flags through the j-th state of the i-th check of
+    _swept_states(q), by the un-hoisted reference."""
+    real, levi, reached = _swept_states(q)[i]
+    t, E, _, _ = reached[j]
+    return unhoisted_count(real, levi, DEFAULT_BUDGET, E, t)[0]
+
+
+def state_sweep(oracle, q):
+    """(states, decided, zeros, wrong) of ``oracle``'s _state_count on
+    every state E_t of _swept_states(q): decided counts the states it
+    counts, zeros those whose count is 0, and wrong lists each count that
+    differs from the reference (state_reference) and each state E_{k-1}
+    that it leaves undecided."""
+    states = decided = zeros = 0
+    wrong = []
+    for i, (real, levi, reached) in enumerate(_swept_states(q)):
+        for j, (t, E, _, _) in enumerate(reached):
+            states += 1
+            got = oracle._state_count(real, levi, E, t)
+            case = (real.family.value, real.partition.literal(), levi.literal(), t)
+            if got is None:
+                if t == len(levi.ps) - 1:
+                    wrong.append((case, "undecided"))
+                continue
+            want = state_reference(q, i, j)
+            decided += 1
+            zeros += want == 0
+            if got != want:
+                wrong.append((case, got, want))
+    return states, decided, zeros, wrong
+
+
 class TestLookAhead:
     # prime: windows the enumeration passes to _last_row_batches
     PASSED = {3: 183, 5: 164}
@@ -1251,13 +1341,15 @@ class TestLookAhead:
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
         # + 2 dim(E cap im e), a bound the floor table's a = 1 column meets
         # or beats.  And every window that the enumeration, with the same
-        # forced subspaces, passes to _last_row_batches at level t is W cut
+        # forced subspaces and every level before the last enumerated
+        # (last_level_only), passes to _last_row_batches at level t is W cut
         # to im e^a at the level's cut a, for the one state E whose start
         # E + L it is handed.
         states = compared = 0
         p = q
         forced, batches = ff_oracle._forced_subspaces, ff_oracle._last_row_batches
         monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
+        last_level_only(monkeypatch)
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
             rank_e, c = rank(e, p), len(real.partition.parts)
@@ -1295,23 +1387,16 @@ class TestLookAhead:
 
     # (flags counted, levels with a cut that hold them)
     @pytest.mark.parametrize("q,flags", [(3, (4388, 60)), (5, (3651, 60))])
-    def test_counted_flags_lie_in_the_cut_windows(self, monkeypatch, q, flags):
+    def test_counted_flags_lie_in_the_cut_windows(self, q, flags):
         # Every flag that the un-hoisted reference counts (it knows neither
         # the forced subspaces nor the floor table), for every Levi of B
         # N <= 7 and C/D N <= 6 whose reference finishes within TestHoist's
-        # cap, contains the forced subspaces that the enumeration builds,
-        # and each level space E_t meets every floor of row t of the table:
-        # dim(E_t cap im e^a) = dim E_t - rank(E_t at heights < a) >= m_a.
-        # So E_t lies in its window cut to im e^a at _cut's a.
+        # cap, has no part above s = 2k + [q > 0], contains the forced
+        # subspaces that the enumeration builds, and each level space E_t
+        # meets every floor of row t of the table: dim(E_t cap im e^a) =
+        # dim E_t - rank(E_t at heights < a) >= m_a.  So E_t lies in its
+        # window cut to im e^a at _cut's a.
         p = q
-        built = []
-        forced_subspaces = ff_oracle._forced_subspaces
-
-        def spy(*args):
-            built.append(forced_subspaces(*args))
-            return built[-1]
-
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", spy)
         seen = cut = 0
         for fam, top in ((Family.B, 7), (Family.C, 6), (Family.D, 6)):
             for n in range(2 - fam.size_parity, top + 1, 2):
@@ -1322,13 +1407,13 @@ class TestLookAhead:
                         count, _, counted = swept_reference(fam, orbit, levi, q, TestHoist.CAP)
                         if not levi.ps or count is None:
                             continue
-                        built.clear()
                         got = _enumerate(real, levi, 10**6)
                         assert got.count == len(counted), (orbit, levi)
                         if not counted:
                             continue
-                        forced, nilpotent = built[-1]
-                        assert nilpotent, (orbit, levi)
+                        k = len(levi.ps)
+                        assert max(orbit.parts) <= 2 * k + (levi.q > 0), (orbit, levi)
+                        forced = _forced_subspaces(list(heights), 2 * k + (levi.q > 0), k)
                         dims = list(itertools.accumulate(levi.ps))
                         for t, d in enumerate(dims):
                             floor = _floors(orbit, levi, t)
@@ -1856,8 +1941,8 @@ class TestDiscriminants:
             "d = disc(1) if symplectic else disc(0) * disc(2)", "d = disc(0) * disc(2)", 2
         ),
         "root's disc(0) dropped": (
-            "_shape_count(real, shape, real.disc)",
-            "_shape_count(real, shape, lambda a: real.disc(a) if a else 1)",
+            "real.partition.parts, steps, q), real.disc)",
+            "real.partition.parts, steps, q), lambda a: real.disc(a) if a else 1)",
             9,
         ),
     }
@@ -1902,7 +1987,7 @@ def pseudo_polarization_sweep(oracle, top_rank=6):
 
 
 def g0_reference(real, levi, E):
-    """The rank test that _quotient_count's check replaces: E^perp/E
+    """The rank test that _state_count's check replaces: E^perp/E
     carries a nondegenerate form iff rank G_0 = 2 p_k + q, for G_0 = Q g Q^T
     on a basis Q of E^perp."""
     p, g = real.modulus, real.gram
@@ -1911,9 +1996,10 @@ def g0_reference(real, levi, E):
 
 
 def quotient_check(real, levi, E):
-    """Whether _quotient_count passes the state E, rather than raising."""
+    """Whether _state_count passes the state E = E_{k-1}, rather than
+    raising."""
     try:
-        ff_oracle._quotient_count(real, levi, E, real.disc(0))
+        ff_oracle._state_count(real, levi, E, len(levi.ps) - 1)
     except InvariantError:
         return False
     return True
@@ -1935,13 +2021,12 @@ class TestQuotient:
     ONE_LEVEL = [(3, (9, 8, 8)), (5, (9, 8, 8)), (7, (7, 6, 6))]
 
     def test_one_level_enumeration_is_the_closed_form(self):
-        # At k = 1, E = 0 and V' = V, so _enumerate counts the one level on
-        # the quotient, reading the Jordan type of e from the ranks of the
-        # G_a, where fiber_point_count's peel reads the partition.  Both
-        # read the split types by the same discriminant rule
-        # (_shape_count), so the two sides differ only in how they read
-        # the Jordan type.  Either costs one node, so _enumerate finishes
-        # at a budget of 1.
+        # At k = 1 the root is the only state, and the peel always decides
+        # it: _enumerate counts every one-level check at its root, exactly
+        # as fiber_point_count does, at one node, so it finishes at a
+        # budget of 1.  The Jordan type read from the ranks of the G_a is
+        # checked against the flags themselves at every state E != 0
+        # (test_quotient_count_on_every_state).
         checks = 0
         for q, tops in self.ONE_LEVEL:
             for fam, top in zip((Family.B, Family.C, Family.D), tops):
@@ -1970,7 +2055,7 @@ class TestQuotient:
     # and G_2 then misread as parts 3, 2 and 1.  The second and third
     # reach the root's closed forms too.  (old, new, mismatches)
     QUOTIENT_MUTANTS = {
-        "(-1)^d dropped": ("(-1) ** d * det_g if not a", "det_g if not a", 13),
+        "(-1)^d dropped": ("(-1) ** d * real.disc(0) if not a", "real.disc(0) if not a", 13),
         "disc(b_3) dropped": ("disc(0) * disc(2)", "disc(0)", 7),
         "C's (-1)^(m_2/2) dropped": (
             "d = disc(1) if symplectic", "d = (-1) ** (m // 2) * disc(1) if symplectic", 19
@@ -2008,44 +2093,49 @@ class TestQuotient:
         real = replace(real, gram=gram)
         with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
             fiber_point_count(real, L("1,2;1"))
+        # The same clause at a state with two levels below it: (1,1,1;1)
+        # is not decided at the root, so its first state E_1 is checked.
+        with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E.*: det g = 0 mod 3"):
+            fiber_point_count(real, L("1,1,1;1"))
         # A state that is not isotropic: E^perp/E is then no quotient.
         real = realize(P("3,3,1"), Family.B, 3)
         E = np.eye(7, dtype=np.int64)[[6]]  # x(1,2), with <x, x> != 0
         with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
-            ff_oracle._quotient_count(real, L("1,2;1"), E, det(real.gram, 3))
+            ff_oracle._state_count(real, L("1,2;1"), E, 1)
 
     def test_degenerate_quotient_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.DEGENERATE) == "the form is degenerate on E^perp/E"
 
-    # (prime, states E = E_{k-1}, and per built corner case of a state: how
-    # many it makes, how many the rank of G_0 finds degenerate, and how many
-    # the package's check does).  The rank of G_0 lets through an appended
+    # (prime, states E = E_{k-1}, and per corner case built from a state
+    # E_{k-1} != 0, which has a quotient to check: how many it makes, how
+    # many the rank of G_0 finds degenerate, and how many the package's
+    # check does).  The rank of G_0 lets through an appended
     # x that pairs with E, as E + <x> then has rank d + 1 and a radical of
     # dimension d - 1, and some states on the degenerate g; det g and
     # rank E stop both.
     NONDEGENERACY = [
         (3, 1343, {
-            "dependent row": (1343, 0, 0),
-            "anisotropic row": (608, 359, 608),
+            "dependent row": (1289, 0, 0),
+            "anisotropic row": (575, 326, 575),
             "anisotropic last row": (575, 575, 575),
-            "degenerate g": (1343, 823, 1343),
+            "degenerate g": (1289, 769, 1289),
         }),
         (5, 1300, {
-            "dependent row": (1300, 0, 0),
-            "anisotropic row": (339, 244, 339),
+            "dependent row": (1254, 0, 0),
+            "anisotropic row": (311, 216, 311),
             "anisotropic last row": (311, 311, 311),
-            "degenerate g": (1300, 912, 1300),
+            "degenerate g": (1254, 866, 1254),
         }),
     ]
 
     @pytest.mark.parametrize("q,states,corners", NONDEGENERACY)
     def test_nondegeneracy_check_matches_rank_of_g0(self, q, states, corners):
-        # _quotient_count reads that E^perp/E carries a nondegenerate form
+        # _state_count reads that E^perp/E carries a nondegenerate form
         # from det g, rank E and E g E^T.  On every state E = E_{k-1} of
         # the sweep the enumeration builds (_swept_states) it agrees with
         # the rank of G_0 = Q g Q^T, Q a basis of E^perp, which must be
-        # 2 p_k + q: both pass.  On corner cases built from each state
-        # (its rows in reduced form) it raises wherever that rank does: E
+        # 2 p_k + q: both pass.  On corner cases built from each state E !=
+        # 0 (its rows in reduced form) it raises wherever that rank does: E
         # with a dependent row appended, which is the same subspace; E
         # with a row x, <x, x> != 0, appended or in place of its last row
         # (not for C, whose form is alternating); and E on g with the row
@@ -2062,6 +2152,8 @@ class TestQuotient:
                 E = rref(E, q)[0]
                 assert g0_reference(real, levi, E) and quotient_check(real, levi, E), (real, levi, E)
                 seen += 1
+                if not t:  # E_0 = 0: the root reads real's partition, and realize checked g
+                    continue
                 built = {
                     "dependent row": (real, np.vstack([E, E.sum(axis=0) % q])),
                     "degenerate g": (flat, E),
@@ -2098,7 +2190,7 @@ class TestQuotient:
         "    r, rows = STATES[kind]\n"
         "    E = np.eye(7, dtype=np.int64)[rows]\n"
         "    try:\n"
-        "        oracle._quotient_count(r, LeviType.from_text('1,2;1', Family.B), E, r.disc(0))\n"
+        "        oracle._state_count(r, LeviType.from_text('1,2;1', Family.B), E, 1)\n"
         "    except InvariantError as exc:\n"
         "        return str(exc)\n"
     )
@@ -2109,7 +2201,7 @@ class TestQuotient:
     }
     # (the clause, and its mutant: the clause dropped) by the input it stops
     CLAUSES = {
-        "degenerate g": ("if not det_g:", "if False:"),
+        "degenerate g": ("if not real.disc(0):", "if False:"),
         "E one row short": ("elif r != d:", "elif False:"),
         "E not isotropic": ("elif pairing.any():", "elif False:"),
     }
