@@ -5,8 +5,8 @@ itself runs on Python-int rows: the input is reduced mod p once and turned
 into lists, every pivot step is a list comprehension over the rows whose
 entry in the pivot column is nonzero, and the result becomes an int64 array
 once at the end.  ``nullspace`` builds its rows from the reduced rows as
-lists too.  Python ints cannot wrap, so ``rref``, ``rank``, ``nullspace``
-and ``det`` are exact for any prime p below 2^63; their outputs are
+lists too.  Python ints cannot wrap, so ``rref``, ``nullspace`` and
+``det`` are exact for any prime p below 2^63; their outputs are
 reduced residues.
 
 Row spaces are the working representation of subspaces: a subspace is a
@@ -59,10 +59,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     an int64 array of shape (rank, cols) and the pivot column of each row."""
     red, pivots = _reduce(mat, p)
     return np.array(red, dtype=np.int64).reshape(len(red), mat.shape[1]), pivots
-
-
-def rank(mat: np.ndarray, p: int) -> int:
-    return rref(mat, p)[0].shape[0]
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:

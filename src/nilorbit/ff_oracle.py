@@ -23,14 +23,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from ._linalg import det, nullspace, rank, rref
+from ._linalg import det, nullspace, rref
 from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid
@@ -476,14 +475,10 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
         del extend
 
 
-def _forced_subspaces(heights: list[int], s: int, k: int) -> list[np.ndarray]:
-    """Row bases of L_i = im e^(s-i) for i = 1..k on realize's Jordan basis,
-    whose x(i,j) has height d_j - i (``heights``, in coordinate order).
-    im e^a is spanned by the x(i,j) of height >= a, so L_i is the identity
-    rows at those coordinates, in order (its reduced form).  _enumerate
-    takes s = 2k + 1, or s = 2k when q = 0."""
-    eye = np.eye(len(heights), dtype=np.int64)
-    return [eye[[c for c, h in enumerate(heights) if h >= s - i]] for i in range(1, k + 1)]
+def _heights(p: Partition) -> list[int]:
+    """The heights d_j - i of realize's Jordan basis x(i,j), in coordinate
+    order: im e^a is spanned by the x(i,j) of height >= a."""
+    return [d - i for d in p.parts for i in range(1, d + 1)]
 
 
 def _peel(
@@ -604,43 +599,56 @@ def _shape_count(
     return _flag_sum(p, symplectic, ones, steps, twos, split)
 
 
-def _state_count(real: JordanRealization, levi: LeviType, E: np.ndarray, t: int) -> int | None:
+def _state_count(
+    real: JordanRealization, levi: LeviType, E: np.ndarray, t: int
+) -> int | tuple[np.ndarray, int]:
     """The flags through a state E = E_t of _enumerate (rows spanning it,
     isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0) when the peel
-    decides them, else None.  The rest of such a flag lies in E^perp, as
-    E_k does, and is a flag of the induced e' on V' = E^perp/E for the
-    Levi (p_{t+1}, ..., p_k; q): isotropy carries over, e(E_i) <= E_{i-1}
-    iff e' lowers E_i/E into E_{i-1}/E, and e(E_k^perp) <= E_k iff e' maps
-    (E_k/E)^perp = E_k^perp/E into E_k/E.  So the count is the peel's
-    (_peel) for the Jordan type of e' and those steps, in closed form
-    (_shape_count) from the discriminants disc(a) of e'.
+    decides them, else the state's start E + e^(s-1)(E^perp), the forced
+    subspace of its next level (_enumerate), and the start's dimension.
+    The rest of such a flag lies in E^perp, as E_k does, and is a flag of
+    the induced e' on V' = E^perp/E for the Levi (p_{t+1}, ..., p_k; q):
+    isotropy carries over, e(E_i) <= E_{i-1} iff e' lowers E_i/E into
+    E_{i-1}/E, and e(E_k^perp) <= E_k iff e' maps (E_k/E)^perp = E_k^perp/E
+    into E_k/E.  So the count is the peel's (_peel) for the Jordan type of
+    e' and those steps, in closed form (_shape_count) from the
+    discriminants disc(a) of e'.
 
-    At E = 0, V' = V: the Jordan type is real's partition and disc is
-    real's, with no elimination.  Otherwise both come from products on a
-    basis Q of E^perp, one nullspace of E g.  G_a = Q g e^a Q^T is the form
-    <x, e^a y> on E^perp.  E lies in its radical, so rank G_a = rank e'^a.
-    V' must carry a nondegenerate form, rank G_0 = dim V' = n - 2d, else
-    InvariantError names the clause below that failed.  For nondegenerate
-    g, rank G_0 = (n - r) - dim(E cap E^perp) with r = rank E, and every
-    state _enumerate passes has r <= d (a child F1 + x has d independent
-    rows, a filled start exactly d), so rank G_0 = n - 2d exactly when r =
-    d and E is isotropic.  So no rank of G_0 is taken: the check is det g
-    != 0 mod p (disc(0)), r = n - (rows of Q) = d, and E g E^T = 0 mod p,
-    one small product on the E g at hand.  Where r > d, or g is degenerate
-    (only a realization changed by replace), it raises wherever rank G_0
-    != n - 2d would, and more.
+    At E = 0, V' = V: the Jordan type is real's partition, disc is real's,
+    and the start is im e^(s-1), the Jordan coordinates of height >= s - 1
+    (_heights), all with no elimination.  Otherwise all of them come from
+    products on a basis Q of E^perp, one nullspace of E g.  G_a =
+    Q g e^a Q^T is the form <x, e^a y> on E^perp.  E lies in its radical,
+    so rank G_a = rank e'^a.  V' must carry a nondegenerate form, rank G_0
+    = dim V' = n - 2d, else InvariantError names the clause below that
+    failed.  For nondegenerate g, rank G_0 = (n - r) - dim(E cap E^perp)
+    with r = rank E, and every state _enumerate passes has exactly d
+    independent rows, so rank G_0 = n - 2d exactly when r = d and E is
+    isotropic.  So no rank of G_0 is taken: the check is det g != 0 mod p
+    (disc(0)), r = n - (rows of Q) = d, and E g E^T = 0 mod p, one small
+    product on the E g at hand.  Where r > d, or g is degenerate (only a
+    realization changed by replace), it raises wherever rank G_0 != n - 2d
+    would, and more.
 
     With s = 2(k - t) + [q > 0], G_s != 0 leaves a part of e' above s,
-    which no flag allows (_enumerate's forced subspaces, on V'), so the
-    count is 0.  With two or more levels left, G_{s-1} = 0 != G_1 says that
-    no part is s and not every part is 1, where the peel does not decide:
-    None, with no rank taken.  Otherwise the ranks r_a = rank G_a, with
-    r_0 = n - 2d and r_s = 0, give m_j = r_{j-1} - 2 r_j + r_{j+1} parts j
-    of e', and disc(a) is read from G_a on the pivots that the ranks found,
-    and is (-1)^d det g at a = 0, as E + E* adds d hyperbolic planes."""
+    which no flag allows, so the count is 0.  With two or more levels
+    left, G_{s-1} = 0 != G_1 says that no part is s and not every part is
+    1, where the peel does not decide: the start is E itself, with no rank
+    taken.  Otherwise the ranks r_a = rank G_a, with r_0 = n - 2d and r_s =
+    0, give m_j = r_{j-1} - 2 r_j + r_{j+1} parts j of e', and disc(a) is
+    read from G_a on the pivots that the ranks found, and is (-1)^d det g
+    at a = 0, as E + E* adds d hyperbolic planes.  A start left there is E
+    plus e^(s-1) x for the rows x of Q at the pivots of G_{s-1}, of
+    dimension d + r_{s-1}: G_{s-1} is symmetric or alternating, so those
+    rows of it are independent, and so are those e^(s-1) x modulo E."""
     steps, q = levi.ps[t:], levi.q
+    s = 2 * len(steps) + (q > 0)
     if not t:
-        return _shape_count(real, _peel(real.partition.parts, steps, q), real.disc)
+        value = _shape_count(real, _peel(real.partition.parts, steps, q), real.disc)
+        if value is not None:
+            return value
+        top = [c for c, h in enumerate(_heights(real.partition)) if h >= s - 1]
+        return np.eye(real.dim, dtype=np.int64)[top], len(top)
     p, g, e = real.modulus, real.gram, real.e
     d = sum(levi.ps[:t])
     Eg = E @ g % p
@@ -659,7 +667,6 @@ def _state_count(real: JordanRealization, levi: LeviType, E: np.ndarray, t: int)
         raise InvariantError(
             f"the form is degenerate on E^perp/E ({real.partition}, {levi}, p={p}): {failed}"
         )
-    s = 2 * len(steps) + (q > 0)
     Qg, grams = Q @ g % p, []  # G_1, .., G_s
     for _ in range(s):
         Qg = Qg @ e % p
@@ -667,7 +674,7 @@ def _state_count(real: JordanRealization, levi: LeviType, E: np.ndarray, t: int)
     if grams[-1].any():  # a part of e' exceeds s
         return 0
     if len(steps) > 1 and grams[0].any() and not grams[-2].any():  # no part is s, not all are 1
-        return None
+        return E, d
     pivots = [rref(G, p)[1] for G in grams[:-1]] + [[]]  # G_s = 0
     ranks = [real.dim - 2 * d] + [len(x) for x in pivots] + [0]
     parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
@@ -675,7 +682,13 @@ def _state_count(real: JordanRealization, levi: LeviType, E: np.ndarray, t: int)
     def disc(a: int) -> int:
         return (-1) ** d * real.disc(0) if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
 
-    return _shape_count(real, _peel(parts, steps, q), disc)
+    value = _shape_count(real, _peel(parts, steps, q), disc)
+    if value is not None:
+        return value
+    top = Q[pivots[-2]]  # e^(s-1) of these rows spans the start modulo E
+    for _ in range(s - 1):
+        top = top @ e.T % p
+    return np.vstack([E, top]), d + top.shape[0]
 
 
 def fiber_point_count(
@@ -704,6 +717,8 @@ def fiber_point_count(
     the flags through each state E_t are counted the same way, on
     E_t^perp/E_t, wherever the peel decides them (_state_count): the root
     is its case E_0 = 0, and a state with one level left is always decided.
+    A state it leaves starts its next level from its own forced subspace,
+    the L_1 of e' on E_t^perp/E_t.
 
     Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
     are the isotropic flags of V_1 with cumulative dimensions
@@ -748,24 +763,23 @@ def fiber_point_count(
     return skip if skip is not None else _enumerate(real, levi, cap)
 
 
-def _levels(real: JordanRealization, levi: LeviType) -> tuple:
-    """_enumerate's tables for a check that the root's peel leaves: the
-    forced subspaces L_i and their products with g, checked isotropic;
-    per level t + 1 < k whether it is fillable and its cut (_cut); and
-    the Jordan basis sorted by height, with the sorted heights."""
-    p, g, dims = real.modulus, real.gram, list(itertools.accumulate(levi.ps))
-    # The heights d_j - i of the Jordan basis x(i,j), as plain lists: numpy's
-    # sorting and searching code adds to peak RSS.
-    heights = [d - j for d in real.partition.parts for j in range(1, d + 1)]
-    forced = _forced_subspaces(heights, 2 * len(dims) + (levi.q > 0), len(dims))
-    forced_g = [L @ g % p for L in forced]
-    if any(np.any(Lg @ L.T % p) for L, Lg in zip(forced, forced_g)):
-        raise InvariantError(f"im e^a is not isotropic ({real.partition}, {levi}, p={p})")
-    sizes = [0] + [L.shape[0] for L in forced]  # E_t + L_{t+1} may fill when L grows by p_{t+1}
-    fills = [([0] + dims)[t] + sizes[t + 1] - sizes[t] >= dims[t] for t in range(len(dims) - 1)]
-    cuts = [_cut(_floors(real.partition, levi, t), dims[t]) for t in range(len(dims) - 1)]
-    order = sorted(range(len(heights)), key=heights.__getitem__)
-    return forced, forced_g, fills, cuts, order, [heights[c] for c in order]
+def _levels(real: JordanRealization, levi: LeviType) -> list[list[int] | None]:
+    """_enumerate's table for a check that the root's peel leaves: per
+    level t + 1 < k, the Jordan coordinates outside im e^a for its cut a
+    (_cut), or None where it leaves no flag.  First the identities that
+    the enumeration's starts and windows rest on, g^T = eps g and e^T g +
+    g e = 0 mod p, are checked by two products, and a failure raises
+    InvariantError."""
+    p, e, g = real.modulus, real.e, real.gram
+    for failed, residue in (("g^T != eps g", g.T - real.family.epsilon * g),
+                            ("e^T g + g e != 0", e.T @ g + g @ e)):
+        if (residue % p).any():
+            raise InvariantError(
+                f"the form is not e-invariant ({real.partition}, {levi}, p={p}): {failed} mod {p}"
+            )
+    heights, dims = _heights(real.partition), list(itertools.accumulate(levi.ps))
+    cuts = (_cut(_floors(real.partition, levi, t), dims[t]) for t in range(len(dims) - 1))
+    return [None if a is None else [c for c, h in enumerate(heights) if h < a] for a in cuts]
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
@@ -783,12 +797,16 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
       E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
       and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
     So L_1 <= E_1 <= ker e needs e^s = 0, that is max part <= s, else the
-    root's peel counts 0.  im e^a is spanned by the Jordan coordinates
-    x(i,j) of height d_j - i >= a, so L_i is the identity rows at the
-    heights >= s - i (_forced_subspaces), built with no elimination once
-    per check that the root leaves (_levels).  Their isotropy and E_{i-1}
-    perp L_i both follow from E_{i-1} <= ker e^(i-1), as <e^a x, y> =
-    +-<x, e^a y> and s - i >= i - 1; they are checked, and a failure raises
+    root's peel counts 0.  Below a state E_t the flag is one of e' on
+    E_t^perp/E_t (_state_count), so the same argument there, with s_t =
+    2(k - t) + [q > 0], puts E_{t+1} above the state's own forced
+    subspace, its start E_t + e^(s_t - 1)(E_t^perp) (L_1 at the root),
+    which contains E_t + L_{t+1}, as E_t^perp >= im e^t.  It is isotropic,
+    as e'^(s_t) = 0 and 2(s_t - 1) >= s_t, and orthogonal to the level's
+    window W = E_t^perp cap e^{-1}(E_t), as W/E_t lies in ker e' = (im
+    e'^(s_t - 1))^perp.  Both rest on g^T = eps g and e^T g + g e = 0 mod
+    p, which realize checks but replace may break, so _levels checks them
+    by two products before the first level, and a failure raises
     InvariantError.
 
     One floor table cuts the windows.  The flags below E_t are flags of
@@ -805,70 +823,51 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     all of E_t lies in im e^a, which is spanned by the Jordan coordinates
     x(i,j) of height d_j - i >= a.  For the largest such a (_cut), the
     window of a level is cut to im e^a by one nullspace of its columns at
-    heights < a.  A start E_{t-1} + L_t with an entry at heights < a, or a
-    floor above dim E_t, counts 0.  The whole window lies in ker e^t and so
-    is orthogonal to L_k; that is checked before the table cuts or ends the
-    level.
+    heights < a.  A floor above dim E_{t+1}, or a start with an entry at
+    heights < a, counts 0, before anything else is done at the level.
 
-    A state E_t, t >= 1, is checked orthogonal to L_{t+1} before its
-    count.  Level t + 1 is fillable when dim E_t + dim L_{t+1} - dim L_t >=
-    dim E_{t+1}, which depends on (partition, Levi) alone; there a start
-    E_t + L_{t+1} of rank dim E_{t+1} is E_{t+1}, at one node.  Any other
-    start is enumerated, one that overfills too: no flag goes through it,
-    and _last_row_batches yields nothing for it.  Its window (E +
-    L_{t+1})^perp cap e^{-1}(E) takes two eliminations, as e^{-1}(E) =
-    (ann(E) e)^perp: one nullspace of E gives ann(E), and one of [E g;
-    L_{t+1} g; ann(E) e] the window.  After the check against L_k and the
-    cut, _last_row_batches adds one reduced-echelon row at a time and drops
-    each candidate row as soon as it fails isotropy, and the recursion
-    goes into each E_{t+1} = F1 + <x> that it yields.
+    A start whose dimension is dim E_{t+1} is E_{t+1}: the level is filled
+    at one node.  Any other start is enumerated, one that overfills too: no
+    flag goes through it, and _last_row_batches yields nothing for it.  Its
+    window takes two eliminations, as e^{-1}(E) = (ann(E) e)^perp: one
+    nullspace of E gives ann(E), and one of [E g; ann(E) e] the window.
+    After the cut, _last_row_batches adds one reduced-echelon row at a
+    time to the start and drops each candidate row as soon as it fails
+    isotropy, and the recursion goes into each E_{t+1} = F1 + <x> that it
+    yields.
 
     A node is one candidate row generated and tested, one level filled by
-    its forced subspace, or one state E_t, t >= 1, that its quotient
-    decides with a count that is not 0, each charged by the state that
-    spends it; a level that the table ends or cuts away costs none.  A
-    check with a general-linear block costs at least one node, one without
-    none.  A check whose total would exceed the cap returns an explicit
-    skip with ``nodes == cap + 1``, never a wrong count.
+    its start, or one state E_t, t >= 1, that its quotient decides with a
+    count that is not 0, each charged by the state that spends it; a level
+    that the table ends or cuts away costs none.  A check with a
+    general-linear block costs at least one node, one without none.  A
+    check whose total would exceed the cap returns an explicit skip with
+    ``nodes == cap + 1``, never a wrong count.
     """
     p, e, g = real.modulus, real.e, real.gram
     dims = list(itertools.accumulate(levi.ps))
-    last = len(dims) - 1
     counter, levels = [0], None  # levels: _levels, once the root is not decided
-
-    def broken(what: str) -> InvariantError:
-        return InvariantError(f"{what} ({real.partition}, {levi}, p={p})")
 
     def count(E: np.ndarray, t: int) -> int:
         """The flags over E = E_t (rows spanning it) from the level after
         it on, E_{t+1} of dimension dims[t] first."""
         nonlocal levels
-        if t and np.any(E @ levels[1][t].T % p):  # levels[1][t] = L_{t+1} g
-            raise broken(f"E_{t} is not orthogonal to L_{t + 1}")
         value = _state_count(real, levi, E, t)
-        if value is not None:
+        if not isinstance(value, tuple):
             if t:  # a decided root costs the check's one node (below)
                 _charge(counter, bool(value), cap)
             return value
         levels = levels or _levels(real, levi)
-        forced, forced_g, fills, cuts, order, height = levels
-        start = np.vstack([E, forced[t]])
-        if fills[t] and rank(start, p) == dims[t]:
+        start, size = value
+        low = levels[t]  # the coordinates outside im e^a, at the level's cut a
+        if low is None or start[:, low].any():
+            return 0
+        if size == dims[t]:
             _charge(counter, 1, cap)
             return count(start, t + 1)
-        # The window (E + L_{t+1})^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp.
-        window = nullspace(np.vstack([E @ g % p, forced_g[t], nullspace(E, p) @ e % p]), p)
-        a = cuts[t]
-        # The whole window lies in ker e^(t+1), so it is orthogonal to L_k,
-        # which holds every L_i: check it before the table drops its rows.
-        if a != 0 and np.any(window @ forced_g[last].T % p):
-            raise broken(f"E_{last} is not orthogonal to L_{last + 1}")
-        if a is None:
-            return 0
-        if a:  # cut the window to im e^a, which must hold start
-            low = order[: bisect_left(height, a)]
-            if start[:, low].any():
-                return 0
+        # The window E^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp.
+        window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
+        if low:  # cut it to im e^a
             window = nullspace(window[:, low].T, p) @ window % p
         batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
         return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)

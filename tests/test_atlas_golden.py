@@ -58,9 +58,9 @@ DEFAULT_BUDGET = {
            "c65c102cbc6ed03c723457aa10d1f6533d3356f66ae2d0c0b91ad950d4c6ffa5"),
     "D6": ("e16352ee8451c5e4f982d37ba3163cb4b0b2ddb92e2f444b4d8097e9681677a0",
            "814a41d6d25883d28e50c7f25e5895e1d9eaab3b129ff570fec764c933630068"),
-    "D7": ("74e0b85366f2987c817fd51a23307237a27d2e671312dced388c0e0e5b4597fe",
+    "D7": ("b5d1ac03eba30dcdc50877634751450cfabde20d55392bf895dbbd2d883e45cf",
            "9291a42144822948bc5d4cb5530b47edfe84147d0766680b0053a865c5ebe29c"),
-    "D8": ("8bbf48e4b8980585e0f08e8c3324091d3d605ae897644d81846752bc16f95c30",
+    "D8": ("a08b665f92d43d4b490529658ead936a1adbeb2c8cc9b12059c4fa30093c7a33",
            "08da7ca66c5830af98c227af8d493fb1bbc8685904cf02c55cc9eab71a4032d4"),
 }
 BUDGET_0 = {

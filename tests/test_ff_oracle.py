@@ -4,10 +4,10 @@ The Grassmannian step counts are cross-checked against a brute force that
 shares nothing with the package: it builds its own bilinear forms and its
 own reduced-echelon subspace enumerator.  The oracle's pruned enumerator is
 checked against the same enumerator plus an isotropy filter, its
-batched leaf test against a per-leaf containment check, its forced
-subspaces against a test-side count that enumerates without them and
-against the former route by matrix powers and rref, and its children's
-windows against a fresh nullspace of each child; the package's row
+batched leaf test against a per-leaf containment check, its starts (each
+state's forced subspace) against a test-side count that enumerates
+without them and against a route by matrix powers and rref, and its
+children's windows against a fresh nullspace of each child; the package's row
 reduction only builds the inputs and the canonical bases compared.
 """
 import functools
@@ -44,7 +44,7 @@ from nilorbit import (
     resolve_budget,
 )
 from nilorbit import _linalg, ff_oracle
-from nilorbit._linalg import det, nullspace, rank, rref
+from nilorbit._linalg import det, nullspace, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
     _is_odd_prime,
@@ -53,7 +53,6 @@ from nilorbit.ff_oracle import (
     _cut,
     _enumerate,
     _floors,
-    _forced_subspaces,
     _model,
     _peel,
     _validate,
@@ -395,7 +394,7 @@ def _rank(e, k, p):
 
 
 def reference_forced_subspaces(e, s, k, p):
-    """The former route to the forced subspaces: row bases of L_i =
+    """The forced subspaces by matrix powers: row bases of L_i =
     im e^(s-i), i = 1..k, by rref of the transposed matrix powers."""
     power = _pow(e, s - k, p)
     bases = []
@@ -403,32 +402,6 @@ def reference_forced_subspaces(e, s, k, p):
         bases.append(rref(power.T, p)[0])
         power = power @ e % p
     return bases[::-1]
-
-
-class TestForcedSubspaces:
-    def test_heights_match_matrix_powers(self):
-        # Every realization of B N <= 9 and C/D N <= 8 at p = 3 and 5, and
-        # its e (a 0/1 matrix, the same at every p) at BIG_PRIME, where
-        # realize refuses the modulus; k up to n // 2 general-linear blocks
-        # and s = 2k or 2k + 1, as _enumerate takes them.
-        compared = 0
-        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
-            for n in range(2 - fam.size_parity, top + 1, 2):
-                for orbit in enumerate_valid(n, fam):
-                    heights = [d - i for d in orbit.parts for i in range(1, d + 1)]
-                    e = realize(orbit, fam, 3).e
-                    assert np.array_equal(realize(orbit, fam, 5).e, e)
-                    for q in (3, 5, BIG_PRIME):
-                        for k in range(1, n // 2 + 1):
-                            for s in (2 * k, 2 * k + 1):
-                                got = _forced_subspaces(heights, s, k)
-                                want = reference_forced_subspaces(e, s, k, q)
-                                assert len(got) == k
-                                for L, ref in zip(got, want):
-                                    assert L.dtype == np.int64 and L.shape == ref.shape
-                                    assert np.array_equal(L, ref), (orbit, s, k, q)
-                                compared += 1
-        assert compared == 1410
 
 
 class TestFiberCounts:
@@ -527,7 +500,7 @@ def _random_isotropic(form, k, p, rng):
     while E.shape[0] < k:
         x = rng.integers(0, p, size=(1, n))
         cand = np.vstack([E, x])
-        if rank(cand, p) > E.shape[0] and not np.any(cand @ form % p @ x.T % p):
+        if len(rref(cand, p)[1]) > E.shape[0] and not np.any(cand @ form % p @ x.T % p):
             E = cand
     return E
 
@@ -603,7 +576,7 @@ class TestIsotropicExtensions:
         expected = set()
         for coeff in rref_subspaces(W.shape[0], target, p):
             F = coeff @ W % p
-            if rank(np.vstack([F, E]), p) == target and not np.any(F @ form % p @ F.T % p):
+            if len(rref(np.vstack([F, E]), p)[1]) == target and not np.any(F @ form % p @ F.T % p):
                 expected.add(_canon(F, p))
         counter = [0]
         got = extensions(E, W, target, form, p, counter, DEFAULT_BUDGET)
@@ -690,7 +663,7 @@ class TestCloses:
     # whose chain the ranks of G_1, .., G_{s-1} then misread.
     # (old, new, states miscounted)
     STATE_MUTANTS = {
-        "s' at every level": ("s = 2 * len(steps) + (q > 0)\n    Qg", "s = 2 + (q > 0)\n    Qg", 37),
+        "s' at every level": ("s = 2 * len(steps) + (q > 0)\n    if", "s = 2 + (q > 0)\n    if", 37),
         "G_s test dropped": ("if grams[-1].any():", "if False:", 14),
     }
 
@@ -881,19 +854,33 @@ def unhoisted_count(real, levi, cap, start=None, t=0, flags=None):
         return None, counter[0]
 
 
+def reference_start(real, levi, E, t):
+    """The start of level t + 1 below the state E = E_t (rows spanning it),
+    by matrix powers and rref: with s = 2(k - t) + [q > 0], the forced
+    subspace E + e^(s-1)(E^perp) in reduced form and its dimension, or None
+    where e^s(E^perp) leaves E (a part of e' on E^perp/E above s), below
+    which no flag goes and the start need not even be isotropic."""
+    p, e, g = real.modulus, real.e, real.gram
+    s = 2 * (len(levi.ps) - t) + (levi.q > 0)
+    perp = nullspace(E @ g % p, p)
+    if not contains(E, perp @ _pow(e, s, p).T % p, p):
+        return None
+    start = rref(np.vstack([E, perp @ _pow(e, s - 1, p).T % p]), p)[0]
+    return start, start.shape[0]
+
+
 def last_level_only(monkeypatch):
     """Let _enumerate count only the states E_{k-1} on their quotient, and
-    the root only where a part exceeds s = 2k + [q > 0] (a count of 0, for
-    which the forced subspaces are not even isotropic), so that every
-    level before the last is enumerated and the tests of its fill, cut and
-    window paths reach the levels they pin."""
+    the states below which e' has a part above s (a count of 0, where
+    reference_start has no start), and start every other level from
+    reference_start, so that every level before the last is filled or
+    enumerated and the tests of its fill, cut and window paths reach the
+    levels they pin."""
     count = ff_oracle._state_count
 
     def state_count(real, levi, E, t):
-        k = len(levi.ps)
-        if t == k - 1 or max(real.partition.parts) > 2 * k + (levi.q > 0):
-            return count(real, levi, E, t)
-        return None
+        start = None if t == len(levi.ps) - 1 else reference_start(real, levi, E, t)
+        return count(real, levi, E, t) if start is None else start
 
     monkeypatch.setattr(ff_oracle, "_state_count", state_count)
 
@@ -976,7 +963,7 @@ class TestHoist:
     )
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_a_filled_level_costs_one_node(self, monkeypatch, fam, orbit, levi, k, q):
-        # E_i = E_{i-1} + L_i at every level: one flag, k nodes, when only
+        # Every level filled by its start: one flag, k nodes, when only
         # the last level is counted on its quotient.  The root's peel
         # decides each of them at one node.
         real, levi = realize(P(orbit), fam, q), L(levi, fam)
@@ -996,11 +983,9 @@ class TestHoist:
     # have their last level counted on the quotient ("b": _state_count
     # counts it with no row of it generated), each against the un-hoisted
     # reference.  The paths are pinned with only the last level counted on
-    # the quotient (last_level_only), with the floor table's cut off, since
-    # it prunes first, and with the forced subspaces L_i = im e^(2k+1-i) of
-    # q > 0, which every flag contains: for q = 0 the larger im e^(2k-i)
-    # decides the C cases first.  With all on, the count is the same and
-    # takes at most as many nodes as the reference.
+    # the quotient (last_level_only) and with the floor table's cut off,
+    # since it prunes first.  With all on, the count is the same and takes
+    # at most as many nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -1021,7 +1006,7 @@ class TestHoist:
         full = _enumerate(real, levi, DEFAULT_BUDGET)
         counted, targets = [], []
         last_level_only(monkeypatch)
-        count, forced, batches = ff_oracle._state_count, ff_oracle._forced_subspaces, ff_oracle._last_row_batches
+        count, batches = ff_oracle._state_count, ff_oracle._last_row_batches
 
         def spy(*args):
             counted.append(count(*args))
@@ -1034,32 +1019,26 @@ class TestHoist:
         monkeypatch.setattr(ff_oracle, "_state_count", spy)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
+        assert targets and sum(levi.ps) not in targets
         if path == "b":
-            assert any(value is not None for value in counted) and sum(levi.ps) not in targets
+            assert any(not isinstance(value, tuple) for value in counted)
 
-    # Fillable levels, each against the un-hoisted reference.  Level t < k
-    # is fillable when dim E_{t-1} + dim L_t - dim L_{t-1} >= dim E_t: a
-    # child whose E_{t-1} + L_t reaches dim E_t has the level decided by its
-    # forced subspace, and one that falls short is enumerated there.  Every
-    # child that level t - 1 yields and every E_{t-1} that it decides enters
-    # level t, so the paths are read from the calls the enumeration makes:
-    # "c", a level decided by its forced subspace, then the quotient (more
-    # last levels counted than children yielded the level before); "s", a
-    # short child enumerated at a fillable level, and no level decided
-    # before the last; "m", a short child between two fillable levels (more
-    # enumerations at level t than children yielded at level t - 1, so some
-    # E_{t-1} was decided), which needs two fillable levels before the last
-    # (B 6,6,5 via (1,2,3;5), whose middle level is its last, is a "c"
-    # case).  The references for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and 0.5
-    # s at p=5, so they run at p=3 only.  The paths are pinned with the
-    # floor table off (no row in it), as it cuts the windows before the
-    # fills see them, with the forced subspaces of q > 0, as the larger
-    # ones of q = 0 fill every level of C 6 via (1,1,1;0), and with only
-    # the last level counted on the quotient (last_level_only), as the
+    # Levels decided before the last one, each against the un-hoisted
+    # reference.  A start of dimension dim E_{t+1} is E_{t+1}, at one node,
+    # and a shorter one is enumerated; a state below which e' has a part
+    # above s_t counts 0 on its quotient, with no start.  The paths are read
+    # from the calls the enumeration makes: "c", a level where some starts
+    # fill and others fall short and are enumerated, or states before the
+    # last level counted 0 on their quotients; "s", every level before the
+    # last filled by its start, none enumerated; "m", states of a middle
+    # level (0 < t < k - 1) counted 0 on their quotients.  The references
+    # for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run
+    # at p=3 only.  The paths are pinned with the floor table off (no row
+    # in it), as it cuts the windows before the fills see them, and with
+    # only the last level counted on the quotient (last_level_only), as the
     # quotient count decides some levels before the fills see them.  With
     # all on, the count is the same and takes at most as many nodes.
     CHAINS = [
@@ -1080,58 +1059,51 @@ class TestHoist:
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
         pruned = _enumerate(real, levi, DEFAULT_BUDGET)
         last_level_only(monkeypatch)
-        count, batches, forced = ff_oracle._state_count, ff_oracle._last_row_batches, ff_oracle._forced_subspaces
+        count, batches = ff_oracle._state_count, ff_oracle._last_row_batches
         dims = list(itertools.accumulate(levi.ps))
-        built, quotients = [], [0]
-        enumerated, yielded = [0] * len(dims), [0] * len(dims)  # per level
+        fills, zeros, enumerated = [0] * len(dims), [0] * len(dims), [0] * len(dims)  # per level
 
-        def spy_forced(heights, s, k):
-            built.append(forced(heights, 2 * k + 1, k))
-            return built[-1]
-
-        def spy_count(*args):
-            value = count(*args)
-            quotients[0] += value is not None
+        def spy_count(real, levi, E, t):
+            value = count(real, levi, E, t)
+            if isinstance(value, tuple):
+                fills[t] += value[1] == dims[t]
+            elif t < len(dims) - 1:
+                zeros[t] += 1
             return value
 
         def spy_batches(E, W, target, *rest):
-            t = dims.index(target)
-            enumerated[t] += 1
-            for F1, X in batches(E, W, target, *rest):
-                yielded[t] += X.shape[0]
-                yield F1, X
+            enumerated[dims.index(target)] += 1
+            return batches(E, W, target, *rest)
 
         monkeypatch.setattr(ff_oracle, "_state_count", spy_count)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", spy_forced)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
-        sizes = [0] + [Li.shape[0] for Li in built[-1]]
-        fills = [([0] + dims)[t] + sizes[t + 1] - sizes[t] >= dims[t] for t in range(len(dims) - 1)]
         if path == "c":
-            assert quotients[0] > yielded[-2]
+            assert any(zeros) or any(filled and calls for filled, calls in zip(fills, enumerated))
         elif path == "s":
-            assert quotients[0] == yielded[-2] > 0
-            assert any(fill and calls for fill, calls in zip(fills, enumerated))
+            assert all(fills[:-1]) and not any(enumerated)
         else:
-            assert any(fills[t - 1] and fills[t] and enumerated[t] > yielded[t - 1] for t in range(1, len(fills)))
+            assert any(zeros[1:-1])
 
-    # A broken form (not e-invariant) makes the forced subspaces violate
-    # what e-invariance guarantees: gram index 0 is x(1,0), in L_2 = im e^3
-    # for B 4,4,1 via (1,3;1); for C 4,2 via (1,1;2), index 4 is x(1,1), a
-    # first row in ker e that the broken form no longer makes orthogonal to
-    # L_2 = im e^3.  For C 6,2 via (1,1,1;2), index 6 is x(1,1) and index 1
-    # is x(2,0), in L_3 = im e^4, so gram[1, 6] breaks E_2 perp L_3 for an
-    # E_2 that holds x(1,1); the other entries (MID_RUN) keep that E_2 from
-    # being enumerated (below).  The floor table cuts E_1 to im e^3 in C
-    # 4,2 and to im e^5 in C 6,2, so the whole window is checked before the
-    # cut; with the cut off and only the last level counted on its
-    # quotient, the check at the entry of a level raises.  The root's peel
-    # decides none of the three, so each builds its L_i.
+    # Forms that are not invariant forms of e, none of which the root's
+    # peel decides: B 4,4,1 via (1,3;1) with gram[0, 0] = 1 is symmetric
+    # but not e-invariant; C 4,2 via (1,1;2) with gram[0, 4] = gram[4, 0] =
+    # 1 and C 6,2 via (1,1,1;2) with MID_RUN are not alternating either.
+    # The enumeration's starts are isotropic, and orthogonal to their
+    # windows, only for an e-invariant form, so _levels checks g^T = eps g
+    # and e^T g + g e = 0 before the first level is enumerated, and each
+    # raises there, with no node spent, also with the cut off.
     MID_RUN = {(1, 6): 1, (6, 1): 2, (6, 6): 1, (6, 0): 2}
+    CORRUPTED = (
+        ("4,4,1", Family.B, "1,3;1", {(0, 0): 1}, "e^T g + g e != 0 mod 3"),
+        ("4,2", Family.C, "1,1;2", {(0, 4): 1, (4, 0): 1}, "g^T != eps g mod 3"),
+        ("6,2", Family.C, "1,1,1;2", MID_RUN, "g^T != eps g mod 3"),
+    )
     CORRUPT = (
+        "import re\n"
         "from dataclasses import replace\n"
         "from nilorbit import Family, InvariantError, LeviType, parse_partition, realize\n"
         "from nilorbit import ff_oracle\n"
@@ -1144,15 +1116,18 @@ class TestHoist:
         "    try:\n"
         "        ff_oracle._enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
-        "        return str(exc).split(' (')[0]\n"
+        "        return re.sub(r' \\(.*\\)', '', str(exc))\n"
         "print(raises('4,4,1', Family.B, '1,3;1', {(0, 0): 1}))\n"
         "for _ in range(2):\n"
         "    print(raises('4,2', Family.C, '1,1;2', {(0, 4): 1, (4, 0): 1}))\n"
         f"    print(raises('6,2', Family.C, '1,1,1;2', {MID_RUN}))\n"
         "    ff_oracle._cut = lambda floor, d: 0\n"
-        "    count = ff_oracle._state_count  # only the last level on its quotient\n"
-        "    ff_oracle._state_count = lambda r, l, E, t: count(r, l, E, t) if t == len(l.ps) - 1 else None\n"
     )
+
+    def corrupted(self):
+        """(realization, Levi, failed clause) for each form of CORRUPTED."""
+        for orbit, fam, levi, entries, clause in self.CORRUPTED:
+            yield with_gram(realize(P(orbit), fam, 3), entries), L(levi, fam), clause
 
     @staticmethod
     def raised_after(real, levi):
@@ -1160,8 +1135,8 @@ class TestHoist:
         what the enumeration did before it: ("enumerate", t) for each level
         t enumerated, ("yield", rows) for each batch of children it
         yields, ("state", t, count) for each state E_t counted on its
-        quotient (count None where the peel does not decide) and
-        ("charge", nodes) for each charge."""
+        quotient, ("start", t, dim) for each state whose quotient leaves it
+        a start, and ("charge", nodes) for each charge."""
         dims, log = list(itertools.accumulate(levi.ps)), []
         charge, batches, count = ff_oracle._charge, ff_oracle._last_row_batches, ff_oracle._state_count
 
@@ -1176,8 +1151,9 @@ class TestHoist:
                 yield F1, X
 
         def spy_count(real, levi, E, t):
-            log.append(("state", t, count(real, levi, E, t)))
-            return log[-1][2]
+            value = count(real, levi, E, t)
+            log.append(("start", t, value[1]) if isinstance(value, tuple) else ("state", t, value))
+            return value
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ff_oracle, "_charge", spy_charge)
@@ -1185,72 +1161,52 @@ class TestHoist:
             patch.setattr(ff_oracle, "_state_count", spy_count)
             with pytest.raises(InvariantError) as info:
                 _enumerate(real, levi, DEFAULT_BUDGET)
-        return str(info.value).split(" (")[0], log
+        return str(info.value).split(" (")[0], str(info.value).rsplit("): ", 1)[1], log
 
     def test_forced_subspace_invariants_raise(self):
-        real = with_gram(realize(P("4,4,1"), Family.B, 3), {(0, 0): 1})
-        with pytest.raises(InvariantError, match="not isotropic"):
-            fiber_point_count(real, L("1,3;1"))
-        real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
-        with pytest.raises(InvariantError, match="not orthogonal"):
-            fiber_point_count(real, L("1,1;2", Family.C))
+        for real, levi, clause in self.corrupted():
+            with pytest.raises(InvariantError, match=r"^the form is not e-invariant \(") as info:
+                fiber_point_count(real, levi)
+            assert str(info.value).endswith(f"): {clause}"), levi
 
     def test_last_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 4,2 via (1,1;2): the broken form of the test above makes E_1 =
-        # <x(1,1)> meet L_2 = im e^3.  The root's peel does not decide the
-        # check, and the cut to im e^3 never enumerates that E_1, so the
-        # whole-window check raises before any node.  With the cut off,
-        # level 0 yields E_1 = <x(1,0)> (counted on the quotient: 0) and
-        # then <x(1,1)>, whose entry into the last level raises before it
-        # is counted.
+        # C 4,2 via (1,1;2): the root leaves a start, and the check raises
+        # before level 1 is enumerated, with the cut on or off.
         real = with_gram(realize(P("4,2"), Family.C, 3), {(0, 4): 1, (4, 0): 1})
         levi = L("1,1;2", Family.C)
-        assert self.raised_after(real, levi) == ("E_1 is not orthogonal to L_2", [("state", 0, None)])
+        want = ("the form is not e-invariant", "g^T != eps g mod 3", [("start", 0, 0)])
+        assert self.raised_after(real, levi) == want
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
-        assert self.raised_after(real, levi) == (
-            "E_1 is not orthogonal to L_2",
-            [
-                ("state", 0, None), ("enumerate", 0), ("charge", 3), ("yield", 1),
-                ("state", 1, 0), ("charge", 0), ("charge", 1), ("yield", 1),
-            ],
-        )
+        assert self.raised_after(real, levi) == want
 
     def test_decided_level_keeps_the_orthogonality_check(self, monkeypatch):
-        # C 6,2 via (1,1,1;2) with MID_RUN: level 0 yields E_1 = <x(1,0)>
-        # and <x(1,0) + x(1,1)>, isotropic as gram[6, 0] = -1 cancels
-        # gram[6, 6] = 1.  The first is L_2, so it falls short of the
-        # fillable level 1 and is enumerated there: its one child <x(1,0),
-        # x(2,0)> passes and counts 0 on the quotient, and <x(1,0), x(1,1)>
-        # is not isotropic, as gram[6, 6] = 1 and gram[6, 1] = -gram[1, 6].
-        # The second child fills level 1 with L_2 (one node), and that E_2 =
-        # <x(1,0), x(1,1)> raises at the entry of the last level.  This path
-        # needs the states E_1 enumerated, not counted on their quotients
-        # (last_level_only), which decides both.  The root's peel does not
-        # decide the check, and the cut to im e^5 keeps x(1,1) out of E_1,
-        # so the whole-window check raises before any node.
+        # C 6,2 via (1,1,1;2) with MID_RUN: the root leaves a start, and
+        # the check raises before level 1 is enumerated, also with the cut
+        # off and every level before the last enumerated (last_level_only).
         real = with_gram(realize(P("6,2"), Family.C, 3), self.MID_RUN)
         levi = L("1,1,1;2", Family.C)
-        assert self.raised_after(real, levi) == ("E_2 is not orthogonal to L_3", [("state", 0, None)])
+        want = ("the form is not e-invariant", "g^T != eps g mod 3", [("start", 0, 0)])
+        assert self.raised_after(real, levi) == want
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         last_level_only(monkeypatch)
-        assert self.raised_after(real, levi) == (
-            "E_2 is not orthogonal to L_3",
-            [
-                ("state", 0, None), ("enumerate", 0), ("charge", 3), ("yield", 2),
-                ("state", 1, None), ("enumerate", 1), ("charge", 3), ("yield", 1),
-                ("state", 2, 0), ("charge", 0), ("charge", 1),
-                ("state", 1, None), ("charge", 1),
-            ],
-        )
+        assert self.raised_after(real, levi) == want
 
     def test_forced_subspace_invariants_raise_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT).splitlines() == [
-            "im e^a is not isotropic",
-            "E_1 is not orthogonal to L_2",
-            "E_2 is not orthogonal to L_3",
-            "E_1 is not orthogonal to L_2",
-            "E_2 is not orthogonal to L_3",
+            "the form is not e-invariant: e^T g + g e != 0 mod 3",
+            "the form is not e-invariant: g^T != eps g mod 3",
+            "the form is not e-invariant: g^T != eps g mod 3",
+            "the form is not e-invariant: g^T != eps g mod 3",
+            "the form is not e-invariant: g^T != eps g mod 3",
         ]
+
+    def test_dropped_form_check_lets_the_corrupted_forms_through(self, monkeypatch):
+        # With the check of _levels dropped, no other check of the
+        # enumeration catches these forms: each count returns 0, a wrong
+        # answer for a form that is no invariant form at all.
+        mutant = mutant_oracle(monkeypatch, "if (residue % p).any():", "if False:")
+        for real, levi, _ in self.corrupted():
+            assert mutant.fiber_point_count(real, levi).count == 0, levi
 
 
 def _states(real, levi, cap):
@@ -1274,7 +1230,7 @@ def _states(real, levi, cap):
             start = np.vstack([E, L])
             W = nullspace(np.vstack([start @ g % p, nullspace(E, p) @ e % p]), p)
             yield t, E, L, W
-            if rank(start, p) <= dims[t] <= W.shape[0]:
+            if len(rref(start, p)[1]) <= dims[t] <= W.shape[0]:
                 children += extensions(start, W, dims[t], g, p, counter, cap)
         level = children
 
@@ -1311,7 +1267,7 @@ def state_sweep(oracle, q):
     every state E_t of _swept_states(q): decided counts the states it
     counts, zeros those whose count is 0, and wrong lists each count that
     differs from the reference (state_reference) and each state E_{k-1}
-    that it leaves undecided."""
+    that it leaves undecided (returning a start)."""
     states = decided = zeros = 0
     wrong = []
     for i, (real, levi, reached) in enumerate(_swept_states(q)):
@@ -1319,7 +1275,7 @@ def state_sweep(oracle, q):
             states += 1
             got = oracle._state_count(real, levi, E, t)
             case = (real.family.value, real.partition.literal(), levi.literal(), t)
-            if got is None:
+            if isinstance(got, tuple):
                 if t == len(levi.ps) - 1:
                     wrong.append((case, "undecided"))
                 continue
@@ -1331,44 +1287,134 @@ def state_sweep(oracle, q):
     return states, decided, zeros, wrong
 
 
+# Three-level checks at rank 5 whose enumeration reaches states past the
+# root that _state_count leaves with a start larger than E itself, which
+# no check of _swept_states does: (family, orbit, Levi).
+GROWN = (
+    (Family.C, "6,2,2", "1,2,2;0"),
+    (Family.C, "6,2,1,1", "1,2,2;0"),
+    (Family.C, "4,4,2", "1,2,2;0"),
+    (Family.B, "5,5,1", "1,2,2;1"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _start_states(q):
+    """_swept_states(q) and the GROWN checks at p = q, with their states."""
+    grown = []
+    for fam, orbit, levi in GROWN:
+        real, levi = realize(P(orbit), fam, q), L(levi, fam)
+        grown.append((real, levi, list(_states(real, levi, 2000))))
+    return _swept_states(q) + grown
+
+
+def start_sweep(oracle, q):
+    """(starts, grown, flags, wrong) of ``oracle``'s _state_count on every
+    state E = E_t of _start_states(q) that it leaves undecided: starts
+    counts the starts it hands back, grown those past the root larger than
+    E, flags the checks of a counted flag of swept_reference through E
+    against its start, and wrong lists each
+    start that is not a subspace of the dimension handed back, does not
+    contain E + L_{t+1} (L_{t+1} = im e^(s-t-1), s = 2k + [q > 0], from
+    reference_forced_subspaces), is not isotropic, or leaves the window W =
+    E^perp cap e^{-1}(E); each W that differs from (E + L_{t+1})^perp cap
+    e^{-1}(E); and each counted flag through E whose E_{t+1} does not
+    contain the start."""
+    starts = grown = flags = 0
+    wrong = []
+    for real, levi, reached in _start_states(q):
+        p, e, g, k = q, real.e, real.gram, len(levi.ps)
+        forced = reference_forced_subspaces(e, 2 * k + (levi.q > 0), k, p)
+        count, _, counted = swept_reference(real.family, real.partition, levi, q, TestHoist.CAP)
+        for t, E, _, _ in reached:
+            got = oracle._state_count(real, levi, E, t)
+            if not isinstance(got, tuple):
+                continue
+            start, size = got
+            starts += 1
+            grown += t > 0 and size > len(rref(E, p)[1])
+            case = (real.family.value, real.partition.literal(), levi.literal(), t, E.tolist())
+            window_rows = E @ g % p, nullspace(E, p) @ e % p  # W = E^perp cap e^{-1}(E)
+            W = nullspace(np.vstack(window_rows), p)
+            if (len(rref(start, p)[1]) != size or not contains(start, np.vstack([E, forced[t]]), p)
+                    or np.any(start @ g % p @ start.T % p) or not contains(W, start, p)):
+                wrong.append((case, "start"))
+            if _canon(W, p) != _canon(nullspace(np.vstack([forced[t] @ g % p, *window_rows]), p), p):
+                wrong.append((case, "window"))
+            through = [flag for flag in counted if not t or _canon(flag[t - 1], p) == _canon(E, p)]
+            flags += len(through)
+            wrong += [(case, "flag") for flag in through if not contains(flag[t], start, p)]
+    return starts, grown, flags, wrong
+
+
+class TestStart:
+    # prime: (undecided states, of which past the root with a start larger
+    # than E, counted flags through them)
+    SWEPT = {3: (161, 6, 3813), 5: (129, 10, 3255)}
+
+    @pytest.mark.parametrize("q", list(SWEPT))
+    def test_start_on_every_state(self, q):
+        # On every state E = E_t of the sweep and of GROWN that _state_count leaves
+        # undecided, the start it hands back, E + e^(s_t - 1)(E^perp), has
+        # the dimension it states, contains E + L_{t+1}, is isotropic and
+        # lies in the level's window E^perp cap e^{-1}(E), which is (E +
+        # L_{t+1})^perp cap e^{-1}(E) with no L rows; and every flag that
+        # the un-hoisted reference counts through E contains it.
+        *counts, wrong = start_sweep(ff_oracle, q)
+        assert wrong == []
+        assert tuple(counts) == self.SWEPT[q]
+
+    # Starts from e^(s_t - 2)(E^perp) in place of e^(s_t - 1)(E^perp), at
+    # the root and past it: (old, new)
+    START_MUTANTS = {
+        "root": ("if h >= s - 1]", "if h >= s - 2]"),
+        "past the root": ("    for _ in range(s - 1):\n        top", "    for _ in range(s - 2):\n        top"),
+    }
+
+    @pytest.mark.parametrize("mutant", list(START_MUTANTS))
+    def test_a_start_one_power_lower_fails(self, monkeypatch, mutant):
+        *_, wrong = start_sweep(mutant_oracle(monkeypatch, *self.START_MUTANTS[mutant]), 3)
+        assert wrong
+
+
 class TestLookAhead:
     # prime: windows the enumeration passes to _last_row_batches
-    PASSED = {3: 183, 5: 164}
+    PASSED = {3: 157, 5: 114}
 
     @pytest.mark.parametrize("q", list(PASSED))
     def test_window_lemma_on_every_state(self, monkeypatch, q):
         # dim W = n - dim(E + L + e(E^perp)), since e^{-1}(E) = (e(E^perp))^perp;
         # dim e(E^perp) = rank e - dim(E cap im e); so dim W <= c - dim E
         # + 2 dim(E cap im e), a bound the floor table's a = 1 column meets
-        # or beats.  And every window that the enumeration, with the same
-        # forced subspaces and every level before the last enumerated
+        # or beats.  And every window that the enumeration, with every level
+        # before the last filled or enumerated from reference_start
         # (last_level_only), passes to _last_row_batches at level t is W cut
         # to im e^a at the level's cut a, for the one state E whose start
-        # E + L it is handed.
+        # it is handed.
         states = compared = 0
         p = q
-        forced, batches = ff_oracle._forced_subspaces, ff_oracle._last_row_batches
-        monkeypatch.setattr(ff_oracle, "_forced_subspaces", lambda heights, s, k: forced(heights, 2 * k + 1, k))
+        batches = ff_oracle._last_row_batches
         last_level_only(monkeypatch)
         for real, levi, reached in _swept_states(q):
             e, g, n = real.e, real.gram, real.dim
-            rank_e, c = rank(e, p), len(real.partition.parts)
+            rank_e, c = len(rref(e, p)[1]), len(real.partition.parts)
             dims = list(itertools.accumulate(levi.ps))
             heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
             cut = {}
             for t, E, L, W in reached:
                 e_perp = nullspace(E @ g % p, p) @ e.T % p
                 d = E.shape[0]
-                meet = d + rank_e - rank(np.vstack([E, e.T]), p)
+                meet = d + rank_e - len(rref(np.vstack([E, e.T]), p)[1])
                 case = (real.partition, levi, t, E)
-                assert W.shape[0] == n - rank(np.vstack([E, L, e_perp]), p), case
-                assert rank(e_perp, p) == rank_e - meet, case
+                assert W.shape[0] == n - len(rref(np.vstack([E, L, e_perp]), p)[1]), case
+                assert len(rref(e_perp, p)[1]) == rank_e - meet, case
                 assert W.shape[0] <= c - d + 2 * meet, case
                 states += 1
                 a = _cut(_floors(real.partition, levi, t), dims[t])
-                if a is not None:
+                start = reference_start(real, levi, E, t)
+                if a is not None and start is not None:
                     W = nullspace(W[:, heights < a].T, p) @ W % p
-                    cut.setdefault((t, _canon(np.vstack([E, L]), p)), []).append(_canon(W, p))
+                    cut.setdefault((t, _canon(start[0], p)), []).append(_canon(W, p))
             if not levi.ps:
                 continue
             calls = []
@@ -1392,7 +1438,7 @@ class TestLookAhead:
         # the forced subspaces nor the floor table), for every Levi of B
         # N <= 7 and C/D N <= 6 whose reference finishes within TestHoist's
         # cap, has no part above s = 2k + [q > 0], contains the forced
-        # subspaces that the enumeration builds, and each level space E_t
+        # subspaces L_i, and each level space E_t
         # meets every floor of row t of the table: dim(E_t cap im e^a) =
         # dim E_t - rank(E_t at heights < a) >= m_a.  So E_t lies in its
         # window cut to im e^a at _cut's a.
@@ -1413,7 +1459,7 @@ class TestLookAhead:
                             continue
                         k = len(levi.ps)
                         assert max(orbit.parts) <= 2 * k + (levi.q > 0), (orbit, levi)
-                        forced = _forced_subspaces(list(heights), 2 * k + (levi.q > 0), k)
+                        forced = reference_forced_subspaces(real.e, 2 * k + (levi.q > 0), k, p)
                         dims = list(itertools.accumulate(levi.ps))
                         for t, d in enumerate(dims):
                             floor = _floors(orbit, levi, t)
@@ -1423,11 +1469,11 @@ class TestLookAhead:
                             for flag in counted:
                                 E = flag[t]
                                 case = (orbit, levi, t, E)
-                                assert rank(E, p) == d, case
+                                assert len(rref(E, p)[1]) == d, case
                                 assert contains(E, forced[t], p), case
                                 assert not E[:, heights < a].any(), case
                                 for b, m in enumerate(floor, 1):
-                                    assert d - rank(E[:, heights < b], p) >= m, case
+                                    assert d - len(rref(E[:, heights < b], p)[1]) >= m, case
                         seen += len(counted)
         assert (seen, cut) == flags
 
@@ -1471,14 +1517,14 @@ class TestLookAhead:
             for t, E, _, _ in reached:
                 if t == 0:
                     continue
-                d = rank(E, p)
+                d = len(rref(E, p)[1])
                 steps = sorted(levi.ps[t:] * 2 + (levi.q,), reverse=True)
                 perp = nullspace(E @ g % p, p)
                 dead = below_floor = False
                 for (a, power), floor in zip(enumerate(powers, 1), _floors(real.partition, levi, t - 1), strict=True):
-                    rank_a = rank(power, p)
-                    meet = d + rank_a - rank(np.vstack([E, power.T]), p)
-                    exact = rank(np.vstack([E, perp @ power.T % p]), p) - d
+                    rank_a = len(rref(power, p)[1])
+                    meet = d + rank_a - len(rref(np.vstack([E, power.T]), p)[1])
+                    exact = len(rref(np.vstack([E, perp @ power.T % p]), p)[1]) - d
                     assert rank_a - 2 * meet <= exact, (real.partition, levi, E, a)
                     dead |= rank_a - 2 * meet > n - 2 * d - sum(steps[:a])
                     below_floor |= meet < floor
@@ -1992,7 +2038,7 @@ def g0_reference(real, levi, E):
     on a basis Q of E^perp."""
     p, g = real.modulus, real.gram
     Q = nullspace(E @ g % p, p)
-    return rank(Q @ g % p @ Q.T % p, p) == 2 * levi.ps[-1] + levi.q
+    return len(rref(Q @ g % p @ Q.T % p, p)[1]) == 2 * levi.ps[-1] + levi.q
 
 
 def quotient_check(real, levi, E):
