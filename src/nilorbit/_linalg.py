@@ -16,10 +16,31 @@ depend only on the row space of the input (for ``nullspace``, on its
 kernel), never on which rows span it, their order, or repeated and zero
 rows.  The oracle relies on this to build a subspace from any spanning set
 and still get bit-identical bases.
+
+``np`` is numpy, bound here for the whole package (``ff_oracle`` takes it
+from this module): the module already in ``sys.modules`` if numpy was
+imported first, and otherwise one bound through ``importlib.util.LazyLoader``
+(the lazy-import recipe of the importlib documentation).  numpy is found at
+import time, so a missing numpy still fails ``import nilorbit`` with
+ModuleNotFoundError, but it loads only when an attribute is first read,
+at the oracle's first array.  Partitions, blocks, Richardson orbits,
+descriptors and the duality never load it.
 """
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+if "numpy" in sys.modules:
+    np = sys.modules["numpy"]
+else:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = importlib.util.module_from_spec(_spec)
+    sys.modules["numpy"] = np
+    _spec.loader.exec_module(np)
 
 
 def _reduce(mat: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:

@@ -54,6 +54,15 @@ class UsageError(Exception):
     """Bad input on the command line; reported on stderr with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``UsageError``, so ``main``
+    reports them in the same one line as every other bad input, with no
+    usage block.  Subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _family(args) -> Family:
     return Family.from_letter(args.family)
 
@@ -407,7 +416,7 @@ def show_atlas(args, payload: dict) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, and each call of ``main`` gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilorbit",
         description="Nilpotent-orbit combinatorics for the classical families B, C, D.",
     )
@@ -473,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

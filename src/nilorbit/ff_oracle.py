@@ -27,9 +27,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-import numpy as np
-
-from ._linalg import det, nullspace, rref
+from ._linalg import det, np, nullspace, rref
 from .errors import InvariantError
 from .levi import LeviType
 from .partitions import Family, Partition, is_valid

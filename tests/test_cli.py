@@ -423,15 +423,38 @@ class TestOracleInputs:
 
 
 class TestArgparse:
-    def test_no_arguments(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+    """argparse's own errors print one stderr line, ``error: <message>``,
+    and nothing on stdout, with exit code 2, like every other bad input."""
 
-    def test_family_required(self):
+    def test_no_arguments(self, capsys):
+        assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
+
+    def test_family_required(self, capsys):
+        assert run(capsys, "collapse", "4,3,3,1") == (
+            2, "", "error: the following arguments are required: --family\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        ("collapse --family X 4,3,3,1", "argument --family: invalid choice: "),
+        ("atlas --family B --rank x", "argument --rank: invalid int value: 'x'"),
+        ("fiber --family B --oracle-budget x 2,2,1",
+         "argument --oracle-budget: invalid int value: 'x'"),
+        ("blocks --family B", "the following arguments are required: partition"),
+        ("blocks --family B 5,3,1 7", "unrecognized arguments: 7"),
+    ], ids=["family", "rank", "oracle-budget", "partition", "extra"])
+    def test_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["collapse", "4,3,3,1"])
-        assert exc.value.code == 2
+            main(["blocks", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: nilorbit blocks [-h] --family {B,C,D}")
+        assert err == ""
 
 
 # --- every command's exact output ---------------------------------------------
@@ -613,8 +636,7 @@ def test_parser_is_built_once(capsys):
     leave it as it was."""
     parser = cli.build_parser()
     assert run(capsys, "collapse", "--family", "B", "4,3,3,1")[:2] == (0, "3,3,3,1,1\n")
-    with pytest.raises(SystemExit):
-        main(["collapse", "--family", "E", "4,3,3,1"])
+    assert run(capsys, "collapse", "--family", "E", "4,3,3,1")[:2] == (2, "")
     with pytest.raises(SystemExit):
         main(["--help"])
     capsys.readouterr()
