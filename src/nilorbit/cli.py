@@ -25,7 +25,6 @@ from .ff_oracle import (
     DEFAULT_BUDGET,
     check_modulus,
     fiber_point_count,
-    precharged_skip,
     realize,
     resolve_budget,
 )
@@ -180,22 +179,15 @@ def cmd_polarizations(args) -> tuple[dict, int]:
 
 def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int) -> list[dict]:
     """One record per pseudo-polarization of the analysed orbit, with its
-    oracle checks.  A prime's realization is built the first time a check
-    at that prime is not already a skip before any realization
-    (precharged_skip): at budget 0, only for a Levi with no general-linear
-    block."""
+    oracle checks, each on its own realization, which builds arrays only
+    for a check that the root leaves to the enumeration (realize)."""
     p, fam = analysis.partition, analysis.family
     records = []
-    reals = {}
     for d in analysis.descriptors:
         poly = e_polynomial(d)
         oracle = []
         for q in primes:
-            fc = precharged_skip(d.levi, q, budget)
-            if fc is None:
-                if q not in reals:
-                    reals[q] = realize(p, fam, q)
-                fc = fiber_point_count(reals[q], d.levi, budget)
+            fc = fiber_point_count(realize(p, fam, q), d.levi, budget)
             if fc.count is None:
                 verdict = f"skipped: {fc.skipped}"
             else:

@@ -16,7 +16,8 @@ picking up a factor (-1)^((v_prev - v_next)/2 + 1) per hop, starting at +1
 for the largest value.
 
 All of this is integer data: one model over Z per orbit (_model), checked
-once (_check_model), which each prime's realization reduces (realize).
+once (_check_model), which a prime's realization reduces at its first
+array read (realize); a count that the root decides makes none.
 """
 from __future__ import annotations
 
@@ -110,16 +111,6 @@ class JordanModel:
     gram: Mapping[tuple[int, int], int]
 
     @functools.cached_property
-    def _flat(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The row-major positions and the values of the entries of e and of g."""
-        n = self.partition.n
-        return [
-            (np.array([i * n + j for i, j in entries], dtype=np.intp),
-             np.array(list(entries.values()), dtype=np.int64))
-            for entries in (self.e, self.gram)
-        ]
-
-    @functools.cached_property
     def det(self) -> int:
         """det g over Z, by elimination on sparse integer rows: a row is
         multiplied by the pivot before the pivot row is taken off it, and
@@ -151,49 +142,70 @@ class JordanModel:
 
     def reduce(self, modulus: int) -> list[np.ndarray]:
         """e and g mod ``modulus``, as fresh n-by-n int64 arrays."""
-        n = self.partition.n
         out = []
-        for positions, values in self._flat:
-            dense = np.zeros(n * n, dtype=np.int64)
-            dense[positions] = values % modulus
-            out.append(dense.reshape(n, n))
+        for entries in (self.e, self.gram):
+            dense = np.zeros((self.partition.n,) * 2, dtype=np.int64)
+            for key, v in entries.items():
+                dense[key] = v % modulus
+            out.append(dense)
         return out
+
+
+class _Deferred:
+    """JordanRealization's e or gram: the array given, read-only, or None until read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, real: JordanRealization | None, owner: type | None = None):
+        if real is None:
+            return None  # the field's default
+        if vars(real)[self.name] is None:
+            real._realize()
+        return vars(real)[self.name]
+
+    def __set__(self, real: JordanRealization, array: np.ndarray | None) -> None:
+        if array is not None:
+            array.flags.writeable = False
+        vars(real)[self.name] = array
 
 
 @dataclass(frozen=True, eq=False)
 class JordanRealization:
-    """A nilpotent matrix in Jordan form together with a split invariant
-    form over F_p.  Immutable, with read-only arrays, so that the
-    discriminants it keeps (disc) stay true: a changed realization is a
-    new one (dataclasses.replace), which computes its own."""
+    """A nilpotent matrix e in Jordan form with a split invariant form g over
+    F_p, immutable: a changed one is a new one (dataclasses.replace).  One
+    that realize built (modelled) holds no array until e or gram is read
+    (_realize), and its root reads the partition alone (_root_disc); one
+    given its arrays is counted from them, discriminants by elimination."""
 
     family: Family
     partition: Partition
     modulus: int
-    e: np.ndarray
-    gram: np.ndarray
-    _discs: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    e: np.ndarray = _Deferred()
+    gram: np.ndarray = _Deferred()
+    modelled: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.e.flags.writeable = self.gram.flags.writeable = False
+        if (vars(self)["e"] is None) != (vars(self)["gram"] is None):
+            raise ValueError("a JordanRealization takes both arrays, e and gram, or neither")
+        object.__setattr__(self, "modelled", vars(self)["e"] is None)
 
     @property
     def dim(self) -> int:
-        return self.e.shape[0]
+        return self.partition.n
 
-    def disc(self, a: int) -> int:
-        """The det of the nondegenerate part of the form <x, e^a y>, whose
-        Gram matrix is g e^a (_discriminant): det g at a = 0, else one rref
-        and one det of g e^a.  Each is computed once per realization, and
-        realize gives det g from its model's det over Z."""
-        if a not in self._discs:
-            p = self.modulus
-            if a:
-                G = self.gram @ np.linalg.matrix_power(self.e, a) % p
-                self._discs[a] = _discriminant(G, p, rref(G, p)[1])
-            else:
-                self._discs[a] = det(self.gram, p)
-        return self._discs[a]
+    @functools.cached_property
+    def det_g(self) -> int:
+        """det g mod p: the model's det over Z when modelled, else by elimination."""
+        if self.modelled:
+            return _model(self.partition, self.family).det % self.modulus
+        return det(self.gram, self.modulus)
+
+    def _realize(self) -> None:
+        """Reduce the orbit's model (_model) into e and gram; check them."""
+        for name, array in zip(("e", "gram"), _model(self.partition, self.family).reduce(self.modulus)):
+            object.__setattr__(self, name, array)
+        _validate(self)
 
 
 def _self_paired(v: int, family: Family) -> bool:
@@ -224,12 +236,24 @@ def _block_units(p: Partition, family: Family) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _root_disc(p: Partition, family: Family, a: int) -> int:
+    """disc(a) of realize's form for the orbit ``p`` as +-1 over Z, by
+    _shape_count's chain rule on the units of _block_units: det g at a = 0."""
+    disc = 1
+    for v, u in zip(p.parts, _block_units(p, family)):
+        if v > a and u:
+            disc *= (-1) ** (a * (v - a)) * u ** (v - a)
+    for v in set(p.parts):
+        if v > a and not _self_paired(v, family):
+            disc *= (family.epsilon * (-1) ** (a + 1)) ** ((v - a) * (p.parts.count(v) // 2))
+    return disc
+
+
+@functools.lru_cache(maxsize=None)
 def _model(p: Partition, family: Family) -> JordanModel:
     """The integer model of realize for the orbit ``p`` of ``family``,
-    built and checked over Z (_check_model) once per orbit.  The cache
-    holds index maps, not dense arrays, so it stays small at any rank."""
-    if not is_valid(p, family):
-        raise ValueError(f"{p} is not valid for family {family.value}")
+    built and checked over Z (_check_model) once per orbit, at its first
+    array read.  The cache holds index maps, not dense arrays."""
     parts = p.parts
     start = list(itertools.accumulate(parts, initial=0))  # x(i,j) is at start[j] + i - 1
     e = {(s + i - 1, s + i): 1 for s, d in zip(start, parts) for i in range(1, d)}
@@ -308,28 +332,24 @@ def _check_model(model: JordanModel) -> None:
 
 def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     """Nilpotent element of Jordan type ``p`` with a split invariant form
-    over F_modulus.  Only odd prime moduli are accepted.
-
-    The orbit's integer model (_model) is built, and checked over Z, once
-    per orbit; each call reduces it mod ``modulus`` into fresh arrays and
-    runs only the checks that depend on the prime (_validate).  Reduction
-    mod q is a ring map, so det(g mod q) is the model's det over Z mod q:
-    the realization's disc(0) starts from it, and _validate reads it."""
-    model = _model(p, family)
+    over F_modulus.  Only odd prime moduli are accepted.  The rest waits for
+    the first read of e or gram (JordanRealization), which a check that the
+    root decides never makes: the orbit's integer model (_model), checked
+    over Z once per orbit, is then reduced into fresh arrays, and the
+    checks that depend on the prime run on them (_validate)."""
+    if not is_valid(p, family):
+        raise ValueError(f"{p} is not valid for family {family.value}")
     check_modulus(modulus, p.n)
-    real = JordanRealization(family, p, modulus, *model.reduce(modulus))
-    real._discs[0] = model.det % modulus  # det(g mod q) = det g mod q
-    _validate(real)
-    return real
+    return JordanRealization(family, p, modulus)
 
 
 def _validate(real: JordanRealization) -> None:
-    """The checks of realize that depend on the prime p, run on every
-    realization: g^T = eps g mod p, det g != 0 mod p, and for D that the
-    form is split, (-1)^(n/2) det g a square mod p.  The other checks are
-    identities over Z, made once per orbit on the model (_check_model),
-    and hold mod every prime: g^T = eps g over Z gives it mod p too, but
-    it is checked here again, on the arrays that the counts read."""
+    """The checks of realize that depend on the prime p, run on the arrays
+    that realize's model reduces to: g^T = eps g mod p, det g != 0 mod p, and
+    for D that the form is split, (-1)^(n/2) det g a square mod p.  The other
+    checks are identities over Z, made once per orbit on the model
+    (_check_model), and hold mod every prime: g^T = eps g over Z gives it
+    mod p too, but it is checked here again, on the arrays the counts read."""
     p, g = real.modulus, real.gram
 
     def require(ok, what: str) -> None:
@@ -337,7 +357,7 @@ def _validate(real: JordanRealization) -> None:
             raise InvariantError(f"{what} ({real.family.value}, {real.partition}, p={p})")
 
     require(not ((g.T - real.family.epsilon * g) % p).any(), "form symmetry broken")
-    det_g = real.disc(0)
+    det_g = real.det_g
     require(det_g, "form is degenerate")
     if real.family is Family.D:
         target = ((-1) ** (real.dim // 2)) % p
@@ -384,16 +404,6 @@ def _cut(floor: list[int], d: int) -> int | None:
     if top > d:
         return None
     return len(floor) - floor[::-1].index(d) if top == d else 0
-
-
-def precharged_skip(levi: LeviType, modulus: int, cap: int) -> FlagCount | None:
-    """The skip that ``fiber_point_count`` returns before any realization
-    or elimination: a check costs at least one node when ``levi`` has a
-    general-linear block and none otherwise, so it skips when that exceeds
-    ``cap``.  None when it does not."""
-    if bool(levi.ps) > cap:
-        return FlagCount(None, modulus, levi, cap + 1, skipped="budget")
-    return None
 
 
 def _charge(counter: list[int], size: int, cap: int) -> None:
@@ -559,13 +569,6 @@ def _flag_sum(
     return total * (_gl_factorial(r, p) // math.prod(_gl_factorial(x, p) for x in steps))
 
 
-def _discriminant(G: np.ndarray, p: int, pivots: list[int]) -> int:
-    """The det of the nondegenerate part of the symmetric or alternating
-    form with Gram matrix G: that of G's principal block on ``pivots``,
-    the pivot columns of an rref of G, which is nonsingular."""
-    return det(G[np.ix_(pivots, pivots)], p)
-
-
 def _shape_count(
     real: JordanRealization, shape: int | tuple[int, tuple[int, ...], int] | None,
     disc: Callable[[int], int],
@@ -598,12 +601,12 @@ def _shape_count(
 
 
 def _state_count(
-    real: JordanRealization, levi: LeviType, E: np.ndarray, t: int
+    real: JordanRealization, levi: LeviType, E: np.ndarray | None, t: int
 ) -> int | tuple[np.ndarray, int]:
     """The flags through a state E = E_t of _enumerate (rows spanning it,
-    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0) when the peel
-    decides them, else the state's start E + e^(s-1)(E^perp), the forced
-    subspace of its next level (_enumerate), and the start's dimension.
+    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0, None if modelled)
+    when the peel decides them, else the state's start E + e^(s-1)(E^perp),
+    the forced subspace of its next level (_enumerate), and its dimension.
     The rest of such a flag lies in E^perp, as E_k does, and is a flag of
     the induced e' on V' = E^perp/E for the Levi (p_{t+1}, ..., p_k; q):
     isotropy carries over, e(E_i) <= E_{i-1} iff e' lowers E_i/E into
@@ -612,21 +615,21 @@ def _state_count(
     e' and those steps, in closed form (_shape_count) from the
     discriminants disc(a) of e'.
 
-    At E = 0, V' = V: the Jordan type is real's partition, disc is real's,
-    and the start is im e^(s-1), the Jordan coordinates of height >= s - 1
-    (_heights), all with no elimination.  Otherwise all of them come from
-    products on a basis Q of E^perp, one nullspace of E g.  G_a =
-    Q g e^a Q^T is the form <x, e^a y> on E^perp.  E lies in its radical,
-    so rank G_a = rank e'^a.  V' must carry a nondegenerate form, rank G_0
-    = dim V' = n - 2d, else InvariantError names the clause below that
-    failed.  For nondegenerate g, rank G_0 = (n - r) - dim(E cap E^perp)
-    with r = rank E, and every state _enumerate passes has exactly d
-    independent rows, so rank G_0 = n - 2d exactly when r = d and E is
-    isotropic.  So no rank of G_0 is taken: the check is det g != 0 mod p
-    (disc(0)), r = n - (rows of Q) = d, and E g E^T = 0 mod p, one small
-    product on the E g at hand.  Where r > d, or g is degenerate (only a
-    realization changed by replace), it raises wherever rank G_0 != n - 2d
-    would, and more.
+    At E = 0 of a modelled realization, V' = V: the Jordan type is real's
+    partition, disc is _root_disc, and the start is im e^(s-1), the Jordan
+    coordinates of height >= s - 1 (_heights), none of which reads an array.
+    Otherwise all of them come from products on a basis Q of E^perp, one
+    nullspace of E g.  G_a = Q g e^a Q^T is the form <x, e^a y> on E^perp.
+    E lies in its radical, so rank G_a = rank e'^a.  V' must carry a
+    nondegenerate form, rank G_0 = dim V' = n - 2d, else InvariantError
+    names the clause below that failed.  For nondegenerate g, rank G_0 =
+    (n - r) - dim(E cap E^perp) with r = rank E, and every state _enumerate
+    passes has exactly d independent rows, so rank G_0 = n - 2d exactly when
+    r = d and E is isotropic.  So no rank of G_0 is taken: the check is
+    det g != 0 mod p (det_g), r = n - (rows of Q) = d, and E g E^T = 0 mod
+    p, one small product on the E g at hand.  Where r > d, or g is
+    degenerate (only a realization changed by replace), it raises wherever
+    rank G_0 != n - 2d would, and more.
 
     With s = 2(k - t) + [q > 0], G_s != 0 leaves a part of e' above s,
     which no flag allows, so the count is 0.  With two or more levels
@@ -641,8 +644,9 @@ def _state_count(
     rows of it are independent, and so are those e^(s-1) x modulo E."""
     steps, q = levi.ps[t:], levi.q
     s = 2 * len(steps) + (q > 0)
-    if not t:
-        value = _shape_count(real, _peel(real.partition.parts, steps, q), real.disc)
+    if not t and real.modelled:
+        disc = functools.partial(_root_disc, real.partition, real.family)
+        value = _shape_count(real, _peel(real.partition.parts, steps, q), disc)
         if value is not None:
             return value
         top = [c for c, h in enumerate(_heights(real.partition)) if h >= s - 1]
@@ -654,7 +658,7 @@ def _state_count(
     r = real.dim - Q.shape[0]  # rank E g, which is rank E when det g != 0
     pairing = Eg @ E.T % p
     failed = ""
-    if not real.disc(0):
+    if not real.det_g:
         failed = f"det g = 0 mod {p}"
     elif r != d:
         failed = f"rank E = {r}, expected {d}"
@@ -677,8 +681,10 @@ def _state_count(
     ranks = [real.dim - 2 * d] + [len(x) for x in pivots] + [0]
     parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
 
-    def disc(a: int) -> int:
-        return (-1) ** d * real.disc(0) if not a else _discriminant(grams[a - 1], p, pivots[a - 1])
+    def disc(a: int) -> int:  # G_a's principal block on its pivots is nonsingular
+        if not a:
+            return (-1) ** d * real.det_g
+        return det(grams[a - 1][np.ix_(pivots[a - 1], pivots[a - 1])], p)
 
     value = _shape_count(real, _peel(parts, steps, q), disc)
     if value is not None:
@@ -745,20 +751,21 @@ def fiber_point_count(
     which is N_1(r) when m_2 = 0.  Whether a symmetric V_1 or b of even
     dimension is split is read from the discriminants of the forms
     <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
-    descriptor: det g at a = 0, else one rref and one det of g e^a, at
-    the root once per realization (JordanRealization.disc).
+    descriptor: at realize's root from its chains' units (_root_disc),
+    elsewhere from g e^a by elimination, so a root that decides reads no array.
 
     A check costs one node when the root's peel decides it, max(1, the
     nodes _enumerate charges) otherwise, and none without a general-linear
     block.  A check whose total would exceed the budget returns an explicit
     skip with ``nodes == budget + 1``, never a wrong count; at budget 0 a
-    check with a general-linear block returns it at once (precharged_skip).
+    check with a general-linear block returns it before the root.
     """
     if levi.family is not real.family or levi.n != real.dim:
         raise ValueError(f"{levi} does not match a realization of size {real.dim}")
     cap = resolve_budget(budget)
-    skip = precharged_skip(levi, real.modulus, cap)
-    return skip if skip is not None else _enumerate(real, levi, cap)
+    if bool(levi.ps) > cap:
+        return FlagCount(None, real.modulus, levi, cap + 1, skipped="budget")
+    return _enumerate(real, levi, cap)
 
 
 def _levels(real: JordanRealization, levi: LeviType) -> list[list[int] | None]:
@@ -786,7 +793,8 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     counted on E^perp/E (_state_count), where the peel may decide it: at
     the root that is fiber_point_count's peel, and with one level left it
     always decides.  Only the levels t + 1 < k of the states it leaves are
-    enumerated.
+    enumerated.  A modelled root E_0 = 0 is passed as None, and its arrays
+    are first read by _levels, once the root has left a start.
 
     Every counted chain contains the forced subspaces L_i = im e^(s-i), with
     s = 2k + 1, or s = 2k when q = 0:
@@ -842,13 +850,12 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     check whose total would exceed the cap returns an explicit skip with
     ``nodes == cap + 1``, never a wrong count.
     """
-    p, e, g = real.modulus, real.e, real.gram
-    dims = list(itertools.accumulate(levi.ps))
+    p, dims = real.modulus, list(itertools.accumulate(levi.ps))
     counter, levels = [0], None  # levels: _levels, once the root is not decided
 
-    def count(E: np.ndarray, t: int) -> int:
-        """The flags over E = E_t (rows spanning it) from the level after
-        it on, E_{t+1} of dimension dims[t] first."""
+    def count(E: np.ndarray | None, t: int) -> int:
+        """The flags over E = E_t (rows spanning it; None for E_0 = 0) from
+        the level after it on, E_{t+1} of dimension dims[t] first."""
         nonlocal levels
         value = _state_count(real, levi, E, t)
         if not isinstance(value, tuple):
@@ -857,6 +864,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
             return value
         levels = levels or _levels(real, levi)
         start, size = value
+        E, e, g = start[:0] if E is None else E, real.e, real.gram
         low = levels[t]  # the coordinates outside im e^a, at the level's cut a
         if low is None or start[:, low].any():
             return 0
@@ -871,7 +879,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
 
     try:
-        value = count(np.zeros((0, real.dim), dtype=np.int64), 0)
+        value = count(None if real.modelled else np.zeros((0, real.dim), dtype=np.int64), 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     finally:  # count refers to itself: free it without the cyclic collector

@@ -6,7 +6,7 @@ import pytest
 
 import nilorbit.duality as duality
 import nilorbit.levi as levi
-from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, cli, dual_pair, ff_oracle
+from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, _linalg, cli, dual_pair, ff_oracle
 from nilorbit.cli import main
 
 
@@ -338,12 +338,11 @@ class TestNoPolarizationTable:
 
 
 class TestRealizeOnDemand:
-    def test_budget_zero_realizes_only_levis_without_gl_blocks(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # At budget 0 every check with a general-linear block is a skip by
-        # its first row alone; only the zero orbit's Levi (;n), which tests
-        # e = 0, needs a realization: one per prime per family.
+    def test_budget_zero_builds_no_model_and_no_array(self, capsys, tmp_path, monkeypatch):
+        # At budget 0 every check with a general-linear block skips before
+        # its root, and the zero orbit's Levi (;n), which has none, is
+        # decided at its root from the partition: each check gets its own
+        # realization, and none builds a model, an array or an elimination.
         calls = []
         build = cli.realize
 
@@ -351,8 +350,13 @@ class TestRealizeOnDemand:
             calls.append((fam.value, p.parts, q))
             return build(p, fam, q)
 
+        def refuse(*args):
+            raise AssertionError(f"built at budget 0: {args}")
+
         monkeypatch.setattr(cli, "realize", counting)
-        needed = []
+        monkeypatch.setattr(ff_oracle, "_model", refuse)
+        monkeypatch.setattr(_linalg, "_reduce", refuse)
+        checks = []
         for fam in "BCD":
             code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "4",
                              "--oracle-budget", "0", "--out", str(tmp_path))
@@ -360,15 +364,15 @@ class TestRealizeOnDemand:
             with open(tmp_path / f"atlas-{fam}4.jsonl") as fh:
                 for rec in map(json.loads, fh):
                     for fib in rec["fibers"]:
-                        if fib["levi"].startswith(";"):
-                            needed += [(fam, tuple(rec["orbit"]), q) for q in (3, 5)]
-        assert calls == needed
-        n = {"B": 9, "C": 8, "D": 8}
-        assert calls == [(fam, (1,) * n[fam], q) for fam in "BCD" for q in (3, 5)]
+                        checks += [(fam, tuple(rec["orbit"]), o["p"]) for o in fib["oracle"]]
+        assert calls == checks
+        assert len(calls) == 96
 
     def test_one_model_per_orbit(self, capsys, tmp_path, monkeypatch):
-        # At the default budget the rank-5 atlas realizes its 61 orbits at
-        # primes 3 and 5, from one integer model per orbit.
+        # At the default budget the rank-5 atlas makes 162 checks over its
+        # 61 orbits at primes 3 and 5, each on its own realization; only
+        # the 20 orbits with a check that the root leaves to the
+        # enumeration build a model, one each.
         calls = []
         build = cli.realize
         monkeypatch.setattr(cli, "realize", lambda p, fam, q: calls.append(q) or build(p, fam, q))
@@ -376,7 +380,7 @@ class TestRealizeOnDemand:
         for fam in "BCD":
             code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "5", "--out", str(tmp_path))
             assert code == 0
-        assert (len(calls), ff_oracle._model.cache_info().misses) == (122, 61)
+        assert (len(calls), ff_oracle._model.cache_info().misses) == (162, 20)
 
 
 class TestOracleInputs:

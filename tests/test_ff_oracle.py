@@ -236,12 +236,14 @@ def leibniz_det(rows):
 
 class TestModel:
     def test_one_model_per_orbit(self):
-        # Every prime of an orbit reduces the one cached model; each
-        # realization still gets fresh arrays, which are read-only.
+        # realize builds no model; the first array read of each prime's
+        # realization reduces the one cached model, and each realization
+        # still gets fresh arrays, which are read-only.
         _model.cache_clear()
         reals = [realize(P("4,4,2,2,1"), Family.B, q) for q in (3, 5, 7)]
-        assert _model.cache_info()[:2] == (2, 1)
+        assert _model.cache_info()[:2] == (0, 0)
         assert len({id(a) for real in reals for a in (real.e, real.gram)}) == 6
+        assert _model.cache_info().misses == 1
         model = _model(P("4,4,2,2,1"), Family.B)
         for real in reals:
             q = real.modulus
@@ -257,7 +259,8 @@ class TestModel:
     def test_model_det_is_exact(self):
         # The model's det over Z against the Leibniz sum, on sparse integer
         # matrices with repeated rows, zero rows and large entries; and on
-        # every orbit with N <= 9, where realize reads det g mod q from it.
+        # every orbit with N <= 9, where a realization reads det g mod q
+        # from it, and where the chain rule's disc(0) is that det.
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 6))
@@ -271,22 +274,34 @@ class TestModel:
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for orbit in enumerate_valid(n, fam):
                     assert _model(orbit, fam).det in (1, -1)
+                    assert ff_oracle._root_disc(orbit, fam, 0) == _model(orbit, fam).det
                     for q in (3, 5, 7):
                         real = realize(orbit, fam, q)
-                        assert real.disc(0) == det(real.gram, q), (fam, orbit, q)
+                        assert real.det_g == det(real.gram, q), (fam, orbit, q)
 
-    def test_discriminants_read_once_per_realization(self, monkeypatch):
+    def test_discriminants_read_once_per_orbit(self, monkeypatch):
         # B 3,1,1 via (2;1) peels to the lines of V_1 = <x(1,1), x(1,2)>,
-        # whose split type reads disc(0) disc(2): the first check reduces
-        # g e^2 once, the second reads the realization's disc(2).
-        real, levi = realize(P("3,1,1"), Family.B, 3), L("2;1")
+        # whose split type reads disc(0) disc(2): the chain rule gives both
+        # from the partition, once per orbit for every prime, with no
+        # elimination and no array.  disc(0) is det g, and g e^2 is 1 at
+        # (2, 2) and 0 elsewhere, so disc(2) is 1.
+        levi = L("2;1")
         reduce, calls = _linalg._reduce, []
         monkeypatch.setattr(_linalg, "_reduce", lambda mat, p: calls.append(1) or reduce(mat, p))
-        for eliminations in (1, 0):
-            calls.clear()
-            assert fiber_point_count(real, levi) == FlagCount(2, 3, levi, 1)
-            assert len(calls) == eliminations
-        assert real._discs == {0: det(real.gram, 3), 2: 1}  # g e^2 is 1 at (2, 2), else 0
+        ff_oracle._root_disc.cache_clear()
+        for q in (3, 5, 3):
+            real = realize(P("3,1,1"), Family.B, q)
+            assert fiber_point_count(real, levi) == FlagCount(2, q, levi, 1)
+            assert vars(real)["e"] is vars(real)["gram"] is None
+        assert calls == []
+        assert ff_oracle._root_disc.cache_info()[:2] == (4, 2)
+        real = realize(P("3,1,1"), Family.B, 3)
+        assert [ff_oracle._root_disc(P("3,1,1"), Family.B, a) for a in (0, 2)] == [
+            _model(P("3,1,1"), Family.B).det, 1
+        ]
+        assert (real.gram @ real.e @ real.e % 3).tolist() == [
+            [0] * 5, [0] * 5, [0, 0, 1, 0, 0], [0] * 5, [0] * 5
+        ]
 
     def test_prime_checks_raise(self):
         # What _validate checks depends on the prime: symmetry of the
@@ -350,6 +365,67 @@ class TestModel:
         assert self.raised(_check_model, corrupt) == message
         mutant = mutant_oracle(monkeypatch, condition, "True")
         assert self.raised(mutant._check_model, corrupt) != message
+
+
+class TestOnDemand:
+    def test_a_check_builds_only_what_it_reads(self, monkeypatch):
+        # Criterion 5's checks, every pseudo-polarization at B N <= 9 and
+        # C/D N <= 8 at p = 3 and 5, each on a fresh realization: one that
+        # the root decides (its peel does) builds no model, no array and
+        # no elimination, and its realization keeps no array; one that it
+        # leaves reduces the orbit's model into arrays once.
+        calls = {"model": 0, "reduce": 0, "elimination": 0}
+
+        def counted(name, function):
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+            return spy
+
+        monkeypatch.setattr(ff_oracle, "_model", counted("model", _model))
+        monkeypatch.setattr(ff_oracle.JordanModel, "reduce",
+                            counted("reduce", ff_oracle.JordanModel.reduce))
+        monkeypatch.setattr(_linalg, "_reduce", counted("elimination", _linalg._reduce))
+        decided = left = 0
+        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
+            for n in range(2 - fam.size_parity, top + 1, 2):
+                for orbit in enumerate_valid(n, fam):
+                    for _, levi in pseudo_polarizations(orbit, fam):
+                        for q in (3, 5):
+                            before = dict(calls)
+                            real = realize(orbit, fam, q)
+                            assert fiber_point_count(real, levi).count is not None
+                            built = vars(real)["e"] is not None
+                            if _peel(orbit.parts, levi.ps, levi.q) is not None:
+                                assert (calls, built) == (before, False), (fam, orbit, levi, q)
+                                decided += 1
+                            else:
+                                assert (calls["reduce"] - before["reduce"], built) == (1, True)
+                                left += 1
+        assert (decided, left) == (146, 34)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_a_given_form_is_never_read_by_the_chain_rule(self, monkeypatch, p):
+        # B 3,1,1 via (2;1) is decided at the root.  With a non-square unit
+        # on x(1,2), V_1 is non-split and has no isotropic line: the count
+        # takes the given form's discriminants by elimination, never from
+        # the chain rule, which holds only for realize's own forms, and so
+        # does every count of the non-split sweep.
+        real = realize(P("3,1,1"), Family.B, p)
+        other = with_gram(real, {(4, 4): real.gram[4, 4] * 2 % p})
+
+        def refuse(*args):
+            raise AssertionError(f"the chain rule read a given form: {args}")
+
+        reduce, calls = _linalg._reduce, []
+        monkeypatch.setattr(ff_oracle, "_root_disc", refuse)
+        monkeypatch.setattr(_linalg, "_reduce", lambda mat, q: calls.append(1) or reduce(mat, q))
+        assert fiber_point_count(other, L("2;1")) == FlagCount(0, p, L("2;1"), 1)
+        assert calls
+        if p == 3:
+            assert non_split_sweep(ff_oracle, 3, (9, 8, 8)) == (243, [])
+        monkeypatch.undo()
+        assert fiber_point_count(realize(P("3,1,1"), Family.B, p), L("2;1")).count == 2
 
 
 def _block_symmetry(parts):
@@ -855,12 +931,15 @@ def unhoisted_count(real, levi, cap, start=None, t=0, flags=None):
 
 
 def reference_start(real, levi, E, t):
-    """The start of level t + 1 below the state E = E_t (rows spanning it),
-    by matrix powers and rref: with s = 2(k - t) + [q > 0], the forced
-    subspace E + e^(s-1)(E^perp) in reduced form and its dimension, or None
-    where e^s(E^perp) leaves E (a part of e' on E^perp/E above s), below
-    which no flag goes and the start need not even be isotropic."""
+    """The start of level t + 1 below the state E = E_t (rows spanning it;
+    None for E_0 = 0, as _enumerate passes the root), by matrix powers and
+    rref: with s = 2(k - t) + [q > 0], the forced subspace E + e^(s-1)(E^perp)
+    in reduced form and its dimension, or None where e^s(E^perp) leaves E
+    (a part of e' on E^perp/E above s), below which no flag goes and the
+    start need not even be isotropic."""
     p, e, g = real.modulus, real.e, real.gram
+    if E is None:
+        E = np.zeros((0, real.dim), dtype=np.int64)
     s = 2 * (len(levi.ps) - t) + (levi.q > 0)
     perp = nullspace(E @ g % p, p)
     if not contains(E, perp @ _pow(e, s, p).T % p, p):
@@ -1933,41 +2012,65 @@ def non_split_sweep(oracle, q, tops):
 NON_SPLIT_CAP = 2000
 
 
+def chain_rule_sweep(oracle, p):
+    """(cases, wrong) over every orbit with N <= 13 (B) or 12 (C, D) and
+    every a below its largest part: wrong lists each case where ``oracle``'s
+    _root_disc and the det of the nondegenerate part of realize's g e^a
+    differ modulo squares mod p.  That det is taken by elimination, of the
+    principal block of g e^a on the pivot columns of its rref, which is
+    nonsingular."""
+    cases, wrong = 0, []
+    for fam, top in ((Family.B, 13), (Family.C, 12), (Family.D, 12)):
+        for n in range(2 - fam.size_parity, top + 1, 2):
+            for orbit in enumerate_valid(n, fam):
+                real = realize(orbit, fam, p)
+                power = np.eye(n, dtype=np.int64)
+                for a in range(orbit.parts[0]):
+                    G = real.gram @ power % p
+                    pivots = rref(G, p)[1]
+                    got = det(G[np.ix_(pivots, pivots)], p)
+                    want = oracle._root_disc(orbit, fam, a)
+                    if not got or pow(got * want % p, (p - 1) // 2, p) != 1:
+                        wrong.append((fam.value, orbit.literal(), a))
+                    power = power @ real.e
+                    cases += 1
+    return cases, wrong
+
+
 class TestDiscriminants:
     @pytest.mark.parametrize("p", [3, 7])
     def test_chain_rule(self, p):
-        # The lemma behind _shape_count, on realize's models of every orbit
-        # with N <= 13 and every a below the largest part: the det of the
-        # nondegenerate part of <x, e^a y> is, modulo squares, the product
-        # over the self-paired chains of length j > a, with unit u (g's
-        # entry at x(1,j), x(j,j)), of (-1)^(a(j-a)) u^(j-a), and over the
+        # The lemma behind _shape_count, as the root reads it for realize's
+        # forms (_root_disc), on every orbit with N <= 13 and every a below
+        # the largest part: the det of the nondegenerate part of <x, e^a y>
+        # is, modulo squares, the product over the self-paired chains of
+        # length j > a, with unit u, of (-1)^(a(j-a)) u^(j-a), and over the
         # pairs of chains of length j > a of eps^(j-a) (-1)^((j-a)(a+1)).
-        # At p = 3 and 7, -1 is not a square, so a wrong sign, or a wrong
-        # power of a unit -1, for any chain length fails.
-        cases = 0
-        for fam, top in ((Family.B, 13), (Family.C, 12), (Family.D, 12)):
-            for n in range(2 - fam.size_parity, top + 1, 2):
-                for orbit in enumerate_valid(n, fam):
-                    real = realize(orbit, fam, p)
-                    parts, eps = orbit.parts, fam.epsilon
-                    starts = list(itertools.accumulate(parts, initial=0))
-                    power = np.eye(n, dtype=np.int64)
-                    for a in range(parts[0]):
-                        G = real.gram @ power % p
-                        got = ff_oracle._discriminant(G, p, rref(G, p)[1])
-                        want = 1
-                        for j, v in enumerate(parts):
-                            if v <= a:
-                                continue
-                            if (v % 2 == 0) == (fam is Family.C):
-                                u = int(real.gram[starts[j], starts[j] + v - 1])
-                                want *= (-1) ** (a * (v - a)) * u ** (v - a)
-                            elif parts.index(v) % 2 == j % 2:  # the first of a pair
-                                want *= eps ** (v - a) * (-1) ** ((v - a) * (a + 1))
-                        assert got and pow(got * want % p, (p - 1) // 2, p) == 1, (fam, orbit, a)
-                        power = power @ real.e
-                        cases += 1
-        assert cases == 1009
+        # Here it is compared with that det taken from the matrix g e^a by
+        # elimination.  At p = 3 and 7, -1 is not a square, so a wrong
+        # sign, or a wrong power of a unit -1, for any chain length fails.
+        assert chain_rule_sweep(ff_oracle, p) == (1009, [])
+
+    # Each mutant of _root_disc drops one factor of the rule: the sign of
+    # a self-paired chain, the power of its unit, or the sign of a pair.
+    # (old, new, mismatches at p = 3 of the 1,009 cases)
+    CHAIN_MUTANTS = {
+        "a chain's sign dropped": (
+            "disc *= (-1) ** (a * (v - a)) * u ** (v - a)", "disc *= u ** (v - a)", 127
+        ),
+        "a unit's power dropped": (
+            "disc *= (-1) ** (a * (v - a)) * u ** (v - a)", "disc *= (-1) ** (a * (v - a)) * u", 79
+        ),
+        "a pair's sign dropped": (
+            "(family.epsilon * (-1) ** (a + 1)) **", "family.epsilon **", 59
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", list(CHAIN_MUTANTS))
+    def test_chain_rule_mutants_fail(self, monkeypatch, mutant):
+        old, new, mismatches = self.CHAIN_MUTANTS[mutant]
+        cases, wrong = chain_rule_sweep(mutant_oracle(monkeypatch, old, new), 3)
+        assert (cases, len(wrong)) == (1009, mismatches)
 
     # (prime, top N for B/C/D, checks compared).  D runs to N = 10 at
     # p = 3 for D 3,3,1^4 via (3;4), the lines of a non-split V_1 of
@@ -1980,16 +2083,15 @@ class TestDiscriminants:
 
     # Each mutant misreads a split type that realize's forms never show:
     # b's det (C) read as V_1's, disc(0) disc(2), and the root's disc(0)
-    # dropped, which leaves the units of the chains of length 1 out of
-    # V_1's det (B, D).  (old, new, mismatches at p = 3, N <= 9/8/8)
+    # dropped (det g, at E_0 = 0 of a form given to the realization), which
+    # leaves the units of the chains of length 1 out of V_1's det (B, D).
+    # (old, new, mismatches at p = 3, N <= 9/8/8)
     MUTANTS = {
         "b's split from V_1": (
             "d = disc(1) if symplectic else disc(0) * disc(2)", "d = disc(0) * disc(2)", 2
         ),
         "root's disc(0) dropped": (
-            "real.partition.parts, steps, q), real.disc)",
-            "real.partition.parts, steps, q), lambda a: real.disc(a) if a else 1)",
-            9,
+            "return (-1) ** d * real.det_g", "return (-1) ** d * (real.det_g if d else 1)", 9
         ),
     }
 
@@ -2101,7 +2203,7 @@ class TestQuotient:
     # and G_2 then misread as parts 3, 2 and 1.  The second and third
     # reach the root's closed forms too.  (old, new, mismatches)
     QUOTIENT_MUTANTS = {
-        "(-1)^d dropped": ("(-1) ** d * real.disc(0) if not a", "real.disc(0) if not a", 13),
+        "(-1)^d dropped": ("return (-1) ** d * real.det_g", "return real.det_g", 13),
         "disc(b_3) dropped": ("disc(0) * disc(2)", "disc(0)", 7),
         "C's (-1)^(m_2/2) dropped": (
             "d = disc(1) if symplectic", "d = (-1) ** (m // 2) * disc(1) if symplectic", 19
@@ -2247,7 +2349,7 @@ class TestQuotient:
     }
     # (the clause, and its mutant: the clause dropped) by the input it stops
     CLAUSES = {
-        "degenerate g": ("if not real.disc(0):", "if False:"),
+        "degenerate g": ("if not real.det_g:", "if False:"),
         "E one row short": ("elif r != d:", "elif False:"),
         "E not isotropic": ("elif pairing.any():", "elif False:"),
     }

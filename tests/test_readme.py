@@ -54,5 +54,5 @@ def test_prose_names_resolve():
         importlib.import_module(f"nilorbit.{info.name}")
         for info in pkgutil.iter_modules(nilorbit.__path__)
     ]
-    assert {"precharged_skip", "rref"} <= named
+    assert {"_root_disc", "rref"} <= named
     assert sorted(name for name in named if not any(hasattr(m, name) for m in modules)) == []

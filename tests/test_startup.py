@@ -1,6 +1,7 @@
 """How numpy is bound: ``nilorbit._linalg`` binds it lazily, so
-``import nilorbit`` and the commands that count no flag never load it, and
-the oracle loads it at its first array.  ``conftest.py`` imports numpy
+``import nilorbit``, the commands that count no flag and the oracle checks
+that the root decides never load it, and the oracle loads it at its first
+array.  ``conftest.py`` imports numpy
 before nilorbit, so the lazy route is reached only in a fresh interpreter;
 each test here starts one with this checkout's nilorbit first on the path."""
 import json
@@ -30,6 +31,9 @@ COMBINATORIAL = [
     "polarizations --family B 3,1,1",
     "dual --family B 3,1,1",
     "seesaw --family B 5,3,3,1,1",
+    # Every check skips before its root or is decided there, so no
+    # realization builds an array.
+    "atlas --family B --rank 6 --oracle-budget 0 --out {out}",
 ]
 
 
@@ -49,27 +53,31 @@ def test_import_loads_no_numpy_submodule():
     assert json.loads(out.stdout) == []
 
 
-def test_combinatorial_commands_load_no_numpy_submodule():
-    """One interpreter runs the nine commands in turn and lists the numpy
+def test_combinatorial_commands_load_no_numpy_submodule(tmp_path):
+    """One interpreter runs the ten commands in turn and lists the numpy
     submodules loaded after each, so the first command to load one is named."""
+    commands = [command.format(out=tmp_path) for command in COMBINATORIAL]
     out = fresh(
         "import contextlib, io\n"
         "from nilorbit import cli\n"
-        f"for command in {COMBINATORIAL!r}:\n"
+        f"for command in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(command.split())\n"
         "    loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
         "    print(json.dumps([command, code, loaded]))\n"
     )
     assert [json.loads(line) for line in out.stdout.splitlines()] == [
-        [command, 0, []] for command in COMBINATORIAL
+        [command, 0, []] for command in commands
     ]
+    assert (tmp_path / "atlas-B6.jsonl").stat().st_size > 0
 
 
 def test_fiber_loads_numpy_and_prints_the_in_process_output(capsys):
     """The oracle's first array loads numpy; the count it then makes prints
-    what the run in this process, with numpy loaded first, prints."""
-    argv = ["fiber", "--family", "B", "2,2,1"]
+    what the run in this process, with numpy loaded first, prints.  D 3,1
+    via (1,1;0) has two levels and no part 4, so its root is not decided
+    and its check enumerates."""
+    argv = ["fiber", "--family", "D", "3,1"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
     out = fresh(
