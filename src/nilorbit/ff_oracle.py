@@ -330,6 +330,10 @@ def _check_model(model: JordanModel) -> None:
         image = {c: down[r] for c, r in image.items() if r in down}
 
 
+# realize's validity check, once per (partition, family).
+_is_valid = functools.lru_cache(maxsize=None)(is_valid)
+
+
 def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     """Nilpotent element of Jordan type ``p`` with a split invariant form
     over F_modulus.  Only odd prime moduli are accepted.  The rest waits for
@@ -337,7 +341,7 @@ def realize(p: Partition, family: Family, modulus: int) -> JordanRealization:
     root decides never makes: the orbit's integer model (_model), checked
     over Z once per orbit, is then reduced into fresh arrays, and the
     checks that depend on the prime run on them (_validate)."""
-    if not is_valid(p, family):
+    if not _is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
     check_modulus(modulus, p.n)
     return JordanRealization(family, p, modulus)
@@ -489,6 +493,18 @@ def _heights(p: Partition) -> list[int]:
     return [d - i for d in p.parts for i in range(1, d + 1)]
 
 
+def _root_window(p: Partition, a: int) -> np.ndarray:
+    """ker e cap im e^a for realize's e of Jordan type ``p``, the window of
+    level 1 below a modelled root cut at a: the identity rows at the first
+    coordinate x(1,j) of each chain with d_j > a, in coordinate order.
+    ker e is spanned by the x(1,j), of height d_j - 1, so this is the
+    reduced basis that the nullspaces of _enumerate's other windows return
+    for it, built with no elimination."""
+    heads = itertools.accumulate(p.parts, initial=0)  # the coordinate of each x(1,j)
+    return np.eye(p.n, dtype=np.int64)[[c for c, d in zip(heads, p.parts) if d > a]]
+
+
+@functools.lru_cache(maxsize=None)
 def _peel(
     parts: tuple[int, ...], steps: tuple[int, ...], q: int
 ) -> int | tuple[int, tuple[int, ...], int] | None:
@@ -500,7 +516,8 @@ def _peel(
     parts 1 remain (m_2 = 0), or only parts 2 and 1 under one level (the
     closed form's V_1, its flag's steps and the number of parts 2); None
     when no part equals s and two or more levels remain, where the flags
-    are enumerated.  So a peel with one level, or none, always decides."""
+    are enumerated.  So a peel with one level, or none, always decides.
+    Computed once per argument per process (lru_cache)."""
     while True:
         s = 2 * len(steps) + (q > 0)
         if parts and parts[0] > s:
@@ -546,6 +563,7 @@ def _is_square(x: int, p: int) -> bool:
     return pow(x % p, (p - 1) // 2, p) == 1
 
 
+@functools.lru_cache(maxsize=None)
 def _flag_sum(
     p: int, symplectic: bool, ones: int, steps: tuple[int, ...], twos: int, split: bool
 ) -> int:
@@ -558,7 +576,8 @@ def _flag_sum(
     whose form is symplectic when ``symplectic`` and symmetric otherwise,
     and N_b those of b(u, v) = <e^-1 u, v> on U = e(V_2), of the other
     kind; ``split`` says whether the symmetric one of the two is split,
-    which matters only for an even dimension."""
+    which matters only for an even dimension.  Computed once per argument
+    per process (lru_cache)."""
     r = sum(steps)
     total = sum(
         _isotropic_subspaces(twos, twos - f, p, not symplectic, split)
@@ -753,6 +772,10 @@ def fiber_point_count(
     <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
     descriptor: at realize's root from its chains' units (_root_disc),
     elsewhere from g e^a by elimination, so a root that decides reads no array.
+    A root that leaves its check to _enumerate takes no elimination either:
+    its start and its first level's window are identity rows at Jordan
+    coordinates.  _peel and _flag_sum read small integers only and are
+    computed once per argument per process.
 
     A check costs one node when the root's peel decides it, max(1, the
     nodes _enumerate charges) otherwise, and none without a general-linear
@@ -768,10 +791,10 @@ def fiber_point_count(
     return _enumerate(real, levi, cap)
 
 
-def _levels(real: JordanRealization, levi: LeviType) -> list[list[int] | None]:
+def _levels(real: JordanRealization, levi: LeviType) -> list[tuple[int, list[int]] | None]:
     """_enumerate's table for a check that the root's peel leaves: per
-    level t + 1 < k, the Jordan coordinates outside im e^a for its cut a
-    (_cut), or None where it leaves no flag.  First the identities that
+    level t + 1 < k, its cut a (_cut) and the Jordan coordinates outside
+    im e^a, or None where it leaves no flag.  First the identities that
     the enumeration's starts and windows rest on, g^T = eps g and e^T g +
     g e = 0 mod p, are checked by two products, and a failure raises
     InvariantError."""
@@ -784,7 +807,7 @@ def _levels(real: JordanRealization, levi: LeviType) -> list[list[int] | None]:
             )
     heights, dims = _heights(real.partition), list(itertools.accumulate(levi.ps))
     cuts = (_cut(_floors(real.partition, levi, t), dims[t]) for t in range(len(dims) - 1))
-    return [None if a is None else [c for c, h in enumerate(heights) if h < a] for a in cuts]
+    return [None if a is None else (a, [c for c, h in enumerate(heights) if h < a]) for a in cuts]
 
 
 def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
@@ -829,18 +852,22 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     all of E_t lies in im e^a, which is spanned by the Jordan coordinates
     x(i,j) of height d_j - i >= a.  For the largest such a (_cut), the
     window of a level is cut to im e^a by one nullspace of its columns at
-    heights < a.  A floor above dim E_{t+1}, or a start with an entry at
-    heights < a, counts 0, before anything else is done at the level.
+    heights < a (read from the chains below a modelled root).  A floor
+    above dim E_{t+1}, or a start with an entry at heights < a, counts 0,
+    before anything else is done at the level.
 
     A start whose dimension is dim E_{t+1} is E_{t+1}: the level is filled
     at one node.  Any other start is enumerated, one that overfills too: no
     flag goes through it, and _last_row_batches yields nothing for it.  Its
     window takes two eliminations, as e^{-1}(E) = (ann(E) e)^perp: one
     nullspace of E gives ann(E), and one of [E g; ann(E) e] the window.
-    After the cut, _last_row_batches adds one reduced-echelon row at a
-    time to the start and drops each candidate row as soon as it fails
-    isotropy, and the recursion goes into each E_{t+1} = F1 + <x> that it
-    yields.
+    Below a modelled root it takes none: the window is ker e, cut to
+    ker e cap im e^a, the identity rows at the x(1,j) with d_j > a
+    (_root_window), which are the reduced basis those nullspaces and the
+    cut's return.  After the cut, _last_row_batches adds one
+    reduced-echelon row at a time to the start and drops each candidate
+    row as soon as it fails isotropy, and the recursion goes into each
+    E_{t+1} = F1 + <x> that it yields.
 
     A node is one candidate row generated and tested, one level filled by
     its start, or one state E_t, t >= 1, that its quotient decides with a
@@ -864,17 +891,20 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
             return value
         levels = levels or _levels(real, levi)
         start, size = value
-        E, e, g = start[:0] if E is None else E, real.e, real.gram
-        low = levels[t]  # the coordinates outside im e^a, at the level's cut a
-        if low is None or start[:, low].any():
+        cut = levels[t]  # the level's cut a and the coordinates outside im e^a
+        if cut is None or start[:, cut[1]].any():
             return 0
         if size == dims[t]:
             _charge(counter, 1, cap)
             return count(start, t + 1)
-        # The window E^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp.
-        window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
-        if low:  # cut it to im e^a
-            window = nullspace(window[:, low].T, p) @ window % p
+        a, low = cut
+        g = real.gram
+        if E is None:  # a modelled root: ker e cap im e^a, read from the chains
+            window = _root_window(real.partition, a)
+        else:  # E^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp, cut to im e^a
+            window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ real.e % p]), p)
+            if low:
+                window = nullspace(window[:, low].T, p) @ window % p
         batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
         return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
 

@@ -1,8 +1,8 @@
 """Shared test plumbing: collects acceptance verdict lines and prints them
 in the terminal summary, where capture can't swallow them, runs code
-snippets in a ``python -O`` child, and holds the brute-force reference
-routes and subspace helpers that several test files check the package
-against."""
+snippets in a ``python -O`` child, counts the oracle's eliminations by call
+site, and holds the brute-force reference routes and subspace helpers that
+several test files check the package against."""
 import os
 import subprocess
 import sys
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nilorbit
-from nilorbit import dominance_leq, enumerate_valid, is_valid
+from nilorbit import _linalg, dominance_leq, enumerate_valid, is_valid
 from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
@@ -52,6 +52,40 @@ def run_optimized():
         return out.stdout.strip()
 
     return run
+
+
+ELIMINATION_SITES = ("root window", "level windows", "batch rref", "state nullspace", "G_a ranks")
+
+
+def count_eliminations(monkeypatch):
+    """Count every elimination (a call of _linalg's row reduction, behind
+    rref and nullspace) from here on, by the oracle's call site that makes
+    it, in a dict that the calls update: the window of level 1 below a root
+    (root window) and of a later level (level windows) in _enumerate,
+    _last_row_batches' rref of the start and the window (batch rref), and
+    _state_count's nullspace of E g (state nullspace) and rref of each G_a
+    (G_a ranks).  A call from anywhere else counts under its caller's
+    name."""
+    counts = dict.fromkeys(ELIMINATION_SITES, 0)
+    reduce = _linalg._reduce
+
+    def counted(mat, p):
+        routine = sys._getframe(1)  # rref or nullspace
+        caller = routine.f_back
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame, before Python 3.12
+            caller = caller.f_back
+        site = caller.f_code.co_name
+        if site == "count":
+            site = "level windows" if caller.f_locals["t"] else "root window"
+        elif site == "_last_row_batches":
+            site = "batch rref"
+        elif site == "_state_count":
+            site = "state nullspace" if routine.f_code.co_name == "nullspace" else "G_a ranks"
+        counts[site] = counts.get(site, 0) + 1
+        return reduce(mat, p)
+
+    monkeypatch.setattr(_linalg, "_reduce", counted)
+    return counts
 
 
 def minimal_richardson_bruteforce(p, family):

@@ -8,7 +8,13 @@ asserted.
 import time
 from contextlib import contextmanager
 
-from conftest import acceptance_line, is_richardson_via_induction, minimal_richardson_bruteforce
+from conftest import (
+    ELIMINATION_SITES,
+    acceptance_line,
+    count_eliminations,
+    is_richardson_via_induction,
+    minimal_richardson_bruteforce,
+)
 
 from nilorbit import (
     Family,
@@ -36,7 +42,6 @@ from nilorbit import (
     springer_dual,
     springer_dual_inverse,
 )
-from nilorbit import _linalg
 
 P = parse_partition
 
@@ -140,35 +145,29 @@ def test_criterion_4_springer_dual_bijection():
 def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # All 180 checks finish at the default budget, and their node total is
     # pinned: an oracle refactor that visits more or fewer nodes shows here.
-    # So is the number of eliminations (calls of _linalg's row reduction,
-    # behind rref and nullspace) that the checks make.  A check that the
-    # root decides makes none: it reads its discriminants from the
-    # partition (_root_disc), and its realization builds no array.  Each
-    # check that the root leaves takes two eliminations for its first
-    # window, and one more where the floor table cuts it.  A state past the
-    # root counted on its quotient
-    # (_state_count) takes one nullspace, no rank of G_0 (it reads that the
-    # quotient's form is nondegenerate from det g, rank E and E g E^T), and
-    # one rref of each G_a, 0 < a < s_t, unless G_{s_t - 1} = 0 already
-    # leaves it to the enumeration; a level that its start fills takes no
-    # elimination, as the count hands back the start's dimension.  Beyond them,
-    # every Levi with one general-linear block at ranks 6-8 is checked too:
-    # 308 checks, each decided in closed form at one node.
-    eliminations = 0
-    reduce = _linalg._reduce
-
-    def counted(mat, p):
-        nonlocal eliminations
-        eliminations += 1
-        return reduce(mat, p)
-
-    monkeypatch.setattr(_linalg, "_reduce", counted)
+    # So are the eliminations (calls of _linalg's row reduction, behind
+    # rref and nullspace) that the checks make, by call site
+    # (count_eliminations).  A check that the root decides makes none: it
+    # reads its discriminants from the partition (_root_disc), and its
+    # realization builds no array.  A check that the root leaves makes none
+    # for its first window either: ker e cap im e^a is read from the Jordan
+    # chains (_root_window).  A later level's window takes two, and one
+    # more where the floor table cuts it.  A state past the root counted on
+    # its quotient (_state_count) takes one nullspace, no rank of G_0 (it
+    # reads that the quotient's form is nondegenerate from det g, rank E
+    # and E g E^T), and one rref of each G_a, 0 < a < s_t, unless
+    # G_{s_t - 1} = 0 already leaves it to the enumeration; a level that
+    # its start fills takes no elimination, as the count hands back the
+    # start's dimension.  Beyond them, every Levi with one general-linear
+    # block at ranks 6-8 is checked too: 308 checks, each decided in closed
+    # form at one node.
+    eliminations = count_eliminations(monkeypatch)
     with reported(5, "fiber point counts over F_3 and F_5 equal the descriptor"
                      " E-polynomial values (all pseudo-polarizations, N <= 9;"
                      " one-level ones at ranks 6-8)"):
         skipped = []
         realizations = {}
-        checks = nodes = checks_eliminations = 0
+        checks = nodes = 0
         for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for p in enumerate_valid(n, fam):
@@ -178,9 +177,7 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                             key = (p.parts, fam, q)
                             if key not in realizations:
                                 realizations[key] = realize(p, fam, q)
-                            before = eliminations
                             fc = fiber_point_count(realizations[key], levi)
-                            checks_eliminations += eliminations - before
                             checks += 1
                             nodes += fc.nodes
                             if fc.count is None:
@@ -192,7 +189,9 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f"ACCEPTANCE 5: skipped {p} ({fam.value}) via {levi} at p={q}"
                 f" after {spent} nodes"
             )
-        assert (checks, len(skipped), nodes, checks_eliminations) == (180, 0, 260, 350)
+        assert (checks, len(skipped), nodes) == (180, 0, 260)
+        assert eliminations == dict(zip(ELIMINATION_SITES, (0, 36, 46, 86, 80)))
+        assert sum(eliminations.values()) == 248
         wide = []
         for fam, sizes in ((Family.B, (13, 15, 17)), (Family.C, (12, 14, 16)), (Family.D, (12, 14, 16))):
             for n in sizes:

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import BIG_PRIME, contains
+from conftest import BIG_PRIME, contains, count_eliminations
 
 import nilorbit
 from nilorbit import (
@@ -367,14 +367,52 @@ class TestModel:
         assert self.raised(mutant._check_model, corrupt) != message
 
 
+def criterion_5_checks():
+    """(family, orbit, levi, q) of criterion 5's 180 checks: every
+    pseudo-polarization of B N <= 9 and C/D N <= 8, at p = 3 and 5."""
+    for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
+        for n in range(2 - fam.size_parity, top + 1, 2):
+            for orbit in enumerate_valid(n, fam):
+                for _, levi in pseudo_polarizations(orbit, fam):
+                    for q in (3, 5):
+                        yield fam, orbit, levi, q
+
+
+class TestMemo:
+    # ff_oracle's caches, each keyed on its pure arguments alone
+    CACHES = ("_is_valid", "_model", "_root_disc", "_peel", "_flag_sum")
+
+    def test_caches_change_no_count(self):
+        # Criterion 5's checks twice from empty caches, and once more from
+        # the caches the second run filled: the same counts and nodes each
+        # time, and the same cache traffic from empty caches.
+        def run():
+            checks = [fiber_point_count(realize(orbit, fam, q), levi)
+                      for fam, orbit, levi, q in criterion_5_checks()]
+            return checks, [getattr(ff_oracle, name).cache_info() for name in self.CACHES]
+
+        def cleared_run():
+            for name in self.CACHES:
+                getattr(ff_oracle, name).cache_clear()
+            return run()
+
+        first, traffic = cleared_run()
+        assert (len(first), sum(fc.nodes for fc in first)) == (180, 260)
+        assert all(fc.count is not None for fc in first)
+        assert cleared_run() == (first, traffic)
+        again, _ = run()
+        assert again == first
+
+
 class TestOnDemand:
     def test_a_check_builds_only_what_it_reads(self, monkeypatch):
         # Criterion 5's checks, every pseudo-polarization at B N <= 9 and
         # C/D N <= 8 at p = 3 and 5, each on a fresh realization: one that
         # the root decides (its peel does) builds no model, no array and
         # no elimination, and its realization keeps no array; one that it
-        # leaves reduces the orbit's model into arrays once.
-        calls = {"model": 0, "reduce": 0, "elimination": 0}
+        # leaves reduces the orbit's model into arrays once, and reads its
+        # first window from the Jordan chains with no elimination.
+        calls = {"model": 0, "reduce": 0}
 
         def counted(name, function):
             def spy(*args):
@@ -385,24 +423,22 @@ class TestOnDemand:
         monkeypatch.setattr(ff_oracle, "_model", counted("model", _model))
         monkeypatch.setattr(ff_oracle.JordanModel, "reduce",
                             counted("reduce", ff_oracle.JordanModel.reduce))
-        monkeypatch.setattr(_linalg, "_reduce", counted("elimination", _linalg._reduce))
+        eliminations = count_eliminations(monkeypatch)
         decided = left = 0
-        for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
-            for n in range(2 - fam.size_parity, top + 1, 2):
-                for orbit in enumerate_valid(n, fam):
-                    for _, levi in pseudo_polarizations(orbit, fam):
-                        for q in (3, 5):
-                            before = dict(calls)
-                            real = realize(orbit, fam, q)
-                            assert fiber_point_count(real, levi).count is not None
-                            built = vars(real)["e"] is not None
-                            if _peel(orbit.parts, levi.ps, levi.q) is not None:
-                                assert (calls, built) == (before, False), (fam, orbit, levi, q)
-                                decided += 1
-                            else:
-                                assert (calls["reduce"] - before["reduce"], built) == (1, True)
-                                left += 1
+        for fam, orbit, levi, q in criterion_5_checks():
+            before, spent = dict(calls), sum(eliminations.values())
+            real = realize(orbit, fam, q)
+            assert fiber_point_count(real, levi).count is not None
+            built = vars(real)["e"] is not None
+            if _peel(orbit.parts, levi.ps, levi.q) is not None:
+                made = sum(eliminations.values()) - spent
+                assert (calls, built, made) == (before, False, 0), (fam, orbit, levi, q)
+                decided += 1
+            else:
+                assert (calls["reduce"] - before["reduce"], built) == (1, True)
+                left += 1
         assert (decided, left) == (146, 34)
+        assert eliminations["root window"] == 0
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_a_given_form_is_never_read_by_the_chain_rule(self, monkeypatch, p):
@@ -1051,6 +1087,20 @@ class TestHoist:
         res = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (res.count, res.nodes) == (1, k)
 
+    FILL = "_charge(counter, 1, cap)\n            return count(start, t + 1)"
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_the_atlas_fill_costs_one_node(self, monkeypatch, q):
+        # B 7,3,1 via (1,2,2;1) holds the atlas's only fills at rank 5: the
+        # root leaves a start that fills level 1, at one node of the
+        # check's three.  A mutant that charges a fill nothing fails.
+        levi = L("1,2,2;1")
+        want = FlagCount(2, q, levi, 3)
+        assert fiber_point_count(realize(P("7,3,1"), Family.B, q), levi) == want
+        mutant = mutant_oracle(monkeypatch, self.FILL, self.FILL.replace("1", "0", 1))
+        got = mutant.fiber_point_count(mutant.realize(P("7,3,1"), Family.B, q), levi)
+        assert (got.count, got.nodes, got.skipped) == (2, 2, None)
+
     def test_e_power_decides_at_one_node(self):
         # B 5 via (1;3): e^3 != 0, so L_1 = im e^2 leaves ker e.
         real = realize(P("5"), Family.B, 3)
@@ -1615,6 +1665,60 @@ class TestLookAhead:
         assert dropped == drops
 
 
+def reference_root_window(real, a):
+    """The window of level 1 below the root E = 0, cut to im e^a, by the
+    elimination route of every later level: ker e as the nullspace of
+    [E g; ann(E) e], then one nullspace of its columns at heights < a."""
+    p, e, g = real.modulus, real.e, real.gram
+    E = np.zeros((0, real.dim), dtype=np.int64)
+    window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
+    heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+    if a:
+        window = nullspace(window[:, heights < a].T, p) @ window % p
+    return window
+
+
+def root_window_sweep(oracle, q):
+    """(compared, wrong): ``oracle``'s _root_window against
+    reference_root_window on every B/C/D orbit with N <= 13, at every cut
+    a < max part, at p = q; wrong lists each window whose shape, dtype or
+    bytes differ."""
+    compared, wrong = 0, []
+    for fam in (Family.B, Family.C, Family.D):
+        for n in range(2 - fam.size_parity, 14, 2):
+            for orbit in enumerate_valid(n, fam):
+                real = realize(orbit, fam, q)
+                for a in range(orbit.parts[0]):
+                    got, want = oracle._root_window(orbit, a), reference_root_window(real, a)
+                    compared += 1
+                    if (got.shape, got.dtype, got.tobytes()) != (want.shape, want.dtype, want.tobytes()):
+                        wrong.append((fam.value, orbit.literal(), a))
+    return compared, wrong
+
+
+class TestRootWindow:
+    # windows compared at each prime
+    COMPARED = 1009
+
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_root_window_is_the_eliminated_one(self, q):
+        # Below a modelled root, _enumerate reads the first level's window
+        # ker e cap im e^a from the Jordan chains (_root_window): the
+        # identity rows at x(1,j) for the chains with d_j > a.  Byte for
+        # byte, that is the window that three nullspaces build for every
+        # other state.
+        compared, wrong = root_window_sweep(ff_oracle, q)
+        assert wrong == []
+        assert compared == self.COMPARED
+
+    def test_a_window_with_the_chains_of_length_a_fails(self, monkeypatch):
+        # x(1,j) lies in im e^a exactly when d_j > a: 240 of the windows
+        # at p = 3 have a chain of length a.
+        mutant = mutant_oracle(monkeypatch, "if d > a]", "if d >= a]")
+        compared, wrong = root_window_sweep(mutant, 3)
+        assert (compared, len(wrong)) == (self.COMPARED, 240)
+
+
 # --- the peel and its closed form against the enumeration ---------------------
 
 
@@ -1771,6 +1875,8 @@ class TestPeel:
         q, tops, coverage = 3, (7, 6, 6), (139, 137)
         assert peel_sweep(ff_oracle, q, tops) == coverage + ([],)
         oracle = mutant_oracle(monkeypatch, *self.MUTANTS[mutant])
+        # A fresh module: its closed forms are cached apart from ff_oracle's.
+        assert oracle._peel.cache_info().currsize == oracle._flag_sum.cache_info().currsize == 0
         assert peel_sweep(oracle, q, tops) != coverage + ([],)
 
     # The brute force over F_5^6 takes 40 s for D, so n = 6 runs at p = 3.
