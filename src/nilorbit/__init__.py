@@ -24,22 +24,18 @@ from .ff_oracle import (
     resolve_budget,
 )
 from .levi import (
-    InducedShape,
     LeviType,
     enumerate_levis,
     induced_shape,
     langlands_dual_levi,
-    levi_of_raw_shape,
     polarizations,
     richardson_orbit_of,
 )
-from .minimal import IndexEntry, IndexSet, index_set
+from .minimal import IndexEntry, IndexSet
 from .partitions import (
     Family,
-    OrbitLabel,
     Partition,
     collapse,
-    dominance_leq,
     enumerate_valid,
     is_valid,
     orbit_dim,
@@ -82,13 +78,11 @@ __all__ = [
     "GrassStep",
     "IndexEntry",
     "IndexSet",
-    "InducedShape",
     "InvariantError",
     "JordanRealization",
     "LeviType",
     "ModifiedBlocks",
     "OrbitAnalysis",
-    "OrbitLabel",
     "Partition",
     "VerificationError",
     "canonical_quotient_order",
@@ -97,20 +91,17 @@ __all__ = [
     "decompose",
     "descriptor",
     "distinguished_values",
-    "dominance_leq",
     "dual_pair",
     "e_polynomial",
     "enumerate_levis",
     "enumerate_valid",
     "fiber_point_count",
     "ig_factors",
-    "index_set",
     "induced_shape",
     "is_richardson",
     "is_special",
     "is_valid",
     "langlands_dual_levi",
-    "levi_of_raw_shape",
     "minimal_richardson_orbits",
     "minimal_richardson_witnessed",
     "og_tower",

@@ -123,10 +123,6 @@ class Block:
         mid = tuple(x for b in self.betas for x in (b, b))
         return (self.alphas[0],) + mid
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts())
-
     def render(self) -> str:
         """Human form, e.g. ``B2[3 |2,2| 1]``, ``C2[4 |3,3|]``, ``B3[1]``."""
         ps = self.parts()
@@ -160,12 +156,6 @@ class ModifiedBlocks:
     circ: tuple[int, ...] | None
     prime: tuple[int, ...]
     double_prime: tuple[int, ...] | None
-
-    def variant(self, name: str) -> tuple[int, ...]:
-        value = {"circ": self.circ, "prime": self.prime, "double_prime": self.double_prime}[name]
-        if value is None:
-            raise LookupError(f"variant {name!r} is undefined for kind {self.source.kind}")
-        return value
 
 
 def _split_pairs(values: tuple[int, ...]) -> list[int]:

@@ -46,8 +46,6 @@ from .spaltenstein import (
     orbit_analysis,
 )
 
-_ATLAS_DEFAULT_BUDGET = 5000
-
 
 class UsageError(Exception):
     """Bad input on the command line; reported on stderr with exit code 2."""
@@ -98,10 +96,10 @@ def _primes(args, n: int) -> list[int]:
     return primes
 
 
-def _budget(args, default: int) -> int:
-    """--oracle-budget, else ``default``."""
+def _budget(args) -> int:
+    """--oracle-budget, which must be non-negative."""
     try:
-        return resolve_budget(args.oracle_budget, default)
+        return resolve_budget(args.oracle_budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -212,7 +210,7 @@ def _failed(fibers: list[dict]) -> bool:
 def cmd_fiber(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
     primes = _primes(args, p.n)
-    budget = _budget(args, DEFAULT_BUDGET)
+    budget = _budget(args)
     records = _fiber_records(orbit_analysis(p, fam), primes, budget)
     return {**_head(fam, "orbit", p), "fibers": records}, 1 if _failed(records) else 0
 
@@ -342,7 +340,7 @@ def cmd_atlas(args) -> tuple[dict, int]:
         raise UsageError(f"rank {args.rank} exceeds the ceiling {args.ceiling}")
     n = 2 * args.rank + fam.size_parity
     primes = _primes(args, n)
-    budget = _budget(args, _ATLAS_DEFAULT_BUDGET)
+    budget = _budget(args)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -416,18 +414,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", required=True, choices=["B", "C", "D"],
                         help="classical family of the ambient Lie algebra")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--oracle-primes", default="3,5",
-                        help="comma-separated odd primes for finite-field checks")
-    common.add_argument("--oracle-budget", type=int, default=None,
-                        help="node cap for the flag enumeration (default: "
-                             "1000000, or 5000 for atlas)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, show, help_: str, partition: bool = True):
+    def add(name: str, func, show, help_: str, partition: bool = True,
+            budget: int | None = None):
         """Register a subcommand: ``func(args)`` returns (payload, exit code)
-        and ``show(args, payload)`` the lines printed without --json."""
+        and ``show(args, payload)`` the lines printed without --json.  A
+        command that runs the oracle takes its flags, with ``budget`` as
+        the node cap's default."""
         sp = sub.add_parser(name, parents=[common], help=help_)
+        if budget is not None:
+            sp.add_argument("--oracle-primes", default="3,5",
+                            help="comma-separated odd primes for finite-field checks"
+                                 " (default: %(default)s)")
+            sp.add_argument("--oracle-budget", type=int, default=budget,
+                            help="node cap for the flag enumeration (default: %(default)s)")
         if partition:
             sp.add_argument("partition", help="comma-separated parts, e.g. 4,3,3,1")
         sp.set_defaults(func=func, show=show)
@@ -459,13 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
                           else [f"({lit})" for lit in pl["polarizations"]]),
         "Levi types inducing exactly this orbit")
     add("fiber", cmd_fiber, show_fiber,
-        "fiber descriptors for every pseudo-polarization, checked over finite fields")
+        "fiber descriptors for every pseudo-polarization, checked over finite fields",
+        budget=DEFAULT_BUDGET)
     add("dual", cmd_dual, lambda args, pl: [_literal(pl["dual"])],
         "partner special orbit in the other family (B <-> C)")
     add("seesaw", cmd_seesaw, show_seesaw,
         "component-count seesaw and E-polynomial equality across a dual pair")
     atlas = add("atlas", cmd_atlas, show_atlas, "batch-verify every orbit at a rank",
-                partition=False)
+                partition=False, budget=5000)
     atlas.add_argument("--rank", type=int, default=6, help="rank of the ambient algebra")
     atlas.add_argument("--ceiling", type=int, default=6,
                        help="largest rank the atlas will attempt")

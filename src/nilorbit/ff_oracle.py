@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from ._linalg import det, np, nullspace, rref
@@ -39,10 +39,10 @@ _BATCH = 1024
 _INT64_LIMIT = 2**63
 
 
-def resolve_budget(budget: int | None = None, default: int = DEFAULT_BUDGET) -> int:
-    """``budget``, else ``default``.  A negative budget is a ValueError."""
+def resolve_budget(budget: int | None = None) -> int:
+    """``budget``, else DEFAULT_BUDGET.  A negative budget is a ValueError."""
     if budget is None:
-        return default
+        return DEFAULT_BUDGET
     if budget < 0:
         raise ValueError(f"oracle budget must be non-negative, got {budget}")
     return budget
@@ -112,33 +112,12 @@ class JordanModel:
 
     @functools.cached_property
     def det(self) -> int:
-        """det g over Z, by elimination on sparse integer rows: a row is
-        multiplied by the pivot before the pivot row is taken off it, and
-        the product of those factors is divided out at the end, so every
-        step is exact.  A row with no entry in the pivot column costs
-        nothing, so a g with one entry per row and column costs no
-        elimination at all."""
-        rows: list[dict[int, int]] = [{} for _ in range(self.partition.n)]
-        for (i, j), v in self.gram.items():
-            rows[i][j] = v
-        value = scale = 1
-        for c in range(len(rows)):
-            k = next((k for k in range(c, len(rows)) if rows[k].get(c)), None)
-            if k is None:
-                return 0
-            rows[c], rows[k] = rows[k], rows[c]
-            pivot = rows[c]
-            a = pivot.pop(c)
-            value *= a if k == c else -a
-            for row in rows[c + 1 :]:
-                x = row.pop(c, 0)
-                if x:
-                    scale *= a
-                    for j, v in pivot.items():
-                        row[j] = a * row.get(j, 0) - x * v
-                    for j in row.keys() - pivot.keys():
-                        row[j] *= a
-        return value // scale
+        """det g over Z: g has one entry +-1 in each row and column
+        (_check_model), so det g is the sign of that permutation,
+        (-1)^inversions, times the product of the entries."""
+        columns = [j for _, j in sorted(self.gram)]
+        inversions = sum(a > b for a, b in itertools.combinations(columns, 2))
+        return (-1) ** inversions * math.prod(self.gram.values())
 
     def reduce(self, modulus: int) -> list[np.ndarray]:
         """e and g mod ``modulus``, as fresh n-by-n int64 arrays."""
@@ -151,44 +130,34 @@ class JordanModel:
         return out
 
 
-class _Deferred:
-    """JordanRealization's e or gram: the array given, read-only, or None until read."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, real: JordanRealization | None, owner: type | None = None):
-        if real is None:
-            return None  # the field's default
-        if vars(real)[self.name] is None:
-            real._realize()
-        return vars(real)[self.name]
-
-    def __set__(self, real: JordanRealization, array: np.ndarray | None) -> None:
-        if array is not None:
-            array.flags.writeable = False
-        vars(real)[self.name] = array
-
-
 @dataclass(frozen=True, eq=False)
 class JordanRealization:
     """A nilpotent matrix e in Jordan form with a split invariant form g over
-    F_p, immutable: a changed one is a new one (dataclasses.replace).  One
-    that realize built (modelled) holds no array until e or gram is read
-    (_realize), and its root reads the partition alone (_root_disc); one
-    given its arrays is counted from them, discriminants by elimination."""
+    F_p, immutable: a changed one is a new one (dataclasses.replace).  Its
+    read-only arrays e and gram are built at the first read of either
+    (__getattr__): e is the orbit's model (_model) reduced mod p, and gram
+    is the ``form`` given, or else the model's g reduced too and checked
+    (_validate).  One without a given form (modelled, as realize builds
+    them) has its root read from the partition alone (_root_disc); one
+    given a form is counted from the arrays, discriminants by elimination."""
 
     family: Family
     partition: Partition
     modulus: int
-    e: np.ndarray = _Deferred()
-    gram: np.ndarray = _Deferred()
-    modelled: bool = field(init=False, repr=False)
+    form: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if (vars(self)["e"] is None) != (vars(self)["gram"] is None):
-            raise ValueError("a JordanRealization takes both arrays, e and gram, or neither")
-        object.__setattr__(self, "modelled", vars(self)["e"] is None)
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in ("e", "gram"):
+            raise AttributeError(name)
+        e, gram = _model(self.partition, self.family).reduce(self.modulus)
+        if self.form is not None:
+            gram = self.form
+        for array in (e, gram):
+            array.flags.writeable = False
+        vars(self).update(e=e, gram=gram)
+        if self.form is None:
+            _validate(self)
+        return vars(self)[name]
 
     @property
     def dim(self) -> int:
@@ -197,15 +166,9 @@ class JordanRealization:
     @functools.cached_property
     def det_g(self) -> int:
         """det g mod p: the model's det over Z when modelled, else by elimination."""
-        if self.modelled:
+        if self.form is None:
             return _model(self.partition, self.family).det % self.modulus
         return det(self.gram, self.modulus)
-
-    def _realize(self) -> None:
-        """Reduce the orbit's model (_model) into e and gram; check them."""
-        for name, array in zip(("e", "gram"), _model(self.partition, self.family).reduce(self.modulus)):
-            object.__setattr__(self, name, array)
-        _validate(self)
 
 
 def _self_paired(v: int, family: Family) -> bool:
@@ -289,14 +252,15 @@ def _model(p: Partition, family: Family) -> JordanModel:
 def _check_model(model: JordanModel) -> None:
     """The checks of realize that no prime enters, run once per orbit and
     exactly over Z, on the entries: g^T = eps g; e is a 0/1 partial
-    permutation; the form is e-invariant, e^T g + g e = 0; and rank e^k =
+    permutation; the form is e-invariant, e^T g + g e = 0; g has one entry
+    +-1 in each row and column, which JordanModel.det reads; and rank e^k =
     sum max(d - k, 0) over the parts d, for every k until it is 0.  The
     first and third are identities of integer matrices, so they hold mod
-    every prime.  A power of a 0/1 partial permutation is one too, and its
-    rank over any field is its number of entries 1, so the ranks hold mod
-    every prime as well.  The last two checks read e as the partial
-    permutation that the second one proves: e x_c = x_r for each entry
-    (r, c)."""
+    every prime, and so does the fourth, as p is odd.  A power of a 0/1
+    partial permutation is one too, and its rank over any field is its
+    number of entries 1, so the ranks hold mod every prime as well.  The
+    third and the last check read e as the partial permutation that the
+    second one proves: e x_c = x_r for each entry (r, c)."""
 
     def require(ok, what: str) -> None:
         if not ok:
@@ -320,6 +284,9 @@ def _check_model(model: JordanModel) -> None:
             key = i, source[j]
             invariance[key] = invariance.get(key, 0) + v
     require(not any(invariance.values()), "form is not e-invariant")
+    n = model.partition.n
+    require(set(g.values()) <= {1, -1} and len(g) == n and all(len(set(x)) == n for x in zip(*g)),
+            "g is not a signed permutation")
     down = {c: r for r, c in ones}
     image = down  # e^k x_c for each c that e^k does not kill, from k = 1 on
     for k in itertools.count(1):
@@ -663,7 +630,7 @@ def _state_count(
     rows of it are independent, and so are those e^(s-1) x modulo E."""
     steps, q = levi.ps[t:], levi.q
     s = 2 * len(steps) + (q > 0)
-    if not t and real.modelled:
+    if not t and real.form is None:
         disc = functools.partial(_root_disc, real.partition, real.family)
         value = _shape_count(real, _peel(real.partition.parts, steps, q), disc)
         if value is not None:
@@ -909,7 +876,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
 
     try:
-        value = count(None if real.modelled else np.zeros((0, real.dim), dtype=np.int64), 0)
+        value = count(None if real.form is None else np.zeros((0, real.dim), dtype=np.int64), 0)
     except BudgetExceeded:
         return FlagCount(None, p, levi, counter[0], skipped="budget")
     finally:  # count refers to itself: free it without the cyclic collector

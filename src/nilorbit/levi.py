@@ -63,19 +63,11 @@ class LeviType:
         return cls(ps, q, family)
 
 
-@dataclass(frozen=True)
-class InducedShape:
-    """Raw column-count multiset obtained by inducing from a Levi's zero
-    orbit, before the validity collapse.  The odd entries always occupy
-    exactly the leading ``odd_head_len`` positions."""
-
-    raw: Partition
-    odd_head_len: int
-
-
-def induced_shape(levi: LeviType) -> InducedShape:
-    """Raw induced shape: entry ``j`` counts each general-linear block of
-    size at least ``j`` twice, plus one while ``j <= q``."""
+def induced_shape(levi: LeviType) -> Partition:
+    """Raw column-count multiset obtained by inducing from the Levi's zero
+    orbit, before the validity collapse: entry ``j`` counts each
+    general-linear block of size at least ``j`` twice, plus one while
+    ``j <= q``, so the odd entries are exactly the first ``q``."""
     top = max([levi.q] + list(levi.ps), default=0)
     raw: list[int] = []
     for j in range(1, top + 1):
@@ -86,12 +78,12 @@ def induced_shape(levi: LeviType) -> InducedShape:
     for j, d in enumerate(raw):
         if (d % 2 == 1) != (j < levi.q):
             raise InvariantError(f"raw parity pattern broken for {levi}")
-    return InducedShape(Partition(tuple(raw)), levi.q)
+    return Partition(tuple(raw))
 
 
 def richardson_orbit_of(levi: LeviType) -> Partition:
     """The orbit induced from the zero orbit of the Levi."""
-    return collapse(induced_shape(levi).raw, levi.family)
+    return collapse(induced_shape(levi), levi.family)
 
 
 def enumerate_levis(n: int, family: Family) -> list[LeviType]:
@@ -130,32 +122,6 @@ def polarizations(p: Partition, family: Family) -> list[LeviType]:
     if levis is None:
         raise ValueError(f"{p} is not a Richardson orbit in family {family.value}")
     return list(levis)
-
-
-def levi_of_raw_shape(raw: Partition, family: Family) -> LeviType | None:
-    """Recover the Levi type whose raw induced shape is ``raw``.
-
-    Returns ``None`` when ``raw`` is not such a shape: the odd entries must
-    form a prefix whose length is an admissible ``q`` for the family.
-    """
-    q = 0
-    seen_even = False
-    for x in raw.parts:
-        if x % 2 == 1:
-            if seen_even:
-                return None
-            q += 1
-        else:
-            seen_even = True
-    if q % 2 != family.size_parity:
-        return None
-    if family is not Family.C and q == 2:
-        return None
-    cols = [(x - 1) // 2 if j < q else x // 2 for j, x in enumerate(raw.parts)]
-    if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
-        return None
-    ps = tuple(sum(1 for c in cols if c >= j) for j in range(1, max(cols, default=0) + 1))
-    return LeviType(ps, q, family)
 
 
 def langlands_dual_levi(levi: LeviType) -> LeviType:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BlockDecomposition, _reassembly, decompose
+from .blocks import BlockDecomposition, _reassembly
 from .partitions import Family, Partition, collapse
 
 
@@ -42,21 +42,18 @@ class IndexSet:
             raise ValueError("witness positions must strictly increase")
 
 
-def index_set(p: Partition, family: Family) -> IndexSet:
-    """Scan for witnesses in the zero-padded part sequence.
+def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
+    """Scan for witnesses in the zero-padded part sequence x of ``p``, on
+    its segmentation ``d``.
 
-    A witness at position l is an equal even pair ``d[2l] == d[2l+1]``
-    (``d[2l-1] == d[2l]`` in family D).  After the first, a witness is
+    A witness at position l is an equal even pair ``x[2l] == x[2l+1]``
+    (``x[2l-1] == x[2l]`` in family D).  After the first, a witness is
     accepted only if it lies in a strictly later block and an equal odd
     separator pair occurs strictly between it and the previous acceptance.
     Padding past the parts belongs to the final block in family B and to the
     virtual block past the end otherwise; an omitted C2 closing boundary
     still owns one slot of its block.
     """
-    return _index_set(p, decompose(p, family))
-
-
-def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
     family = d.family
     blocks = d.blocks
     m = len(blocks)

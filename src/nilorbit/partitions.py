@@ -1,6 +1,6 @@
 """Partitions labeling nilpotent orbits in the odd/even orthogonal and
 symplectic Lie algebras, with the combinatorial operations everything else is
-built on: validity, dominance, transpose, collapse, enumeration, and the
+built on: validity, transpose, collapse, enumeration, and the
 orbit dimension formula.
 
 Conventions used throughout the package:
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -84,9 +84,6 @@ class Partition:
     def __str__(self) -> str:
         return "[" + self.literal() + "]"
 
-    def multiplicity(self, value: int) -> int:
-        return self.parts.count(value)
-
 
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated partition literal such as ``5,4,4,1``.
@@ -101,29 +98,6 @@ def parse_partition(text: str) -> Partition:
     except ValueError:
         raise ValueError(f"malformed partition literal {text!r}") from None
     return Partition(parts)
-
-
-@dataclass(frozen=True)
-class OrbitLabel:
-    """A nilpotent orbit: a family-valid partition, plus a Roman-numeral tag
-    distinguishing the two orbits sharing a very even partition in type D."""
-
-    partition: Partition
-    family: Family
-    very_even_label: str | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if not is_valid(self.partition, self.family):
-            raise ValueError(f"{self.partition} is not valid for family {self.family.value}")
-        if self.very_even_label is not None:
-            if not self.is_very_even:
-                raise ValueError("very_even_label only applies to very even type D partitions")
-            if self.very_even_label not in ("I", "II"):
-                raise ValueError("very_even_label must be 'I' or 'II'")
-
-    @property
-    def is_very_even(self) -> bool:
-        return self.family is Family.D and all(x % 2 == 0 for x in self.partition)
 
 
 def is_valid(p: Partition, family: Family) -> bool:
@@ -144,22 +118,6 @@ def transpose(p: Partition) -> Partition:
     if not p.parts:
         return p
     return Partition(tuple(sum(1 for x in p.parts if x >= j) for j in range(1, p.parts[0] + 1)))
-
-
-def dominance_leq(a: Partition, b: Partition) -> bool:
-    """Dominance order: every prefix sum of ``a`` is at most that of ``b``.
-
-    Partitions of different totals are incomparable by fiat and rejected.
-    """
-    if a.n != b.n:
-        raise ValueError(f"cannot compare partitions of different totals ({a.n} vs {b.n})")
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a.parts[i] if i < len(a.parts) else 0
-        sb += b.parts[i] if i < len(b.parts) else 0
-        if sa > sb:
-            return False
-    return True
 
 
 def collapse(p: Partition, family: Family) -> Partition:
@@ -227,21 +185,15 @@ def enumerate_valid(n: int, family: Family) -> list[Partition]:
     return [p for p in partitions_of(n) if is_valid(p, family)]
 
 
-def orbit_dim(orbit: OrbitLabel | Partition, family: Family | None = None) -> int:
+def orbit_dim(p: Partition, family: Family) -> int:
     """Dimension of the nilpotent orbit labeled by a valid partition.
 
     With ``s`` the sum of squared transpose parts and ``r`` the number of odd
     parts, the dimension is (N^2 - N - s + r)/2 in the orthogonal families
     and (N^2 + N - s - r)/2 in the symplectic one.
     """
-    if isinstance(orbit, OrbitLabel):
-        p, family = orbit.partition, orbit.family
-    else:
-        if family is None:
-            raise ValueError("family is required when passing a bare partition")
-        p = orbit
-        if not is_valid(p, family):
-            raise ValueError(f"{p} is not valid for family {family.value}")
+    if not is_valid(p, family):
+        raise ValueError(f"{p} is not valid for family {family.value}")
     n = p.n
     s = sum(x * x for x in transpose(p).parts)
     r = sum(1 for x in p.parts if x % 2 == 1)

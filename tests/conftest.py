@@ -1,8 +1,9 @@
 """Shared test plumbing: collects acceptance verdict lines and prints them
 in the terminal summary, where capture can't swallow them, runs code
 snippets in a ``python -O`` child, counts the oracle's eliminations by call
-site, and holds the brute-force reference routes and subspace helpers that
-several test files check the package against."""
+site, and holds the brute-force reference routes (the dominance order
+among them) and subspace helpers that several test files check the
+package against."""
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import nilorbit
-from nilorbit import _linalg, dominance_leq, enumerate_valid, is_valid
+from nilorbit import _linalg, enumerate_valid, is_valid
 from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
@@ -86,6 +87,22 @@ def count_eliminations(monkeypatch):
 
     monkeypatch.setattr(_linalg, "_reduce", counted)
     return counts
+
+
+def dominance_leq(a, b):
+    """Dominance order: every prefix sum of ``a`` is at most that of ``b``.
+
+    Partitions of different totals are incomparable by fiat and rejected.
+    """
+    if a.n != b.n:
+        raise ValueError(f"cannot compare partitions of different totals ({a.n} vs {b.n})")
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        sa += a.parts[i] if i < len(a.parts) else 0
+        sb += b.parts[i] if i < len(b.parts) else 0
+        if sa > sb:
+            return False
+    return True
 
 
 def minimal_richardson_bruteforce(p, family):

@@ -12,6 +12,7 @@ from conftest import (
     ELIMINATION_SITES,
     acceptance_line,
     count_eliminations,
+    dominance_leq,
     is_richardson_via_induction,
     minimal_richardson_bruteforce,
 )
@@ -24,7 +25,6 @@ from nilorbit import (
     component_count,
     decompose,
     descriptor,
-    dominance_leq,
     dual_pair,
     e_polynomial,
     enumerate_valid,

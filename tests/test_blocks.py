@@ -151,18 +151,12 @@ class TestModifications:
         for fam, n in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for p in enumerate_valid(n, fam):
                 for blk in decompose(p, fam).blocks:
-                    mods = blk.modifications()
-                    assert sum(mods.prime) in (blk.size - 1, blk.size, blk.size + 1)
+                    mods, size = blk.modifications(), sum(blk.parts())
+                    assert sum(mods.prime) in (size - 1, size, size + 1)
                     if mods.double_prime is not None:
-                        assert sum(mods.double_prime) == blk.size
+                        assert sum(mods.double_prime) == size
                     if mods.circ is not None:
-                        assert sum(mods.circ) in (blk.size, blk.size + 1, blk.size - 1)
-
-    def test_variant_lookup(self):
-        mods = Block("B1", alphas=(3, 3)).modifications()
-        assert mods.variant("prime") == (4, 2)
-        with pytest.raises(LookupError):
-            mods.variant("circ")
+                        assert sum(mods.circ) in (size, size + 1, size - 1)
 
 
 class TestSpecial:

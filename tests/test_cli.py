@@ -426,6 +426,42 @@ class TestOracleInputs:
         assert (code, out, err) == (2, "", f"error: malformed prime list {primes!r}\n")
 
 
+class TestOracleFlags:
+    """Only fiber and atlas run the oracle, so only they take its flags,
+    each with its own default node cap; every other command rejects them
+    as unknown options, valid values included."""
+
+    OTHERS = ["validate", "collapse", "blocks", "special", "richardson", "min-richardson",
+              "polarizations", "dual", "seesaw"]
+
+    def test_others_are_every_other_command(self, capsys):
+        code, _, err = run(capsys, "no-such-command")
+        choices = err.split("choose from ")[1].rstrip(")\n").split(", ")
+        assert code == 2
+        assert sorted(c.strip("'") for c in choices) == sorted(self.OTHERS + ["fiber", "atlas"])
+
+    @pytest.mark.parametrize("command", OTHERS)
+    @pytest.mark.parametrize("flag", [["--oracle-primes", "3"], ["--oracle-budget", "0"]],
+                             ids=lambda x: x[0])
+    def test_other_commands_reject_the_flags(self, capsys, command, flag):
+        code, out, err = run(capsys, command, "--family", "B", "3,1,1", *flag)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: ")
+
+    @pytest.mark.parametrize("command, argv, budget", [
+        ("fiber", ["3,1,1"], 1_000_000),
+        ("atlas", [], 5000),
+    ])
+    def test_defaults(self, capsys, command, argv, budget):
+        args = cli.build_parser().parse_args([command, "--family", "B", *argv])
+        assert (args.oracle_primes, args.oracle_budget) == ("3,5", budget)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert "(default: 3,5)" in out and f"(default: {budget})" in out
+
+
 class TestArgparse:
     """argparse's own errors print one stderr line, ``error: <message>``,
     and nothing on stdout, with exit code 2, like every other bad input."""

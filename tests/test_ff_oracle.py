@@ -73,7 +73,7 @@ def with_gram(real, entries):
     gram = real.gram.copy()
     for (i, j), value in entries.items():
         gram[i, j] = value
-    return replace(real, gram=gram)
+    return replace(real, form=gram)
 
 
 # --- independent brute force ------------------------------------------------
@@ -226,9 +226,19 @@ class TestRealize:
 
 
 def leibniz_det(rows):
-    """The determinant of a small integer matrix, summed over permutations."""
+    """The determinant of a small integer matrix, summed over the
+    permutations with no zero factor, which are chosen row by row."""
     n, total = len(rows), 0
-    for perm in itertools.permutations(range(n)):
+
+    def permutations(perm):
+        if len(perm) == n:
+            yield perm
+            return
+        for j in range(n):
+            if j not in perm and rows[len(perm)][j]:
+                yield from permutations(perm + (j,))
+
+    for perm in permutations(()):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
     return total
@@ -256,25 +266,30 @@ class TestModel:
             with pytest.raises(AttributeError):
                 real.gram = real.gram.copy()
 
+    def test_a_given_form_is_the_gram(self):
+        # replace(real, form=...) keeps the form as gram, read-only, beside
+        # the model's e, and reading them runs no _validate: this form is
+        # not symmetric, which _validate would refuse.
+        real = realize(P("3,1,1"), Family.B, 3)
+        form = np.triu(np.ones((5, 5), dtype=np.int64))
+        other = replace(real, form=form)
+        assert other.gram is form and not form.flags.writeable
+        assert np.array_equal(other.e, real.e) and not other.e.flags.writeable
+        with pytest.raises(InvariantError, match="form symmetry broken"):
+            _validate(other)
+
     def test_model_det_is_exact(self):
-        # The model's det over Z against the Leibniz sum, on sparse integer
-        # matrices with repeated rows, zero rows and large entries; and on
-        # every orbit with N <= 9, where a realization reads det g mod q
-        # from it, and where the chain rule's disc(0) is that det.
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            n = int(rng.integers(1, 6))
-            rows = (rng.integers(-9, 10, (n, n)) * (rng.random((n, n)) < 0.5)).tolist()
-            if n > 1 and rng.random() < 0.2:
-                rows[-1] = rows[0]
-            entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-            model = ff_oracle.JordanModel(Family.B, P(",".join(["1"] * n)), {}, entries)
-            assert model.det == leibniz_det(rows), rows
+        # The model's det over Z, read off its signed permutation, against
+        # the Leibniz sum on every orbit with N <= 9, where a realization
+        # reads det g mod q from it, and where the chain rule's disc(0) is
+        # that det.
         for fam, top in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for n in range(2 - fam.size_parity, top + 1, 2):
                 for orbit in enumerate_valid(n, fam):
-                    assert _model(orbit, fam).det in (1, -1)
-                    assert ff_oracle._root_disc(orbit, fam, 0) == _model(orbit, fam).det
+                    model = _model(orbit, fam)
+                    rows = [[model.gram.get((i, j), 0) for j in range(n)] for i in range(n)]
+                    assert model.det == leibniz_det(rows) in (1, -1), (fam, orbit)
+                    assert ff_oracle._root_disc(orbit, fam, 0) == model.det
                     for q in (3, 5, 7):
                         real = realize(orbit, fam, q)
                         assert real.det_g == det(real.gram, q), (fam, orbit, q)
@@ -292,7 +307,7 @@ class TestModel:
         for q in (3, 5, 3):
             real = realize(P("3,1,1"), Family.B, q)
             assert fiber_point_count(real, levi) == FlagCount(2, q, levi, 1)
-            assert vars(real)["e"] is vars(real)["gram"] is None
+            assert "e" not in vars(real) and "gram" not in vars(real)
         assert calls == []
         assert ff_oracle._root_disc.cache_info()[:2] == (4, 2)
         real = realize(P("3,1,1"), Family.B, 3)
@@ -331,6 +346,11 @@ class TestModel:
         ),
         "e-invariance": ("not any(invariance.values())", {"gram": {(0, 3): 1, (3, 0): 1}},
                          "form is not e-invariant"),
+        "signed permutation": (
+            "set(g.values()) <= {1, -1} and len(g) == n and all(len(set(x)) == n for x in zip(*g))",
+            {"gram": {(3, 4): 1, (4, 3): 1}},
+            "g is not a signed permutation",
+        ),
         "ranks": ("len(image) == expected", {"e": {(0, 1): 0, (1, 2): 0}}, "rank of e^1 is not 2"),
     }
 
@@ -429,7 +449,7 @@ class TestOnDemand:
             before, spent = dict(calls), sum(eliminations.values())
             real = realize(orbit, fam, q)
             assert fiber_point_count(real, levi).count is not None
-            built = vars(real)["e"] is not None
+            built = "e" in vars(real)
             if _peel(orbit.parts, levi.ps, levi.q) is not None:
                 made = sum(eliminations.values()) - spent
                 assert (calls, built, made) == (before, False, 0), (fam, orbit, levi, q)
@@ -550,7 +570,7 @@ class TestFiberCounts:
             real = realize(p, fam, 5)
             S = _block_symmetry(p.parts)
             assert np.array_equal(S @ real.e % 5, real.e @ S % 5)
-            other = replace(real, gram=S.T @ real.gram % 5 @ S % 5)
+            other = replace(real, form=S.T @ real.gram % 5 @ S % 5)
             assert np.any(other.gram != real.gram)
             _validate(other)
             for r in minimal_richardson_orbits(p, fam):
@@ -577,10 +597,6 @@ class TestBudget:
         assert resolve_budget() == DEFAULT_BUDGET
         assert resolve_budget(77) == 77
         assert resolve_budget(0) == 0
-
-    def test_default_comes_last(self):
-        assert resolve_budget(None, 5000) == 5000
-        assert resolve_budget(77, 5000) == 77
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -1241,7 +1257,7 @@ class TestHoist:
         "    gram = real.gram.copy()\n"
         "    for (i, j), value in entries.items():\n"
         "        gram[i, j] = value\n"
-        "    real = replace(real, gram=gram)\n"
+        "    real = replace(real, form=gram)\n"
         "    try:\n"
         "        ff_oracle._enumerate(real, LeviType.from_text(levi, fam), 10**6)\n"
         "    except InvariantError as exc:\n"
@@ -1922,7 +1938,7 @@ class TestPeel:
             for gram in forms:
                 for levi in enumerate_levis(m, fam):
                     if levi.ps:
-                        got = fiber_point_count(replace(real, gram=gram), levi)
+                        got = fiber_point_count(replace(real, form=gram), levi)
                         r = sum(levi.ps)
                         flags = factorial(r) // math.prod(factorial(x) for x in levi.ps)
                         want = brute_isotropic_count(gram, r, p) * flags
@@ -2041,7 +2057,7 @@ class TestPeel:
         "            real = realize(orbit, Family.B, 3)\n"
         "            gram = real.gram.copy()\n"
         "            gram[[1, 2, 3, 0], [2, 1, 0, 3]] = 0\n"
-        "            _validate(replace(real, gram=gram))\n"
+        "            _validate(replace(real, form=gram))\n"
         "        else:\n"
         "            model = _model(orbit, Family.B)\n"
         "            _check_model(replace(model, e={**model.e, (0, 1): 0, (2, 1): 1}))\n"
@@ -2084,7 +2100,7 @@ def non_split(real):
     for j in chains:
         block = np.ix_(range(starts[j], starts[j + 1]), range(starts[j], starts[j + 1]))
         gram[block] = gram[block] * c % p
-    scaled = replace(real, gram=gram)
+    scaled = replace(real, form=gram)
     _validate(scaled)
     return scaled
 
@@ -2333,7 +2349,7 @@ class TestQuotient:
         "real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
         "gram = real.gram.copy()\n"
         "gram[6] = gram[:, 6] = 0\n"
-        "real = replace(real, gram=gram)\n"
+        "real = replace(real, form=gram)\n"
         "try:\n"
         "    fiber_point_count(real, LeviType.from_text('1,2;1', Family.B))\n"
         "except InvariantError as exc:\n"
@@ -2344,7 +2360,7 @@ class TestQuotient:
         real = realize(P("3,3,1"), Family.B, 3)
         gram = real.gram.copy()
         gram[6] = gram[:, 6] = 0
-        real = replace(real, gram=gram)
+        real = replace(real, form=gram)
         with pytest.raises(InvariantError, match="the form is degenerate on E\\^perp/E"):
             fiber_point_count(real, L("1,2;1"))
         # The same clause at a state with two levels below it: (1,1,1;1)
@@ -2399,7 +2415,7 @@ class TestQuotient:
             x = anisotropic_row(real)
             gram = real.gram.copy()
             gram[-1] = gram[:, -1] = 0
-            flat = replace(real, gram=gram)
+            flat = replace(real, form=gram)
             for t, E, _, _ in reached:
                 if t != len(levi.ps) - 1:
                     continue
@@ -2436,7 +2452,7 @@ class TestQuotient:
         "gram = real.gram.copy()\n"
         "gram[6] = gram[:, 6] = 0\n"
         "STATES = {\n"
-        "    'degenerate g': (replace(real, gram=gram), [0]),\n"
+        "    'degenerate g': (replace(real, form=gram), [0]),\n"
         "    'E one row short': (real, []),\n"
         "    'E not isotropic': (real, [6]),\n"
         "}\n"
@@ -2515,7 +2531,7 @@ class TestInvariantError:
             gram = real.gram.copy()
             gram[0] = gram[:, 0] = 0
             with pytest.raises(InvariantError, match="form is degenerate"):
-                _validate(replace(real, gram=gram))
+                _validate(replace(real, form=gram))
 
     def test_corrupt_gram_raises_under_optimize(self, run_optimized):
         assert run_optimized(self.CORRUPT) == "raised"
@@ -2563,9 +2579,9 @@ class TestInvariantError:
         # split.  diag(1, 1, 1, 2) has determinant 2, a non-square.
         real = realize(P("1,1,1,1"), Family.D, 5)
         gram = np.array([[3, 4, 2, 3], [4, 0, 4, 3], [2, 4, 1, 3], [3, 3, 3, 1]], dtype=np.int64)
-        _validate(replace(real, gram=gram))
+        _validate(replace(real, form=gram))
         with pytest.raises(InvariantError, match="even orthogonal form is not split"):
-            _validate(replace(real, gram=np.diag([1, 1, 1, 2]).astype(np.int64)))
+            _validate(replace(real, form=np.diag([1, 1, 1, 2]).astype(np.int64)))
 
     def test_exported_from_package_and_oracle(self):
         assert nilorbit.InvariantError is nilorbit.ff_oracle.InvariantError is InvariantError

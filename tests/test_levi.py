@@ -4,11 +4,11 @@ from conftest import is_richardson_via_induction
 from nilorbit import (
     Family,
     LeviType,
+    Partition,
     enumerate_levis,
     enumerate_valid,
     induced_shape,
     langlands_dual_levi,
-    levi_of_raw_shape,
     parse_partition,
     polarizations,
     richardson_orbit_of,
@@ -21,6 +21,31 @@ def P(text):
 
 def L(text, fam):
     return LeviType.from_text(text, fam)
+
+
+def levi_of_raw_shape(raw, family):
+    """Reference inverse of ``induced_shape``: the Levi type whose raw
+    induced shape is ``raw``, or None when ``raw`` is not such a shape.  The
+    odd entries must form a prefix whose length is an admissible ``q`` for
+    the family."""
+    q = 0
+    seen_even = False
+    for x in raw.parts:
+        if x % 2 == 1:
+            if seen_even:
+                return None
+            q += 1
+        else:
+            seen_even = True
+    if q % 2 != family.size_parity:
+        return None
+    if family is not Family.C and q == 2:
+        return None
+    cols = [(x - 1) // 2 if j < q else x // 2 for j, x in enumerate(raw.parts)]
+    if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
+        return None
+    ps = tuple(sum(1 for c in cols if c >= j) for j in range(1, max(cols, default=0) + 1))
+    return LeviType(ps, q, family)
 
 
 def brute_polarizations(p, fam):
@@ -70,25 +95,24 @@ class TestLeviType:
 class TestInducedShape:
     def test_spots(self):
         shape = induced_shape(L("2;1", Family.B))
-        assert shape.raw == P("3,2")
-        assert shape.odd_head_len == 1
-        assert induced_shape(L("1;3", Family.B)).raw == P("3,1,1")
-        assert induced_shape(L("2;5", Family.B)).raw == P("3,3,1,1,1")
-        assert induced_shape(L("1,1;1", Family.B)).raw == P("5")
-        assert induced_shape(L("2;0", Family.C)).raw == P("2,2")
-        assert induced_shape(L("1;2", Family.C)).raw == P("3,1")
-        assert induced_shape(L(";5", Family.B)).raw == P("1,1,1,1,1")
+        assert type(shape) is Partition and shape == P("3,2")
+        assert induced_shape(L("1;3", Family.B)) == P("3,1,1")
+        assert induced_shape(L("2;5", Family.B)) == P("3,3,1,1,1")
+        assert induced_shape(L("1,1;1", Family.B)) == P("5")
+        assert induced_shape(L("2;0", Family.C)) == P("2,2")
+        assert induced_shape(L("1;2", Family.C)) == P("3,1")
+        assert induced_shape(L(";5", Family.B)) == P("1,1,1,1,1")
 
     def test_odd_entries_form_the_head(self):
         for fam, n in ((Family.B, 11), (Family.C, 10), (Family.D, 10)):
             for levi in enumerate_levis(n, fam):
-                raw = induced_shape(levi).raw
+                raw = induced_shape(levi)
                 odd_positions = [i for i, x in enumerate(raw.parts) if x % 2 == 1]
-                assert odd_positions == list(range(len(odd_positions)))
+                assert odd_positions == list(range(levi.q))
 
     def test_total_is_ambient_size(self):
         for levi in enumerate_levis(9, Family.B):
-            assert induced_shape(levi).raw.n == 9
+            assert induced_shape(levi).n == 9
 
 
 class TestRichardsonOrbits:
@@ -157,7 +181,7 @@ class TestRawShapeInversion:
     def test_round_trip(self):
         for fam, n in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for levi in enumerate_levis(n, fam):
-                assert levi_of_raw_shape(induced_shape(levi).raw, fam) == levi
+                assert levi_of_raw_shape(induced_shape(levi), fam) == levi
 
     def test_rejects_non_raw_shapes(self):
         assert levi_of_raw_shape(P("2,1"), Family.B) is None  # odd after even

@@ -1,5 +1,5 @@
 import pytest
-from conftest import is_richardson_via_induction, minimal_richardson_bruteforce
+from conftest import dominance_leq, is_richardson_via_induction, minimal_richardson_bruteforce
 
 from nilorbit import (
     Block,
@@ -7,18 +7,23 @@ from nilorbit import (
     IndexEntry,
     IndexSet,
     LeviType,
-    dominance_leq,
+    decompose,
     enumerate_valid,
-    index_set,
     minimal_richardson_orbits,
     minimal_richardson_witnessed,
     parse_partition,
     pseudo_polarizations,
 )
+from nilorbit.minimal import _index_set
 
 
 def P(text):
     return parse_partition(text)
+
+
+def index_set(p, fam):
+    """The witness scan on the segmentation of ``p``."""
+    return _index_set(p, decompose(p, fam))
 
 
 class TestModifyBlock:

