@@ -143,7 +143,7 @@ def cmd_collapse(args) -> tuple[dict, int]:
 def cmd_blocks(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
     d = decompose(p, fam)
-    blocks = [{"kind": blk.kind, "parts": list(blk.parts())} for blk in d.blocks]
+    blocks = [{"kind": blk.kind, "parts": list(blk.parts)} for blk in d.blocks]
     return {**_head(fam, "partition", p), "blocks": blocks, "rendered": d.render()}, 0
 
 
@@ -478,7 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            # argparse hands an unknown option's value to the partition and
+            # leaves the real partition over, so name only the options.
+            flags = [a.split("=")[0] for a in extra if a.startswith("--")]
+            raise UsageError(f"unrecognized arguments: {' '.join(flags or extra)}")
         payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ def springer_dual(p: Partition) -> Partition:
     merged: list[int] = []
     for blk in analysis.decomposition.blocks:
         if blk.kind == "B1":
-            merged += blk.parts()
+            merged += blk.parts
         else:
             merged += blk.modifications().prime
     out = Partition(tuple(sorted((x for x in merged if x > 0), reverse=True)))

@@ -18,9 +18,9 @@ from .partitions import Family, Partition, collapse
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """One accepted witness: 1-based block index (``n_blocks + 1`` denotes
-    the virtual block past the end; None when the partition is empty and
-    has no blocks) and the 1-based witness position l."""
+    """One accepted witness: 1-based block index (one past the last block
+    denotes the virtual block past the end; None when the partition is
+    empty and has no blocks) and the 1-based witness position l."""
 
     block: int | None
     witness: int
@@ -31,7 +31,6 @@ class IndexSet:
     """All accepted witnesses for a partition, in scan order."""
 
     entries: tuple[IndexEntry, ...]
-    n_blocks: int
 
     def __post_init__(self) -> None:
         bs = [e.block for e in self.entries]
@@ -60,8 +59,8 @@ def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
     owner: dict[int, int] = {}
     pos = 1
     for bi, blk in enumerate(blocks):
-        span = len(blk.parts())
-        if blk.kind == "C2" and len(blk.betas) == 1:
+        span = len(blk.parts)
+        if blk.kind == "C2" and span % 2:
             span += 1
         for _ in range(span):
             owner[pos] = bi
@@ -97,7 +96,7 @@ def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
             last_l = l
         if b >= m or (family is Family.B and val(i1) == 0):
             break
-    return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries), m)
+    return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries))
 
 
 def _witnessed(p: Partition, d: BlockDecomposition) -> tuple[tuple[Partition, IndexEntry], ...]:

@@ -2,8 +2,9 @@
 in the terminal summary, where capture can't swallow them, runs code
 snippets in a ``python -O`` child, counts the oracle's eliminations by call
 site, and holds the brute-force reference routes (the dominance order
-among them) and subspace helpers that several test files check the
-package against."""
+among them, and the from-scratch block grammar), the segmentation's
+partition and block count, and subspace helpers that several test files
+check the package against."""
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import nilorbit
-from nilorbit import _linalg, enumerate_valid, is_valid
+from nilorbit import Family, Partition, _linalg, decompose, enumerate_valid, is_valid
 from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
@@ -103,6 +104,73 @@ def dominance_leq(a, b):
         if sa > sb:
             return False
     return True
+
+
+def partition_of(d):
+    """The partition that the segmentation ``d`` cuts: its blocks' parts,
+    concatenated in order, so that ``partition_of(decompose(p, fam)) == p``."""
+    return Partition(x for blk in d.blocks for x in blk.parts)
+
+
+def n_blocks(p, family):
+    """The number of blocks in the segmentation of ``p``; the witness scan's
+    virtual block is the one past them."""
+    return len(decompose(p, family).blocks)
+
+
+def _equal_pairs(seq):
+    return len(seq) % 2 == 0 and all(
+        seq[i] == seq[i + 1] for i in range(0, len(seq), 2)
+    )
+
+
+def segment_kinds(seg, fam, final):
+    """Every block kind the contiguous segment could legally carry, read
+    from scratch off the block grammar; ``final`` allows the kinds that
+    only end a partition."""
+    kinds = []
+    if len(seg) == 2 and seg[0] == seg[1]:
+        kinds.append(f"{fam.value}1" if seg[0] % 2 else f"{fam.value}1*")
+    if fam in (Family.B, Family.D):
+        if (
+            len(seg) >= 2
+            and len(seg) % 2 == 0
+            and seg[0] % 2 == 1
+            and seg[-1] % 2 == 1
+            and all(x % 2 == 0 for x in seg[1:-1])
+            and _equal_pairs(seg[1:-1])
+            and (len(seg) > 2 or seg[0] > seg[-1])
+        ):
+            kinds.append(f"{fam.value}2")
+        if (
+            fam is Family.B
+            and final
+            and len(seg) % 2 == 1
+            and seg[0] % 2 == 1
+            and all(x % 2 == 0 for x in seg[1:])
+            and _equal_pairs(seg[1:])
+        ):
+            kinds.append("B3")
+    else:
+        if (
+            len(seg) >= 2
+            and len(seg) % 2 == 0
+            and seg[0] % 2 == 0
+            and seg[-1] % 2 == 0
+            and all(x % 2 == 1 for x in seg[1:-1])
+            and _equal_pairs(seg[1:-1])
+            and (len(seg) > 2 or seg[0] > seg[-1])
+        ):
+            kinds.append("C2")
+        if (
+            final
+            and len(seg) % 2 == 1
+            and seg[0] % 2 == 0
+            and all(x % 2 == 1 for x in seg[1:])
+            and _equal_pairs(seg[1:])
+        ):
+            kinds.append("C2")  # omitted closing boundary
+    return kinds
 
 
 def minimal_richardson_bruteforce(p, family):

@@ -15,6 +15,8 @@ from conftest import (
     dominance_leq,
     is_richardson_via_induction,
     minimal_richardson_bruteforce,
+    partition_of,
+    segment_kinds,
 )
 
 from nilorbit import (
@@ -283,60 +285,7 @@ def test_criterion_7_duality_seesaw_and_e_polynomials():
         assert time.monotonic() - t0 < 300.0
 
 
-# --- criterion 8: a from-scratch segmentation grammar ------------------------
-
-
-def _equal_pairs(seq):
-    return len(seq) % 2 == 0 and all(
-        seq[i] == seq[i + 1] for i in range(0, len(seq), 2)
-    )
-
-
-def _segment_kinds(seg, fam, final):
-    """Every block kind the contiguous segment could legally carry."""
-    kinds = []
-    if len(seg) == 2 and seg[0] == seg[1]:
-        kinds.append(f"{fam.value}1" if seg[0] % 2 else f"{fam.value}1*")
-    if fam in (Family.B, Family.D):
-        if (
-            len(seg) >= 2
-            and len(seg) % 2 == 0
-            and seg[0] % 2 == 1
-            and seg[-1] % 2 == 1
-            and all(x % 2 == 0 for x in seg[1:-1])
-            and _equal_pairs(seg[1:-1])
-            and (len(seg) > 2 or seg[0] > seg[-1])
-        ):
-            kinds.append(f"{fam.value}2")
-        if (
-            fam is Family.B
-            and final
-            and len(seg) % 2 == 1
-            and seg[0] % 2 == 1
-            and all(x % 2 == 0 for x in seg[1:])
-            and _equal_pairs(seg[1:])
-        ):
-            kinds.append("B3")
-    else:
-        if (
-            len(seg) >= 2
-            and len(seg) % 2 == 0
-            and seg[0] % 2 == 0
-            and seg[-1] % 2 == 0
-            and all(x % 2 == 1 for x in seg[1:-1])
-            and _equal_pairs(seg[1:-1])
-            and (len(seg) > 2 or seg[0] > seg[-1])
-        ):
-            kinds.append("C2")
-        if (
-            final
-            and len(seg) % 2 == 1
-            and seg[0] % 2 == 0
-            and all(x % 2 == 1 for x in seg[1:])
-            and _equal_pairs(seg[1:])
-        ):
-            kinds.append("C2")  # omitted closing boundary
-    return kinds
+# --- criterion 8: segmentation by the from-scratch grammar, segment_kinds ----
 
 
 def _legal_segmentations(parts, fam):
@@ -349,7 +298,7 @@ def _legal_segmentations(parts, fam):
             return
         for j in range(i + 1, n + 1):
             seg = parts[i:j]
-            kinds = _segment_kinds(seg, fam, j == n)
+            kinds = segment_kinds(seg, fam, j == n)
             assert len(kinds) <= 1, (parts, seg, kinds)
             if kinds:
                 rec(j, acc + [seg])
@@ -368,6 +317,6 @@ def test_criterion_8_segmentation_uniqueness():
                     segmentations = _legal_segmentations(p.parts, fam)
                     assert len(segmentations) == 1, (fam, p, segmentations)
                     d = decompose(p, fam)
-                    assert d.partition() == p, (fam, p)
-                    assert segmentations[0] == tuple(blk.parts() for blk in d.blocks), (fam, p)
+                    assert partition_of(d) == p, (fam, p)
+                    assert segmentations[0] == tuple(blk.parts for blk in d.blocks), (fam, p)
         assert time.monotonic() - t0 < 30.0

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from conftest import is_richardson_via_induction
+from conftest import is_richardson_via_induction, partition_of, segment_kinds
 
 from nilorbit import (
     Block,
@@ -60,7 +62,7 @@ class TestDecompose:
     def test_round_trip(self):
         for fam, n in ((Family.B, 11), (Family.C, 10), (Family.D, 10)):
             for p in enumerate_valid(n, fam):
-                assert decompose(p, fam).partition() == p
+                assert partition_of(decompose(p, fam)) == p
 
     def test_greedy_absorbs_all_middles(self):
         d = decompose(P("3,2,2,2,2,1"), Family.D)
@@ -74,52 +76,92 @@ class TestDecompose:
     def test_block_positions_enforced(self):
         # a trailing-kind block anywhere but last is malformed by construction
         with pytest.raises(ValueError):
-            Block("B3", alphas=(3, 1))
+            Block("B3", (3, 1))
+
+
+class TestBlock:
+    KINDS = {
+        Family.B: ("B1", "B1*", "B2", "B3"),
+        Family.C: ("C1", "C1*", "C2"),
+        Family.D: ("D1", "D1*", "D2"),
+    }
+
+    def test_accepts_exactly_the_grammar(self):
+        """Every non-increasing tuple of parts at most 7, of length 1 to 6,
+        makes a block of exactly the kinds the from-scratch grammar allows
+        it as a final segment."""
+        cases = 0
+        for fam, kinds in self.KINDS.items():
+            for length in range(1, 7):
+                for seg in itertools.combinations_with_replacement(range(7, 0, -1), length):
+                    accepted = []
+                    for kind in kinds:
+                        try:
+                            Block(kind, seg)
+                        except ValueError:
+                            continue
+                        accepted.append(kind)
+                    assert accepted == sorted(segment_kinds(seg, fam, True)), (fam, seg)
+                    cases += 1
+        assert cases == 5145
+
+    @pytest.mark.parametrize("kind, parts, message", [
+        ("D3", (3,), "unknown block kind"),
+        ("B2", (1, 3), "non-increasing"),
+        ("C2", (5, 3, 3, 1), "boundaries must be even"),
+        ("B2", (5, 4, 2, 1), "middle must be equal even pairs"),
+        ("B2", (3, 3), "without pairs must decrease"),
+        ("B3", (3, 2, 2, 1), "no closing boundary"),
+        ("B2", (3, 2, 2), "needs a closing boundary"),
+    ], ids=["kind", "increasing", "parity", "pair", "equal-boundaries", "B3-closed", "B2-open"])
+    def test_each_rule_rejects(self, kind, parts, message):
+        with pytest.raises(ValueError, match=message):
+            Block(kind, parts)
 
 
 class TestModifications:
     def test_odd_pair(self):
-        mods = Block("B1", alphas=(3, 3)).modifications()
+        mods = Block("B1", (3, 3)).modifications()
         assert mods.circ is None
         assert mods.prime == (4, 2)
         assert mods.double_prime == (3, 3)
 
     def test_even_pair_family_b(self):
-        mods = Block("B1*", betas=(2,)).modifications()
+        mods = Block("B1*", (2, 2)).modifications()
         assert mods.circ == (3, 2)
         assert mods.prime == (2, 2)
         assert mods.double_prime == (3, 1)
 
     def test_even_pair_families_c_d(self):
         for kind in ("C1*", "D1*"):
-            mods = Block(kind, betas=(4,)).modifications()
+            mods = Block(kind, (4, 4)).modifications()
             assert mods.circ == (4, 4)
             assert mods.prime == (4, 4)
             assert mods.double_prime == (5, 3)
 
     def test_b2(self):
-        mods = Block("B2", alphas=(3, 1), betas=(2,)).modifications()
+        mods = Block("B2", (3, 2, 2, 1)).modifications()
         assert mods.circ == (3, 2, 2, 2)
         assert mods.prime == (2, 2, 2, 2)
         assert mods.double_prime == (3, 3, 1, 1)
 
     def test_b2_without_middles(self):
-        mods = Block("B2", alphas=(3, 1)).modifications()
+        mods = Block("B2", (3, 1)).modifications()
         assert mods.circ == (3, 2)
         assert mods.prime == (2, 2)
         assert mods.double_prime == (3, 1)
 
     def test_b3(self):
-        mods = Block("B3", alphas=(3,), betas=(2,)).modifications()
+        mods = Block("B3", (3, 2, 2)).modifications()
         assert mods.circ == (3, 2, 2)
         assert mods.prime == (2, 2, 2)
         assert mods.double_prime is None
-        bare = Block("B3", alphas=(1,)).modifications()
+        bare = Block("B3", (1,)).modifications()
         assert bare.circ == (1,)
         assert bare.prime == ()
 
     def test_c2_closed(self):
-        mods = Block("C2", alphas=(3,), betas=(4, 2)).modifications()
+        mods = Block("C2", (4, 3, 3, 2)).modifications()
         assert mods.prime == (4, 4, 2, 2)
         assert mods.circ == (5, 3, 3, 1)
         assert mods.double_prime == mods.circ
@@ -127,21 +169,21 @@ class TestModifications:
     def test_c2_open_boundary_cascade(self):
         # the raise would borrow from a zero closing boundary, so the unit
         # comes out of the last positive entry instead
-        mods = Block("C2", alphas=(1,), betas=(2,)).modifications()
+        mods = Block("C2", (2, 1, 1)).modifications()
         assert mods.circ == (3, 1)
         assert mods.double_prime == (3, 1)
         assert mods.prime == (2, 2)
-        bare = Block("C2", betas=(2,)).modifications()
+        bare = Block("C2", (2,)).modifications()
         assert bare.circ == (2,)
         assert bare.prime == (2,)
         assert bare.double_prime == (2,)
 
     def test_d2(self):
-        mods = Block("D2", alphas=(5, 1), betas=(2,)).modifications()
+        mods = Block("D2", (5, 2, 2, 1)).modifications()
         assert mods.circ == (5, 3, 2)
         assert mods.prime == (6, 2, 2)
         assert mods.double_prime == (5, 3, 1, 1)
-        no_mid = Block("D2", alphas=(3, 1)).modifications()
+        no_mid = Block("D2", (3, 1)).modifications()
         assert no_mid.circ is None
         assert no_mid.prime == (4,)
 
@@ -151,7 +193,7 @@ class TestModifications:
         for fam, n in ((Family.B, 9), (Family.C, 8), (Family.D, 8)):
             for p in enumerate_valid(n, fam):
                 for blk in decompose(p, fam).blocks:
-                    mods, size = blk.modifications(), sum(blk.parts())
+                    mods, size = blk.modifications(), sum(blk.parts)
                     assert sum(mods.prime) in (size - 1, size, size + 1)
                     if mods.double_prime is not None:
                         assert sum(mods.double_prime) == size

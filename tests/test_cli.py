@@ -448,6 +448,16 @@ class TestOracleFlags:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: unrecognized arguments: ")
 
+    @pytest.mark.parametrize("command", OTHERS)
+    @pytest.mark.parametrize("flag", [["--oracle-primes", "3"], ["--oracle-budget", "0"],
+                                      ["--oracle-budget=0"]], ids=lambda x: x[0])
+    def test_a_flag_before_the_partition_is_named_alone(self, capsys, command, flag):
+        # argparse takes the flag's value as the partition and leaves the
+        # partition over; the message names only the option.
+        code, out, err = run(capsys, command, "--family", "B", *flag, "3,1,1")
+        option = flag[0].split("=")[0]
+        assert (code, out, err) == (2, "", f"error: unrecognized arguments: {option}\n")
+
     @pytest.mark.parametrize("command, argv, budget", [
         ("fiber", ["3,1,1"], 1_000_000),
         ("atlas", [], 5000),

@@ -1,5 +1,10 @@
 import pytest
-from conftest import dominance_leq, is_richardson_via_induction, minimal_richardson_bruteforce
+from conftest import (
+    dominance_leq,
+    is_richardson_via_induction,
+    minimal_richardson_bruteforce,
+    n_blocks,
+)
 
 from nilorbit import (
     Block,
@@ -28,7 +33,7 @@ def index_set(p, fam):
 
 class TestModifyBlock:
     def test_delegates_to_block(self):
-        blk = Block("B1", alphas=(3, 3))
+        blk = Block("B1", (3, 3))
         mods = blk.modifications()
         assert mods.circ is None
         assert mods.prime == (4, 2)
@@ -39,11 +44,11 @@ class TestIndexSet:
     def test_spots(self):
         idx = index_set(P("2,2,1"), Family.B)
         assert idx.entries == (IndexEntry(block=2, witness=2),)
-        assert idx.n_blocks == 2
+        assert n_blocks(P("2,2,1"), Family.B) == 2
 
         idx = index_set(P("4,4,4,4,3,3,1"), Family.B)
         assert idx.entries == (IndexEntry(1, 1), IndexEntry(4, 4))
-        assert idx.n_blocks == 4
+        assert n_blocks(P("4,4,4,4,3,3,1"), Family.B) == 4
 
         idx = index_set(P("5"), Family.B)
         assert idx.entries == (IndexEntry(1, 1),)
@@ -51,18 +56,18 @@ class TestIndexSet:
     def test_padding_slot_of_open_ended_block(self):
         idx = index_set(P("2,1,1"), Family.C)
         assert idx.entries == (IndexEntry(1, 2),)
-        assert idx.n_blocks == 1
+        assert n_blocks(P("2,1,1"), Family.C) == 1
 
     def test_virtual_block(self):
         idx = index_set(P("1,1"), Family.D)
         assert idx.entries == (IndexEntry(2, 2),)
-        assert idx.n_blocks == 1
+        assert n_blocks(P("1,1"), Family.D) == 1
 
     @pytest.mark.parametrize("fam", [Family.C, Family.D])
     def test_empty_partition_names_no_block(self, fam):
         # The zero orbit of rank 0 has no blocks, so its witness has none.
         idx = index_set(P(""), fam)
-        assert (idx.entries, idx.n_blocks) == ((IndexEntry(None, 1),), 0)
+        assert (idx.entries, n_blocks(P(""), fam)) == ((IndexEntry(None, 1),), 0)
         assert minimal_richardson_witnessed(P(""), fam) == [
             (P(""), IndexEntry(None, 1))
         ]
@@ -73,9 +78,9 @@ class TestIndexSet:
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
-            IndexSet((IndexEntry(2, 1), IndexEntry(1, 2)), 3)
+            IndexSet((IndexEntry(2, 1), IndexEntry(1, 2)))
         with pytest.raises(ValueError):
-            IndexSet((IndexEntry(1, 2), IndexEntry(2, 2)), 3)
+            IndexSet((IndexEntry(1, 2), IndexEntry(2, 2)))
 
 
 class TestMinimalRichardson:
