@@ -586,6 +586,34 @@ def _shape_count(
     return _flag_sum(p, symplectic, ones, steps, twos, split)
 
 
+def _quotient_count(
+    real: JordanRealization, levi: LeviType, t: int, s: int,
+    rank: Callable[[int], int], disc: Callable[[int], int],
+) -> int | None:
+    """The tail of _state_count that _siblings shares: the flags through a
+    state E = E_t of dimension d, other than a modelled root, from the form
+    G_a = <x, e^a y> on E^perp, given by rank(a) = rank G_a and disc(a), the
+    det of its nondegenerate part, for 0 < a <= s = 2(k - t) + [q > 0].
+    rank(s) is read first, and only for whether G_s != 0, which leaves a
+    part of e' above s, so that no flag goes through E: 0.  Otherwise the
+    ranks r_a, with r_0 = n - 2d and r_s = 0, give m_j = r_{j-1} - 2 r_j +
+    r_{j+1} parts j of e', and disc(0) is (-1)^d det g, as E + E* adds d
+    hyperbolic planes.  Returns the peel's count (_shape_count), or None
+    where the peel does not decide."""
+    if rank(s):  # a part of e' exceeds s
+        return 0
+    steps, q, d = levi.ps[t:], levi.q, sum(levi.ps[:t])
+    ranks = [real.dim - 2 * d] + [rank(a) for a in range(1, s)] + [0, 0]
+    parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
+
+    def quotient_disc(a: int) -> int:
+        if not a:
+            return (-1) ** d * real.det_g
+        return disc(a)
+
+    return _shape_count(real, _peel(parts, steps, q), quotient_disc)
+
+
 def _state_count(
     real: JordanRealization, levi: LeviType, E: np.ndarray | None, t: int
 ) -> int | tuple[np.ndarray, int]:
@@ -617,17 +645,22 @@ def _state_count(
     degenerate (only a realization changed by replace), it raises wherever
     rank G_0 != n - 2d would, and more.
 
-    With s = 2(k - t) + [q > 0], G_s != 0 leaves a part of e' above s,
-    which no flag allows, so the count is 0.  With two or more levels
-    left, G_{s-1} = 0 != G_1 says that no part is s and not every part is
-    1, where the peel does not decide: the start is E itself, with no rank
-    taken.  Otherwise the ranks r_a = rank G_a, with r_0 = n - 2d and r_s =
-    0, give m_j = r_{j-1} - 2 r_j + r_{j+1} parts j of e', and disc(a) is
-    read from G_a on the pivots that the ranks found, and is (-1)^d det g
-    at a = 0, as E + E* adds d hyperbolic planes.  A start left there is E
-    plus e^(s-1) x for the rows x of Q at the pivots of G_{s-1}, of
-    dimension d + r_{s-1}: G_{s-1} is symmetric or alternating, so those
-    rows of it are independent, and so are those e^(s-1) x modulo E."""
+    With s = 2(k - t) + [q > 0] and two or more levels left, G_{s-1} = 0
+    != G_1 says that no part is s and not every part is 1, where the peel
+    does not decide: the start is E itself, with no rank taken.  Otherwise
+    the count comes from the tail that _siblings shares (_quotient_count):
+    G_s != 0 leaves a part of e' above s, which no flag allows, so the
+    count is 0; else the ranks r_a = rank G_a, taken by rref, give the
+    Jordan type of e', and disc(a) is read from G_a on the pivots that the
+    ranks found.  A start left there is E plus e^(s-1) x for the rows x of
+    Q at the pivots of G_{s-1}, of dimension d + r_{s-1}: G_{s-1} is
+    symmetric or alternating, so those rows of it are independent, and so
+    are those e^(s-1) x modulo E.
+
+    _enumerate reads the states of a batch whose shared rows are Jordan
+    coordinates from the orbit's signed maps instead (_siblings), with no
+    elimination; this route counts the others, and the states of a form
+    given to the realization."""
     steps, q = levi.ps[t:], levi.q
     s = 2 * len(steps) + (q > 0)
     if not t and real.form is None:
@@ -659,26 +692,124 @@ def _state_count(
     for _ in range(s):
         Qg = Qg @ e % p
         grams.append(Qg @ Q.T % p)
-    if grams[-1].any():  # a part of e' exceeds s
-        return 0
     if len(steps) > 1 and grams[0].any() and not grams[-2].any():  # no part is s, not all are 1
         return E, d
-    pivots = [rref(G, p)[1] for G in grams[:-1]] + [[]]  # G_s = 0
-    ranks = [real.dim - 2 * d] + [len(x) for x in pivots] + [0]
-    parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
-
-    def disc(a: int) -> int:  # G_a's principal block on its pivots is nonsingular
-        if not a:
-            return (-1) ** d * real.det_g
-        return det(grams[a - 1][np.ix_(pivots[a - 1], pivots[a - 1])], p)
-
-    value = _shape_count(real, _peel(parts, steps, q), disc)
+    pivots = functools.cache(lambda a: rref(grams[a - 1], p)[1])  # of G_a, a < s, on demand
+    value = _quotient_count(
+        real, levi, t, s, lambda a: len(pivots(a)) if a < s else grams[-1].any(),
+        # G_a's principal block on its pivots is nonsingular
+        lambda a: det(grams[a - 1][np.ix_(pivots(a), pivots(a))], p),
+    )
     if value is not None:
         return value
-    top = Q[pivots[-2]]  # e^(s-1) of these rows spans the start modulo E
+    top = Q[pivots(s - 1)]  # e^(s-1) of these rows spans the start modulo E
     for _ in range(s - 1):
         top = top @ e.T % p
     return np.vstack([E, top]), d + top.shape[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_map(p: Partition, family: Family, a: int) -> Mapping[int, tuple[int, int]]:
+    """g e^a of the orbit's model (_model), by row: i -> (j, v) for its
+    entry v = +-1 at (i, j).  g is a signed permutation and e^a a 0/1
+    partial permutation (_check_model), so g e^a is a signed partial
+    permutation, with (g e^a)[i, c] = g[i, r] where e^a x_c = x_r; its
+    transpose is eps (-1)^a g e^a, so its entries pair up as an involution.
+    Computed once per argument per process, over Z."""
+    model = _model(p, family)
+    up = {r: c for r, c in model.e}  # e x_c = x_r
+    out = {}
+    for (i, c), v in model.gram.items():
+        for _ in range(a):
+            c = up.get(c)
+            if c is None:
+                break
+        else:
+            out[i] = c, v
+    return MappingProxyType(out)
+
+
+def _siblings(
+    real: JordanRealization, levi: LeviType, F1: np.ndarray, X: np.ndarray, t: int
+) -> list[tuple[np.ndarray | None, int | tuple[np.ndarray, int] | None]]:
+    """(E, value) for each state E = F1 + <x> of level t, x a row of X,
+    where value is _state_count's for E when the batch is read at once
+    from the orbit's signed maps (_signed_map), with no elimination, and
+    None otherwise: then _enumerate counts E through _state_count.  E is
+    None where value is a count, which reads no row of it.
+
+    The batch is read at once when realize built real and F1 is Jordan
+    coordinates, rows with one nonzero entry each.  g pairs the coordinate
+    c with the one coordinate j of its entry (c, j), so F1^perp is spanned
+    by the coordinates that g does not pair with F1, and G_a = <x, e^a y>
+    on F1^perp is g e^a on them, a signed partial permutation B with h_a
+    entries, whose nondegenerate part is the principal block on its
+    support S, of det prod_i B[i, i] * prod_{i < j} (-B[i, j] B[j, i]).
+    E^perp is the hyperplane ker phi of F1^perp, phi = <x, .> = x g, and
+    rank(B|_ker phi) = rank [[B, phi^T], [phi, 0]] - 2.  B is symmetric or
+    alternating, so when phi is outside its row space, which the
+    coordinates of S span, the rank stays h_a and so does the det, as a y
+    in the radical with phi(y) = 1 moves the nondegenerate part into ker
+    phi.  Otherwise phi
+    = B(y, .) for y_i = phi_j B[i, j], and c = B(y, y) = sum of B[i, j]
+    phi_i phi_j over the entries: c != 0 splits F1^perp as <y> + ker phi,
+    so the rank is h_a - 1 and the det gains c (modulo squares); c = 0
+    puts y in the radical of B on ker phi and takes the hyperbolic plane
+    of y and a w with B(y, w) = 1 out of the nondegenerate part, so the
+    rank is h_a - 2 and the det gains -1.  The ranks and dets of
+    G_1, .., G_s then feed _state_count's tail (_quotient_count).  With two
+    or more levels left, G_1 != 0 = G_{s-1} hands back E as its start, as
+    _state_count does, and a state whose start the peel leaves larger is
+    left to _state_count.
+
+    That reading needs E^perp/E to carry a nondegenerate form: det g != 0
+    mod p, F1 d - 1 distinct coordinates (d = dim E), each row x outside F1
+    (phi != 0 on F1^perp), and E isotropic: no coordinate of F1 paired with
+    one of F1, and each x orthogonal to F1 (zero at the coordinates paired
+    with it) and isotropic.  A state that fails one of these is left to
+    _state_count, whose check raises InvariantError naming the clause."""
+    rows, coords = F1.nonzero()
+    if real.form is not None or rows.tolist() != list(range(F1.shape[0])):  # not coordinates
+        return [(np.vstack([F1, x]), None) for x in X]
+    d, n, p = sum(levi.ps[:t]), real.dim, real.modulus
+    g = _signed_map(real.partition, real.family, 0)
+    coords = coords.tolist()
+    paired = {g[c][0] for c in coords}
+    if not real.det_g or len(paired) != d - 1 or not paired.isdisjoint(coords):
+        return [(np.vstack([F1, x]), None) for x in X]
+    perp = {j: (i, v) for i, (j, v) in g.items() if j not in paired}  # phi_j = x_i v on F1^perp
+    s = 2 * (len(levi.ps) - t) + (levi.q > 0)
+    forms = []  # per a = 1 .. s: (h_a, det, entries, coordinates of F1^perp outside S)
+    for a in range(1, s + 1):
+        ga = _signed_map(real.partition, real.family, a)
+        entries = [(i, j, v) for i, (j, v) in ga.items() if i in perp and j in perp]
+        support = {i for i, _, _ in entries}
+        disc = math.prod(v if i == j else -v * ga[j][1] for i, j, v in entries if i <= j)
+        forms.append((len(entries), disc, entries, [j for j in perp if j not in support]))
+    out = []
+    for row, x in zip(X, X.tolist()):
+        phi = [0] * n
+        for j, (i, v) in perp.items():
+            phi[j] = x[i] * v % p
+        if any(x[j] for j in paired) or sum(f * xi for f, xi in zip(phi, x)) % p or not any(phi):
+            out.append((np.vstack([F1, row]), None))  # E not isotropic, or x in F1
+            continue
+        ranks, discs = [0], [1]
+        for h, disc, entries, free in forms:
+            if any(phi[j] for j in free):  # phi outside the row space of G_a
+                ranks.append(h)
+                discs.append(disc)
+            else:
+                c = sum(v * phi[i] * phi[j] for i, j, v in entries) % p
+                ranks.append(h - 2 + bool(c))
+                discs.append(disc * (c or -1))
+        if len(levi.ps) - t > 1 and ranks[1] and not ranks[s - 1]:  # no part is s, not all are 1
+            E = np.vstack([F1, row])
+            out.append((E, (E, d)))
+            continue
+        value = _quotient_count(real, levi, t, s, ranks.__getitem__, discs.__getitem__)
+        out.append((None, value) if value is not None else (np.vstack([F1, row]), None))
+    return out
 
 
 def fiber_point_count(
@@ -738,11 +869,13 @@ def fiber_point_count(
     dimension is split is read from the discriminants of the forms
     <x, e^a y> with Gram matrix g e^a (_shape_count), never from the
     descriptor: at realize's root from its chains' units (_root_disc),
-    elsewhere from g e^a by elimination, so a root that decides reads no array.
-    A root that leaves its check to _enumerate takes no elimination either:
-    its start and its first level's window are identity rows at Jordan
-    coordinates.  _peel and _flag_sum read small integers only and are
-    computed once per argument per process.
+    so a root that decides reads no array; for a batch of states whose
+    shared rows are Jordan coordinates from the signed partial permutations
+    g e^a (_siblings); elsewhere from g e^a by elimination.  A root that
+    leaves its check to _enumerate takes no elimination either: its start
+    and its first level's window are identity rows at Jordan coordinates.
+    _peel, _flag_sum and the signed maps are computed once per argument per
+    process.
 
     A check costs one node when the root's peel decides it, max(1, the
     nodes _enumerate charges) otherwise, and none without a general-linear
@@ -834,7 +967,12 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     cut's return.  After the cut, _last_row_batches adds one
     reduced-echelon row at a time to the start and drops each candidate
     row as soon as it fails isotropy, and the recursion goes into each
-    E_{t+1} = F1 + <x> that it yields.
+    E_{t+1} = F1 + <x> that it yields.  Where realize built the
+    realization and F1 is Jordan coordinates, as below a modelled root, the
+    siblings of a batch are counted on their quotients at once, from the
+    signed maps g e^a with no elimination (_siblings): all of them with one
+    level left, and, before it, each that the peel decides or that hands
+    back E as its start.  The others go through _state_count one by one.
 
     A node is one candidate row generated and tested, one level filled by
     its start, or one state E_t, t >= 1, that its quotient decides with a
@@ -847,11 +985,13 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     p, dims = real.modulus, list(itertools.accumulate(levi.ps))
     counter, levels = [0], None  # levels: _levels, once the root is not decided
 
-    def count(E: np.ndarray | None, t: int) -> int:
+    def count(E: np.ndarray | None, t: int, value=None) -> int:
         """The flags over E = E_t (rows spanning it; None for E_0 = 0) from
-        the level after it on, E_{t+1} of dimension dims[t] first."""
+        the level after it on, E_{t+1} of dimension dims[t] first.  value
+        is E's _state_count when its batch read it (_siblings), else None."""
         nonlocal levels
-        value = _state_count(real, levi, E, t)
+        if value is None:
+            value = _state_count(real, levi, E, t)
         if not isinstance(value, tuple):
             if t:  # a decided root costs the check's one node (below)
                 _charge(counter, bool(value), cap)
@@ -873,7 +1013,8 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
             if low:
                 window = nullspace(window[:, low].T, p) @ window % p
         batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
-        return sum(count(np.vstack([F1, x]), t + 1) for F1, X in batches for x in X)
+        siblings = (_siblings(real, levi, F1, X, t + 1) for F1, X in batches)
+        return sum(count(child, t + 1, value) for batch in siblings for child, value in batch)
 
     try:
         value = count(None if real.form is None else np.zeros((0, real.dim), dtype=np.int64), 0)

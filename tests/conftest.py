@@ -66,8 +66,9 @@ def count_eliminations(monkeypatch):
     (root window) and of a later level (level windows) in _enumerate,
     _last_row_batches' rref of the start and the window (batch rref), and
     _state_count's nullspace of E g (state nullspace) and rref of each G_a
-    (G_a ranks).  A call from anywhere else counts under its caller's
-    name."""
+    (G_a ranks), which its tail (_quotient_count) asks for.  A call from
+    anywhere else counts under its caller's name: the batches that
+    _siblings reads from the signed maps would show under theirs."""
     counts = dict.fromkeys(ELIMINATION_SITES, 0)
     reduce = _linalg._reduce
 
@@ -81,7 +82,7 @@ def count_eliminations(monkeypatch):
             site = "level windows" if caller.f_locals["t"] else "root window"
         elif site == "_last_row_batches":
             site = "batch rref"
-        elif site == "_state_count":
+        elif site in ("_state_count", "_quotient_count"):  # the tail reads _state_count's ranks
             site = "state nullspace" if routine.f_code.co_name == "nullspace" else "G_a ranks"
         counts[site] = counts.get(site, 0) + 1
         return reduce(mat, p)

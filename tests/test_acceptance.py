@@ -44,6 +44,7 @@ from nilorbit import (
     springer_dual,
     springer_dual_inverse,
 )
+from nilorbit import ff_oracle
 
 P = parse_partition
 
@@ -155,15 +156,29 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # for its first window either: ker e cap im e^a is read from the Jordan
     # chains (_root_window).  A later level's window takes two, and one
     # more where the floor table cuts it.  A state past the root counted on
-    # its quotient (_state_count) takes one nullspace, no rank of G_0 (it
+    # its quotient by _state_count takes one nullspace, no rank of G_0 (it
     # reads that the quotient's form is nondegenerate from det g, rank E
     # and E g E^T), and one rref of each G_a, 0 < a < s_t, unless
     # G_{s_t - 1} = 0 already leaves it to the enumeration; a level that
     # its start fills takes no elimination, as the count hands back the
-    # start's dimension.  Beyond them, every Levi with one general-linear
-    # block at ranks 6-8 is checked too: 308 checks, each decided in closed
-    # form at one node.
+    # start's dimension.  But every state past the root here comes in a
+    # batch of siblings whose shared rows F1 are Jordan coordinates, and
+    # such a batch is read from the signed maps g e^a with no elimination
+    # (_siblings): its 74 states with one level left, and the 12 before it
+    # that hand back E as their start.  So the state nullspaces (86 before
+    # the batches were read at once) and the G_a ranks (80) are 0.  Beyond
+    # them, every Levi with one general-linear block at ranks 6-8 is
+    # checked too: 308 checks, each decided in closed form at one node.
     eliminations = count_eliminations(monkeypatch)
+    read, siblings = [], ff_oracle._siblings  # per batch: (states read, eliminations made)
+
+    def spy(*args):
+        before = sum(eliminations.values())
+        out = siblings(*args)
+        read.append((sum(value is not None for _, value in out), sum(eliminations.values()) - before))
+        return out
+
+    monkeypatch.setattr(ff_oracle, "_siblings", spy)
     with reported(5, "fiber point counts over F_3 and F_5 equal the descriptor"
                      " E-polynomial values (all pseudo-polarizations, N <= 9;"
                      " one-level ones at ranks 6-8)"):
@@ -192,8 +207,9 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f" after {spent} nodes"
             )
         assert (checks, len(skipped), nodes) == (180, 0, 260)
-        assert eliminations == dict(zip(ELIMINATION_SITES, (0, 36, 46, 86, 80)))
-        assert sum(eliminations.values()) == 248
+        assert eliminations == dict(zip(ELIMINATION_SITES, (0, 36, 46, 0, 0)))
+        assert sum(eliminations.values()) == 82
+        assert (len(read), sum(n for n, _ in read), sum(made for _, made in read)) == (56, 86, 0)
         wide = []
         for fam, sizes in ((Family.B, (13, 15, 17)), (Family.C, (12, 14, 16)), (Family.D, (12, 14, 16))):
             for n in sizes:

@@ -792,7 +792,7 @@ class TestCloses:
     # (old, new, states miscounted)
     STATE_MUTANTS = {
         "s' at every level": ("s = 2 * len(steps) + (q > 0)\n    if", "s = 2 + (q > 0)\n    if", 37),
-        "G_s test dropped": ("if grams[-1].any():", "if False:", 14),
+        "G_s test dropped": ("if rank(s):", "if False:", 14),
     }
 
     @pytest.mark.parametrize("mutant", list(STATE_MUTANTS))
@@ -1006,14 +1006,45 @@ def last_level_only(monkeypatch):
     reference_start has no start), and start every other level from
     reference_start, so that every level before the last is filled or
     enumerated and the tests of its fill, cut and window paths reach the
-    levels they pin."""
-    count = ff_oracle._state_count
+    levels they pin.  A batch of siblings before the last level is left
+    to _state_count, state by state, so that none of them is read from the
+    batch's signed maps (_siblings)."""
+    count, siblings = ff_oracle._state_count, ff_oracle._siblings
 
     def state_count(real, levi, E, t):
         start = None if t == len(levi.ps) - 1 else reference_start(real, levi, E, t)
         return count(real, levi, E, t) if start is None else start
 
+    def last_siblings(real, levi, F1, X, t):
+        if t == len(levi.ps) - 1:
+            return siblings(real, levi, F1, X, t)
+        return [(np.vstack([F1, x]), None) for x in X]
+
     monkeypatch.setattr(ff_oracle, "_state_count", state_count)
+    monkeypatch.setattr(ff_oracle, "_siblings", last_siblings)
+
+
+def watch_states(monkeypatch, seen):
+    """Call seen(real, levi, t, value) with each state's value, whichever
+    route reads it: _state_count's for each state it counts, and _siblings'
+    for each sibling it reads from its batch's signed maps (those it leaves
+    reach _state_count)."""
+    count, siblings = ff_oracle._state_count, ff_oracle._siblings
+
+    def spy_count(real, levi, E, t):
+        value = count(real, levi, E, t)
+        seen(real, levi, t, value)
+        return value
+
+    def spy_siblings(real, levi, F1, X, t):
+        out = siblings(real, levi, F1, X, t)
+        for _, value in out:
+            if value is not None:
+                seen(real, levi, t, value)
+        return out
+
+    monkeypatch.setattr(ff_oracle, "_state_count", spy_count)
+    monkeypatch.setattr(ff_oracle, "_siblings", spy_siblings)
 
 
 def enumerate_levels(real, levi, cap):
@@ -1151,17 +1182,13 @@ class TestHoist:
         full = _enumerate(real, levi, DEFAULT_BUDGET)
         counted, targets = [], []
         last_level_only(monkeypatch)
-        count, batches = ff_oracle._state_count, ff_oracle._last_row_batches
-
-        def spy(*args):
-            counted.append(count(*args))
-            return counted[-1]
+        batches = ff_oracle._last_row_batches
 
         def spy_batches(*args):
             targets.append(args[2])
             return batches(*args)
 
-        monkeypatch.setattr(ff_oracle, "_state_count", spy)
+        watch_states(monkeypatch, lambda real, levi, t, value: counted.append(value))
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
@@ -1204,23 +1231,21 @@ class TestHoist:
         want, ref_nodes = unhoisted_count(real, levi, DEFAULT_BUDGET)
         pruned = _enumerate(real, levi, DEFAULT_BUDGET)
         last_level_only(monkeypatch)
-        count, batches = ff_oracle._state_count, ff_oracle._last_row_batches
+        batches = ff_oracle._last_row_batches
         dims = list(itertools.accumulate(levi.ps))
         fills, zeros, enumerated = [0] * len(dims), [0] * len(dims), [0] * len(dims)  # per level
 
-        def spy_count(real, levi, E, t):
-            value = count(real, levi, E, t)
+        def seen(real, levi, t, value):
             if isinstance(value, tuple):
                 fills[t] += value[1] == dims[t]
             elif t < len(dims) - 1:
                 zeros[t] += 1
-            return value
 
         def spy_batches(E, W, target, *rest):
             enumerated[dims.index(target)] += 1
             return batches(E, W, target, *rest)
 
-        monkeypatch.setattr(ff_oracle, "_state_count", spy_count)
+        watch_states(monkeypatch, seen)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
         monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
         got = _enumerate(real, levi, DEFAULT_BUDGET)
@@ -1283,7 +1308,7 @@ class TestHoist:
         quotient, ("start", t, dim) for each state whose quotient leaves it
         a start, and ("charge", nodes) for each charge."""
         dims, log = list(itertools.accumulate(levi.ps)), []
-        charge, batches, count = ff_oracle._charge, ff_oracle._last_row_batches, ff_oracle._state_count
+        charge, batches = ff_oracle._charge, ff_oracle._last_row_batches
 
         def spy_charge(counter, size, cap):
             log.append(("charge", int(size)))
@@ -1295,15 +1320,13 @@ class TestHoist:
                 log.append(("yield", X.shape[0]))
                 yield F1, X
 
-        def spy_count(real, levi, E, t):
-            value = count(real, levi, E, t)
+        def seen(real, levi, t, value):
             log.append(("start", t, value[1]) if isinstance(value, tuple) else ("state", t, value))
-            return value
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ff_oracle, "_charge", spy_charge)
             patch.setattr(ff_oracle, "_last_row_batches", spy_batches)
-            patch.setattr(ff_oracle, "_state_count", spy_count)
+            watch_states(patch, seen)
             with pytest.raises(InvariantError) as info:
                 _enumerate(real, levi, DEFAULT_BUDGET)
         return str(info.value).split(" (")[0], str(info.value).rsplit("): ", 1)[1], log
@@ -2330,7 +2353,7 @@ class TestQuotient:
         "C's (-1)^(m_2/2) dropped": (
             "d = disc(1) if symplectic", "d = (-1) ** (m // 2) * disc(1) if symplectic", 19
         ),
-        "G_s' test skipped": ("if grams[-1].any():", "if False:", 52),
+        "G_s' test skipped": ("if rank(s):", "if False:", 52),
     }
 
     @pytest.mark.parametrize("mutant", list(QUOTIENT_MUTANTS))
@@ -2499,6 +2522,248 @@ class TestQuotient:
         mutant = mutant_oracle(monkeypatch, *self.CLAUSES[kind])
         through = [other for other in self.CORRUPT_RAISED if scope["raised"](mutant, other) is None]
         assert through == [kind]
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_batches():
+    """(real, levi, F1, X, t) for every batch of siblings that _enumerate
+    hands _siblings on a realization that realize built, with F1 Jordan
+    coordinates (rows with one nonzero entry each), over every
+    pseudo-polarization at ranks <= 8 (criterion 5's among them) at p = 3,
+    5 and 7 and the atlas's 5,000-node budget."""
+    batches, siblings = [], ff_oracle._siblings
+
+    def spy(real, levi, F1, X, t):
+        if real.form is None and (np.count_nonzero(F1, axis=1) == 1).all():
+            batches.append((real, levi, F1, X, t))
+        return siblings(real, levi, F1, X, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ff_oracle, "_siblings", spy)
+        for fam in (Family.B, Family.C, Family.D):
+            for rank_ in range(1, 9):
+                n = 2 * rank_ + fam.size_parity
+                for orbit in enumerate_valid(n, fam):
+                    levis = [levi for _, levi in pseudo_polarizations(orbit, fam)]
+                    for q in (3, 5, 7) if levis else ():
+                        real = realize(orbit, fam, q)
+                        for levi in levis:
+                            fiber_point_count(real, levi, budget=5000)
+    return batches
+
+
+def sibling_sweep(oracle):
+    """(read, wrong) of ``oracle``'s _siblings on every batch of
+    coordinate_batches(), against ff_oracle's _state_count on each sibling
+    E = F1 + <x>: read counts the siblings it reads with one level left
+    ("last"), before it ("inner"), and those it leaves ("left"); wrong
+    lists each value that differs from _state_count's, each sibling with
+    one level left that it leaves, and each it leaves whose start
+    _state_count finds to be E itself, or decides."""
+    read, wrong = {"last": 0, "inner": 0, "left": 0}, []
+    for real, levi, F1, X, t in coordinate_batches():
+        last = t == len(levi.ps) - 1
+        for x, (_, value) in zip(X, oracle._siblings(real, levi, F1, X, t)):
+            E = np.vstack([F1, x])
+            want = ff_oracle._state_count(real, levi, E, t)
+            case = (real.family.value, real.partition.literal(), levi.literal(), real.modulus, t, x.tolist())
+            if value is None:
+                read["left"] += 1
+                if last or not isinstance(want, tuple) or want[1] == F1.shape[0] + 1:
+                    wrong.append((case, "left"))
+                continue
+            read["last" if last else "inner"] += 1
+            if isinstance(want, tuple):
+                same = isinstance(value, tuple) and value[1] == want[1] and np.array_equal(value[0], want[0])
+            else:
+                same = value == want
+            if not same:
+                wrong.append((case, value, want))
+    return read, wrong
+
+
+def sibling_branches():
+    """How the bordered-rank rule reads G_a (0 < a <= s) on the siblings
+    of coordinate_batches() with one level left, each computed here from
+    the arrays by elimination: phi = x g on F1^perp outside the row space
+    of G_a on F1^perp ("outside"), or phi = y G_a with c = y G_a y^T != 0
+    ("c != 0") or = 0 ("c = 0"), per (sibling, a); and the siblings on
+    whose E^perp G_s != 0 ("G_s != 0")."""
+    tally = dict.fromkeys(("outside", "c != 0", "c = 0", "G_s != 0"), 0)
+    for real, levi, F1, X, t in coordinate_batches():
+        if t != len(levi.ps) - 1:
+            continue
+        p, g, e = real.modulus, real.gram, real.e
+        s = 2 + (levi.q > 0)
+        perp = ~(F1 @ g % p).any(axis=0)  # F1^perp: the coordinates no row of F1 pairs with
+        power = np.eye(real.dim, dtype=np.int64)
+        forms = []
+        for _ in range(s):
+            power = power @ e % p
+            forms.append((g @ power % p)[np.ix_(perp, perp)])
+        for x in X:
+            phi = (x @ g % p)[perp]
+            for B in forms:
+                if len(rref(np.vstack([B, phi]), p)[1]) > len(rref(B, p)[1]):
+                    tally["outside"] += 1
+                    continue
+                # y B = phi: a kernel vector (y, -1) of [B^T | phi^T]
+                kernel = nullspace(np.hstack([B.T, phi[:, None]]), p)
+                y = next(v for v in kernel if v[-1])
+                y = y[:-1] * pow(-int(y[-1]), -1, p) % p
+                tally["c != 0" if y @ B @ y % p else "c = 0"] += 1
+            E = np.vstack([F1, x])
+            Q = nullspace(E @ g % p, p)
+            tally["G_s != 0"] += bool((Q @ g @ power % p @ Q.T % p).any())
+    return tally
+
+
+class TestSiblings:
+    # Siblings of coordinate_batches() read at once: (with one level left,
+    # before it, left to _state_count)
+    READ = {"last": 3003, "inner": 1500, "left": 54}
+
+    def test_batch_equals_state_count(self):
+        # Every batch whose shared rows F1 are Jordan coordinates reads
+        # each sibling's count, or its start E, with _state_count's value,
+        # and leaves to _state_count only siblings before the last level
+        # whose start is larger than E.
+        read, wrong = sibling_sweep(ff_oracle)
+        assert wrong == []
+        assert read == self.READ
+
+    def test_every_branch_is_reached(self):
+        # The rule's three readings of G_a on E^perp = ker phi, and the
+        # count 0 of a part above s, each on siblings with one level left.
+        assert sibling_branches() == {"outside": 390, "c != 0": 1517, "c = 0": 6286, "G_s != 0": 914}
+
+    def test_a_split_reading_changes_counts(self, monkeypatch):
+        # The discriminants the batches read decide the split type of V_1
+        # or b, and so the count, of some siblings: with every symmetric
+        # form read as split, and then as non-split, their counts differ.
+        values = []
+        for split in (True, False):
+            monkeypatch.setattr(ff_oracle, "_is_square", lambda x, p, split=split: split)
+            values.append([
+                value for real, levi, F1, X, t in coordinate_batches()
+                for _, value in ff_oracle._siblings(real, levi, F1, X, t)
+            ])
+        counts = [(a, b) for a, b in zip(*values) if isinstance(a, int) and isinstance(b, int)]
+        assert (len(counts), sum(a != b for a, b in counts)) == (3795, 479)
+
+    # Each mutant misreads siblings: c = 0 read as c != 0 (rank h_a - 1),
+    # the discriminant left as the one of G_a on F1^perp, which misreads a
+    # split type, and the G_s = 0 test of the shared tail dropped, which
+    # reads a part above s as parts at most s.  (old, new, siblings wrong)
+    MUTANTS = {
+        "c = 0 read as c != 0": ("ranks.append(h - 2 + bool(c))", "ranks.append(h - 1)", 2800),
+        "disc unadjusted": ("discs.append(disc * (c or -1))", "discs.append(disc)", 266),
+        "G_s test dropped": ("if rank(s):", "if False:", 1196),
+    }
+
+    @pytest.mark.parametrize("mutant", list(MUTANTS))
+    def test_mutants_fail(self, monkeypatch, mutant):
+        old, new, miscounted = self.MUTANTS[mutant]
+        _, wrong = sibling_sweep(mutant_oracle(monkeypatch, old, new))
+        assert len(wrong) == miscounted > 0
+
+    def test_the_batches_make_no_elimination(self, monkeypatch):
+        # Reading every batch of coordinate_batches() calls no row
+        # reduction at all.
+        eliminations = count_eliminations(monkeypatch)
+        for real, levi, F1, X, t in coordinate_batches():
+            ff_oracle._siblings(real, levi, F1, X, t)
+        assert sum(eliminations.values()) == 0
+
+    # Crafted batches for B 3,3,1 via (1,1,1;1) at p = 3, of its states
+    # E_2 of dimension d = 2 (t = 2): F1 rows, X rows, and whether det g
+    # reads 0.  The coordinates x(1,0) = 0 and x(1,1) = 3 are isotropic and
+    # orthogonal; g pairs 0 with 2, 1 with itself, 3 with 5, 4 with itself
+    # and the chain of length 1, 6, with itself, with <x, x> = 1.
+    CRAFTED = (
+        "import numpy as np\n"
+        "from nilorbit import Family, InvariantError, LeviType, ff_oracle, parse_partition, realize\n"
+        "def unit(*cs):\n"
+        "    row = np.zeros(7, dtype=np.int64)\n"
+        "    row[list(cs)] = 1\n"
+        "    return row\n"
+        "BATCHES = {\n"
+        "    'valid': ([unit(0)], [unit(3)], False),\n"
+        "    'det g = 0': ([unit(0)], [unit(3)], True),\n"
+        "    'F1 not d - 1 distinct coordinates': ([unit(0), unit(3)], [unit(1, 4)], False),\n"
+        "    'x not isotropic': ([unit(0)], [unit(6)], False),\n"
+        "    'x not orthogonal to F1': ([unit(0)], [unit(2)], False),\n"
+        "    'x in F1': ([unit(0)], [2 * unit(0)], False),\n"
+        "}\n"
+        "def read(oracle, kind):\n"
+        "    F1, X, degenerate = BATCHES[kind]\n"
+        "    real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
+        "    if degenerate:  # the arrays are built and checked, then det g reads 0\n"
+        "        real.gram\n"
+        "        vars(real)['det_g'] = 0\n"
+        "    levi = LeviType.from_text('1,1,1;1', Family.B)\n"
+        "    try:\n"
+        "        values = [\n"
+        "            oracle._state_count(real, levi, E, 2) if value is None else value\n"
+        "            for E, value in oracle._siblings(real, levi, np.array(F1), np.array(X), 2)\n"
+        "        ]\n"
+        "    except InvariantError as exc:\n"
+        "        return str(exc)\n"
+        "    return values\n"
+    )
+    CRAFTED_RAISED = {
+        "det g = 0": "det g = 0 mod 3",
+        "F1 not d - 1 distinct coordinates": "rank E = 3, expected 2",
+        "x not isotropic": "<E_1, E_1> = 1 mod 3, expected 0",
+        "x not orthogonal to F1": "<E_0, E_1> = 1 mod 3, expected 0",
+        "x in F1": "rank E = 1, expected 2",
+    }
+    # (the batch's clause, and its mutant: the clause dropped) by the
+    # crafted batches that it alone stops
+    CLAUSES = {
+        "det g": ("not real.det_g or ", "", ["det g = 0"]),
+        "F1 coordinates": ("len(paired) != d - 1 or ", "", ["F1 not d - 1 distinct coordinates"]),
+        "E isotropic": (
+            "any(x[j] for j in paired) or sum(f * xi for f, xi in zip(phi, x)) % p or ", "",
+            ["x not isotropic", "x not orthogonal to F1"],
+        ),
+        "x outside F1": (" or not any(phi)", "", ["x in F1"]),
+    }
+
+    def crafted(self):
+        scope = {}
+        exec(self.CRAFTED, scope)
+        return scope["read"]
+
+    def test_crafted_batches_raise(self):
+        # A crafted batch that fails one clause is left to _state_count,
+        # whose check raises naming the clause; the valid one is read at
+        # once, with _state_count's count.
+        read = self.crafted()
+        real, levi = realize(P("3,3,1"), Family.B, 3), L("1,1,1;1")
+        E = np.eye(7, dtype=np.int64)[[0, 3]]
+        assert read(ff_oracle, "valid") == [ff_oracle._state_count(real, levi, E, 2)]
+        assert ff_oracle._siblings(real, levi, E[:1], E[1:], 2)[0][0] is None  # read at once
+        for kind, clause in self.CRAFTED_RAISED.items():
+            message = read(ff_oracle, kind)
+            assert message.split(" (")[0] == "the form is degenerate on E^perp/E", kind
+            assert message.rsplit(": ", 1)[1] == clause, kind
+
+    def test_crafted_batches_raise_under_optimize(self, run_optimized):
+        script = self.CRAFTED + "".join(
+            f"print(read(ff_oracle, {kind!r}).rsplit(': ', 1)[1])\n" for kind in self.CRAFTED_RAISED
+        )
+        assert run_optimized(script).splitlines() == list(self.CRAFTED_RAISED.values())
+
+    @pytest.mark.parametrize("clause", list(CLAUSES))
+    def test_dropped_clause_lets_its_batches_through(self, monkeypatch, clause):
+        # Each clause is needed: without it, the batches it stops are read
+        # at once, with no error, and the others still raise.
+        read = self.crafted()
+        old, new, stopped = self.CLAUSES[clause]
+        mutant = mutant_oracle(monkeypatch, old, new)
+        through = [kind for kind in self.CRAFTED_RAISED if not isinstance(read(mutant, kind), str)]
+        assert through == stopped
 
 
 class TestInvariantError:
