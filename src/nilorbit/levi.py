@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .partitions import Family, Partition, collapse, partitions_of
+from .partitions import Family, Partition, _integers, collapse, partitions_of
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,10 @@ class LeviType:
     family: Family
 
     def __init__(self, ps, q: int, family: Family):
-        ps = tuple(sorted(int(x) for x in ps))
+        ps = tuple(sorted(_integers(ps, "general-linear block size")))
+        (q,) = _integers((q,), "q")
         object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "q", int(q))
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "family", family)
         if any(x <= 0 for x in ps):
             raise ValueError(f"general-linear block sizes must be positive, got {ps}")

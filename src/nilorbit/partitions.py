@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -49,6 +50,18 @@ class Family(enum.Enum):
         return part % 2 == 0
 
 
+def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each taken through ``operator.index``,
+    so that integer types such as numpy's pass and a float or a string
+    raises ``ValueError`` naming it instead of being truncated or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise ValueError(f"{name} {bad!r} is not an integer") from None
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A non-increasing tuple of positive integers."""
@@ -56,10 +69,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        ps = tuple(int(x) for x in parts)
-        if any(x <= 0 for x in ps):
+        ps = _integers(parts, "part")
+        if ps and min(ps) <= 0:
             raise ValueError(f"parts must be positive, got {ps}")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+        if any(map(operator.lt, ps, ps[1:])):
             raise ValueError(f"parts must be non-increasing, got {ps}")
         object.__setattr__(self, "parts", ps)
 
@@ -103,15 +116,21 @@ def parse_partition(text: str) -> Partition:
 def is_valid(p: Partition, family: Family) -> bool:
     """Whether ``p`` labels a nilpotent orbit of the given family.
 
-    Checks the total-size parity (odd for B, even for C and D) and the even
-    multiplicity constraint on the relevant parity of parts.
+    Checks the total-size parity (odd for B, even for C and D), then walks
+    the runs of equal parts once: a run of the parity held to even
+    multiplicity (even parts for B and D, odd for C) must have even length.
     """
     if p.n % 2 != family.size_parity:
         return False
-    for v in set(p.parts):
-        if family.needs_even_multiplicity(v) and p.parts.count(v) % 2 != 0:
-            return False
-    return True
+    held = family.needs_even_multiplicity(1)  # True when that parity is odd
+    value = run = 0
+    for x in p.parts:
+        if x != value:
+            if run % 2 and value % 2 == held:
+                return False
+            value, run = x, 0
+        run += 1
+    return not (run % 2 and value % 2 == held)
 
 
 def transpose(p: Partition) -> Partition:
@@ -123,66 +142,88 @@ def transpose(p: Partition) -> Partition:
 def collapse(p: Partition, family: Family) -> Partition:
     """Largest family-valid partition dominated by ``p``.
 
-    Repeatedly finds the largest part value of the constrained parity with
-    odd multiplicity, decrements its last copy, and increments the first
-    later part that can absorb the unit (appending a trailing 1 when none
-    can).  Terminates because each step strictly lowers the dominance order.
+    Its rule: while some value of the parity held to even multiplicity
+    (even for B and D, odd for C) has odd multiplicity, take the largest
+    such value q, lower its last copy to q - 1, and raise the first later
+    part below q - 1 by one, or append a 1 when there is none.
+
+    One pass over the runs of equal parts, from the top, makes the same
+    moves.  A move keeps the parts non-increasing and changes only parts
+    below q, so no value above q turns bad, and the largest bad value is
+    the next bad run the pass meets.  The lowered part joins the run of
+    q - 1, whose parity is not held, and the raised part and the run it
+    left lie further on, so the pass goes on with the next part.  No bad
+    value is 1: for C an even total has an even number of bad values.
     """
     if p.n % 2 != family.size_parity:
         raise ValueError(
             f"total {p.n} has the wrong parity for family {family.value}"
         )
+    held = family.needs_even_multiplicity(1)
     parts = list(p.parts)
-    while True:
-        bad = [
-            v
-            for v in set(parts)
-            if family.needs_even_multiplicity(v) and parts.count(v) % 2 != 0
-        ]
-        if not bad:
-            break
-        q = max(bad)
-        i = max(k for k, v in enumerate(parts) if v == q)
-        parts[i] -= 1
-        j = next((k for k in range(i + 1, len(parts)) if parts[k] < q - 1), None)
-        if j is None:
-            parts.append(1)
-        else:
-            parts[j] += 1
-        parts = [v for v in parts if v > 0]
-        parts.sort(reverse=True)
-    return Partition(tuple(parts))
+    i = 0
+    while i < len(parts):
+        q, j = parts[i], i + 1
+        while j < len(parts) and parts[j] == q:
+            j += 1
+        if q % 2 == held and (j - i) % 2:
+            parts[j - 1] = q - 1
+            k = j
+            while k < len(parts) and parts[k] == q - 1:
+                k += 1
+            if k < len(parts):
+                parts[k] += 1
+            else:
+                parts.append(1)
+        i = j
+    return Partition(parts)
 
 
 @functools.lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
+def _generate(n: int, family: Family | None) -> tuple[Partition, ...]:
+    """The partitions of ``n`` in decreasing lexicographic order; with a
+    family, only its valid ones, generated directly."""
+    held = None if family is None else family.needs_even_multiplicity(1)
+    out: list[Partition] = []
 
-    def rec(remaining: int, cap: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            rec(remaining - v, v, acc + (v,))
+    def rec(remaining: int, top: int, acc: tuple[int, ...]) -> None:
+        # Complete ``acc`` by parts of value at most ``top`` summing to
+        # ``remaining``: each value v > 1 from the largest down, with its
+        # multiplicity from the largest down (only even ones when v has the
+        # held parity), and last 1s for the whole remainder.  So no branch
+        # is a dead end: for C every choice takes an even amount, and the
+        # remainder left to the 1s is even.
+        for v in range(min(top, remaining), 1, -1):
+            step = 2 if v % 2 == held else 1
+            for m in range(remaining // v // step * step, 0, -step):
+                rec(remaining - m * v, v - 1, acc + (v,) * m)
+        out.append(Partition(acc + (1,) * remaining))
 
     rec(n, n, ())
     return tuple(out)
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of ``n`` in decreasing lexicographic order."""
+    """All partitions of ``n`` in decreasing lexicographic order, as a fresh
+    list; the partitions themselves are built once per ``n``."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return [Partition(t) for t in _partitions_of(n)]
+    return list(_generate(n, None))
 
 
 def enumerate_valid(n: int, family: Family) -> list[Partition]:
-    """All family-valid partitions of ``n``, in decreasing lexicographic order."""
+    """All family-valid partitions of ``n``, in decreasing lexicographic
+    order, as a fresh list.
+
+    They are generated directly, not filtered out of ``partitions_of``:
+    a value of the parity held to even multiplicity only ever gets an even
+    one.  Built once per ``(n, family)``.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n % 2 != family.size_parity:
         raise ValueError(f"total {n} has the wrong parity for family {family.value}")
-    return [p for p in partitions_of(n) if is_valid(p, family)]
+    return list(_generate(n, family))
 
 
 def orbit_dim(p: Partition, family: Family) -> int:

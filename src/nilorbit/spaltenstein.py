@@ -116,7 +116,9 @@ class GrassStep:
         """An OG(m, 2m) step with m >= 1: two connected components."""
         return self.kind == "OG" and self.n == 2 * self.m and self.m >= 1
 
+    @functools.lru_cache(maxsize=None)
     def e_polynomial(self) -> EPolynomial:
+        """Built once per (kind, m, n) per process."""
         poly = EPolynomial.one()
         if self.kind == "IG" or self.n == 2 * self.m + 1:
             for j in range(1, self.m + 1):

@@ -2,7 +2,8 @@
 in the terminal summary, where capture can't swallow them, runs code
 snippets in a ``python -O`` child, counts the oracle's eliminations by call
 site, and holds the brute-force reference routes (the dominance order
-among them, and the from-scratch block grammar), the segmentation's
+among them; validity, the collapse and the valid partitions by their
+definitions; and the from-scratch block grammar), the segmentation's
 partition and block count, and subspace helpers that several test files
 check the package against."""
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import nilorbit
-from nilorbit import Family, Partition, _linalg, decompose, enumerate_valid, is_valid
+from nilorbit import Family, Partition, _linalg, decompose, enumerate_valid, is_valid, partitions_of
 from nilorbit._linalg import nullspace
 from nilorbit.levi import _polarization_table
 
@@ -105,6 +106,45 @@ def dominance_leq(a, b):
         if sa > sb:
             return False
     return True
+
+
+def reference_is_valid(p, family):
+    """Validity the direct way: the total's parity, then a ``count`` of
+    every distinct value held to even multiplicity."""
+    if p.n % 2 != family.size_parity:
+        return False
+    return all(
+        p.parts.count(v) % 2 == 0 for v in set(p.parts) if family.needs_even_multiplicity(v)
+    )
+
+
+def reference_collapse(p, family):
+    """The collapse by its defining rule, rescanning every value after each
+    move: while some value held to even multiplicity has odd multiplicity,
+    lower the last copy of the largest such value q by one and raise the
+    first later part below q - 1 (or append a 1), then re-sort."""
+    if p.n % 2 != family.size_parity:
+        raise ValueError(f"total {p.n} has the wrong parity for family {family.value}")
+    parts = list(p.parts)
+    while True:
+        bad = [v for v in set(parts)
+               if family.needs_even_multiplicity(v) and parts.count(v) % 2 != 0]
+        if not bad:
+            return Partition(parts)
+        q = max(bad)
+        i = max(k for k, v in enumerate(parts) if v == q)
+        parts[i] -= 1
+        j = next((k for k in range(i + 1, len(parts)) if parts[k] < q - 1), None)
+        if j is None:
+            parts.append(1)
+        else:
+            parts[j] += 1
+        parts = sorted((v for v in parts if v > 0), reverse=True)
+
+
+def reference_enumerate_valid(n, family):
+    """The family's valid partitions of ``n``, filtered out of all of them."""
+    return [p for p in partitions_of(n) if reference_is_valid(p, family)]
 
 
 def partition_of(d):

@@ -400,7 +400,7 @@ def criterion_5_checks():
 
 class TestMemo:
     # ff_oracle's caches, each keyed on its pure arguments alone
-    CACHES = ("_is_valid", "_model", "_root_disc", "_peel", "_flag_sum")
+    CACHES = ("_is_valid", "_model", "_signed_map", "_root_disc", "_peel", "_flag_sum")
 
     def test_caches_change_no_count(self):
         # Criterion 5's checks twice from empty caches, and once more from

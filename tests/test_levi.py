@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import is_richardson_via_induction
 
@@ -84,6 +85,16 @@ class TestLeviType:
             LeviType((0,), 1, Family.B)
         with pytest.raises(ValueError):
             LeviType((), -1, Family.B)
+
+    def test_integral_blocks_and_q(self):
+        # Nothing is truncated: a float block size or q is named in the
+        # error, and integer types such as numpy's pass.
+        with pytest.raises(ValueError, match="^general-linear block size 1.9 is not an integer$"):
+            LeviType((1.9,), 1, Family.B)
+        with pytest.raises(ValueError, match="^q 1.0 is not an integer$"):
+            LeviType((1,), 1.0, Family.B)
+        levi = LeviType(np.array([2, 1]), np.int64(3), Family.B)
+        assert levi == L("1,2;3", Family.B) and type(levi.q) is int
 
     def test_malformed_text(self):
         with pytest.raises(ValueError):

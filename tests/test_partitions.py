@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from conftest import dominance_leq
+from conftest import dominance_leq, reference_collapse, reference_enumerate_valid, reference_is_valid
 
 from nilorbit import (
     Family,
@@ -39,6 +40,18 @@ class TestPartitionType:
             Partition((3, 0))
         with pytest.raises(ValueError):
             Partition((3, -1))
+
+    def test_rejects_non_integral_parts(self):
+        # Nothing is truncated or parsed: a float, a string or None is
+        # named in the error.
+        for parts, bad in (((2.5, 1), "2.5"), (("3", "1"), "'3'"), ((3, None), "None")):
+            with pytest.raises(ValueError, match=f"^part {bad} is not an integer$"):
+                Partition(parts)
+
+    def test_accepts_integer_types(self):
+        p = Partition(np.array([3, 1, 1]))
+        assert p == P("3,1,1") and {type(x) for x in p} == {int}
+        assert Partition(x for x in (2, 2)) == P("2,2")
 
     def test_rejects_malformed_text(self):
         with pytest.raises(ValueError):
@@ -148,18 +161,57 @@ class TestCollapse:
                 assert dominance_leq(c, p)
 
     def test_maximality_small(self):
-        """The collapse dominates every valid partition below the input."""
-        for fam, n in ((Family.B, 7), (Family.C, 8), (Family.D, 6)):
-            valid = enumerate_valid(n, fam)
-            for p in partitions_of(n):
-                c = collapse(p, fam)
-                for v in valid:
-                    if dominance_leq(v, p):
-                        assert dominance_leq(v, c)
+        """The collapse dominates every valid partition below the input, at
+        every size up to 14."""
+        for fam in Family:
+            for n in range(fam.size_parity, 15, 2):
+                valid = enumerate_valid(n, fam)
+                for p in partitions_of(n):
+                    c = collapse(p, fam)
+                    for v in valid:
+                        if dominance_leq(v, p):
+                            assert dominance_leq(v, c), (fam, p, v)
 
     def test_wrong_parity_rejected(self):
         with pytest.raises(ValueError):
             collapse(P("3,1"), Family.B)
+
+
+class TestReferenceRoutes:
+    """The one-pass validity check and collapse and the direct enumeration
+    equal the routes by definition (``conftest``), over every partition."""
+
+    def test_is_valid_and_collapse(self):
+        for n in range(25):
+            for p in partitions_of(n):
+                for fam in Family:
+                    assert is_valid(p, fam) == reference_is_valid(p, fam), (p, fam)
+                    if n % 2 == fam.size_parity:
+                        assert collapse(p, fam) == reference_collapse(p, fam), (p, fam)
+
+    def test_enumerate_valid_is_the_filtered_partitions(self):
+        for fam in Family:
+            for n in range(fam.size_parity, 31, 2):
+                assert enumerate_valid(n, fam) == reference_enumerate_valid(n, fam), (fam, n)
+
+    def test_partitions_of_lists_each_partition_once(self):
+        # Each sums to n, in strictly decreasing lexicographic order, and
+        # there are p(n) of them, counted by the coin-change recurrence.
+        counts = [1] + [0] * 30
+        for k in range(1, 31):
+            for n in range(k, 31):
+                counts[n] += counts[n - k]
+        for n in range(31):
+            ps = [p.parts for p in partitions_of(n)]
+            assert all(sum(t) == n for t in ps)
+            assert all(a > b for a, b in zip(ps, ps[1:]))
+            assert len(ps) == counts[n]
+
+    def test_lists_are_fresh(self):
+        for build in (lambda: partitions_of(6), lambda: enumerate_valid(6, Family.C)):
+            first = build()
+            first.clear()
+            assert build()
 
 
 class TestOrbitDim:
