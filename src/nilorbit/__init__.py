@@ -37,6 +37,7 @@ from .partitions import (
     Partition,
     collapse,
     enumerate_valid,
+    invalid_reason,
     is_valid,
     orbit_dim,
     parse_partition,
@@ -98,6 +99,7 @@ __all__ = [
     "fiber_point_count",
     "ig_factors",
     "induced_shape",
+    "invalid_reason",
     "is_richardson",
     "is_special",
     "is_valid",

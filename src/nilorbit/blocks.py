@@ -4,8 +4,9 @@ segmentation, and the reassembly of modified blocks that the witness scan
 in ``minimal`` collapses into minimal Richardson orbits.
 
 A block is a contiguous slice of the partition's parts.  Each family has a
-boundary parity, odd for B and D and even for C; the other parity is the
-pair parity.  Block kinds, per family letter X in {B, C, D}:
+boundary parity, odd for B and D and even for C; the other parity, held to
+even multiplicity, is the pair parity.  Block kinds, per family letter X in
+{B, C, D}:
 
 * ``X1``   -- an equal pair of odd parts ``[a, a]``.
 * ``X1*``  -- an equal pair of even parts ``[b, b]``.
@@ -33,11 +34,6 @@ _KINDS = _PAIR_KINDS | {"B2", "B3", "C2", "D2"}
 _PARITY = ("even", "odd")
 
 
-def _boundary_parity(family: Family) -> int:
-    """Parity of the boundary parts: odd for B and D, even for C."""
-    return 0 if family is Family.C else 1
-
-
 @dataclass(frozen=True)
 class Block:
     """One segment of a partition: its kind and ``parts``, the block's own
@@ -63,7 +59,7 @@ class Block:
             if len(ps) != 2 or ps[0] != ps[1] or ps[0] % 2 != odd:
                 raise ValueError(f"{kind} block must be an equal {_PARITY[odd]} pair, got {ps}")
             return
-        bound = _boundary_parity(self.family)
+        bound = 1 - self.family.held_parity
         head, mid, tail = self._split()
         if head % 2 != bound or (tail and tail % 2 != bound):
             raise ValueError(f"{kind} boundaries must be {_PARITY[bound]}, got {ps}")
@@ -196,7 +192,7 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
     if not is_valid(p, family):
         raise ValueError(f"{p} is not valid for family {family.value}")
     f = family.value
-    bound = _boundary_parity(family)
+    bound = 1 - family.held_parity
     parts = p.parts
     n = len(parts)
     blocks: list[Block] = []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .blocks import decompose
 from .duality import dual_pair, pairing_records, springer_dual, springer_dual_inverse
-from .errors import InvariantError, VerificationError
+from .errors import VerificationError
 from .ff_oracle import (
     DEFAULT_BUDGET,
     check_modulus,
@@ -33,6 +33,7 @@ from .partitions import (
     Family,
     Partition,
     enumerate_valid,
+    invalid_reason,
     is_valid,
     parse_partition,
 )
@@ -113,20 +114,11 @@ def _literal(parts: list[int]) -> str:
     return ",".join(map(str, parts))
 
 
-def _invalid_reason(p: Partition, fam: Family) -> str:
-    if p.n % 2 != fam.size_parity:
-        return f"total {p.n} has the wrong parity for family {fam.value}"
-    for v in sorted(set(p.parts), reverse=True):
-        if fam.needs_even_multiplicity(v) and p.parts.count(v) % 2 != 0:
-            return f"part {v} must occur an even number of times in family {fam.value}"
-    raise InvariantError(f"{p} is valid")
-
-
 def cmd_validate(args) -> tuple[dict, int]:
     fam = _family(args)
     p = _partition(args)
-    ok = is_valid(p, fam)
-    reason = None if ok else _invalid_reason(p, fam)
+    reason = invalid_reason(p, fam)
+    ok = reason is None
     return {**_head(fam, "partition", p), "valid": ok, "reason": reason}, 0 if ok else 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .blocks import _desc
 from .errors import InvariantError, VerificationError
 from .levi import langlands_dual_levi
 from .partitions import Family, Partition, collapse, is_valid, orbit_dim
@@ -39,7 +40,7 @@ def springer_dual(p: Partition) -> Partition:
             merged += blk.parts
         else:
             merged += blk.modifications().prime
-    out = Partition(tuple(sorted((x for x in merged if x > 0), reverse=True)))
+    out = Partition(_desc(merged))
     if not is_special(out, Family.C):
         raise InvariantError(f"dual {out} of {p} is not special in family C")
     return out

@@ -6,8 +6,7 @@ class InvariantError(Exception):
     realization's form (symmetry, nondegeneracy, e-invariance, Jordan ranks,
     splitness), a Levi's raw parity pattern, a block segmentation, a
     witnessed block's raising variant, a distinguished value's multiplicity,
-    a descriptor's degree, the specialness of a dual, or an invalid-input
-    reason for a valid partition.  Raised instead of
+    a descriptor's degree, or the specialness of a dual.  Raised instead of
     ``assert`` so the checks hold under ``python -O``.  This is an internal
     bug, unlike a ``VerificationError``."""
 

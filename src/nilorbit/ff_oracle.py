@@ -5,9 +5,10 @@ count must equal the descriptor E-polynomial at the field size.
 
 The Jordan basis is x(i,j) for part j of size d_j, 1 <= i <= d_j, with
 e x(i,j) = x(i-1,j).  The form pairs x(i,j) against x(d_j+1-i, beta(j)),
-where beta pairs equal parts of the family's paired parity and fixes parts
-of the self-paired parity; entries along a block alternate in sign, which
-is exactly what e-invariance forces.
+where beta pairs equal parts of the family's held parity (Family.held_parity,
+whose parts come in pairs) and fixes parts of the other, self-paired,
+parity; entries along a block alternate in sign, which is exactly what
+e-invariance forces.
 
 The unit in front of each self-paired block is chosen so the form is split:
 units inside one value group alternate (hyperbolic pairs), and the leftover
@@ -171,17 +172,13 @@ class JordanRealization:
         return det(self.gram, self.modulus)
 
 
-def _self_paired(v: int, family: Family) -> bool:
-    return (v % 2 == 0) == (family is Family.C)
-
-
 def _block_units(p: Partition, family: Family) -> list[int]:
     """Unit in front of each self-paired Jordan block (0 for paired parts,
     which carry the fixed cross-block pairing instead)."""
     units = [0] * len(p.parts)
     leftovers: list[tuple[int, int]] = []
     for v in sorted(set(p.parts), reverse=True):
-        if not _self_paired(v, family):
+        if family.needs_even_multiplicity(v):
             continue
         js = [j for j, x in enumerate(p.parts) if x == v]
         for t, j in enumerate(js):
@@ -207,7 +204,7 @@ def _root_disc(p: Partition, family: Family, a: int) -> int:
         if v > a and u:
             disc *= (-1) ** (a * (v - a)) * u ** (v - a)
     for v in set(p.parts):
-        if v > a and not _self_paired(v, family):
+        if v > a and family.needs_even_multiplicity(v):
             disc *= (family.epsilon * (-1) ** (a + 1)) ** ((v - a) * (p.parts.count(v) // 2))
     return disc
 
@@ -223,7 +220,7 @@ def _model(p: Partition, family: Family) -> JordanModel:
 
     beta = list(range(len(parts)))
     for v in sorted(set(parts), reverse=True):
-        if _self_paired(v, family):
+        if not family.needs_even_multiplicity(v):
             continue
         js = [j for j, x in enumerate(parts) if x == v]
         if len(js) % 2:
@@ -331,9 +328,7 @@ def _validate(real: JordanRealization) -> None:
     det_g = real.det_g
     require(det_g, "form is degenerate")
     if real.family is Family.D:
-        target = ((-1) ** (real.dim // 2)) % p
-        ratio = (det_g * pow(target, p - 2, p)) % p
-        require(pow(ratio, (p - 1) // 2, p) == 1, "even orthogonal form is not split")
+        require(_is_square((-1) ** (real.dim // 2) * det_g, p), "even orthogonal form is not split")
 
 
 @dataclass(frozen=True)
@@ -347,34 +342,25 @@ class FlagCount:
     skipped: str | None = None
 
 
-def _floors(p: Partition, levi: LeviType, t: int) -> list[int]:
-    """Row t of _enumerate's floor table: m_a = ceil(d - slack_a / 2) for
-    a = 1 .. max(p) - 1, the least dim(E_{t+1} cap im e^a) of any counted
-    flag.  Here d = dim E_{t+1} = p_1 + ... + p_{t+1}, slack_a = n - rank e^a
-    - S_a = dim ker e^a - S_a, and S_a is the sum of the a largest steps of
-    the chain p_{t+2}, ..., p_k, q, p_k, ..., p_{t+2} left below E_{t+1}.
-    m_a = d puts all of E_{t+1} in im e^a (_cut); m_a > d leaves no flag.
+def _cut(p: Partition, levi: LeviType, t: int) -> int | None:
+    """The cut of _enumerate's level t + 1: the largest a = 1 .. max(p) - 1
+    with 0 <= slack_a <= 1, which puts all of E_{t+1} in im e^a (0 for
+    none), or None when some slack_a < 0, which leaves no flag.  Here
+    slack_a = dim ker e^a - S_a, and S_a is the sum of the a largest steps
+    of the chain p_{t+2}, ..., p_k, q, p_k, ..., p_{t+2} left below E_{t+1}.
     It reads only the parts of p and the steps of levi."""
     parts = p.parts
-    d = sum(levi.ps[: t + 1])
     steps = sorted(levi.ps[t + 1 :] * 2 + (levi.q,) + (0,) * parts[0], reverse=True)
-    floor, kernel, j = [], 0, len(parts)
+    cut, kernel, j = 0, 0, len(parts)
     for a, top in zip(range(1, parts[0]), itertools.accumulate(steps)):
         while parts[j - 1] < a:  # j = the number of parts >= a
             j -= 1
-        kernel += j
-        floor.append(d - (kernel - top) // 2)
-    return floor
-
-
-def _cut(floor: list[int], d: int) -> int | None:
-    """The largest a at which a row of the floor table, for a flag space of
-    dimension d, forces the whole space into im e^a (0 for none), or None
-    when some floor exceeds d, so that no flag exists."""
-    top = max(floor, default=0)
-    if top > d:
-        return None
-    return len(floor) - floor[::-1].index(d) if top == d else 0
+        kernel += j  # dim ker e^a
+        if kernel < top:
+            return None
+        if kernel - top <= 1:
+            cut = a
+    return cut
 
 
 def _charge(counter: list[int], size: int, cap: int) -> None:
@@ -645,17 +631,15 @@ def _state_count(
     degenerate (only a realization changed by replace), it raises wherever
     rank G_0 != n - 2d would, and more.
 
-    With s = 2(k - t) + [q > 0] and two or more levels left, G_{s-1} = 0
-    != G_1 says that no part is s and not every part is 1, where the peel
-    does not decide: the start is E itself, with no rank taken.  Otherwise
-    the count comes from the tail that _siblings shares (_quotient_count):
-    G_s != 0 leaves a part of e' above s, which no flag allows, so the
-    count is 0; else the ranks r_a = rank G_a, taken by rref, give the
-    Jordan type of e', and disc(a) is read from G_a on the pivots that the
-    ranks found.  A start left there is E plus e^(s-1) x for the rows x of
-    Q at the pivots of G_{s-1}, of dimension d + r_{s-1}: G_{s-1} is
-    symmetric or alternating, so those rows of it are independent, and so
-    are those e^(s-1) x modulo E.
+    With s = 2(k - t) + [q > 0], the count comes from the tail that
+    _siblings shares (_quotient_count): G_s != 0 leaves a part of e' above
+    s, which no flag allows, so the count is 0; else the ranks r_a = rank
+    G_a, taken by rref, give the Jordan type of e', and disc(a) is read from
+    G_a on the pivots that the ranks found.  A start left there is E plus
+    e^(s-1) x for the rows x of Q at the pivots of G_{s-1}, of dimension d
+    + r_{s-1}: G_{s-1} is symmetric or alternating, so those rows of it are
+    independent, and so are those e^(s-1) x modulo E.  G_{s-1} = 0 leaves
+    E itself, of dimension d.
 
     _enumerate reads the states of a batch whose shared rows are Jordan
     coordinates from the orbit's signed maps instead (_siblings), with no
@@ -692,8 +676,6 @@ def _state_count(
     for _ in range(s):
         Qg = Qg @ e % p
         grams.append(Qg @ Q.T % p)
-    if len(steps) > 1 and grams[0].any() and not grams[-2].any():  # no part is s, not all are 1
-        return E, d
     pivots = functools.cache(lambda a: rref(grams[a - 1], p)[1])  # of G_a, a < s, on demand
     value = _quotient_count(
         real, levi, t, s, lambda a: len(pivots(a)) if a < s else grams[-1].any(),
@@ -758,9 +740,10 @@ def _siblings(
     of y and a w with B(y, w) = 1 out of the nondegenerate part, so the
     rank is h_a - 2 and the det gains -1.  The ranks and dets of
     G_1, .., G_s then feed _state_count's tail (_quotient_count).  With two
-    or more levels left, G_1 != 0 = G_{s-1} hands back E as its start, as
-    _state_count does, and a state whose start the peel leaves larger is
-    left to _state_count.
+    or more levels left, G_1 != 0 = G_{s-1} says that no part is s and not
+    every part is 1, where the peel does not decide, and hands back E as its
+    start, as _state_count finds from its ranks; a state whose start the
+    peel leaves larger is left to _state_count.
 
     That reading needs E^perp/E to carry a nondegenerate form: det g != 0
     mod p, F1 d - 1 distinct coordinates (d = dim E), each row x outside F1
@@ -905,8 +888,8 @@ def _levels(real: JordanRealization, levi: LeviType) -> list[tuple[int, list[int
             raise InvariantError(
                 f"the form is not e-invariant ({real.partition}, {levi}, p={p}): {failed} mod {p}"
             )
-    heights, dims = _heights(real.partition), list(itertools.accumulate(levi.ps))
-    cuts = (_cut(_floors(real.partition, levi, t), dims[t]) for t in range(len(dims) - 1))
+    heights = _heights(real.partition)
+    cuts = (_cut(real.partition, levi, t) for t in range(len(levi.ps) - 1))
     return [None if a is None else (a, [c for c, h in enumerate(heights) if h < a]) for a in cuts]
 
 
@@ -938,7 +921,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     by two products before the first level, and a failure raises
     InvariantError.
 
-    One floor table cuts the windows.  The flags below E_t are flags of
+    One inequality cuts the windows.  The flags below E_t are flags of
     the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, for the
     Levi (p_{t+1}, ..., p_k; q), and e' lowers the chain E'_{t+1} < ... <
     E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
@@ -946,25 +929,26 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     p_{t+1}, as rank is lower semicontinuous.  And rank e'^a >= rank e^a -
     2 dim(E_t cap im e^a), since dim e^a(E_t^perp) = rank e^a - dim(E_t cap
     im e^a) and e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every
-    counted flag has dim(E_t cap im e^a) >= m_{t,a} = ceil(dim E_t -
-    slack_a / 2), slack_a = n - rank e^a - S_a (_floors): a table of
-    (partition, Levi) alone, built once per check.  When m_{t,a} = dim E_t,
-    all of E_t lies in im e^a, which is spanned by the Jordan coordinates
-    x(i,j) of height d_j - i >= a.  For the largest such a (_cut), the
-    window of a level is cut to im e^a by one nullspace of its columns at
-    heights < a (read from the chains below a modelled root).  A floor
-    above dim E_{t+1}, or a start with an entry at heights < a, counts 0,
-    before anything else is done at the level.
+    counted flag has 2 (dim E_t - dim(E_t cap im e^a)) <= slack_a = n -
+    rank e^a - S_a = dim ker e^a - S_a.  Some slack_a < 0 leaves no flag,
+    and 0 <= slack_a <= 1 puts all of E_t in im e^a, which is spanned by the
+    Jordan coordinates x(i,j) of height d_j - i >= a.  The largest such a
+    is the level's cut (_cut), read from (partition, Levi) alone, once per
+    check (_levels), and the level's window is cut to im e^a: the nullspace
+    that gives it also takes the unit rows at the heights < a (read from
+    the chains below a modelled root).  A slack_a < 0, or a start with an
+    entry at heights < a, counts 0, before anything else is done at the
+    level.
 
     A start whose dimension is dim E_{t+1} is E_{t+1}: the level is filled
     at one node.  Any other start is enumerated, one that overfills too: no
     flag goes through it, and _last_row_batches yields nothing for it.  Its
     window takes two eliminations, as e^{-1}(E) = (ann(E) e)^perp: one
-    nullspace of E gives ann(E), and one of [E g; ann(E) e] the window.
-    Below a modelled root it takes none: the window is ker e, cut to
-    ker e cap im e^a, the identity rows at the x(1,j) with d_j > a
-    (_root_window), which are the reduced basis those nullspaces and the
-    cut's return.  After the cut, _last_row_batches adds one
+    nullspace of E gives ann(E), and one of [E g; ann(E) e] and the cut's
+    unit rows the window.  Below a modelled root it takes none: the window
+    is ker e, cut to ker e cap im e^a, the identity rows at the x(1,j) with
+    d_j > a (_root_window), which are the reduced basis those nullspaces
+    return.  After the cut, _last_row_batches adds one
     reduced-echelon row at a time to the start and drops each candidate
     row as soon as it fails isotropy, and the recursion goes into each
     E_{t+1} = F1 + <x> that it yields.  Where realize built the
@@ -977,7 +961,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     A node is one candidate row generated and tested, one level filled by
     its start, or one state E_t, t >= 1, that its quotient decides with a
     count that is not 0, each charged by the state that spends it; a level
-    that the table ends or cuts away costs none.  A check with a
+    that its cut ends or cuts away costs none.  A check with a
     general-linear block costs at least one node, one without none.  A
     check whose total would exceed the cap returns an explicit skip with
     ``nodes == cap + 1``, never a wrong count.
@@ -1008,10 +992,9 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         g = real.gram
         if E is None:  # a modelled root: ker e cap im e^a, read from the chains
             window = _root_window(real.partition, a)
-        else:  # E^perp cap e^{-1}(E), as e^{-1}(E) = (ann(E) e)^perp, cut to im e^a
-            window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ real.e % p]), p)
-            if low:
-                window = nullspace(window[:, low].T, p) @ window % p
+        else:  # E^perp cap e^{-1}(E) cap im e^a, as e^{-1}(E) = (ann(E) e)^perp
+            units = np.eye(real.dim, dtype=np.int64)[low]  # zero at heights < a
+            window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ real.e % p, units]), p)
         batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
         siblings = (_siblings(real, levi, F1, X, t + 1) for F1, X in batches)
         return sum(count(child, t + 1, value) for batch in siblings for child, value in batch)

@@ -70,12 +70,7 @@ def induced_shape(levi: LeviType) -> Partition:
     general-linear block of size at least ``j`` twice, plus one while
     ``j <= q``, so the odd entries are exactly the first ``q``."""
     top = max([levi.q] + list(levi.ps), default=0)
-    raw: list[int] = []
-    for j in range(1, top + 1):
-        d = 2 * sum(1 for x in levi.ps if x >= j) + (1 if j <= levi.q else 0)
-        if d == 0:
-            break
-        raw.append(d)
+    raw = [2 * sum(1 for x in levi.ps if x >= j) + (j <= levi.q) for j in range(1, top + 1)]
     for j, d in enumerate(raw):
         if (d % 2 == 1) != (j < levi.q):
             raise InvariantError(f"raw parity pattern broken for {levi}")

@@ -43,11 +43,15 @@ class Family(enum.Enum):
         """Parity of the dimension of the natural representation."""
         return 1 if self is Family.B else 0
 
+    @property
+    def held_parity(self) -> int:
+        """Parity of the parts held to even multiplicity: even (0) for B
+        and D, odd (1) for C."""
+        return 1 if self is Family.C else 0
+
     def needs_even_multiplicity(self, part: int) -> bool:
         """Whether a part of this value is forced to even multiplicity."""
-        if self is Family.C:
-            return part % 2 == 1
-        return part % 2 == 0
+        return part % 2 == self.held_parity
 
 
 def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
@@ -113,24 +117,32 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def is_valid(p: Partition, family: Family) -> bool:
-    """Whether ``p`` labels a nilpotent orbit of the given family.
+def invalid_reason(p: Partition, family: Family) -> str | None:
+    """Why ``p`` labels no nilpotent orbit of the given family, or None
+    when it labels one.
 
     Checks the total-size parity (odd for B, even for C and D), then walks
-    the runs of equal parts once: a run of the parity held to even
-    multiplicity (even parts for B and D, odd for C) must have even length.
+    the runs of equal parts once, from the largest: a run of the parity
+    held to even multiplicity (even parts for B and D, odd for C) must have
+    even length, and the first that does not is named.
     """
     if p.n % 2 != family.size_parity:
-        return False
-    held = family.needs_even_multiplicity(1)  # True when that parity is odd
+        return f"total {p.n} has the wrong parity for family {family.value}"
+    held = family.held_parity
     value = run = 0
-    for x in p.parts:
+    for x in (*p.parts, 0):  # the 0 closes the last run
         if x != value:
             if run % 2 and value % 2 == held:
-                return False
+                return f"part {value} must occur an even number of times in family {family.value}"
             value, run = x, 0
         run += 1
-    return not (run % 2 and value % 2 == held)
+    return None
+
+
+def is_valid(p: Partition, family: Family) -> bool:
+    """Whether ``p`` labels a nilpotent orbit of the given family: it has
+    no invalid_reason."""
+    return invalid_reason(p, family) is None
 
 
 def transpose(p: Partition) -> Partition:
@@ -159,7 +171,7 @@ def collapse(p: Partition, family: Family) -> Partition:
         raise ValueError(
             f"total {p.n} has the wrong parity for family {family.value}"
         )
-    held = family.needs_even_multiplicity(1)
+    held = family.held_parity
     parts = list(p.parts)
     i = 0
     while i < len(parts):
@@ -183,7 +195,7 @@ def collapse(p: Partition, family: Family) -> Partition:
 def _generate(n: int, family: Family | None) -> tuple[Partition, ...]:
     """The partitions of ``n`` in decreasing lexicographic order; with a
     family, only its valid ones, generated directly."""
-    held = None if family is None else family.needs_even_multiplicity(1)
+    held = None if family is None else family.held_parity
     out: list[Partition] = []
 
     def rec(remaining: int, top: int, acc: tuple[int, ...]) -> None:

@@ -2,8 +2,8 @@
 in the terminal summary, where capture can't swallow them, runs code
 snippets in a ``python -O`` child, counts the oracle's eliminations by call
 site, and holds the brute-force reference routes (the dominance order
-among them; validity, the collapse and the valid partitions by their
-definitions; and the from-scratch block grammar), the segmentation's
+among them; validity, the reason a partition is invalid, the collapse and
+the valid partitions by their definitions; and the from-scratch block grammar), the segmentation's
 partition and block count, and subspace helpers that several test files
 check the package against."""
 import os
@@ -116,6 +116,18 @@ def reference_is_valid(p, family):
     return all(
         p.parts.count(v) % 2 == 0 for v in set(p.parts) if family.needs_even_multiplicity(v)
     )
+
+
+def reference_invalid_reason(p, family):
+    """Why ``p`` is not valid, the direct way, or None when it is: the
+    total's parity, then the largest value held to even multiplicity that
+    a ``count`` finds with odd multiplicity."""
+    if p.n % 2 != family.size_parity:
+        return f"total {p.n} has the wrong parity for family {family.value}"
+    for v in sorted(set(p.parts), reverse=True):
+        if family.needs_even_multiplicity(v) and p.parts.count(v) % 2 != 0:
+            return f"part {v} must occur an even number of times in family {family.value}"
+    return None
 
 
 def reference_collapse(p, family):

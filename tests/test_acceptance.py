@@ -154,8 +154,9 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # reads its discriminants from the partition (_root_disc), and its
     # realization builds no array.  A check that the root leaves makes none
     # for its first window either: ker e cap im e^a is read from the Jordan
-    # chains (_root_window).  A later level's window takes two, and one
-    # more where the floor table cuts it.  A state past the root counted on
+    # chains (_root_window).  A later level's window takes two: the
+    # nullspace of E, and one of [E g; ann(E) e] with the cut's unit rows
+    # in it.  A state past the root counted on
     # its quotient by _state_count takes one nullspace, no rank of G_0 (it
     # reads that the quotient's form is nondegenerate from det g, rank E
     # and E g E^T), and one rref of each G_a, 0 < a < s_t, unless
@@ -207,8 +208,8 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
                 f" after {spent} nodes"
             )
         assert (checks, len(skipped), nodes) == (180, 0, 260)
-        assert eliminations == dict(zip(ELIMINATION_SITES, (0, 36, 46, 0, 0)))
-        assert sum(eliminations.values()) == 82
+        assert eliminations == dict(zip(ELIMINATION_SITES, (0, 24, 46, 0, 0)))
+        assert sum(eliminations.values()) == 70
         assert (len(read), sum(n for n, _ in read), sum(made for _, made in read)) == (56, 86, 0)
         wide = []
         for fam, sizes in ((Family.B, (13, 15, 17)), (Family.C, (12, 14, 16)), (Family.D, (12, 14, 16))):

@@ -52,7 +52,6 @@ from nilorbit.ff_oracle import (
     _check_model,
     _cut,
     _enumerate,
-    _floors,
     _model,
     _peel,
     _validate,
@@ -1159,9 +1158,9 @@ class TestHoist:
     # have their last level counted on the quotient ("b": _state_count
     # counts it with no row of it generated), each against the un-hoisted
     # reference.  The paths are pinned with only the last level counted on
-    # the quotient (last_level_only) and with the floor table's cut off,
-    # since it prunes first.  With all on, the count is the same and takes
-    # at most as many nodes as the reference.
+    # the quotient (last_level_only) and with the cut off, since it prunes
+    # first.  With all on, the count is the same and takes at most as many
+    # nodes as the reference.
     LOOKAHEAD = [
         ("a", Family.B, "3,3,1", "1,2;1"),
         ("a", Family.B, "4,4,1", "1,3;1"),  # count 0
@@ -1190,7 +1189,7 @@ class TestHoist:
 
         watch_states(monkeypatch, lambda real, levi, t, value: counted.append(value))
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
-        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda p, levi, t: 0)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (full.count, full.skipped) == (want, None)
         assert max(full.nodes, got.nodes) <= ref_nodes
@@ -1208,10 +1207,10 @@ class TestHoist:
     # last filled by its start, none enumerated; "m", states of a middle
     # level (0 < t < k - 1) counted 0 on their quotients.  The references
     # for C 6,1,1,1,1 and D 7,3,1,1 take 5 s and 0.5 s at p=5, so they run
-    # at p=3 only.  The paths are pinned with the floor table off (no row
-    # in it), as it cuts the windows before the fills see them, and with
-    # only the last level counted on the quotient (last_level_only), as the
-    # quotient count decides some levels before the fills see them.  With
+    # at p=3 only.  The paths are pinned with the cut off, as it cuts the
+    # windows before the fills see them, and with only the last level
+    # counted on the quotient (last_level_only), as the quotient count
+    # decides some levels before the fills see them.  With
     # all on, the count is the same and takes at most as many nodes.
     CHAINS = [
         ("c", Family.C, "6,1,1,1,1", "1,1,1;4", (3,)),
@@ -1247,7 +1246,7 @@ class TestHoist:
 
         watch_states(monkeypatch, seen)
         monkeypatch.setattr(ff_oracle, "_last_row_batches", spy_batches)
-        monkeypatch.setattr(ff_oracle, "_floors", lambda p, levi, t: [])
+        monkeypatch.setattr(ff_oracle, "_cut", lambda p, levi, t: 0)
         got = _enumerate(real, levi, DEFAULT_BUDGET)
         assert (got.count, got.skipped) == (pruned.count, pruned.skipped) == (want, None)
         assert pruned.nodes <= got.nodes <= ref_nodes
@@ -1291,7 +1290,7 @@ class TestHoist:
         "for _ in range(2):\n"
         "    print(raises('4,2', Family.C, '1,1;2', {(0, 4): 1, (4, 0): 1}))\n"
         f"    print(raises('6,2', Family.C, '1,1,1;2', {MID_RUN}))\n"
-        "    ff_oracle._cut = lambda floor, d: 0\n"
+        "    ff_oracle._cut = lambda p, levi, t: 0\n"
     )
 
     def corrupted(self):
@@ -1344,7 +1343,7 @@ class TestHoist:
         levi = L("1,1;2", Family.C)
         want = ("the form is not e-invariant", "g^T != eps g mod 3", [("start", 0, 0)])
         assert self.raised_after(real, levi) == want
-        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda p, levi, t: 0)
         assert self.raised_after(real, levi) == want
 
     def test_decided_level_keeps_the_orthogonality_check(self, monkeypatch):
@@ -1355,7 +1354,7 @@ class TestHoist:
         levi = L("1,1,1;2", Family.C)
         want = ("the form is not e-invariant", "g^T != eps g mod 3", [("start", 0, 0)])
         assert self.raised_after(real, levi) == want
-        monkeypatch.setattr(ff_oracle, "_cut", lambda floor, d: 0)
+        monkeypatch.setattr(ff_oracle, "_cut", lambda p, levi, t: 0)
         last_level_only(monkeypatch)
         assert self.raised_after(real, levi) == want
 
@@ -1545,6 +1544,63 @@ class TestStart:
         assert wrong
 
 
+def floor_row(p, levi, t):
+    """Row t of the floor table: m_a = d - floor(slack_a / 2) for a = 1 ..
+    max(p) - 1, the least dim(E_{t+1} cap im e^a) of any counted flag
+    (_enumerate), with d = dim E_{t+1} = p_1 + ... + p_{t+1} and slack_a =
+    dim ker e^a - S_a: dim ker e^a = sum of min(d_j, a) over the parts d_j,
+    and S_a the sum of the a largest steps of the chain p_{t+2}, ..., p_k,
+    q, p_k, ..., p_{t+2} left below E_{t+1}."""
+    d = sum(levi.ps[: t + 1])
+    chain = sorted(levi.ps[t + 1 :] * 2 + (levi.q,), reverse=True)
+    return [d - (sum(min(x, a) for x in p.parts) - sum(chain[:a])) // 2 for a in range(1, p.parts[0])]
+
+
+def floor_cut(floor, d):
+    """The cut that a row of the floor table gives a flag space of
+    dimension d: the largest a whose floor is d, which puts the whole space
+    in im e^a (0 for none), or None when some floor exceeds d, so that no
+    flag exists."""
+    top = max(floor, default=0)
+    if top > d:
+        return None
+    return len(floor) - floor[::-1].index(d) if top == d else 0
+
+
+def cut_sweep(oracle):
+    """(levels, wrong): ``oracle``'s _cut against the floor table's cut on
+    every level t < k of every Levi of every B/C/D orbit with N <= 14;
+    wrong lists each level where they differ."""
+    levels, wrong = 0, []
+    for fam in (Family.B, Family.C, Family.D):
+        for n in range(2 - fam.size_parity, 15, 2):
+            for orbit in enumerate_valid(n, fam):
+                for levi in enumerate_levis(n, fam):
+                    for t in range(len(levi.ps)):
+                        levels += 1
+                        want = floor_cut(floor_row(orbit, levi, t), sum(levi.ps[: t + 1]))
+                        if oracle._cut(orbit, levi, t) != want:
+                            wrong.append((fam, orbit, levi, t))
+    return levels, wrong
+
+
+class TestCut:
+    LEVELS = 23238  # (orbit, Levi, level) triples of cut_sweep
+
+    def test_cut_is_the_floor_table_cut(self):
+        # The floor m_a = d - floor(slack_a / 2) equals d exactly when 0 <=
+        # slack_a <= 1 and exceeds it exactly when slack_a < 0, so the
+        # inequality that _cut reads is the floor table's cut, for any d.
+        levels, wrong = cut_sweep(ff_oracle)
+        assert wrong == []
+        assert levels == self.LEVELS
+
+    def test_a_wider_slack_fails(self, monkeypatch):
+        # slack_a = 2 leaves a floor d - 1: E_{t+1} need not lie in im e^a.
+        _, wrong = cut_sweep(mutant_oracle(monkeypatch, "if kernel - top <= 1:", "if kernel - top <= 2:"))
+        assert wrong
+
+
 class TestLookAhead:
     # prime: windows the enumeration passes to _last_row_batches
     PASSED = {3: 157, 5: 114}
@@ -1578,7 +1634,7 @@ class TestLookAhead:
                 assert len(rref(e_perp, p)[1]) == rank_e - meet, case
                 assert W.shape[0] <= c - d + 2 * meet, case
                 states += 1
-                a = _cut(_floors(real.partition, levi, t), dims[t])
+                a = _cut(real.partition, levi, t)
                 start = reference_start(real, levi, E, t)
                 if a is not None and start is not None:
                     W = nullspace(W[:, heights < a].T, p) @ W % p
@@ -1630,8 +1686,8 @@ class TestLookAhead:
                         forced = reference_forced_subspaces(real.e, 2 * k + (levi.q > 0), k, p)
                         dims = list(itertools.accumulate(levi.ps))
                         for t, d in enumerate(dims):
-                            floor = _floors(orbit, levi, t)
-                            a = _cut(floor, d)
+                            floor = floor_row(orbit, levi, t)
+                            a = _cut(orbit, levi, t)
                             assert a is not None, (orbit, levi, t)
                             cut += bool(a)
                             for flag in counted:
@@ -1659,9 +1715,8 @@ class TestLookAhead:
                     for _, levi in pseudo_polarizations(orbit, fam):
                         if _peel(orbit.parts, levi.ps, levi.q) is not None:
                             continue
-                        dims = list(itertools.accumulate(levi.ps))
-                        for t in range(len(dims) - 1):
-                            a = _cut(_floors(orbit, levi, t), dims[t])
+                        for t in range(len(levi.ps) - 1):
+                            a = _cut(orbit, levi, t)
                             assert a is not None and a >= 1, (fam, orbit, levi, t)
                             levels += 1
                         checks += 1
@@ -1676,7 +1731,7 @@ class TestLookAhead:
         # of E^perp/E, so none exist when that side exceeds N' - (the a
         # largest steps): the un-hoisted reference must count no flag below
         # such an E.  The floor table rests on this bound: E fails it exactly
-        # when dim(E cap im e^a) falls below a floor of its row (_floors).
+        # when dim(E cap im e^a) falls below a floor of its row (floor_row).
         p = q
         dropped = 0
         for real, levi, reached in _swept_states(q):
@@ -1689,7 +1744,7 @@ class TestLookAhead:
                 steps = sorted(levi.ps[t:] * 2 + (levi.q,), reverse=True)
                 perp = nullspace(E @ g % p, p)
                 dead = below_floor = False
-                for (a, power), floor in zip(enumerate(powers, 1), _floors(real.partition, levi, t - 1), strict=True):
+                for (a, power), floor in zip(enumerate(powers, 1), floor_row(real.partition, levi, t - 1), strict=True):
                     rank_a = len(rref(power, p)[1])
                     meet = d + rank_a - len(rref(np.vstack([E, power.T]), p)[1])
                     exact = len(rref(np.vstack([E, perp @ power.T % p]), p)[1]) - d

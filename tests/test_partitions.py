@@ -1,18 +1,30 @@
+import inspect
+import sys
+import types
+
 import numpy as np
 import pytest
-from conftest import dominance_leq, reference_collapse, reference_enumerate_valid, reference_is_valid
+from conftest import (
+    dominance_leq,
+    reference_collapse,
+    reference_enumerate_valid,
+    reference_invalid_reason,
+    reference_is_valid,
+)
 
 from nilorbit import (
     Family,
     Partition,
     collapse,
     enumerate_valid,
+    invalid_reason,
     is_valid,
     orbit_dim,
     parse_partition,
     partitions_of,
     transpose,
 )
+from nilorbit import partitions
 
 
 def P(text: str) -> Partition:
@@ -178,8 +190,9 @@ class TestCollapse:
 
 
 class TestReferenceRoutes:
-    """The one-pass validity check and collapse and the direct enumeration
-    equal the routes by definition (``conftest``), over every partition."""
+    """The one-pass validity check, its reason and the collapse and the
+    direct enumeration equal the routes by definition (``conftest``), over
+    every partition."""
 
     def test_is_valid_and_collapse(self):
         for n in range(25):
@@ -188,6 +201,38 @@ class TestReferenceRoutes:
                     assert is_valid(p, fam) == reference_is_valid(p, fam), (p, fam)
                     if n % 2 == fam.size_parity:
                         assert collapse(p, fam) == reference_collapse(p, fam), (p, fam)
+
+    @staticmethod
+    def reason_mismatches(reason):
+        """The (partition, family) pairs with N <= 20 on which ``reason``
+        differs from the reference invalid-input reason."""
+        return [
+            (p, fam)
+            for n in range(21)
+            for p in partitions_of(n)
+            for fam in Family
+            if reason(p, fam) != reference_invalid_reason(p, fam)
+        ]
+
+    def test_invalid_reason(self):
+        # One rule behind is_valid and `nilorbit validate`: the total's
+        # parity, then the first bad run from the largest part down.
+        assert self.reason_mismatches(invalid_reason) == []
+        assert invalid_reason(P("4,4,2,1"), Family.B) == "part 2 must occur an even number of times in family B"
+        assert invalid_reason(P("3,1,1"), Family.B) is None
+
+    def test_smallest_bad_part_mutant_fails(self, monkeypatch):
+        # A walk from the smallest part names the smallest bad value, which
+        # differs on every partition with two bad values, such as B 4,2,1.
+        source = inspect.getsource(partitions)
+        old, new = "for x in (*p.parts, 0):", "for x in (*p.parts[::-1], 0):"
+        assert source.count(old) == 1
+        name = "nilorbit._partitions_mutant"
+        mutant = types.ModuleType(name)
+        monkeypatch.setitem(sys.modules, name, mutant)  # dataclasses look it up
+        exec(compile(source.replace(old, new), partitions.__file__, "exec"), mutant.__dict__)
+        wrong = self.reason_mismatches(mutant.invalid_reason)
+        assert (P("4,2,1"), Family.B) in wrong
 
     def test_enumerate_valid_is_the_filtered_partitions(self):
         for fam in Family:
