@@ -572,90 +572,80 @@ def _shape_count(
     return _flag_sum(p, symplectic, ones, steps, twos, split)
 
 
-def _quotient_count(
-    real: JordanRealization, levi: LeviType, t: int, s: int,
-    rank: Callable[[int], int], disc: Callable[[int], int],
-) -> int | None:
-    """The tail of _state_count that _siblings shares: the flags through a
-    state E = E_t of dimension d, other than a modelled root, from the form
-    G_a = <x, e^a y> on E^perp, given by rank(a) = rank G_a and disc(a), the
-    det of its nondegenerate part, for 0 < a <= s = 2(k - t) + [q > 0].
+def _state_count(
+    real: JordanRealization, levi: LeviType, E: np.ndarray | None, t: int, reading: tuple | None = None
+) -> int | tuple[np.ndarray, int]:
+    """The flags through a state E = E_t of _enumerate (rows spanning it,
+    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0, None if modelled
+    or read in its batch) when the peel decides them, else the state's
+    start E + e^(s-1)(E^perp), the forced subspace of its next level
+    (_enumerate), and its dimension.  The rest of such a flag lies in
+    E^perp, as E_k does, and is a flag of the induced e' on V' =
+    E^perp/E for the Levi (p_{t+1}, ..., p_k; q): isotropy carries over,
+    e(E_i) <= E_{i-1} iff e' lowers E_i/E into E_{i-1}/E, and e(E_k^perp)
+    <= E_k iff e' maps (E_k/E)^perp = E_k^perp/E into E_k/E.  So the count
+    is the peel's (_peel) for the Jordan type of e' and those steps, in
+    closed form (_shape_count) from the discriminants disc(a) of e'.
+
+    This is the one place where a state becomes its count or its start.
+    What it needs of e' is the state's reading, three callables on the
+    form G_a = <x, e^a y> on E^perp, whose radical holds E: rank(a) = rank
+    G_a = rank e'^a for 0 < a <= s = 2(k - t) + [q > 0], disc(a), the det
+    of the nondegenerate part of G_a, for a >= 0, and start(), which builds
+    the start only when it is called.  A reading comes from one of three
+    places.  At E = 0 of a modelled realization, V' = V: the Jordan type
+    is real's partition, disc is _root_disc, and the start is im e^(s-1),
+    the Jordan coordinates of height >= s - 1 (_heights), none of which
+    reads an array.  A batch of siblings whose shared rows are Jordan
+    coordinates is read from the orbit's signed maps (_siblings), which
+    hands its readings in as ``reading``.  Every other state is read by
+    elimination (_elimination_reading).
+
     rank(s) is read first, and only for whether G_s != 0, which leaves a
     part of e' above s, so that no flag goes through E: 0.  Otherwise the
     ranks r_a, with r_0 = n - 2d and r_s = 0, give m_j = r_{j-1} - 2 r_j +
-    r_{j+1} parts j of e', and disc(0) is (-1)^d det g, as E + E* adds d
-    hyperbolic planes.  Returns the peel's count (_shape_count), or None
-    where the peel does not decide."""
-    if rank(s):  # a part of e' exceeds s
-        return 0
-    steps, q, d = levi.ps[t:], levi.q, sum(levi.ps[:t])
-    ranks = [real.dim - 2 * d] + [rank(a) for a in range(1, s)] + [0, 0]
-    parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
-
-    def quotient_disc(a: int) -> int:
-        if not a:
-            return (-1) ** d * real.det_g
-        return disc(a)
-
-    return _shape_count(real, _peel(parts, steps, q), quotient_disc)
-
-
-def _state_count(
-    real: JordanRealization, levi: LeviType, E: np.ndarray | None, t: int
-) -> int | tuple[np.ndarray, int]:
-    """The flags through a state E = E_t of _enumerate (rows spanning it,
-    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0, None if modelled)
-    when the peel decides them, else the state's start E + e^(s-1)(E^perp),
-    the forced subspace of its next level (_enumerate), and its dimension.
-    The rest of such a flag lies in E^perp, as E_k does, and is a flag of
-    the induced e' on V' = E^perp/E for the Levi (p_{t+1}, ..., p_k; q):
-    isotropy carries over, e(E_i) <= E_{i-1} iff e' lowers E_i/E into
-    E_{i-1}/E, and e(E_k^perp) <= E_k iff e' maps (E_k/E)^perp = E_k^perp/E
-    into E_k/E.  So the count is the peel's (_peel) for the Jordan type of
-    e' and those steps, in closed form (_shape_count) from the
-    discriminants disc(a) of e'.
-
-    At E = 0 of a modelled realization, V' = V: the Jordan type is real's
-    partition, disc is _root_disc, and the start is im e^(s-1), the Jordan
-    coordinates of height >= s - 1 (_heights), none of which reads an array.
-    Otherwise all of them come from products on a basis Q of E^perp, one
-    nullspace of E g.  G_a = Q g e^a Q^T is the form <x, e^a y> on E^perp.
-    E lies in its radical, so rank G_a = rank e'^a.  V' must carry a
-    nondegenerate form, rank G_0 = dim V' = n - 2d, else InvariantError
-    names the clause below that failed.  For nondegenerate g, rank G_0 =
-    (n - r) - dim(E cap E^perp) with r = rank E, and every state _enumerate
-    passes has exactly d independent rows, so rank G_0 = n - 2d exactly when
-    r = d and E is isotropic.  So no rank of G_0 is taken: the check is
-    det g != 0 mod p (det_g), r = n - (rows of Q) = d, and E g E^T = 0 mod
-    p, one small product on the E g at hand.  Where r > d, or g is
-    degenerate (only a realization changed by replace), it raises wherever
-    rank G_0 != n - 2d would, and more.
-
-    With s = 2(k - t) + [q > 0], the count comes from the tail that
-    _siblings shares (_quotient_count): G_s != 0 leaves a part of e' above
-    s, which no flag allows, so the count is 0; else the ranks r_a = rank
-    G_a, taken by rref, give the Jordan type of e', and disc(a) is read from
-    G_a on the pivots that the ranks found.  A start left there is E plus
-    e^(s-1) x for the rows x of Q at the pivots of G_{s-1}, of dimension d
-    + r_{s-1}: G_{s-1} is symmetric or alternating, so those rows of it are
-    independent, and so are those e^(s-1) x modulo E.  G_{s-1} = 0 leaves
-    E itself, of dimension d.
-
-    _enumerate reads the states of a batch whose shared rows are Jordan
-    coordinates from the orbit's signed maps instead (_siblings), with no
-    elimination; this route counts the others, and the states of a form
-    given to the realization."""
+    r_{j+1} parts j of e'.  The root reads its partition as it is."""
     steps, q = levi.ps[t:], levi.q
     s = 2 * len(steps) + (q > 0)
     if not t and real.form is None:
-        disc = functools.partial(_root_disc, real.partition, real.family)
-        value = _shape_count(real, _peel(real.partition.parts, steps, q), disc)
-        if value is not None:
-            return value
-        top = [c for c, h in enumerate(_heights(real.partition)) if h >= s - 1]
-        return np.eye(real.dim, dtype=np.int64)[top], len(top)
+        parts, disc = real.partition.parts, functools.partial(_root_disc, real.partition, real.family)
+
+        def start() -> tuple[np.ndarray, int]:
+            top = [c for c, h in enumerate(_heights(real.partition)) if h >= s - 1]
+            return np.eye(real.dim, dtype=np.int64)[top], len(top)
+    else:
+        d = sum(levi.ps[:t])
+        rank, disc, start = reading or _elimination_reading(real, levi, E, d, s)
+        if rank(s):  # a part of e' exceeds s
+            return 0
+        ranks = [real.dim - 2 * d] + [rank(a) for a in range(1, s)] + [0, 0]
+        parts = tuple(j for j in range(s, 0, -1) for _ in range(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]))
+    value = _shape_count(real, _peel(parts, steps, q), disc)
+    return start() if value is None else value
+
+
+def _elimination_reading(real: JordanRealization, levi: LeviType, E: np.ndarray, d: int, s: int) -> tuple:
+    """_state_count's reading of a state E of dimension d, s as there, by
+    elimination: products on a basis Q of E^perp, one nullspace of E g,
+    give G_a = Q g e^a Q^T for 0 < a <= s.  rank(a) < s is G_a's by rref,
+    on demand, and rank(s) only whether G_s != 0; disc(a) is read from G_a
+    on the pivots that its rank found, as G_a's principal block there is
+    nonsingular, and disc(0) is (-1)^d det g, as E + E* adds d hyperbolic
+    planes.  start() is E plus e^(s-1) x for the rows x of Q at the pivots
+    of G_{s-1}, of dimension d + r_{s-1}: G_{s-1} is symmetric or
+    alternating, so those rows of it are independent, and so are those
+    e^(s-1) x modulo E.  G_{s-1} = 0 leaves E itself, of dimension d.
+
+    V' = E^perp/E must carry a nondegenerate form, rank G_0 = dim V' = n -
+    2d, else InvariantError names the clause below that failed.  For
+    nondegenerate g, rank G_0 = (n - r) - dim(E cap E^perp) with r = rank
+    E, and every state _enumerate passes has exactly d independent rows,
+    so rank G_0 = n - 2d exactly when r = d and E is isotropic.  So no rank
+    of G_0 is taken: the check is det g != 0 mod p (det_g), r = n - (rows
+    of Q) = d, and E g E^T = 0 mod p, one small product on the E g at
+    hand.  Where r > d, or g is degenerate (only a realization changed by
+    replace), it raises wherever rank G_0 != n - 2d would, and more."""
     p, g, e = real.modulus, real.gram, real.e
-    d = sum(levi.ps[:t])
     Eg = E @ g % p
     Q = nullspace(Eg, p)
     r = real.dim - Q.shape[0]  # rank E g, which is rank E when det g != 0
@@ -676,18 +666,23 @@ def _state_count(
     for _ in range(s):
         Qg = Qg @ e % p
         grams.append(Qg @ Q.T % p)
-    pivots = functools.cache(lambda a: rref(grams[a - 1], p)[1])  # of G_a, a < s, on demand
-    value = _quotient_count(
-        real, levi, t, s, lambda a: len(pivots(a)) if a < s else grams[-1].any(),
-        # G_a's principal block on its pivots is nonsingular
-        lambda a: det(grams[a - 1][np.ix_(pivots(a), pivots(a))], p),
-    )
-    if value is not None:
-        return value
-    top = Q[pivots(s - 1)]  # e^(s-1) of these rows spans the start modulo E
-    for _ in range(s - 1):
-        top = top @ e.T % p
-    return np.vstack([E, top]), d + top.shape[0]
+
+    @functools.cache
+    def pivots(a: int) -> list[int]:
+        return rref(grams[a - 1], p)[1]
+
+    def disc(a: int) -> int:
+        if not a:
+            return (-1) ** d * real.det_g
+        return det(grams[a - 1][np.ix_(pivots(a), pivots(a))], p)
+
+    def start() -> tuple[np.ndarray, int]:
+        top = Q[pivots(s - 1)]  # e^(s-1) of these rows spans the start modulo E
+        for _ in range(s - 1):
+            top = top @ e.T % p
+        return np.vstack([E, top]), d + top.shape[0]
+
+    return lambda a: len(pivots(a)) if a < s else grams[-1].any(), disc, start
 
 
 @functools.lru_cache(maxsize=None)
@@ -713,12 +708,11 @@ def _signed_map(p: Partition, family: Family, a: int) -> Mapping[int, tuple[int,
 
 def _siblings(
     real: JordanRealization, levi: LeviType, F1: np.ndarray, X: np.ndarray, t: int
-) -> list[tuple[np.ndarray | None, int | tuple[np.ndarray, int] | None]]:
-    """(E, value) for each state E = F1 + <x> of level t, x a row of X,
-    where value is _state_count's for E when the batch is read at once
-    from the orbit's signed maps (_signed_map), with no elimination, and
-    None otherwise: then _enumerate counts E through _state_count.  E is
-    None where value is a count, which reads no row of it.
+) -> list[tuple | None]:
+    """_state_count's reading of each state E = F1 + <x> of level t, x a
+    row of X, from the orbit's signed maps (_signed_map) with no
+    elimination when the batch is read at once, and None otherwise: then
+    _state_count reads E by elimination.
 
     The batch is read at once when realize built real and F1 is Jordan
     coordinates, rows with one nonzero entry each.  g pairs the coordinate
@@ -732,34 +726,34 @@ def _siblings(
     alternating, so when phi is outside its row space, which the
     coordinates of S span, the rank stays h_a and so does the det, as a y
     in the radical with phi(y) = 1 moves the nondegenerate part into ker
-    phi.  Otherwise phi
-    = B(y, .) for y_i = phi_j B[i, j], and c = B(y, y) = sum of B[i, j]
-    phi_i phi_j over the entries: c != 0 splits F1^perp as <y> + ker phi,
-    so the rank is h_a - 1 and the det gains c (modulo squares); c = 0
-    puts y in the radical of B on ker phi and takes the hyperbolic plane
-    of y and a w with B(y, w) = 1 out of the nondegenerate part, so the
-    rank is h_a - 2 and the det gains -1.  The ranks and dets of
-    G_1, .., G_s then feed _state_count's tail (_quotient_count).  With two
-    or more levels left, G_1 != 0 = G_{s-1} says that no part is s and not
-    every part is 1, where the peel does not decide, and hands back E as its
-    start, as _state_count finds from its ranks; a state whose start the
-    peel leaves larger is left to _state_count.
+    phi.  Otherwise phi = B(y, .) for y_i = phi_j B[i, j], and c = B(y, y)
+    = sum of B[i, j] phi_i phi_j over the entries: c != 0 splits F1^perp
+    as <y> + ker phi, so the rank is h_a - 1 and the det gains c (modulo
+    squares); c = 0 puts y in the radical of B on ker phi and takes the
+    hyperbolic plane of y and a w with B(y, w) = 1 out of the
+    nondegenerate part, so the rank is h_a - 2 and the det gains -1.  The
+    ranks and dets of G_1, .., G_s, with disc(0) = (-1)^d det g as E + E*
+    adds d hyperbolic planes, are the reading.  Its start() builds the
+    rows of E, and is E itself when G_{s-1} = 0, with no elimination;
+    otherwise it is the start that the elimination reading of E builds
+    (_elimination_reading), from one nullspace of E g and one rref of
+    G_{s-1}.
 
     That reading needs E^perp/E to carry a nondegenerate form: det g != 0
     mod p, F1 d - 1 distinct coordinates (d = dim E), each row x outside F1
     (phi != 0 on F1^perp), and E isotropic: no coordinate of F1 paired with
     one of F1, and each x orthogonal to F1 (zero at the coordinates paired
-    with it) and isotropic.  A state that fails one of these is left to
-    _state_count, whose check raises InvariantError naming the clause."""
+    with it) and isotropic.  A state that fails one of these is read by
+    elimination, whose check raises InvariantError naming the clause."""
     rows, coords = F1.nonzero()
     if real.form is not None or rows.tolist() != list(range(F1.shape[0])):  # not coordinates
-        return [(np.vstack([F1, x]), None) for x in X]
+        return [None] * X.shape[0]
     d, n, p = sum(levi.ps[:t]), real.dim, real.modulus
     g = _signed_map(real.partition, real.family, 0)
     coords = coords.tolist()
     paired = {g[c][0] for c in coords}
     if not real.det_g or len(paired) != d - 1 or not paired.isdisjoint(coords):
-        return [(np.vstack([F1, x]), None) for x in X]
+        return [None] * X.shape[0]
     perp = {j: (i, v) for i, (j, v) in g.items() if j not in paired}  # phi_j = x_i v on F1^perp
     s = 2 * (len(levi.ps) - t) + (levi.q > 0)
     forms = []  # per a = 1 .. s: (h_a, det, entries, coordinates of F1^perp outside S)
@@ -769,15 +763,20 @@ def _siblings(
         support = {i for i, _, _ in entries}
         disc = math.prod(v if i == j else -v * ga[j][1] for i, j, v in entries if i <= j)
         forms.append((len(entries), disc, entries, [j for j in perp if j not in support]))
+
+    def start(x: np.ndarray, grown: int) -> tuple[np.ndarray, int]:
+        E = np.vstack([F1, x])
+        return _elimination_reading(real, levi, E, d, s)[2]() if grown else (E, d)
+
     out = []
     for row, x in zip(X, X.tolist()):
         phi = [0] * n
         for j, (i, v) in perp.items():
             phi[j] = x[i] * v % p
         if any(x[j] for j in paired) or sum(f * xi for f, xi in zip(phi, x)) % p or not any(phi):
-            out.append((np.vstack([F1, row]), None))  # E not isotropic, or x in F1
+            out.append(None)  # E not isotropic, or x in F1
             continue
-        ranks, discs = [0], [1]
+        ranks, discs = [0], [(-1) ** d * real.det_g]
         for h, disc, entries, free in forms:
             if any(phi[j] for j in free):  # phi outside the row space of G_a
                 ranks.append(h)
@@ -786,12 +785,7 @@ def _siblings(
                 c = sum(v * phi[i] * phi[j] for i, j, v in entries) % p
                 ranks.append(h - 2 + bool(c))
                 discs.append(disc * (c or -1))
-        if len(levi.ps) - t > 1 and ranks[1] and not ranks[s - 1]:  # no part is s, not all are 1
-            E = np.vstack([F1, row])
-            out.append((E, (E, d)))
-            continue
-        value = _quotient_count(real, levi, t, s, ranks.__getitem__, discs.__getitem__)
-        out.append((None, value) if value is not None else (np.vstack([F1, row]), None))
+        out.append((ranks.__getitem__, discs.__getitem__, functools.partial(start, row, ranks[s - 1])))
     return out
 
 
@@ -854,7 +848,9 @@ def fiber_point_count(
     descriptor: at realize's root from its chains' units (_root_disc),
     so a root that decides reads no array; for a batch of states whose
     shared rows are Jordan coordinates from the signed partial permutations
-    g e^a (_siblings); elsewhere from g e^a by elimination.  A root that
+    g e^a (_siblings); elsewhere from g e^a by elimination
+    (_elimination_reading).  Each is a state's reading, which _state_count
+    alone turns into its count or its start.  A root that
     leaves its check to _enumerate takes no elimination either: its start
     and its first level's window are identity rows at Jordan coordinates.
     _peel, _flag_sum and the signed maps are computed once per argument per
@@ -936,9 +932,11 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     is the level's cut (_cut), read from (partition, Levi) alone, once per
     check (_levels), and the level's window is cut to im e^a: the nullspace
     that gives it also takes the unit rows at the heights < a (read from
-    the chains below a modelled root).  A slack_a < 0, or a start with an
-    entry at heights < a, counts 0, before anything else is done at the
-    level.
+    the chains below a modelled root).  A slack_a < 0 counts 0, before
+    anything else is done at the level.  No flag is lost where the start
+    has an entry at heights < a: every flag that the enumeration counts is
+    a real flag, whose E_{t+1} holds the start and lies in im e^a, so none
+    goes through such a start, and at worst nodes would be spent on it.
 
     A start whose dimension is dim E_{t+1} is E_{t+1}: the level is filled
     at one node.  Any other start is enumerated, one that overfills too: no
@@ -953,10 +951,11 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     row as soon as it fails isotropy, and the recursion goes into each
     E_{t+1} = F1 + <x> that it yields.  Where realize built the
     realization and F1 is Jordan coordinates, as below a modelled root, the
-    siblings of a batch are counted on their quotients at once, from the
-    signed maps g e^a with no elimination (_siblings): all of them with one
-    level left, and, before it, each that the peel decides or that hands
-    back E as its start.  The others go through _state_count one by one.
+    siblings of a batch are read on their quotients at once, from the
+    signed maps g e^a with no elimination (_siblings), and _state_count
+    turns each reading into its count or its start; such a sibling's rows
+    are built only for its start, which begins with them.  Every other
+    state is read by elimination (_elimination_reading).
 
     A node is one candidate row generated and tested, one level filled by
     its start, or one state E_t, t >= 1, that its quotient decides with a
@@ -966,16 +965,16 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     check whose total would exceed the cap returns an explicit skip with
     ``nodes == cap + 1``, never a wrong count.
     """
-    p, dims = real.modulus, list(itertools.accumulate(levi.ps))
+    p, dims = real.modulus, list(itertools.accumulate(levi.ps, initial=0))
     counter, levels = [0], None  # levels: _levels, once the root is not decided
 
-    def count(E: np.ndarray | None, t: int, value=None) -> int:
-        """The flags over E = E_t (rows spanning it; None for E_0 = 0) from
-        the level after it on, E_{t+1} of dimension dims[t] first.  value
-        is E's _state_count when its batch read it (_siblings), else None."""
+    def count(E: np.ndarray | None, t: int, reading: tuple | None = None) -> int:
+        """The flags over E = E_t (rows spanning it; None for E_0 = 0 of a
+        modelled realization, and for a state that its batch read) from
+        the level after it on, E_{t+1} of dimension dims[t + 1] first.
+        reading is E's reading when its batch read it (_siblings)."""
         nonlocal levels
-        if value is None:
-            value = _state_count(real, levi, E, t)
+        value = _state_count(real, levi, E, t, reading)
         if not isinstance(value, tuple):
             if t:  # a decided root costs the check's one node (below)
                 _charge(counter, bool(value), cap)
@@ -983,21 +982,24 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         levels = levels or _levels(real, levi)
         start, size = value
         cut = levels[t]  # the level's cut a and the coordinates outside im e^a
-        if cut is None or start[:, cut[1]].any():
+        if cut is None:
             return 0
-        if size == dims[t]:
+        if size == dims[t + 1]:
             _charge(counter, 1, cap)
             return count(start, t + 1)
         a, low = cut
         g = real.gram
-        if E is None:  # a modelled root: ker e cap im e^a, read from the chains
+        if not t and real.form is None:  # a modelled root: ker e cap im e^a, read from the chains
             window = _root_window(real.partition, a)
         else:  # E^perp cap e^{-1}(E) cap im e^a, as e^{-1}(E) = (ann(E) e)^perp
+            E = start[: dims[t]] if E is None else E  # a start begins with the rows of its E
             units = np.eye(real.dim, dtype=np.int64)[low]  # zero at heights < a
             window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ real.e % p, units]), p)
-        batches = _last_row_batches(start, window, dims[t], g, p, counter, cap)
-        siblings = (_siblings(real, levi, F1, X, t + 1) for F1, X in batches)
-        return sum(count(child, t + 1, value) for batch in siblings for child, value in batch)
+        batches = _last_row_batches(start, window, dims[t + 1], g, p, counter, cap)
+        return sum(
+            count(None if reading else np.vstack([F1, x]), t + 1, reading)
+            for F1, X in batches for x, reading in zip(X, _siblings(real, levi, F1, X, t + 1))
+        )
 
     try:
         value = count(None if real.form is None else np.zeros((0, real.dim), dtype=np.int64), 0)

@@ -23,7 +23,7 @@ from .blocks import BlockDecomposition, _special, decompose
 from .errors import InvariantError
 from .levi import LeviType, polarizations
 from .minimal import IndexEntry, _witnessed
-from .partitions import Family, Partition
+from .partitions import Family, Partition, _integers
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class EPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        cs = list(int(c) for c in coeffs)
+        cs = list(_integers(coeffs, "coefficient"))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -96,6 +96,9 @@ class GrassStep:
     n: int
 
     def __post_init__(self) -> None:
+        m, n = _integers((self.m, self.n), "step parameter")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         if self.kind not in ("OG", "IG"):
             raise ValueError(f"unknown step kind {self.kind!r}")
         if self.m < 0 or self.n < 0:

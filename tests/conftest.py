@@ -66,10 +66,11 @@ def count_eliminations(monkeypatch):
     it, in a dict that the calls update: the window of level 1 below a root
     (root window) and of a later level (level windows) in _enumerate,
     _last_row_batches' rref of the start and the window (batch rref), and
-    _state_count's nullspace of E g (state nullspace) and rref of each G_a
-    (G_a ranks), which its tail (_quotient_count) asks for.  A call from
-    anywhere else counts under its caller's name: the batches that
-    _siblings reads from the signed maps would show under theirs."""
+    the elimination reading's nullspace of E g (state nullspace) and rref
+    of each G_a (G_a ranks, made by its pivots on demand), whether
+    _state_count or a sibling's start asks for it.  A call from anywhere
+    else counts under its caller's name: the batches that _siblings reads
+    from the signed maps would show under theirs."""
     counts = dict.fromkeys(ELIMINATION_SITES, 0)
     reduce = _linalg._reduce
 
@@ -83,7 +84,7 @@ def count_eliminations(monkeypatch):
             site = "level windows" if caller.f_locals["t"] else "root window"
         elif site == "_last_row_batches":
             site = "batch rref"
-        elif site in ("_state_count", "_quotient_count"):  # the tail reads _state_count's ranks
+        elif site in ("_elimination_reading", "pivots"):  # pivots: the reading's rref of a G_a
             site = "state nullspace" if routine.f_code.co_name == "nullspace" else "G_a ranks"
         counts[site] = counts.get(site, 0) + 1
         return reduce(mat, p)

@@ -156,18 +156,18 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     # for its first window either: ker e cap im e^a is read from the Jordan
     # chains (_root_window).  A later level's window takes two: the
     # nullspace of E, and one of [E g; ann(E) e] with the cut's unit rows
-    # in it.  A state past the root counted on
-    # its quotient by _state_count takes one nullspace, no rank of G_0 (it
-    # reads that the quotient's form is nondegenerate from det g, rank E
-    # and E g E^T), and one rref of each G_a, 0 < a < s_t, unless
-    # G_{s_t - 1} = 0 already leaves it to the enumeration; a level that
-    # its start fills takes no elimination, as the count hands back the
-    # start's dimension.  But every state past the root here comes in a
-    # batch of siblings whose shared rows F1 are Jordan coordinates, and
-    # such a batch is read from the signed maps g e^a with no elimination
-    # (_siblings): its 74 states with one level left, and the 12 before it
-    # that hand back E as their start.  So the state nullspaces (86 before
-    # the batches were read at once) and the G_a ranks (80) are 0.  Beyond
+    # in it.  A state past the root read by elimination
+    # (_elimination_reading) takes one nullspace, no rank of G_0 (it reads
+    # that the quotient's form is nondegenerate from det g, rank E and E g
+    # E^T), and one rref of each G_a, 0 < a < s_t, unless G_{s_t} != 0
+    # already counts it 0; a level that its start fills takes no
+    # elimination, as the count hands back the start's dimension.  But
+    # every state past the root here comes in a batch of siblings whose
+    # shared rows F1 are Jordan coordinates, and such a batch is read from
+    # the signed maps g e^a with no elimination (_siblings): its 74 states
+    # with one level left, and the 12 before it whose start is E itself.
+    # So the state nullspaces (86 before the batches were read at once)
+    # and the G_a ranks (80) are 0.  Beyond
     # them, every Levi with one general-linear block at ranks 6-8 is
     # checked too: 308 checks, each decided in closed form at one node.
     eliminations = count_eliminations(monkeypatch)
@@ -176,7 +176,7 @@ def test_criterion_5_fiber_counts_over_finite_fields(monkeypatch):
     def spy(*args):
         before = sum(eliminations.values())
         out = siblings(*args)
-        read.append((sum(value is not None for _, value in out), sum(eliminations.values()) - before))
+        read.append((sum(reading is not None for reading in out), sum(eliminations.values()) - before))
         return out
 
     monkeypatch.setattr(ff_oracle, "_siblings", spy)

@@ -784,14 +784,16 @@ class TestCloses:
         assert wrong == []
         assert tuple(counts) == states
 
-    # Each mutant misreads the Jordan type of e' on some states and
-    # miscounts them at p = 3: s' = 2 + [q > 0] at every level, the reading
-    # that holds at the last one only, and a part above s let through,
-    # whose chain the ranks of G_1, .., G_{s-1} then misread.
-    # (old, new, states miscounted)
+    # Each mutant misreads e' on some states and miscounts them at p = 3:
+    # s' = 2 + [q > 0] at every level, the reading that holds at the last
+    # one only, and a part above s let through, whose chain the ranks of
+    # G_1, .., G_{s-1} then misread, misread its Jordan type; the
+    # elimination reading's disc(0) without (-1)^d, the hyperbolic planes
+    # of E + E*, misreads a split type.  (old, new, states miscounted)
     STATE_MUTANTS = {
         "s' at every level": ("s = 2 * len(steps) + (q > 0)\n    if", "s = 2 + (q > 0)\n    if", 37),
         "G_s test dropped": ("if rank(s):", "if False:", 14),
+        "(-1)^d dropped": ("return (-1) ** d * real.det_g", "return real.det_g", 93),
     }
 
     @pytest.mark.parametrize("mutant", list(STATE_MUTANTS))
@@ -1005,45 +1007,36 @@ def last_level_only(monkeypatch):
     reference_start has no start), and start every other level from
     reference_start, so that every level before the last is filled or
     enumerated and the tests of its fill, cut and window paths reach the
-    levels they pin.  A batch of siblings before the last level is left
-    to _state_count, state by state, so that none of them is read from the
-    batch's signed maps (_siblings)."""
-    count, siblings = ff_oracle._state_count, ff_oracle._siblings
+    levels they pin.  _state_count sees every state, those that a batch
+    read (_siblings) too: their rows are the first rows of the start that
+    their reading builds.  A start must begin with the rows of its state,
+    where _enumerate reads them, so reference_start's rows follow E's."""
+    count = ff_oracle._state_count
 
-    def state_count(real, levi, E, t):
-        start = None if t == len(levi.ps) - 1 else reference_start(real, levi, E, t)
-        return count(real, levi, E, t) if start is None else start
-
-    def last_siblings(real, levi, F1, X, t):
+    def state_count(real, levi, E, t, reading=None):
         if t == len(levi.ps) - 1:
-            return siblings(real, levi, F1, X, t)
-        return [(np.vstack([F1, x]), None) for x in X]
+            return count(real, levi, E, t, reading)
+        if E is None and t:
+            E = reading[2]()[0][: sum(levi.ps[:t])]
+        start = reference_start(real, levi, E, t)
+        if start is None:
+            return count(real, levi, E, t, reading)
+        return start if E is None else (np.vstack([E, start[0]]), start[1])
 
     monkeypatch.setattr(ff_oracle, "_state_count", state_count)
-    monkeypatch.setattr(ff_oracle, "_siblings", last_siblings)
 
 
 def watch_states(monkeypatch, seen):
-    """Call seen(real, levi, t, value) with each state's value, whichever
-    route reads it: _state_count's for each state it counts, and _siblings'
-    for each sibling it reads from its batch's signed maps (those it leaves
-    reach _state_count)."""
-    count, siblings = ff_oracle._state_count, ff_oracle._siblings
+    """Call seen(real, levi, t, value) with each state's value: _state_count
+    sees every state, whether its batch read it (_siblings) or not."""
+    count = ff_oracle._state_count
 
-    def spy_count(real, levi, E, t):
-        value = count(real, levi, E, t)
+    def spy_count(real, levi, E, t, reading=None):
+        value = count(real, levi, E, t, reading)
         seen(real, levi, t, value)
         return value
 
-    def spy_siblings(real, levi, F1, X, t):
-        out = siblings(real, levi, F1, X, t)
-        for _, value in out:
-            if value is not None:
-                seen(real, levi, t, value)
-        return out
-
     monkeypatch.setattr(ff_oracle, "_state_count", spy_count)
-    monkeypatch.setattr(ff_oracle, "_siblings", spy_siblings)
 
 
 def enumerate_levels(real, levi, cap):
@@ -1535,7 +1528,7 @@ class TestStart:
     # the root and past it: (old, new)
     START_MUTANTS = {
         "root": ("if h >= s - 1]", "if h >= s - 2]"),
-        "past the root": ("    for _ in range(s - 1):\n        top", "    for _ in range(s - 2):\n        top"),
+        "past the root": ("for _ in range(s - 1):\n            top", "for _ in range(s - 2):\n            top"),
     }
 
     @pytest.mark.parametrize("mutant", list(START_MUTANTS))
@@ -2396,14 +2389,15 @@ class TestQuotient:
 
     # Each mutant breaks one invariant of the discriminant rule or of the
     # quotient count and changes counts of the pseudo-polarization sweep
-    # at ranks <= 6: the quotient's disc(0) without (-1)^d, the hyperbolic
-    # planes of E + E*; V_1's det without disc(2), the units of the chains
+    # at ranks <= 6: the batch reading's disc(0) without (-1)^d, the
+    # hyperbolic planes of E + E* (the elimination reading's is
+    # STATE_MUTANTS'); V_1's det without disc(2), the units of the chains
     # of length 3 (and 5, at the root); C's split of b without
     # (-1)^(m_2/2); and a part above s' let through, which the ranks of G_1
     # and G_2 then misread as parts 3, 2 and 1.  The second and third
     # reach the root's closed forms too.  (old, new, mismatches)
     QUOTIENT_MUTANTS = {
-        "(-1)^d dropped": ("return (-1) ** d * real.det_g", "return real.det_g", 13),
+        "(-1)^d dropped": ("[(-1) ** d * real.det_g]", "[real.det_g]", 13),
         "disc(b_3) dropped": ("disc(0) * disc(2)", "disc(0)", 7),
         "C's (-1)^(m_2/2) dropped": (
             "d = disc(1) if symplectic", "d = (-1) ** (m // 2) * disc(1) if symplectic", 19
@@ -2609,25 +2603,24 @@ def coordinate_batches():
 
 def sibling_sweep(oracle):
     """(read, wrong) of ``oracle``'s _siblings on every batch of
-    coordinate_batches(), against ff_oracle's _state_count on each sibling
-    E = F1 + <x>: read counts the siblings it reads with one level left
-    ("last"), before it ("inner"), and those it leaves ("left"); wrong
-    lists each value that differs from _state_count's, each sibling with
-    one level left that it leaves, and each it leaves whose start
-    _state_count finds to be E itself, or decides."""
+    coordinate_batches(), each reading counted by ``oracle``'s
+    _state_count, against ff_oracle's _state_count by elimination on each
+    sibling E = F1 + <x>: read counts the siblings it reads with one level
+    left ("last"), before it ("inner"), and those it leaves ("left");
+    wrong lists each value that differs, and each sibling that it
+    leaves."""
     read, wrong = {"last": 0, "inner": 0, "left": 0}, []
     for real, levi, F1, X, t in coordinate_batches():
         last = t == len(levi.ps) - 1
-        for x, (_, value) in zip(X, oracle._siblings(real, levi, F1, X, t)):
-            E = np.vstack([F1, x])
-            want = ff_oracle._state_count(real, levi, E, t)
+        for x, reading in zip(X, oracle._siblings(real, levi, F1, X, t)):
+            want = ff_oracle._state_count(real, levi, np.vstack([F1, x]), t)
             case = (real.family.value, real.partition.literal(), levi.literal(), real.modulus, t, x.tolist())
-            if value is None:
+            if reading is None:
                 read["left"] += 1
-                if last or not isinstance(want, tuple) or want[1] == F1.shape[0] + 1:
-                    wrong.append((case, "left"))
+                wrong.append((case, "left"))
                 continue
             read["last" if last else "inner"] += 1
+            value = oracle._state_count(real, levi, None, t, reading)
             if isinstance(want, tuple):
                 same = isinstance(value, tuple) and value[1] == want[1] and np.array_equal(value[0], want[0])
             else:
@@ -2675,14 +2668,13 @@ def sibling_branches():
 
 class TestSiblings:
     # Siblings of coordinate_batches() read at once: (with one level left,
-    # before it, left to _state_count)
-    READ = {"last": 3003, "inner": 1500, "left": 54}
+    # before it, left to the elimination reading)
+    READ = {"last": 3003, "inner": 1554, "left": 0}
 
     def test_batch_equals_state_count(self):
         # Every batch whose shared rows F1 are Jordan coordinates reads
-        # each sibling's count, or its start E, with _state_count's value,
-        # and leaves to _state_count only siblings before the last level
-        # whose start is larger than E.
+        # every sibling, and _state_count turns each reading into the count,
+        # or the start, that it finds for the sibling by elimination.
         read, wrong = sibling_sweep(ff_oracle)
         assert wrong == []
         assert read == self.READ
@@ -2700,15 +2692,16 @@ class TestSiblings:
         for split in (True, False):
             monkeypatch.setattr(ff_oracle, "_is_square", lambda x, p, split=split: split)
             values.append([
-                value for real, levi, F1, X, t in coordinate_batches()
-                for _, value in ff_oracle._siblings(real, levi, F1, X, t)
+                ff_oracle._state_count(real, levi, None, t, reading)
+                for real, levi, F1, X, t in coordinate_batches()
+                for reading in ff_oracle._siblings(real, levi, F1, X, t)
             ])
         counts = [(a, b) for a, b in zip(*values) if isinstance(a, int) and isinstance(b, int)]
         assert (len(counts), sum(a != b for a, b in counts)) == (3795, 479)
 
     # Each mutant misreads siblings: c = 0 read as c != 0 (rank h_a - 1),
     # the discriminant left as the one of G_a on F1^perp, which misreads a
-    # split type, and the G_s = 0 test of the shared tail dropped, which
+    # split type, and the G_s = 0 test of _state_count dropped, which
     # reads a part above s as parts at most s.  (old, new, siblings wrong)
     MUTANTS = {
         "c = 0 read as c != 0": ("ranks.append(h - 2 + bool(c))", "ranks.append(h - 1)", 2800),
@@ -2729,6 +2722,59 @@ class TestSiblings:
         for real, levi, F1, X, t in coordinate_batches():
             ff_oracle._siblings(real, levi, F1, X, t)
         assert sum(eliminations.values()) == 0
+
+    @staticmethod
+    def batch_starts(monkeypatch, oracle):
+        """(grown, eliminations by site, dets) for each start that a batch
+        reading of ``oracle`` builds over the rank-8 atlas's checks of B, C
+        and D (every pseudo-polarization at p = 3 and 5, at the atlas's
+        5,000-node budget): grown when the start is larger than E."""
+        eliminations, dets, starts = count_eliminations(monkeypatch), [0], []
+        det, siblings = oracle.det, oracle._siblings
+
+        def counted_det(*args):
+            dets[0] += 1
+            return det(*args)
+
+        def watched(start, d):
+            def spy():
+                before, made = dict(eliminations), dets[0]
+                out = start()
+                sites = {site: n - before.get(site, 0) for site, n in eliminations.items()}
+                starts.append((out[1] > d, {site: n for site, n in sites.items() if n}, dets[0] - made))
+                return out
+            return spy
+
+        def spy_siblings(real, levi, F1, X, t):
+            readings = siblings(real, levi, F1, X, t)
+            return [r and (r[0], r[1], watched(r[2], F1.shape[0] + 1)) for r in readings]
+
+        monkeypatch.setattr(oracle, "det", counted_det)
+        monkeypatch.setattr(oracle, "_siblings", spy_siblings)
+        for fam in (Family.B, Family.C, Family.D):
+            for orbit in enumerate_valid(16 + fam.size_parity, fam):
+                for _, levi in pseudo_polarizations(orbit, fam):
+                    for q in (3, 5):
+                        oracle.fiber_point_count(oracle.realize(orbit, fam, q), levi, 5000)
+        return starts
+
+    def test_a_grown_start_pays_only_for_itself(self, monkeypatch):
+        # A sibling that the peel leaves builds its start only then.  Where
+        # G_{s-1} = 0 it is E itself, with no elimination; where the start
+        # is larger than E, it takes one nullspace of E g and one rref of
+        # G_{s-1}, and no det: no G_a but G_{s-1} is read again.
+        starts = self.batch_starts(monkeypatch, ff_oracle)
+        grown = [(sites, dets) for big, sites, dets in starts if big]
+        assert grown == [({"state nullspace": 1, "G_a ranks": 1}, 0)] * 24
+        assert all((sites, dets) == ({}, 0) for big, sites, dets in starts if not big)
+
+    def test_a_start_that_rereads_every_g_a_fails(self, monkeypatch):
+        # The grown start read by _state_count by elimination, which ranks
+        # every G_a, as before the batch readings carried their start.
+        old = "return _elimination_reading(real, levi, E, d, s)[2]() if grown else (E, d)"
+        mutant = mutant_oracle(monkeypatch, old, "return _state_count(real, levi, E, t) if grown else (E, d)")
+        grown = [sites for big, sites, _ in self.batch_starts(monkeypatch, mutant) if big]
+        assert len(grown) == 24 and all(sites["G_a ranks"] > 1 for sites in grown)
 
     # Crafted batches for B 3,3,1 via (1,1,1;1) at p = 3, of its states
     # E_2 of dimension d = 2 (t = 2): F1 rows, X rows, and whether det g
@@ -2752,6 +2798,7 @@ class TestSiblings:
         "}\n"
         "def read(oracle, kind):\n"
         "    F1, X, degenerate = BATCHES[kind]\n"
+        "    F1, X = np.array(F1), np.array(X)\n"
         "    real = realize(parse_partition('3,3,1'), Family.B, 3)\n"
         "    if degenerate:  # the arrays are built and checked, then det g reads 0\n"
         "        real.gram\n"
@@ -2759,8 +2806,8 @@ class TestSiblings:
         "    levi = LeviType.from_text('1,1,1;1', Family.B)\n"
         "    try:\n"
         "        values = [\n"
-        "            oracle._state_count(real, levi, E, 2) if value is None else value\n"
-        "            for E, value in oracle._siblings(real, levi, np.array(F1), np.array(X), 2)\n"
+        "            oracle._state_count(real, levi, np.vstack([F1, x]), 2, reading)\n"
+        "            for x, reading in zip(X, oracle._siblings(real, levi, F1, X, 2))\n"
         "        ]\n"
         "    except InvariantError as exc:\n"
         "        return str(exc)\n"
@@ -2791,14 +2838,14 @@ class TestSiblings:
         return scope["read"]
 
     def test_crafted_batches_raise(self):
-        # A crafted batch that fails one clause is left to _state_count,
-        # whose check raises naming the clause; the valid one is read at
-        # once, with _state_count's count.
+        # A crafted batch that fails one clause is left to the elimination
+        # reading, whose check raises naming the clause; the valid one is
+        # read at once, with the count that elimination finds.
         read = self.crafted()
         real, levi = realize(P("3,3,1"), Family.B, 3), L("1,1,1;1")
         E = np.eye(7, dtype=np.int64)[[0, 3]]
         assert read(ff_oracle, "valid") == [ff_oracle._state_count(real, levi, E, 2)]
-        assert ff_oracle._siblings(real, levi, E[:1], E[1:], 2)[0][0] is None  # read at once
+        assert ff_oracle._siblings(real, levi, E[:1], E[1:], 2)[0] is not None  # read at once
         for kind, clause in self.CRAFTED_RAISED.items():
             message = read(ff_oracle, kind)
             assert message.split(" (")[0] == "the form is degenerate on E^perp/E", kind

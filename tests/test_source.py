@@ -114,3 +114,19 @@ def test_oracle_imports_nothing_it_checks():
             todo.extend(_package_imports(ast.parse((SRC / f"{stem}.py").read_text())))
     assert {"_linalg", "levi", "partitions"} <= reached  # the walk follows imports
     assert reached.isdisjoint({"__init__", "blocks", "minimal", "spaltenstein", "duality"})
+
+
+def test_one_function_turns_a_state_into_its_count():
+    """``_peel`` and ``_shape_count`` are called only from ``_state_count``,
+    so a state's count or start is read in one place, whichever reading
+    (the root's partition, a batch's signed maps, or elimination) it
+    comes from."""
+    callers: dict[str, set[str]] = {"_peel": set(), "_shape_count": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(f"{path.name}:{getattr(fn, 'name', '<module>')}")
+    assert callers == {"_peel": {"ff_oracle.py:_state_count"}, "_shape_count": {"ff_oracle.py:_state_count"}}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nilorbit import (
@@ -58,6 +59,18 @@ class TestEPolynomial:
         assert str(EPolynomial((0,))) == "0"
         assert str(EPolynomial((1, 0, 3))) == "3q^2 + 1"
 
+    @pytest.mark.parametrize("bad", [2.7, "4"])
+    def test_coefficients_are_integers(self, bad):
+        # A float is not truncated and a string is not parsed: either is
+        # a ValueError that names it.
+        with pytest.raises(ValueError, match=f"^coefficient {bad!r} is not an integer$"):
+            EPolynomial([1, bad])
+
+    def test_numpy_integer_coefficients_become_ints(self):
+        poly = EPolynomial([np.int64(2), np.int32(4)])
+        assert poly.coeffs == (2, 4) and all(type(c) is int for c in poly.coeffs)
+        assert str(poly) == "4q + 2"
+
 
 class TestGrassStep:
     def test_validation(self):
@@ -69,6 +82,16 @@ class TestGrassStep:
             GrassStep("SG", 1, 2)
         with pytest.raises(ValueError):
             GrassStep("OG", -1, -2)
+
+    @pytest.mark.parametrize("m,n,bad", [(1.5, 3, 1.5), (1, "3", "3")])
+    def test_parameters_are_integers(self, m, n, bad):
+        with pytest.raises(ValueError, match=f"^step parameter {bad!r} is not an integer$"):
+            GrassStep("OG", m, n)
+
+    def test_numpy_integer_parameters_become_ints(self):
+        step = GrassStep("OG", np.int64(1), np.int64(3))
+        assert step == GrassStep("OG", 1, 3) and type(step.m) is type(step.n) is int
+        assert step.dimension == 1
 
     def test_dimension(self):
         assert GrassStep("OG", 2, 4).dimension == 1
