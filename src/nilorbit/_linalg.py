@@ -43,14 +43,15 @@ else:
     _spec.loader.exec_module(np)
 
 
-def _reduce(mat: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
-    """The elimination behind ``rref`` and ``nullspace``: the nonzero rows of
-    the reduced row echelon form mod p, as lists of Python ints, and the
-    pivot column of each."""
+def _reduce(mat: np.ndarray, p: int) -> tuple[list[list[int]], list[int], int]:
+    """The one elimination behind ``rref``, ``nullspace`` and ``det``: the
+    nonzero rows of the reduced row echelon form mod p, as lists of Python
+    ints, the pivot column of each, and the product of the pivots before
+    they are scaled to 1, negated once per row swap, as a residue."""
     rows, cols = mat.shape
     m = (mat % p).tolist()
     pivots: list[int] = []
-    r = 0
+    r, product = 0, 1
     for c in range(cols):
         for sel in range(r, rows):
             if m[sel][c]:
@@ -59,6 +60,7 @@ def _reduce(mat: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
             continue
         pivot_row = m[sel]
         m[sel] = m[r]
+        product = (product if sel == r else -product) * pivot_row[c] % p
         if pivot_row[c] != 1:
             inv = pow(pivot_row[c], -1, p)
             pivot_row = [x * inv % p for x in pivot_row]
@@ -72,13 +74,13 @@ def _reduce(mat: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == rows:
             break
-    return m[:r], pivots
+    return m[:r], pivots, product
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p. Returns (nonzero rows, pivot columns):
     an int64 array of shape (rank, cols) and the pivot column of each row."""
-    red, pivots = _reduce(mat, p)
+    red, pivots, _ = _reduce(mat, p)
     return np.array(red, dtype=np.int64).reshape(len(red), mat.shape[1]), pivots
 
 
@@ -87,7 +89,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     One row per free column c of the reduced form, in order: 1 at c and
     -red[i][c] at the pivot column of each reduced row i."""
     n = mat.shape[1]
-    red, pivots = _reduce(mat, p)
+    red, pivots, _ = _reduce(mat, p)
     pivot_set = set(pivots)
     zero = [0] * n
     basis = []
@@ -104,22 +106,8 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 
 def det(mat: np.ndarray, p: int) -> int:
     """Determinant mod p of a square matrix, as a residue in [0, p): the
-    product of the pivots of a row echelon form, negated once per row swap,
-    and 0 when a column has no pivot."""
-    m = (mat % p).tolist()
-    value = 1
-    for c in range(len(m)):
-        sel = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            value = -value
-        pivot_row = m[c]
-        value = value * pivot_row[c] % p
-        inv = pow(pivot_row[c], -1, p)
-        for i in range(c + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], pivot_row)]
-    return value % p
+    product of the pivots that ``_reduce`` finds, and 0 when a column has
+    no pivot.  Its row operations other than swaps and scalings keep the
+    det, and they end at the identity when every column has a pivot."""
+    _, pivots, product = _reduce(mat, p)
+    return product if len(pivots) == mat.shape[1] else 0

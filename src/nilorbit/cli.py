@@ -35,6 +35,7 @@ from .partitions import (
     enumerate_valid,
     invalid_reason,
     is_valid,
+    parse_integer,
     parse_partition,
 )
 from .partitions import collapse as collapse_partition
@@ -81,10 +82,10 @@ def _valid_partition(args) -> tuple[Partition, Family]:
 
 
 def _primes(args, n: int) -> list[int]:
-    """The --oracle-primes list: distinct odd primes, each small enough for
-    int64 products at dimension n."""
+    """The --oracle-primes list: distinct odd primes, each a token of
+    parse_integer and small enough for int64 products at dimension n."""
     try:
-        primes = [int(t) for t in args.oracle_primes.split(",")]
+        primes = [parse_integer(t) for t in args.oracle_primes.split(",")]
     except ValueError:  # an empty item, as in "3,,5", is malformed too
         raise UsageError(f"malformed prime list {args.oracle_primes!r}") from None
     if len(set(primes)) < len(primes):

@@ -16,9 +16,13 @@ unit of each odd-multiplicity group walks down the chain of such groups
 picking up a factor (-1)^((v_prev - v_next)/2 + 1) per hop, starting at +1
 for the largest value.
 
-All of this is integer data: one model over Z per orbit (_model), checked
-once (_check_model), which a prime's realization reduces at its first
-array read (realize); a count that the root decides makes none.
+This layout, pairing and these units have one home, the orbit's table of
+chains (_chains), read from its partition alone: the model (_model), the
+root's discriminants (_root_disc) and the root's first window
+(_root_window) all read it.  The model is integer data, built over Z once
+per orbit and checked once (_check_model), which a prime's realization
+reduces at its first array read (realize); a count that the root decides
+makes none.
 """
 from __future__ import annotations
 
@@ -172,75 +176,66 @@ class JordanRealization:
         return det(self.gram, self.modulus)
 
 
-def _block_units(p: Partition, family: Family) -> list[int]:
-    """Unit in front of each self-paired Jordan block (0 for paired parts,
-    which carry the fixed cross-block pairing instead)."""
-    units = [0] * len(p.parts)
-    leftovers: list[tuple[int, int]] = []
-    for v in sorted(set(p.parts), reverse=True):
+@functools.lru_cache(maxsize=None)
+def _chains(p: Partition, family: Family) -> tuple[tuple[int, int, int, int], ...]:
+    """realize's Jordan chains for the orbit ``p``, the one home of the
+    module docstring's layout, pairing and units: per part j, (s_j, d_j,
+    beta(j), u_j), with x(i,j) at coordinate s_j + i - 1, d_j the part,
+    beta(j) its partner (j when self-paired) and u_j the unit in front of a
+    self-paired block (0 for a paired one, which carries the fixed
+    cross-block pairing instead).  It reads only the partition, once per
+    argument per process (lru_cache)."""
+    parts = p.parts
+    beta, units = list(range(len(parts))), [0] * len(parts)
+    delta, last = 1, None  # the chain of leftover units, down from the largest value
+    for v in sorted(set(parts), reverse=True):
+        js = [j for j, x in enumerate(parts) if x == v]
         if family.needs_even_multiplicity(v):
+            if len(js) % 2:
+                raise InvariantError(f"paired-parity value {v} with odd multiplicity in {p}")
+            for a, b in zip(js[0::2], js[1::2]):
+                beta[a], beta[b] = b, a
             continue
-        js = [j for j, x in enumerate(p.parts) if x == v]
         for t, j in enumerate(js):
-            units[j] = 1 if t % 2 == 0 else -1
-        if len(js) % 2 == 1:
-            units[js[-1]] = 1
-            leftovers.append((v, js[-1]))
-    delta = 1
-    for t in range(1, len(leftovers)):
-        prev_v, _ = leftovers[t - 1]
-        v, j = leftovers[t]
-        delta *= (-1) ** ((prev_v - v) // 2 + 1)
-        units[j] = delta
-    return units
+            units[j] = (-1) ** t
+        if len(js) % 2:
+            if last is not None:
+                delta *= (-1) ** ((last - v) // 2 + 1)
+            units[js[-1]], last = delta, v
+    starts = itertools.accumulate(parts, initial=0)
+    return tuple(zip(starts, parts, beta, units))
 
 
 @functools.lru_cache(maxsize=None)
 def _root_disc(p: Partition, family: Family, a: int) -> int:
     """disc(a) of realize's form for the orbit ``p`` as +-1 over Z, by
-    _shape_count's chain rule on the units of _block_units: det g at a = 0."""
+    _shape_count's chain rule on its chains (_chains): det g at a = 0."""
     disc = 1
-    for v, u in zip(p.parts, _block_units(p, family)):
-        if v > a and u:
-            disc *= (-1) ** (a * (v - a)) * u ** (v - a)
-    for v in set(p.parts):
-        if v > a and family.needs_even_multiplicity(v):
-            disc *= (family.epsilon * (-1) ** (a + 1)) ** ((v - a) * (p.parts.count(v) // 2))
+    for j, (_, d, b, u) in enumerate(_chains(p, family)):
+        if d > a and u:
+            disc *= (-1) ** (a * (d - a)) * u ** (d - a)
+        elif d > a and b > j:
+            disc *= (family.epsilon * (-1) ** (a + 1)) ** (d - a)
     return disc
 
 
 @functools.lru_cache(maxsize=None)
 def _model(p: Partition, family: Family) -> JordanModel:
-    """The integer model of realize for the orbit ``p`` of ``family``,
-    built and checked over Z (_check_model) once per orbit, at its first
-    array read.  The cache holds index maps, not dense arrays."""
-    parts = p.parts
-    start = list(itertools.accumulate(parts, initial=0))  # x(i,j) is at start[j] + i - 1
-    e = {(s + i - 1, s + i): 1 for s, d in zip(start, parts) for i in range(1, d)}
-
-    beta = list(range(len(parts)))
-    for v in sorted(set(parts), reverse=True):
-        if not family.needs_even_multiplicity(v):
-            continue
-        js = [j for j, x in enumerate(parts) if x == v]
-        if len(js) % 2:
-            raise InvariantError(f"paired-parity value {v} with odd multiplicity in {p}")
-        for a, b in zip(js[0::2], js[1::2]):
-            beta[a], beta[b] = b, a
-
-    eps = family.epsilon
-    units = _block_units(p, family)
-    gram = {}
-    for j, d in enumerate(parts):
-        if beta[j] == j:
-            for i in range(1, d + 1):
-                gram[start[j] + i - 1, start[j] + d - i] = units[j] * (-1) ** (i - 1)
-        elif beta[j] > j:
-            b = beta[j]
-            for i in range(1, d + 1):
-                s = (-1) ** (i - 1)
-                gram[start[j] + i - 1, start[b] + d - i] = s
-                gram[start[b] + d - i, start[j] + i - 1] = eps * s
+    """The integer model of realize for the orbit ``p`` of ``family``, from
+    its chains (_chains), built and checked over Z (_check_model) once per
+    orbit, at its first array read.  The cache holds index maps, not dense
+    arrays."""
+    chains, eps, gram = _chains(p, family), family.epsilon, {}
+    e = {(s + i - 1, s + i): 1 for s, d, _, _ in chains for i in range(1, d)}
+    for j, (s, d, b, u) in enumerate(chains):
+        t = chains[b][0]  # the partner's first coordinate
+        for i in range(1, d + 1):
+            sign = (-1) ** (i - 1)
+            if u:
+                gram[s + i - 1, t + d - i] = u * sign
+            elif b > j:
+                gram[s + i - 1, t + d - i] = sign
+                gram[t + d - i, s + i - 1] = eps * sign
     model = JordanModel(family, p, MappingProxyType(e), MappingProxyType(gram))
     _check_model(model)
     return model
@@ -248,16 +243,18 @@ def _model(p: Partition, family: Family) -> JordanModel:
 
 def _check_model(model: JordanModel) -> None:
     """The checks of realize that no prime enters, run once per orbit and
-    exactly over Z, on the entries: g^T = eps g; e is a 0/1 partial
-    permutation; the form is e-invariant, e^T g + g e = 0; g has one entry
-    +-1 in each row and column, which JordanModel.det reads; and rank e^k =
-    sum max(d - k, 0) over the parts d, for every k until it is 0.  The
-    first and third are identities of integer matrices, so they hold mod
-    every prime, and so does the fourth, as p is odd.  A power of a 0/1
-    partial permutation is one too, and its rank over any field is its
-    number of entries 1, so the ranks hold mod every prime as well.  The
-    third and the last check read e as the partial permutation that the
-    second one proves: e x_c = x_r for each entry (r, c)."""
+    exactly over Z, on the entries that _model lays out from the chains
+    (_chains): g^T = eps g; e is a 0/1 partial permutation; the form is
+    e-invariant, e^T g + g e = 0; g has one entry +-1 in each row and
+    column, which JordanModel.det reads; and rank e^k = sum max(d - k, 0)
+    over the parts d, for every k until it is 0.  The first and third are
+    identities of integer matrices, so they hold mod every prime, and so
+    does the fourth, as p is odd.  A power of a 0/1 partial permutation is
+    one too, and its rank over any field is its number of entries 1, so
+    the ranks hold mod every prime as well.  The third and the last check
+    read e as the partial permutation that the second one proves: e x_c =
+    x_r for each entry (r, c).  That a D form is split is checked per
+    prime, on det g (_validate)."""
 
     def require(ok, what: str) -> None:
         if not ok:
@@ -343,9 +340,9 @@ class FlagCount:
 
 
 def _cut(p: Partition, levi: LeviType, t: int) -> int | None:
-    """The cut of _enumerate's level t + 1: the largest a = 1 .. max(p) - 1
-    with 0 <= slack_a <= 1, which puts all of E_{t+1} in im e^a (0 for
-    none), or None when some slack_a < 0, which leaves no flag.  Here
+    """The cut of fiber_point_count's level t + 1: the largest a = 1 ..
+    max(p) - 1 with 0 <= slack_a <= 1, which puts all of E_{t+1} in im e^a
+    (0 for none), or None when some slack_a < 0, which leaves no flag.  Here
     slack_a = dim ker e^a - S_a, and S_a is the sum of the a largest steps
     of the chain p_{t+2}, ..., p_k, q, p_k, ..., p_{t+2} left below E_{t+1}.
     It reads only the parts of p and the steps of levi."""
@@ -446,15 +443,15 @@ def _heights(p: Partition) -> list[int]:
     return [d - i for d in p.parts for i in range(1, d + 1)]
 
 
-def _root_window(p: Partition, a: int) -> np.ndarray:
+def _root_window(p: Partition, family: Family, a: int) -> np.ndarray:
     """ker e cap im e^a for realize's e of Jordan type ``p``, the window of
     level 1 below a modelled root cut at a: the identity rows at the first
-    coordinate x(1,j) of each chain with d_j > a, in coordinate order.
-    ker e is spanned by the x(1,j), of height d_j - 1, so this is the
-    reduced basis that the nullspaces of _enumerate's other windows return
-    for it, built with no elimination."""
-    heads = itertools.accumulate(p.parts, initial=0)  # the coordinate of each x(1,j)
-    return np.eye(p.n, dtype=np.int64)[[c for c, d in zip(heads, p.parts) if d > a]]
+    coordinate s_j of each chain (_chains) with d_j > a, in coordinate
+    order.  ker e is spanned by the x(1,j), of height d_j - 1, so this is
+    the reduced basis that the nullspaces of fiber_point_count's other
+    windows return for it, built with no elimination."""
+    heads = [s for s, d, _, _ in _chains(p, family) if d > a]
+    return np.eye(p.n, dtype=np.int64)[heads]
 
 
 @functools.lru_cache(maxsize=None)
@@ -575,11 +572,11 @@ def _shape_count(
 def _state_count(
     real: JordanRealization, levi: LeviType, E: np.ndarray | None, t: int, reading: tuple | None = None
 ) -> int | tuple[np.ndarray, int]:
-    """The flags through a state E = E_t of _enumerate (rows spanning it,
-    isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0, None if modelled
-    or read in its batch) when the peel decides them, else the state's
-    start E + e^(s-1)(E^perp), the forced subspace of its next level
-    (_enumerate), and its dimension.  The rest of such a flag lies in
+    """The flags through a state E = E_t of fiber_point_count (rows
+    spanning it, isotropic, of dimension d = p_1 + ... + p_t; E_0 = 0, None
+    if modelled or read in its batch) when the peel decides them, else the
+    state's start E + e^(s-1)(E^perp), the forced subspace of its next
+    level, and its dimension.  The rest of such a flag lies in
     E^perp, as E_k does, and is a flag of the induced e' on V' =
     E^perp/E for the Levi (p_{t+1}, ..., p_k; q): isotropy carries over,
     e(E_i) <= E_{i-1} iff e' lowers E_i/E into E_{i-1}/E, and e(E_k^perp)
@@ -639,11 +636,11 @@ def _elimination_reading(real: JordanRealization, levi: LeviType, E: np.ndarray,
     V' = E^perp/E must carry a nondegenerate form, rank G_0 = dim V' = n -
     2d, else InvariantError names the clause below that failed.  For
     nondegenerate g, rank G_0 = (n - r) - dim(E cap E^perp) with r = rank
-    E, and every state _enumerate passes has exactly d independent rows,
-    so rank G_0 = n - 2d exactly when r = d and E is isotropic.  So no rank
-    of G_0 is taken: the check is det g != 0 mod p (det_g), r = n - (rows
-    of Q) = d, and E g E^T = 0 mod p, one small product on the E g at
-    hand.  Where r > d, or g is degenerate (only a realization changed by
+    E, and every state fiber_point_count passes has exactly d independent
+    rows, so rank G_0 = n - 2d exactly when r = d and E is isotropic.  So
+    no rank of G_0 is taken: the check is det g != 0 mod p (det_g), r = n -
+    (rows of Q) = d, and E g E^T = 0 mod p, one small product on the E g
+    at hand.  Where r > d, or g is degenerate (only a realization changed by
     replace), it raises wherever rank G_0 != n - 2d would, and more."""
     p, g, e = real.modulus, real.gram, real.e
     Eg = E @ g % p
@@ -789,14 +786,40 @@ def _siblings(
     return out
 
 
+def _levels(real: JordanRealization, levi: LeviType) -> list[tuple[int, list[int]] | None]:
+    """fiber_point_count's table for a check that the root's peel leaves: per
+    level t + 1 < k, its cut a (_cut) and the Jordan coordinates outside
+    im e^a, or None where it leaves no flag.  First the identities that
+    the enumeration's starts and windows rest on, g^T = eps g and e^T g +
+    g e = 0 mod p, are checked by two products, and a failure raises
+    InvariantError."""
+    p, e, g = real.modulus, real.e, real.gram
+    for failed, residue in (("g^T != eps g", g.T - real.family.epsilon * g),
+                            ("e^T g + g e != 0", e.T @ g + g @ e)):
+        if (residue % p).any():
+            raise InvariantError(
+                f"the form is not e-invariant ({real.partition}, {levi}, p={p}): {failed} mod {p}"
+            )
+    heights = _heights(real.partition)
+    cuts = (_cut(real.partition, levi, t) for t in range(len(levi.ps) - 1))
+    return [None if a is None else (a, [c for c, h in enumerate(heights) if h < a]) for a in cuts]
+
+
 def fiber_point_count(
     real: JordanRealization, levi: LeviType, budget: int | None = None
 ) -> FlagCount:
     """Count isotropic chains E_1 < ... < E_k with dim E_i = p_1 + ... + p_i,
-    e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k.
+    e(E_1) = 0, e(E_i) <= E_{i-1}, and e(E_k^perp) <= E_k, in at most
+    ``budget`` nodes (resolve_budget), as one recursion over the states
+    E = E_t (rows spanning E_t; E_0 = 0).
 
-    Every such chain contains the forced subspaces L_i = im e^(s-i), with
-    s = 2k + [q > 0] (see _enumerate), so the count is 0 when a part
+    Every counted chain contains the forced subspaces L_i = im e^(s-i), with
+    s = 2k + 1, or s = 2k when q = 0:
+      E_i <= ker e^i by induction, so E_k^perp >= (ker e^k)^perp = im e^k;
+      then e(E_k^perp) <= E_k gives E_k >= im e^(k+1), and when q = 0,
+      E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
+      and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
+    So L_1 <= E_1 <= ker e needs e^s = 0: the count is 0 when a part
     exceeds s.  The peel (_peel) then takes off the m Jordan chains of
     length s, which span V_s; the other chains span W, and V_s perp W in
     realize's basis.  Every counted flag splits as
@@ -810,13 +833,7 @@ def fiber_point_count(
     remain, or no part equals s.  In the last case one level (r; q) has
     q > 0 (q = 0 gives s = 2), so s = 3 and the parts left are 2 and 1.
     These two shapes, only parts 1 and one level over parts 2 and 1, are
-    counted in closed form (_shape_count, _flag_sum).  With two or more
-    levels left the flags are enumerated level by level (_enumerate), and
-    the flags through each state E_t are counted the same way, on
-    E_t^perp/E_t, wherever the peel decides them (_state_count): the root
-    is its case E_0 = 0, and a state with one level left is always decided.
-    A state it leaves starts its next level from its own forced subspace,
-    the L_1 of e' on E_t^perp/E_t.
+    counted in closed form (_shape_count, _flag_sum).
 
     Only parts 1: e = 0 on their span V_1, of dimension m_1, and the flags
     are the isotropic flags of V_1 with cumulative dimensions
@@ -850,89 +867,41 @@ def fiber_point_count(
     shared rows are Jordan coordinates from the signed partial permutations
     g e^a (_siblings); elsewhere from g e^a by elimination
     (_elimination_reading).  Each is a state's reading, which _state_count
-    alone turns into its count or its start.  A root that
-    leaves its check to _enumerate takes no elimination either: its start
-    and its first level's window are identity rows at Jordan coordinates.
-    _peel, _flag_sum and the signed maps are computed once per argument per
-    process.
+    alone turns into its count or its start.  _peel, _flag_sum and the
+    signed maps are computed once per argument per process.
 
-    A check costs one node when the root's peel decides it, max(1, the
-    nodes _enumerate charges) otherwise, and none without a general-linear
-    block.  A check whose total would exceed the budget returns an explicit
-    skip with ``nodes == budget + 1``, never a wrong count; at budget 0 a
-    check with a general-linear block returns it before the root.
-    """
-    if levi.family is not real.family or levi.n != real.dim:
-        raise ValueError(f"{levi} does not match a realization of size {real.dim}")
-    cap = resolve_budget(budget)
-    if bool(levi.ps) > cap:
-        return FlagCount(None, real.modulus, levi, cap + 1, skipped="budget")
-    return _enumerate(real, levi, cap)
-
-
-def _levels(real: JordanRealization, levi: LeviType) -> list[tuple[int, list[int]] | None]:
-    """_enumerate's table for a check that the root's peel leaves: per
-    level t + 1 < k, its cut a (_cut) and the Jordan coordinates outside
-    im e^a, or None where it leaves no flag.  First the identities that
-    the enumeration's starts and windows rest on, g^T = eps g and e^T g +
-    g e = 0 mod p, are checked by two products, and a failure raises
-    InvariantError."""
-    p, e, g = real.modulus, real.e, real.gram
-    for failed, residue in (("g^T != eps g", g.T - real.family.epsilon * g),
-                            ("e^T g + g e != 0", e.T @ g + g @ e)):
-        if (residue % p).any():
-            raise InvariantError(
-                f"the form is not e-invariant ({real.partition}, {levi}, p={p}): {failed} mod {p}"
-            )
-    heights = _heights(real.partition)
-    cuts = (_cut(real.partition, levi, t) for t in range(len(levi.ps) - 1))
-    return [None if a is None else (a, [c for c, h in enumerate(heights) if h < a]) for a in cuts]
-
-
-def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
-    """fiber_point_count as one recursion over the states E = E_t (rows
-    spanning E_t; E_0 = 0), at most ``cap`` nodes.  Each state is first
-    counted on E^perp/E (_state_count), where the peel may decide it: at
-    the root that is fiber_point_count's peel, and with one level left it
-    always decides.  Only the levels t + 1 < k of the states it leaves are
-    enumerated.  A modelled root E_0 = 0 is passed as None, and its arrays
-    are first read by _levels, once the root has left a start.
-
-    Every counted chain contains the forced subspaces L_i = im e^(s-i), with
-    s = 2k + 1, or s = 2k when q = 0:
-      E_i <= ker e^i by induction, so E_k^perp >= (ker e^k)^perp = im e^k;
-      then e(E_k^perp) <= E_k gives E_k >= im e^(k+1), and when q = 0,
-      E_k = E_k^perp already gives E_k >= im e^k: that is L_k;
-      and e(E_i) <= E_{i-1} carries it down: E_{i-1} >= e(L_i) = L_{i-1}.
-    So L_1 <= E_1 <= ker e needs e^s = 0, that is max part <= s, else the
-    root's peel counts 0.  Below a state E_t the flag is one of e' on
-    E_t^perp/E_t (_state_count), so the same argument there, with s_t =
-    2(k - t) + [q > 0], puts E_{t+1} above the state's own forced
-    subspace, its start E_t + e^(s_t - 1)(E_t^perp) (L_1 at the root),
-    which contains E_t + L_{t+1}, as E_t^perp >= im e^t.  It is isotropic,
-    as e'^(s_t) = 0 and 2(s_t - 1) >= s_t, and orthogonal to the level's
-    window W = E_t^perp cap e^{-1}(E_t), as W/E_t lies in ker e' = (im
-    e'^(s_t - 1))^perp.  Both rest on g^T = eps g and e^T g + g e = 0 mod
-    p, which realize checks but replace may break, so _levels checks them
-    by two products before the first level, and a failure raises
-    InvariantError.
+    Below a state E_t the flag is one of e' on E_t^perp/E_t (_state_count),
+    for the Levi (p_{t+1}, ..., p_k; q), so each state is first counted
+    there, where the peel may decide it: the root E_0 = 0 is its case, and
+    a state with one level left is always decided.  Only the levels t + 1
+    < k of the states it leaves are enumerated.  A modelled root is passed
+    as None, and its arrays are first read by _levels, once the root has
+    left a start.  The argument above, with s_t = 2(k - t) + [q > 0], puts
+    E_{t+1} above the state's own forced subspace, its start E_t +
+    e^(s_t - 1)(E_t^perp) (L_1 at the root), which contains E_t + L_{t+1},
+    as E_t^perp >= im e^t.  It is isotropic, as e'^(s_t) = 0 and 2(s_t -
+    1) >= s_t, and orthogonal to the level's window W = E_t^perp cap
+    e^{-1}(E_t), as W/E_t lies in ker e' = (im e'^(s_t - 1))^perp.  Both
+    rest on g^T = eps g and e^T g + g e = 0 mod p, which realize checks
+    but replace may break, so _levels checks them by two products before
+    the first level, and a failure raises InvariantError.
 
     One inequality cuts the windows.  The flags below E_t are flags of
-    the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, for the
-    Levi (p_{t+1}, ..., p_k; q), and e' lowers the chain E'_{t+1} < ... <
-    E'_k^perp strictly.  On that nilradical rank x^a is at most N' - S_a,
-    S_a the sum of the a largest steps among p_{t+1}, ..., p_k, q, p_k, ...,
-    p_{t+1}, as rank is lower semicontinuous.  And rank e'^a >= rank e^a -
-    2 dim(E_t cap im e^a), since dim e^a(E_t^perp) = rank e^a - dim(E_t cap
-    im e^a) and e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every
-    counted flag has 2 (dim E_t - dim(E_t cap im e^a)) <= slack_a = n -
-    rank e^a - S_a = dim ker e^a - S_a.  Some slack_a < 0 leaves no flag,
-    and 0 <= slack_a <= 1 puts all of E_t in im e^a, which is spanned by the
-    Jordan coordinates x(i,j) of height d_j - i >= a.  The largest such a
-    is the level's cut (_cut), read from (partition, Levi) alone, once per
-    check (_levels), and the level's window is cut to im e^a: the nullspace
-    that gives it also takes the unit rows at the heights < a (read from
-    the chains below a modelled root).  A slack_a < 0 counts 0, before
+    the induced e' on E_t^perp/E_t, of dimension N' = n - 2 dim E_t, and
+    e' lowers the chain E'_{t+1} < ... < E'_k^perp strictly.  On that
+    nilradical rank x^a is at most N' - S_a, S_a the sum of the a largest
+    steps among p_{t+1}, ..., p_k, q, p_k, ..., p_{t+1}, as rank is lower
+    semicontinuous.  And rank e'^a >= rank e^a - 2 dim(E_t cap im e^a),
+    since dim e^a(E_t^perp) = rank e^a - dim(E_t cap im e^a) and
+    e^a(E_t^perp) meets E_t inside E_t cap im e^a.  So every counted flag
+    has 2 (dim E_t - dim(E_t cap im e^a)) <= slack_a = n - rank e^a - S_a
+    = dim ker e^a - S_a.  Some slack_a < 0 leaves no flag, and 0 <= slack_a
+    <= 1 puts all of E_t in im e^a, which is spanned by the Jordan
+    coordinates x(i,j) of height d_j - i >= a.  The largest such a is the
+    level's cut (_cut), read from (partition, Levi) alone, once per check
+    (_levels), and the level's window is cut to im e^a: the nullspace that
+    gives it also takes the unit rows at the heights < a (read from the
+    chains below a modelled root).  A slack_a < 0 counts 0, before
     anything else is done at the level.  No flag is lost where the start
     has an entry at heights < a: every flag that the enumeration counts is
     a real flag, whose E_{t+1} holds the start and lies in im e^a, so none
@@ -946,25 +915,32 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
     unit rows the window.  Below a modelled root it takes none: the window
     is ker e, cut to ker e cap im e^a, the identity rows at the x(1,j) with
     d_j > a (_root_window), which are the reduced basis those nullspaces
-    return.  After the cut, _last_row_batches adds one
-    reduced-echelon row at a time to the start and drops each candidate
-    row as soon as it fails isotropy, and the recursion goes into each
-    E_{t+1} = F1 + <x> that it yields.  Where realize built the
-    realization and F1 is Jordan coordinates, as below a modelled root, the
-    siblings of a batch are read on their quotients at once, from the
-    signed maps g e^a with no elimination (_siblings), and _state_count
-    turns each reading into its count or its start; such a sibling's rows
-    are built only for its start, which begins with them.  Every other
-    state is read by elimination (_elimination_reading).
+    return; the root's start is identity rows too.  After the cut,
+    _last_row_batches adds one reduced-echelon row at a time to the start
+    and drops each candidate row as soon as it fails isotropy, and the
+    recursion goes into each E_{t+1} = F1 + <x> that it yields.  Where
+    realize built the realization and F1 is Jordan coordinates, as below a
+    modelled root, the siblings of a batch are read on their quotients at
+    once, from the signed maps g e^a with no elimination (_siblings), and
+    _state_count turns each reading into its count or its start; such a
+    sibling's rows are built only for its start, which begins with them.
+    Every other state is read by elimination (_elimination_reading).
 
     A node is one candidate row generated and tested, one level filled by
     its start, or one state E_t, t >= 1, that its quotient decides with a
     count that is not 0, each charged by the state that spends it; a level
     that its cut ends or cuts away costs none.  A check with a
-    general-linear block costs at least one node, one without none.  A
-    check whose total would exceed the cap returns an explicit skip with
-    ``nodes == cap + 1``, never a wrong count.
+    general-linear block costs max(1, the nodes charged), so one when the
+    root's peel decides it, and one without such a block none.  A check
+    whose total would exceed the budget returns an explicit skip with
+    ``nodes == budget + 1``, never a wrong count; at budget 0 a check with
+    a general-linear block returns it before the root.
     """
+    if levi.family is not real.family or levi.n != real.dim:
+        raise ValueError(f"{levi} does not match a realization of size {real.dim}")
+    cap = resolve_budget(budget)
+    if bool(levi.ps) > cap:
+        return FlagCount(None, real.modulus, levi, cap + 1, skipped="budget")
     p, dims = real.modulus, list(itertools.accumulate(levi.ps, initial=0))
     counter, levels = [0], None  # levels: _levels, once the root is not decided
 
@@ -990,7 +966,7 @@ def _enumerate(real: JordanRealization, levi: LeviType, cap: int) -> FlagCount:
         a, low = cut
         g = real.gram
         if not t and real.form is None:  # a modelled root: ker e cap im e^a, read from the chains
-            window = _root_window(real.partition, a)
+            window = _root_window(real.partition, real.family, a)
         else:  # E^perp cap e^{-1}(E) cap im e^a, as e^{-1}(E) = (ann(E) e)^perp
             E = start[: dims[t]] if E is None else E  # a start begins with the rows of its E
             units = np.eye(real.dim, dtype=np.int64)[low]  # zero at heights < a

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .partitions import Family, Partition, _integers, collapse, partitions_of
+from .partitions import Family, Partition, _integers, collapse, parse_integer, partitions_of
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,14 @@ class LeviType:
 
     @classmethod
     def from_text(cls, text: str, family: Family) -> "LeviType":
-        """Parse a literal such as ``2,5;7`` or ``;4``."""
+        """Parse a literal such as ``2,5;7`` or ``;4``, each number a token of
+        parse_integer."""
         head, sep, tail = text.strip().partition(";")
         if not sep:
             raise ValueError(f"malformed Levi literal {text!r}, expected 'p1,..,pk;q'")
         try:
-            ps = tuple(int(t) for t in head.split(",")) if head else ()
-            q = int(tail)
+            ps = tuple(parse_integer(t) for t in head.split(",")) if head else ()
+            q = parse_integer(tail)
         except ValueError:
             raise ValueError(f"malformed Levi literal {text!r}") from None
         return cls(ps, q, family)

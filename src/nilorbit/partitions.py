@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -102,8 +103,21 @@ class Partition:
         return "[" + self.literal() + "]"
 
 
+_INTEGER = re.compile(r"[ \t]*-?[0-9]+[ \t]*")
+
+
+def parse_integer(token: str) -> int:
+    """The integer of one token of a literal: ASCII digits with an optional
+    leading minus, and blanks around them.  Anything else is a ValueError,
+    though ``int`` takes some of it (``1_0``, ``+3``, non-ASCII digits)."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(token)
+
+
 def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated partition literal such as ``5,4,4,1``.
+    """Parse a comma-separated partition literal such as ``5,4,4,1``, each
+    part a token of parse_integer.
 
     The empty string parses to the empty partition.
     """
@@ -111,7 +125,7 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return Partition(())
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        parts = tuple(parse_integer(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed partition literal {text!r}") from None
     return Partition(parts)

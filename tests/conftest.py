@@ -62,20 +62,22 @@ ELIMINATION_SITES = ("root window", "level windows", "batch rref", "state nullsp
 
 def count_eliminations(monkeypatch):
     """Count every elimination (a call of _linalg's row reduction, behind
-    rref and nullspace) from here on, by the oracle's call site that makes
-    it, in a dict that the calls update: the window of level 1 below a root
-    (root window) and of a later level (level windows) in _enumerate,
-    _last_row_batches' rref of the start and the window (batch rref), and
-    the elimination reading's nullspace of E g (state nullspace) and rref
-    of each G_a (G_a ranks, made by its pivots on demand), whether
-    _state_count or a sibling's start asks for it.  A call from anywhere
-    else counts under its caller's name: the batches that _siblings reads
-    from the signed maps would show under theirs."""
+    rref, nullspace and det) from here on, by the oracle's call site that
+    makes it, in a dict that the calls update: the window of level 1 below
+    a root (root window) and of a later level (level windows) in
+    fiber_point_count, _last_row_batches' rref of the start and the window
+    (batch rref), and the elimination reading's nullspace of E g (state
+    nullspace) and rref of each G_a (G_a ranks, made by its pivots on
+    demand), whether _state_count or a sibling's start asks for it.  A
+    call from anywhere else counts under its caller's name: a det under
+    the function that takes it (the elimination reading's disc, or det_g
+    of a given form), and the batches that _siblings reads from the signed
+    maps would show under theirs."""
     counts = dict.fromkeys(ELIMINATION_SITES, 0)
     reduce = _linalg._reduce
 
     def counted(mat, p):
-        routine = sys._getframe(1)  # rref or nullspace
+        routine = sys._getframe(1)  # rref, nullspace or det
         caller = routine.f_back
         while caller.f_code.co_name.startswith("<"):  # a comprehension's frame, before Python 3.12
             caller = caller.f_back

@@ -8,6 +8,7 @@ import nilorbit.duality as duality
 import nilorbit.levi as levi
 from nilorbit import EPolynomial, Family, LeviType, Partition, VerificationError, _linalg, cli, dual_pair, ff_oracle
 from nilorbit.cli import main
+from nilorbit.partitions import parse_partition
 
 
 def run(capsys, *argv):
@@ -85,6 +86,36 @@ class TestScalarCommands:
         code, _, err = run(capsys, "blocks", "--family", "C", "3,1,1")
         assert code == 2
         assert "not a valid family-C partition" in err
+
+
+class TestNumberTokens:
+    """A number in a literal is ASCII digits with an optional leading minus
+    and blanks around them.  What only Python's int() takes besides (an
+    underscore, a plus, a non-ASCII digit) is malformed: the command exits
+    2 with one line on stderr, and the library raises ValueError."""
+
+    @pytest.mark.parametrize("literal", ["3_1,1", "\uff13,1,1", "+3,1,1"])
+    def test_partition(self, capsys, literal):
+        code, out, err = run(capsys, "validate", "--family", "B", literal)
+        assert (code, out, err) == (2, "", f"error: malformed partition literal {literal!r}\n")
+        with pytest.raises(ValueError, match="^malformed partition literal"):
+            parse_partition(literal)
+
+    @pytest.mark.parametrize("primes", ["1_1", "+3,5", "3,\uff15"])
+    def test_prime_list(self, capsys, primes):
+        code, out, err = run(capsys, "fiber", "--family", "B", "3,1,1", "--oracle-primes", primes)
+        assert (code, out, err) == (2, "", f"error: malformed prime list {primes!r}\n")
+
+    def test_levi(self):
+        for literal in ("1_0;1", "1;+1", "\uff11;1"):
+            with pytest.raises(ValueError, match="^malformed Levi literal"):
+                LeviType.from_text(literal, Family.B)
+
+    def test_blanks_and_a_minus_stay_tokens(self):
+        assert parse_partition(" 3 ,1,\t1 ") == Partition((3, 1, 1))
+        assert LeviType.from_text("1 , 2; 1", Family.B) == LeviType((1, 2), 1, Family.B)
+        with pytest.raises(ValueError, match="^parts must be positive"):
+            parse_partition("-3")
 
 
 class TestDualAndSeesaw:

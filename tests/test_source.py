@@ -116,6 +116,20 @@ def test_oracle_imports_nothing_it_checks():
     assert reached.isdisjoint({"__init__", "blocks", "minimal", "spaltenstein", "duality"})
 
 
+def _calls(path: Path):
+    """(name, call) for each call in ``path``, by the name of the
+    module-level definition that holds it ("<module>" outside any)."""
+    for definition in ast.parse(path.read_text()).body:
+        for node in ast.walk(definition):
+            if isinstance(node, ast.Call):
+                yield getattr(definition, "name", "<module>"), node
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name that ``call`` calls, a plain name or an attribute."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def test_one_function_turns_a_state_into_its_count():
     """``_peel`` and ``_shape_count`` are called only from ``_state_count``,
     so a state's count or start is read in one place, whichever reading
@@ -123,10 +137,26 @@ def test_one_function_turns_a_state_into_its_count():
     comes from."""
     callers: dict[str, set[str]] = {"_peel": set(), "_shape_count": set()}
     for path in sorted(SRC.glob("*.py")):
-        for fn in ast.parse(path.read_text()).body:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in callers:
-                        callers[name].add(f"{path.name}:{getattr(fn, 'name', '<module>')}")
+        for name, call in _calls(path):
+            if _callee(call) in callers:
+                callers[_callee(call)].add(f"{path.name}:{name}")
     assert callers == {"_peel": {"ff_oracle.py:_state_count"}, "_shape_count": {"ff_oracle.py:_state_count"}}
+
+
+def test_one_elimination_takes_every_inverse():
+    """In ``_linalg.py`` only ``_reduce`` takes an inverse mod p,
+    ``pow(x, -1, p)``, so ``rref``, ``nullspace`` and ``det`` all run on
+    its one row reduction."""
+    inverses = {
+        name for name, call in _calls(SRC / "_linalg.py")
+        if _callee(call) == "pow" and len(call.args) == 3 and ast.unparse(call.args[1]) == "-1"
+    }
+    assert inverses == {"_reduce"}
+
+
+def test_one_table_pairs_the_chains():
+    """In ``ff_oracle.py`` only ``_chains`` asks which parts come in pairs
+    (``needs_even_multiplicity``), so the model, the root's discriminants
+    and the root's window read one layout, pairing and set of units."""
+    askers = {name for name, call in _calls(SRC / "ff_oracle.py") if _callee(call) == "needs_even_multiplicity"}
+    assert askers == {"_chains"}
