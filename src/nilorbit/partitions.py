@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -58,8 +59,11 @@ class Family(enum.Enum):
 def _integers(values: Iterable[int], name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each taken through ``operator.index``,
     so that integer types such as numpy's pass and a float or a string
-    raises ``ValueError`` naming it instead of being truncated or parsed."""
-    values = tuple(values)
+    raises ``ValueError`` naming it instead of being truncated or parsed.
+    A tuple or list is converted once; any other iterable is made a tuple
+    first, so that a failure can still name the culprit."""
+    if not isinstance(values, (tuple, list)):
+        values = tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -74,10 +78,14 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
+        # One walk, for order.  Parts that never increase are positive when
+        # the last one is; parts that increase are walked again for their
+        # least, so that positivity is still reported first.
         ps = _integers(parts, "part")
-        if ps and min(ps) <= 0:
+        increases = any(map(operator.lt, ps, itertools.islice(ps, 1, None)))
+        if ps and (min(ps) if increases else ps[-1]) <= 0:
             raise ValueError(f"parts must be positive, got {ps}")
-        if any(map(operator.lt, ps, ps[1:])):
+        if increases:
             raise ValueError(f"parts must be non-increasing, got {ps}")
         object.__setattr__(self, "parts", ps)
 

@@ -13,6 +13,14 @@ from one orbit on its own, cached per (partition, family), and the public
 readers of it: ``is_special``, ``is_richardson``,
 ``canonical_quotient_order``, ``minimal_richardson_witnessed``,
 ``minimal_richardson_orbits`` and ``pseudo_polarizations``.
+
+The tower table (``_tower``) holds, for the life of the process, one
+``Tower`` per distinct (og_tower, ig_factors): its steps, dimension,
+component count, E-polynomial and per-component E-polynomial, each built
+and checked once however many descriptors share it.  ``_descriptor``
+reaches it through the multiplicities that name the steps
+(``_tower_of``), so it builds each step once too.  An atlas sweep at rank
+16 has 8,733 descriptors but 308 towers.
 """
 from __future__ import annotations
 
@@ -200,26 +208,29 @@ def ig_factors(ns: list[int]) -> list[GrassStep]:
 
 
 @dataclass(frozen=True)
-class FibrationDescriptor:
-    """Shape of one reduced fiber: an orthogonal tower, Lagrangian factors,
-    and the (orbit, minimal Richardson, Levi, split index) context."""
+class Tower:
+    """What a descriptor's steps alone determine, each value built on first
+    read: the orthogonal tower and Lagrangian factors, the dimension, the
+    component count, the E-polynomial (whose degree must be the dimension)
+    and the E-polynomial per component."""
 
     og_tower: tuple[GrassStep, ...]
     ig_factors: tuple[GrassStep, ...]
-    orbit: Partition
-    family: Family
-    min_richardson: Partition
-    levi: LeviType
-    split: int
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         return sum(s.dimension for s in self.og_tower) + sum(
             s.dimension for s in self.ig_factors
         )
 
     @functools.cached_property
-    def _e_polynomial(self) -> EPolynomial:
+    def components(self) -> int:
+        """2 to the number of even-split orthogonal steps; Lagrangian
+        factors are connected and never contribute."""
+        return 2 ** sum(1 for s in self.og_tower if s.is_split_even)
+
+    @functools.cached_property
+    def e_polynomial(self) -> EPolynomial:
         poly = EPolynomial.one()
         for step in self.og_tower:
             if step.kind != "OG":
@@ -231,13 +242,61 @@ class FibrationDescriptor:
             raise InvariantError(f"degree {poly.degree} != dimension {self.dimension}")
         return poly
 
+    @functools.cached_property
+    def per_component(self) -> EPolynomial | None:
+        """The E-polynomial divided by the component count, or None when
+        a coefficient resists the division."""
+        try:
+            return self.e_polynomial.exact_div(self.components)
+        except ValueError:
+            return None
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(og: tuple[GrassStep, ...], ig: tuple[GrassStep, ...]) -> Tower:
+    """The tower table: one Tower per distinct (og_tower, ig_factors) per
+    process, keyed by the steps themselves, so a descriptor whose steps
+    were changed (dataclasses.replace) is read from its own."""
+    return Tower(og, ig)
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_of(og_mults: tuple[int, ...], ig_mults: tuple[int, ...]) -> Tower:
+    """The tower table's row for the orthogonal and Lagrangian
+    multiplicities, whose steps are built once per process."""
+    return _tower(tuple(og_tower(list(og_mults))), tuple(ig_factors(list(ig_mults))))
+
+
+@dataclass(frozen=True)
+class FibrationDescriptor:
+    """Shape of one reduced fiber: an orthogonal tower, Lagrangian factors,
+    and the (orbit, minimal Richardson, Levi, split index) context.  What
+    the steps alone determine is read from their row of the tower table."""
+
+    og_tower: tuple[GrassStep, ...]
+    ig_factors: tuple[GrassStep, ...]
+    orbit: Partition
+    family: Family
+    min_richardson: Partition
+    levi: LeviType
+    split: int
+
+    @functools.cached_property
+    def _row(self) -> Tower:
+        return _tower(self.og_tower, self.ig_factors)
+
+    @property
+    def dimension(self) -> int:
+        return self._row.dimension
+
     def as_dict(self) -> dict:
+        tower = self._row
         return {
             "og_tower": [{"m": s.m, "N": s.n} for s in self.og_tower],
             "ig_factors": [{"m": s.m, "N": s.n} for s in self.ig_factors],
-            "dim": self.dimension,
-            "components": component_count(self),
-            "e_poly": list(e_polynomial(self).coeffs),
+            "dim": tower.dimension,
+            "components": tower.components,
+            "e_poly": list(tower.e_polynomial.coeffs),
         }
 
 
@@ -272,9 +331,10 @@ def _descriptor(p: Partition, family: Family, r: Partition, levi: LeviType) -> F
     og_mults = [m for _, m in og_vals]
     if family is not Family.C:
         og_mults.reverse()
+    tower = _tower_of(tuple(og_mults), tuple(m for _, m in ig_vals))
     return FibrationDescriptor(
-        og_tower=tuple(og_tower(og_mults)),
-        ig_factors=tuple(ig_factors([m for _, m in ig_vals])),
+        og_tower=tower.og_tower,
+        ig_factors=tower.ig_factors,
         orbit=p,
         family=family,
         min_richardson=r,
@@ -382,12 +442,19 @@ def pseudo_polarizations(p: Partition, family: Family) -> list[tuple[Partition, 
 
 def e_polynomial(d: FibrationDescriptor) -> EPolynomial:
     """Product of the step E-polynomials; degree equals the fiber dimension.
-    Built on first use and kept on the (immutable) descriptor, so each
-    descriptor of an OrbitAnalysis computes it once."""
-    return d._e_polynomial
+    Read from the descriptor's row of the tower table, so descriptors that
+    share a tower share one E-polynomial."""
+    return d._row.e_polynomial
 
 
 def component_count(d: FibrationDescriptor) -> int:
-    """2 to the number of even-split orthogonal steps; Lagrangian factors
-    are connected and never contribute."""
-    return 2 ** sum(1 for s in d.og_tower if s.is_split_even)
+    """2 to the number of even-split orthogonal steps, from the
+    descriptor's row of the tower table."""
+    return d._row.components
+
+
+def per_component(d: FibrationDescriptor) -> EPolynomial | None:
+    """The E-polynomial per component (e_polynomial divided by
+    component_count), or None when the division is not exact, from the
+    descriptor's row of the tower table."""
+    return d._row.per_component

@@ -106,6 +106,19 @@ class TestNumberTokens:
         code, out, err = run(capsys, "fiber", "--family", "B", "3,1,1", "--oracle-primes", primes)
         assert (code, out, err) == (2, "", f"error: malformed prime list {primes!r}\n")
 
+    @pytest.mark.parametrize("option", ["--rank", "--ceiling", "--oracle-budget"])
+    @pytest.mark.parametrize("value", ["0_1", " +1", "+1", "\uff11"])
+    def test_atlas_integer_options(self, capsys, tmp_path, option, value):
+        argv = {"--rank": "1", "--ceiling": "1", "--oracle-budget": "0"} | {option: value}
+        code, out, err = run(capsys, "atlas", "--family", "B", "--out", str(tmp_path),
+                             *(x for item in argv.items() for x in item))
+        assert (code, out, err) == (2, "", f"error: argument {option}: invalid int value: {value!r}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_fiber_budget(self, capsys):
+        code, out, err = run(capsys, "fiber", "--family", "B", "--oracle-budget", "1_0", "3,1,1")
+        assert (code, out, err) == (2, "", "error: argument --oracle-budget: invalid int value: '1_0'\n")
+
     def test_levi(self):
         for literal in ("1_0;1", "1;+1", "\uff11;1"):
             with pytest.raises(ValueError, match="^malformed Levi literal"):
@@ -542,13 +555,15 @@ class TestArgparse:
 
 
 def _scale_c_side(monkeypatch):
-    """Multiply every C-side E-polynomial by 1 + q, so each pairing's
-    per-component E-polynomials differ while the seesaw still holds."""
-    real = duality.e_polynomial
-    monkeypatch.setattr(
-        duality, "e_polynomial",
-        lambda d: real(d) * EPolynomial((1, 1)) if d.family is Family.C else real(d),
-    )
+    """Multiply every C-side E-polynomial, and so its per-component
+    E-polynomial, by 1 + q, so each pairing's per-component E-polynomials
+    differ while the seesaw still holds."""
+    for name in ("e_polynomial", "per_component"):
+        real = getattr(duality, name)
+        monkeypatch.setattr(
+            duality, name,
+            lambda d, real=real: real(d) * EPolynomial((1, 1)) if d.family is Family.C else real(d),
+        )
 
 
 def _shift_expected_counts(monkeypatch):

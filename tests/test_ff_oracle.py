@@ -47,6 +47,8 @@ from nilorbit import _linalg, ff_oracle
 from nilorbit._linalg import det, nullspace, rref
 from nilorbit.ff_oracle import (
     BudgetExceeded,
+    _chains,
+    _heights,
     _is_odd_prime,
     _last_row_batches,
     _check_model,
@@ -588,6 +590,14 @@ class TestFiberCounts:
             fiber_point_count(real, L("1;2", Family.C))
         with pytest.raises(ValueError):
             fiber_point_count(real, L("1;1"))
+
+    @pytest.mark.parametrize("count, nodes", [(1, True), (True, 1), (None, False), (1.0, 1),
+                                              (1, 1.0), (1, None), (np.int64(1), 1)])
+    def test_a_count_is_an_int_and_not_a_bool(self, count, nodes):
+        # Else FlagCount(1, 3, L, True) == FlagCount(1, 3, L, 1).
+        with pytest.raises(ValueError, match="^FlagCount (count|nodes) .* is not an int$"):
+            FlagCount(count, 3, L("2;1"), nodes)
+        assert FlagCount(None, 3, L("2;1"), 2, "budget").nodes == 2
 
 
 class TestBudget:
@@ -1615,7 +1625,7 @@ class TestLookAhead:
             e, g, n = real.e, real.gram, real.dim
             rank_e, c = len(rref(e, p)[1]), len(real.partition.parts)
             dims = list(itertools.accumulate(levi.ps))
-            heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+            heights = np.array(_heights(real.partition, real.family))
             cut = {}
             for t, E, L, W in reached:
                 e_perp = nullspace(E @ g % p, p) @ e.T % p
@@ -1758,7 +1768,7 @@ def reference_root_window(real, a):
     p, e, g = real.modulus, real.e, real.gram
     E = np.zeros((0, real.dim), dtype=np.int64)
     window = nullspace(np.vstack([E @ g % p, nullspace(E, p) @ e % p]), p)
-    heights = np.array([d - j for d in real.partition.parts for j in range(1, d + 1)])
+    heights = np.array(_heights(real.partition, real.family))
     if a:
         window = nullspace(window[:, heights < a].T, p) @ window % p
     return window
@@ -2157,16 +2167,15 @@ def non_split(real):
     D, whose form must stay split, the first self-paired chain is scaled
     too: they have odd lengths j, so det g changes by c^j per chain, and
     D has an even number of them."""
-    p, fam, parts = real.modulus, real.family, real.partition.parts
+    p, fam = real.modulus, real.family
     c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
-    chains = [j for j, v in enumerate(parts) if (v % 2 == 0) == (fam is Family.C)]
+    chains = [(s, d) for j, (s, d, b, _) in enumerate(_chains(real.partition, fam)) if b == j]
     if not chains:
         return None
     chains = [chains[0], chains[-1]] if fam is Family.D else chains[-1:]
-    starts = list(itertools.accumulate(parts, initial=0))
     gram = real.gram.copy()
-    for j in chains:
-        block = np.ix_(range(starts[j], starts[j + 1]), range(starts[j], starts[j + 1]))
+    for s, d in chains:
+        block = np.ix_(range(s, s + d), range(s, s + d))
         gram[block] = gram[block] * c % p
     scaled = replace(real, form=gram)
     _validate(scaled)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from nilorbit import (
+    Block,
     EPolynomial,
     Family,
     GrassStep,
     InvariantError,
     LeviType,
     component_count,
+    decompose,
     descriptor,
     distinguished_values,
     e_polynomial,
@@ -21,6 +23,8 @@ from nilorbit import (
     pseudo_polarizations,
     split_index,
 )
+from nilorbit import blocks, spaltenstein
+from nilorbit.duality import dual_pair, pairing_records
 
 
 def P(text):
@@ -259,3 +263,95 @@ class TestInvariantError:
             "    print('raised')\n"
         )
         assert run_optimized(code) == "raised"
+
+
+class TestTables:
+    # The block table and the tower table, and the per-orbit caches built
+    # from them, which must be emptied with them.
+    TABLES = ((blocks, "_block"), (Block, "modifications"),
+              (spaltenstein, "_tower"), (spaltenstein, "_tower_of"))
+    PER_ORBIT = (spaltenstein.orbit_analysis, dual_pair)
+
+    @staticmethod
+    def sweep():
+        """What the tables serve, for every orbit of B, C and D at ranks
+        <= 8: segmentation, modifications, descriptors with their as_dict
+        and E-polynomials, and the pairing records of each special B
+        orbit."""
+        out = []
+        for fam in Family:
+            for rank in range(1, 9):
+                for p in enumerate_valid(2 * rank + fam.size_parity, fam):
+                    an = spaltenstein.orbit_analysis(p, fam)
+                    ds = an.descriptors
+                    out.append((
+                        an.decomposition, [blk.modifications() for blk in an.decomposition.blocks],
+                        ds, [d.as_dict() for d in ds], [e_polynomial(d) for d in ds],
+                        pairing_records(dual_pair(p)) if fam is Family.B and an.special else None,
+                    ))
+        return out
+
+    def cleared(self):
+        for cache in self.PER_ORBIT + tuple(getattr(home, name) for home, name in self.TABLES):
+            cache.cache_clear()
+
+    def test_tables_change_nothing(self, monkeypatch):
+        # The sweep without the tables (each table's function unwrapped),
+        # then twice from empty tables and once warm: the same results each
+        # time, and the same table traffic from empty tables.
+        self.cleared()
+        with monkeypatch.context() as m:
+            for home, name in self.TABLES:
+                m.setattr(home, name, getattr(home, name).__wrapped__)
+            bare = self.sweep()
+        self.cleared()
+
+        def traffic():
+            return [getattr(home, name).cache_info() for home, name in self.TABLES]
+
+        first = self.sweep(), traffic()
+        self.cleared()
+        assert (self.sweep(), traffic()) == first
+        assert first[0] == bare
+        assert self.sweep() == bare
+        blocks_used = sum(len(d.blocks) for d, *_ in bare)
+        assert traffic()[0].currsize < blocks_used // 4
+
+    def test_orbits_share_blocks(self):
+        # 3,3,1 and 3,3,1,1,1 share B1[3,3] and B3[1], and their variants.
+        short, long = decompose(P("3,3,1"), Family.B).blocks, decompose(P("3,3,1,1,1"), Family.B).blocks
+        assert short[0] is long[0] and short[-1] is long[-1]
+        assert short[0].modifications() is long[0].modifications()
+
+    def test_descriptors_share_towers(self):
+        # Every descriptor of one tower, across orbits, reads one
+        # E-polynomial object; the rank-8 sweep has far fewer towers than
+        # descriptors.
+        seen, descriptors = {}, 0
+        for fam in Family:
+            for p in enumerate_valid(16 + fam.size_parity, fam):
+                for r, levi in pseudo_polarizations(p, fam):
+                    d = descriptor(p, fam, r, levi)
+                    poly = seen.setdefault((d.og_tower, d.ig_factors), e_polynomial(d))
+                    assert e_polynomial(d) is poly, (fam, p, r, levi)
+                    descriptors += 1
+        assert len(seen) < descriptors // 4
+
+    @pytest.mark.parametrize("kind, parts", [("B1", (3, 2)), ("B2", (3, 3)), ("C2", (3,)),
+                                             ("X1", (1, 1))])
+    def test_a_bad_block_raises_each_time(self, kind, parts):
+        for build in (Block, blocks._block, blocks._block):
+            with pytest.raises(ValueError):
+                build(kind, parts)
+
+    @pytest.mark.parametrize("og, ig", [((0,), ()), ((), (3,)), ((2, -1), (2,))])
+    def test_bad_multiplicities_raise_each_time(self, og, ig):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                spaltenstein._tower_of(og, ig)
+
+    def test_a_bad_tower_raises_each_time(self):
+        tower = spaltenstein._tower((GrassStep("IG", 1, 2),), ())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^tower steps must be orthogonal$"):
+                tower.e_polynomial
