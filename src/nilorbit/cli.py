@@ -159,12 +159,17 @@ def cmd_richardson(args) -> tuple[dict, int]:
     return {**_head(fam, "partition", p), "richardson": is_richardson(p, fam)}, 0
 
 
+def _witnessed_orbits(witnessed) -> list[dict]:
+    """The witnessed minimal Richardson orbits, as min-richardson and the
+    atlas record them: each orbit's parts, with its witness's block and
+    position."""
+    return [{"partition": list(r.parts), "block": e.block, "witness": e.witness}
+            for r, e in witnessed]
+
+
 def cmd_min_richardson(args) -> tuple[dict, int]:
     p, fam = _valid_partition(args)
-    orbits = [
-        {"partition": list(r.parts), "block": e.block, "witness": e.witness}
-        for r, e in minimal_richardson_witnessed(p, fam)
-    ]
+    orbits = _witnessed_orbits(minimal_richardson_witnessed(p, fam))
     return {**_head(fam, "partition", p), "orbits": orbits}, 0
 
 
@@ -179,20 +184,24 @@ def cmd_polarizations(args) -> tuple[dict, int]:
 
 def _fiber_records(analysis: OrbitAnalysis, primes: list[int], budget: int) -> list[dict]:
     """One record per pseudo-polarization of the analysed orbit, with its
-    oracle checks, each on its own realization, which builds arrays only
-    for a check that the root leaves to the enumeration (realize)."""
+    oracle checks.  The orbit has one realization per prime, shared by all
+    its checks at that prime: a realization is immutable, and builds its
+    read-only arrays only for the first check that the root leaves to the
+    enumeration (realize)."""
     p, fam = analysis.partition, analysis.family
+    reals = [realize(p, fam, q) for q in primes]
     records = []
     for d in analysis.descriptors:
         poly = e_polynomial(d)
         oracle = []
-        for q in primes:
-            fc = fiber_point_count(realize(p, fam, q), d.levi, budget)
+        for q, real in zip(primes, reals):
+            fc = fiber_point_count(real, d.levi, budget)
+            expected = poly(q)
             if fc.count is None:
                 verdict = f"skipped: {fc.skipped}"
             else:
-                verdict = "pass" if fc.count == poly(q) else "fail"
-            oracle.append({"p": q, "count": fc.count, "expected": poly(q), "nodes": fc.nodes,
+                verdict = "pass" if fc.count == expected else "fail"
+            oracle.append({"p": q, "count": fc.count, "expected": expected, "nodes": fc.nodes,
                            "verdict": verdict})
         records.append(
             {
@@ -304,11 +313,8 @@ def _atlas_record(p: Partition, fam: Family, rank: int, label: str | None,
         "very_even_label": label,
         "special": analysis.special,
         "richardson": analysis.richardson,
+        "min_richardson": _witnessed_orbits(analysis.witnessed),
     }
-    rec["min_richardson"] = [
-        {"partition": list(r.parts), "block": e.block, "witness": e.witness}
-        for r, e in analysis.witnessed
-    ]
     rec["fibers"] = _fiber_records(analysis, primes, budget)
     rec["pseudo_polarizations"] = [
         {"min_richardson": fib["min_richardson"], "levi": fib["levi"]} for fib in rec["fibers"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .blocks import _desc
 from .errors import InvariantError, VerificationError
 from .levi import langlands_dual_levi
-from .partitions import Family, Partition, collapse, is_valid, orbit_dim
+from .partitions import Family, Partition, collapse, orbit_dim
 from .spaltenstein import (
     FibrationDescriptor,
     canonical_quotient_order,
@@ -30,8 +30,6 @@ def springer_dual(p: Partition) -> Partition:
     replaced by their lowering variants; the result is re-sorted with zeros
     dropped.
     """
-    if not is_valid(p, Family.B):
-        raise ValueError(f"{p} is not valid for family B")
     analysis = orbit_analysis(p, Family.B)
     if not analysis.special:
         raise ValueError(f"{p} is not special in family B")
@@ -53,8 +51,6 @@ def springer_dual_inverse(p: Partition) -> Partition:
     does not come back to ``p`` is a verification failure and raises
     VerificationError.
     """
-    if not is_valid(p, Family.C):
-        raise ValueError(f"{p} is not valid for family C")
     if not is_special(p, Family.C):
         raise ValueError(f"{p} is not special in family C")
     bumped = Partition(((p.parts[0] + 1,) if p.parts else (1,)) + p.parts[1:])

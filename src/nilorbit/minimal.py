@@ -5,7 +5,9 @@ equal even entries (at even/odd position pairs fixed per family), attributes
 each accepted witness to the block containing it, and reassembles the
 partition with the witnessed block raised, earlier blocks split, and later
 blocks lowered.  Collapsing each reassembly yields exactly the minimal
-Richardson orbits dominating the input.  The scan runs once per orbit, in
+Richardson orbits dominating the input.  The scan is one forward pass over
+the padded parts, with one flag for the separator that must come between
+two accepted witnesses (``_index_set``).  It runs once per orbit, in
 ``spaltenstein.orbit_analysis``, whose readers hand its results out.
 """
 from __future__ import annotations
@@ -43,7 +45,7 @@ class IndexSet:
 
 def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
     """Scan for witnesses in the zero-padded part sequence x of ``p``, on
-    its segmentation ``d``.
+    its segmentation ``d``, in one forward pass.
 
     A witness at position l is an equal even pair ``x[2l] == x[2l+1]``
     (``x[2l-1] == x[2l]`` in family D).  After the first, a witness is
@@ -51,51 +53,35 @@ def _index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
     separator pair occurs strictly between it and the previous acceptance.
     Padding past the parts belongs to the final block in family B and to the
     virtual block past the end otherwise; an omitted C2 closing boundary
-    still owns one slot of its block.
+    still owns one slot of its block.  The scan stops at the first witness
+    in the virtual block, or at a zero witness in family B.
+
+    The pass reads each position's block off a list laid out from the block
+    lengths, and one ``separated`` flag stands in for a search back: the
+    equal odd pair ``x[2l+1] == x[2l+2]`` (one place earlier in family D)
+    after each position l sets it, and an acceptance clears it.  An
+    accepted witness needs no guard against serving as its own separator:
+    the pair after it begins with its second entry, which is even.
     """
-    family = d.family
-    blocks = d.blocks
-    m = len(blocks)
-    owner: dict[int, int] = {}
-    pos = 1
-    for bi, blk in enumerate(blocks):
-        span = len(blk.parts)
-        if blk.kind == "C2" and span % 2:
-            span += 1
-        for _ in range(span):
-            owner[pos] = bi
-            pos += 1
-    parts = p.parts
-
-    def val(i: int) -> int:
-        return parts[i - 1] if 1 <= i <= len(parts) else 0
-
-    def block_of(i: int) -> int:
-        if i in owner:
-            return owner[i]
-        return m - 1 if family is Family.B else m
-
-    woff = -1 if family is Family.D else 0
+    m = len(d.blocks)
+    woff = -1 if d.family is Family.D else 0
+    x = (0,) + p.parts + (0,) * 6  # x[i]: the part at 1-based i, through the last read, len + 6
+    owner = [m]  # owner[i] is the 0-based block of position i
+    for bi, blk in enumerate(d.blocks):
+        owner += [bi] * (len(blk.parts) + (blk.kind == "C2" and len(blk.parts) % 2))
+    owner += [m - 1 if d.family is Family.B else m] * (len(x) - len(owner))
     raw_entries: list[tuple[int, int]] = []
-    last_l = 0
-    for l in range(1, len(parts) // 2 + 3):
-        i1 = 2 * l + woff
-        if val(i1) != val(i1 + 1) or val(i1) % 2 != 0:
-            continue
-        b = block_of(i1)
-        if not raw_entries:
-            ok = True
-        else:
-            ok = b > raw_entries[-1][0] and any(
-                val(2 * lp + 1 + woff) == val(2 * lp + 2 + woff)
-                and val(2 * lp + 1 + woff) % 2 == 1
-                for lp in range(last_l + 1, l)
-            )
-        if ok:
-            raw_entries.append((b, l))
-            last_l = l
-        if b >= m or (family is Family.B and val(i1) == 0):
-            break
+    separated = False
+    for l in range(1, len(p.parts) // 2 + 3):
+        i = 2 * l + woff
+        if x[i] == x[i + 1] and x[i] % 2 == 0:
+            b = owner[i]
+            if not raw_entries or (b > raw_entries[-1][0] and separated):
+                raw_entries.append((b, l))
+                separated = False
+            if b >= m or (d.family is Family.B and x[i] == 0):
+                break
+        separated = separated or (x[i + 1] == x[i + 2] and x[i + 1] % 2 == 1)
     return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries))
 
 

@@ -1,14 +1,19 @@
 """Shared test plumbing: collects acceptance verdict lines and prints them
-in the terminal summary, where capture can't swallow them, runs code
+in the terminal summary, where capture can't swallow them, with one line
+of the package's code-line counts (not a gate), runs code
 snippets in a ``python -O`` child, counts the oracle's eliminations by call
 site, and holds the brute-force reference routes (the dominance order
 among them; validity, the reason a partition is invalid, the collapse and
-the valid partitions by their definitions; and the from-scratch block grammar), the segmentation's
+the valid partitions by their definitions; the from-scratch block grammar;
+and the witness scan with a search back), the segmentation's
 partition and block count, and subspace helpers that several test files
 check the package against."""
+import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +22,9 @@ import pytest
 import nilorbit
 from nilorbit import Family, Partition, _linalg, decompose, enumerate_valid, is_valid, partitions_of
 from nilorbit._linalg import nullspace
+from nilorbit.blocks import BlockDecomposition
 from nilorbit.levi import _polarization_table
+from nilorbit.minimal import IndexEntry, IndexSet
 
 # The least prime above 2^32: int64 products of two residues wrap.
 BIG_PRIME = 4_294_967_311
@@ -30,11 +37,39 @@ def acceptance_line(line: str) -> None:
     print(line, file=sys.__stdout__, flush=True)
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The code lines of a Python source: lines that hold a token, other
+    than a comment, and lie in no docstring of a module, class or function."""
+    docstrings = set()
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def source_line(src: Path) -> str:
+    """One line naming the code lines (code_lines) of the package's modules
+    in ``src``, in total and per module."""
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(src.glob("*.py"))}
+    per_module = ", ".join(f"{name} {n}" for name, n in counts.items())
+    return f"SOURCE: {sum(counts.values())} code lines in src/nilorbit ({per_module})"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    terminalreporter.write_line(source_line(Path(nilorbit.__file__).resolve().parent))
 
 
 @pytest.fixture
@@ -172,6 +207,69 @@ def n_blocks(p, family):
     """The number of blocks in the segmentation of ``p``; the witness scan's
     virtual block is the one past them."""
     return len(decompose(p, family).blocks)
+
+
+def reference_index_set(p: Partition, d: BlockDecomposition) -> IndexSet:
+    """The witness scan of ``minimal._index_set`` by a second route, its
+    reference: a dict from position to block, read through two closures,
+    and for each candidate witness a search back over every position since
+    the last acceptance for an equal odd separator pair.
+
+    It scans for witnesses in the zero-padded part sequence x of ``p``, on
+    its segmentation ``d``.
+
+    A witness at position l is an equal even pair ``x[2l] == x[2l+1]``
+    (``x[2l-1] == x[2l]`` in family D).  After the first, a witness is
+    accepted only if it lies in a strictly later block and an equal odd
+    separator pair occurs strictly between it and the previous acceptance.
+    Padding past the parts belongs to the final block in family B and to the
+    virtual block past the end otherwise; an omitted C2 closing boundary
+    still owns one slot of its block.
+    """
+    family = d.family
+    blocks = d.blocks
+    m = len(blocks)
+    owner: dict[int, int] = {}
+    pos = 1
+    for bi, blk in enumerate(blocks):
+        span = len(blk.parts)
+        if blk.kind == "C2" and span % 2:
+            span += 1
+        for _ in range(span):
+            owner[pos] = bi
+            pos += 1
+    parts = p.parts
+
+    def val(i: int) -> int:
+        return parts[i - 1] if 1 <= i <= len(parts) else 0
+
+    def block_of(i: int) -> int:
+        if i in owner:
+            return owner[i]
+        return m - 1 if family is Family.B else m
+
+    woff = -1 if family is Family.D else 0
+    raw_entries: list[tuple[int, int]] = []
+    last_l = 0
+    for l in range(1, len(parts) // 2 + 3):
+        i1 = 2 * l + woff
+        if val(i1) != val(i1 + 1) or val(i1) % 2 != 0:
+            continue
+        b = block_of(i1)
+        if not raw_entries:
+            ok = True
+        else:
+            ok = b > raw_entries[-1][0] and any(
+                val(2 * lp + 1 + woff) == val(2 * lp + 2 + woff)
+                and val(2 * lp + 1 + woff) % 2 == 1
+                for lp in range(last_l + 1, l)
+            )
+        if ok:
+            raw_entries.append((b, l))
+            last_l = l
+        if b >= m or (family is Family.B and val(i1) == 0):
+            break
+    return IndexSet(tuple(IndexEntry(b + 1 if m else None, l) for b, l in raw_entries))
 
 
 def _equal_pairs(seq):

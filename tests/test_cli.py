@@ -385,8 +385,9 @@ class TestRealizeOnDemand:
     def test_budget_zero_builds_no_model_and_no_array(self, capsys, tmp_path, monkeypatch):
         # At budget 0 every check with a general-linear block skips before
         # its root, and the zero orbit's Levi (;n), which has none, is
-        # decided at its root from the partition: each check gets its own
-        # realization, and none builds a model, an array or an elimination.
+        # decided at its root from the partition: each record gets one
+        # realization per prime, and none builds a model, an array or an
+        # elimination.
         calls = []
         build = cli.realize
 
@@ -400,23 +401,21 @@ class TestRealizeOnDemand:
         monkeypatch.setattr(cli, "realize", counting)
         monkeypatch.setattr(ff_oracle, "_model", refuse)
         monkeypatch.setattr(_linalg, "_reduce", refuse)
-        checks = []
+        records = []
         for fam in "BCD":
             code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "4",
                              "--oracle-budget", "0", "--out", str(tmp_path))
             assert code == 0
             with open(tmp_path / f"atlas-{fam}4.jsonl") as fh:
-                for rec in map(json.loads, fh):
-                    for fib in rec["fibers"]:
-                        checks += [(fam, tuple(rec["orbit"]), o["p"]) for o in fib["oracle"]]
-        assert calls == checks
-        assert len(calls) == 96
+                records += [(fam, tuple(rec["orbit"]), q) for rec in map(json.loads, fh) for q in (3, 5)]
+        assert calls == records
+        assert len(calls) == 78
 
     def test_one_model_per_orbit(self, capsys, tmp_path, monkeypatch):
         # At the default budget the rank-5 atlas makes 162 checks over its
-        # 61 orbits at primes 3 and 5, each on its own realization; only
-        # the 20 orbits with a check that the root leaves to the
-        # enumeration build a model, one each.
+        # 61 records at primes 3 and 5, on one realization per record and
+        # prime; only the 20 orbits with a check that the root leaves to
+        # the enumeration build a model, one each.
         calls = []
         build = cli.realize
         monkeypatch.setattr(cli, "realize", lambda p, fam, q: calls.append(q) or build(p, fam, q))
@@ -424,7 +423,22 @@ class TestRealizeOnDemand:
         for fam in "BCD":
             code, _, _ = run(capsys, "atlas", "--family", fam, "--rank", "5", "--out", str(tmp_path))
             assert code == 0
-        assert (len(calls), ff_oracle._model.cache_info().misses) == (162, 20)
+        assert (len(calls), ff_oracle._model.cache_info().misses) == (122, 20)
+
+    @pytest.mark.parametrize("budget", [["--oracle-budget", "0"], []], ids=["budget-0", "default"])
+    def test_one_realization_per_record_and_prime(self, capsys, tmp_path, monkeypatch, budget):
+        # The rank-6 B atlas has 35 records and 102 checks at primes 3 and
+        # 5: every check of a record at one prime shares its realization.
+        calls = []
+        build = cli.realize
+        monkeypatch.setattr(cli, "realize", lambda p, fam, q: calls.append((p.parts, q)) or build(p, fam, q))
+        code, _, _ = run(capsys, "atlas", "--family", "B", "--rank", "6", *budget, "--out", str(tmp_path))
+        assert code == 0
+        with open(tmp_path / "atlas-B6.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        checks = sum(len(fib["oracle"]) for rec in records for fib in rec["fibers"])
+        assert calls == [(tuple(rec["orbit"]), q) for rec in records for q in (3, 5)]
+        assert (len(records), checks, len(calls)) == (35, 102, 70)
 
 
 class TestOracleInputs:

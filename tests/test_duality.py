@@ -41,12 +41,13 @@ class TestSpringerDual:
             assert springer_dual(regular) == P(str(2 * n))
 
     def test_rejects_non_special(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\[2,2,1\] is not special in family B$"):
             springer_dual(P("2,2,1"))
 
     def test_rejects_other_families(self):
-        with pytest.raises(ValueError):
-            springer_dual(P("2,2"))  # even total: not an odd orthogonal orbit
+        # even total: not an odd orthogonal orbit
+        with pytest.raises(ValueError, match=r"^\[2,2\] is not valid for family B$"):
+            springer_dual(P("2,2"))
 
     def test_image_is_exactly_the_special_symplectic_set(self):
         for n in (5, 7, 9, 11):
@@ -73,8 +74,13 @@ class TestSpringerDualInverse:
         assert springer_dual_inverse(P("1,1,1,1")) == P("1,1,1,1,1")
 
     def test_rejects_non_special(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\[2,1,1\] is not special in family C$"):
             springer_dual_inverse(P("2,1,1"))
+
+    def test_rejects_other_families(self):
+        # odd total: not a symplectic orbit
+        with pytest.raises(ValueError, match=r"^\[3\] is not valid for family C$"):
+            springer_dual_inverse(P("3"))
 
     def test_round_trips(self):
         for n in (4, 6, 8, 10):

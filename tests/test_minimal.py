@@ -4,6 +4,7 @@ from conftest import (
     is_richardson_via_induction,
     minimal_richardson_bruteforce,
     n_blocks,
+    reference_index_set,
 )
 
 from nilorbit import (
@@ -81,6 +82,21 @@ class TestIndexSet:
             IndexSet((IndexEntry(2, 1), IndexEntry(1, 2)))
         with pytest.raises(ValueError):
             IndexSet((IndexEntry(1, 2), IndexEntry(2, 2)))
+
+
+class TestScanAgainstReference:
+    def test_one_pass_equals_the_search_back_on_every_orbit(self):
+        """The one-pass scan gives the reference scan's witnesses on every
+        B/C/D orbit at ranks 0-15 (11,922 orbits)."""
+        checked, mismatched = 0, []
+        for fam in Family:
+            for rank in range(16):
+                for p in enumerate_valid(2 * rank + fam.size_parity, fam):
+                    d = decompose(p, fam)
+                    if _index_set(p, d) != reference_index_set(p, d):
+                        mismatched.append((fam.value, p.parts))
+                    checked += 1
+        assert (checked, mismatched[:5]) == (11922, [])
 
 
 class TestMinimalRichardson:

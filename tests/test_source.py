@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+from conftest import code_lines
+
 import nilorbit
 
 SRC = Path(nilorbit.__file__).resolve().parent
@@ -160,3 +162,52 @@ def test_one_table_pairs_the_chains():
     and the root's window read one layout, pairing and set of units."""
     askers = {name for name, call in _calls(SRC / "ff_oracle.py") if _callee(call) == "needs_even_multiplicity"}
     assert askers == {"_chains"}
+
+
+def test_witness_scan_is_one_pass():
+    """``minimal._index_set`` reads the parts in one forward pass: it
+    defines no nested function, builds no dict, calls no ``any`` or
+    ``all``, and runs no loop inside another, so no witness searches back
+    over the positions before it."""
+    scan = next(
+        node for node in ast.parse((SRC / "minimal.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_index_set"
+    )
+    loops = (ast.For, ast.While, ast.comprehension)
+    found = []
+    for node in ast.walk(scan):
+        if node is not scan and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            found.append(f"nested function at line {node.lineno}")
+        elif isinstance(node, (ast.Dict, ast.DictComp)) or (
+            isinstance(node, ast.Call) and _callee(node) in ("dict", "any", "all")
+        ):
+            found.append(f"{ast.unparse(node)[:30]} at line {node.lineno}")
+        elif isinstance(node, (ast.For, ast.While)):
+            inner = [n for n in ast.walk(node) if n is not node and isinstance(n, loops)]
+            found += [f"loop in the loop at line {node.lineno}" for _ in inner]
+    assert found == []
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    """The terminal summary's SOURCE line counts a line that holds code,
+    a multi-line string value's lines among them, and no blank line,
+    comment or docstring."""
+    text = '''"""Module docstring,
+over two lines."""
+import os  # a comment on a code line
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    return """a value
+over two lines"""
+
+
+class C:
+    """Class docstring."""
+
+    def g(self):
+        pass
+'''
+    assert code_lines(text) == 7
